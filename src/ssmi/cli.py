@@ -56,7 +56,15 @@ def _apply_overrides(config: SimConfig, args) -> SimConfig:
 def _parse_seeds(text: str | None, fallback: int) -> list[int]:
     if not text:
         return [fallback]
-    return [int(s) for s in text.split(",") if s.strip()]
+    seeds = []
+    for token in text.split(","):
+        if not token.strip():
+            continue
+        try:
+            seeds.append(int(token))
+        except ValueError:
+            raise ConfigError(f"--seed: {token.strip()!r} is not an integer") from None
+    return seeds
 
 
 def _write_episode(out_dir: Path, config: SimConfig, metrics: EpisodeMetrics) -> None:

@@ -9,7 +9,9 @@ under the same observation stream.
 
 from __future__ import annotations
 
+import bisect
 import io
+import math
 import struct
 from dataclasses import dataclass
 
@@ -86,56 +88,113 @@ class RayTrace:
 
     ``cells`` is (M, 3) integer cell coordinates; ``hit_index`` is the
     position of the cell containing the beam endpoint, absent when the beam
-    reached max range or exited the map. ``chords`` records the in-cell path
-    lengths in meters; they cancel out of every information formula and are
-    kept for inspection only.
+    reached max range or exited the map. ``entries`` holds the M + 1 ray
+    parameters, in cells, at which the beam enters each traced cell and
+    finally stops (at max range or at the map boundary). ``chords``, the
+    in-cell path lengths in meters, cancel out of every information formula
+    and are derived on demand for inspection only.
     """
 
     cells: np.ndarray
     hit_index: int | None
-    chords: np.ndarray
+    entries: list[float]
+    cell_size: float
 
     def __len__(self) -> int:
         return self.cells.shape[0]
 
+    @property
+    def chords(self) -> np.ndarray:
+        return np.diff(self.entries) * self.cell_size
 
-def _traverse(origin_g: np.ndarray, direction: np.ndarray, s_max: float, dims) -> tuple[list, list]:
-    """Parametric voxel walk in grid units.
+
+def voxel_walk(g, d, s_max: float, dims) -> tuple[list[int], list[float]]:
+    """Amanatides-Woo voxel walk in cell units with scalar floats.
+
+    ``g`` is the origin and ``d`` the unit direction, each three floats;
+    ``s_max`` is the ray length in cells. Returns the visited cells as a flat
+    coordinate list (i0, j0, k0, i1, ...) and their entry parameters, closed
+    by one more value where the walk stops: ``s_max``, or the parameter at
+    which the ray leaves the ``dims`` box.
 
     Visits every cell the segment passes through with positive chord length.
     When the segment crosses a cell corner or edge exactly, all tied axes
-    step simultaneously, so zero-chord corner neighbours are skipped.
+    step together, so zero-chord corner neighbours are skipped.
     """
-    cell = np.floor(origin_g).astype(np.int64)
-    step = np.sign(direction).astype(np.int64)
-    t_next = np.full(3, np.inf)
-    t_delta = np.full(3, np.inf)
-    for i in range(3):
-        if direction[i] > 0.0:
-            t_next[i] = (cell[i] + 1.0 - origin_g[i]) / direction[i]
-            t_delta[i] = 1.0 / direction[i]
-        elif direction[i] < 0.0:
-            t_next[i] = (cell[i] - origin_g[i]) / direction[i]
-            t_delta[i] = -1.0 / direction[i]
+    gx, gy, gz = g
+    dx, dy, dz = d
+    nx, ny, nz = dims
+    i, j, k = math.floor(gx), math.floor(gy), math.floor(gz)
+    # per axis: step, parameter of the next boundary, parameter per cell, and
+    # the coordinate at which the walk has left the box (None: never steps)
+    inf = math.inf
+    if dx > 0.0:
+        si, ti, di, ei = 1, (i + 1.0 - gx) / dx, 1.0 / dx, nx
+    elif dx < 0.0:
+        si, ti, di, ei = -1, (i - gx) / dx, -1.0 / dx, -1
+    else:
+        si, ti, di, ei = 0, inf, inf, None
+    if dy > 0.0:
+        sj, tj, dj, ej = 1, (j + 1.0 - gy) / dy, 1.0 / dy, ny
+    elif dy < 0.0:
+        sj, tj, dj, ej = -1, (j - gy) / dy, -1.0 / dy, -1
+    else:
+        sj, tj, dj, ej = 0, inf, inf, None
+    if dz > 0.0:
+        sk, tk, dk, ek = 1, (k + 1.0 - gz) / dz, 1.0 / dz, nz
+    elif dz < 0.0:
+        sk, tk, dk, ek = -1, (k - gz) / dz, -1.0 / dz, -1
+    else:
+        sk, tk, dk, ek = 0, inf, inf, None
 
-    cells = []
-    entries = []
-    t = 0.0
+    coords = [i, j, k]
+    entries = [0.0]
     while True:
-        cells.append(cell.copy())
-        entries.append(t)
-        t_exit = float(np.min(t_next))
-        if t_exit >= s_max:
+        t = ti if ti < tj else tj
+        if tk < t:
+            t = tk
+        if t >= s_max:
             entries.append(s_max)
-            break
-        advance = t_next == t_exit
-        cell = cell + np.where(advance, step, 0)
-        t_next = np.where(advance, t_next + t_delta, t_next)
-        t = t_exit
-        if np.any(cell < 0) or np.any(cell >= dims):
-            entries.append(t)  # close the last interval at the boundary
-            break
-    return cells, entries
+            return coords, entries
+        entries.append(t)  # entry of the next cell, or the boundary exit
+        if ti == t:
+            i += si
+            if i == ei:
+                return coords, entries
+            ti += di
+        if tj == t:
+            j += sj
+            if j == ej:
+                return coords, entries
+            tj += dj
+        if tk == t:
+            k += sk
+            if k == ek:
+                return coords, entries
+            tk += dk
+        coords += (i, j, k)
+
+
+def cast(beam: BeamMeasurement, origin, cell_size: float, dims) -> RayTrace:
+    """Trace ``beam`` through the box of ``dims`` cells of edge ``cell_size``
+    whose low corner sits at ``origin`` (three floats); the one caster behind
+    ``GridMap.cast_ray`` and ``SemanticOctree.cast_elements``.
+
+    Cells beyond the hit cell are still listed (the information formulas
+    need the full sequence to max range); the trace is truncated where the
+    ray leaves the box, which counts as reaching max range.
+    """
+    g = [(p - q) / cell_size for p, q in zip(beam.origin.tolist(), origin)]
+    if not all(0.0 <= v < n for v, n in zip(g, dims)):
+        raise OriginOutOfBounds(f"beam origin {beam.origin} outside the map")
+    coords, entries = voxel_walk(g, beam.direction.tolist(), beam.max_range / cell_size, dims)
+    hit_index = None
+    if beam.hits:
+        s_hit = beam.range / cell_size
+        if s_hit < entries[-1]:
+            hit_index = bisect.bisect_right(entries, s_hit, 1) - 1
+    cells = np.array(coords, dtype=np.int64).reshape(-1, 3)
+    return RayTrace(cells=cells, hit_index=hit_index, entries=entries, cell_size=cell_size)
 
 
 class GridMap:
@@ -194,30 +253,9 @@ class GridMap:
     # -- ray casting -------------------------------------------------------
 
     def cast_ray(self, beam: BeamMeasurement) -> RayTrace:
-        """All cells the beam's full-length ray traverses, in order.
-
-        Cells beyond the hit cell are still listed (the information formulas
-        need the full sequence to max range); the trace is truncated where
-        the ray leaves the map, which counts as reaching max range.
-        """
-        g = (beam.origin - self.origin) / self.resolution
-        if np.any(g < 0.0) or np.any(g >= np.array(self.dims, dtype=np.float64)):
-            raise OriginOutOfBounds(f"beam origin {beam.origin} outside map")
-        s_max = beam.max_range / self.resolution
-        cells, entries = _traverse(g, beam.direction, s_max, np.array(self.dims))
-        entries = np.asarray(entries)
-        chords = np.diff(entries) * self.resolution
-
-        hit_index = None
-        if beam.hits:
-            s_hit = beam.range / self.resolution
-            if s_hit < entries[-1]:
-                hit_index = int(np.searchsorted(entries[1:], s_hit, side="right"))
-        return RayTrace(
-            cells=np.asarray(cells, dtype=np.int64),
-            hit_index=hit_index,
-            chords=chords,
-        )
+        """All cells the beam's full-length ray traverses, in order (see
+        :func:`cast`)."""
+        return cast(beam, self.origin.tolist(), self.resolution, self.dims)
 
     # -- updates -----------------------------------------------------------
 

@@ -336,15 +336,23 @@ def select_nonoverlapping(traces: list[RayTrace], skip_first_cell: bool = True) 
     location, carries no range information, and would otherwise make every
     pair of beams from one pose overlap trivially.
     """
+    if not traces:
+        return []
+    # one flat integer key per cell: c0 * r1 * r2 + c1 * r2 + c2 is injective
+    # for 0 <= c1 < r1, 0 <= c2 < r2 and stays below the cell count of the map
+    cells = np.concatenate([trace.cells for trace in traces])
+    r1, r2 = (cells[:, 1:].max(axis=0) + 1).tolist()
+    keys = ((cells[:, 0] * r1 + cells[:, 1]) * r2 + cells[:, 2]).tolist()
+    skip = 1 if skip_first_cell else 0
     chosen: list[int] = []
-    used: set[tuple[int, int, int]] = set()
+    used: set[int] = set()
+    end = 0
     for idx, trace in enumerate(traces):
-        cells = trace.cells[1:] if skip_first_cell else trace.cells
-        cell_set = {tuple(c) for c in cells}
-        if cell_set & used:
-            continue
-        chosen.append(idx)
-        used |= cell_set
+        start, end = end, end + len(trace)
+        cell_set = set(keys[start + skip:end])
+        if cell_set.isdisjoint(used):
+            chosen.append(idx)
+            used |= cell_set
     return chosen
 
 
@@ -489,20 +497,3 @@ def mi_surface(
                     total += beam_mi_dense(h_t, h_0, params).value
             out[i, j] = total
     return out
-
-
-def dump_terms(mi_result: BeamMI, fh, kind: str = "n") -> None:
-    """Per-term CSV of a detail-carrying result.
-
-    Columns: 1-based cell or run index, class, event probability (p or rho),
-    accumulated log-ratio (C or Theta), and their product."""
-    if mi_result.terms is None:
-        raise ValueError("compute the beam value with return_detail=True first")
-    fh.write(f"{kind},k,p,c,term\n")
-    rows, cols = mi_result.terms.shape
-    for r in range(rows):
-        for c in range(cols):
-            fh.write(
-                f"{r + 1},{c + 1},{float(mi_result.p_detail[r, c])!r},"
-                f"{float(mi_result.c_detail[r, c])!r},{float(mi_result.terms[r, c])!r}\n"
-            )

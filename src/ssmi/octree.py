@@ -20,7 +20,7 @@ import numpy as np
 
 from . import logodds
 from .errors import InvalidClass, OriginOutOfBounds
-from .grid import GRID_MAGIC, BeamMeasurement, GridMap, RayTrace, _traverse
+from .grid import GRID_MAGIC, BeamMeasurement, GridMap, RayTrace, cast
 from .logodds import CellRelation, SensorParams
 from .mi import SrleRay
 
@@ -428,22 +428,10 @@ class SemanticOctree:
     # -- ray casting -------------------------------------------------------------
 
     def cast_elements(self, beam: BeamMeasurement) -> RayTrace:
-        """Element-resolution trace through the cube (same geometry as the
-        dense caster, so grid and tree agree on what a beam touches)."""
-        g = (beam.origin - self.origin) / self.element_size
-        n = float(self.size_elements)
-        if np.any(g < 0.0) or np.any(g >= n):
-            raise OriginOutOfBounds(f"beam origin {beam.origin} outside the octree cube")
-        s_max = beam.max_range / self.element_size
-        cells, entries = _traverse(g, beam.direction, s_max, np.array(self.dims))
-        entries = np.asarray(entries)
-        chords = np.diff(entries) * self.element_size
-        hit_index = None
-        if beam.hits:
-            s_hit = beam.range / self.element_size
-            if s_hit < entries[-1]:
-                hit_index = int(np.searchsorted(entries[1:], s_hit, side="right"))
-        return RayTrace(cells=np.asarray(cells, dtype=np.int64), hit_index=hit_index, chords=chords)
+        """Element-resolution trace through the cube: the dense grid's caster
+        with the element size and cube extent, so grid and tree agree on
+        what a beam touches."""
+        return cast(beam, self.origin.tolist(), self.element_size, self.dims)
 
     def encode_trace(self, trace: RayTrace, skip_first_cell: bool = False) -> SrleRay | None:
         """Run-length encode leaf beliefs along a trace.

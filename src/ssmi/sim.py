@@ -21,7 +21,7 @@ import numpy as np
 from . import planner as planner_mod
 from .config import SimConfig
 from .errors import AllUnreachable, BadDims, NoFrontiers, PoseInObstacle
-from .grid import BeamMeasurement, GridMap, _traverse
+from .grid import BeamMeasurement, GridMap, voxel_walk
 from .octree import SemanticOctree
 
 
@@ -161,6 +161,23 @@ def env_to_grid(env: Environment, saturation: float = 6.0) -> GridMap:
     return gmap
 
 
+def first_hit(
+    env: Environment, origin: np.ndarray, direction: np.ndarray, max_range: float
+) -> tuple[float, int] | None:
+    """Exact (range, class) of the first non-free ground-truth cell along a
+    ray from ``origin`` (meters), or None when the ray reaches ``max_range``
+    or leaves the world first. The range is where the ray enters that cell;
+    the origin cell counts, at range 0."""
+    g = (np.asarray(origin, dtype=np.float64) / env.resolution).tolist()
+    coords, entries = voxel_walk(g, direction.tolist(), max_range / env.resolution, env.dims)
+    truth = env.grid
+    for n in range(len(entries) - 1):
+        cls = truth[coords[3 * n], coords[3 * n + 1], coords[3 * n + 2]]
+        if cls != 0:
+            return entries[n] * env.resolution, int(cls)
+    return None
+
+
 @dataclass(frozen=True)
 class SensorSpec:
     num_beams: int
@@ -195,24 +212,16 @@ def sense(
     beams = []
     start = heading - spec.fov / 2.0
     step = spec.fov / spec.num_beams
-    s_max = spec.r_max / env.resolution
     for b in range(spec.num_beams):
         angle = start + (b + 0.5) * step
         direction = np.array([math.cos(angle), math.sin(angle), 0.0])
-        cells, entries = _traverse(g, direction, s_max, dims)
-        true_range = None
-        true_class = None
-        for idx, c in enumerate(cells):
-            cls = env.grid[tuple(c)]
-            if cls != 0:
-                true_range = entries[idx] * env.resolution
-                true_class = int(cls)
-                break
-        if true_range is None:
+        hit = first_hit(env, position, direction, spec.r_max)
+        if hit is None:
             beams.append(
                 BeamMeasurement(position, direction, spec.r_max, None, spec.r_max)
             )
             continue
+        true_range, true_class = hit
         reported = true_range
         if spec.range_sigma > 0.0:
             reported += rng.normal(0.0, spec.range_sigma)
@@ -490,18 +499,8 @@ def srle_study(config: SimConfig, env: Environment | None = None) -> list[StudyR
             for y in ys:
                 for z in zs:
                     origin = np.array([0.5 * element, y, z])
-                    cells, entries = _traverse(
-                        origin / env.resolution, direction, r_max / env.resolution,
-                        np.array(env.dims),
-                    )
-                    rng_range = r_max
-                    category = None
-                    for idx, c in enumerate(cells):
-                        cls = env.grid[tuple(c)]
-                        if cls != 0:
-                            rng_range = entries[idx] * env.resolution
-                            category = int(cls)
-                            break
+                    hit = first_hit(env, origin, direction, r_max)
+                    rng_range, category = hit if hit is not None else (r_max, None)
                     beams.append(
                         BeamMeasurement(origin, direction, rng_range, category, r_max)
                     )

@@ -40,6 +40,17 @@ def test_malformed_config_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_bad_seed_list_exit_2(tmp_path, capsys):
+    out = tmp_path / "run"
+    code = main(["explore", "--config", write_config(tmp_path), "--out", str(out),
+                 "--seed", "1,x"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'x'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_explore_smoke(tmp_path, capsys):
     t0 = time.monotonic()
     out = tmp_path / "run"

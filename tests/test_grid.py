@@ -5,17 +5,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ssmi import logodds as lo
 from ssmi.errors import IndexOutOfRange, OriginOutOfBounds
 from ssmi.grid import (
     BeamMeasurement,
     GridMap,
+    cast,
     grid_from_text,
     grid_to_text,
     load_grid,
     save_grid,
 )
+from ssmi.octree import SemanticOctree
+from ssmi.sim import SensorSpec, generate_env, sense, srle_study
 
 LN3 = math.log(3.0)
 
@@ -47,6 +52,66 @@ def clip_trace_reference(origin, direction, length, dims, resolution):
                     hits.append((t_lo, (i, j, k)))
     hits.sort()
     return [c for _, c in hits]
+
+
+def traverse_reference(origin_g, direction, s_max, dims):
+    """Numpy parametric voxel walk in grid units: the loop the scalar caster
+    replaced, kept as its bit-for-bit reference. Tied axes step together."""
+    cell = np.floor(origin_g).astype(np.int64)
+    step = np.sign(direction).astype(np.int64)
+    t_next = np.full(3, np.inf)
+    t_delta = np.full(3, np.inf)
+    with np.errstate(over="ignore"):  # subnormal components step at infinity
+        for i in range(3):
+            if direction[i] > 0.0:
+                t_next[i] = (cell[i] + 1.0 - origin_g[i]) / direction[i]
+                t_delta[i] = 1.0 / direction[i]
+            elif direction[i] < 0.0:
+                t_next[i] = (cell[i] - origin_g[i]) / direction[i]
+                t_delta[i] = -1.0 / direction[i]
+
+    cells = []
+    entries = []
+    t = 0.0
+    while True:
+        cells.append(cell.copy())
+        entries.append(t)
+        t_exit = float(np.min(t_next))
+        if t_exit >= s_max:
+            entries.append(s_max)
+            break
+        advance = t_next == t_exit
+        cell = cell + np.where(advance, step, 0)
+        t_next = np.where(advance, t_next + t_delta, t_next)
+        t = t_exit
+        if np.any(cell < 0) or np.any(cell >= dims):
+            entries.append(t)  # close the last interval at the boundary
+            break
+    return cells, entries
+
+
+def cast_reference(beam, origin, cell_size, dims):
+    """(cells, entries, hit_index) the way the numpy-walk caster computed them."""
+    g = (beam.origin - np.asarray(origin, dtype=np.float64)) / cell_size
+    cells, entries = traverse_reference(g, beam.direction, beam.max_range / cell_size,
+                                        np.array(dims))
+    hit_index = None
+    if beam.hits:
+        s_hit = beam.range / cell_size
+        if s_hit < entries[-1]:
+            hit_index = int(np.searchsorted(np.asarray(entries[1:]), s_hit, side="right"))
+    return [tuple(int(v) for v in c) for c in cells], entries, hit_index
+
+
+def first_hit_reference(env, origin, direction, max_range):
+    """First non-free ground-truth cell along a ray, via the reference walk."""
+    cells, entries = traverse_reference(np.asarray(origin) / env.resolution, direction,
+                                        max_range / env.resolution, np.array(env.dims))
+    for idx, c in enumerate(cells):
+        cls = env.grid[tuple(c)]
+        if cls != 0:
+            return entries[idx] * env.resolution, int(cls)
+    return None
 
 
 def planar_beam(gmap, xy, angle, rng, max_range):
@@ -138,6 +203,150 @@ def test_chords_sum_to_in_map_length():
     beam = BeamMeasurement.planar((1.1, 1.7), 0.4, 4.0, None, 4.0, z=0.25)
     trace = gmap.cast_ray(beam)
     assert trace.chords.sum() == pytest.approx(4.0, abs=1e-9)
+
+
+# -- edge geometry: the scalar caster against the numpy reference --------------
+
+DIMS = st.one_of(
+    st.just((32, 32, 32)),
+    st.tuples(st.integers(1, 12), st.integers(1, 12), st.just(1)),  # depth one
+    st.tuples(st.integers(1, 12), st.integers(1, 12), st.integers(1, 12)),
+)
+
+
+@st.composite
+def origin_coord(draw, n):
+    """One origin coordinate in cells: on a cell face (several such axes make
+    an edge or a corner), at a cell centre, or anywhere."""
+    kind = draw(st.sampled_from(("face", "centre", "any")))
+    if kind == "face":
+        return float(draw(st.integers(0, n - 1)))
+    if kind == "centre":
+        return draw(st.integers(0, n - 1)) + 0.5
+    return draw(st.floats(0.0, float(n), exclude_max=True))
+
+
+@st.composite
+def direction(draw, dims):
+    """Axis-parallel, exact 45-degree diagonals (components in {-1, 0, 1}),
+    or generic with some components forced to zero."""
+    kind = draw(st.sampled_from(("lattice", "generic")))
+    if kind == "lattice":
+        comps = draw(st.tuples(*[st.sampled_from((-1.0, 0.0, 1.0))] * 3))
+    else:
+        comps = draw(st.tuples(*[st.one_of(st.just(0.0), st.floats(-1.0, 1.0))] * 3))
+    if dims[2] == 1 and draw(st.booleans()):
+        comps = (comps[0], comps[1], 0.0)  # planar beam in a depth-one map
+    norm = math.sqrt(sum(c * c for c in comps))
+    assume(norm > 1e-3)
+    return tuple(c / norm for c in comps)
+
+
+@st.composite
+def edge_rays(draw):
+    dims = draw(DIMS)
+    cell_size = draw(st.sampled_from((1.0, 0.25, 0.3)))
+    map_origin = draw(st.sampled_from(((0.0, 0.0, 0.0), (-1.5, 2.0, 0.75))))
+    g = [draw(origin_coord(n)) for n in dims]
+    origin = np.array([o + v * cell_size for o, v in zip(map_origin, g)])
+    d = np.array(draw(direction(dims)))
+    # up to well past the far corner, so many rays leave the map before s_max
+    max_range = draw(st.floats(0.0, 2.0 * math.hypot(*dims))) * cell_size
+    rng = draw(st.floats(0.0, max_range))
+    beam = BeamMeasurement(origin, d, rng, 1 if rng < max_range else None, max_range)
+    return beam, map_origin, cell_size, dims
+
+
+@given(edge_rays())
+@settings(max_examples=1500, deadline=None)
+def test_cast_equals_numpy_reference_on_edge_geometry(case):
+    beam, map_origin, cell_size, dims = case
+    g = (beam.origin - np.asarray(map_origin)) / cell_size
+    if np.any(g < 0.0) or np.any(g >= np.array(dims, dtype=np.float64)):
+        with pytest.raises(OriginOutOfBounds):
+            cast(beam, map_origin, cell_size, dims)
+        return
+    want_cells, want_entries, want_hit = cast_reference(beam, map_origin, cell_size, dims)
+    trace = cast(beam, map_origin, cell_size, dims)
+    assert [tuple(c) for c in trace.cells.tolist()] == want_cells
+    assert trace.entries == want_entries
+    assert trace.hit_index == want_hit
+    assert trace.cells.dtype == np.int64
+    assert np.array_equal(trace.chords, np.diff(want_entries) * cell_size)
+
+
+def test_exact_corner_crossings_skip_zero_chord_neighbours():
+    # a 3-D diagonal from a cell corner passes only through corners: one
+    # cell per unit step, never the face or edge neighbours
+    d = 1.0 / math.sqrt(3.0)
+    beam = BeamMeasurement(np.zeros(3), np.array([d, d, d]), 10.0, None, 10.0)
+    trace = cast(beam, (0.0, 0.0, 0.0), 1.0, (4, 4, 4))
+    assert trace.cells.tolist() == [[n, n, n] for n in range(4)]
+    # the ray leaves the map at the far corner, before max range
+    assert trace.entries[-1] == pytest.approx(4.0 * math.sqrt(3.0))
+    assert trace.entries[-1] < 10.0
+    assert trace.hit_index is None
+
+
+def test_octree_and_grid_cast_same_geometry(rng):
+    gmap = GridMap((8, 8, 8), 0.5, 3, origin=(1.0, -1.0, 0.0))
+    tree = SemanticOctree(0.5, 3, 3, origin=(1.0, -1.0, 0.0))
+    for _ in range(200):
+        origin = np.array([1.0, -1.0, 0.0]) + rng.uniform(0.0, 4.0, 3)
+        d = rng.normal(size=3)
+        r_max = float(rng.uniform(0.1, 8.0))
+        beam = BeamMeasurement(origin, d / np.linalg.norm(d), r_max / 2, 1, r_max)
+        a, b = gmap.cast_ray(beam), tree.cast_elements(beam)
+        np.testing.assert_array_equal(a.cells, b.cells)
+        assert a.entries == b.entries
+        assert a.hit_index == b.hit_index
+
+
+def test_sense_ranges_match_reference_walk():
+    env = generate_env(7, "random", (32, 32), 3)
+    spec = SensorSpec(num_beams=48, fov=2.0 * math.pi, r_max=12.0, range_sigma=0.0,
+                      misclass_prob=0.0)
+    rng = np.random.default_rng(0)
+    hits = 0
+    for spawn in env.spawns[:4]:
+        position = (np.asarray(spawn, dtype=np.float64) + 0.5) * env.resolution
+        for heading in (0.0, 0.3):
+            for beam in sense(env, position, heading, spec, rng):
+                want = first_hit_reference(env, position, beam.direction, spec.r_max)
+                if want is None:
+                    assert (beam.range, beam.category) == (spec.r_max, None)
+                else:
+                    assert (beam.range, beam.category) == want
+                    hits += 1
+    assert hits > 0
+
+
+def test_srle_study_ranges_match_reference_walk(monkeypatch):
+    from ssmi.config import config_from_dict
+
+    config = config_from_dict({
+        "seed": 5,
+        "env": {"profile": "corridor", "dims": [16, 16, 16], "num_classes": 2},
+        "mapper": {"type": "octree"},
+        "sweep": {"resolutions": [1.0, 2.0], "iterations": 1, "beams": 9},
+    })
+    env = generate_env(config.seed, "corridor", (16, 16, 16), 2, 1.0)
+    seen = []
+    insert_scan = SemanticOctree.insert_scan
+
+    def recording(self, beams, params):
+        seen.extend(beams)
+        return insert_scan(self, beams, params)
+
+    monkeypatch.setattr(SemanticOctree, "insert_scan", recording)
+    srle_study(config, env)
+    assert len(seen) == 2 * 9
+    for beam in seen:
+        want = first_hit_reference(env, beam.origin, beam.direction, beam.max_range)
+        if want is None:
+            assert (beam.range, beam.category) == (beam.max_range, None)
+        else:
+            assert (beam.range, beam.category) == want
 
 
 # -- integration ----------------------------------------------------------------

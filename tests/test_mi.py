@@ -227,6 +227,38 @@ def test_fan_selection_is_pairwise_disjoint():
             assert not sets[a] & sets[b]
 
 
+def select_nonoverlapping_reference(traces, skip_first_cell=True):
+    """Greedy filter over sets of cell tuples, as the flat-key filter was
+    written before."""
+    chosen, used = [], set()
+    for idx, trace in enumerate(traces):
+        cells = trace.cells[1:] if skip_first_cell else trace.cells
+        cell_set = {tuple(c) for c in cells}
+        if not cell_set & used:
+            chosen.append(idx)
+            used |= cell_set
+    return chosen
+
+
+@pytest.mark.parametrize("dims", [(12, 9, 1), (7, 11, 5), (1, 1, 6)])
+def test_flat_key_selection_matches_tuple_sets(dims, rng):
+    gmap = GridMap(dims, 0.5, 1)
+    extent = np.array(dims) * 0.5
+    assert select_nonoverlapping([]) == []
+    for _ in range(20):
+        beams = []
+        for _ in range(int(rng.integers(1, 24))):
+            d = rng.normal(size=3)
+            if dims[2] == 1:
+                d[2] = 0.0
+            beams.append(BeamMeasurement(rng.uniform(0.0, 1.0, 3) * extent, d / np.linalg.norm(d),
+                                         4.0, None, 4.0))
+        traces = [gmap.cast_ray(b) for b in beams]
+        for skip in (True, False):
+            assert (select_nonoverlapping(traces, skip_first_cell=skip)
+                    == select_nonoverlapping_reference(traces, skip_first_cell=skip))
+
+
 # -- trajectory ------------------------------------------------------------------------
 
 
