@@ -47,3 +47,8 @@ class PoseInObstacle(SsmiError):
 
 class BadDims(SsmiError):
     """Environment dimensions are too small or malformed."""
+
+
+class CorruptMap(SsmiError, ValueError):
+    """A map file is truncated, has trailing bytes, or holds values its
+    format does not allow."""

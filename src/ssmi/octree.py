@@ -8,6 +8,11 @@ arithmetic bit for bit. After each scan, sibling leaves that ended up with
 identical beliefs are pruned into their parent, which is what makes ray casts
 over this structure short: a ray meets a handful of homogeneous runs instead
 of hundreds of elements.
+
+Queries, ray casts and aggregates always descend to leaves. Inner-node
+summaries (the fused belief of a node's children) are read only by
+``save_octree``, so they are fused once, bottom-up, when a file is written
+rather than after every scan (OctoMap's deferred inner-node update).
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import logodds
-from .errors import InvalidClass, OriginOutOfBounds
+from .errors import CorruptMap, InvalidClass, OriginOutOfBounds
 from .grid import GRID_MAGIC, BeamMeasurement, GridMap, RayTrace, cast
 from .logodds import CellRelation, SensorParams
 from .mi import SrleRay
@@ -112,7 +117,11 @@ class TruncatedSemantics:
 
 
 class SemanticNode:
-    """Tree node: a belief plus either no children or exactly eight."""
+    """Tree node: a belief plus either no children or exactly eight.
+
+    An inner node's ``semantics`` is its summary, or None while the summary
+    is stale (see ``SemanticOctree.summary``).
+    """
 
     __slots__ = ("semantics", "children")
 
@@ -123,10 +132,6 @@ class SemanticNode:
     @property
     def is_leaf(self) -> bool:
         return self.children is None
-
-    @property
-    def occupancy(self) -> float:
-        return self.semantics.occupancy()
 
 
 def _uniform_scalar(vec: np.ndarray, name: str) -> float:
@@ -258,8 +263,9 @@ def fuse_many(children: list[TruncatedSemantics], params: SensorParams, mode: st
 class SemanticOctree:
     """Cube-shaped multi-class map of side ``element_size * 2**max_depth``.
 
-    ``fusion`` selects how inner-node summaries are refreshed at prune time:
-    "fold" (pairwise left fold over the children) or "mean".
+    ``fusion`` selects how inner-node summaries are fused when the tree is
+    saved: "fold" (pairwise left fold over the children) or "mean". The fusion
+    clamps with the sensor parameters of the last ``prune``.
     """
 
     def __init__(
@@ -289,6 +295,7 @@ class SemanticOctree:
         self.prior = prior
         self.prior_semantics = TruncatedSemantics.from_full(prior)
         self.root = SemanticNode(self.prior_semantics)
+        self.summary_params: SensorParams | None = None
 
     @property
     def size_elements(self) -> int:
@@ -400,10 +407,12 @@ class SemanticOctree:
 
     def prune(self, params: SensorParams | None = None) -> "SemanticOctree":
         """Bottom-up: collapse inner nodes whose 8 children are identical
-        leaves; refresh every surviving inner node's summary from its
-        children. Point queries are unaffected."""
+        leaves, and mark every surviving inner node's summary stale. The
+        params (defaults for K when None) are kept for fusing the summaries
+        later. Point queries are unaffected."""
         if params is None:
             params = SensorParams.default(self.num_classes)
+        self.summary_params = params
 
         def visit(node: SemanticNode) -> None:
             if node.children is None:
@@ -418,12 +427,20 @@ class SemanticOctree:
                 node.semantics = first.semantics
                 node.children = None
             else:
-                node.semantics = fuse_many(
-                    [c.semantics for c in node.children], params, self.fusion
-                )
+                node.semantics = None
 
         visit(self.root)
         return self
+
+    def summary(self, node: SemanticNode) -> TruncatedSemantics:
+        """A node's stored belief: a leaf's value, or an inner node's summary.
+        Stale summaries are fused bottom-up from the children with the params
+        of the last ``prune`` and cached on the node."""
+        if node.semantics is None:
+            node.semantics = fuse_many(
+                [self.summary(c) for c in node.children], self.summary_params, self.fusion
+            )
+        return node.semantics
 
     # -- ray casting -------------------------------------------------------------
 
@@ -471,22 +488,54 @@ class SemanticOctree:
 
     # -- aggregates ----------------------------------------------------------------
 
-    def iter_leaves(self):
-        """Yield (semantics, low_corner, size_elements) over all leaves."""
-        stack = [(self.root, (0, 0, 0), self.size_elements)]
+    def iter_leaves(self, box=None):
+        """Yield (semantics, low_corner, size_elements) over all leaves in
+        preorder, or over those overlapping a box (element coordinates,
+        ((lo),(hi)) half-open); subtrees outside the box are skipped."""
+        (bx, by, bz), (ex, ey, ez) = box if box is not None else ((0, 0, 0), self.dims)
+        stack = [(self.root, 0, 0, 0, self.size_elements)]
         while stack:
-            node, low, size = stack.pop()
-            if node.children is None:
-                yield node.semantics, low, size
+            node, x, y, z, size = stack.pop()
+            if x >= ex or y >= ey or z >= ez or x + size <= bx or y + size <= by or z + size <= bz:
                 continue
-            half = size // 2
-            for slot in range(7, -1, -1):
-                dx, dy, dz = (slot >> 2) & 1, (slot >> 1) & 1, slot & 1
-                child_low = (low[0] + dx * half, low[1] + dy * half, low[2] + dz * half)
-                stack.append((node.children[slot], child_low, half))
+            if node.children is None:
+                yield node.semantics, (x, y, z), size
+                continue
+            h = size // 2
+            c = node.children
+            # pushed from slot 7 down, so children pop in slot order
+            stack.extend((
+                (c[7], x + h, y + h, z + h, h), (c[6], x + h, y + h, z, h),
+                (c[5], x + h, y, z + h, h), (c[4], x + h, y, z, h),
+                (c[3], x, y + h, z + h, h), (c[2], x, y + h, z, h),
+                (c[1], x, y, z + h, h), (c[0], x, y, z, h),
+            ))
 
     def num_leaves(self) -> int:
         return sum(1 for _ in self.iter_leaves())
+
+    def leaf_index(self, box) -> tuple[list[TruncatedSemantics], np.ndarray]:
+        """The distinct beliefs of the leaves overlapping a box (element
+        coordinates, ((lo),(hi)) half-open, inside the cube) and an int array
+        over the box holding each element's position in that list."""
+        (bx, by, bz), (ex, ey, ez) = box
+        if not all(0 <= lo <= hi <= self.size_elements for lo, hi in zip(box[0], box[1])):
+            raise ValueError(f"box {box} is not inside the cube")
+        index = np.empty((ex - bx, ey - by, ez - bz), dtype=np.intp)
+        ids: dict[TruncatedSemantics, int] = {}
+        units, unit_ids = [], []
+        for sem, (x, y, z), size in self.iter_leaves(box):
+            i = ids.setdefault(sem, len(ids))
+            if size == 1:  # most leaves: filled together below
+                units.append((x - bx, y - by, z - bz))
+                unit_ids.append(i)
+            else:  # slice stops past the box end are clipped by numpy
+                index[max(x, bx) - bx:x + size - bx,
+                      max(y, by) - by:y + size - by,
+                      max(z, bz) - bz:z + size - bz] = i
+        if units:
+            index[tuple(np.array(units).T)] = unit_ids
+        return list(ids), index
 
     @staticmethod
     def _box_overlap(low, size, box) -> int:
@@ -501,13 +550,16 @@ class SemanticOctree:
 
     def map_entropy(self, region=None) -> float:
         """Total entropy in nats over a region box (element coordinates,
-        ((lo),(hi)) half-open) or the full cube."""
+        ((lo),(hi)) half-open) or the full cube. Each distinct belief's
+        entropy is computed once per call."""
         box = region if region is not None else ((0, 0, 0), self.dims)
+        entropies: dict[TruncatedSemantics, float] = {}
         total = 0.0
-        for sem, low, size in self.iter_leaves():
-            n = self._box_overlap(low, size, box)
-            if n:
-                total += n * sem.entropy()
+        for sem, low, size in self.iter_leaves(box):
+            ent = entropies.get(sem)
+            if ent is None:
+                ent = entropies[sem] = sem.entropy()
+            total += self._box_overlap(low, size, box) * ent
         return total
 
     def observed_fraction(self, region=None) -> float:
@@ -515,10 +567,10 @@ class SemanticOctree:
         box = region if region is not None else ((0, 0, 0), self.dims)
         total = 0
         seen = 0
-        for sem, low, size in self.iter_leaves():
+        for sem, low, size in self.iter_leaves(box):
             n = self._box_overlap(low, size, box)
             total += n
-            if n and sem != self.prior_semantics:
+            if sem != self.prior_semantics:
                 seen += n
         return seen / total if total else 0.0
 
@@ -576,7 +628,7 @@ def save_octree(tree: SemanticOctree, path) -> None:
 
         def write_node(node: SemanticNode) -> None:
             mask = 0 if node.children is None else 0xFF
-            sem = node.semantics
+            sem = tree.summary(node)
             # derive occupancy from the f32-rounded values so a load/save
             # round trip reproduces the file byte for byte
             rounded = TruncatedSemantics(
@@ -597,40 +649,71 @@ def save_octree(tree: SemanticOctree, path) -> None:
 
 
 def load_octree(path) -> SemanticOctree:
+    """Read a ``save_octree`` file. Inner nodes keep the summaries stored in
+    the file until the next ``prune``. Raises CorruptMap when the file is
+    truncated, has trailing bytes, or holds a header or node record the
+    format does not allow."""
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != OCTREE_MAGIC:
-            kind = "grid map" if magic == GRID_MAGIC else f"unknown (magic {magic!r})"
-            raise ValueError(f"not an octree file: {kind}")
-        (element_size,) = struct.unpack("<d", fh.read(8))
-        (max_depth,) = struct.unpack("<B", fh.read(1))
-        (num_classes,) = struct.unpack("<H", fh.read(2))
-        (fusion_flag,) = struct.unpack("<B", fh.read(1))
-        origin = struct.unpack("<3d", fh.read(24))
-        prior = np.frombuffer(fh.read(4 * (num_classes + 1)), dtype="<f4").astype(np.float64)
-        prior = prior.copy()
-        prior[0] = 0.0
-        tree = SemanticOctree(
-            element_size, max_depth, num_classes, prior, origin,
-            fusion="mean" if fusion_flag else "fold",
-        )
+        buf = fh.read()
+    pos = 0
 
-        def read_node() -> SemanticNode:
-            (mask,) = struct.unpack("<B", fh.read(1))
-            fh.read(4)  # occupancy is derived; skip on load
-            (count,) = struct.unpack("<B", fh.read(1))
-            data = []
-            for _ in range(count):
-                c, v = struct.unpack("<Hf", fh.read(6))
-                data.append((c, float(v)))
-            (others,) = struct.unpack("<f", fh.read(4))
-            sem = TruncatedSemantics(
-                data=TruncatedSemantics._sorted(data), others=float(others)
+    def take(fmt: str) -> tuple:
+        nonlocal pos
+        size = struct.calcsize(fmt)
+        if pos + size > len(buf):
+            raise CorruptMap(f"{path}: truncated at byte {len(buf)}")
+        values = struct.unpack_from(fmt, buf, pos)
+        pos += size
+        return values
+
+    magic = buf[:8]
+    if magic != OCTREE_MAGIC:
+        kind = "grid map" if magic == GRID_MAGIC else f"unknown (magic {magic!r})"
+        raise CorruptMap(f"not an octree file: {kind}")
+    pos = 8
+    element_size, max_depth, num_classes, fusion_flag = take("<dBHB")
+    origin = take("<3d")
+    if not 1 <= max_depth <= 16:
+        raise CorruptMap(f"{path}: max_depth {max_depth} outside 1..16")
+    if num_classes < 1:
+        raise CorruptMap(f"{path}: no occupied classes")
+    if fusion_flag not in (0, 1):
+        raise CorruptMap(f"{path}: unknown fusion flag {fusion_flag}")
+    prior = np.array(take(f"<{num_classes + 1}f"), dtype=np.float64)
+    prior[0] = 0.0
+    tree = SemanticOctree(
+        element_size, max_depth, num_classes, prior, origin,
+        fusion="mean" if fusion_flag else "fold",
+    )
+
+    def read_node(depth: int) -> SemanticNode:
+        mask, _occupancy, count = take("<BfB")  # occupancy is derived
+        if mask not in (0, 0xFF):
+            raise CorruptMap(f"{path}: bad child mask {mask:#x} at byte {pos - 6}")
+        if mask and depth == max_depth:
+            raise CorruptMap(f"{path}: tree deeper than max_depth {max_depth}")
+        if count > 3:
+            raise CorruptMap(f"{path}: {count} tracked classes (at most 3)")
+        data = [take("<Hf") for _ in range(count)]
+        classes = {c for c, _ in data}
+        if len(classes) != count or not all(1 <= c <= num_classes for c in classes):
+            raise CorruptMap(
+                f"{path}: tracked classes {[c for c, _ in data]} are not distinct ids "
+                f"in 1..{num_classes}"
             )
-            node = SemanticNode(sem)
-            if mask:
-                node.children = [read_node() for _ in range(8)]
-            return node
+        (others,) = take("<f")
+        # a stable sort on the value alone: classes whose f64 values were an
+        # ulp apart can tie in f32, and keep the order they were saved in
+        sem = TruncatedSemantics(
+            data=tuple(sorted(((c, float(v)) for c, v in data), key=lambda cv: -cv[1])),
+            others=float(others),
+        )
+        node = SemanticNode(sem)
+        if mask:
+            node.children = [read_node(depth + 1) for _ in range(8)]
+        return node
 
-        tree.root = read_node()
-        return tree
+    tree.root = read_node(0)
+    if pos != len(buf):
+        raise CorruptMap(f"{path}: {len(buf) - pos} trailing bytes")
+    return tree

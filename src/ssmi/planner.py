@@ -68,20 +68,12 @@ def view_from_octree(tree, region_dims, band: tuple[int, int] | None = None) -> 
     nx, ny = region_dims[0], region_dims[1]
     nz = region_dims[2] if len(region_dims) > 2 else 1
     z0, z1 = band if band is not None else (0, nz)
-    free = np.zeros((nx, ny), dtype=bool)
-    unknown = np.zeros((nx, ny), dtype=bool)
+    values, index = tree.leaf_index(((0, 0, z0), (nx, ny, z1)))
     prior = tree.prior_semantics
-    for i in range(nx):
-        for j in range(ny):
-            col_free = True
-            col_unknown = True
-            for k in range(z0, z1):
-                sem = tree.query_element((i, j, k))
-                seen = sem != prior
-                col_unknown &= not seen
-                col_free &= seen and sem.is_free_labeled()
-            free[i, j] = col_free
-            unknown[i, j] = col_unknown
+    seen = np.array([v != prior for v in values], dtype=bool)[index]
+    free_labeled = np.array([v != prior and v.is_free_labeled() for v in values], dtype=bool)[index]
+    free = np.all(free_labeled, axis=-1)
+    unknown = np.all(~seen, axis=-1)
     z_center = tree.origin[2] + (z0 + z1) / 2.0 * tree.element_size
     return PlanView(
         free=free, unknown=unknown, resolution=tree.element_size,

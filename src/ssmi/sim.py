@@ -328,16 +328,11 @@ def _plan_view(mapper, env: Environment, band):
 def _label_grid(mapper, env: Environment) -> tuple[np.ndarray, np.ndarray]:
     """(labels, observed) over the environment box for precision scoring."""
     if isinstance(mapper, SemanticOctree):
-        nx, ny, nz = env.dims
-        labels = np.zeros(env.dims, dtype=np.int64)
-        observed = np.zeros(env.dims, dtype=bool)
-        for i in range(nx):
-            for j in range(ny):
-                for k in range(nz):
-                    sem = mapper.query_element((i, j, k))
-                    observed[i, j, k] = sem != mapper.prior_semantics
-                    full = sem.to_full(mapper.num_classes)
-                    labels[i, j, k] = int(np.argmax(full))
+        values, index = mapper.leaf_index(((0, 0, 0), env.dims))
+        labels = np.array(
+            [np.argmax(v.to_full(mapper.num_classes)) for v in values], dtype=np.int64
+        )[index]
+        observed = np.array([v != mapper.prior_semantics for v in values], dtype=bool)[index]
         return labels, observed
     return mapper.most_likely(), mapper.observed.copy()
 

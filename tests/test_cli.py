@@ -8,8 +8,8 @@ import yaml
 
 from ssmi import check
 from ssmi.cli import main
-from ssmi.grid import GridMap, save_grid
-from ssmi.octree import load_octree
+from ssmi.grid import BeamMeasurement, GridMap, save_grid
+from ssmi.octree import SemanticOctree, load_octree, save_octree
 
 
 SMOKE = {
@@ -205,6 +205,23 @@ def test_unknown_map_file_exit_3(tmp_path, capsys):
     bogus = tmp_path / "x.bin"
     bogus.write_bytes(b"GARBAGE!" * 4)
     assert main(["map", "inspect", "--map", str(bogus)]) == 3
+
+
+def test_truncated_octree_file_exit_3(tmp_path, capsys, caplog, params3, rng):
+    tree = SemanticOctree(1.0, 3, 3)
+    origin = np.array([4.0, 4.0, 4.0])
+    for _ in range(5):
+        d = rng.normal(size=3)
+        d /= np.linalg.norm(d)
+        tree.insert_scan([BeamMeasurement(origin, d, 3.0, 2, 6.0)], params3)
+    path = tmp_path / "t.ssmioct"
+    save_octree(tree, path)
+    path.write_bytes(path.read_bytes()[:-7])
+    assert main(["map", "inspect", "--map", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "truncated" in err
+    assert len(err.splitlines()) == 1
+    assert not caplog.records  # no traceback from the last-resort handler
 
 
 def test_help_exits_clean():

@@ -1,15 +1,21 @@
 """Semantic octree: element updates against the dense grid, truncated-belief
 bookkeeping, fusion, pruning, run-length ray casts, and serialization."""
 
+import copy
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssmi import logodds as lo
+from ssmi.config import config_from_dict
+from ssmi.errors import CorruptMap
 from ssmi.grid import BeamMeasurement, GridMap
 from ssmi.logodds import CellRelation, SensorParams
 from ssmi.octree import (
+    SemanticNode,
     SemanticOctree,
     TruncatedSemantics,
     fuse_children,
@@ -20,6 +26,7 @@ from ssmi.octree import (
     save_octree,
     update_semantics,
 )
+from ssmi.sim import run_episode
 
 
 def random_beam(rng, lo_pt=1.0, hi_pt=31.0, r_max=20.0, k=3):
@@ -352,6 +359,32 @@ def test_grid_octree_bit_agreement(params3, rng):
                 )
 
 
+def test_map_entropy_and_observed_fraction_match_leaf_sums(params3, rng):
+    tree = SemanticOctree(1.0, 5, 3)
+    for _ in range(30):
+        tree.insert_scan([random_beam(rng)], params3)
+    for box in (((0, 0, 0), (32, 32, 32)), ((3, 0, 5), (29, 17, 6)), ((4, 4, 4), (4, 9, 9))):
+        entropy = 0.0
+        seen = total = 0
+        for sem, low, size in tree.iter_leaves():
+            n = 1
+            for i in range(3):
+                n *= max(0, min(low[i] + size, box[1][i]) - max(low[i], box[0][i]))
+            if n:
+                entropy += n * sem.entropy()
+                total += n
+                seen += n if sem != tree.prior_semantics else 0
+        assert tree.map_entropy(box) == entropy  # same summation order, bit for bit
+        assert tree.observed_fraction(box) == (seen / total if total else 0.0)
+        values, index = tree.leaf_index(box)
+        assert index.shape == tuple(hi - lo for lo, hi in zip(*box))
+        for rel in np.ndindex(index.shape):
+            cell = tuple(lo + r for lo, r in zip(box[0], rel))
+            assert values[index[rel]] == tree.query_element(cell)
+    with pytest.raises(ValueError):
+        tree.leaf_index(((0, 0, 0), (33, 1, 1)))
+
+
 # -- serialization and conversion ------------------------------------------------------
 
 
@@ -392,3 +425,192 @@ def test_grid_octree_conversion(params3, rng):
         )
     back = grid_from_octree(tree)
     np.testing.assert_array_equal(back.cells, gmap.cells)
+
+
+# -- lazy inner-node fusion against the eager rule ----------------------------------
+
+
+def prune_reference(tree, params):
+    """The eager rule: collapse identical leaf siblings and re-fuse every
+    surviving inner node from its children right away."""
+
+    def visit(node):
+        if node.children is None:
+            return
+        for child in node.children:
+            visit(child)
+        first = node.children[0]
+        if first.children is None and all(
+            c.children is None and c.semantics == first.semantics for c in node.children[1:]
+        ):
+            node.semantics = first.semantics
+            node.children = None
+        else:
+            node.semantics = fuse_many([c.semantics for c in node.children], params, tree.fusion)
+
+    visit(tree.root)
+
+
+def insert_scan_reference(tree, beams, params):
+    """``insert_scan`` with the eager rule after the scan."""
+    for beam in beams:
+        trace = tree.cast_elements(beam)
+        end = trace.hit_index if trace.hit_index is not None else len(trace)
+        for n in range(end):
+            tree.update_element(trace.cells[n], CellRelation.FREE, None, params)
+        if trace.hit_index is not None:
+            tree.update_element(
+                trace.cells[trace.hit_index], CellRelation.OCCUPIED, beam.category, params
+            )
+    prune_reference(tree, params)
+
+
+def saved_bytes(tree, tmp_path, name="t.ssmioct"):
+    path = tmp_path / name
+    save_octree(tree, path)
+    return path.read_bytes()
+
+
+# clamp limits on the far side of the default (6.0), so fusing with the
+# default params instead of the tree's own would change the saved summaries:
+# K=3 averages only hit the clamp when it is tighter than the leaves', K=5
+# lumps exceed their clamp
+FUSION_CASES = [(3, 12.0, "fold"), (3, 12.0, "mean"), (5, 4.0, "fold"), (5, 4.0, "mean")]
+
+
+def scanned_pair(k, clamp_limit, fusion, scans=12):
+    """The same scans into a tree kept by ``insert_scan`` and one kept by the
+    eager rule. Scans alternate between two origins, so cells are revisited
+    often enough to saturate."""
+    params = SensorParams.default(k, clamp_limit=clamp_limit)
+    rng = np.random.default_rng(0)
+    origins = [rng.uniform(3.0, 13.0, 3) for _ in range(2)]
+    lazy = SemanticOctree(1.0, 4, k, fusion=fusion)
+    eager = SemanticOctree(1.0, 4, k, fusion=fusion)
+    for i in range(scans):
+        origin = origins[i % 2]
+        beams = [random_beam(rng, r_max=10.0, k=k) for _ in range(10)]
+        beams = [
+            BeamMeasurement(origin, b.direction, b.range, b.category, b.max_range) for b in beams
+        ]
+        lazy.insert_scan(beams, params)
+        insert_scan_reference(eager, beams, params)
+    return lazy, eager, params
+
+
+@pytest.mark.parametrize("k,clamp_limit,fusion", FUSION_CASES)
+def test_lazy_fusion_saves_like_eager_rule(tmp_path, k, clamp_limit, fusion):
+    lazy, eager, params = scanned_pair(k, clamp_limit, fusion)
+    first = saved_bytes(eager, tmp_path, "eager.ssmioct")
+    assert saved_bytes(lazy, tmp_path) == first
+    assert saved_bytes(lazy, tmp_path) == first  # cached summaries, same bytes
+    # the scans drive beliefs into the clamp, so the params matter
+    prune_reference(eager, SensorParams.default(k))
+    assert saved_bytes(eager, tmp_path, "default.ssmioct") != first
+
+    # load -> save keeps the summaries read from the file
+    path = tmp_path / "lazy.ssmioct"
+    path.write_bytes(first)
+    assert saved_bytes(load_octree(path), tmp_path, "again.ssmioct") == first
+
+    # load -> insert_scan -> save re-fuses from the loaded leaves
+    rng = np.random.default_rng(99)
+    beams = [random_beam(rng, 3.0, 13.0, r_max=10.0, k=k) for _ in range(10)]
+    lazy_back, eager_back = load_octree(path), load_octree(path)
+    lazy_back.insert_scan(beams, params)
+    insert_scan_reference(eager_back, beams, params)
+    assert saved_bytes(lazy_back, tmp_path) == saved_bytes(eager_back, tmp_path, "e.ssmioct")
+
+    # prune() without params fuses with the defaults for K
+    lazy_back, eager_back = load_octree(path), load_octree(path)
+    lazy_back.prune()
+    prune_reference(eager_back, SensorParams.default(k))
+    assert saved_bytes(lazy_back, tmp_path) == saved_bytes(eager_back, tmp_path, "e.ssmioct")
+
+
+@pytest.mark.parametrize("k,clamp_limit", [(5, 4.0), (3, 12.0)])
+def test_episode_tree_saves_like_eager_rule(tmp_path, k, clamp_limit):
+    config = config_from_dict({
+        "seed": 3,
+        "env": {"profile": "random", "dims": [16, 16], "num_classes": k},
+        "sensor": {"num_beams": 24, "r_max": 8.0},
+        "planner": {"num_beams": 8, "beam_range": 8.0},
+        "mapper": {"type": "octree", "clamp_limit": clamp_limit},
+        "run": {"max_steps": 4},
+    })
+    tree = run_episode(config).mapper
+    got = saved_bytes(tree, tmp_path)
+    with_defaults = copy.deepcopy(tree)
+    prune_reference(with_defaults, SensorParams.default(k))
+    prune_reference(tree, config.mapper.sensor_params(k))
+    assert got == saved_bytes(tree, tmp_path, "eager.ssmioct")
+    if clamp_limit > 6.0:
+        # free space saturates past the default clamp, so the params matter
+        assert got != saved_bytes(with_defaults, tmp_path, "default.ssmioct")
+
+
+def test_prune_leaves_summaries_stale_until_save(params3, rng, tmp_path):
+    tree = SemanticOctree(1.0, 4, 3)
+    tree.insert_scan([random_beam(rng, 1.0, 15.0, r_max=10.0) for _ in range(10)], params3)
+    assert not tree.root.is_leaf and tree.root.semantics is None
+    save_octree(tree, tmp_path / "t.ssmioct")
+    assert tree.root.semantics is not None
+
+
+# -- malformed files -----------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def saved_tree_bytes(tmp_path_factory):
+    params = SensorParams.default(3)
+    rng = np.random.default_rng(7)
+    tree = SemanticOctree(1.0, 3, 3)
+    tree.insert_scan([random_beam(rng, 1.0, 7.0, r_max=6.0) for _ in range(6)], params)
+    path = tmp_path_factory.mktemp("oct") / "t.ssmioct"
+    save_octree(tree, path)
+    return path.read_bytes()
+
+
+HEADER = 8 + 8 + 1 + 2 + 1 + 24 + 4 * 4  # magic .. prior, K=3
+ROOT = HEADER
+
+
+@pytest.mark.parametrize(
+    "patch,match",
+    [
+        (lambda b: b[:-1], "truncated"),
+        (lambda b: b[:HEADER - 3], "truncated"),
+        (lambda b: b + b"\0", "trailing"),
+        (lambda b: b[:16] + bytes([2]) + b[17:], "deeper than max_depth"),
+        (lambda b: b[:16] + bytes([17]) + b[17:], "max_depth"),
+        (lambda b: b[:ROOT + 5] + bytes([4]) + b[ROOT + 6:], "at most 3"),
+        (lambda b: b[:ROOT + 6] + (9).to_bytes(2, "little") + b[ROOT + 8:], "1..3"),
+        (lambda b: b[:ROOT] + bytes([0x0F]) + b[ROOT + 1:], "child mask"),
+        (lambda b: b"SSMIGRD1" + b[8:], "not an octree file"),
+    ],
+)
+def test_loader_rejects_malformed_file(tmp_path, saved_tree_bytes, patch, match):
+    path = tmp_path / "bad.ssmioct"
+    path.write_bytes(patch(saved_tree_bytes))
+    with pytest.raises(CorruptMap, match=match):
+        load_octree(path)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_loader_fuzz_truncation_and_bit_flips(tmp_path_factory, saved_tree_bytes, data):
+    path = tmp_path_factory.mktemp("fuzz") / "f.ssmioct"
+    cut = data.draw(st.integers(0, len(saved_tree_bytes) - 1), label="cut")
+    path.write_bytes(saved_tree_bytes[:cut])
+    with pytest.raises(CorruptMap):
+        load_octree(path)
+    flipped = bytearray(saved_tree_bytes)
+    bits = data.draw(st.lists(st.integers(0, 8 * len(flipped) - 1), min_size=1, max_size=3))
+    for bit in bits:
+        flipped[bit // 8] ^= 1 << (bit % 8)
+    path.write_bytes(bytes(flipped))
+    try:
+        tree = load_octree(path)
+    except CorruptMap:
+        return
+    assert isinstance(tree.root, SemanticNode)

@@ -335,3 +335,37 @@ def test_view_from_octree_matches_grid(params3, rng):
     vt = view_from_octree(tree, (16, 16, 1), band=(0, 1))
     np.testing.assert_array_equal(vg.free, vt.free)
     np.testing.assert_array_equal(vg.unknown, vt.unknown)
+
+
+def test_view_from_octree_matches_element_loop(rng):
+    """The leaf-box fill against the per-element projection it replaced, on
+    a lumped (K=5) tree, a region smaller than the cube and a z band."""
+    from ssmi.grid import BeamMeasurement
+    from ssmi.octree import SemanticOctree
+
+    params = SensorParams.default(5)
+    tree = SemanticOctree(1.0, 4, 5)
+    for z in (2.5, 3.5, 4.5, 5.5):  # level fans fill whole columns of the band
+        beams = []
+        for ang in rng.uniform(0, 2 * math.pi, 24):
+            hit = rng.random() < 0.5
+            r = float(rng.uniform(2, 7)) if hit else 7.0
+            cat = int(rng.integers(1, 6)) if hit else None
+            direction = np.array([math.cos(ang), math.sin(ang), 0.0])
+            beams.append(BeamMeasurement(np.array([6.5, 5.5, z]), direction, r, cat, 7.0))
+        tree.insert_scan(beams, params)
+    region, band = (12, 10, 8), (2, 6)
+    view = view_from_octree(tree, region, band)
+    free = np.ones(region[:2], dtype=bool)
+    unknown = np.ones(region[:2], dtype=bool)
+    for i in range(region[0]):
+        for j in range(region[1]):
+            for k in range(*band):
+                sem = tree.query_element((i, j, k))
+                seen = sem != tree.prior_semantics
+                unknown[i, j] &= not seen
+                free[i, j] &= seen and sem.is_free_labeled()
+    assert free.any() and not unknown.all()
+    np.testing.assert_array_equal(view.free, free)
+    np.testing.assert_array_equal(view.unknown, unknown)
+

@@ -269,3 +269,32 @@ def test_srle_q_never_exceeds_n():
         tree.insert_scan([beam], params)
         ray = tree.raycast_srle(beam)
         assert ray.num_runs <= ray.num_elements
+
+
+def test_label_grid_matches_element_loop():
+    """Precision labels from leaf boxes against per-element queries, on a
+    lumped (K=5) tree and a box smaller than the cube."""
+    from types import SimpleNamespace
+
+    from ssmi.grid import BeamMeasurement
+    from ssmi.logodds import SensorParams
+    from ssmi.octree import SemanticOctree
+    from ssmi.sim import _label_grid
+
+    tree = SemanticOctree(1.0, 4, 5)
+    params = SensorParams.default(5)
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        d = rng.normal(size=3)
+        d /= np.linalg.norm(d)
+        beam = BeamMeasurement(rng.uniform(2, 12, 3), d, float(rng.uniform(1, 9)),
+                               int(rng.integers(1, 6)), 10.0)
+        tree.insert_scan([beam], params)
+    env = SimpleNamespace(dims=(13, 11, 9))
+    labels, observed = _label_grid(tree, env)
+    for cell in np.ndindex(env.dims):
+        sem = tree.query_element(cell)
+        assert observed[cell] == (sem != tree.prior_semantics)
+        assert labels[cell] == int(np.argmax(sem.to_full(5)))
+    assert observed.any() and len(np.unique(labels)) > 2
+
