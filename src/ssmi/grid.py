@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import logodds
-from .errors import IndexOutOfRange, InvalidClass, OriginOutOfBounds
+from .errors import CorruptMap, IndexOutOfRange, InvalidClass, OriginOutOfBounds
 from .logodds import SensorParams
 
 GRID_MAGIC = b"SSMIGRID"
@@ -44,11 +44,15 @@ class BeamMeasurement:
         direction = np.ascontiguousarray(self.direction, dtype=np.float64)
         if origin.shape != (3,) or direction.shape != (3,):
             raise ValueError("origin and direction must be 3-vectors")
-        norm = float(np.linalg.norm(direction))
-        if abs(norm - 1.0) > 1e-9:
-            if norm == 0.0:
-                raise ValueError("direction must be nonzero")
-            direction = direction / norm
+        # |x.x - 1| <= 1e-10 implies |norm - 1| < 1e-9, so the exact norm is
+        # only needed outside that margin
+        x, y, z = direction.tolist()
+        if abs(x * x + y * y + z * z - 1.0) > 1e-10:
+            norm = float(np.linalg.norm(direction))
+            if abs(norm - 1.0) > 1e-9:
+                if norm == 0.0:
+                    raise ValueError("direction must be nonzero")
+                direction = direction / norm
         origin.flags.writeable = False
         direction.flags.writeable = False
         object.__setattr__(self, "origin", origin)
@@ -358,30 +362,47 @@ def save_grid(gmap: GridMap, path) -> None:
         fh.write(gmap.observed.astype(np.uint8).tobytes())
 
 
+GRID_HEADER = struct.Struct("<8sH3IdH3d")  # magic, version, dims, resolution, K, origin
+
+
 def load_grid(path) -> GridMap:
+    """Read a ``save_grid`` file. Raises CorruptMap when the file is not a
+    grid map of this version, is truncated, has trailing bytes, or holds a
+    header the format does not allow."""
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != GRID_MAGIC:
-            raise ValueError(f"not a grid map file (magic {magic!r})")
-        (version,) = struct.unpack("<H", fh.read(2))
-        if version != GRID_VERSION:
-            raise ValueError(f"unsupported grid version {version}")
-        dims = struct.unpack("<3I", fh.read(12))
-        (resolution,) = struct.unpack("<d", fh.read(8))
-        (num_classes,) = struct.unpack("<H", fh.read(2))
-        origin = struct.unpack("<3d", fh.read(24))
-        prior = np.frombuffer(fh.read(4 * (num_classes + 1)), dtype="<f4").astype(np.float64)
-        prior = prior.copy()
-        prior[0] = 0.0
-        gmap = GridMap(dims, resolution, num_classes, prior, origin)
-        count = dims[0] * dims[1] * dims[2] * (num_classes + 1)
-        cells = np.frombuffer(fh.read(4 * count), dtype="<f4").astype(np.float64)
-        gmap.cells = cells.reshape(dims + (num_classes + 1,))
-        gmap.cells[..., 0] = 0.0
-        obs = fh.read(dims[0] * dims[1] * dims[2])
-        if obs:
-            gmap.observed = np.frombuffer(obs, dtype=np.uint8).astype(bool).reshape(dims)
-        return gmap
+        buf = fh.read()
+    if buf[:8] != GRID_MAGIC:
+        raise CorruptMap(f"not a grid map file (magic {buf[:8]!r})")
+    if len(buf) < GRID_HEADER.size:
+        raise CorruptMap(f"{path}: truncated header ({len(buf)} of {GRID_HEADER.size} bytes)")
+    _, version, nx, ny, nz, resolution, num_classes, *origin = GRID_HEADER.unpack_from(buf)
+    if version != GRID_VERSION:
+        raise CorruptMap(f"{path}: unsupported grid version {version}")
+    dims = (nx, ny, nz)
+    if min(dims) < 1:
+        raise CorruptMap(f"{path}: zero extent in dims {dims}")
+    if num_classes < 1:
+        raise CorruptMap(f"{path}: no occupied classes")
+    if not (math.isfinite(resolution) and resolution > 0.0):
+        raise CorruptMap(f"{path}: resolution {resolution!r} is not positive")
+    width = num_classes + 1
+    count = nx * ny * nz
+    cells_at = GRID_HEADER.size + 4 * width
+    mask_at = cells_at + 4 * count * width
+    end = mask_at + count
+    for name, stop in (("prior", cells_at), ("cells", mask_at), ("observed mask", end)):
+        if stop > len(buf):
+            raise CorruptMap(f"{path}: truncated {name} (file ends at byte {len(buf)})")
+    if end != len(buf):
+        raise CorruptMap(f"{path}: {len(buf) - end} trailing bytes")
+    prior = np.frombuffer(buf, "<f4", width, GRID_HEADER.size).astype(np.float64)
+    prior[0] = 0.0
+    gmap = GridMap(dims, resolution, num_classes, prior, origin)
+    cells = np.frombuffer(buf, "<f4", count * width, cells_at).astype(np.float64)
+    gmap.cells = cells.reshape(dims + (width,))
+    gmap.cells[..., 0] = 0.0
+    gmap.observed = np.frombuffer(buf, np.uint8, count, mask_at).astype(bool).reshape(dims)
+    return gmap
 
 
 def grid_to_text(gmap: GridMap) -> str:

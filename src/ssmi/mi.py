@@ -111,20 +111,56 @@ def _hit_models(params: SensorParams) -> np.ndarray:
     return models
 
 
-def beam_mi_dense(
-    h_t: np.ndarray, h_0: np.ndarray, params: SensorParams, return_detail: bool = False
-) -> BeamMI:
-    """Per-cell forward pass: expected log-ratio over the beam outcome tree.
+def _exclusive_cumsum(x: np.ndarray, spans: list[tuple[int, int]]) -> np.ndarray:
+    """Per-segment exclusive prefix sums of ``x``; every segment is summed on
+    its own, so each slice equals a separate ``cumsum`` of that segment."""
+    out = np.empty_like(x)
+    for start, end in spans:
+        out[start] = 0.0
+        np.add.accumulate(x[start:end - 1], out=out[start + 1:end])
+    return out
 
-    One free-update log-ratio and K hit-update log-ratios are evaluated per
-    cell; prefix products and sums carry the recursion, so the total work is
-    O(K N) for N cells.
+
+def _spans(offsets) -> list[tuple[int, int]]:
+    spans = list(zip(offsets[:-1], offsets[1:]))
+    if any(start >= end for start, end in spans):
+        raise EmptyRay("information query over a beam with zero cells or runs")
+    return spans
+
+
+def _beam_results(terms, p_detail, c_detail, log_pass, f_pass, spans,
+                  return_detail: bool) -> list[BeamMI]:
+    """Each segment's hit and free terms, reduced over its own slice."""
+    total = np.add.reduce  # what ndarray.sum and np.sum call
+    out = []
+    for start, end in spans:
+        hit_term = float(total(terms[start:end], axis=None))
+        free_term = float(math.exp(total(log_pass[start:end])) * total(f_pass[start:end]))
+        out.append(BeamMI(
+            value=hit_term + free_term,
+            hit_term=hit_term,
+            free_term=free_term,
+            terms=terms[start:end] if return_detail else None,
+            p_detail=p_detail[start:end] if return_detail else None,
+            c_detail=c_detail[start:end] if return_detail else None,
+        ))
+    return out
+
+
+def beam_mi_dense_batch(
+    h_t: np.ndarray, h_0: np.ndarray, offsets, params: SensorParams,
+    return_detail: bool = False,
+) -> list[BeamMI]:
+    """Dense information of many beams in one vectorised pass.
+
+    ``h_t``/``h_0`` stack the (current, prior) log-odds of every beam's
+    cells, shape (sum N_b, K+1); beam b owns rows ``offsets[b]`` to
+    ``offsets[b + 1]``. The row-wise terms (softmax, f kernels) are computed
+    once over all rows; the prefix sums and the final reductions run on
+    each beam's own slice, so every beam's result is bit-identical to
+    evaluating it alone.
     """
-    h_t = np.atleast_2d(np.asarray(h_t, dtype=np.float64))
-    h_0 = np.broadcast_to(np.asarray(h_0, dtype=np.float64), h_t.shape)
-    n_cells = h_t.shape[0]
-    if n_cells == 0:
-        raise EmptyRay("dense information query over zero cells")
+    spans = _spans(offsets)
     lse = logodds.logsumexp(h_t, axis=-1)
     log_p0 = -np.asarray(lse)  # h_t[:, 0] == 0
     pmf = logodds.softmax_pmf(h_t)
@@ -133,22 +169,27 @@ def beam_mi_dense(
     hit = _hit_models(params)  # (K, K+1)
     f_hit = logodds.f_logratio_rows(hit[None, :, :] - h_0[:, None, :], h_t[:, None, :])
 
-    before_log_p0 = np.concatenate([[0.0], np.cumsum(log_p0)[:-1]])
-    before_f_free = np.concatenate([[0.0], np.cumsum(f_free)[:-1]])
+    before_log_p0 = _exclusive_cumsum(log_p0, spans)
+    before_f_free = _exclusive_cumsum(f_free, spans)
 
     p_nk = pmf[:, 1:] * np.exp(before_log_p0)[:, None]
     c_nk = f_hit + before_f_free[:, None]
     terms = p_nk * c_nk
-    hit_term = float(terms.sum())
-    free_term = float(math.exp(np.sum(log_p0)) * np.sum(f_free))
-    return BeamMI(
-        value=hit_term + free_term,
-        hit_term=hit_term,
-        free_term=free_term,
-        terms=terms if return_detail else None,
-        p_detail=p_nk if return_detail else None,
-        c_detail=c_nk if return_detail else None,
-    )
+    return _beam_results(terms, p_nk, c_nk, log_p0, f_free, spans, return_detail)
+
+
+def beam_mi_dense(
+    h_t: np.ndarray, h_0: np.ndarray, params: SensorParams, return_detail: bool = False
+) -> BeamMI:
+    """Per-cell forward pass: expected log-ratio over the beam outcome tree.
+
+    One free-update log-ratio and K hit-update log-ratios are evaluated per
+    cell; prefix products and sums carry the recursion, so the total work is
+    O(K N) for N cells. The one-beam case of :func:`beam_mi_dense_batch`.
+    """
+    h_t = np.atleast_2d(np.asarray(h_t, dtype=np.float64))
+    h_0 = np.broadcast_to(np.asarray(h_0, dtype=np.float64), h_t.shape)
+    return beam_mi_dense_batch(h_t, h_0, (0, h_t.shape[0]), params, return_detail)[0]
 
 
 def beam_mi_dense_direct(h_t: np.ndarray, h_0: np.ndarray, params: SensorParams) -> float:
@@ -199,16 +240,18 @@ def _geometric_sums(log_p0: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray,
     return s0, s1
 
 
-def beam_mi_srle(ray: SrleRay, params: SensorParams, return_detail: bool = False) -> BeamMI:
-    """Run-length evaluation: exactly the dense value in O(K Q) work.
+def beam_mi_srle_batch(
+    runs: SrleRay, offsets, params: SensorParams, return_detail: bool = False
+) -> list[BeamMI]:
+    """Run-length information of many beams in one vectorised pass.
 
-    Within a homogeneous run the per-element contributions form geometric
-    sums that collapse in closed form, so cost depends on the number of runs,
-    not elements.
+    ``runs`` stacks every beam's runs; beam b owns runs ``offsets[b]`` to
+    ``offsets[b + 1]``. Row-wise terms and geometric sums are computed once
+    over all runs; prefix sums and final reductions run per beam, so every
+    beam's result is bit-identical to evaluating it alone.
     """
-    if ray.num_runs == 0:
-        raise EmptyRay("run-length information query over zero runs")
-    chi_t, chi_0, w = ray.chi_t, ray.chi_0, ray.widths.astype(np.float64)
+    spans = _spans(offsets)
+    chi_t, chi_0, w = runs.chi_t, runs.chi_0, runs.widths.astype(np.float64)
     lse = np.asarray(logodds.logsumexp(chi_t, axis=-1), dtype=np.float64).reshape(-1)
     log_p0 = -lse
     pmf = logodds.softmax_pmf(chi_t)
@@ -218,24 +261,26 @@ def beam_mi_srle(ray: SrleRay, params: SensorParams, return_detail: bool = False
     f_hit = logodds.f_logratio_rows(hit[None, :, :] - chi_0[:, None, :], chi_t[:, None, :])
 
     run_log_p0 = w * log_p0
-    before_log_p0 = np.concatenate([[0.0], np.cumsum(run_log_p0)[:-1]])
-    before_f_free = np.concatenate([[0.0], np.cumsum(w * f_free)[:-1]])
+    run_f_free = w * f_free
+    before_log_p0 = _exclusive_cumsum(run_log_p0, spans)
+    before_f_free = _exclusive_cumsum(run_f_free, spans)
 
     rho = pmf[:, 1:] * np.exp(before_log_p0)[:, None]
     beta = f_hit + before_f_free[:, None]
-    s0, s1 = _geometric_sums(log_p0, ray.widths)
+    s0, s1 = _geometric_sums(log_p0, runs.widths)
     theta = beta * s0[:, None] + (f_free * s1)[:, None]
     terms = rho * theta
-    hit_term = float(terms.sum())
-    free_term = float(math.exp(np.sum(run_log_p0)) * np.sum(w * f_free))
-    return BeamMI(
-        value=hit_term + free_term,
-        hit_term=hit_term,
-        free_term=free_term,
-        terms=terms if return_detail else None,
-        p_detail=rho if return_detail else None,
-        c_detail=theta if return_detail else None,
-    )
+    return _beam_results(terms, rho, theta, run_log_p0, run_f_free, spans, return_detail)
+
+
+def beam_mi_srle(ray: SrleRay, params: SensorParams, return_detail: bool = False) -> BeamMI:
+    """Run-length evaluation: exactly the dense value in O(K Q) work.
+
+    Within a homogeneous run the per-element contributions form geometric
+    sums that collapse in closed form, so cost depends on the number of runs,
+    not elements. The one-beam case of :func:`beam_mi_srle_batch`.
+    """
+    return beam_mi_srle_batch(ray, (0, ray.num_runs), params, return_detail)[0]
 
 
 def beam_mi_srle_direct(ray: SrleRay, params: SensorParams) -> float:
@@ -356,15 +401,41 @@ def select_nonoverlapping(traces: list[RayTrace], skip_first_cell: bool = True) 
     return chosen
 
 
-def beam_mi_for_trace(gmap: GridMap, trace: RayTrace, params: SensorParams,
-                      skip_first_cell: bool = True) -> float:
-    """Dense beam information over a grid trace (sensor cell excluded)."""
-    cells = trace.cells[1:] if skip_first_cell else trace.cells
-    if cells.shape[0] == 0:
-        return 0.0
-    h_t = gmap.cells[tuple(cells.T)]
+def _scatter(count: int, used: list[int], results: list[BeamMI]) -> list[float]:
+    """Per-trace values: kernel results at ``used``, 0.0 (no cells) elsewhere."""
+    values = [0.0] * count
+    for i, res in zip(used, results):
+        values[i] = res.value
+    return values
+
+
+def _dense_values(gmap: GridMap, traces: list[RayTrace], params: SensorParams) -> list[float]:
+    """Dense information of each trace's cells past the sensor cell, all
+    traces in one kernel call."""
+    cells = [trace.cells[1:] for trace in traces]
+    used = [i for i, c in enumerate(cells) if c.shape[0]]
+    if not used:
+        return [0.0] * len(traces)
+    h_t = gmap.cells[tuple(np.concatenate([cells[i] for i in used]).T)]
     h_0 = np.broadcast_to(gmap.prior, h_t.shape)
-    return beam_mi_dense(h_t, h_0, params).value
+    offsets = np.cumsum([0] + [cells[i].shape[0] for i in used]).tolist()
+    return _scatter(len(traces), used, beam_mi_dense_batch(h_t, h_0, offsets, params))
+
+
+def _srle_values(tree, traces: list[RayTrace], params: SensorParams) -> list[float]:
+    """Run-length information of each trace past the sensor cell, all
+    traces in one kernel call."""
+    rays = [tree.encode_trace(trace, skip_first_cell=True) for trace in traces]
+    used = [i for i, ray in enumerate(rays) if ray is not None]
+    if not used:
+        return [0.0] * len(traces)
+    runs = SrleRay(
+        widths=np.concatenate([rays[i].widths for i in used]),
+        chi_t=np.concatenate([rays[i].chi_t for i in used]),
+        chi_0=np.concatenate([rays[i].chi_0 for i in used]),
+    )
+    offsets = np.cumsum([0] + [rays[i].num_runs for i in used]).tolist()
+    return _scatter(len(traces), used, beam_mi_srle_batch(runs, offsets, params))
 
 
 @dataclass
@@ -372,6 +443,58 @@ class TrajectoryMI:
     value: float
     beams_total: int
     beams_kept: int
+
+
+@dataclass
+class BatchMI:
+    """Results of one :func:`trajectories_mi` call: one entry per trajectory,
+    and the number of distinct kept beams evaluated."""
+
+    trajectories: list[TrajectoryMI]
+    beams_evaluated: int
+
+
+def trajectories_mi(
+    mapper,
+    fans: list[list[BeamMeasurement]],
+    trajectories: list[list[int]],
+    params: SensorParams,
+) -> BatchMI:
+    """Information of many observation sequences that share sensing poses.
+
+    ``fans`` lists distinct fans; trajectory t observes ``fans[i]`` for each
+    i in ``trajectories[t]``, in order. Every fan is cast once. Overlapping
+    beams are dropped greedily per trajectory, across its whole horizon, and
+    the union of kept beams is evaluated in one kernel call. Each
+    trajectory's value adds its kept beams' values in keep order, so it is
+    bit-identical to evaluating that trajectory alone.
+
+    ``mapper`` is a GridMap (dense evaluation) or a semantic octree (run-
+    length evaluation over its leaves). Out-of-bounds beams propagate.
+    """
+    from . import octree as octree_mod  # local import; octree depends on grid
+
+    is_tree = isinstance(mapper, octree_mod.SemanticOctree)
+    cast = mapper.cast_elements if is_tree else mapper.cast_ray
+    fan_traces = [[cast(b) for b in fan] for fan in fans]
+    slots: dict[tuple[int, int], int] = {}  # kept (fan, beam) -> batch position
+    kept: list[list[int]] = []
+    totals: list[int] = []
+    for traj in trajectories:
+        pairs = [(f, b) for f in traj for b in range(len(fan_traces[f]))]
+        keep = select_nonoverlapping([fan_traces[f][b] for f, b in pairs])
+        kept.append([slots.setdefault(pairs[i], len(slots)) for i in keep])
+        totals.append(len(pairs))
+    traces = [fan_traces[f][b] for f, b in slots]
+    values = (_srle_values if is_tree else _dense_values)(mapper, traces, params)
+    results = []
+    for positions, beams_total in zip(kept, totals):
+        total = 0.0
+        for pos in positions:
+            total += values[pos]
+        results.append(TrajectoryMI(value=total, beams_total=beams_total,
+                                    beams_kept=len(positions)))
+    return BatchMI(trajectories=results, beams_evaluated=len(slots))
 
 
 def trajectory_mi(
@@ -382,30 +505,11 @@ def trajectory_mi(
 ):
     """Information of a whole observation sequence: cast every beam, drop
     overlapping ones greedily across the horizon, and add up per-beam values.
-
-    ``mapper`` is a GridMap (dense evaluation) or a semantic octree (run-
-    length evaluation over its leaves). Out-of-bounds beams propagate.
+    The one-trajectory case of :func:`trajectories_mi`.
     """
-    from . import octree as octree_mod  # local import; octree depends on grid
-
-    is_tree = isinstance(mapper, octree_mod.SemanticOctree)
-    flat_beams = [b for fan in beams_per_pose for b in fan]
-    if is_tree:
-        traces = [mapper.cast_elements(b) for b in flat_beams]
-    else:
-        traces = [mapper.cast_ray(b) for b in flat_beams]
-    keep = select_nonoverlapping(traces)
-    total = 0.0
-    for idx in keep:
-        if is_tree:
-            ray = mapper.encode_trace(traces[idx], skip_first_cell=True)
-            if ray is not None and ray.num_runs > 0:
-                total += beam_mi_srle(ray, params).value
-        else:
-            total += beam_mi_for_trace(mapper, traces[idx], params)
-    if return_detail:
-        return TrajectoryMI(value=total, beams_total=len(flat_beams), beams_kept=len(keep))
-    return total
+    whole = [list(range(len(beams_per_pose)))]
+    result = trajectories_mi(mapper, beams_per_pose, whole, params).trajectories[0]
+    return result if return_detail else result.value
 
 
 # -- binary collapse ----------------------------------------------------------
@@ -421,6 +525,18 @@ def collapse_to_binary(h: np.ndarray) -> np.ndarray:
     occ = logodds.logsumexp(h[..., 1:], axis=-1)
     out = np.zeros(h.shape[:-1] + (2,), dtype=np.float64)
     out[..., 1] = occ
+    return out
+
+
+def collapse_map_to_binary(gmap: GridMap) -> GridMap:
+    """Occupancy-only copy of a grid map: every cell and the prior collapsed
+    with :func:`collapse_to_binary`, observation flags kept."""
+    out = GridMap(
+        gmap.dims, gmap.resolution, 1,
+        prior=collapse_to_binary(gmap.prior), origin=gmap.origin,
+    )
+    out.cells = collapse_to_binary(gmap.cells)
+    out.observed = gmap.observed.copy()
     return out
 
 
@@ -471,29 +587,18 @@ def mi_surface(
     """
     if max_range is None:
         max_range = max(gmap.dims[:2]) * gmap.resolution
-    if binary and binary_params is None:
-        binary_params = SensorParams.default(1)
     labels = gmap.most_likely()[:, :, 0]
+    if binary:
+        gmap = collapse_map_to_binary(gmap)
+        params = binary_params if binary_params is not None else SensorParams.default(1)
     out = np.zeros(gmap.dims[:2], dtype=np.float64)
     for i in range(gmap.dims[0]):
         for j in range(gmap.dims[1]):
             if labels[i, j] != 0:
                 continue
-            center = gmap.cell_center((i, j, 0))
-            fan = fan_beams(center, num_beams, max_range)
-            traces = [gmap.cast_ray(b) for b in fan]
+            fan = fan_beams(gmap.cell_center((i, j, 0)), num_beams, max_range)
             total = 0.0
-            for trace in traces:
-                cells = trace.cells[1:]
-                if cells.shape[0] == 0:
-                    continue
-                h_t = gmap.cells[tuple(cells.T)]
-                h_0 = np.broadcast_to(gmap.prior, h_t.shape)
-                if binary:
-                    total += beam_mi_dense(
-                        collapse_to_binary(h_t), collapse_to_binary(h_0), binary_params
-                    ).value
-                else:
-                    total += beam_mi_dense(h_t, h_0, params).value
+            for value in _dense_values(gmap, [gmap.cast_ray(b) for b in fan], params):
+                total += value
             out[i, j] = total
     return out

@@ -11,6 +11,7 @@ divided by the path length.
 from __future__ import annotations
 
 import heapq
+import logging
 import math
 from dataclasses import dataclass
 
@@ -21,6 +22,8 @@ from . import mi as mi_mod
 from .errors import AllUnreachable, NoFrontiers, Unreachable
 from .grid import GridMap
 from .logodds import SensorParams
+
+log = logging.getLogger(__name__)
 
 EIGHT_NEIGHBOURS = [
     (1, 0), (-1, 0), (0, 1), (0, -1),
@@ -223,16 +226,6 @@ class CandidatePlan:
     score: float
 
 
-def _binary_collapse_map(gmap: GridMap) -> GridMap:
-    out = GridMap(
-        gmap.dims, gmap.resolution, 1,
-        prior=mi_mod.collapse_to_binary(gmap.prior), origin=gmap.origin,
-    )
-    out.cells = mi_mod.collapse_to_binary(gmap.cells)
-    out.observed = gmap.observed.copy()
-    return out
-
-
 def evaluate_candidates(
     mapper,
     view: PlanView,
@@ -244,41 +237,58 @@ def evaluate_candidates(
 
     The ``frontier`` selector scores by cluster size alone; ``fsmi-binary``
     evaluates beam information on the occupancy-collapsed map with a 1-class
-    sensor profile; ``ssmi`` uses the full multi-class map.
+    sensor profile; ``ssmi`` uses the full multi-class map. Sensing poses
+    shared by several candidates are cast once, and all candidates are
+    evaluated in one :func:`ssmi.mi.trajectories_mi` call.
     """
     frontiers = find_frontiers(view, config.min_frontier_size)
     if config.selector == "fsmi-binary":
         if not isinstance(mapper, GridMap):
             raise ValueError("fsmi-binary planning requires a dense grid map")
-        eval_map = _binary_collapse_map(mapper)
+        eval_map = mi_mod.collapse_map_to_binary(mapper)
         eval_params = SensorParams.default(1)
     else:
         eval_map = mapper
         eval_params = params
 
-    candidates = []
+    planned = []
     for idx, frontier in enumerate(frontiers):
         try:
             path, cost = plan_path(view, start, frontier.centroid)
         except Unreachable:
             continue
-        if config.selector == "frontier":
-            candidates.append(
-                CandidatePlan(idx, path, cost, mi=0.0, score=float(frontier.size))
-            )
-            continue
-        fans = [
-            mi_mod.fan_beams(view.cell_center(cell), config.num_beams,
-                             config.beam_range, heading, config.fov)
-            for cell, heading in sensing_poses(path, config.stride)
-        ]
-        info = mi_mod.trajectory_mi(eval_map, fans, eval_params)
-        candidates.append(
-            CandidatePlan(idx, path, cost, mi=info, score=info / cost)
-        )
-    if not candidates:
+        planned.append((idx, frontier, path, cost))
+    if not planned:
         raise AllUnreachable("every frontier failed path planning")
-    return candidates
+    if config.selector == "frontier":
+        return [
+            CandidatePlan(idx, path, cost, mi=0.0, score=float(frontier.size))
+            for idx, frontier, path, cost in planned
+        ]
+
+    # the map does not change within one call, so a fan depends only on its pose
+    fan_index: dict[tuple[tuple[int, int], float], int] = {}
+    fans = []
+    trajectories = []
+    for _, _, path, _ in planned:
+        poses = sensing_poses(path, config.stride)
+        for cell, heading in poses:
+            if (cell, heading) not in fan_index:
+                fan_index[(cell, heading)] = len(fans)
+                fans.append(mi_mod.fan_beams(view.cell_center(cell), config.num_beams,
+                                             config.beam_range, heading, config.fov))
+        trajectories.append([fan_index[pose] for pose in poses])
+    batch = mi_mod.trajectories_mi(eval_map, fans, trajectories, eval_params)
+    log.debug(
+        "%d candidates, %d sensing poses (%d distinct), %d beams cast, "
+        "%d kept over candidates, %d distinct kept beams evaluated",
+        len(planned), sum(map(len, trajectories)), len(fans), sum(map(len, fans)),
+        sum(r.beams_kept for r in batch.trajectories), batch.beams_evaluated,
+    )
+    return [
+        CandidatePlan(idx, path, cost, mi=res.value, score=res.value / cost)
+        for (idx, _, path, cost), res in zip(planned, batch.trajectories)
+    ]
 
 
 def select_best(candidates: list[CandidatePlan]) -> CandidatePlan:

@@ -224,5 +224,20 @@ def test_truncated_octree_file_exit_3(tmp_path, capsys, caplog, params3, rng):
     assert not caplog.records  # no traceback from the last-resort handler
 
 
+def test_malformed_grid_file_exit_3(tmp_path, capsys, caplog):
+    gmap = GridMap((6, 5), 1.0, 2)
+    gmap.set_cell((2, 3, 0), np.array([0.0, 1.5, -0.5]))
+    path = tmp_path / "g.ssmigrid"
+    save_grid(gmap, path)
+    good = path.read_bytes()
+    for bad, word in ((good[:-7], "truncated"), (good + b"\0\0", "trailing")):
+        path.write_bytes(bad)
+        assert main(["map", "inspect", "--map", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and word in err
+        assert len(err.splitlines()) == 1
+    assert not caplog.records  # no traceback from the last-resort handler
+
+
 def test_help_exits_clean():
     assert main(["--help"]) == 0

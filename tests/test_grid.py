@@ -2,6 +2,7 @@
 beam event probabilities, entropy, and serialization."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ssmi import logodds as lo
-from ssmi.errors import IndexOutOfRange, OriginOutOfBounds
+from ssmi.errors import CorruptMap, IndexOutOfRange, OriginOutOfBounds
 from ssmi.grid import (
     BeamMeasurement,
     GridMap,
@@ -514,3 +515,107 @@ def test_bad_magic_rejected(tmp_path):
     path.write_bytes(b"NOTAMAP!" + b"\x00" * 32)
     with pytest.raises(ValueError):
         load_grid(path)
+
+
+@pytest.fixture(scope="module")
+def saved_grid_bytes(tmp_path_factory):
+    rng = np.random.default_rng(3)
+    gmap = GridMap((5, 4, 2), 0.5, 3, origin=(1.0, -2.0, 0.5))
+    for _ in range(12):
+        h = np.zeros(4)
+        h[1:] = rng.uniform(-6, 6, 3)
+        gmap.set_cell((rng.integers(5), rng.integers(4), rng.integers(2)), h)
+    path = tmp_path_factory.mktemp("grid") / "g.ssmigrid"
+    save_grid(gmap, path)
+    return path.read_bytes()
+
+
+GRID_HEADER = 8 + 2 + 12 + 8 + 2 + 24  # magic .. origin
+GRID_PRIOR = GRID_HEADER + 4 * 4  # K=3
+GRID_MASK = GRID_PRIOR + 4 * 40 * 4  # 5x4x2 cells
+
+
+def patch_u32(b, at, value):
+    return b[:at] + value.to_bytes(4, "little") + b[at + 4:]
+
+
+@pytest.mark.parametrize(
+    "patch,match",
+    [
+        (lambda b: b[:GRID_HEADER - 5], "truncated header"),
+        (lambda b: b[:GRID_PRIOR - 1], "truncated prior"),
+        (lambda b: b[:GRID_MASK - 4], "truncated cells"),
+        (lambda b: b[:-1], "truncated observed mask"),
+        (lambda b: b + b"\0\0", "2 trailing bytes"),
+        (lambda b: patch_u32(b, 14, 0), "zero extent"),
+        (lambda b: b[:30] + (0).to_bytes(2, "little") + b[32:], "no occupied classes"),
+        (lambda b: b[:22] + struct.pack("<d", -0.5) + b[30:], "not positive"),
+        (lambda b: b[:8] + (2).to_bytes(2, "little") + b[10:], "unsupported grid version"),
+        (lambda b: b"SSMIOCT1" + b[8:], "not a grid map file"),
+    ],
+)
+def test_grid_loader_rejects_malformed_file(tmp_path, saved_grid_bytes, patch, match):
+    path = tmp_path / "bad.ssmigrid"
+    path.write_bytes(patch(saved_grid_bytes))
+    with pytest.raises(CorruptMap, match=match):
+        load_grid(path)
+
+
+def test_grid_loader_huge_dims_rejected_before_allocating(tmp_path, saved_grid_bytes):
+    path = tmp_path / "huge.ssmigrid"
+    path.write_bytes(patch_u32(patch_u32(saved_grid_bytes, 10, 2**31), 14, 2**31))
+    with pytest.raises(CorruptMap, match="truncated cells"):
+        load_grid(path)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_grid_loader_fuzz_truncation_and_bit_flips(tmp_path_factory, saved_grid_bytes, data):
+    path = tmp_path_factory.mktemp("fuzz") / "f.ssmigrid"
+    cut = data.draw(st.integers(0, len(saved_grid_bytes) - 1), label="cut")
+    path.write_bytes(saved_grid_bytes[:cut])
+    with pytest.raises(CorruptMap):
+        load_grid(path)
+    flipped = bytearray(saved_grid_bytes)
+    bits = data.draw(st.lists(st.integers(0, 8 * len(flipped) - 1), min_size=1, max_size=3))
+    for bit in bits:
+        flipped[bit // 8] ^= 1 << (bit % 8)
+    path.write_bytes(bytes(flipped))
+    try:
+        gmap = load_grid(path)
+    except CorruptMap:
+        return
+    assert gmap.cells.shape == gmap.dims + (gmap.num_classes + 1,)
+    assert gmap.observed.shape == gmap.dims
+
+
+# -- beam construction ------------------------------------------------------------------
+
+
+def normalised_reference(direction):
+    """Stored direction under the exact-norm rule: normalise when the norm is
+    more than 1e-9 away from one."""
+    direction = np.asarray(direction, dtype=np.float64)
+    norm = float(np.linalg.norm(direction))
+    return direction / norm if abs(norm - 1.0) > 1e-9 else direction
+
+
+@given(
+    angles=st.tuples(st.floats(0.0, 2 * math.pi), st.floats(-1.5, 1.5)),
+    scale_exp=st.integers(-16, -1),
+    sign=st.sampled_from([-1.0, 0.0, 1.0]),
+    zero_axis=st.sampled_from([None, 0, 1, 2]),
+)
+@settings(max_examples=500, deadline=None)
+def test_beam_direction_bits_match_exact_norm_rule(angles, scale_exp, sign, zero_axis):
+    # lengths 1 + sign * 10^e straddle both margins (1e-10 and 1e-9)
+    yaw, pitch = angles
+    d = np.array([math.cos(yaw) * math.cos(pitch), math.sin(yaw) * math.cos(pitch),
+                  math.sin(pitch)])
+    if zero_axis is not None:
+        d[zero_axis] = 0.0
+    assume(np.linalg.norm(d) > 0.5)
+    d = d * (1.0 + sign * 10.0 ** scale_exp)
+    want = normalised_reference(d)
+    got = BeamMeasurement(np.zeros(3), d.copy(), 1.0, None, 1.0).direction
+    assert got.tobytes() == want.tobytes()

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssmi import check, logodds as lo
 from ssmi import mi as mi_mod
@@ -14,9 +16,11 @@ from ssmi.logodds import SensorParams
 from ssmi.mi import (
     SrleRay,
     beam_mi_dense,
+    beam_mi_dense_batch,
     beam_mi_dense_direct,
     beam_mi_oracle,
     beam_mi_srle,
+    beam_mi_srle_batch,
     beam_mi_srle_direct,
     collapse_to_binary,
     encode_runs,
@@ -198,6 +202,142 @@ def test_binary_collapse_blind_to_class_split():
     assert red.value == pytest.approx(green.value, abs=1e-12)
 
 
+# -- batch kernels against the single-beam formulas ---------------------------------
+
+
+def beam_mi_dense_reference(h_t, h_0, params, return_detail=False):
+    """The single-beam dense pass as written before the batch kernel."""
+    h_t = np.atleast_2d(np.asarray(h_t, dtype=np.float64))
+    h_0 = np.broadcast_to(np.asarray(h_0, dtype=np.float64), h_t.shape)
+    lse = lo.logsumexp(h_t, axis=-1)
+    log_p0 = -np.asarray(lse)
+    pmf = lo.softmax_pmf(h_t)
+    f_free = lo.f_logratio_rows(params.phi_minus - h_0, h_t)
+    hit = mi_mod._hit_models(params)
+    f_hit = lo.f_logratio_rows(hit[None, :, :] - h_0[:, None, :], h_t[:, None, :])
+    before_log_p0 = np.concatenate([[0.0], np.cumsum(log_p0)[:-1]])
+    before_f_free = np.concatenate([[0.0], np.cumsum(f_free)[:-1]])
+    p_nk = pmf[:, 1:] * np.exp(before_log_p0)[:, None]
+    c_nk = f_hit + before_f_free[:, None]
+    terms = p_nk * c_nk
+    hit_term = float(terms.sum())
+    free_term = float(math.exp(np.sum(log_p0)) * np.sum(f_free))
+    return mi_mod.BeamMI(hit_term + free_term, hit_term, free_term,
+                         *((terms, p_nk, c_nk) if return_detail else ()))
+
+
+def beam_mi_srle_reference(ray, params, return_detail=False):
+    """The single-beam run-length pass as written before the batch kernel."""
+    chi_t, chi_0, w = ray.chi_t, ray.chi_0, ray.widths.astype(np.float64)
+    lse = np.asarray(lo.logsumexp(chi_t, axis=-1), dtype=np.float64).reshape(-1)
+    log_p0 = -lse
+    pmf = lo.softmax_pmf(chi_t)
+    f_free = lo.f_logratio_rows(params.phi_minus - chi_0, chi_t)
+    hit = mi_mod._hit_models(params)
+    f_hit = lo.f_logratio_rows(hit[None, :, :] - chi_0[:, None, :], chi_t[:, None, :])
+    run_log_p0 = w * log_p0
+    before_log_p0 = np.concatenate([[0.0], np.cumsum(run_log_p0)[:-1]])
+    before_f_free = np.concatenate([[0.0], np.cumsum(w * f_free)[:-1]])
+    rho = pmf[:, 1:] * np.exp(before_log_p0)[:, None]
+    beta = f_hit + before_f_free[:, None]
+    s0, s1 = mi_mod._geometric_sums(log_p0, ray.widths)
+    theta = beta * s0[:, None] + (f_free * s1)[:, None]
+    terms = rho * theta
+    hit_term = float(terms.sum())
+    free_term = float(math.exp(np.sum(run_log_p0)) * np.sum(w * f_free))
+    return mi_mod.BeamMI(hit_term + free_term, hit_term, free_term,
+                         *((terms, rho, theta) if return_detail else ()))
+
+
+def assert_same_result(got, ref, detail):
+    assert (got.value, got.hit_term, got.free_term) == (ref.value, ref.hit_term, ref.free_term)
+    if detail:
+        for a, b in ((got.terms, ref.terms), (got.p_detail, ref.p_detail),
+                     (got.c_detail, ref.c_detail)):
+            assert a.shape == b.shape and np.array_equal(a, b)
+
+
+def cell_rows(rng, kinds, k, clamp):
+    """One log-odds row per kind: 0 uniform, 1 saturated at the clamp,
+    2 rounded to 0.5, 3 free with p_free within 1e-13 of 1 (the LIMIT_EPS
+    branch of the geometric sums), 4 the uniform prior."""
+    near_free = math.log(1e-13 / (1.0 - 1e-13) / k)
+    rows = np.zeros((len(kinds), k + 1))
+    for r, kind in enumerate(kinds):
+        if kind == 0:
+            rows[r, 1:] = rng.uniform(-clamp, clamp, k)
+        elif kind == 1:
+            rows[r, 1:] = rng.choice([-clamp, clamp], k)
+        elif kind == 2:
+            rows[r, 1:] = np.round(rng.uniform(-clamp, clamp, k) * 2.0) / 2.0
+        elif kind == 3:
+            rows[r, 1:] = near_free
+    return rows
+
+
+beam_kinds = st.lists(st.lists(st.integers(0, 4), min_size=1, max_size=9), min_size=1, max_size=7)
+
+
+@given(k=st.integers(1, 5), beams=beam_kinds, clamp=st.sampled_from([4.0, 6.0, 12.0]),
+       seed=st.integers(0, 2**32 - 1), detail=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_dense_batch_equals_single_beam_reference(k, beams, clamp, seed, detail):
+    rng = np.random.default_rng(seed)
+    params = SensorParams.default(k, clamp_limit=clamp)
+    h_t = [cell_rows(rng, kinds, k, clamp) for kinds in beams]
+    h_0 = [np.broadcast_to(cell_rows(rng, [int(rng.integers(5))], k, clamp)[0], h.shape)
+           if rng.random() < 0.5 else cell_rows(rng, rng.integers(0, 5, len(h)), k, clamp)
+           for h in h_t]
+    offsets = np.cumsum([0] + [len(h) for h in h_t]).tolist()
+    batch = beam_mi_dense_batch(np.concatenate(h_t), np.concatenate(h_0), offsets, params, detail)
+    assert len(batch) == len(beams)
+    for b in range(len(beams)):
+        ref = beam_mi_dense_reference(h_t[b], h_0[b], params, detail)
+        assert_same_result(batch[b], ref, detail)
+        assert_same_result(beam_mi_dense(h_t[b], h_0[b], params, detail), ref, detail)
+
+
+@given(k=st.integers(1, 5), beams=beam_kinds, clamp=st.sampled_from([4.0, 6.0, 12.0]),
+       seed=st.integers(0, 2**32 - 1), detail=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_srle_batch_equals_single_beam_reference(k, beams, clamp, seed, detail):
+    rng = np.random.default_rng(seed)
+    params = SensorParams.default(k, clamp_limit=clamp)
+    rays = []
+    for kinds in beams:
+        widths = rng.integers(1, 40, len(kinds))
+        widths[rng.random(len(kinds)) < 0.3] = 1
+        prior = cell_rows(rng, [int(rng.integers(5))], k, clamp)
+        rays.append(SrleRay(widths=widths, chi_t=cell_rows(rng, kinds, k, clamp),
+                            chi_0=np.repeat(prior, len(kinds), axis=0)))
+    runs = SrleRay(
+        widths=np.concatenate([r.widths for r in rays]),
+        chi_t=np.concatenate([r.chi_t for r in rays]),
+        chi_0=np.concatenate([r.chi_0 for r in rays]),
+    )
+    offsets = np.cumsum([0] + [r.num_runs for r in rays]).tolist()
+    batch = beam_mi_srle_batch(runs, offsets, params, detail)
+    assert len(batch) == len(beams)
+    for b, ray in enumerate(rays):
+        ref = beam_mi_srle_reference(ray, params, detail)
+        assert_same_result(batch[b], ref, detail)
+        assert_same_result(beam_mi_srle(ray, params, detail), ref, detail)
+
+
+def test_limit_branch_reached_by_near_free_runs():
+    # guards cell_rows kind 3: it must land inside LIMIT_EPS
+    rng = np.random.default_rng(0)
+    for k in range(1, 6):
+        log_p0 = -lo.logsumexp(cell_rows(rng, [3], k, 6.0), axis=-1)
+        assert -np.expm1(log_p0[0]) < mi_mod.LIMIT_EPS
+
+
+def test_batch_rejects_empty_segment(params3):
+    h = np.zeros((3, 4))
+    with pytest.raises(EmptyRay):
+        beam_mi_dense_batch(h, h, [0, 2, 2, 3], params3)
+
+
 # -- beam selection -----------------------------------------------------------------
 
 
@@ -316,6 +456,53 @@ def test_mi_surface_k1_equals_binary_path():
     plain = mi_mod.mi_surface(gmap, params, num_beams=6, max_range=4.0)
     binary = mi_mod.mi_surface(gmap, params, num_beams=6, max_range=4.0, binary=True)
     np.testing.assert_allclose(plain, binary, rtol=0, atol=1e-12)
+
+
+def mi_surface_reference(gmap, params, num_beams, max_range, binary=False):
+    """The per-beam surface loop with the single-beam reference formula."""
+    binary_params = SensorParams.default(1)
+    labels = gmap.most_likely()[:, :, 0]
+    out = np.zeros(gmap.dims[:2])
+    for i in range(gmap.dims[0]):
+        for j in range(gmap.dims[1]):
+            if labels[i, j] != 0:
+                continue
+            total = 0.0
+            for beam in fan_beams(gmap.cell_center((i, j, 0)), num_beams, max_range):
+                cells = gmap.cast_ray(beam).cells[1:]
+                if cells.shape[0] == 0:
+                    continue
+                h_t = gmap.cells[tuple(cells.T)]
+                h_0 = np.broadcast_to(gmap.prior, h_t.shape)
+                if binary:
+                    total += beam_mi_dense_reference(
+                        collapse_to_binary(h_t), collapse_to_binary(h_0), binary_params).value
+                else:
+                    total += beam_mi_dense_reference(h_t, h_0, params).value
+            out[i, j] = total
+    return out
+
+
+def two_wall_scene():
+    """The A6 arena: saturated free space with a class-certain and a
+    class-uncertain wall segment."""
+    gmap = GridMap((24, 16), 1.0, 2)
+    gmap.cells[..., :] = np.array([0.0, -6.0, -6.0])
+    gmap.observed[:] = True
+    for y in range(5, 11):
+        gmap.set_cell((5, y, 0), lo.logodds_from_pmf(np.array([0.1, 0.8, 0.1])))
+        gmap.set_cell((18, y, 0), lo.logodds_from_pmf(np.array([0.1, 0.45, 0.45])))
+    return gmap
+
+
+@pytest.mark.parametrize("binary", [False, True])
+def test_mi_surface_equals_per_beam_reference(binary):
+    gmap = two_wall_scene()
+    params = SensorParams.default(2)
+    got = mi_mod.mi_surface(gmap, params, num_beams=16, max_range=6.0, binary=binary)
+    want = mi_surface_reference(gmap, params, 16, 6.0, binary=binary)
+    assert np.array_equal(got, want)
+    assert np.count_nonzero(got) == 24 * 16 - 12
 
 
 # -- failing-instance replay ----------------------------------------------------------

@@ -2,15 +2,28 @@
 information-per-cost plan selection."""
 
 import heapq
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
 
 from ssmi import logodds as lo
+from ssmi import planner as planner_mod
+from ssmi.config import config_from_dict
 from ssmi.errors import NoFrontiers, Unreachable
 from ssmi.grid import GridMap
 from ssmi.logodds import SensorParams
+from ssmi.mi import (
+    beam_mi_dense,
+    beam_mi_srle,
+    collapse_map_to_binary,
+    fan_beams,
+    select_nonoverlapping,
+    trajectory_mi,
+)
+from ssmi.octree import SemanticOctree
 from ssmi.planner import (
     CandidatePlan,
     PlannerConfig,
@@ -23,6 +36,7 @@ from ssmi.planner import (
     view_from_grid,
     view_from_octree,
 )
+from ssmi.sim import run_episode
 
 FREE_SAT = np.array([0.0, -6.0, -6.0])
 WALL = np.array([0.0, 6.0, 6.0])
@@ -318,6 +332,123 @@ def test_frontier_selector_picks_largest():
     assert plan.frontier_index == 0  # frontiers are ordered largest first
     assert frontiers[0].size > frontiers[1].size
     assert plan.mi == 0.0
+
+
+# -- one batched evaluation per cycle -------------------------------------------------
+
+
+def trajectory_mi_reference(mapper, fans, params):
+    """Per-beam trajectory sum, one single-beam evaluation per kept beam."""
+    is_tree = isinstance(mapper, SemanticOctree)
+    cast = mapper.cast_elements if is_tree else mapper.cast_ray
+    traces = [cast(b) for fan in fans for b in fan]
+    total = 0.0
+    for idx in select_nonoverlapping(traces):
+        if is_tree:
+            ray = mapper.encode_trace(traces[idx], skip_first_cell=True)
+            if ray is not None:
+                total += beam_mi_srle(ray, params).value
+        else:
+            cells = traces[idx].cells[1:]
+            if cells.shape[0]:
+                h_t = mapper.cells[tuple(cells.T)]
+                total += beam_mi_dense(h_t, np.broadcast_to(mapper.prior, h_t.shape), params).value
+    return total
+
+
+def evaluate_candidates_reference(mapper, view, start, params, config):
+    """One independent trajectory evaluation per candidate, no shared fans."""
+    frontiers = find_frontiers(view, config.min_frontier_size)
+    if config.selector == "fsmi-binary":
+        mapper, params = collapse_map_to_binary(mapper), SensorParams.default(1)
+    out = []
+    for idx, frontier in enumerate(frontiers):
+        try:
+            path, cost = plan_path(view, start, frontier.centroid)
+        except Unreachable:
+            continue
+        fans = [
+            fan_beams(view.cell_center(cell), config.num_beams, config.beam_range, heading,
+                      config.fov)
+            for cell, heading in sensing_poses(path, config.stride)
+        ]
+        info = trajectory_mi_reference(mapper, fans, params)
+        out.append(CandidatePlan(idx, path, cost, mi=info, score=info / cost))
+    return out
+
+
+def plan_rows(candidates):
+    return [(c.frontier_index, c.path, c.cost, c.mi, c.score) for c in candidates]
+
+
+@pytest.mark.parametrize("mapper_type,selector", [
+    ("grid", "ssmi"), ("octree", "ssmi"), ("grid", "fsmi-binary"),
+])
+def test_batched_cycle_equals_per_candidate_loop(monkeypatch, mapper_type, selector):
+    # every planning cycle of a real A7-config episode, compared with ==
+    real = planner_mod.evaluate_candidates
+    shared = []
+
+    def checked(mapper, view, start, params, config):
+        got = real(mapper, view, start, params, config)
+        assert plan_rows(got) == plan_rows(
+            evaluate_candidates_reference(mapper, view, start, params, config))
+        poses = [p for c in got for p in sensing_poses(c.path, config.stride)]
+        shared.append(len(poses) - len(set(poses)))
+        return got
+
+    monkeypatch.setattr(planner_mod, "evaluate_candidates", checked)
+    run_episode(config_from_dict({
+        "seed": 1,
+        "env": {"profile": "random", "dims": [32, 32], "num_classes": 3},
+        "sensor": {"num_beams": 48, "r_max": 10.0, "range_sigma": 0.1, "misclass_prob": 0.35},
+        "mapper": {"type": mapper_type},
+        "planner": {"selector": selector, "num_beams": 16, "beam_range": 10.0, "stride": 3},
+        "run": {"max_steps": 12},
+    }))
+    assert len(shared) >= 6
+    assert sum(shared) > 0  # some cycles did share sensing poses
+
+
+def forked_corridor():
+    """Walls everywhere except a corridor along y = 10 that meets a 3-wide
+    vertical hall at x = 11..13; the hall opens into unknown space at both
+    ends, so the two frontier paths share their corridor poses."""
+    gmap = GridMap((20, 20), 1.0, 2)
+    gmap.cells[..., :] = WALL
+    gmap.observed[:] = True
+    gmap.cells[2:11, 10, 0] = FREE_SAT
+    gmap.cells[11:14, 4:17, 0] = FREE_SAT
+    for y in (2, 3, 17, 18):
+        gmap.cells[11:14, y, 0] = gmap.prior
+        gmap.observed[11:14, y, 0] = False
+    return gmap
+
+
+def test_cycle_debug_line_counts_the_work(caplog):
+    gmap = forked_corridor()
+    params = SensorParams.default(2)
+    config = PlannerConfig(num_beams=8, beam_range=6.0, stride=2)
+    view = view_from_grid(gmap)
+    with caplog.at_level(logging.DEBUG, logger="ssmi.planner"):
+        candidates = evaluate_candidates(gmap, view, (2, 10), params, config)
+    assert len(candidates) == 2
+    lines = [r.getMessage() for r in caplog.records if r.name == "ssmi.planner"]
+    assert len(lines) == 1
+    numbers = [int(v) for v in re.findall(r"\d+", lines[0])]
+    poses = [sensing_poses(c.path, config.stride) for c in candidates]
+    distinct = {p for ps in poses for p in ps}
+    kept = [
+        trajectory_mi(gmap, [fan_beams(view.cell_center(cell), 8, 6.0, heading)
+                             for cell, heading in ps], params, return_detail=True).beams_kept
+        for ps in poses
+    ]
+    n_cand, n_poses, n_distinct, n_cast, n_kept, n_eval = numbers
+    assert (n_cand, n_poses, n_distinct) == (len(candidates), sum(map(len, poses)), len(distinct))
+    assert len(distinct) < sum(map(len, poses))
+    assert n_cast == 8 * len(distinct)
+    assert n_kept == sum(kept)
+    assert max(kept) <= n_eval <= n_kept
 
 
 def test_view_from_octree_matches_grid(params3, rng):
