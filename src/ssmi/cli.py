@@ -24,7 +24,7 @@ from . import check as check_mod
 from . import mi as mi_mod
 from .config import ConfigError, SimConfig, load_config
 from .errors import SsmiError
-from .grid import GRID_MAGIC, GridMap, load_grid, save_grid
+from .grid import GRID_MAGIC, load_grid, save_grid
 from .logodds import SensorParams
 from .octree import (
     OCTREE_MAGIC,
@@ -75,7 +75,7 @@ def _write_episode(out_dir: Path, config: SimConfig, metrics: EpisodeMetrics) ->
     (out_dir / "resolved.yaml").write_text(config.resolved_yaml())
     if isinstance(metrics.mapper, SemanticOctree):
         save_octree(metrics.mapper, out_dir / "final_map.ssmioct")
-    elif isinstance(metrics.mapper, GridMap):
+    elif metrics.mapper is not None:
         save_grid(metrics.mapper, out_dir / "final_map.ssmigrid")
     if metrics.env is not None:
         save_grid(env_to_grid(metrics.env), out_dir / "env_truth.ssmigrid")
@@ -148,42 +148,19 @@ def cmd_mi_eval(args) -> int:
           f"\n  beams: {args.beams}\n  r_max: {args.r_max}\n  heading: {args.heading}")
     center = np.array([args.x, args.y, args.z])
     fan = mi_mod.fan_beams(center, args.beams, args.r_max, heading=args.heading)
-    detail_rows = []
-    if isinstance(mapper, SemanticOctree):
-        traces = [mapper.cast_elements(b) for b in fan]
-    else:
-        traces = [mapper.cast_ray(b) for b in fan]
-    keep = mi_mod.select_nonoverlapping(traces)
-    total = 0.0
-    for idx in keep:
-        if isinstance(mapper, SemanticOctree):
-            ray = mapper.encode_trace(traces[idx], skip_first_cell=True)
-            if ray is None:
-                continue
-            res = mi_mod.beam_mi_srle(ray, params, return_detail=True)
-            kind = "q"
-        else:
-            cells = traces[idx].cells[1:]
-            if cells.shape[0] == 0:
-                continue
-            h_t = mapper.cells[tuple(cells.T)]
-            h_0 = np.broadcast_to(mapper.prior, h_t.shape)
-            res = mi_mod.beam_mi_dense(h_t, h_0, params, return_detail=True)
-            kind = "n"
-        total += res.value
-        rows, cols = res.terms.shape
-        for r in range(rows):
-            for c in range(cols):
-                detail_rows.append(
-                    f"{idx},{r + 1},{c + 1},{float(res.p_detail[r, c])!r},"
-                    f"{float(res.c_detail[r, c])!r},{float(res.terms[r, c])!r}"
-                )
-    print(f"beams: {len(fan)} kept: {len(keep)}")
-    print(f"mutual information: {total!r} nats")
+    result = mi_mod.trajectory_mi(mapper, [fan], params, return_detail=True)
+    print(f"beams: {result.beams_total} kept: {result.beams_kept}")
+    print(f"mutual information: {result.value!r} nats")
     if args.out:
+        rows = [
+            f"{idx},{r + 1},{c + 1},{float(res.p_detail[r, c])!r},"
+            f"{float(res.c_detail[r, c])!r},{float(res.terms[r, c])!r}"
+            for idx, res in result.beams
+            for r, c in np.ndindex(res.terms.shape)
+        ]
         with open(args.out, "w") as fh:
-            fh.write(f"beam,{ 'q' if isinstance(mapper, SemanticOctree) else 'n' },k,p,c,term\n")
-            fh.write("\n".join(detail_rows) + "\n")
+            fh.write(f"beam,{'q' if isinstance(mapper, SemanticOctree) else 'n'},k,p,c,term\n")
+            fh.write("\n".join(rows) + "\n")
         print(f"per-term dump written to {args.out}")
     return 0
 
@@ -261,15 +238,13 @@ def cmd_map_inspect(args) -> int:
         print(f"max_depth: {mapper.max_depth} (cube edge {mapper.size_elements} elements)")
         print(f"num_classes: {mapper.num_classes}")
         print(f"leaves: {mapper.num_leaves()}")
-        print(f"entropy_nats: {mapper.map_entropy()!r}")
-        print(f"observed_fraction: {mapper.observed_fraction()!r}")
     else:
         print("type: grid")
         print(f"dims: {mapper.dims}")
         print(f"resolution: {mapper.resolution}")
         print(f"num_classes: {mapper.num_classes}")
-        print(f"entropy_nats: {mapper.map_entropy()!r}")
-        print(f"observed_fraction: {float(np.mean(mapper.observed))!r}")
+    print(f"entropy_nats: {mapper.map_entropy()!r}")
+    print(f"observed_fraction: {mapper.observed_fraction()!r}")
     return 0
 
 

@@ -239,20 +239,17 @@ class GridMap:
 
     # -- geometry ----------------------------------------------------------
 
-    def world_to_cell(self, point) -> tuple[int, int, int]:
-        g = (np.asarray(point, dtype=np.float64) - self.origin) / self.resolution
-        return tuple(int(i) for i in np.floor(g).astype(np.int64))
-
     def cell_center(self, cell) -> np.ndarray:
         return self.origin + (np.asarray(cell, dtype=np.float64) + 0.5) * self.resolution
 
-    def in_bounds(self, cell) -> bool:
-        return all(0 <= c < d for c, d in zip(cell, self.dims))
-
-    def flat_index(self, cells: np.ndarray) -> np.ndarray:
-        nx, ny, nz = self.dims
-        c = np.asarray(cells).reshape(-1, 3)
-        return (c[:, 0] * ny + c[:, 1]) * nz + c[:, 2]
+    def _box(self, region) -> tuple[slice, slice, slice]:
+        """Slices of a half-open cell box ((lo), (hi)) inside the map, or of
+        the whole map for None."""
+        if region is None:
+            return (slice(None),) * 3
+        if not all(0 <= lo <= hi <= n for lo, hi, n in zip(region[0], region[1], self.dims)):
+            raise ValueError(f"box {region} is not inside the map")
+        return tuple(slice(lo, hi) for lo, hi in zip(region[0], region[1]))
 
     # -- ray casting -------------------------------------------------------
 
@@ -275,6 +272,12 @@ class GridMap:
             self._apply(trace.cells[n], params.phi_minus, params)
         if trace.hit_index is not None:
             self._apply(trace.cells[trace.hit_index], params.hit_logodds(beam.category), params)
+        return self
+
+    def insert_scan(self, beams: list[BeamMeasurement], params: SensorParams) -> "GridMap":
+        """Integrate a scan's beams in order."""
+        for beam in beams:
+            self.integrate(beam, params)
         return self
 
     def _apply(self, cell, l: np.ndarray, params: SensorParams) -> None:
@@ -315,21 +318,16 @@ class GridMap:
         """Per-cell argmax class; ties resolve to the lowest class index."""
         return np.argmax(self.cells, axis=-1)
 
-    def map_entropy(self, region=None) -> float:
-        """Total Shannon entropy in nats, over ``region`` or the whole map.
+    def labels_observed(self, box) -> tuple[np.ndarray, np.ndarray]:
+        """Most likely class and observed flag of every cell in a half-open
+        box ((lo), (hi)); ties resolve to the lowest class index."""
+        sl = self._box(box)
+        return np.argmax(self.cells[sl], axis=-1), self.observed[sl].copy()
 
-        ``region`` may be a boolean mask of the map shape or an iterable of
-        cell coordinates; an empty region contributes zero.
-        """
-        if region is None:
-            h = self.cells.reshape(-1, self.num_classes + 1)
-        elif isinstance(region, np.ndarray) and region.dtype == bool:
-            h = self.cells[region]
-        else:
-            region = np.asarray(list(region), dtype=np.int64)
-            if region.size == 0:
-                return 0.0
-            h = self.cells[tuple(region.reshape(-1, 3).T)]
+    def map_entropy(self, region=None) -> float:
+        """Total Shannon entropy in nats over a half-open cell box
+        ((lo), (hi)) or the whole map; an empty box contributes zero."""
+        h = self.cells[self._box(region)].reshape(-1, self.num_classes + 1)
         if h.size == 0:
             return 0.0
         logp = h - logodds.logsumexp(h, axis=-1)[..., None]
@@ -337,6 +335,12 @@ class GridMap:
         with np.errstate(invalid="ignore"):
             terms = np.where(p > 0.0, p * logp, 0.0)
         return float(-np.sum(terms))
+
+    def observed_fraction(self, region=None) -> float:
+        """Fraction of cells in a half-open box (or the whole map) that a
+        beam has written."""
+        observed = self.observed[self._box(region)]
+        return float(np.mean(observed)) if observed.size else 0.0
 
     def copy(self) -> "GridMap":
         out = GridMap(self.dims, self.resolution, self.num_classes, self.prior, self.origin)

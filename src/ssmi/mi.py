@@ -401,48 +401,57 @@ def select_nonoverlapping(traces: list[RayTrace], skip_first_cell: bool = True) 
     return chosen
 
 
-def _scatter(count: int, used: list[int], results: list[BeamMI]) -> list[float]:
-    """Per-trace values: kernel results at ``used``, 0.0 (no cells) elsewhere."""
-    values = [0.0] * count
+def _scatter(count: int, used: list[int], results: list[BeamMI]) -> list[BeamMI | None]:
+    """Per-trace results: kernel results at ``used``, None (no cells) elsewhere."""
+    out: list[BeamMI | None] = [None] * count
     for i, res in zip(used, results):
-        values[i] = res.value
-    return values
+        out[i] = res
+    return out
 
 
-def _dense_values(gmap: GridMap, traces: list[RayTrace], params: SensorParams) -> list[float]:
+def _dense_results(gmap: GridMap, traces: list[RayTrace], params: SensorParams,
+                   return_detail: bool = False) -> list[BeamMI | None]:
     """Dense information of each trace's cells past the sensor cell, all
     traces in one kernel call."""
     cells = [trace.cells[1:] for trace in traces]
     used = [i for i, c in enumerate(cells) if c.shape[0]]
     if not used:
-        return [0.0] * len(traces)
+        return [None] * len(traces)
     h_t = gmap.cells[tuple(np.concatenate([cells[i] for i in used]).T)]
     h_0 = np.broadcast_to(gmap.prior, h_t.shape)
     offsets = np.cumsum([0] + [cells[i].shape[0] for i in used]).tolist()
-    return _scatter(len(traces), used, beam_mi_dense_batch(h_t, h_0, offsets, params))
+    return _scatter(len(traces), used,
+                    beam_mi_dense_batch(h_t, h_0, offsets, params, return_detail))
 
 
-def _srle_values(tree, traces: list[RayTrace], params: SensorParams) -> list[float]:
+def _srle_results(tree, traces: list[RayTrace], params: SensorParams,
+                  return_detail: bool = False) -> list[BeamMI | None]:
     """Run-length information of each trace past the sensor cell, all
     traces in one kernel call."""
     rays = [tree.encode_trace(trace, skip_first_cell=True) for trace in traces]
     used = [i for i, ray in enumerate(rays) if ray is not None]
     if not used:
-        return [0.0] * len(traces)
+        return [None] * len(traces)
     runs = SrleRay(
         widths=np.concatenate([rays[i].widths for i in used]),
         chi_t=np.concatenate([rays[i].chi_t for i in used]),
         chi_0=np.concatenate([rays[i].chi_0 for i in used]),
     )
     offsets = np.cumsum([0] + [rays[i].num_runs for i in used]).tolist()
-    return _scatter(len(traces), used, beam_mi_srle_batch(runs, offsets, params))
+    return _scatter(len(traces), used, beam_mi_srle_batch(runs, offsets, params, return_detail))
 
 
 @dataclass
 class TrajectoryMI:
+    """Information of one trajectory. With detail, ``beams`` lists every kept
+    beam that has cells past the sensor cell, in keep order, as (its index in
+    the trajectory's beams, its :class:`BeamMI` with the term breakdown);
+    kept beams without such cells add nothing to ``value``."""
+
     value: float
     beams_total: int
     beams_kept: int
+    beams: list[tuple[int, BeamMI]] | None = None
 
 
 @dataclass
@@ -459,6 +468,7 @@ def trajectories_mi(
     fans: list[list[BeamMeasurement]],
     trajectories: list[list[int]],
     params: SensorParams,
+    return_detail: bool = False,
 ) -> BatchMI:
     """Information of many observation sequences that share sensing poses.
 
@@ -467,7 +477,8 @@ def trajectories_mi(
     beams are dropped greedily per trajectory, across its whole horizon, and
     the union of kept beams is evaluated in one kernel call. Each
     trajectory's value adds its kept beams' values in keep order, so it is
-    bit-identical to evaluating that trajectory alone.
+    bit-identical to evaluating that trajectory alone. ``return_detail``
+    fills each result's ``beams``; the values do not depend on it.
 
     ``mapper`` is a GridMap (dense evaluation) or a semantic octree (run-
     length evaluation over its leaves). Out-of-bounds beams propagate.
@@ -478,22 +489,25 @@ def trajectories_mi(
     cast = mapper.cast_elements if is_tree else mapper.cast_ray
     fan_traces = [[cast(b) for b in fan] for fan in fans]
     slots: dict[tuple[int, int], int] = {}  # kept (fan, beam) -> batch position
-    kept: list[list[int]] = []
+    kept: list[list[tuple[int, int]]] = []  # per trajectory: (beam index, position)
     totals: list[int] = []
     for traj in trajectories:
         pairs = [(f, b) for f in traj for b in range(len(fan_traces[f]))]
         keep = select_nonoverlapping([fan_traces[f][b] for f, b in pairs])
-        kept.append([slots.setdefault(pairs[i], len(slots)) for i in keep])
+        kept.append([(i, slots.setdefault(pairs[i], len(slots))) for i in keep])
         totals.append(len(pairs))
     traces = [fan_traces[f][b] for f, b in slots]
-    values = (_srle_values if is_tree else _dense_values)(mapper, traces, params)
+    evaluate = _srle_results if is_tree else _dense_results
+    evaluated = evaluate(mapper, traces, params, return_detail)
     results = []
-    for positions, beams_total in zip(kept, totals):
+    for picks, beams_total in zip(kept, totals):
+        beams = [(i, evaluated[pos]) for i, pos in picks if evaluated[pos] is not None]
         total = 0.0
-        for pos in positions:
-            total += values[pos]
+        for _, res in beams:
+            total += res.value
         results.append(TrajectoryMI(value=total, beams_total=beams_total,
-                                    beams_kept=len(positions)))
+                                    beams_kept=len(picks),
+                                    beams=beams if return_detail else None))
     return BatchMI(trajectories=results, beams_evaluated=len(slots))
 
 
@@ -505,10 +519,13 @@ def trajectory_mi(
 ):
     """Information of a whole observation sequence: cast every beam, drop
     overlapping ones greedily across the horizon, and add up per-beam values.
-    The one-trajectory case of :func:`trajectories_mi`.
+    The one-trajectory case of :func:`trajectories_mi`; with
+    ``return_detail`` the whole :class:`TrajectoryMI`, per-beam terms
+    included, instead of the value.
     """
     whole = [list(range(len(beams_per_pose)))]
-    result = trajectories_mi(mapper, beams_per_pose, whole, params).trajectories[0]
+    result = trajectories_mi(mapper, beams_per_pose, whole, params,
+                             return_detail).trajectories[0]
     return result if return_detail else result.value
 
 
@@ -598,7 +615,8 @@ def mi_surface(
                 continue
             fan = fan_beams(gmap.cell_center((i, j, 0)), num_beams, max_range)
             total = 0.0
-            for value in _dense_values(gmap, [gmap.cast_ray(b) for b in fan], params):
-                total += value
+            for res in _dense_results(gmap, [gmap.cast_ray(b) for b in fan], params):
+                if res is not None:
+                    total += res.value
             out[i, j] = total
     return out

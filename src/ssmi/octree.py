@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import logodds
-from .errors import CorruptMap, InvalidClass, OriginOutOfBounds
+from .errors import CorruptMap, InvalidClass
 from .grid import GRID_MAGIC, BeamMeasurement, GridMap, RayTrace, cast
 from .logodds import CellRelation, SensorParams
 from .mi import SrleRay
@@ -109,11 +109,6 @@ class TruncatedSemantics:
 
     def entropy(self) -> float:
         return logodds.entropy(self.pseudo_logodds())
-
-    def is_free_labeled(self) -> bool:
-        """Most likely label is free; ties go to free (the lowest class)."""
-        top = max([v for _, v in self.data] + ([self.others] if np.isfinite(self.others) else []))
-        return 0.0 >= top
 
 
 class SemanticNode:
@@ -307,6 +302,11 @@ class SemanticOctree:
         return (n, n, n)
 
     @property
+    def resolution(self) -> float:
+        """Element edge length (the grid's name for its cell size)."""
+        return self.element_size
+
+    @property
     def truncation_approximate(self) -> bool:
         """True when stored beliefs lump classes (K > 3), which makes
         information values an approximation of the full-vector ones."""
@@ -321,10 +321,6 @@ class SemanticOctree:
             | (((cell[1] >> bit) & 1) << 1)
             | ((cell[2] >> bit) & 1)
         )
-
-    def in_bounds(self, cell) -> bool:
-        n = self.size_elements
-        return all(0 <= c < n for c in cell)
 
     def leaf_at(self, cell) -> tuple[TruncatedSemantics, tuple[int, int, int], int]:
         """Leaf value covering an element, with the leaf's low corner and edge
@@ -341,13 +337,6 @@ class SemanticOctree:
 
     def query_element(self, cell) -> TruncatedSemantics:
         return self.leaf_at(cell)[0]
-
-    def query_point(self, point) -> TruncatedSemantics:
-        g = (np.asarray(point, dtype=np.float64) - self.origin) / self.element_size
-        cell = tuple(int(v) for v in np.floor(g))
-        if not self.in_bounds(cell):
-            raise OriginOutOfBounds(f"point {point} outside the octree cube")
-        return self.query_element(cell)
 
     # -- updates ---------------------------------------------------------------
 
@@ -536,6 +525,15 @@ class SemanticOctree:
         if units:
             index[tuple(np.array(units).T)] = unit_ids
         return list(ids), index
+
+    def labels_observed(self, box) -> tuple[np.ndarray, np.ndarray]:
+        """Most likely class (the argmax of the full belief, ties to the
+        lowest class) and observed flag (belief off the prior) of every
+        element in a half-open box ((lo), (hi)) inside the cube."""
+        values, index = self.leaf_index(box)
+        labels = np.array([np.argmax(v.to_full(self.num_classes)) for v in values], dtype=np.int64)
+        observed = np.array([v != self.prior_semantics for v in values], dtype=bool)
+        return labels[index], observed[index]
 
     @staticmethod
     def _box_overlap(low, size, box) -> int:

@@ -3,9 +3,10 @@
 Planning always happens on a 2-D occupancy view. A dense 2-D map projects
 trivially; 3-D maps (grid or octree) project onto the ground plane, where a
 column is traversable only if every voxel in the robot-height band is
-observed free. Candidate plans drive to frontier centers; the score of a
-candidate is the information of the observations collected along its path
-divided by the path length.
+observed free. Both maps answer the same ``labels_observed`` call, so one
+projection serves both. Candidate plans drive to frontier centers; the
+score of a candidate is the information of the observations collected
+along its path divided by the path length.
 """
 
 from __future__ import annotations
@@ -51,36 +52,25 @@ class PlanView:
         )
 
 
-def view_from_grid(gmap: GridMap, band: tuple[int, int] | None = None) -> PlanView:
-    """Project a grid map onto the plane; ``band`` is the half-open z range
-    that must be clear (defaults to the full depth)."""
-    z0, z1 = band if band is not None else (0, gmap.dims[2])
-    labels = gmap.most_likely()[:, :, z0:z1]
-    observed = gmap.observed[:, :, z0:z1]
+def view_from_grid(mapper, region_dims=None, band: tuple[int, int] | None = None) -> PlanView:
+    """Project a map (a ``GridMap`` or a ``SemanticOctree``) onto the 2-D
+    planning grid over the box of ``region_dims`` cells at its origin, which
+    defaults to the map's dims (an octree's cube is usually larger than the
+    world).
+
+    A column is free when every cell of the half-open z ``band`` (default:
+    the region's full depth) is observed and most likely free, and unknown
+    when none of them is observed.
+    """
+    nx, ny, nz = mapper.dims if region_dims is None else region_dims
+    z0, z1 = band if band is not None else (0, nz)
+    labels, observed = mapper.labels_observed(((0, 0, z0), (nx, ny, z1)))
     free = np.all(observed & (labels == 0), axis=-1)
     unknown = np.all(~observed, axis=-1)
-    z_center = gmap.origin[2] + (z0 + z1) / 2.0 * gmap.resolution
+    z_center = mapper.origin[2] + (z0 + z1) / 2.0 * mapper.resolution
     return PlanView(
-        free=free, unknown=unknown, resolution=gmap.resolution,
-        origin=gmap.origin[:2].copy(), z_center=z_center,
-    )
-
-
-def view_from_octree(tree, region_dims, band: tuple[int, int] | None = None) -> PlanView:
-    """Same projection over octree elements within a region box."""
-    nx, ny = region_dims[0], region_dims[1]
-    nz = region_dims[2] if len(region_dims) > 2 else 1
-    z0, z1 = band if band is not None else (0, nz)
-    values, index = tree.leaf_index(((0, 0, z0), (nx, ny, z1)))
-    prior = tree.prior_semantics
-    seen = np.array([v != prior for v in values], dtype=bool)[index]
-    free_labeled = np.array([v != prior and v.is_free_labeled() for v in values], dtype=bool)[index]
-    free = np.all(free_labeled, axis=-1)
-    unknown = np.all(~seen, axis=-1)
-    z_center = tree.origin[2] + (z0 + z1) / 2.0 * tree.element_size
-    return PlanView(
-        free=free, unknown=unknown, resolution=tree.element_size,
-        origin=tree.origin[:2].copy(), z_center=z_center,
+        free=free, unknown=unknown, resolution=mapper.resolution,
+        origin=mapper.origin[:2].copy(), z_center=z_center,
     )
 
 

@@ -304,43 +304,10 @@ def _build_mapper(config: SimConfig, env: Environment):
     )
 
 
-def _integrate(mapper, beams, params) -> None:
-    if isinstance(mapper, SemanticOctree):
-        mapper.insert_scan(beams, params)
-    else:
-        for beam in beams:
-            mapper.integrate(beam, params)
-
-
-def _map_state(mapper, env: Environment) -> tuple[float, float]:
-    if isinstance(mapper, SemanticOctree):
-        box = ((0, 0, 0), env.dims)
-        return mapper.map_entropy(box), mapper.observed_fraction(box)
-    return mapper.map_entropy(), float(np.mean(mapper.observed))
-
-
-def _plan_view(mapper, env: Environment, band):
-    if isinstance(mapper, SemanticOctree):
-        return planner_mod.view_from_octree(mapper, env.dims, band)
-    return planner_mod.view_from_grid(mapper, band)
-
-
-def _label_grid(mapper, env: Environment) -> tuple[np.ndarray, np.ndarray]:
-    """(labels, observed) over the environment box for precision scoring."""
-    if isinstance(mapper, SemanticOctree):
-        values, index = mapper.leaf_index(((0, 0, 0), env.dims))
-        labels = np.array(
-            [np.argmax(v.to_full(mapper.num_classes)) for v in values], dtype=np.int64
-        )[index]
-        observed = np.array([v != mapper.prior_semantics for v in values], dtype=bool)[index]
-        return labels, observed
-    return mapper.most_likely(), mapper.observed.copy()
-
-
 def class_precision(mapper, env: Environment) -> dict[int, float | None]:
     """Per-class precision of the most-likely map over observed cells; None
     when the map never labeled a cell with that class."""
-    labels, observed = _label_grid(mapper, env)
+    labels, observed = mapper.labels_observed(((0, 0, 0), env.dims))
     out: dict[int, float | None] = {}
     for k in range(1, env.num_classes + 1):
         sel = observed & (labels == k)
@@ -383,6 +350,7 @@ def run_episode(config: SimConfig, env: Environment | None = None) -> EpisodeMet
         misclass_prob=config.sensor.misclass_prob,
     )
     metrics = EpisodeMetrics(env_hash=env.content_hash(), config_hash=config.config_hash())
+    world = ((0, 0, 0), env.dims)  # an octree's cube can be larger than the world
 
     def pose_center(cell) -> np.ndarray:
         return (np.asarray(cell, dtype=np.float64) + 0.5) * env.resolution
@@ -393,15 +361,15 @@ def run_episode(config: SimConfig, env: Environment | None = None) -> EpisodeMet
     distance = 0.0
     for step in range(1, config.run.max_steps + 1):
         scan = sense(env, pose_center((pose[0], pose[1], z_idx)), heading, spec, sensor_rng)
-        _integrate(mapper, scan, params)
+        mapper.insert_scan(scan, params)
 
-        view = _plan_view(mapper, env, config.planner.band)
+        view = planner_mod.view_from_grid(mapper, env.dims, config.planner.band)
         t0 = time.perf_counter()
         try:
             candidates = planner_mod.evaluate_candidates(mapper, view, pose, params, config.planner)
             plan = planner_mod.select_best(candidates)
         except (NoFrontiers, AllUnreachable):
-            entropy, explored = _map_state(mapper, env)
+            entropy, explored = mapper.map_entropy(world), mapper.observed_fraction(world)
             metrics.rows.append(CycleRow(step, distance, entropy, explored, 0.0))
             break
         metrics.plan_times.append(time.perf_counter() - t0)
@@ -419,11 +387,11 @@ def run_episode(config: SimConfig, env: Environment | None = None) -> EpisodeMet
             distance += math.hypot(b[0] - a[0], b[1] - a[1]) * env.resolution
         for cell, hd in poses[1:-1]:
             scan = sense(env, pose_center((cell[0], cell[1], z_idx)), hd, spec, sensor_rng)
-            _integrate(mapper, scan, params)
+            mapper.insert_scan(scan, params)
         pose = path[-1]
         heading = poses[-1][1]
 
-        entropy, explored = _map_state(mapper, env)
+        entropy, explored = mapper.map_entropy(world), mapper.observed_fraction(world)
         metrics.rows.append(CycleRow(step, distance, entropy, explored, plan.mi))
         if explored >= config.run.explored_stop:
             break

@@ -144,6 +144,83 @@ def test_mi_eval_prints_value(tmp_path, capsys):
     assert header == "beam,n,k,p,c,term"
 
 
+def _scanned_grid(params3, rng):
+    """A K=3 16x16 map with walls of every class seen from three poses."""
+    from ssmi.sim import generate_env, sense, SensorSpec
+
+    env = generate_env(5, "random", (16, 16), 3)
+    gmap = GridMap(env.dims, 1.0, 3)
+    spec = SensorSpec(num_beams=36, fov=2 * np.pi, r_max=8.0, range_sigma=0.1,
+                      misclass_prob=0.3)
+    for cell in env.spawns[::max(1, len(env.spawns) // 3)][:3]:
+        pose = (np.asarray(cell, dtype=float) + 0.5) * env.resolution
+        for beam in sense(env, pose, 0.0, spec, rng):
+            gmap.integrate(beam, params3)
+    return gmap, env
+
+
+def _dump_rows_reference(mapper, fan, params):
+    """The per-term dump of ``mi-eval`` rebuilt from the single-beam
+    functions: kept beams in order, cells past the sensor cell, beams
+    without any skipped."""
+    from ssmi import mi
+
+    tree = isinstance(mapper, SemanticOctree)
+    traces = [mapper.cast_elements(b) if tree else mapper.cast_ray(b) for b in fan]
+    keep = mi.select_nonoverlapping(traces)
+    rows = []
+    for idx in keep:
+        if tree:
+            ray = mapper.encode_trace(traces[idx], skip_first_cell=True)
+            if ray is None:
+                continue
+            res = mi.beam_mi_srle(ray, params, return_detail=True)
+        else:
+            cells = traces[idx].cells[1:]
+            if cells.shape[0] == 0:
+                continue
+            h_t = mapper.cells[tuple(cells.T)]
+            res = mi.beam_mi_dense(h_t, np.broadcast_to(mapper.prior, h_t.shape), params,
+                                   return_detail=True)
+        for r, c in np.ndindex(res.terms.shape):
+            rows.append(f"{idx},{r + 1},{c + 1},{float(res.p_detail[r, c])!r},"
+                        f"{float(res.c_detail[r, c])!r},{float(res.terms[r, c])!r}")
+    return len(traces), len(keep), rows
+
+
+def test_mi_eval_matches_trajectory_mi_on_grid_and_octree(tmp_path, capsys, params3, rng):
+    """``mi-eval`` on a saved non-trivial K=3 grid and on its octree: the
+    printed value is ``trajectory_mi`` on the loaded map, the counts and the
+    dump follow the single-beam functions row by row."""
+    from ssmi import mi
+    from ssmi.grid import load_grid
+    from ssmi.octree import octree_from_grid
+
+    gmap, env = _scanned_grid(params3, rng)
+    grid_path = tmp_path / "m.ssmigrid"
+    tree_path = tmp_path / "m.ssmioct"
+    save_grid(gmap, grid_path)
+    save_octree(octree_from_grid(gmap), tree_path)
+    x, y = (np.asarray(env.spawns[len(env.spawns) // 2][:2], dtype=float) + 0.5).tolist()
+    for path, loader, kind in ((grid_path, load_grid, "n"), (tree_path, load_octree, "q")):
+        dump = tmp_path / f"terms-{kind}.csv"
+        code = main(["mi-eval", "--map", str(path), "--x", repr(x), "--y", repr(y),
+                     "--heading", "0.4", "--beams", "20", "--r-max", "9.0",
+                     "--out", str(dump)])
+        assert code == 0
+        out = capsys.readouterr().out.splitlines()
+        mapper = loader(path)
+        fan = mi.fan_beams(np.array([x, y, 0.5]), 20, 9.0, heading=0.4)
+        value = mi.trajectory_mi(mapper, [fan], params3)
+        total, kept, rows = _dump_rows_reference(mapper, fan, params3)
+        assert 1 < kept < total and value > 0.0
+        assert f"beams: {total} kept: {kept}" in out
+        assert f"mutual information: {value!r} nats" in out
+        lines = dump.read_text().splitlines()
+        assert lines[0] == f"beam,{kind},k,p,c,term"
+        assert lines[1:] == rows and len(rows) > 3 * kept
+
+
 def test_map_inspect_and_convert_roundtrip(tmp_path, capsys, params3, rng):
     gmap = GridMap((8, 8, 8), 1.0, 3)
     from ssmi.grid import BeamMeasurement

@@ -464,14 +464,12 @@ def test_saturated_map_entropy_positive(params3):
 
 def test_empty_region_entropy_zero():
     gmap = GridMap((4, 4), 1.0, 2)
-    assert gmap.map_entropy(region=[]) == 0.0
+    assert gmap.map_entropy(region=((0, 0, 0), (0, 4, 1))) == 0.0
 
 
 def test_region_mask_entropy():
     gmap = GridMap((4, 4), 1.0, 2)
-    mask = np.zeros(gmap.dims, dtype=bool)
-    mask[0, 0, 0] = True
-    assert gmap.map_entropy(region=mask) == pytest.approx(LN3, abs=1e-12)
+    assert gmap.map_entropy(region=((0, 0, 0), (1, 1, 1))) == pytest.approx(LN3, abs=1e-12)
 
 
 # -- serialization --------------------------------------------------------------------

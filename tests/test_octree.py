@@ -385,6 +385,39 @@ def test_map_entropy_and_observed_fraction_match_leaf_sums(params3, rng):
         tree.leaf_index(((0, 0, 0), (33, 1, 1)))
 
 
+def test_grid_and_octree_answer_the_shared_calls_alike(params3):
+    """The same A4-style scans into a grid and a K=3 octree whose cube is
+    larger than the grid, both through ``insert_scan``: after every scan the
+    world box and a z band agree on labels and observed flags (exactly), on
+    the observed fraction (exactly) and on entropy (the summation orders
+    differ). Beams leaving the grid go on through the cube, but the world
+    box sees the same cell sequence in both."""
+    rng = np.random.default_rng(405)
+    dims = (24, 20, 12)
+    gmap = GridMap(dims, 1.0, 3)
+    tree = SemanticOctree(1.0, 5, 3)
+    boxes = (((0, 0, 0), dims), ((0, 0, 4), (24, 20, 8)))
+    for _ in range(20):
+        scan = []
+        for _ in range(10):
+            origin = rng.uniform(1.0, np.array(dims) - 1.0)
+            d = rng.normal(size=3)
+            d /= np.linalg.norm(d)
+            r = float(rng.uniform(0.5, 16.0)) if rng.random() < 0.8 else 16.0
+            cat = int(rng.integers(1, 4)) if r < 16.0 else None
+            scan.append(BeamMeasurement(origin, d, r, cat, 16.0))
+        assert gmap.insert_scan(scan, params3) is gmap
+        tree.insert_scan(scan, params3)
+        for box in boxes:
+            g_labels, g_observed = gmap.labels_observed(box)
+            t_labels, t_observed = tree.labels_observed(box)
+            assert (g_labels == t_labels).all() and (g_observed == t_observed).all()
+            assert gmap.observed_fraction(box) == tree.observed_fraction(box)
+            assert gmap.map_entropy(box) == pytest.approx(tree.map_entropy(box), rel=1e-10)
+    assert 0.05 < gmap.observed_fraction() < 0.95
+    assert len(np.unique(gmap.labels_observed(boxes[0])[0])) == 4
+
+
 # -- serialization and conversion ------------------------------------------------------
 
 

@@ -34,7 +34,6 @@ from ssmi.planner import (
     select_plan,
     sensing_poses,
     view_from_grid,
-    view_from_octree,
 )
 from ssmi.sim import run_episode
 
@@ -463,14 +462,15 @@ def test_view_from_octree_matches_grid(params3, rng):
         gmap.integrate(beam, params3)
         tree.insert_scan([beam], params3)
     vg = view_from_grid(gmap, band=(0, 1))
-    vt = view_from_octree(tree, (16, 16, 1), band=(0, 1))
+    vt = view_from_grid(tree, (16, 16, 1), band=(0, 1))
     np.testing.assert_array_equal(vg.free, vt.free)
     np.testing.assert_array_equal(vg.unknown, vt.unknown)
 
 
 def test_view_from_octree_matches_element_loop(rng):
-    """The leaf-box fill against the per-element projection it replaced, on
-    a lumped (K=5) tree, a region smaller than the cube and a z band."""
+    """The leaf-box fill against a per-element projection with the argmax
+    labelling rule, on a lumped (K=5) tree, a region smaller than the cube
+    and a z band."""
     from ssmi.grid import BeamMeasurement
     from ssmi.octree import SemanticOctree
 
@@ -486,7 +486,7 @@ def test_view_from_octree_matches_element_loop(rng):
             beams.append(BeamMeasurement(np.array([6.5, 5.5, z]), direction, r, cat, 7.0))
         tree.insert_scan(beams, params)
     region, band = (12, 10, 8), (2, 6)
-    view = view_from_octree(tree, region, band)
+    view = view_from_grid(tree, region, band)
     free = np.ones(region[:2], dtype=bool)
     unknown = np.ones(region[:2], dtype=bool)
     for i in range(region[0]):
@@ -495,8 +495,26 @@ def test_view_from_octree_matches_element_loop(rng):
                 sem = tree.query_element((i, j, k))
                 seen = sem != tree.prior_semantics
                 unknown[i, j] &= not seen
-                free[i, j] &= seen and sem.is_free_labeled()
+                free[i, j] &= seen and int(np.argmax(sem.to_full(5))) == 0
     assert free.any() and not unknown.all()
     np.testing.assert_array_equal(view.free, free)
     np.testing.assert_array_equal(view.unknown, unknown)
+
+
+def test_lumped_octree_view_labels_like_the_grid():
+    """K=5 beliefs with every class at -0.1: free is most likely. The octree
+    keeps three classes and lumps two into one value above 0, yet its view
+    must still call every column free, as the grid's does."""
+    from ssmi.octree import octree_from_grid
+
+    gmap = GridMap((4, 4), 1.0, 5)
+    gmap.cells[...] = np.array([0.0] + [-0.1] * 5)
+    gmap.observed[:] = True
+    tree = octree_from_grid(gmap)
+    assert tree.query_element((0, 0, 0)).others > 0.0
+    vg = view_from_grid(gmap)
+    vt = view_from_grid(tree, gmap.dims)
+    assert vg.free.all()
+    np.testing.assert_array_equal(vt.free, vg.free)
+    np.testing.assert_array_equal(vt.unknown, vg.unknown)
 

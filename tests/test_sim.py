@@ -274,12 +274,9 @@ def test_srle_q_never_exceeds_n():
 def test_label_grid_matches_element_loop():
     """Precision labels from leaf boxes against per-element queries, on a
     lumped (K=5) tree and a box smaller than the cube."""
-    from types import SimpleNamespace
-
     from ssmi.grid import BeamMeasurement
     from ssmi.logodds import SensorParams
     from ssmi.octree import SemanticOctree
-    from ssmi.sim import _label_grid
 
     tree = SemanticOctree(1.0, 4, 5)
     params = SensorParams.default(5)
@@ -290,9 +287,9 @@ def test_label_grid_matches_element_loop():
         beam = BeamMeasurement(rng.uniform(2, 12, 3), d, float(rng.uniform(1, 9)),
                                int(rng.integers(1, 6)), 10.0)
         tree.insert_scan([beam], params)
-    env = SimpleNamespace(dims=(13, 11, 9))
-    labels, observed = _label_grid(tree, env)
-    for cell in np.ndindex(env.dims):
+    dims = (13, 11, 9)
+    labels, observed = tree.labels_observed(((0, 0, 0), dims))
+    for cell in np.ndindex(dims):
         sem = tree.query_element(cell)
         assert observed[cell] == (sem != tree.prior_semantics)
         assert labels[cell] == int(np.argmax(sem.to_full(5)))
