@@ -28,6 +28,7 @@ from .grid import GRID_MAGIC, load_grid, save_grid
 from .logodds import SensorParams
 from .octree import (
     OCTREE_MAGIC,
+    OCTREE_MAGIC_V1,
     SemanticOctree,
     grid_from_octree,
     load_octree,
@@ -130,7 +131,7 @@ def _load_any_map(path: str):
         magic = fh.read(8)
     if magic == GRID_MAGIC:
         return load_grid(path)
-    if magic == OCTREE_MAGIC:
+    if magic in (OCTREE_MAGIC, OCTREE_MAGIC_V1):
         return load_octree(path)
     raise SsmiError(f"{path}: unrecognized map file (magic {magic!r})")
 

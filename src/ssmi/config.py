@@ -60,7 +60,6 @@ class MapperConfig:
     free_odds: float = -1.39
     hit_odds: float = 0.41
     alpha: float = 0.5
-    fusion: str = "fold"
 
     def __post_init__(self):
         if self.type not in ("grid", "octree"):

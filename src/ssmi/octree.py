@@ -9,10 +9,9 @@ identical beliefs are pruned into their parent, which is what makes ray casts
 over this structure short: a ray meets a handful of homogeneous runs instead
 of hundreds of elements.
 
-Queries, ray casts and aggregates always descend to leaves. Inner-node
-summaries (the fused belief of a node's children) are read only by
-``save_octree``, so they are fused once, bottom-up, when a file is written
-rather than after every scan (OctoMap's deferred inner-node update).
+Queries, ray casts, aggregates and files all read leaves only, so an inner
+node holds no belief: the tree is its structure plus the leaf beliefs, and
+``save_octree`` writes exactly that (as OctoMap's compact ``.bt`` files do).
 """
 
 from __future__ import annotations
@@ -29,7 +28,8 @@ from .grid import GRID_MAGIC, BeamMeasurement, GridMap, RayTrace, cast
 from .logodds import CellRelation, SensorParams
 from .mi import SrleRay
 
-OCTREE_MAGIC = b"SSMIOCT1"
+OCTREE_MAGIC = b"SSMIOCT2"
+OCTREE_MAGIC_V1 = b"SSMIOCT1"  # read only
 
 NEG_INF = float("-inf")
 
@@ -85,21 +85,6 @@ class TruncatedSemantics:
                 h[c] = share
         return h
 
-    def value_of(self, cls_id: int) -> float | None:
-        for c, v in self.data:
-            if c == cls_id:
-                return v
-        return None
-
-    def occupancy(self) -> float:
-        """Log-odds of occupied (any class) versus free."""
-        vals = [v for _, v in self.data]
-        if np.isfinite(self.others):
-            vals.append(self.others)
-        if not vals:
-            return NEG_INF
-        return float(logodds.logsumexp(np.array(vals)))
-
     def pseudo_logodds(self) -> np.ndarray:
         """Pivot + tracked values + lump as one log-odds vector for entropy."""
         vals = [0.0] + [v for _, v in self.data]
@@ -112,15 +97,12 @@ class TruncatedSemantics:
 
 
 class SemanticNode:
-    """Tree node: a belief plus either no children or exactly eight.
-
-    An inner node's ``semantics`` is its summary, or None while the summary
-    is stale (see ``SemanticOctree.summary``).
-    """
+    """Tree node: a leaf holds a belief and no children; an inner node holds
+    exactly eight children and no belief (``semantics`` is None)."""
 
     __slots__ = ("semantics", "children")
 
-    def __init__(self, semantics: TruncatedSemantics, children=None):
+    def __init__(self, semantics: TruncatedSemantics | None, children=None):
         self.semantics = semantics
         self.children = children
 
@@ -200,68 +182,8 @@ def update_semantics(
     )
 
 
-def fuse_children(
-    a: TruncatedSemantics, b: TruncatedSemantics, params: SensorParams
-) -> TruncatedSemantics:
-    """Pairwise semantic fusion: average tracked log-odds class by class,
-    slicing each lump into per-class shares for classes only the other node
-    tracks, then re-truncate to the top 3 and clamp."""
-    union = sorted({c for c, _ in a.data} | {c for c, _ in b.data})
-    o_a = a.others - math.log(1 + len(union) - len(a.data))
-    o_b = b.others - math.log(1 + len(union) - len(b.data))
-    entries = []
-    for y in union:
-        va = a.value_of(y)
-        vb = b.value_of(y)
-        va = o_a if va is None else va
-        vb = o_b if vb is None else vb
-        entries.append((y, (va + vb) / 2.0))
-    entries = TruncatedSemantics._sorted(entries)
-    kept = entries[:3]
-    lump_terms = [(o_a + o_b) / 2.0] + [v for _, v in entries[3:]]
-    lump = float(logodds.logsumexp(np.array(lump_terms)))
-
-    lo, hi = params.clamp_lo, params.clamp_hi
-    data = tuple((c, float(min(max(v, lo[c]), hi[c]))) for c, v in kept)
-    if math.isfinite(lump):
-        lump = float(min(max(lump, lo[1]), hi[1]))
-    return TruncatedSemantics(data=data, others=lump)
-
-
-def fuse_many(children: list[TruncatedSemantics], params: SensorParams, mode: str) -> TruncatedSemantics:
-    """Parent belief from 8 children: left fold of the pairwise rule in child
-    order (default), or the plain elementwise mean when all children track the
-    same classes ("mean" mode)."""
-    if mode == "mean":
-        classes = {frozenset(c for c, _ in ch.data) for ch in children}
-        if len(classes) == 1:
-            ref = children[0]
-            data = []
-            for c, _ in ref.data:
-                vals = [dict(ch.data)[c] for ch in children]
-                data.append((c, float(np.mean(vals))))
-            others = float(np.mean([ch.others for ch in children]))
-            sem = TruncatedSemantics(data=TruncatedSemantics._sorted(data), others=others)
-            lo, hi = params.clamp_lo, params.clamp_hi
-            data = tuple((c, float(min(max(v, lo[c]), hi[c]))) for c, v in sem.data)
-            oth = sem.others
-            if math.isfinite(oth):
-                oth = float(min(max(oth, lo[1]), hi[1]))
-            return TruncatedSemantics(data=data, others=oth)
-        # class sets differ: fall back to the pairwise rule
-    acc = children[0]
-    for child in children[1:]:
-        acc = fuse_children(acc, child, params)
-    return acc
-
-
 class SemanticOctree:
-    """Cube-shaped multi-class map of side ``element_size * 2**max_depth``.
-
-    ``fusion`` selects how inner-node summaries are fused when the tree is
-    saved: "fold" (pairwise left fold over the children) or "mean". The fusion
-    clamps with the sensor parameters of the last ``prune``.
-    """
+    """Cube-shaped multi-class map of side ``element_size * 2**max_depth``."""
 
     def __init__(
         self,
@@ -270,17 +192,13 @@ class SemanticOctree:
         num_classes: int,
         prior: np.ndarray | None = None,
         origin=(0.0, 0.0, 0.0),
-        fusion: str = "fold",
     ):
         if max_depth < 1 or max_depth > 16:
             raise ValueError("max_depth must be in 1..16")
-        if fusion not in ("fold", "mean"):
-            raise ValueError("fusion must be 'fold' or 'mean'")
         self.element_size = float(element_size)
         self.max_depth = int(max_depth)
         self.num_classes = int(num_classes)
         self.origin = np.asarray(origin, dtype=np.float64)
-        self.fusion = fusion
         if prior is None:
             prior = logodds.uniform_prior(num_classes)
         prior = np.ascontiguousarray(prior, dtype=np.float64)
@@ -290,7 +208,6 @@ class SemanticOctree:
         self.prior = prior
         self.prior_semantics = TruncatedSemantics.from_full(prior)
         self.root = SemanticNode(self.prior_semantics)
-        self.summary_params: SensorParams | None = None
 
     @property
     def size_elements(self) -> int:
@@ -354,6 +271,7 @@ class SemanticOctree:
         while depth < self.max_depth:
             if node.children is None:
                 node.children = [SemanticNode(node.semantics) for _ in range(8)]
+                node.semantics = None
             node = node.children[self._child_slot(cell, depth)]
             depth += 1
         node.semantics = new
@@ -391,17 +309,12 @@ class SemanticOctree:
                 self.update_element(
                     trace.cells[trace.hit_index], CellRelation.OCCUPIED, beam.category, params
                 )
-        self.prune(params)
+        self.prune()
         return self
 
-    def prune(self, params: SensorParams | None = None) -> "SemanticOctree":
+    def prune(self) -> "SemanticOctree":
         """Bottom-up: collapse inner nodes whose 8 children are identical
-        leaves, and mark every surviving inner node's summary stale. The
-        params (defaults for K when None) are kept for fusing the summaries
-        later. Point queries are unaffected."""
-        if params is None:
-            params = SensorParams.default(self.num_classes)
-        self.summary_params = params
+        leaves. Point queries are unaffected."""
 
         def visit(node: SemanticNode) -> None:
             if node.children is None:
@@ -415,21 +328,9 @@ class SemanticOctree:
             ):
                 node.semantics = first.semantics
                 node.children = None
-            else:
-                node.semantics = None
 
         visit(self.root)
         return self
-
-    def summary(self, node: SemanticNode) -> TruncatedSemantics:
-        """A node's stored belief: a leaf's value, or an inner node's summary.
-        Stale summaries are fused bottom-up from the children with the params
-        of the last ``prune`` and cached on the node."""
-        if node.semantics is None:
-            node.semantics = fuse_many(
-                [self.summary(c) for c in node.children], self.summary_params, self.fusion
-            )
-        return node.semantics
 
     # -- ray casting -------------------------------------------------------------
 
@@ -576,7 +477,7 @@ class SemanticOctree:
 # -- grid conversion --------------------------------------------------------------
 
 
-def octree_from_grid(gmap: GridMap, fusion: str = "fold") -> SemanticOctree:
+def octree_from_grid(gmap: GridMap) -> SemanticOctree:
     """Copy a dense map into a fresh octree at the grid resolution and prune.
     The cube edge is the next power of two covering the largest extent."""
     depth = max(1, math.ceil(math.log2(max(gmap.dims))))
@@ -586,7 +487,6 @@ def octree_from_grid(gmap: GridMap, fusion: str = "fold") -> SemanticOctree:
         num_classes=gmap.num_classes,
         prior=gmap.prior,
         origin=gmap.origin,
-        fusion=fusion,
     )
     for i in range(gmap.dims[0]):
         for j in range(gmap.dims[1]):
@@ -601,56 +501,51 @@ def grid_from_octree(tree: SemanticOctree, dims=None) -> GridMap:
     (K > 3) expand with the untracked classes sharing the lump evenly."""
     dims = tuple(dims) if dims is not None else tree.dims
     gmap = GridMap(dims, tree.element_size, tree.num_classes, tree.prior, tree.origin)
-    for i in range(dims[0]):
-        for j in range(dims[1]):
-            for k in range(dims[2] if len(dims) == 3 else 1):
-                sem = tree.query_element((i, j, k))
-                gmap.cells[i, j, k] = sem.to_full(tree.num_classes)
-                gmap.observed[i, j, k] = sem != tree.prior_semantics
+    values, index = tree.leaf_index(((0, 0, 0), gmap.dims))
+    full = np.array([v.to_full(tree.num_classes) for v in values])
+    np.take(full, index, axis=0, out=gmap.cells)
+    np.take([v != tree.prior_semantics for v in values], index, out=gmap.observed)
     return gmap
 
 
 # -- serialization -----------------------------------------------------------------
 
+# after the magic: element size, max depth, K, origin (v1 has one more u8 before the
+# origin, the flag of the rule its inner-node summaries were made with)
+_HEADER = struct.Struct("<dBH3d")
+_HEADER_V1 = struct.Struct("<dBHB3d")
+# a v2 leaf record by tracked count: child mask 0, count, (class, log-odds) pairs, lump
+_LEAF = [struct.Struct("<BB" + "Hd" * n + "d") for n in range(4)]
+
 
 def save_octree(tree: SemanticOctree, path) -> None:
-    """Preorder binary dump; byte-stable for a given (canonical) tree."""
+    """Write a ``.ssmioct`` version 2 file: the header, then every node in
+    preorder, an inner node as its child mask and a leaf as its mask plus
+    its belief in f64. Only reads the tree; the bytes depend on it alone."""
+    parts = [
+        OCTREE_MAGIC,
+        _HEADER.pack(tree.element_size, tree.max_depth, tree.num_classes, *tree.origin),
+        tree.prior.astype("<f8").tobytes(),
+    ]
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        if node.children is not None:
+            parts.append(b"\xff")
+            stack.extend(reversed(node.children))
+            continue
+        sem = node.semantics
+        n = len(sem.data)
+        parts.append(_LEAF[n].pack(0, n, *[x for cv in sem.data for x in cv], sem.others))
     with open(path, "wb") as fh:
-        fh.write(OCTREE_MAGIC)
-        fh.write(struct.pack("<d", tree.element_size))
-        fh.write(struct.pack("<B", tree.max_depth))
-        fh.write(struct.pack("<H", tree.num_classes))
-        fh.write(struct.pack("<B", 1 if tree.fusion == "mean" else 0))
-        fh.write(struct.pack("<3d", *tree.origin))
-        fh.write(tree.prior.astype("<f4").tobytes())
-
-        def write_node(node: SemanticNode) -> None:
-            mask = 0 if node.children is None else 0xFF
-            sem = tree.summary(node)
-            # derive occupancy from the f32-rounded values so a load/save
-            # round trip reproduces the file byte for byte
-            rounded = TruncatedSemantics(
-                data=tuple((c, float(np.float32(v))) for c, v in sem.data),
-                others=float(np.float32(sem.others)),
-            )
-            fh.write(struct.pack("<B", mask))
-            fh.write(struct.pack("<f", rounded.occupancy()))
-            fh.write(struct.pack("<B", len(sem.data)))
-            for c, v in sem.data:
-                fh.write(struct.pack("<Hf", c, v))
-            fh.write(struct.pack("<f", sem.others))
-            if node.children is not None:
-                for child in node.children:
-                    write_node(child)
-
-        write_node(tree.root)
+        fh.write(b"".join(parts))
 
 
 def load_octree(path) -> SemanticOctree:
-    """Read a ``save_octree`` file. Inner nodes keep the summaries stored in
-    the file until the next ``prune``. Raises CorruptMap when the file is
-    truncated, has trailing bytes, or holds a header or node record the
-    format does not allow."""
+    """Read a ``.ssmioct`` file of version 2, or of version 1, whose f32
+    inner-node summaries are checked and skipped. Raises CorruptMap when the
+    file is truncated, has trailing bytes, or holds a header or node record
+    the format does not allow."""
     with open(path, "rb") as fh:
         buf = fh.read()
     pos = 0
@@ -665,51 +560,67 @@ def load_octree(path) -> SemanticOctree:
         return values
 
     magic = buf[:8]
-    if magic != OCTREE_MAGIC:
+    if magic not in (OCTREE_MAGIC, OCTREE_MAGIC_V1):
         kind = "grid map" if magic == GRID_MAGIC else f"unknown (magic {magic!r})"
         raise CorruptMap(f"not an octree file: {kind}")
+    v1 = magic == OCTREE_MAGIC_V1
+    real = "f" if v1 else "d"
     pos = 8
-    element_size, max_depth, num_classes, fusion_flag = take("<dBHB")
-    origin = take("<3d")
+    if v1:
+        element_size, max_depth, num_classes, summary_flag, *origin = take(_HEADER_V1.format)
+    else:
+        element_size, max_depth, num_classes, *origin = take(_HEADER.format)
+    if not (math.isfinite(element_size) and element_size > 0.0):
+        raise CorruptMap(f"{path}: element size {element_size!r} is not positive")
+    if not all(math.isfinite(o) for o in origin):
+        raise CorruptMap(f"{path}: origin {origin} is not finite")
     if not 1 <= max_depth <= 16:
         raise CorruptMap(f"{path}: max_depth {max_depth} outside 1..16")
     if num_classes < 1:
         raise CorruptMap(f"{path}: no occupied classes")
-    if fusion_flag not in (0, 1):
-        raise CorruptMap(f"{path}: unknown fusion flag {fusion_flag}")
-    prior = np.array(take(f"<{num_classes + 1}f"), dtype=np.float64)
-    prior[0] = 0.0
-    tree = SemanticOctree(
-        element_size, max_depth, num_classes, prior, origin,
-        fusion="mean" if fusion_flag else "fold",
-    )
+    if v1 and summary_flag not in (0, 1):
+        raise CorruptMap(f"{path}: unknown summary flag {summary_flag}")
+    prior = np.array(take(f"<{num_classes + 1}{real}"), dtype=np.float64)
+    if v1:
+        prior[0] = 0.0
+    elif prior[0] != 0.0:
+        raise CorruptMap(f"{path}: prior pivot {float(prior[0])!r} is not 0")
+    tree = SemanticOctree(element_size, max_depth, num_classes, prior, origin)
 
-    def read_node(depth: int) -> SemanticNode:
-        mask, _occupancy, count = take("<BfB")  # occupancy is derived
-        if mask not in (0, 0xFF):
-            raise CorruptMap(f"{path}: bad child mask {mask:#x} at byte {pos - 6}")
-        if mask and depth == max_depth:
-            raise CorruptMap(f"{path}: tree deeper than max_depth {max_depth}")
+    def read_belief() -> TruncatedSemantics:
+        (count,) = take("<B")
         if count > 3:
             raise CorruptMap(f"{path}: {count} tracked classes (at most 3)")
-        data = [take("<Hf") for _ in range(count)]
+        data = [take(f"<H{real}") for _ in range(count)]
         classes = {c for c, _ in data}
         if len(classes) != count or not all(1 <= c <= num_classes for c in classes):
             raise CorruptMap(
                 f"{path}: tracked classes {[c for c, _ in data]} are not distinct ids "
                 f"in 1..{num_classes}"
             )
-        (others,) = take("<f")
-        # a stable sort on the value alone: classes whose f64 values were an
-        # ulp apart can tie in f32, and keep the order they were saved in
-        sem = TruncatedSemantics(
+        (others,) = take(f"<{real}")
+        # a stable sort on the value alone keeps tied classes in the order they
+        # were saved: an f64 tie can be stored out of class order (the clamp
+        # after a lumped update), and f64 values an ulp apart can tie in f32
+        return TruncatedSemantics(
             data=tuple(sorted(((c, float(v)) for c, v in data), key=lambda cv: -cv[1])),
             others=float(others),
         )
-        node = SemanticNode(sem)
-        if mask:
-            node.children = [read_node(depth + 1) for _ in range(8)]
-        return node
+
+    def read_node(depth: int) -> SemanticNode:
+        start = pos
+        (mask,) = take("<B")
+        if v1:
+            take("<f")  # occupancy, derived from the belief
+        if mask not in (0, 0xFF):
+            raise CorruptMap(f"{path}: bad child mask {mask:#x} at byte {start}")
+        if mask and depth == max_depth:
+            raise CorruptMap(f"{path}: tree deeper than max_depth {max_depth}")
+        if not mask:
+            return SemanticNode(read_belief())
+        if v1:
+            read_belief()  # the inner-node summary
+        return SemanticNode(None, [read_node(depth + 1) for _ in range(8)])
 
     tree.root = read_node(0)
     if pos != len(buf):

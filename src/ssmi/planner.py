@@ -125,15 +125,15 @@ def plan_path(view: PlanView, start: tuple[int, int], goal: tuple[int, int]):
     free too. Returns (path, cost_meters); a zero-length path costs one
     resolution unit so information-per-cost ratios stay finite.
     """
-    free = view.free
-    if not free[start]:
+    nx, ny = view.free.shape
+    free = view.free.tolist()  # nested lists index faster than numpy here
+    if not free[start[0]][start[1]]:
         raise Unreachable(f"start {start} is not free-labeled")
-    if not free[goal]:
+    if not free[goal[0]][goal[1]]:
         raise Unreachable(f"goal {goal} is not free-labeled")
     if start == goal:
         return [start], view.resolution
 
-    nx, ny = free.shape
     res = view.resolution
 
     def heuristic(c):
@@ -159,10 +159,10 @@ def plan_path(view: PlanView, start: tuple[int, int], goal: tuple[int, int]):
         cx, cy = cur
         for dx, dy in EIGHT_NEIGHBOURS:
             nxt = (cx + dx, cy + dy)
-            if not (0 <= nxt[0] < nx and 0 <= nxt[1] < ny) or not free[nxt]:
+            if not (0 <= nxt[0] < nx and 0 <= nxt[1] < ny) or not free[nxt[0]][nxt[1]]:
                 continue
             if dx != 0 and dy != 0:
-                if not (free[cx + dx, cy] and free[cx, cy + dy]):
+                if not (free[cx + dx][cy] and free[cx][cy + dy]):
                     continue
             step = res * (math.sqrt(2.0) if dx != 0 and dy != 0 else 1.0)
             cand = g_cost[cur] + step

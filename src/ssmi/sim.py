@@ -300,7 +300,6 @@ def _build_mapper(config: SimConfig, env: Environment):
         element_size=env.resolution,
         max_depth=depth,
         num_classes=env.num_classes,
-        fusion=config.mapper.fusion,
     )
 
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from ssmi.config import config_from_dict
 from ssmi.logodds import SensorParams
+from ssmi.sim import run_episode
 
 
 @pytest.fixture
@@ -17,6 +19,17 @@ def params1() -> SensorParams:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(scope="session")
+def a7_octree_tree():
+    """The octree that a world-0 episode of the A7 acceptance config (the
+    defaults, stopping at 90% explored) ends with, mapped by the octree and
+    planned by the information selector. Tests must only read it."""
+    config = config_from_dict(
+        {"seed": 0, "mapper": {"type": "octree"}, "run": {"explored_stop": 0.9}}
+    )
+    return run_episode(config).mapper
 
 
 def random_logodds(rng, n, k, scale=6.0):

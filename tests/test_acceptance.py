@@ -132,7 +132,7 @@ def test_a4_octree_equals_grid_bit_for_bit():
                 assert np.array_equal(got, want), (i, j, k, got, want)
     points = [tuple(rng.integers(0, 32, 3)) for _ in range(10_000)]
     before = [tree.query_element(p) for p in points]
-    tree.prune(params)
+    tree.prune()
     after = [tree.query_element(p) for p in points]
     assert before == after
     report("A4", f"32^3 elements bit-identical; {tree.num_leaves()} leaves after pruning")

@@ -40,6 +40,13 @@ def test_malformed_config_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_removed_fusion_key_exit_2(tmp_path, capsys):
+    cfg = dict(SMOKE, mapper={"type": "octree", "fusion": "fold"})
+    code = main(["explore", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
+    assert code == 2
+    assert "fusion" in capsys.readouterr().err
+
+
 def test_bad_seed_list_exit_2(tmp_path, capsys):
     out = tmp_path / "run"
     code = main(["explore", "--config", write_config(tmp_path), "--out", str(out),
@@ -221,6 +228,25 @@ def test_mi_eval_matches_trajectory_mi_on_grid_and_octree(tmp_path, capsys, para
         assert lines[1:] == rows and len(rows) > 3 * kept
 
 
+def test_mi_eval_on_saved_octree_equals_in_memory_tree(tmp_path, capsys, a7_octree_tree):
+    """The octree file is lossless, so ``mi-eval`` on the saved A7 episode
+    tree prints the in-memory tree's ``trajectory_mi`` digit for digit."""
+    from ssmi import mi
+    from ssmi.logodds import SensorParams
+
+    path = tmp_path / "a7.ssmioct"
+    save_octree(a7_octree_tree, path)
+    params = SensorParams.default(a7_octree_tree.num_classes)
+    for x, y in ((8.5, 8.5), (8.5, 24.5), (24.5, 8.5), (24.5, 24.5)):
+        assert main(["mi-eval", "--map", str(path), "--x", repr(x), "--y", repr(y),
+                     "--heading", "0.3", "--beams", "16", "--r-max", "10.0"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        fan = mi.fan_beams(np.array([x, y, 0.5]), 16, 10.0, heading=0.3)
+        value = mi.trajectory_mi(a7_octree_tree, [fan], params)
+        assert value > 0.0
+        assert f"mutual information: {value!r} nats" in out
+
+
 def test_map_inspect_and_convert_roundtrip(tmp_path, capsys, params3, rng):
     gmap = GridMap((8, 8, 8), 1.0, 3)
     from ssmi.grid import BeamMeasurement
@@ -249,7 +275,7 @@ def test_map_inspect_and_convert_roundtrip(tmp_path, capsys, params3, rng):
     from ssmi.grid import load_grid
 
     back = load_grid(back_path)
-    # one f32 round trip each way
+    # the grid file stores f32
     np.testing.assert_allclose(back.cells, gmap.cells, atol=1e-5)
 
 
@@ -297,6 +323,18 @@ def test_truncated_octree_file_exit_3(tmp_path, capsys, caplog, params3, rng):
     assert main(["map", "inspect", "--map", str(path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "truncated" in err
+    assert len(err.splitlines()) == 1
+    assert not caplog.records  # no traceback from the last-resort handler
+
+
+def test_octree_file_with_zero_element_size_exit_3(tmp_path, capsys, caplog):
+    path = tmp_path / "t.ssmioct"
+    save_octree(SemanticOctree(1.0, 3, 3), path)
+    good = path.read_bytes()
+    path.write_bytes(good[:8] + bytes(8) + good[16:])
+    assert main(["mi-eval", "--map", str(path), "--x", "4.5", "--y", "4.5"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "element size 0.0 is not positive" in err
     assert len(err.splitlines()) == 1
     assert not caplog.records  # no traceback from the last-resort handler
 

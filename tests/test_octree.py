@@ -1,8 +1,11 @@
 """Semantic octree: element updates against the dense grid, truncated-belief
-bookkeeping, fusion, pruning, run-length ray casts, and serialization."""
+bookkeeping, pruning, run-length ray casts, grid conversion, and both
+versions of the file format."""
 
-import copy
+import json
 import math
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,11 +18,11 @@ from ssmi.errors import CorruptMap
 from ssmi.grid import BeamMeasurement, GridMap
 from ssmi.logodds import CellRelation, SensorParams
 from ssmi.octree import (
+    OCTREE_MAGIC,
+    OCTREE_MAGIC_V1,
     SemanticNode,
     SemanticOctree,
     TruncatedSemantics,
-    fuse_children,
-    fuse_many,
     grid_from_octree,
     load_octree,
     octree_from_grid,
@@ -73,7 +76,7 @@ def test_untracked_hit_splits_lump_with_alpha():
     new = update_semantics(tree_prior, CellRelation.OCCUPIED, untracked, params, prior)
     h_aux = tree_prior.others + math.log(0.5)
     expect_y = h_aux + params.phi_plus[untracked] + params.psi_plus[untracked]
-    assert new.value_of(untracked) == pytest.approx(expect_y, abs=1e-12)
+    assert dict(new.data).get(untracked) == pytest.approx(expect_y, abs=1e-12)
     # one previously tracked class was evicted into the lump alongside the
     # remaining (1 - alpha) share
     rest = tree_prior.others + params.phi_plus[1] + math.log(0.5)
@@ -124,80 +127,10 @@ def test_lump_tracks_logsumexp_of_members():
             members[y] = y_val
         # whatever fell out of the top 3 joins the ledger at its exact value
         for c, v in tracked_before.items():
-            if sem.value_of(c) is None:
+            if c not in dict(sem.data):
                 members[c] = v + shift_hit + (params.psi_plus[c] if c == y else 0.0)
-        members = {c: v for c, v in members.items() if sem.value_of(c) is None}
+        members = {c: v for c, v in members.items() if c not in dict(sem.data)}
         assert sem.others == pytest.approx(lse(members), abs=1e-10)
-
-
-# -- fusion ------------------------------------------------------------------------
-
-
-def test_fuse_self_is_fixed_point(params3, rng):
-    for _ in range(30):
-        h = np.zeros(4)
-        h[1:] = rng.uniform(-6, 6, 3)
-        sem = TruncatedSemantics.from_full(h)
-        assert fuse_children(sem, sem, params3) == sem
-
-
-def test_fuse_commutes(rng):
-    params = SensorParams.default(5)
-    for _ in range(30):
-        a = TruncatedSemantics.from_full(
-            np.concatenate([[0.0], rng.uniform(-5, 5, 5)])
-        )
-        b = TruncatedSemantics.from_full(
-            np.concatenate([[0.0], rng.uniform(-5, 5, 5)])
-        )
-        assert fuse_children(a, b, params) == fuse_children(b, a, params)
-
-
-def test_fuse_disjoint_singletons_hand_executed():
-    params = SensorParams.default(4)
-    a = TruncatedSemantics(data=((1, 2.0),), others=-1.0)
-    b = TruncatedSemantics(data=((2, 1.0),), others=-2.0)
-    fused = fuse_children(a, b, params)
-    o_a = -1.0 - math.log(2.0)
-    o_b = -2.0 - math.log(2.0)
-    assert fused.value_of(1) == pytest.approx((2.0 + o_b) / 2.0)
-    assert fused.value_of(2) == pytest.approx((o_a + 1.0) / 2.0)
-    assert fused.others == pytest.approx((o_a + o_b) / 2.0)
-
-
-def test_fuse_keeps_sorted_top3(rng):
-    params = SensorParams.default(6)
-    for _ in range(40):
-        a = TruncatedSemantics.from_full(np.concatenate([[0.0], rng.uniform(-5, 5, 6)]))
-        b = TruncatedSemantics.from_full(np.concatenate([[0.0], rng.uniform(-5, 5, 6)]))
-        fused = fuse_children(a, b, params)
-        vals = [v for _, v in fused.data]
-        assert len(fused.data) <= 3
-        assert vals == sorted(vals, reverse=True)
-
-
-def test_mean_fusion_is_elementwise_mean(params3, rng):
-    kids = []
-    fulls = []
-    for _ in range(8):
-        h = np.zeros(4)
-        h[1:] = rng.uniform(-5, 5, 3)
-        fulls.append(h)
-        kids.append(TruncatedSemantics.from_full(h))
-    fused = fuse_many(kids, params3, "mean")
-    want = np.mean(fulls, axis=0)
-    np.testing.assert_allclose(fused.to_full(3), lo.clamp(want, params3), atol=1e-12)
-
-
-def test_fold_fusion_weights():
-    # left fold halves the accumulator each step: the first child ends up
-    # with weight 2^-7 and the last with 2^-1
-    params = SensorParams.default(1, clamp_limit=50.0)
-    vals = [float(i) for i in range(8)]
-    kids = [TruncatedSemantics(data=((1, v),), others=-np.inf) for v in vals]
-    fused = fuse_many(kids, params, "fold")
-    weights = [2.0 ** -(7)] + [2.0 ** -(8 - i) for i in range(1, 8)]
-    assert fused.value_of(1) == pytest.approx(sum(w * v for w, v in zip(weights, vals)))
 
 
 # -- insertion and pruning --------------------------------------------------------
@@ -265,20 +198,20 @@ def test_saturated_beam_prunes_to_minimal_blocks(params3):
     assert tree.num_leaves() == minimal_leaf_count(key)
 
 
-def test_prune_uniform_tree_to_root(params3):
+def test_prune_uniform_tree_to_root():
     tree = SemanticOctree(1.0, 3, 3)
     sem = tree.prior_semantics
     tree.root.children = [type(tree.root)(sem) for _ in range(8)]
-    tree.prune(params3)
+    tree.prune()
     assert tree.root.is_leaf
 
 
-def test_prune_requires_all_eight_identical(params3):
+def test_prune_requires_all_eight_identical():
     tree = SemanticOctree(1.0, 1, 3)
     sem = tree.prior_semantics
     other = TruncatedSemantics.from_full(np.array([0.0, 1.0, 0.0, 0.0]))
     tree.root.children = [type(tree.root)(sem) for _ in range(7)] + [type(tree.root)(other)]
-    tree.prune(params3)
+    tree.prune()
     assert not tree.root.is_leaf
 
 
@@ -288,11 +221,11 @@ def test_prune_idempotent_and_query_transparent(params3, rng):
         tree.insert_scan([random_beam(rng)], params3)
     points = [tuple(rng.integers(0, 32, 3)) for _ in range(500)]
     before = [tree.query_element(p) for p in points]
-    tree.prune(params3)
+    tree.prune()
     after = [tree.query_element(p) for p in points]
     assert before == after
     leaves = tree.num_leaves()
-    tree.prune(params3)
+    tree.prune()
     assert tree.num_leaves() == leaves
 
 
@@ -420,6 +353,18 @@ def test_grid_and_octree_answer_the_shared_calls_alike(params3):
 
 # -- serialization and conversion ------------------------------------------------------
 
+DATA = Path(__file__).parent / "data"
+
+
+def saved_bytes(tree, tmp_path, name="t.ssmioct"):
+    path = tmp_path / name
+    save_octree(tree, path)
+    return path.read_bytes()
+
+
+def leaves(tree):
+    return list(tree.iter_leaves())
+
 
 def test_octree_serialization_roundtrip(tmp_path, params3, rng):
     tree = SemanticOctree(0.5, 4, 3)  # cube spans [0, 8) meters
@@ -435,13 +380,7 @@ def test_octree_serialization_roundtrip(tmp_path, params3, rng):
     assert back.max_depth == tree.max_depth
     assert back.element_size == tree.element_size
     assert back.num_leaves() == tree.num_leaves()
-    for _ in range(200):
-        cell = tuple(rng.integers(0, 16, 3))
-        got = back.query_element(cell)
-        want = tree.query_element(cell)
-        np.testing.assert_allclose(
-            got.pseudo_logodds(), want.pseudo_logodds(), atol=1e-6
-        )
+    assert leaves(back) == leaves(tree)
     save_octree(back, tmp_path / "again.ssmioct")
     assert (tmp_path / "again.ssmioct").read_bytes() == first
 
@@ -460,109 +399,69 @@ def test_grid_octree_conversion(params3, rng):
     np.testing.assert_array_equal(back.cells, gmap.cells)
 
 
-# -- lazy inner-node fusion against the eager rule ----------------------------------
-
-
-def prune_reference(tree, params):
-    """The eager rule: collapse identical leaf siblings and re-fuse every
-    surviving inner node from its children right away."""
-
-    def visit(node):
-        if node.children is None:
-            return
-        for child in node.children:
-            visit(child)
-        first = node.children[0]
-        if first.children is None and all(
-            c.children is None and c.semantics == first.semantics for c in node.children[1:]
-        ):
-            node.semantics = first.semantics
-            node.children = None
-        else:
-            node.semantics = fuse_many([c.semantics for c in node.children], params, tree.fusion)
-
-    visit(tree.root)
-
-
-def insert_scan_reference(tree, beams, params):
-    """``insert_scan`` with the eager rule after the scan."""
-    for beam in beams:
-        trace = tree.cast_elements(beam)
-        end = trace.hit_index if trace.hit_index is not None else len(trace)
-        for n in range(end):
-            tree.update_element(trace.cells[n], CellRelation.FREE, None, params)
-        if trace.hit_index is not None:
-            tree.update_element(
-                trace.cells[trace.hit_index], CellRelation.OCCUPIED, beam.category, params
-            )
-    prune_reference(tree, params)
-
-
-def saved_bytes(tree, tmp_path, name="t.ssmioct"):
-    path = tmp_path / name
+def test_tied_pairs_keep_their_saved_order(tmp_path):
+    """A lumped update clamps after it sorts, so two tracked classes can tie
+    at the clamp out of class order; a load keeps that order, so the loaded
+    belief still equals the saved one."""
+    tree = SemanticOctree(1.0, 2, 5)
+    tied = TruncatedSemantics(data=((5, 4.0), (3, 4.0), (1, 2.87)), others=3.5)
+    assert TruncatedSemantics._sorted(tied.data) != tied.data
+    tree._write_element((1, 2, 3), tied)
+    path = tmp_path / "t.ssmioct"
     save_octree(tree, path)
-    return path.read_bytes()
+    assert load_octree(path).query_element((1, 2, 3)) == tied
 
 
-# clamp limits on the far side of the default (6.0), so fusing with the
-# default params instead of the tree's own would change the saved summaries:
-# K=3 averages only hit the clamp when it is tighter than the leaves', K=5
-# lumps exceed their clamp
-FUSION_CASES = [(3, 12.0, "fold"), (3, 12.0, "mean"), (5, 4.0, "fold"), (5, 4.0, "mean")]
+def test_save_octree_leaves_tree_unchanged(params3, rng, tmp_path):
+    """Saving only reads the tree; an inner node holds no belief before or
+    after."""
+
+    def structure(node):
+        kids = node.children
+        return node.semantics, None if kids is None else tuple(structure(c) for c in kids)
+
+    tree = SemanticOctree(1.0, 4, 3)
+    tree.insert_scan([random_beam(rng, 1.0, 15.0, r_max=10.0) for _ in range(10)], params3)
+    assert not tree.root.is_leaf and tree.root.semantics is None
+    before = structure(tree.root)
+    save_octree(tree, tmp_path / "t.ssmioct")
+    assert structure(tree.root) == before
 
 
-def scanned_pair(k, clamp_limit, fusion, scans=12):
-    """The same scans into a tree kept by ``insert_scan`` and one kept by the
-    eager rule. Scans alternate between two origins, so cells are revisited
-    often enough to saturate."""
+def scanned_tree(k, clamp_limit, scans=12):
+    """Scans that alternate between two origins into a fresh tree, so cells
+    are revisited often enough to saturate."""
     params = SensorParams.default(k, clamp_limit=clamp_limit)
     rng = np.random.default_rng(0)
     origins = [rng.uniform(3.0, 13.0, 3) for _ in range(2)]
-    lazy = SemanticOctree(1.0, 4, k, fusion=fusion)
-    eager = SemanticOctree(1.0, 4, k, fusion=fusion)
+    tree = SemanticOctree(1.0, 4, k)
     for i in range(scans):
         origin = origins[i % 2]
         beams = [random_beam(rng, r_max=10.0, k=k) for _ in range(10)]
-        beams = [
+        tree.insert_scan([
             BeamMeasurement(origin, b.direction, b.range, b.category, b.max_range) for b in beams
-        ]
-        lazy.insert_scan(beams, params)
-        insert_scan_reference(eager, beams, params)
-    return lazy, eager, params
+        ], params)
+    return tree, params
 
 
-@pytest.mark.parametrize("k,clamp_limit,fusion", FUSION_CASES)
-def test_lazy_fusion_saves_like_eager_rule(tmp_path, k, clamp_limit, fusion):
-    lazy, eager, params = scanned_pair(k, clamp_limit, fusion)
-    first = saved_bytes(eager, tmp_path, "eager.ssmioct")
-    assert saved_bytes(lazy, tmp_path) == first
-    assert saved_bytes(lazy, tmp_path) == first  # cached summaries, same bytes
-    # the scans drive beliefs into the clamp, so the params matter
-    prune_reference(eager, SensorParams.default(k))
-    assert saved_bytes(eager, tmp_path, "default.ssmioct") != first
-
-    # load -> save keeps the summaries read from the file
-    path = tmp_path / "lazy.ssmioct"
-    path.write_bytes(first)
-    assert saved_bytes(load_octree(path), tmp_path, "again.ssmioct") == first
-
-    # load -> insert_scan -> save re-fuses from the loaded leaves
+@pytest.mark.parametrize("k,clamp_limit", [(3, 12.0), (5, 4.0)])
+def test_loaded_tree_scans_like_original(tmp_path, k, clamp_limit):
+    """A saved and reloaded tree takes further scans to the same leaves and
+    the same file as the tree kept in memory."""
+    tree, params = scanned_tree(k, clamp_limit)
+    path = tmp_path / "t.ssmioct"
+    save_octree(tree, path)
+    back = load_octree(path)
     rng = np.random.default_rng(99)
     beams = [random_beam(rng, 3.0, 13.0, r_max=10.0, k=k) for _ in range(10)]
-    lazy_back, eager_back = load_octree(path), load_octree(path)
-    lazy_back.insert_scan(beams, params)
-    insert_scan_reference(eager_back, beams, params)
-    assert saved_bytes(lazy_back, tmp_path) == saved_bytes(eager_back, tmp_path, "e.ssmioct")
-
-    # prune() without params fuses with the defaults for K
-    lazy_back, eager_back = load_octree(path), load_octree(path)
-    lazy_back.prune()
-    prune_reference(eager_back, SensorParams.default(k))
-    assert saved_bytes(lazy_back, tmp_path) == saved_bytes(eager_back, tmp_path, "e.ssmioct")
+    tree.insert_scan(beams, params)
+    back.insert_scan(beams, params)
+    assert leaves(back) == leaves(tree)
+    assert saved_bytes(back, tmp_path, "back.ssmioct") == saved_bytes(tree, tmp_path)
 
 
 @pytest.mark.parametrize("k,clamp_limit", [(5, 4.0), (3, 12.0)])
-def test_episode_tree_saves_like_eager_rule(tmp_path, k, clamp_limit):
+def test_episode_tree_save_load_save_is_byte_stable(tmp_path, k, clamp_limit):
     config = config_from_dict({
         "seed": 3,
         "env": {"profile": "random", "dims": [16, 16], "num_classes": k},
@@ -572,59 +471,141 @@ def test_episode_tree_saves_like_eager_rule(tmp_path, k, clamp_limit):
         "run": {"max_steps": 4},
     })
     tree = run_episode(config).mapper
-    got = saved_bytes(tree, tmp_path)
-    with_defaults = copy.deepcopy(tree)
-    prune_reference(with_defaults, SensorParams.default(k))
-    prune_reference(tree, config.mapper.sensor_params(k))
-    assert got == saved_bytes(tree, tmp_path, "eager.ssmioct")
-    if clamp_limit > 6.0:
-        # free space saturates past the default clamp, so the params matter
-        assert got != saved_bytes(with_defaults, tmp_path, "default.ssmioct")
+    first = saved_bytes(tree, tmp_path)
+    back = load_octree(tmp_path / "t.ssmioct")
+    assert leaves(back) == leaves(tree)
+    assert saved_bytes(back, tmp_path, "again.ssmioct") == first
 
 
-def test_prune_leaves_summaries_stale_until_save(params3, rng, tmp_path):
-    tree = SemanticOctree(1.0, 4, 3)
-    tree.insert_scan([random_beam(rng, 1.0, 15.0, r_max=10.0) for _ in range(10)], params3)
-    assert not tree.root.is_leaf and tree.root.semantics is None
-    save_octree(tree, tmp_path / "t.ssmioct")
-    assert tree.root.semantics is not None
+def test_a7_episode_tree_file_is_lossless(tmp_path, a7_octree_tree):
+    first = saved_bytes(a7_octree_tree, tmp_path)
+    back = load_octree(tmp_path / "t.ssmioct")
+    assert leaves(back) == leaves(a7_octree_tree)
+    assert saved_bytes(back, tmp_path, "again.ssmioct") == first
+
+
+@pytest.mark.parametrize("name", ["v1_k3_fold", "v1_k5_mean"])
+def test_v1_file_loads_to_the_leaves_it_held(tmp_path, name):
+    """Version 1 files (f32 beliefs plus fused inner-node summaries, here one
+    K=3 tree fused by the pairwise fold and one K=5 tree fused by the mean)
+    written by the last version-1 writer. Each loads to the leaves that
+    writer's own loader returned, stored beside it as hex floats, and
+    re-saves as a lossless version 2 file."""
+    want = json.loads((DATA / f"{name}.leaves.json").read_text())
+    tree = load_octree(DATA / f"{name}.ssmioct")
+    assert tree.element_size == want["element_size"]
+    assert tree.max_depth == want["max_depth"]
+    assert tree.num_classes == want["num_classes"]
+    assert tree.origin.tolist() == want["origin"]
+    assert [float(v).hex() for v in tree.prior] == want["prior"]
+    got = [
+        [list(low), size, [[c, v.hex()] for c, v in sem.data], sem.others.hex()]
+        for sem, low, size in tree.iter_leaves()
+    ]
+    assert got == want["leaves"]
+    assert saved_bytes(tree, tmp_path)[:8] == OCTREE_MAGIC
+    assert leaves(load_octree(tmp_path / "t.ssmioct")) == leaves(tree)
+
+
+def grid_from_octree_reference(tree, dims):
+    """One root descent per element."""
+    gmap = GridMap(dims, tree.element_size, tree.num_classes, tree.prior, tree.origin)
+    for i, j, k in np.ndindex(gmap.dims):
+        sem = tree.query_element((i, j, k))
+        gmap.cells[i, j, k] = sem.to_full(tree.num_classes)
+        gmap.observed[i, j, k] = sem != tree.prior_semantics
+    return gmap
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_grid_from_octree_matches_element_loop(k):
+    tree, _ = scanned_tree(k, 6.0, scans=4)
+    for dims in (None, (13, 9), (16, 5, 11)):
+        got = grid_from_octree(tree, dims)
+        want = grid_from_octree_reference(tree, dims if dims is not None else tree.dims)
+        assert got.dims == want.dims
+        assert got.cells.tobytes() == want.cells.tobytes()
+        assert (got.observed == want.observed).all()
+    assert 0.0 < want.observed.mean() < 1.0
 
 
 # -- malformed files -----------------------------------------------------------------
 
 
+def layout(b: bytes) -> dict:
+    """Byte offsets in a K=3 file of either version: ``origin`` is where the
+    origin starts, ``header`` where the root's record starts, and ``count``
+    the tracked count of the first record holding a belief (v1: the root's
+    summary; v2: the first leaf)."""
+    v1 = b[:8] == OCTREE_MAGIC_V1
+    origin = 8 + (12 if v1 else 11)
+    header = origin + 24 + (4 if v1 else 8) * 4
+    count = header + 5 if v1 else b.index(0, header) + 1
+    return {"origin": origin, "header": header, "count": count}
+
+
 @pytest.fixture(scope="module")
 def saved_tree_bytes(tmp_path_factory):
+    """Depth-3, K=3 trees as file bytes: version 2 written here, version 1
+    from a committed fixture."""
     params = SensorParams.default(3)
     rng = np.random.default_rng(7)
     tree = SemanticOctree(1.0, 3, 3)
     tree.insert_scan([random_beam(rng, 1.0, 7.0, r_max=6.0) for _ in range(6)], params)
     path = tmp_path_factory.mktemp("oct") / "t.ssmioct"
     save_octree(tree, path)
-    return path.read_bytes()
+    return {"v2": path.read_bytes(), "v1": (DATA / "v1_k3_fold.ssmioct").read_bytes()}
 
 
-HEADER = 8 + 8 + 1 + 2 + 1 + 24 + 4 * 4  # magic .. prior, K=3
-ROOT = HEADER
+def element_size(value: float):
+    return lambda b, at: b[:8] + struct.pack("<d", value) + b[16:]
 
 
 @pytest.mark.parametrize(
     "patch,match",
     [
-        (lambda b: b[:-1], "truncated"),
-        (lambda b: b[:HEADER - 3], "truncated"),
-        (lambda b: b + b"\0", "trailing"),
-        (lambda b: b[:16] + bytes([2]) + b[17:], "deeper than max_depth"),
-        (lambda b: b[:16] + bytes([17]) + b[17:], "max_depth"),
-        (lambda b: b[:ROOT + 5] + bytes([4]) + b[ROOT + 6:], "at most 3"),
-        (lambda b: b[:ROOT + 6] + (9).to_bytes(2, "little") + b[ROOT + 8:], "1..3"),
-        (lambda b: b[:ROOT] + bytes([0x0F]) + b[ROOT + 1:], "child mask"),
-        (lambda b: b"SSMIGRD1" + b[8:], "not an octree file"),
+        (lambda b, at: b[:-1], "truncated"),
+        (lambda b, at: b[:at["header"] - 3], "truncated"),
+        (lambda b, at: b + b"\0", "trailing"),
+        (lambda b, at: b[:16] + bytes([2]) + b[17:], "deeper than max_depth"),
+        (lambda b, at: b[:16] + bytes([17]) + b[17:], "max_depth"),
+        (lambda b, at: b[:at["count"]] + bytes([4]) + b[at["count"] + 1:], "at most 3"),
+        (
+            lambda b, at: b[:at["count"] + 1] + (9).to_bytes(2, "little") + b[at["count"] + 3:],
+            "1..3",
+        ),
+        (lambda b, at: b[:at["header"]] + bytes([0x0F]) + b[at["header"] + 1:], "child mask"),
+        (lambda b, at: b"SSMIGRD1" + b[8:], "not an octree file"),
+        (element_size(0.0), "size 0.0 is not positive"),
+        (element_size(-1.0), "size -1.0 is not positive"),
+        (element_size(math.nan), "size nan is not positive"),
+        (element_size(math.inf), "size inf is not positive"),
+        (lambda b, at: b[:at["origin"]] + struct.pack("<d", math.nan) + b[at["origin"] + 8:],
+         "origin"),
     ],
 )
 def test_loader_rejects_malformed_file(tmp_path, saved_tree_bytes, patch, match):
     path = tmp_path / "bad.ssmioct"
-    path.write_bytes(patch(saved_tree_bytes))
+    for good in saved_tree_bytes.values():
+        path.write_bytes(patch(good, layout(good)))
+        with pytest.raises(CorruptMap, match=match):
+            load_octree(path)
+
+
+@pytest.mark.parametrize(
+    "version,offset,value,match",
+    [
+        ("v1", 19, bytes([2]), "unknown summary flag 2"),  # after size, depth and K
+        ("v2", 43, struct.pack("<d", 1.0), "pivot 1.0 is not 0"),  # prior[0]
+        ("v2", 43, struct.pack("<d", math.nan), "pivot nan is not 0"),
+    ],
+    ids=["v1 summary flag", "v2 pivot 1", "v2 pivot nan"],
+)
+def test_loader_rejects_malformed_version_field(tmp_path, saved_tree_bytes, version, offset,
+                                                value, match):
+    good = saved_tree_bytes[version]
+    path = tmp_path / "bad.ssmioct"
+    path.write_bytes(good[:offset] + value + good[offset + len(value):])
     with pytest.raises(CorruptMap, match=match):
         load_octree(path)
 
@@ -632,12 +613,13 @@ def test_loader_rejects_malformed_file(tmp_path, saved_tree_bytes, patch, match)
 @given(data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_loader_fuzz_truncation_and_bit_flips(tmp_path_factory, saved_tree_bytes, data):
+    good = saved_tree_bytes[data.draw(st.sampled_from(["v1", "v2"]), label="version")]
     path = tmp_path_factory.mktemp("fuzz") / "f.ssmioct"
-    cut = data.draw(st.integers(0, len(saved_tree_bytes) - 1), label="cut")
-    path.write_bytes(saved_tree_bytes[:cut])
+    cut = data.draw(st.integers(0, len(good) - 1), label="cut")
+    path.write_bytes(good[:cut])
     with pytest.raises(CorruptMap):
         load_octree(path)
-    flipped = bytearray(saved_tree_bytes)
+    flipped = bytearray(good)
     bits = data.draw(st.lists(st.integers(0, 8 * len(flipped) - 1), min_size=1, max_size=3))
     for bit in bits:
         flipped[bit // 8] ^= 1 << (bit % 8)
