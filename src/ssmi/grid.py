@@ -342,6 +342,10 @@ class GridMap:
         observed = self.observed[self._box(region)]
         return float(np.mean(observed)) if observed.size else 0.0
 
+    def map_state(self, region=None) -> tuple[float, float]:
+        """``(map_entropy(region), observed_fraction(region))``."""
+        return self.map_entropy(region), self.observed_fraction(region)
+
     def copy(self) -> "GridMap":
         out = GridMap(self.dims, self.resolution, self.num_classes, self.prior, self.origin)
         out.cells = self.cells.copy()

@@ -16,6 +16,8 @@ node holds no belief: the tree is its structure plus the leaf beliefs, and
 
 from __future__ import annotations
 
+import functools
+import logging
 import math
 import struct
 from dataclasses import dataclass
@@ -32,6 +34,8 @@ OCTREE_MAGIC = b"SSMIOCT2"
 OCTREE_MAGIC_V1 = b"SSMIOCT1"  # read only
 
 NEG_INF = float("-inf")
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -117,6 +121,27 @@ def _uniform_scalar(vec: np.ndarray, name: str) -> float:
     return float(vec[1])
 
 
+def _tracked_update(
+    sem: TruncatedSemantics, delta, lo, hi, num_classes: int
+) -> TruncatedSemantics:
+    """K <= 3 update on Python floats: per class ``h + (l - h0)`` clamped to
+    ``[lo, hi]``, where ``delta`` holds ``l - h0`` and all three are indexed
+    by class. IEEE-identical to ``clamp(posterior_update(h, l, h0))`` followed
+    by ``from_full``: the adds round alike, and a value equal to a bound takes
+    the bound, as ``np.maximum``/``np.minimum`` return their second argument
+    on ties (which decides the sign of a zero)."""
+    h = dict(sem.data) if len(sem.data) == num_classes else sem.to_full(num_classes).tolist()
+    pairs = []
+    for c in range(1, num_classes + 1):
+        v = h[c] + delta[c]
+        if v <= lo[c]:
+            v = lo[c]
+        elif v >= hi[c]:
+            v = hi[c]
+        pairs.append((c, v))
+    return TruncatedSemantics(data=TruncatedSemantics._sorted(pairs), others=NEG_INF)
+
+
 def update_semantics(
     sem: TruncatedSemantics,
     relation: CellRelation,
@@ -126,10 +151,11 @@ def update_semantics(
 ) -> TruncatedSemantics:
     """Bayesian update of one element-resolution belief.
 
-    With K <= 3 this routes through the full-vector posterior update and
-    clamp, matching the dense grid exactly. With more classes, a hit on an
-    untracked class splits an alpha fraction off the lump for the new class,
-    updates, re-sorts, and folds the evicted entry back into the lump.
+    With K <= 3 this is the full-vector posterior update and clamp, on
+    Python floats, matching the dense grid exactly. With more classes, a hit
+    on an untracked class splits an alpha fraction off the lump for the new
+    class, updates, keeps the three largest values, folds the rest back into
+    the lump, and clamps.
     """
     k = params.num_classes
     if relation is CellRelation.UNOBSERVED:
@@ -138,10 +164,10 @@ def update_semantics(
         raise InvalidClass(f"hit class must be in 1..{k}")
 
     if k <= 3:
-        h = sem.to_full(k)
         l = params.phi_minus if relation is CellRelation.FREE else params.hit_logodds(y)
-        new = logodds.clamp(logodds.posterior_update(h, l, prior), params)
-        return TruncatedSemantics.from_full(new)
+        return _tracked_update(
+            sem, (l - prior).tolist(), params.clamp_lo.tolist(), params.clamp_hi.tolist(), k
+        )
 
     # lumped path: parameters must treat occupied classes interchangeably
     phi_m = _uniform_scalar(params.phi_minus, "phi_minus")
@@ -167,7 +193,9 @@ def update_semantics(
         )
         return TruncatedSemantics(data=data, others=clip(sem.others + shift))
 
-    # alpha fraction of the lump becomes the newly tracked class
+    # alpha fraction of the lump becomes the newly tracked class; the kept
+    # classes are chosen before the clamp and re-sorted after it, since two
+    # of them can clamp to the same value
     h_aux = sem.others + math.log(params.alpha)
     rest = sem.others + phi_p - prior_occ + math.log1p(-params.alpha)
     shift = phi_p - prior_occ
@@ -178,7 +206,7 @@ def update_semantics(
     dropped = [v for _, v in candidates[3:]]
     lump = logodds.logsumexp(np.array(dropped + [rest]))
     return TruncatedSemantics(
-        data=tuple((c, clip(v)) for c, v in kept), others=clip(float(lump))
+        data=TruncatedSemantics._sorted((c, clip(v)) for c, v in kept), others=clip(float(lump))
     )
 
 
@@ -208,6 +236,8 @@ class SemanticOctree:
         self.prior = prior
         self.prior_semantics = TruncatedSemantics.from_full(prior)
         self.root = SemanticNode(self.prior_semantics)
+        # belief -> (entropy, observed flag), filled by map_state
+        self._belief_stats: dict[TruncatedSemantics, tuple[float, bool]] = {}
 
     @property
     def size_elements(self) -> int:
@@ -257,70 +287,115 @@ class SemanticOctree:
 
     # -- updates ---------------------------------------------------------------
 
-    def update_node(
-        self, sem: TruncatedSemantics, relation: CellRelation, y: int | None,
-        params: SensorParams,
-    ) -> TruncatedSemantics:
-        return update_semantics(sem, relation, y, params, self.prior)
-
-    def _write_element(self, cell, new: TruncatedSemantics) -> None:
-        """Expand down to element resolution and store; caller already knows
-        the new value differs from the covering leaf's."""
+    def _write_element(self, cell, update) -> bool:
+        """The one element writer: a single root-to-leaf descent finds the
+        leaf covering the element, and when ``update(belief)`` differs from
+        that leaf's belief, the leaf is expanded down to element resolution
+        and the new value stored, so saturated space stays pruned. Returns
+        whether the element changed."""
+        x, y, z = cell
         node = self.root
-        depth = 0
-        while depth < self.max_depth:
-            if node.children is None:
-                node.children = [SemanticNode(node.semantics) for _ in range(8)]
-                node.semantics = None
-            node = node.children[self._child_slot(cell, depth)]
-            depth += 1
-        node.semantics = new
-
-    def update_element(
-        self, cell, relation: CellRelation, y: int | None, params: SensorParams
-    ) -> None:
-        """Update one element; leaves are only expanded when the update would
-        actually change the stored value, so saturated space stays pruned."""
-        current = self.query_element(cell)
-        new = self.update_node(current, relation, y, params)
+        bit = self.max_depth - 1
+        while node.children is not None:
+            node = node.children[((x >> bit) & 1) << 2 | ((y >> bit) & 1) << 1 | ((z >> bit) & 1)]
+            bit -= 1
+        current = node.semantics
+        new = update(current)
         if new == current:
-            return
-        self._write_element(cell, new)
+            return False
+        while bit >= 0:
+            node.children = [SemanticNode(current) for _ in range(8)]
+            node.semantics = None
+            node = node.children[((x >> bit) & 1) << 2 | ((y >> bit) & 1) << 1 | ((z >> bit) & 1)]
+            bit -= 1
+        node.semantics = new
+        return True
 
     def set_element(self, cell, h: np.ndarray) -> None:
         """Write an element belief directly (scene construction, conversion)."""
         new = TruncatedSemantics.from_full(np.asarray(h, dtype=np.float64))
-        current = self.query_element(cell)
-        if new == current:
-            return
-        self._write_element(cell, new)
+        self._write_element(cell, lambda _: new)
+
+    def _updates(self, params: SensorParams):
+        """A function from hit class (None for a traversed element) to that
+        element update as a function of the current belief. For K <= 3 each
+        update is made once, with ``l - h0`` and the clamp bounds as floats;
+        K > 3 goes through ``update_semantics``."""
+        k = self.num_classes
+        if k > 3:
+            return lambda y: functools.partial(
+                update_semantics, y=y, params=params, prior=self.prior,
+                relation=CellRelation.FREE if y is None else CellRelation.OCCUPIED,
+            )
+        lo, hi = params.clamp_lo.tolist(), params.clamp_hi.tolist()
+        made = {}
+
+        def update(y):
+            if y not in made:
+                l = params.phi_minus if y is None else params.hit_logodds(y)
+                delta = (l - self.prior).tolist()
+                made[y] = lambda sem: _tracked_update(sem, delta, lo, hi, k)
+            return made[y]
+
+        return update
 
     def insert_scan(self, beams: list[BeamMeasurement], params: SensorParams) -> "SemanticOctree":
         """Integrate beams in order (same cell arithmetic as the dense grid),
-        then prune bottom-up."""
+        then prune bottom-up, visiting only the paths to the elements the
+        scan changed: a tree that was pruned before the scan is pruned after
+        it."""
         if params.num_classes != self.num_classes:
             raise ValueError("sensor parameters and tree disagree on K")
+        update = self._updates(params)
+        free = update(None)
+        write = self._write_element
+        changed = set()
+        debug = log.isEnabledFor(logging.DEBUG)
+        visited = 0
         for beam in beams:
             trace = self.cast_elements(beam)
-            end = trace.hit_index if trace.hit_index is not None else len(trace)
-            for n in range(end):
-                self.update_element(trace.cells[n], CellRelation.FREE, None, params)
+            cells = trace.cells.tolist()
+            end = trace.hit_index if trace.hit_index is not None else len(cells)
+            for cell in cells[:end]:
+                if write(cell, free):
+                    changed.add(tuple(cell))
             if trace.hit_index is not None:
-                self.update_element(
-                    trace.cells[trace.hit_index], CellRelation.OCCUPIED, beam.category, params
-                )
-        self.prune()
+                cell = cells[end]
+                if write(cell, update(beam.category)):
+                    changed.add(tuple(cell))
+            if debug:
+                visited += end + (trace.hit_index is not None)
+        collapsed = self.prune(changed)
+        if debug:
+            log.debug(
+                "insert_scan: %d beams, %d elements visited, %d changed, %d nodes collapsed",
+                len(beams), visited, len(changed), collapsed,
+            )
         return self
 
-    def prune(self) -> "SemanticOctree":
+    def prune(self, cells=None) -> int:
         """Bottom-up: collapse inner nodes whose 8 children are identical
-        leaves. Point queries are unaffected."""
+        leaves. Point queries are unaffected. Without ``cells`` the whole tree
+        is visited (trees built by hand or loaded from a file); with them,
+        only the inner nodes on the root paths of those elements, which is
+        enough when the tree was pruned before they were written. Returns
+        the number of nodes collapsed."""
+        collapsed = 0
 
-        def visit(node: SemanticNode) -> None:
+        def visit(node: SemanticNode, bit: int, cells) -> None:
+            nonlocal collapsed
             if node.children is None:
                 return
-            for child in node.children:
-                visit(child)
+            if cells is None:
+                for child in node.children:
+                    visit(child, bit - 1, None)
+            else:
+                groups: dict[int, list] = {}
+                for x, y, z in cells:
+                    slot = ((x >> bit) & 1) << 2 | ((y >> bit) & 1) << 1 | ((z >> bit) & 1)
+                    groups.setdefault(slot, []).append((x, y, z))
+                for slot, group in groups.items():
+                    visit(node.children[slot], bit - 1, group)
             first = node.children[0]
             if first.children is None and all(
                 c.children is None and c.semantics == first.semantics
@@ -328,9 +403,10 @@ class SemanticOctree:
             ):
                 node.semantics = first.semantics
                 node.children = None
+                collapsed += 1
 
-        visit(self.root)
-        return self
+        visit(self.root, self.max_depth - 1, cells)
+        return collapsed
 
     # -- ray casting -------------------------------------------------------------
 
@@ -436,42 +512,47 @@ class SemanticOctree:
         observed = np.array([v != self.prior_semantics for v in values], dtype=bool)
         return labels[index], observed[index]
 
-    @staticmethod
-    def _box_overlap(low, size, box) -> int:
-        count = 1
-        for i in range(3):
-            lo = max(low[i], box[0][i])
-            hi = min(low[i] + size, box[1][i])
-            if hi <= lo:
-                return 0
-            count *= hi - lo
-        return count
+    def map_state(self, region=None) -> tuple[float, float]:
+        """``(map_entropy(region), observed_fraction(region))`` from one
+        leaf pass. Each belief's entropy and observed flag are cached on the
+        tree across calls, keyed by the belief value: both are pure
+        functions of it, so an entry is never stale. A pass keeps the
+        entries of the beliefs it met and drops the rest."""
+        (bx, by, bz), (ex, ey, ez) = box = region if region is not None else ((0, 0, 0), self.dims)
+        if bx > ex or by > ey or bz > ez:
+            return 0.0, 0.0  # an inverted box holds no element
+        cache, kept = self._belief_stats, {}
+        entropy = 0.0
+        total = seen = 0
+        # the walk yields only leaves whose overlap with the box is >= 0 on
+        # every axis, so the product is the overlap's element count
+        for sem, (x, y, z), size in self.iter_leaves(box):
+            n = (
+                (min(x + size, ex) - max(x, bx))
+                * (min(y + size, ey) - max(y, by))
+                * (min(z + size, ez) - max(z, bz))
+            )
+            stats = kept.get(sem)
+            if stats is None:
+                stats = cache.get(sem)
+                if stats is None:
+                    stats = (sem.entropy(), sem != self.prior_semantics)
+                kept[sem] = stats
+            entropy += n * stats[0]
+            total += n
+            if stats[1]:
+                seen += n
+        self._belief_stats = kept
+        return entropy, (seen / total if total else 0.0)
 
     def map_entropy(self, region=None) -> float:
         """Total entropy in nats over a region box (element coordinates,
-        ((lo),(hi)) half-open) or the full cube. Each distinct belief's
-        entropy is computed once per call."""
-        box = region if region is not None else ((0, 0, 0), self.dims)
-        entropies: dict[TruncatedSemantics, float] = {}
-        total = 0.0
-        for sem, low, size in self.iter_leaves(box):
-            ent = entropies.get(sem)
-            if ent is None:
-                ent = entropies[sem] = sem.entropy()
-            total += self._box_overlap(low, size, box) * ent
-        return total
+        ((lo),(hi)) half-open) or the full cube."""
+        return self.map_state(region)[0]
 
     def observed_fraction(self, region=None) -> float:
         """Fraction of elements in the region whose belief moved off the prior."""
-        box = region if region is not None else ((0, 0, 0), self.dims)
-        total = 0
-        seen = 0
-        for sem, low, size in self.iter_leaves(box):
-            n = self._box_overlap(low, size, box)
-            total += n
-            if sem != self.prior_semantics:
-                seen += n
-        return seen / total if total else 0.0
+        return self.map_state(region)[1]
 
 
 # -- grid conversion --------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import logging
 import math
 import time
 from dataclasses import dataclass, field
@@ -23,6 +24,8 @@ from .config import SimConfig
 from .errors import AllUnreachable, BadDims, NoFrontiers, PoseInObstacle
 from .grid import BeamMeasurement, GridMap, voxel_walk
 from .octree import SemanticOctree
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -368,10 +371,12 @@ def run_episode(config: SimConfig, env: Environment | None = None) -> EpisodeMet
             candidates = planner_mod.evaluate_candidates(mapper, view, pose, params, config.planner)
             plan = planner_mod.select_best(candidates)
         except (NoFrontiers, AllUnreachable):
-            entropy, explored = mapper.map_entropy(world), mapper.observed_fraction(world)
+            entropy, explored = mapper.map_state(world)
             metrics.rows.append(CycleRow(step, distance, entropy, explored, 0.0))
+            log.debug("cycle %d: entropy %r nats, explored %r, no plan", step, entropy, explored)
             break
-        metrics.plan_times.append(time.perf_counter() - t0)
+        plan_s = time.perf_counter() - t0
+        metrics.plan_times.append(plan_s)
         for cand in candidates:
             flag = "*" if cand is plan else " "
             metrics.plan_log.append(
@@ -390,8 +395,10 @@ def run_episode(config: SimConfig, env: Environment | None = None) -> EpisodeMet
         pose = path[-1]
         heading = poses[-1][1]
 
-        entropy, explored = mapper.map_entropy(world), mapper.observed_fraction(world)
+        entropy, explored = mapper.map_state(world)
         metrics.rows.append(CycleRow(step, distance, entropy, explored, plan.mi))
+        log.debug("cycle %d: entropy %r nats, explored %r, plan %.4f s",
+                  step, entropy, explored, plan_s)
         if explored >= config.run.explored_stop:
             break
 

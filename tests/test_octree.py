@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ssmi import logodds as lo
@@ -18,6 +18,7 @@ from ssmi.errors import CorruptMap
 from ssmi.grid import BeamMeasurement, GridMap
 from ssmi.logodds import CellRelation, SensorParams
 from ssmi.octree import (
+    NEG_INF,
     OCTREE_MAGIC,
     OCTREE_MAGIC_V1,
     SemanticNode,
@@ -59,6 +60,68 @@ def test_update_matches_full_vector_path(params3, rng):
         got_free = update_semantics(sem, CellRelation.FREE, None, params3, tree.prior)
         want_free = lo.clamp(lo.posterior_update(h, params3.phi_minus, tree.prior), params3)
         np.testing.assert_array_equal(got_free.to_full(3), want_free)
+
+
+def reference_update(sem, relation, y, params, prior):
+    """The full-vector K <= 3 update: numpy posterior update and clamp, then
+    truncation."""
+    l = params.phi_minus if relation is CellRelation.FREE else params.hit_logodds(y)
+    h = lo.posterior_update(sem.to_full(params.num_classes), l, prior)
+    return TruncatedSemantics.from_full(lo.clamp(h, params))
+
+
+def bits(sem):
+    """A belief with each float as hex, so -0.0 and 0.0 differ."""
+    return tuple((c, v.hex()) for c, v in sem.data), sem.others.hex()
+
+
+EDGE_VALUES = st.sampled_from([0.0, -0.0, 6.0, -6.0, 0.41, -1.39, 2.5, -2.5])
+LOGODDS = EDGE_VALUES | st.floats(-9.0, 9.0, allow_nan=False)
+
+
+@st.composite
+def k3_update_case(draw):
+    """K <= 3 parameters, prior and belief drawn around shared edge values,
+    so sums land on and past the clamp bounds, on the prior, and on both
+    signed zeros."""
+    k = draw(st.integers(1, 3))
+
+    def vec():
+        return np.array([0.0] + [draw(LOGODDS) for _ in range(k)])
+
+    bounds = [sorted((draw(LOGODDS), draw(LOGODDS))) for _ in range(k)]
+    assume(all(a < b for a, b in bounds))
+    params = SensorParams(
+        phi_plus=vec(), phi_minus=vec(), psi_plus=vec(),
+        clamp_lo=np.array([0.0] + [a for a, _ in bounds]),
+        clamp_hi=np.array([0.0] + [b for _, b in bounds]),
+    )
+    prior = vec()
+    near = LOGODDS | st.sampled_from([v for ab in bounds for v in ab])
+    kind = draw(st.sampled_from(["full", "prior", "lumped"]))
+    if kind == "prior":
+        sem = TruncatedSemantics.from_full(prior)
+    else:
+        pairs = [(c, draw(near)) for c in range(1, k + 1)]
+        others = NEG_INF
+        if kind == "lumped":  # fewer tracked classes, as a file may hold
+            pairs = pairs[:draw(st.integers(0, k - 1))]
+            others = draw(near)
+        sem = TruncatedSemantics(data=TruncatedSemantics._sorted(pairs), others=others)
+    relation = draw(st.sampled_from([CellRelation.FREE, CellRelation.OCCUPIED]))
+    y = draw(st.integers(1, k)) if relation is CellRelation.OCCUPIED else None
+    return sem, relation, y, params, prior
+
+
+@given(case=k3_update_case())
+@settings(max_examples=400, deadline=None)
+def test_float_update_is_the_numpy_update_bit_for_bit(case):
+    sem, relation, y, params, prior = case
+    want = bits(reference_update(sem, relation, y, params, prior))
+    assert bits(update_semantics(sem, relation, y, params, prior)) == want
+    # the scan writer's precomputed form of the same update
+    update = SemanticOctree(1.0, 1, params.num_classes, prior)._updates(params)
+    assert bits(update(y)(sem)) == want
 
 
 def test_update_unobserved_is_noop(params3):
@@ -131,6 +194,35 @@ def test_lump_tracks_logsumexp_of_members():
                 members[c] = v + shift_hit + (params.psi_plus[c] if c == y else 0.0)
         members = {c: v for c, v in members.items() if c not in dict(sem.data)}
         assert sem.others == pytest.approx(lse(members), abs=1e-10)
+
+
+def test_lumped_hit_orders_classes_tied_at_the_clamp():
+    """A hit on an untracked class pushes two tracked classes past the
+    clamp: both keep their place among the top three, and the tie at the
+    bound is broken by class id, as for every other belief."""
+    k = 5
+    params = SensorParams.default(k, clamp_limit=4.0)
+    prior = lo.uniform_prior(k)
+    sem = TruncatedSemantics(data=((5, 3.9), (3, 3.8), (1, 2.0)), others=-3.0)
+    new = update_semantics(sem, CellRelation.OCCUPIED, 2, params, prior)
+    assert [c for c, _ in new.data] == [3, 5, 1]
+    assert new.data[0][1] == new.data[1][1] == 4.0
+    assert new.data == TruncatedSemantics._sorted(new.data)
+
+
+def test_lumped_episode_leaves_are_canonical():
+    config = config_from_dict({
+        "seed": 0,
+        "env": {"profile": "random", "dims": [16, 16], "num_classes": 5},
+        "sensor": {"num_beams": 24, "r_max": 8.0},
+        "planner": {"num_beams": 8, "beam_range": 8.0},
+        "mapper": {"type": "octree", "clamp_limit": 4.0},
+        "run": {"max_steps": 6},
+    })
+    tree = run_episode(config).mapper
+    beliefs = {sem for sem, _, _ in tree.iter_leaves()}
+    assert any(len(sem.data) == 3 for sem in beliefs)
+    assert all(sem.data == TruncatedSemantics._sorted(sem.data) for sem in beliefs)
 
 
 # -- insertion and pruning --------------------------------------------------------
@@ -229,6 +321,21 @@ def test_prune_idempotent_and_query_transparent(params3, rng):
     assert tree.num_leaves() == leaves
 
 
+@pytest.mark.parametrize("k,clamp_limit", [(3, 6.0), (5, 4.0)])
+def test_insert_scan_leaves_the_tree_pruned(tmp_path, k, clamp_limit):
+    """insert_scan prunes only the paths to the elements it changed; a
+    whole-tree prune afterwards finds nothing left to collapse."""
+    params = SensorParams.default(k, clamp_limit=clamp_limit)
+    tree = SemanticOctree(1.0, 5, k)
+    rng = np.random.default_rng(7 + k)
+    for _ in range(25):
+        tree.insert_scan([random_beam(rng, k=k) for _ in range(int(rng.integers(1, 9)))], params)
+        before = saved_bytes(tree, tmp_path)
+        assert tree.prune() == 0
+        assert saved_bytes(tree, tmp_path) == before
+    assert tree.num_leaves() > 8
+
+
 # -- run-length ray casts -----------------------------------------------------------
 
 
@@ -292,23 +399,30 @@ def test_grid_octree_bit_agreement(params3, rng):
                 )
 
 
+def leaf_sums(tree, box):
+    """Entropy and observed fraction over a box, summed leaf by leaf in
+    preorder with each belief's entropy computed afresh."""
+    entropy = 0.0
+    seen = total = 0
+    for sem, low, size in tree.iter_leaves():
+        n = 1
+        for i in range(3):
+            n *= max(0, min(low[i] + size, box[1][i]) - max(low[i], box[0][i]))
+        if n:
+            entropy += n * sem.entropy()
+            total += n
+            seen += n if sem != tree.prior_semantics else 0
+    return entropy, (seen / total if total else 0.0)
+
+
 def test_map_entropy_and_observed_fraction_match_leaf_sums(params3, rng):
     tree = SemanticOctree(1.0, 5, 3)
     for _ in range(30):
         tree.insert_scan([random_beam(rng)], params3)
     for box in (((0, 0, 0), (32, 32, 32)), ((3, 0, 5), (29, 17, 6)), ((4, 4, 4), (4, 9, 9))):
-        entropy = 0.0
-        seen = total = 0
-        for sem, low, size in tree.iter_leaves():
-            n = 1
-            for i in range(3):
-                n *= max(0, min(low[i] + size, box[1][i]) - max(low[i], box[0][i]))
-            if n:
-                entropy += n * sem.entropy()
-                total += n
-                seen += n if sem != tree.prior_semantics else 0
+        entropy, fraction = leaf_sums(tree, box)
         assert tree.map_entropy(box) == entropy  # same summation order, bit for bit
-        assert tree.observed_fraction(box) == (seen / total if total else 0.0)
+        assert tree.observed_fraction(box) == fraction
         values, index = tree.leaf_index(box)
         assert index.shape == tuple(hi - lo for lo, hi in zip(*box))
         for rel in np.ndindex(index.shape):
@@ -316,6 +430,22 @@ def test_map_entropy_and_observed_fraction_match_leaf_sums(params3, rng):
             assert values[index[rel]] == tree.query_element(cell)
     with pytest.raises(ValueError):
         tree.leaf_index(((0, 0, 0), (33, 1, 1)))
+
+
+def test_map_state_is_both_aggregates_on_either_map(params3, rng):
+    gmap = GridMap((20, 18, 6), 1.0, 3)
+    tree = SemanticOctree(1.0, 5, 3)
+    boxes = (None, ((0, 0, 0), (20, 18, 6)), ((3, 2, 1), (17, 9, 4)), ((4, 4, 4), (4, 9, 6)))
+    for _ in range(6):
+        scan = [random_beam(rng, 1.0, 5.0) for _ in range(8)]
+        gmap.insert_scan(scan, params3)
+        tree.insert_scan(scan, params3)
+        for _ in range(2):  # the second pass reads the octree's belief cache
+            for box in boxes:
+                for m in (gmap, tree):
+                    assert m.map_state(box) == (m.map_entropy(box), m.observed_fraction(box))
+                assert tree.map_state(box) == leaf_sums(tree, box or ((0, 0, 0), tree.dims))
+    assert 0.0 < tree.observed_fraction() < 1.0
 
 
 def test_grid_and_octree_answer_the_shared_calls_alike(params3):
@@ -400,13 +530,13 @@ def test_grid_octree_conversion(params3, rng):
 
 
 def test_tied_pairs_keep_their_saved_order(tmp_path):
-    """A lumped update clamps after it sorts, so two tracked classes can tie
-    at the clamp out of class order; a load keeps that order, so the loaded
-    belief still equals the saved one."""
+    """Files written while a lumped update clamped after it sorted can hold
+    two tracked classes tied at the clamp out of class order; a load keeps
+    that order, so the loaded belief still equals the saved one."""
     tree = SemanticOctree(1.0, 2, 5)
     tied = TruncatedSemantics(data=((5, 4.0), (3, 4.0), (1, 2.87)), others=3.5)
     assert TruncatedSemantics._sorted(tied.data) != tied.data
-    tree._write_element((1, 2, 3), tied)
+    tree._write_element((1, 2, 3), lambda _: tied)
     path = tmp_path / "t.ssmioct"
     save_octree(tree, path)
     assert load_octree(path).query_element((1, 2, 3)) == tied

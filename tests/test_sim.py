@@ -1,7 +1,9 @@
 """Environments, the noisy sensor, episode determinism, and the run-length
 compression study."""
 
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -214,6 +216,25 @@ def test_octree_mapper_episode():
     assert metrics.rows
     assert metrics.rows[-1].explored > 0
     assert np.isfinite(metrics.rows[-1].entropy)
+
+
+def test_debug_log_has_scan_and_cycle_lines_and_leaves_metrics_alone(caplog):
+    config = make_config(env={"dims": [16, 16]}, mapper={"type": "octree"}, run={"max_steps": 3})
+    with caplog.at_level(logging.WARNING, logger="ssmi"):
+        quiet = run_episode(config).metrics_csv()
+    assert not caplog.records
+    with caplog.at_level(logging.DEBUG, logger="ssmi"):
+        metrics = run_episode(config)
+    assert metrics.metrics_csv() == quiet
+    scans = [r.getMessage() for r in caplog.records if r.name == "ssmi.octree"]
+    cycles = [r.getMessage() for r in caplog.records if r.name == "ssmi.sim"]
+    assert scans and all(
+        re.fullmatch(r"insert_scan: 24 beams, \d+ elements visited, \d+ changed, "
+                     r"\d+ nodes collapsed", m) for m in scans
+    )
+    assert [m.split(":")[0] for m in cycles] == [f"cycle {r.step}" for r in metrics.rows]
+    assert all(f"entropy {r.entropy!r} nats, explored {r.explored!r}" in m
+               for m, r in zip(cycles, metrics.rows))
 
 
 def test_precision_reported_per_class():
