@@ -2,9 +2,11 @@
 
 Maps are always stored as 3-D arrays; a 2-D map is a 3-D map of depth one so
 every downstream consumer (information evaluation, octrees, planning) sees a
-single code path. Cell update arithmetic lives in :mod:`ssmi.logodds` and is
-shared with the octree, which keeps the two representations bit-identical
-under the same observation stream.
+single code path. The cell update ``clamp(h + (l - h0))`` runs here on numpy
+rows, one indexed write per beam in ``GridMap.integrate``; the octree runs
+the same arithmetic on Python floats in ``octree.element_update``. A4 and
+the float-vs-numpy hypothesis test in ``tests/test_octree.py`` pin the two
+forms equal bit for bit, so both maps agree under the same observations.
 """
 
 from __future__ import annotations
@@ -263,15 +265,21 @@ class GridMap:
     def integrate(self, beam: BeamMeasurement, params: SensorParams) -> "GridMap":
         """Fuse one beam: traversed cells get the free update, the endpoint
         cell gets the hit update for the observed class, and everything past
-        the endpoint is untouched. Results are clamped in place."""
+        the endpoint is untouched. Each is one indexed write of
+        ``clamp(h + (l - h0))`` over the rows of its cells, which equals a
+        cell-by-cell loop because a ray visits every cell once."""
         if params.num_classes != self.num_classes:
             raise ValueError("sensor parameters and map disagree on K")
         trace = self.cast_ray(beam)
         end = trace.hit_index if trace.hit_index is not None else len(trace)
-        for n in range(end):
-            self._apply(trace.cells[n], params.phi_minus, params)
+        free = tuple(trace.cells[:end].T)
+        self.cells[free] = logodds.clamp(self.cells[free] + (params.phi_minus - self.prior), params)
+        self.observed[free] = True
         if trace.hit_index is not None:
-            self._apply(trace.cells[trace.hit_index], params.hit_logodds(beam.category), params)
+            hit = tuple(trace.cells[end])
+            l = params.hit_logodds(beam.category)
+            self.cells[hit] = logodds.clamp(self.cells[hit] + (l - self.prior), params)
+            self.observed[hit] = True
         return self
 
     def insert_scan(self, beams: list[BeamMeasurement], params: SensorParams) -> "GridMap":
@@ -279,12 +287,6 @@ class GridMap:
         for beam in beams:
             self.integrate(beam, params)
         return self
-
-    def _apply(self, cell, l: np.ndarray, params: SensorParams) -> None:
-        i, j, k = cell
-        h = self.cells[i, j, k]
-        self.cells[i, j, k] = logodds.clamp(logodds.posterior_update(h, l, self.prior), params)
-        self.observed[i, j, k] = True
 
     def set_cell(self, cell, h: np.ndarray, observed: bool = True) -> None:
         """Write a cell belief directly (scene construction and tests)."""

@@ -589,7 +589,6 @@ def mi_surface(
     num_beams: int = 16,
     max_range: float | None = None,
     binary: bool = False,
-    binary_params: SensorParams | None = None,
 ) -> np.ndarray:
     """Information of a full fan at every free-labeled cell of a 2-D map.
 
@@ -607,7 +606,7 @@ def mi_surface(
     labels = gmap.most_likely()[:, :, 0]
     if binary:
         gmap = collapse_map_to_binary(gmap)
-        params = binary_params if binary_params is not None else SensorParams.default(1)
+        params = SensorParams.default(1)
     out = np.zeros(gmap.dims[:2], dtype=np.float64)
     for i in range(gmap.dims[0]):
         for j in range(gmap.dims[1]):

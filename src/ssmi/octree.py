@@ -27,7 +27,7 @@ import numpy as np
 from . import logodds
 from .errors import CorruptMap, InvalidClass
 from .grid import GRID_MAGIC, BeamMeasurement, GridMap, RayTrace, cast
-from .logodds import CellRelation, SensorParams
+from .logodds import SensorParams
 from .mi import SrleRay
 
 OCTREE_MAGIC = b"SSMIOCT2"
@@ -142,32 +142,31 @@ def _tracked_update(
     return TruncatedSemantics(data=TruncatedSemantics._sorted(pairs), others=NEG_INF)
 
 
-def update_semantics(
-    sem: TruncatedSemantics,
-    relation: CellRelation,
-    y: int | None,
-    params: SensorParams,
-    prior: np.ndarray,
-) -> TruncatedSemantics:
-    """Bayesian update of one element-resolution belief.
+def element_update(params: SensorParams, prior: np.ndarray):
+    """The octree's element update, built once per scan: a function from hit
+    class (None for a traversed element, InvalidClass outside 1..K) to the
+    update of one belief.
 
-    With K <= 3 this is the full-vector posterior update and clamp, on
-    Python floats, matching the dense grid exactly. With more classes, a hit
-    on an untracked class splits an alpha fraction off the lump for the new
-    class, updates, keeps the three largest values, folds the rest back into
-    the lump, and clamps.
+    With K <= 3 it is the dense grid's ``clamp(h + (l - h0))`` on Python
+    floats (``_tracked_update``). With more classes the parameters must be
+    class-uniform (ValueError here otherwise), and a hit on an untracked
+    class splits an alpha fraction off the lump for the new class, updates,
+    keeps the three largest values, folds the rest back into the lump, and
+    clamps.
     """
     k = params.num_classes
-    if relation is CellRelation.UNOBSERVED:
-        return sem
-    if relation is CellRelation.OCCUPIED and (y is None or not 1 <= y <= k):
-        raise InvalidClass(f"hit class must be in 1..{k}")
-
     if k <= 3:
-        l = params.phi_minus if relation is CellRelation.FREE else params.hit_logodds(y)
-        return _tracked_update(
-            sem, (l - prior).tolist(), params.clamp_lo.tolist(), params.clamp_hi.tolist(), k
-        )
+        lo, hi = params.clamp_lo.tolist(), params.clamp_hi.tolist()
+        made = {}
+
+        def update(y):
+            if y not in made:
+                l = params.phi_minus if y is None else params.hit_logodds(y)
+                delta = (l - prior).tolist()
+                made[y] = lambda sem: _tracked_update(sem, delta, lo, hi, k)
+            return made[y]
+
+        return update
 
     # lumped path: parameters must treat occupied classes interchangeably
     phi_m = _uniform_scalar(params.phi_minus, "phi_minus")
@@ -176,38 +175,46 @@ def update_semantics(
     lo = _uniform_scalar(params.clamp_lo, "clamp_lo")
     hi = _uniform_scalar(params.clamp_hi, "clamp_hi")
     prior_occ = _uniform_scalar(np.asarray(prior), "prior")
+    free_shift = phi_m - prior_occ
+    hit_shift = phi_p - prior_occ
+    log_alpha = math.log(params.alpha)
+    log_rest = math.log1p(-params.alpha)
 
     def clip(v: float) -> float:
         return min(max(v, lo), hi)
 
-    if relation is CellRelation.FREE:
-        shift = phi_m - prior_occ
-        data = TruncatedSemantics._sorted((c, clip(v + shift)) for c, v in sem.data)
-        return TruncatedSemantics(data=data, others=clip(sem.others + shift))
+    def free(sem: TruncatedSemantics) -> TruncatedSemantics:
+        data = TruncatedSemantics._sorted((c, clip(v + free_shift)) for c, v in sem.data)
+        return TruncatedSemantics(data=data, others=clip(sem.others + free_shift))
 
-    tracked = dict(sem.data)
-    if y in tracked:
-        shift = phi_p - prior_occ
-        data = TruncatedSemantics._sorted(
-            (c, clip(v + shift + (psi_p if c == y else 0.0))) for c, v in sem.data
+    def hit(y: int, sem: TruncatedSemantics) -> TruncatedSemantics:
+        if any(c == y for c, _ in sem.data):
+            data = TruncatedSemantics._sorted(
+                (c, clip(v + hit_shift + (psi_p if c == y else 0.0))) for c, v in sem.data
+            )
+            return TruncatedSemantics(data=data, others=clip(sem.others + hit_shift))
+        # alpha fraction of the lump becomes the newly tracked class; the kept
+        # classes are chosen before the clamp and re-sorted after it, since two
+        # of them can clamp to the same value
+        rest = sem.others + phi_p - prior_occ + log_rest
+        candidates = [(c, v + hit_shift) for c, v in sem.data]
+        candidates.append((y, sem.others + log_alpha + hit_shift + psi_p))
+        candidates = TruncatedSemantics._sorted(candidates)
+        dropped = [v for _, v in candidates[3:]]
+        lump = logodds.logsumexp(np.array(dropped + [rest]))
+        return TruncatedSemantics(
+            data=TruncatedSemantics._sorted((c, clip(v)) for c, v in candidates[:3]),
+            others=clip(float(lump)),
         )
-        return TruncatedSemantics(data=data, others=clip(sem.others + shift))
 
-    # alpha fraction of the lump becomes the newly tracked class; the kept
-    # classes are chosen before the clamp and re-sorted after it, since two
-    # of them can clamp to the same value
-    h_aux = sem.others + math.log(params.alpha)
-    rest = sem.others + phi_p - prior_occ + math.log1p(-params.alpha)
-    shift = phi_p - prior_occ
-    candidates = [(c, v + shift) for c, v in sem.data]
-    candidates.append((y, h_aux + shift + psi_p))
-    candidates = TruncatedSemantics._sorted(candidates)
-    kept = candidates[:3]
-    dropped = [v for _, v in candidates[3:]]
-    lump = logodds.logsumexp(np.array(dropped + [rest]))
-    return TruncatedSemantics(
-        data=TruncatedSemantics._sorted((c, clip(v)) for c, v in kept), others=clip(float(lump))
-    )
+    def update(y):
+        if y is None:
+            return free
+        if not 1 <= y <= k:
+            raise InvalidClass(f"hit class must be in 1..{k}, got {y}")
+        return functools.partial(hit, y)
+
+    return update
 
 
 class SemanticOctree:
@@ -253,34 +260,20 @@ class SemanticOctree:
         """Element edge length (the grid's name for its cell size)."""
         return self.element_size
 
-    @property
-    def truncation_approximate(self) -> bool:
-        """True when stored beliefs lump classes (K > 3), which makes
-        information values an approximation of the full-vector ones."""
-        return self.num_classes > 3
-
     # -- addressing ----------------------------------------------------------
-
-    def _child_slot(self, cell, depth: int) -> int:
-        bit = self.max_depth - 1 - depth
-        return (
-            (((cell[0] >> bit) & 1) << 2)
-            | (((cell[1] >> bit) & 1) << 1)
-            | ((cell[2] >> bit) & 1)
-        )
 
     def leaf_at(self, cell) -> tuple[TruncatedSemantics, tuple[int, int, int], int]:
         """Leaf value covering an element, with the leaf's low corner and edge
         length in elements (used for run caching along rays)."""
+        x, y, z = cell
         node = self.root
-        depth = 0
+        bit = self.max_depth - 1
         while node.children is not None:
-            node = node.children[self._child_slot(cell, depth)]
-            depth += 1
-        size = 1 << (self.max_depth - depth)
+            node = node.children[((x >> bit) & 1) << 2 | ((y >> bit) & 1) << 1 | ((z >> bit) & 1)]
+            bit -= 1
+        size = 1 << (bit + 1)
         mask = ~(size - 1)
-        low = (cell[0] & mask, cell[1] & mask, cell[2] & mask)
-        return node.semantics, low, size
+        return node.semantics, (x & mask, y & mask, z & mask), size
 
     def query_element(self, cell) -> TruncatedSemantics:
         return self.leaf_at(cell)[0]
@@ -316,29 +309,6 @@ class SemanticOctree:
         new = TruncatedSemantics.from_full(np.asarray(h, dtype=np.float64))
         self._write_element(cell, lambda _: new)
 
-    def _updates(self, params: SensorParams):
-        """A function from hit class (None for a traversed element) to that
-        element update as a function of the current belief. For K <= 3 each
-        update is made once, with ``l - h0`` and the clamp bounds as floats;
-        K > 3 goes through ``update_semantics``."""
-        k = self.num_classes
-        if k > 3:
-            return lambda y: functools.partial(
-                update_semantics, y=y, params=params, prior=self.prior,
-                relation=CellRelation.FREE if y is None else CellRelation.OCCUPIED,
-            )
-        lo, hi = params.clamp_lo.tolist(), params.clamp_hi.tolist()
-        made = {}
-
-        def update(y):
-            if y not in made:
-                l = params.phi_minus if y is None else params.hit_logodds(y)
-                delta = (l - self.prior).tolist()
-                made[y] = lambda sem: _tracked_update(sem, delta, lo, hi, k)
-            return made[y]
-
-        return update
-
     def insert_scan(self, beams: list[BeamMeasurement], params: SensorParams) -> "SemanticOctree":
         """Integrate beams in order (same cell arithmetic as the dense grid),
         then prune bottom-up, visiting only the paths to the elements the
@@ -346,7 +316,7 @@ class SemanticOctree:
         it."""
         if params.num_classes != self.num_classes:
             raise ValueError("sensor parameters and tree disagree on K")
-        update = self._updates(params)
+        update = element_update(params, self.prior)
         free = update(None)
         write = self._write_element
         changed = set()
@@ -428,17 +398,11 @@ class SemanticOctree:
             return None
         widths: list[int] = []
         values: list[TruncatedSemantics] = []
-        cached_low = cached_size = None
-        cached_sem = None
-        for cell in cells:
-            c = (int(cell[0]), int(cell[1]), int(cell[2]))
-            if cached_low is not None and all(
-                cached_low[i] <= c[i] < cached_low[i] + cached_size for i in range(3)
-            ):
-                sem = cached_sem
-            else:
-                sem, cached_low, cached_size = self.leaf_at(c)
-                cached_sem = sem
+        sem = None
+        lx = ly = lz = size = 0  # the cached leaf's cube, empty at first
+        for x, y, z in cells.tolist():
+            if not (lx <= x < lx + size and ly <= y < ly + size and lz <= z < lz + size):
+                sem, (lx, ly, lz), size = self.leaf_at((x, y, z))
             if values and values[-1] == sem:
                 widths[-1] += 1
             else:

@@ -151,14 +151,14 @@ def generate_env(
     return Environment(grid=grid, num_classes=num_classes, resolution=resolution, spawns=spawns)
 
 
-def env_to_grid(env: Environment, saturation: float = 6.0) -> GridMap:
+def env_to_grid(env: Environment) -> GridMap:
     """Ground truth as a saturated belief map (for export and inspection):
-    each cell is certain of its true class up to the given log-odds bound."""
+    each cell is certain of its true class up to log-odds 6."""
     gmap = GridMap(env.dims, env.resolution, env.num_classes)
-    cells = np.full(env.dims + (env.num_classes + 1,), -saturation)
+    cells = np.full(env.dims + (env.num_classes + 1,), -6.0)
     cells[..., 0] = 0.0
     for k in range(1, env.num_classes + 1):
-        cells[env.grid == k, k] = saturation
+        cells[env.grid == k, k] = 6.0
     gmap.cells = cells
     gmap.observed[:] = True
     return gmap
@@ -326,7 +326,9 @@ def run_episode(config: SimConfig, env: Environment | None = None) -> EpisodeMet
 
     The robot teleports along planned paths with perfect localization,
     sensing every ``planner.stride`` waypoints; distance accrues from the
-    waypoint geometry.
+    waypoint geometry. The map can hold a truly occupied cell as free, so
+    the robot stops before the first waypoint whose ground-truth cell is
+    occupied, and stays put when that is the first step.
     """
     streams = np.random.SeedSequence(config.seed).spawn(3)
     env_rng = np.random.default_rng(streams[0])
@@ -385,6 +387,10 @@ def run_episode(config: SimConfig, env: Environment | None = None) -> EpisodeMet
             )
 
         path = plan.path
+        for w in range(1, len(path)):
+            if env.grid[path[w][0], path[w][1], z_idx] != 0:
+                path = path[:w]
+                break
         poses = planner_mod.sensing_poses(path, config.planner.stride)
         for w in range(1, len(path)):
             a, b = path[w - 1], path[w]

@@ -4,6 +4,7 @@ import json
 import time
 
 import numpy as np
+import pytest
 import yaml
 
 from ssmi import check
@@ -75,6 +76,26 @@ def test_explore_smoke(tmp_path, capsys):
     assert (out / "timings.csv").exists()
     summary = json.loads((out / "summary.json").read_text())
     assert summary["steps"] >= 1
+
+
+# the A7 acceptance config with five classes: in world 4 the information
+# selector plans through a cell that the map holds as free but that is truly
+# occupied, so the robot has to stop short of it
+A7_K5 = {
+    "env": {"profile": "random", "dims": [32, 32], "num_classes": 5},
+    "sensor": {"num_beams": 48, "r_max": 10.0, "range_sigma": 0.1, "misclass_prob": 0.35},
+    "planner": {"num_beams": 16, "beam_range": 10.0, "stride": 3},
+    "run": {"max_steps": 60, "explored_stop": 0.9},
+}
+
+
+@pytest.mark.parametrize("mapper", ["grid", "octree"])
+def test_explore_stops_before_truly_occupied_waypoint(tmp_path, mapper):
+    out = tmp_path / "run"
+    code = main(["explore", "--config", write_config(tmp_path, A7_K5), "--out", str(out),
+                 "--seed", "4", "--mapper", mapper])
+    assert code == 0
+    assert len((out / "metrics.csv").read_text().splitlines()) > 3
 
 
 def test_explore_deterministic_metrics(tmp_path):

@@ -20,6 +20,7 @@ from ssmi.grid import (
     load_grid,
     save_grid,
 )
+from ssmi.logodds import SensorParams
 from ssmi.octree import SemanticOctree
 from ssmi.sim import SensorSpec, generate_env, sense, srle_study
 
@@ -400,6 +401,71 @@ def test_integrate_beyond_endpoint_untouched(params3):
     for i in range(4, 8):
         np.testing.assert_array_equal(gmap.cells[i, 0, 0], gmap.prior)
         assert not gmap.observed[i, 0, 0]
+
+
+def reference_integrate(gmap, beam, params):
+    """The per-cell form of ``GridMap.integrate``: one posterior update and
+    clamp per traversed cell, then one for the hit cell."""
+    trace = gmap.cast_ray(beam)
+    end = trace.hit_index if trace.hit_index is not None else len(trace)
+    updates = [(cell, params.phi_minus) for cell in trace.cells[:end]]
+    if trace.hit_index is not None:
+        updates.append((trace.cells[end], params.hit_logodds(beam.category)))
+    for cell, l in updates:
+        i, j, k = cell
+        h = gmap.cells[i, j, k]
+        gmap.cells[i, j, k] = lo.clamp(lo.posterior_update(h, l, gmap.prior), params)
+        gmap.observed[i, j, k] = True
+
+
+INTEGRATE_VALUES = st.sampled_from([0.0, -0.0, 6.0, -6.0, 0.41, -1.39, 2.5, -2.5])
+INTEGRATE_LOGODDS = INTEGRATE_VALUES | st.floats(-9.0, 9.0, allow_nan=False)
+
+
+@st.composite
+def integrate_case(draw):
+    """Parameters, prior and starting beliefs drawn around shared edge
+    values, so sums land on and past the clamp bounds and on both signed
+    zeros, and a few random 3-D beams through a small box."""
+    k = draw(st.integers(1, 4))
+
+    def vec(values=INTEGRATE_LOGODDS):
+        return np.array([0.0] + [draw(values) for _ in range(k)])
+
+    bounds = [sorted((draw(INTEGRATE_LOGODDS), draw(INTEGRATE_LOGODDS))) for _ in range(k)]
+    assume(all(a < b for a, b in bounds))
+    params = SensorParams(
+        phi_plus=vec(), phi_minus=vec(), psi_plus=vec(),
+        clamp_lo=np.array([0.0] + [a for a, _ in bounds]),
+        clamp_hi=np.array([0.0] + [b for _, b in bounds]),
+    )
+    gmap = GridMap((5, 4, 3), 1.0, k, vec())
+    near = INTEGRATE_LOGODDS | st.sampled_from([v for ab in bounds for v in ab])
+    palette = np.array([vec(near) for _ in range(3)] + [gmap.prior])
+    pick = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(0, 4, gmap.dims)
+    gmap.cells = palette[pick]
+    beams = []
+    for _ in range(draw(st.integers(1, 6))):
+        origin = np.array([draw(st.floats(0.0, n - 1e-6)) for n in gmap.dims])
+        d = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(3)])
+        assume(np.linalg.norm(d) > 0.1)
+        r_max = draw(st.floats(0.5, 8.0))
+        r = draw(st.floats(0.0, r_max))
+        category = draw(st.integers(1, k)) if r < r_max else None
+        beams.append(BeamMeasurement(origin, d / np.linalg.norm(d), r, category, r_max))
+    return gmap, beams, params
+
+
+@given(case=integrate_case())
+@settings(max_examples=300, deadline=None)
+def test_integrate_is_the_per_cell_update_bit_for_bit(case):
+    gmap, beams, params = case
+    want = gmap.copy()
+    for beam in beams:
+        gmap.integrate(beam, params)
+        reference_integrate(want, beam, params)
+    assert gmap.cells.tobytes() == want.cells.tobytes()
+    assert np.array_equal(gmap.observed, want.observed)
 
 
 # -- beam likelihood ---------------------------------------------------------------

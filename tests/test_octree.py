@@ -5,18 +5,19 @@ versions of the file format."""
 import json
 import math
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ssmi import logodds as lo
 from ssmi.config import config_from_dict
-from ssmi.errors import CorruptMap
+from ssmi.errors import CorruptMap, InvalidClass
 from ssmi.grid import BeamMeasurement, GridMap
-from ssmi.logodds import CellRelation, SensorParams
+from ssmi.logodds import SensorParams
 from ssmi.octree import (
     NEG_INF,
     OCTREE_MAGIC,
@@ -24,11 +25,11 @@ from ssmi.octree import (
     SemanticNode,
     SemanticOctree,
     TruncatedSemantics,
+    element_update,
     grid_from_octree,
     load_octree,
     octree_from_grid,
     save_octree,
-    update_semantics,
 )
 from ssmi.sim import run_episode
 
@@ -47,25 +48,26 @@ def random_beam(rng, lo_pt=1.0, hi_pt=31.0, r_max=20.0, k=3):
 
 def test_update_matches_full_vector_path(params3, rng):
     tree = SemanticOctree(1.0, 3, 3)
+    update = element_update(params3, tree.prior)
     for _ in range(50):
         h = np.zeros(4)
         h[1:] = rng.uniform(-6, 6, 3)
         sem = TruncatedSemantics.from_full(h)
         y = int(rng.integers(1, 4))
-        got = update_semantics(sem, CellRelation.OCCUPIED, y, params3, tree.prior)
+        got = update(y)(sem)
         want = lo.clamp(
             lo.posterior_update(h, params3.hit_logodds(y), tree.prior), params3
         )
         np.testing.assert_array_equal(got.to_full(3), want)
-        got_free = update_semantics(sem, CellRelation.FREE, None, params3, tree.prior)
+        got_free = update(None)(sem)
         want_free = lo.clamp(lo.posterior_update(h, params3.phi_minus, tree.prior), params3)
         np.testing.assert_array_equal(got_free.to_full(3), want_free)
 
 
-def reference_update(sem, relation, y, params, prior):
+def reference_update(sem, y, params, prior):
     """The full-vector K <= 3 update: numpy posterior update and clamp, then
-    truncation."""
-    l = params.phi_minus if relation is CellRelation.FREE else params.hit_logodds(y)
+    truncation. ``y`` is None for a traversed element."""
+    l = params.phi_minus if y is None else params.hit_logodds(y)
     h = lo.posterior_update(sem.to_full(params.num_classes), l, prior)
     return TruncatedSemantics.from_full(lo.clamp(h, params))
 
@@ -108,25 +110,16 @@ def k3_update_case(draw):
             pairs = pairs[:draw(st.integers(0, k - 1))]
             others = draw(near)
         sem = TruncatedSemantics(data=TruncatedSemantics._sorted(pairs), others=others)
-    relation = draw(st.sampled_from([CellRelation.FREE, CellRelation.OCCUPIED]))
-    y = draw(st.integers(1, k)) if relation is CellRelation.OCCUPIED else None
-    return sem, relation, y, params, prior
+    y = draw(st.none() | st.integers(1, k))
+    return sem, y, params, prior
 
 
 @given(case=k3_update_case())
 @settings(max_examples=400, deadline=None)
 def test_float_update_is_the_numpy_update_bit_for_bit(case):
-    sem, relation, y, params, prior = case
-    want = bits(reference_update(sem, relation, y, params, prior))
-    assert bits(update_semantics(sem, relation, y, params, prior)) == want
-    # the scan writer's precomputed form of the same update
-    update = SemanticOctree(1.0, 1, params.num_classes, prior)._updates(params)
-    assert bits(update(y)(sem)) == want
-
-
-def test_update_unobserved_is_noop(params3):
-    sem = TruncatedSemantics.from_full(np.array([0.0, 1.0, -1.0, 0.5]))
-    assert update_semantics(sem, CellRelation.UNOBSERVED, None, params3, np.zeros(4)) == sem
+    sem, y, params, prior = case
+    want = bits(reference_update(sem, y, params, prior))
+    assert bits(element_update(params, prior)(y)(sem)) == want
 
 
 def test_untracked_hit_splits_lump_with_alpha():
@@ -136,7 +129,7 @@ def test_untracked_hit_splits_lump_with_alpha():
     tree_prior = TruncatedSemantics.from_full(prior)
     assert tree_prior.others == pytest.approx(math.log(2.0))  # classes 4,5 at 0
     untracked = 5
-    new = update_semantics(tree_prior, CellRelation.OCCUPIED, untracked, params, prior)
+    new = element_update(params, prior)(untracked)(tree_prior)
     h_aux = tree_prior.others + math.log(0.5)
     expect_y = h_aux + params.phi_plus[untracked] + params.psi_plus[untracked]
     assert dict(new.data).get(untracked) == pytest.approx(expect_y, abs=1e-12)
@@ -161,6 +154,7 @@ def test_lump_tracks_logsumexp_of_members():
     members = {4: 0.0, 5: 0.0}
     shift_free = params.phi_minus[1]
     shift_hit = params.phi_plus[1]
+    update = element_update(params, prior)
 
     def lse(d):
         return float(np.logaddexp.reduce(list(d.values()))) if d else -np.inf
@@ -169,12 +163,12 @@ def test_lump_tracks_logsumexp_of_members():
     for action in script:
         tracked_before = dict(sem.data)
         if action == "free":
-            sem = update_semantics(sem, CellRelation.FREE, None, params, prior)
+            sem = update(None)(sem)
             members = {c: v + shift_free for c, v in members.items()}
             assert sem.others == pytest.approx(lse(members), abs=1e-10)
             continue
         y = action[1]
-        sem = update_semantics(sem, CellRelation.OCCUPIED, y, params, prior)
+        sem = update(y)(sem)
         if y in tracked_before:
             members = {c: v + shift_hit for c, v in members.items()}
         else:
@@ -204,10 +198,118 @@ def test_lumped_hit_orders_classes_tied_at_the_clamp():
     params = SensorParams.default(k, clamp_limit=4.0)
     prior = lo.uniform_prior(k)
     sem = TruncatedSemantics(data=((5, 3.9), (3, 3.8), (1, 2.0)), others=-3.0)
-    new = update_semantics(sem, CellRelation.OCCUPIED, 2, params, prior)
+    new = element_update(params, prior)(2)(sem)
     assert [c for c, _ in new.data] == [3, 5, 1]
     assert new.data[0][1] == new.data[1][1] == 4.0
     assert new.data == TruncatedSemantics._sorted(new.data)
+
+
+def reference_lumped_update(sem, y, params, prior):
+    """The K > 3 update of one element as it was written before the update
+    was built once per scan: every class-uniform scalar is read from the
+    parameters on each call. ``y`` is None for a traversed element."""
+    phi_m, phi_p, psi_p, lo_, hi_ = (
+        float(getattr(params, f)[1])
+        for f in ("phi_minus", "phi_plus", "psi_plus", "clamp_lo", "clamp_hi")
+    )
+    prior_occ = float(prior[1])
+
+    def clip(v):
+        return min(max(v, lo_), hi_)
+
+    if y is None:
+        shift = phi_m - prior_occ
+        data = TruncatedSemantics._sorted((c, clip(v + shift)) for c, v in sem.data)
+        return TruncatedSemantics(data=data, others=clip(sem.others + shift))
+    tracked = dict(sem.data)
+    if y in tracked:
+        shift = phi_p - prior_occ
+        data = TruncatedSemantics._sorted(
+            (c, clip(v + shift + (psi_p if c == y else 0.0))) for c, v in sem.data
+        )
+        return TruncatedSemantics(data=data, others=clip(sem.others + shift))
+    h_aux = sem.others + math.log(params.alpha)
+    rest = sem.others + phi_p - prior_occ + math.log1p(-params.alpha)
+    shift = phi_p - prior_occ
+    candidates = [(c, v + shift) for c, v in sem.data]
+    candidates.append((y, h_aux + shift + psi_p))
+    candidates = TruncatedSemantics._sorted(candidates)
+    kept = candidates[:3]
+    dropped = [v for _, v in candidates[3:]]
+    lump = lo.logsumexp(np.array(dropped + [rest]))
+    return TruncatedSemantics(
+        data=TruncatedSemantics._sorted((c, clip(v)) for c, v in kept), others=clip(float(lump))
+    )
+
+
+@st.composite
+def lumped_update_case(draw):
+    """Class-uniform K > 3 parameters, prior and belief drawn around shared
+    edge values, so sums land on the clamp bounds (where classes tie) and on
+    both signed zeros; the hit class is None, tracked or untracked."""
+    k = draw(st.integers(4, 6))
+    lo_, hi_ = sorted((draw(LOGODDS), draw(LOGODDS)))
+    assume(lo_ < hi_)
+
+    def uniform(v):
+        return np.array([0.0] + [v] * k)
+
+    params = SensorParams(
+        phi_plus=uniform(draw(LOGODDS)), phi_minus=uniform(draw(LOGODDS)),
+        psi_plus=uniform(draw(LOGODDS)), clamp_lo=uniform(lo_), clamp_hi=uniform(hi_),
+        alpha=draw(st.sampled_from([0.5, 0.25, 0.9]) | st.floats(0.01, 0.99)),
+    )
+    prior = uniform(draw(LOGODDS))
+    near = LOGODDS | st.sampled_from([lo_, hi_])
+    classes = draw(st.permutations(range(1, k + 1)))[:draw(st.integers(0, 3))]
+    others = draw(near | st.just(NEG_INF))
+    sem = TruncatedSemantics(
+        data=TruncatedSemantics._sorted((c, draw(near)) for c in classes), others=others
+    )
+    y = draw(st.none() | st.integers(1, k))
+    return sem, y, params, prior
+
+
+def _signed_zero_case():
+    """A tracked hit whose other tracked class sums to -0.0 before the
+    ``+ 0.0`` that the class-y boost leaves for it."""
+    params = replace(SensorParams.default(4), phi_plus=np.array([0.0, -0.0, -0.0, -0.0, -0.0]))
+    sem = TruncatedSemantics(data=((2, 1.0), (1, -0.0)), others=-1.0)
+    return sem, 2, params, lo.uniform_prior(4)
+
+
+@given(case=lumped_update_case())
+@example(case=_signed_zero_case())
+@settings(max_examples=400, deadline=None)
+def test_lumped_builder_is_the_per_element_update_bit_for_bit(case):
+    sem, y, params, prior = case
+    want = bits(reference_lumped_update(sem, y, params, prior))
+    assert bits(element_update(params, prior)(y)(sem)) == want
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_insert_scan_rejects_hit_class_beyond_k(k):
+    tree = SemanticOctree(1.0, 3, k)
+    beam = BeamMeasurement.planar((0.5, 0.5), 0.0, 3.5, k + 1, 8.0)
+    with pytest.raises(InvalidClass):
+        tree.insert_scan([beam], SensorParams.default(k))
+
+
+@pytest.mark.parametrize(
+    "name", ["phi_plus", "phi_minus", "psi_plus", "clamp_lo", "clamp_hi", "prior"]
+)
+@pytest.mark.parametrize("beams", [0, 1])
+def test_lumped_scan_rejects_class_dependent_parameters(name, beams):
+    params = SensorParams.default(5)
+    fields = {f: getattr(params, f).copy()
+              for f in ("phi_plus", "phi_minus", "psi_plus", "clamp_lo", "clamp_hi")}
+    prior = lo.uniform_prior(5)
+    vec = prior if name == "prior" else fields[name]
+    vec[3] += 0.5
+    tree = SemanticOctree(1.0, 3, 5, prior)
+    scan = [BeamMeasurement.planar((0.5, 0.5), 0.0, 3.5, 2, 8.0)][:beams]
+    with pytest.raises(ValueError, match="class-uniform"):
+        tree.insert_scan(scan, SensorParams(**fields, alpha=params.alpha))
 
 
 def test_lumped_episode_leaves_are_canonical():
