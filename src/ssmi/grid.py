@@ -114,6 +114,45 @@ class RayTrace:
         return np.diff(self.entries) * self.cell_size
 
 
+@dataclass(frozen=True)
+class SrleRay:
+    """Run-length encoded beam: consecutive cells sharing one belief.
+
+    ``widths[q]`` counts smallest-resolution elements in run q, ``chi_t`` the
+    current log-odds of the run and ``chi_0`` its prior.
+    """
+
+    widths: np.ndarray
+    chi_t: np.ndarray
+    chi_0: np.ndarray
+
+    def __post_init__(self):
+        widths = np.ascontiguousarray(self.widths, dtype=np.int64)
+        chi_t = np.ascontiguousarray(self.chi_t, dtype=np.float64)
+        chi_0 = np.ascontiguousarray(self.chi_0, dtype=np.float64)
+        if widths.ndim != 1 or np.any(widths < 1):
+            raise ValueError("run widths must be positive")
+        if chi_t.ndim != 2 or chi_t.shape[0] != widths.shape[0] or chi_0.shape != chi_t.shape:
+            raise ValueError("chi_t/chi_0 must be (Q, K+1) and share shape")
+        object.__setattr__(self, "widths", widths)
+        object.__setattr__(self, "chi_t", chi_t)
+        object.__setattr__(self, "chi_0", chi_0)
+
+    @property
+    def num_runs(self) -> int:
+        return int(self.widths.shape[0])
+
+    @property
+    def num_elements(self) -> int:
+        return int(self.widths.sum())
+
+    def expand(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-element (current, prior) log-odds; inverse of encode_runs."""
+        h_t = np.repeat(self.chi_t, self.widths, axis=0)
+        h_0 = np.repeat(self.chi_0, self.widths, axis=0)
+        return h_t, h_0
+
+
 def voxel_walk(g, d, s_max: float, dims) -> tuple[list[int], list[float]]:
     """Amanatides-Woo voxel walk in cell units with scalar floats.
 
@@ -184,7 +223,7 @@ def voxel_walk(g, d, s_max: float, dims) -> tuple[list[int], list[float]]:
 def cast(beam: BeamMeasurement, origin, cell_size: float, dims) -> RayTrace:
     """Trace ``beam`` through the box of ``dims`` cells of edge ``cell_size``
     whose low corner sits at ``origin`` (three floats); the one caster behind
-    ``GridMap.cast_ray`` and ``SemanticOctree.cast_elements``.
+    ``cast_ray`` on both maps, ``GridMap`` and ``SemanticOctree``.
 
     Cells beyond the hit cell are still listed (the information formulas
     need the full sequence to max range); the trace is truncated where the
@@ -260,6 +299,19 @@ class GridMap:
         :func:`cast`)."""
         return cast(beam, self.origin.tolist(), self.resolution, self.dims)
 
+    def encode_traces(self, traces: list[RayTrace]) -> tuple[SrleRay | None, list[int]]:
+        """The cells past each trace's sensor cell as runs for the run-length
+        kernel, stacked in trace order, and each trace's run count; the runs
+        are None when no trace has such a cell. Every run is one cell (width
+        1), on which the kernel performs exactly the per-cell recursion of
+        ``mi.beam_mi_dense``."""
+        counts = [len(trace) - 1 for trace in traces]
+        if not any(counts):
+            return None, counts
+        h_t = self.cells[tuple(np.concatenate([trace.cells[1:] for trace in traces]).T)]
+        widths = np.ones(h_t.shape[0], dtype=np.int64)
+        return SrleRay(widths, h_t, np.broadcast_to(self.prior, h_t.shape)), counts
+
     # -- updates -----------------------------------------------------------
 
     def integrate(self, beam: BeamMeasurement, params: SensorParams) -> "GridMap":
@@ -330,13 +382,7 @@ class GridMap:
         """Total Shannon entropy in nats over a half-open cell box
         ((lo), (hi)) or the whole map; an empty box contributes zero."""
         h = self.cells[self._box(region)].reshape(-1, self.num_classes + 1)
-        if h.size == 0:
-            return 0.0
-        logp = h - logodds.logsumexp(h, axis=-1)[..., None]
-        p = np.exp(logp)
-        with np.errstate(invalid="ignore"):
-            terms = np.where(p > 0.0, p * logp, 0.0)
-        return float(-np.sum(terms))
+        return logodds.entropy(h) if h.size else 0.0
 
     def observed_fraction(self, region=None) -> float:
         """Fraction of cells in a half-open box (or the whole map) that a

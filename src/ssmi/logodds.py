@@ -213,9 +213,10 @@ def clamp(h: np.ndarray, params: SensorParams) -> np.ndarray:
 
 
 def entropy(h: np.ndarray) -> float:
-    """Shannon entropy of the cell PMF in nats, with 0 ln 0 taken as 0."""
+    """Shannon entropy in nats of one cell's PMF, or the total over a stack
+    of cells (..., K+1), with 0 ln 0 taken as 0."""
     h = np.asarray(h, dtype=np.float64)
-    logp = h - logsumexp(h)
+    logp = h - np.expand_dims(logsumexp(h), -1)
     p = np.exp(logp)
     with np.errstate(invalid="ignore"):
         terms = np.where(p > 0.0, p * logp, 0.0)

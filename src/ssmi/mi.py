@@ -6,14 +6,16 @@ free. The information value is the expectation over those outcomes of the
 summed per-cell log-ratios (KL divergences) between the updated and current
 beliefs. Three evaluations of the same quantity live here:
 
-* ``beam_mi_dense``   - one forward pass over the per-cell sequence, O(K N)
 * ``beam_mi_srle``    - one forward pass over run-length-encoded homogeneous
-  segments with the inner geometric sums in closed form, O(K Q)
+  segments with the inner geometric sums in closed form, O(K Q); planning
+  runs it on both maps (``encode_traces``), the grid's runs being its cells
+* ``beam_mi_dense``   - one forward pass over the per-cell sequence, O(K N);
+  the reference the run-length pass is checked against
 * ``beam_mi_oracle``  - brute-force enumeration of the outcome tree using
   nothing but softmax, the posterior update, and a direct KL sum; the ground
-  truth the fast paths are tested against
+  truth the dense pass is tested against
 
-plus direct (non-recursive) counterparts of the two fast paths that rebuild
+plus direct (non-recursive) counterparts of the two passes that rebuild
 every prefix from scratch, used to validate the forward recursions.
 """
 
@@ -26,49 +28,10 @@ import numpy as np
 
 from . import logodds
 from .errors import EmptyRay, ScaleExceeded
-from .grid import BeamMeasurement, GridMap, RayTrace
+from .grid import BeamMeasurement, GridMap, RayTrace, SrleRay
 from .logodds import SensorParams
 
 LIMIT_EPS = 1e-9  # switch to the analytic limit of the geometric sums
-
-
-@dataclass(frozen=True)
-class SrleRay:
-    """Run-length encoded beam: consecutive cells sharing one belief.
-
-    ``widths[q]`` counts smallest-resolution elements in run q, ``chi_t`` the
-    current log-odds of the run and ``chi_0`` its prior.
-    """
-
-    widths: np.ndarray
-    chi_t: np.ndarray
-    chi_0: np.ndarray
-
-    def __post_init__(self):
-        widths = np.ascontiguousarray(self.widths, dtype=np.int64)
-        chi_t = np.ascontiguousarray(self.chi_t, dtype=np.float64)
-        chi_0 = np.ascontiguousarray(self.chi_0, dtype=np.float64)
-        if widths.ndim != 1 or np.any(widths < 1):
-            raise ValueError("run widths must be positive")
-        if chi_t.ndim != 2 or chi_t.shape[0] != widths.shape[0] or chi_0.shape != chi_t.shape:
-            raise ValueError("chi_t/chi_0 must be (Q, K+1) and share shape")
-        object.__setattr__(self, "widths", widths)
-        object.__setattr__(self, "chi_t", chi_t)
-        object.__setattr__(self, "chi_0", chi_0)
-
-    @property
-    def num_runs(self) -> int:
-        return int(self.widths.shape[0])
-
-    @property
-    def num_elements(self) -> int:
-        return int(self.widths.sum())
-
-    def expand(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-element (current, prior) log-odds; inverse of encode_runs."""
-        h_t = np.repeat(self.chi_t, self.widths, axis=0)
-        h_0 = np.repeat(self.chi_0, self.widths, axis=0)
-        return h_t, h_0
 
 
 def encode_runs(h_t: np.ndarray, h_0: np.ndarray) -> SrleRay:
@@ -147,20 +110,19 @@ def _beam_results(terms, p_detail, c_detail, log_pass, f_pass, spans,
     return out
 
 
-def beam_mi_dense_batch(
-    h_t: np.ndarray, h_0: np.ndarray, offsets, params: SensorParams,
-    return_detail: bool = False,
-) -> list[BeamMI]:
-    """Dense information of many beams in one vectorised pass.
+def beam_mi_dense(
+    h_t: np.ndarray, h_0: np.ndarray, params: SensorParams, return_detail: bool = False
+) -> BeamMI:
+    """Per-cell forward pass: expected log-ratio over the beam outcome tree.
 
-    ``h_t``/``h_0`` stack the (current, prior) log-odds of every beam's
-    cells, shape (sum N_b, K+1); beam b owns rows ``offsets[b]`` to
-    ``offsets[b + 1]``. The row-wise terms (softmax, f kernels) are computed
-    once over all rows; the prefix sums and the final reductions run on
-    each beam's own slice, so every beam's result is bit-identical to
-    evaluating it alone.
+    One free-update log-ratio and K hit-update log-ratios are evaluated per
+    cell; prefix products and sums carry the recursion, so the total work is
+    O(K N) for N cells. Planning evaluates beams with the run-length kernel;
+    this pass is the reference it is checked against.
     """
-    spans = _spans(offsets)
+    h_t = np.atleast_2d(np.asarray(h_t, dtype=np.float64))
+    h_0 = np.broadcast_to(np.asarray(h_0, dtype=np.float64), h_t.shape)
+    spans = _spans((0, h_t.shape[0]))
     lse = logodds.logsumexp(h_t, axis=-1)
     log_p0 = -np.asarray(lse)  # h_t[:, 0] == 0
     pmf = logodds.softmax_pmf(h_t)
@@ -175,21 +137,7 @@ def beam_mi_dense_batch(
     p_nk = pmf[:, 1:] * np.exp(before_log_p0)[:, None]
     c_nk = f_hit + before_f_free[:, None]
     terms = p_nk * c_nk
-    return _beam_results(terms, p_nk, c_nk, log_p0, f_free, spans, return_detail)
-
-
-def beam_mi_dense(
-    h_t: np.ndarray, h_0: np.ndarray, params: SensorParams, return_detail: bool = False
-) -> BeamMI:
-    """Per-cell forward pass: expected log-ratio over the beam outcome tree.
-
-    One free-update log-ratio and K hit-update log-ratios are evaluated per
-    cell; prefix products and sums carry the recursion, so the total work is
-    O(K N) for N cells. The one-beam case of :func:`beam_mi_dense_batch`.
-    """
-    h_t = np.atleast_2d(np.asarray(h_t, dtype=np.float64))
-    h_0 = np.broadcast_to(np.asarray(h_0, dtype=np.float64), h_t.shape)
-    return beam_mi_dense_batch(h_t, h_0, (0, h_t.shape[0]), params, return_detail)[0]
+    return _beam_results(terms, p_nk, c_nk, log_p0, f_free, spans, return_detail)[0]
 
 
 def beam_mi_dense_direct(h_t: np.ndarray, h_0: np.ndarray, params: SensorParams) -> float:
@@ -401,44 +349,20 @@ def select_nonoverlapping(traces: list[RayTrace], skip_first_cell: bool = True) 
     return chosen
 
 
-def _scatter(count: int, used: list[int], results: list[BeamMI]) -> list[BeamMI | None]:
-    """Per-trace results: kernel results at ``used``, None (no cells) elsewhere."""
-    out: list[BeamMI | None] = [None] * count
-    for i, res in zip(used, results):
+def _traces_mi(mapper, traces: list[RayTrace], params: SensorParams,
+               return_detail: bool = False) -> list[BeamMI | None]:
+    """Information of each trace's cells past the sensor cell, all traces in
+    one run-length kernel call over the runs the map encodes for them; None
+    for a trace without such cells."""
+    runs, counts = mapper.encode_traces(traces)
+    out: list[BeamMI | None] = [None] * len(traces)
+    if runs is None:
+        return out
+    used = [i for i, count in enumerate(counts) if count]
+    offsets = np.cumsum([0] + [counts[i] for i in used]).tolist()
+    for i, res in zip(used, beam_mi_srle_batch(runs, offsets, params, return_detail)):
         out[i] = res
     return out
-
-
-def _dense_results(gmap: GridMap, traces: list[RayTrace], params: SensorParams,
-                   return_detail: bool = False) -> list[BeamMI | None]:
-    """Dense information of each trace's cells past the sensor cell, all
-    traces in one kernel call."""
-    cells = [trace.cells[1:] for trace in traces]
-    used = [i for i, c in enumerate(cells) if c.shape[0]]
-    if not used:
-        return [None] * len(traces)
-    h_t = gmap.cells[tuple(np.concatenate([cells[i] for i in used]).T)]
-    h_0 = np.broadcast_to(gmap.prior, h_t.shape)
-    offsets = np.cumsum([0] + [cells[i].shape[0] for i in used]).tolist()
-    return _scatter(len(traces), used,
-                    beam_mi_dense_batch(h_t, h_0, offsets, params, return_detail))
-
-
-def _srle_results(tree, traces: list[RayTrace], params: SensorParams,
-                  return_detail: bool = False) -> list[BeamMI | None]:
-    """Run-length information of each trace past the sensor cell, all
-    traces in one kernel call."""
-    rays = [tree.encode_trace(trace, skip_first_cell=True) for trace in traces]
-    used = [i for i, ray in enumerate(rays) if ray is not None]
-    if not used:
-        return [None] * len(traces)
-    runs = SrleRay(
-        widths=np.concatenate([rays[i].widths for i in used]),
-        chi_t=np.concatenate([rays[i].chi_t for i in used]),
-        chi_0=np.concatenate([rays[i].chi_0 for i in used]),
-    )
-    offsets = np.cumsum([0] + [rays[i].num_runs for i in used]).tolist()
-    return _scatter(len(traces), used, beam_mi_srle_batch(runs, offsets, params, return_detail))
 
 
 @dataclass
@@ -480,14 +404,12 @@ def trajectories_mi(
     bit-identical to evaluating that trajectory alone. ``return_detail``
     fills each result's ``beams``; the values do not depend on it.
 
-    ``mapper`` is a GridMap (dense evaluation) or a semantic octree (run-
-    length evaluation over its leaves). Out-of-bounds beams propagate.
+    ``mapper`` is a GridMap or a semantic octree: it casts the beams and
+    encodes their runs (one per cell on the grid, one per stretch of equal
+    leaf beliefs on the octree) for :func:`beam_mi_srle_batch`. Out-of-bounds
+    beams propagate.
     """
-    from . import octree as octree_mod  # local import; octree depends on grid
-
-    is_tree = isinstance(mapper, octree_mod.SemanticOctree)
-    cast = mapper.cast_elements if is_tree else mapper.cast_ray
-    fan_traces = [[cast(b) for b in fan] for fan in fans]
+    fan_traces = [[mapper.cast_ray(b) for b in fan] for fan in fans]
     slots: dict[tuple[int, int], int] = {}  # kept (fan, beam) -> batch position
     kept: list[list[tuple[int, int]]] = []  # per trajectory: (beam index, position)
     totals: list[int] = []
@@ -497,8 +419,7 @@ def trajectories_mi(
         kept.append([(i, slots.setdefault(pairs[i], len(slots))) for i in keep])
         totals.append(len(pairs))
     traces = [fan_traces[f][b] for f, b in slots]
-    evaluate = _srle_results if is_tree else _dense_results
-    evaluated = evaluate(mapper, traces, params, return_detail)
+    evaluated = _traces_mi(mapper, traces, params, return_detail)
     results = []
     for picks, beams_total in zip(kept, totals):
         beams = [(i, evaluated[pos]) for i, pos in picks if evaluated[pos] is not None]
@@ -614,7 +535,7 @@ def mi_surface(
                 continue
             fan = fan_beams(gmap.cell_center((i, j, 0)), num_beams, max_range)
             total = 0.0
-            for res in _dense_results(gmap, [gmap.cast_ray(b) for b in fan], params):
+            for res in _traces_mi(gmap, [gmap.cast_ray(b) for b in fan], params):
                 if res is not None:
                     total += res.value
             out[i, j] = total

@@ -26,9 +26,8 @@ import numpy as np
 
 from . import logodds
 from .errors import CorruptMap, InvalidClass
-from .grid import GRID_MAGIC, BeamMeasurement, GridMap, RayTrace, cast
+from .grid import GRID_MAGIC, BeamMeasurement, GridMap, RayTrace, SrleRay, cast
 from .logodds import SensorParams
-from .mi import SrleRay
 
 OCTREE_MAGIC = b"SSMIOCT2"
 OCTREE_MAGIC_V1 = b"SSMIOCT1"  # read only
@@ -278,6 +277,15 @@ class SemanticOctree:
     def query_element(self, cell) -> TruncatedSemantics:
         return self.leaf_at(cell)[0]
 
+    def _box(self, region):
+        """A half-open element box ((lo), (hi)) inside the cube, or the whole
+        cube for None; ValueError for a box that is not inside it."""
+        if region is None:
+            return (0, 0, 0), self.dims
+        if not all(0 <= lo <= hi <= self.size_elements for lo, hi in zip(region[0], region[1])):
+            raise ValueError(f"box {region} is not inside the cube")
+        return region
+
     # -- updates ---------------------------------------------------------------
 
     def _write_element(self, cell, update) -> bool:
@@ -323,7 +331,7 @@ class SemanticOctree:
         debug = log.isEnabledFor(logging.DEBUG)
         visited = 0
         for beam in beams:
-            trace = self.cast_elements(beam)
+            trace = self.cast_ray(beam)
             cells = trace.cells.tolist()
             end = trace.hit_index if trace.hit_index is not None else len(cells)
             for cell in cells[:end]:
@@ -380,7 +388,7 @@ class SemanticOctree:
 
     # -- ray casting -------------------------------------------------------------
 
-    def cast_elements(self, beam: BeamMeasurement) -> RayTrace:
+    def cast_ray(self, beam: BeamMeasurement) -> RayTrace:
         """Element-resolution trace through the cube: the dense grid's caster
         with the element size and cube extent, so grid and tree agree on
         what a beam touches."""
@@ -412,9 +420,25 @@ class SemanticOctree:
         chi_0 = np.broadcast_to(self.prior, chi_t.shape).copy()
         return SrleRay(widths=np.asarray(widths, dtype=np.int64), chi_t=chi_t, chi_0=chi_0)
 
+    def encode_traces(self, traces: list[RayTrace]) -> tuple[SrleRay | None, list[int]]:
+        """The runs past each trace's sensor cell (``encode_trace`` with
+        ``skip_first_cell``), stacked in trace order, and each trace's run
+        count; the runs are None when no trace has a cell past its sensor
+        cell."""
+        rays = [self.encode_trace(trace, skip_first_cell=True) for trace in traces]
+        counts = [0 if ray is None else ray.num_runs for ray in rays]
+        rays = [ray for ray in rays if ray is not None]
+        if not rays:
+            return None, counts
+        return SrleRay(
+            widths=np.concatenate([ray.widths for ray in rays]),
+            chi_t=np.concatenate([ray.chi_t for ray in rays]),
+            chi_0=np.concatenate([ray.chi_0 for ray in rays]),
+        ), counts
+
     def raycast_srle(self, beam: BeamMeasurement) -> SrleRay:
         """Cast a beam and return its run-length encoded belief sequence."""
-        return self.encode_trace(self.cast_elements(beam), skip_first_cell=False)
+        return self.encode_trace(self.cast_ray(beam), skip_first_cell=False)
 
     # -- aggregates ----------------------------------------------------------------
 
@@ -448,9 +472,7 @@ class SemanticOctree:
         """The distinct beliefs of the leaves overlapping a box (element
         coordinates, ((lo),(hi)) half-open, inside the cube) and an int array
         over the box holding each element's position in that list."""
-        (bx, by, bz), (ex, ey, ez) = box
-        if not all(0 <= lo <= hi <= self.size_elements for lo, hi in zip(box[0], box[1])):
-            raise ValueError(f"box {box} is not inside the cube")
+        (bx, by, bz), (ex, ey, ez) = box = self._box(box)
         index = np.empty((ex - bx, ey - by, ez - bz), dtype=np.intp)
         ids: dict[TruncatedSemantics, int] = {}
         units, unit_ids = [], []
@@ -481,10 +503,9 @@ class SemanticOctree:
         leaf pass. Each belief's entropy and observed flag are cached on the
         tree across calls, keyed by the belief value: both are pure
         functions of it, so an entry is never stale. A pass keeps the
-        entries of the beliefs it met and drops the rest."""
-        (bx, by, bz), (ex, ey, ez) = box = region if region is not None else ((0, 0, 0), self.dims)
-        if bx > ex or by > ey or bz > ez:
-            return 0.0, 0.0  # an inverted box holds no element
+        entries of the beliefs it met and drops the rest. A box not inside
+        the cube raises ValueError, as on the grid."""
+        (bx, by, bz), (ex, ey, ez) = box = self._box(region)
         cache, kept = self._belief_stats, {}
         entropy = 0.0
         total = seen = 0

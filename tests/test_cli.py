@@ -194,7 +194,7 @@ def _dump_rows_reference(mapper, fan, params):
     from ssmi import mi
 
     tree = isinstance(mapper, SemanticOctree)
-    traces = [mapper.cast_elements(b) if tree else mapper.cast_ray(b) for b in fan]
+    traces = [mapper.cast_ray(b) for b in fan]
     keep = mi.select_nonoverlapping(traces)
     rows = []
     for idx in keep:

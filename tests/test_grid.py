@@ -298,7 +298,7 @@ def test_octree_and_grid_cast_same_geometry(rng):
         d = rng.normal(size=3)
         r_max = float(rng.uniform(0.1, 8.0))
         beam = BeamMeasurement(origin, d / np.linalg.norm(d), r_max / 2, 1, r_max)
-        a, b = gmap.cast_ray(beam), tree.cast_elements(beam)
+        a, b = gmap.cast_ray(beam), tree.cast_ray(beam)
         np.testing.assert_array_equal(a.cells, b.cells)
         assert a.entries == b.entries
         assert a.hit_index == b.hit_index

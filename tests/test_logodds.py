@@ -205,11 +205,15 @@ def test_entropy_green_wall_value():
 
 
 def test_entropy_range(rng):
-    for _ in range(50):
-        h = np.zeros(4)
+    rows = np.zeros((50, 4))
+    for h in rows:
         h[1:] = rng.uniform(-8, 8, 3)
         e = lo.entropy(h)
         assert 0.0 <= e <= math.log(4) + 1e-15
+    # a stack of beliefs, of any leading shape, gives the total
+    total = sum(lo.entropy(h) for h in rows)
+    assert lo.entropy(rows) == pytest.approx(total, rel=1e-13)
+    assert lo.entropy(rows.reshape(5, 10, 4)) == lo.entropy(rows)
 
 
 # -- f kernel -----------------------------------------------------------------------

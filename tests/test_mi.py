@@ -13,10 +13,10 @@ from ssmi import mi as mi_mod
 from ssmi.errors import EmptyRay, ScaleExceeded
 from ssmi.grid import BeamMeasurement, GridMap
 from ssmi.logodds import SensorParams
+from ssmi.octree import SemanticOctree
 from ssmi.mi import (
     SrleRay,
     beam_mi_dense,
-    beam_mi_dense_batch,
     beam_mi_dense_direct,
     beam_mi_oracle,
     beam_mi_srle,
@@ -26,6 +26,7 @@ from ssmi.mi import (
     encode_runs,
     fan_beams,
     select_nonoverlapping,
+    trajectories_mi,
     trajectory_mi,
 )
 from conftest import random_logodds
@@ -119,16 +120,6 @@ def test_single_run_equals_repeated_cells(params3, rng):
     a = beam_mi_srle(ray, params3).value
     b = beam_mi_dense(np.tile(chi, (9, 1)), np.zeros((9, 4)), params3).value
     assert a == pytest.approx(b, rel=1e-10)
-
-
-def test_unit_width_runs_degenerate_to_dense(params3, rng):
-    chi_t = random_logodds(rng, 6, 3)
-    chi_0 = random_logodds(rng, 6, 3, scale=2.0)
-    ray = SrleRay(widths=np.ones(6, dtype=int), chi_t=chi_t, chi_0=chi_0)
-    srle = beam_mi_srle(ray, params3, return_detail=True)
-    dense = beam_mi_dense(chi_t, chi_0, params3, return_detail=True)
-    assert srle.value == pytest.approx(dense.value, rel=1e-12)
-    np.testing.assert_allclose(srle.terms, dense.terms, rtol=1e-12, atol=1e-300)
 
 
 def test_saturated_free_run_limit_branch(params3):
@@ -278,23 +269,57 @@ def cell_rows(rng, kinds, k, clamp):
 beam_kinds = st.lists(st.lists(st.integers(0, 4), min_size=1, max_size=9), min_size=1, max_size=7)
 
 
+def beam_rows(rng, beams, k, clamp):
+    """(current, prior) log-odds rows of each beam's cells, one ``cell_rows``
+    kind per cell; half the beams share one prior row, as on a map."""
+    out = []
+    for kinds in beams:
+        h_t = cell_rows(rng, kinds, k, clamp)
+        if rng.random() < 0.5:
+            h_0 = np.broadcast_to(cell_rows(rng, [int(rng.integers(5))], k, clamp)[0], h_t.shape)
+        else:
+            h_0 = cell_rows(rng, rng.integers(0, 5, len(h_t)), k, clamp)
+        out.append((h_t, h_0))
+    return out
+
+
+def assert_same_bits(got, want):
+    """Values and term sums equal as floats, signed zeros included; the term
+    breakdowns equal element for element."""
+    assert ([v.hex() for v in (got.value, got.hit_term, got.free_term)]
+            == [v.hex() for v in (want.value, want.hit_term, want.free_term)])
+    for a, b in ((got.terms, want.terms), (got.p_detail, want.p_detail),
+                 (got.c_detail, want.c_detail)):
+        assert a.shape == b.shape and np.array_equal(a, b)
+
+
 @given(k=st.integers(1, 5), beams=beam_kinds, clamp=st.sampled_from([4.0, 6.0, 12.0]),
        seed=st.integers(0, 2**32 - 1), detail=st.booleans())
 @settings(max_examples=300, deadline=None)
-def test_dense_batch_equals_single_beam_reference(k, beams, clamp, seed, detail):
+def test_dense_equals_single_beam_reference(k, beams, clamp, seed, detail):
     rng = np.random.default_rng(seed)
     params = SensorParams.default(k, clamp_limit=clamp)
-    h_t = [cell_rows(rng, kinds, k, clamp) for kinds in beams]
-    h_0 = [np.broadcast_to(cell_rows(rng, [int(rng.integers(5))], k, clamp)[0], h.shape)
-           if rng.random() < 0.5 else cell_rows(rng, rng.integers(0, 5, len(h)), k, clamp)
-           for h in h_t]
-    offsets = np.cumsum([0] + [len(h) for h in h_t]).tolist()
-    batch = beam_mi_dense_batch(np.concatenate(h_t), np.concatenate(h_0), offsets, params, detail)
-    assert len(batch) == len(beams)
-    for b in range(len(beams)):
-        ref = beam_mi_dense_reference(h_t[b], h_0[b], params, detail)
-        assert_same_result(batch[b], ref, detail)
-        assert_same_result(beam_mi_dense(h_t[b], h_0[b], params, detail), ref, detail)
+    for h_t, h_0 in beam_rows(rng, beams, k, clamp):
+        ref = beam_mi_dense_reference(h_t, h_0, params, detail)
+        assert_same_result(beam_mi_dense(h_t, h_0, params, detail), ref, detail)
+
+
+@given(k=st.integers(1, 3), beams=beam_kinds, clamp=st.sampled_from([4.0, 6.0, 12.0]),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_unit_width_runs_degenerate_to_dense(k, beams, clamp, seed):
+    """On runs of width 1 the run-length kernel is the dense recursion bit
+    for bit (s0 = 1, s1 = 0), beams stacked in one batch call."""
+    rng = np.random.default_rng(seed)
+    params = SensorParams.default(k, clamp_limit=clamp)
+    rows = beam_rows(rng, beams, k, clamp)
+    h_t = np.concatenate([t for t, _ in rows])
+    runs = SrleRay(widths=np.ones(len(h_t), dtype=np.int64), chi_t=h_t,
+                   chi_0=np.concatenate([z for _, z in rows]))
+    offsets = np.cumsum([0] + [len(t) for t, _ in rows]).tolist()
+    batch = beam_mi_srle_batch(runs, offsets, params, return_detail=True)
+    for got, (t, z) in zip(batch, rows, strict=True):
+        assert_same_bits(got, beam_mi_dense(t, z, params, return_detail=True))
 
 
 @given(k=st.integers(1, 5), beams=beam_kinds, clamp=st.sampled_from([4.0, 6.0, 12.0]),
@@ -334,8 +359,9 @@ def test_limit_branch_reached_by_near_free_runs():
 
 def test_batch_rejects_empty_segment(params3):
     h = np.zeros((3, 4))
+    runs = SrleRay(widths=np.ones(3, dtype=np.int64), chi_t=h, chi_0=h)
     with pytest.raises(EmptyRay):
-        beam_mi_dense_batch(h, h, [0, 2, 2, 3], params3)
+        beam_mi_srle_batch(runs, [0, 2, 2, 3], params3)
 
 
 # -- beam selection -----------------------------------------------------------------
@@ -400,6 +426,79 @@ def test_flat_key_selection_matches_tuple_sets(dims, rng):
 
 
 # -- trajectory ------------------------------------------------------------------------
+
+
+def dense_results_reference(gmap, traces, params, return_detail=False):
+    """Planning's grid evaluation before it went through the run-length
+    kernel: each trace's cells past the sensor cell gathered with one index,
+    then the dense pass per beam (which equalled the dense batch kernel per
+    beam bit for bit); None for a trace without such cells."""
+    cells = [trace.cells[1:] for trace in traces]
+    used = [i for i, c in enumerate(cells) if c.shape[0]]
+    out = [None] * len(traces)
+    if not used:
+        return out
+    h_t = gmap.cells[tuple(np.concatenate([cells[i] for i in used]).T)]
+    h_0 = np.broadcast_to(gmap.prior, h_t.shape)
+    offsets = np.cumsum([0] + [cells[i].shape[0] for i in used]).tolist()
+    for i, start, end in zip(used, offsets[:-1], offsets[1:]):
+        out[i] = beam_mi_dense(h_t[start:end], h_0[start:end], params, return_detail)
+    return out
+
+
+@given(k=st.integers(1, 5), clamp=st.sampled_from([4.0, 6.0, 12.0]),
+       seed=st.integers(0, 2**32 - 1), num_beams=st.integers(1, 12))
+@settings(max_examples=100, deadline=None)
+def test_trajectories_mi_on_grid_matches_dense_reference(k, clamp, seed, num_beams):
+    rng = np.random.default_rng(seed)
+    params = SensorParams.default(k, clamp_limit=clamp)
+    dims = (9, 7, 4)
+    prior = cell_rows(rng, [int(rng.choice([0, 2, 4]))], k, clamp)[0]
+    gmap = GridMap(dims, 0.5, k, prior=prior)
+    gmap.cells = cell_rows(rng, rng.integers(0, 5, math.prod(dims)), k, clamp).reshape(
+        dims + (k + 1,))
+    extent = np.array(dims) * 0.5
+    # the first beam leaves the map from its sensor cell: no cell past it
+    beams = [BeamMeasurement(np.array([0.25, 1.0, 1.0]), np.array([-1.0, 0.0, 0.0]), 3.0, None, 3.0)]
+    for _ in range(num_beams):
+        d = rng.normal(size=3)
+        beams.append(BeamMeasurement(rng.uniform(0.0, 1.0, 3) * extent, d / np.linalg.norm(d),
+                                     4.0, None, 4.0))
+    want = dense_results_reference(gmap, [gmap.cast_ray(b) for b in beams], params, True)
+    assert want[0] is None
+    # one trajectory per beam, then all beams in one trajectory
+    fans = [[b] for b in beams]
+    trajectories = [[i] for i in range(len(beams))] + [list(range(len(beams)))]
+    got = trajectories_mi(gmap, fans, trajectories, params, return_detail=True).trajectories
+    for traj, ref in zip(got, want):
+        if ref is None:
+            assert traj.beams == [] and traj.value == 0.0
+        else:
+            assert [i for i, _ in traj.beams] == [0]
+            assert_same_bits(traj.beams[0][1], ref)
+            assert traj.value.hex() == (0.0 + ref.value).hex()
+    total = 0.0
+    for i, res in got[-1].beams:
+        assert_same_bits(res, want[i])
+        total += want[i].value
+    assert got[-1].value.hex() == total.hex()
+
+
+@pytest.mark.parametrize("kind", ["grid", "octree"])
+def test_no_cell_past_the_sensor_cells_calls_no_kernel(kind, params3, monkeypatch):
+    mapper = GridMap((8, 8, 8), 1.0, 3) if kind == "grid" else SemanticOctree(1.0, 3, 3)
+    outward = BeamMeasurement(np.array([0.5, 3.5, 3.5]), np.array([-1.0, 0.0, 0.0]),
+                              2.0, None, 2.0)
+    assert mapper.encode_traces([mapper.cast_ray(outward)] * 2) == (None, [0, 0])
+
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("kernel called without runs")
+
+    monkeypatch.setattr(mi_mod, "beam_mi_srle_batch", no_kernel)
+    got = trajectories_mi(mapper, [[outward, outward], []], [[0], [1], []], params3,
+                          return_detail=True)
+    assert [(t.value, t.beams_total, t.beams_kept, t.beams) for t in got.trajectories] == [
+        (0.0, 2, 2, []), (0.0, 0, 0, []), (0.0, 0, 0, [])]
 
 
 def test_trajectory_single_beam_equals_beam_mi(params1):

@@ -466,7 +466,7 @@ def test_srle_expansion_matches_element_queries(params3, rng):
         tree.insert_scan([random_beam(rng)], params3)
     for _ in range(10):
         beam = random_beam(rng, r_max=25.0)
-        trace = tree.cast_elements(beam)
+        trace = tree.cast_ray(beam)
         ray = tree.encode_trace(trace)
         assert ray.num_elements == len(trace)
         expanded, _ = ray.expand()
@@ -548,6 +548,20 @@ def test_map_state_is_both_aggregates_on_either_map(params3, rng):
                     assert m.map_state(box) == (m.map_entropy(box), m.observed_fraction(box))
                 assert tree.map_state(box) == leaf_sums(tree, box or ((0, 0, 0), tree.dims))
     assert 0.0 < tree.observed_fraction() < 1.0
+
+
+@pytest.mark.parametrize("kind", ["grid", "octree"])
+def test_aggregates_reject_boxes_outside_the_map(kind, params3):
+    m = GridMap((8, 8, 8), 1.0, 3) if kind == "grid" else SemanticOctree(1.0, 3, 3)
+    m.insert_scan([BeamMeasurement.planar((0.5, 3.5), 0.0, 6.5, 2, 9.0, z=3.5)], params3)
+    inverted = ((4, 0, 0), (2, 8, 8))
+    past_extent = ((0, 0, 0), (12, 12, 12))
+    negative_corner = ((-2, 0, 0), (4, 4, 4))
+    for box in (inverted, past_extent, negative_corner):
+        for query in (m.map_state, m.map_entropy, m.observed_fraction):
+            with pytest.raises(ValueError):
+                query(box)
+    assert m.map_state(((2, 2, 2), (2, 5, 5))) == (0.0, 0.0)
 
 
 def test_grid_and_octree_answer_the_shared_calls_alike(params3):

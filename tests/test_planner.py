@@ -339,8 +339,7 @@ def test_frontier_selector_picks_largest():
 def trajectory_mi_reference(mapper, fans, params):
     """Per-beam trajectory sum, one single-beam evaluation per kept beam."""
     is_tree = isinstance(mapper, SemanticOctree)
-    cast = mapper.cast_elements if is_tree else mapper.cast_ray
-    traces = [cast(b) for fan in fans for b in fan]
+    traces = [mapper.cast_ray(b) for fan in fans for b in fan]
     total = 0.0
     for idx in select_nonoverlapping(traces):
         if is_tree:
