@@ -1,10 +1,11 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 check failure (oracle-check tolerance breach),
-2 usage or configuration error, 3 runtime abort. Every subcommand prints its
-resolved configuration before doing work, and every CSV artifact carries a
-``# config-hash:`` comment so runs can be traced and reproduced. Set
-``SSMI_LOG`` to a logging level name for diagnostics.
+2 usage or configuration error (a bad argument or config value, or a path
+that cannot be opened), 3 runtime abort (a corrupt map file among them).
+Every subcommand prints its resolved configuration before doing work, and
+every CSV artifact carries a ``# config-hash:`` comment so runs can be traced
+and reproduced. Set ``SSMI_LOG`` to a logging level name for diagnostics.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import concurrent.futures
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -170,12 +172,11 @@ def cmd_mi_surface(args) -> int:
     mapper = _load_any_map(args.map)
     if isinstance(mapper, SemanticOctree):
         mapper = grid_from_octree(mapper)
-    params = _map_params(args, mapper.num_classes)
+    # --binary is the occupancy-only surface: the one-class profile, whatever --config says
+    params = SensorParams.default(1) if args.binary else _map_params(args, mapper.num_classes)
     print(f"resolved config:\n  map: {args.map}\n  beams: {args.beams}"
           f"\n  r_max: {args.r_max}\n  binary: {args.binary}")
-    surface = mi_mod.mi_surface(
-        mapper, params, num_beams=args.beams, max_range=args.r_max, binary=args.binary
-    )
+    surface = mi_mod.mi_surface(mapper, params, num_beams=args.beams, max_range=args.r_max)
     cfg_hash = SimConfig().config_hash() if not args.config else load_config(args.config).config_hash()
     with open(args.out, "w") as fh:
         fh.write(f"# config-hash: {cfg_hash}\n")
@@ -271,6 +272,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError("must be positive and finite")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ssmi",
@@ -294,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", type=float, default=0.5)
     p.add_argument("--heading", type=float, default=0.0)
     p.add_argument("--beams", type=_positive_int, default=16)
-    p.add_argument("--r-max", type=float, default=10.0)
+    p.add_argument("--r-max", type=_positive_float, default=10.0)
     p.add_argument("--config")
     p.add_argument("--out", help="write the per-term breakdown CSV here")
     p.set_defaults(func=cmd_mi_eval)
@@ -303,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--beams", type=_positive_int, default=16)
-    p.add_argument("--r-max", type=float, default=None)
+    p.add_argument("--r-max", type=_positive_float, default=None)
     p.add_argument("--binary", action="store_true", help="occupancy-collapsed values")
     p.add_argument("--config")
     p.set_defaults(func=cmd_mi_surface)
@@ -348,7 +356,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a path given on the command line: missing, a directory, unreadable
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SsmiError as exc:

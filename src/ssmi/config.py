@@ -23,6 +23,11 @@ class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
 
 
+def _require_positive(value, name: str) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ConfigError(f"{name} must be positive and finite, got {value!r}")
+
+
 @dataclass
 class EnvConfig:
     profile: str = "random"  # random | structured | corridor
@@ -35,6 +40,7 @@ class EnvConfig:
         self.dims = tuple(int(d) for d in self.dims)
         if self.profile not in ("random", "structured", "corridor"):
             raise ConfigError(f"unknown env profile {self.profile!r}")
+        _require_positive(self.resolution, "env.resolution")
 
 
 @dataclass
@@ -50,6 +56,10 @@ class SensorConfig:
             raise ConfigError("sensor.num_beams must be >= 1")
         if not 0.0 <= self.misclass_prob < 1.0:
             raise ConfigError("sensor.misclass_prob must be in [0, 1)")
+        _require_positive(self.r_max, "sensor.r_max")
+        if not (math.isfinite(self.range_sigma) and self.range_sigma >= 0.0):
+            raise ConfigError(
+                f"sensor.range_sigma must be finite and >= 0, got {self.range_sigma!r}")
 
 
 @dataclass
@@ -64,6 +74,7 @@ class MapperConfig:
     def __post_init__(self):
         if self.type not in ("grid", "octree"):
             raise ConfigError(f"unknown mapper type {self.type!r}")
+        _require_positive(self.clamp_limit, "mapper.clamp_limit")
 
     def sensor_params(self, num_classes: int) -> SensorParams:
         return SensorParams.default(

@@ -423,8 +423,8 @@ GRID_HEADER = struct.Struct("<8sH3IdH3d")  # magic, version, dims, resolution, K
 
 def load_grid(path) -> GridMap:
     """Read a ``save_grid`` file. Raises CorruptMap when the file is not a
-    grid map of this version, is truncated, has trailing bytes, or holds a
-    header the format does not allow."""
+    grid map of this version, is truncated, has trailing bytes, holds a
+    header the format does not allow, or holds a NaN or infinite log-odds."""
     with open(path, "rb") as fh:
         buf = fh.read()
     if buf[:8] != GRID_MAGIC:
@@ -452,9 +452,12 @@ def load_grid(path) -> GridMap:
     if end != len(buf):
         raise CorruptMap(f"{path}: {len(buf) - end} trailing bytes")
     prior = np.frombuffer(buf, "<f4", width, GRID_HEADER.size).astype(np.float64)
+    cells = np.frombuffer(buf, "<f4", count * width, cells_at).astype(np.float64)
+    for name, values in (("prior", prior), ("cells", cells)):
+        if not np.isfinite(values).all():
+            raise CorruptMap(f"{path}: non-finite log-odds in the {name}")
     prior[0] = 0.0
     gmap = GridMap(dims, resolution, num_classes, prior, origin)
-    cells = np.frombuffer(buf, "<f4", count * width, cells_at).astype(np.float64)
     gmap.cells = cells.reshape(dims + (width,))
     gmap.cells[..., 0] = 0.0
     gmap.observed = np.frombuffer(buf, np.uint8, count, mask_at).astype(bool).reshape(dims)

@@ -17,6 +17,10 @@ beliefs. Three evaluations of the same quantity live here:
 
 plus direct (non-recursive) counterparts of the two passes that rebuild
 every prefix from scratch, used to validate the forward recursions.
+
+The occupancy-only baseline (FSMI, Zhang et al., ICRA 2019) is a one-class
+``SensorParams`` on a map with more classes: the runs of either map are then
+collapsed to occupied/free (``collapse_to_binary``) before the kernel call.
 """
 
 from __future__ import annotations
@@ -353,11 +357,21 @@ def _traces_mi(mapper, traces: list[RayTrace], params: SensorParams,
                return_detail: bool = False) -> list[BeamMI | None]:
     """Information of each trace's cells past the sensor cell, all traces in
     one run-length kernel call over the runs the map encodes for them; None
-    for a trace without such cells."""
+    for a trace without such cells.
+
+    A one-class ``params`` on a map with more classes evaluates the collapse
+    of the runs as the map merged them on full beliefs; the kernel is exact
+    on neighbours that collapse to equal values. Other K mismatches raise."""
+    collapse = params.num_classes != mapper.num_classes
+    if collapse and params.num_classes != 1:
+        raise ValueError("sensor profile and map disagree on K")
     runs, counts = mapper.encode_traces(traces)
     out: list[BeamMI | None] = [None] * len(traces)
     if runs is None:
         return out
+    if collapse:
+        runs = SrleRay(runs.widths, collapse_to_binary(runs.chi_t),
+                       collapse_to_binary(runs.chi_0))
     used = [i for i, count in enumerate(counts) if count]
     offsets = np.cumsum([0] + [counts[i] for i in used]).tolist()
     for i, res in zip(used, beam_mi_srle_batch(runs, offsets, params, return_detail)):
@@ -466,18 +480,6 @@ def collapse_to_binary(h: np.ndarray) -> np.ndarray:
     return out
 
 
-def collapse_map_to_binary(gmap: GridMap) -> GridMap:
-    """Occupancy-only copy of a grid map: every cell and the prior collapsed
-    with :func:`collapse_to_binary`, observation flags kept."""
-    out = GridMap(
-        gmap.dims, gmap.resolution, 1,
-        prior=collapse_to_binary(gmap.prior), origin=gmap.origin,
-    )
-    out.cells = collapse_to_binary(gmap.cells)
-    out.observed = gmap.observed.copy()
-    return out
-
-
 def fan_beams(
     center: np.ndarray,
     num_beams: int,
@@ -509,13 +511,13 @@ def mi_surface(
     params: SensorParams,
     num_beams: int = 16,
     max_range: float | None = None,
-    binary: bool = False,
 ) -> np.ndarray:
     """Information of a full fan at every free-labeled cell of a 2-D map.
 
     Returns an (nx, ny) array; cells whose most likely class is not free hold
-    0. ``binary`` evaluates the occupancy-only collapse instead, using a
-    1-class sensor profile.
+    0. A one-class ``params`` (``SensorParams.default(1)``) gives the
+    occupancy-only surface of a multi-class map; free cells are still picked
+    by the full belief.
 
     The surface is a per-cell field for inspection, so every beam of the fan
     is summed (each beam's value is exact on its own); the non-overlap
@@ -525,9 +527,6 @@ def mi_surface(
     if max_range is None:
         max_range = max(gmap.dims[:2]) * gmap.resolution
     labels = gmap.most_likely()[:, :, 0]
-    if binary:
-        gmap = collapse_map_to_binary(gmap)
-        params = SensorParams.default(1)
     out = np.zeros(gmap.dims[:2], dtype=np.float64)
     for i in range(gmap.dims[0]):
         for j in range(gmap.dims[1]):

@@ -611,7 +611,8 @@ def load_octree(path) -> SemanticOctree:
     """Read a ``.ssmioct`` file of version 2, or of version 1, whose f32
     inner-node summaries are checked and skipped. Raises CorruptMap when the
     file is truncated, has trailing bytes, or holds a header or node record
-    the format does not allow."""
+    the format does not allow, a NaN or infinite prior or tracked value, or
+    a NaN or +inf lump."""
     with open(path, "rb") as fh:
         buf = fh.read()
     pos = 0
@@ -647,10 +648,11 @@ def load_octree(path) -> SemanticOctree:
     if v1 and summary_flag not in (0, 1):
         raise CorruptMap(f"{path}: unknown summary flag {summary_flag}")
     prior = np.array(take(f"<{num_classes + 1}{real}"), dtype=np.float64)
-    if v1:
-        prior[0] = 0.0
-    elif prior[0] != 0.0:
+    if not v1 and prior[0] != 0.0:
         raise CorruptMap(f"{path}: prior pivot {float(prior[0])!r} is not 0")
+    if not np.isfinite(prior).all():
+        raise CorruptMap(f"{path}: non-finite prior {prior.tolist()}")
+    prior[0] = 0.0  # a version-1 pivot is read but not required to be 0
     tree = SemanticOctree(element_size, max_depth, num_classes, prior, origin)
 
     def read_belief() -> TruncatedSemantics:
@@ -665,6 +667,9 @@ def load_octree(path) -> SemanticOctree:
                 f"in 1..{num_classes}"
             )
         (others,) = take(f"<{real}")
+        # the lump is -inf when no class is untracked; nothing else may be non-finite
+        if not all(math.isfinite(v) for _, v in data) or math.isnan(others) or others == math.inf:
+            raise CorruptMap(f"{path}: non-finite belief {data} lump {others!r} before byte {pos}")
         # a stable sort on the value alone keeps tied classes in the order they
         # were saved: an f64 tie can be stored out of class order (the clamp
         # after a lumped update), and f64 values an ulp apart can tie in f32

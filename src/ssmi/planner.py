@@ -21,7 +21,6 @@ from scipy import ndimage
 
 from . import mi as mi_mod
 from .errors import AllUnreachable, NoFrontiers, Unreachable
-from .grid import GridMap
 from .logodds import SensorParams
 
 log = logging.getLogger(__name__)
@@ -205,6 +204,9 @@ class PlannerConfig:
     def __post_init__(self):
         if self.selector not in ("ssmi", "frontier", "fsmi-binary"):
             raise ValueError(f"unknown selector {self.selector!r}")
+        if not (math.isfinite(self.beam_range) and self.beam_range > 0.0):
+            raise ValueError(
+                f"planner.beam_range must be positive and finite, got {self.beam_range!r}")
 
 
 @dataclass
@@ -225,21 +227,16 @@ def evaluate_candidates(
 ) -> list[CandidatePlan]:
     """Path and information score for every reachable frontier.
 
-    The ``frontier`` selector scores by cluster size alone; ``fsmi-binary``
-    evaluates beam information on the occupancy-collapsed map with a 1-class
-    sensor profile; ``ssmi`` uses the full multi-class map. Sensing poses
-    shared by several candidates are cast once, and all candidates are
-    evaluated in one :func:`ssmi.mi.trajectories_mi` call.
+    The ``frontier`` selector scores by cluster size alone; ``ssmi`` uses
+    ``params`` on the full multi-class map; ``fsmi-binary`` uses the
+    one-class profile ``SensorParams.default(1)``, under which
+    :func:`ssmi.mi.trajectories_mi` evaluates the occupancy-only collapse of
+    either map. Sensing poses shared by several candidates are cast once,
+    and all candidates are evaluated in one ``trajectories_mi`` call.
     """
     frontiers = find_frontiers(view, config.min_frontier_size)
     if config.selector == "fsmi-binary":
-        if not isinstance(mapper, GridMap):
-            raise ValueError("fsmi-binary planning requires a dense grid map")
-        eval_map = mi_mod.collapse_map_to_binary(mapper)
-        eval_params = SensorParams.default(1)
-    else:
-        eval_map = mapper
-        eval_params = params
+        params = SensorParams.default(1)
 
     planned = []
     for idx, frontier in enumerate(frontiers):
@@ -268,7 +265,7 @@ def evaluate_candidates(
                 fans.append(mi_mod.fan_beams(view.cell_center(cell), config.num_beams,
                                              config.beam_range, heading, config.fov))
         trajectories.append([fan_index[pose] for pose in poses])
-    batch = mi_mod.trajectories_mi(eval_map, fans, trajectories, eval_params)
+    batch = mi_mod.trajectories_mi(mapper, fans, trajectories, params)
     log.debug(
         "%d candidates, %d sensing poses (%d distinct), %d beams cast, "
         "%d kept over candidates, %d distinct kept beams evaluated",

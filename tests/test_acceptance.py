@@ -177,7 +177,7 @@ def test_a6_semantic_walls_distinguished_binary_blind():
         gmap.set_cell((green_x, y, 0), green)
     params = SensorParams.default(2)
     multi = mi_surface(gmap, params, num_beams=16, max_range=6.0)
-    binary = mi_surface(gmap, params, num_beams=16, max_range=6.0, binary=True)
+    binary = mi_surface(gmap, SensorParams.default(1), num_beams=16, max_range=6.0)
 
     def region_max(surface, wall_x):
         best = 0.0

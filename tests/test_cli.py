@@ -1,6 +1,7 @@
 """Command line contract: exit codes, artifacts, reproducibility."""
 
 import json
+import math
 import time
 
 import numpy as np
@@ -9,7 +10,10 @@ import yaml
 
 from ssmi import check
 from ssmi.cli import main
-from ssmi.grid import BeamMeasurement, GridMap, save_grid
+from ssmi import logodds as lo
+from ssmi.grid import BeamMeasurement, GridMap, load_grid, save_grid
+from ssmi.logodds import SensorParams
+from ssmi.mi import beam_mi_dense, collapse_to_binary, fan_beams
 from ssmi.octree import SemanticOctree, load_octree, save_octree
 
 
@@ -154,6 +158,107 @@ def test_mi_surface_empty_map_interior_uniform(tmp_path):
     grid = np.array([[float(v) for v in row.split(",")] for row in lines[2:]])
     interior = grid[4:10, 4:10]
     assert np.ptp(interior) < 1e-9
+
+
+def read_surface(path):
+    """(nx, ny) array from a surface CSV: the hash line, the header, then
+    one row per y."""
+    rows = path.read_text().splitlines()[2:]
+    return np.array([[float(v) for v in row.split(",")] for row in rows]).T
+
+
+def binary_surface_reference(gmap, num_beams, max_range):
+    """Per-beam occupancy-only fan sums at the free-labeled cells, each beam's
+    cells and prior collapsed on their own."""
+    params = SensorParams.default(1)
+    labels = gmap.most_likely()[:, :, 0]
+    out = np.zeros(gmap.dims[:2])
+    for i, j in zip(*np.nonzero(labels == 0)):
+        total = 0.0
+        for beam in fan_beams(gmap.cell_center((i, j, 0)), num_beams, max_range):
+            cells = gmap.cast_ray(beam).cells[1:]
+            if cells.shape[0]:
+                h_t = gmap.cells[tuple(cells.T)]
+                h_0 = np.broadcast_to(gmap.prior, h_t.shape)
+                total += beam_mi_dense(collapse_to_binary(h_t), collapse_to_binary(h_0),
+                                       params).value
+        out[i, j] = total
+    return out
+
+
+def test_mi_surface_binary_on_grid_and_its_octree(tmp_path, capsys, rng):
+    gmap = GridMap((8, 8), 1.0, 3)
+    gmap.cells[...] = np.array([0.0, -6.0, -6.0, -6.0])
+    gmap.observed[:] = True
+    for _ in range(10):
+        cell = (int(rng.integers(8)), int(rng.integers(8)), 0)
+        gmap.set_cell(cell, lo.logodds_from_pmf(rng.dirichlet(np.ones(4))))
+    grid_path, tree_path = tmp_path / "m.ssmigrid", tmp_path / "m.ssmioct"
+    save_grid(gmap, grid_path)
+    assert main(["map", "convert", "--map", str(grid_path), "--out", str(tree_path)]) == 0
+    want = binary_surface_reference(load_grid(grid_path), 8, 5.0)
+    assert 0 < np.count_nonzero(want) < 64
+    for path in (grid_path, tree_path):
+        out = tmp_path / f"{path.suffix[1:]}.csv"
+        code = main(["mi-surface", "--map", str(path), "--out", str(out), "--binary",
+                     "--beams", "8", "--r-max", "5.0"])
+        assert code == 0
+        np.testing.assert_array_equal(read_surface(out), want)
+    assert "binary: True" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [
+    ["mi-eval", "--x", "4.5", "--y", "4.5"], ["mi-surface", "--out", "s.csv"]])
+@pytest.mark.parametrize("r_max", ["-1", "0", "nan", "inf"])
+def test_r_max_must_be_positive_and_finite_exit_2(tmp_path, capsys, caplog, command, r_max):
+    path = tmp_path / "g.ssmigrid"
+    save_grid(GridMap((8, 8), 1.0, 2), path)
+    assert main([command[0], "--map", str(path), *command[1:], "--r-max", r_max]) == 2
+    err = capsys.readouterr().err
+    assert "--r-max" in err and "positive and finite" in err
+    assert not caplog.records
+
+
+def test_map_path_that_is_a_directory_exit_2(tmp_path, capsys, caplog):
+    assert main(["map", "inspect", "--map", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err
+    assert len(err.splitlines()) == 1
+    assert not caplog.records  # no traceback from the last-resort handler
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("sensor", "r_max", -1.0),
+    ("sensor", "r_max", math.nan),
+    ("planner", "beam_range", -3.0),
+    ("env", "resolution", 0.0),
+    ("mapper", "clamp_limit", -1.0),
+    ("sensor", "range_sigma", -1.0),
+])
+def test_config_value_out_of_range_exit_2(tmp_path, capsys, caplog, section, key, value):
+    cfg = {**SMOKE, section: {**SMOKE.get(section, {}), key: value}}
+    out = tmp_path / "run"
+    code = main(["explore", "--config", write_config(tmp_path, cfg), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{section}.{key}" in err
+    assert len(err.splitlines()) == 1
+    assert not caplog.records
+    assert not out.exists()
+
+
+def test_grid_file_with_nan_cell_exit_3(tmp_path, capsys, caplog):
+    gmap = GridMap((8, 8), 1.0, 2)
+    gmap.set_cell((5, 4, 0), np.array([0.0, math.nan, 1.0]))
+    path = tmp_path / "g.ssmigrid"
+    save_grid(gmap, path)
+    for command in (["map", "inspect", "--map", str(path)],
+                    ["mi-eval", "--map", str(path), "--x", "4.5", "--y", "4.5"]):
+        assert main(command) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "non-finite" in err
+        assert len(err.splitlines()) == 1
+    assert not caplog.records
 
 
 def test_mi_eval_prints_value(tmp_path, capsys):

@@ -625,6 +625,17 @@ def test_grid_loader_rejects_malformed_file(tmp_path, saved_grid_bytes, patch, m
         load_grid(path)
 
 
+@pytest.mark.parametrize("offset", [GRID_HEADER + 4, GRID_PRIOR, GRID_PRIOR + 4 * (4 * 17 + 2)],
+                         ids=["prior", "cell pivot", "cell class"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_grid_loader_rejects_non_finite_log_odds(tmp_path, saved_grid_bytes, offset, value):
+    path = tmp_path / "bad.ssmigrid"
+    path.write_bytes(saved_grid_bytes[:offset] + struct.pack("<f", value)
+                     + saved_grid_bytes[offset + 4:])
+    with pytest.raises(CorruptMap, match="non-finite"):
+        load_grid(path)
+
+
 def test_grid_loader_huge_dims_rejected_before_allocating(tmp_path, saved_grid_bytes):
     path = tmp_path / "huge.ssmigrid"
     path.write_bytes(patch_u32(patch_u32(saved_grid_bytes, 10, 2**31), 14, 2**31))

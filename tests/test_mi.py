@@ -538,6 +538,18 @@ def test_filtered_leq_naive_sum(params3, rng):
     assert detail.beams_kept <= detail.beams_total
 
 
+@pytest.mark.parametrize("kind", ["grid", "octree"])
+def test_profile_must_match_the_map_or_have_one_class(kind, params1, params3):
+    mapper = GridMap((8, 8, 8), 1.0, 2) if kind == "grid" else SemanticOctree(1.0, 3, 2)
+    inward = fan_beams(np.array([3.5, 3.5, 3.5]), 4, 3.0)
+    outward = BeamMeasurement(np.array([0.5, 3.5, 3.5]), np.array([-1.0, 0.0, 0.0]),
+                              2.0, None, 2.0)
+    for beams in ([inward], [[outward]]):  # with and without runs to evaluate
+        with pytest.raises(ValueError, match="^sensor profile and map disagree on K$"):
+            trajectory_mi(mapper, beams, params3)
+    assert trajectory_mi(mapper, [inward], params1) > 0.0
+
+
 # -- surfaces -----------------------------------------------------------------------
 
 
@@ -550,10 +562,12 @@ def test_mi_surface_interior_translation_symmetry(params1):
 
 
 def test_mi_surface_k1_equals_binary_path():
+    # on a one-class map the one-class profile evaluates the map as it is,
+    # which is what the per-beam occupancy collapse gives there
     gmap = GridMap((16, 16), 1.0, 1)
     params = SensorParams.default(1)
     plain = mi_mod.mi_surface(gmap, params, num_beams=6, max_range=4.0)
-    binary = mi_mod.mi_surface(gmap, params, num_beams=6, max_range=4.0, binary=True)
+    binary = mi_surface_reference(gmap, params, 6, 4.0, binary=True)
     np.testing.assert_allclose(plain, binary, rtol=0, atol=1e-12)
 
 
@@ -598,7 +612,8 @@ def two_wall_scene():
 def test_mi_surface_equals_per_beam_reference(binary):
     gmap = two_wall_scene()
     params = SensorParams.default(2)
-    got = mi_mod.mi_surface(gmap, params, num_beams=16, max_range=6.0, binary=binary)
+    profile = SensorParams.default(1) if binary else params
+    got = mi_mod.mi_surface(gmap, profile, num_beams=16, max_range=6.0)
     want = mi_surface_reference(gmap, params, 16, 6.0, binary=binary)
     assert np.array_equal(got, want)
     assert np.count_nonzero(got) == 24 * 16 - 12

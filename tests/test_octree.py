@@ -856,6 +856,28 @@ def test_loader_rejects_malformed_version_field(tmp_path, saved_tree_bytes, vers
         load_octree(path)
 
 
+@pytest.mark.parametrize("where", ["prior", "tracked", "lump"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_loader_rejects_non_finite_beliefs(tmp_path, saved_tree_bytes, where, value):
+    path = tmp_path / "bad.ssmioct"
+    for good in saved_tree_bytes.values():
+        at = layout(good)
+        fmt = "<f" if good[:8] == OCTREE_MAGIC_V1 else "<d"
+        size = struct.calcsize(fmt)
+        assert good[at["count"]] == 3  # K = 3: every class tracked, the lump is -inf
+        offset = {
+            "prior": at["origin"] + 24 + size,  # class 1
+            "tracked": at["count"] + 3,  # the first pair's value, after its class id
+            "lump": at["count"] + 1 + 3 * (2 + size),
+        }[where]
+        path.write_bytes(good[:offset] + struct.pack(fmt, value) + good[offset + size:])
+        if where == "lump" and value == -math.inf:
+            assert load_octree(path).num_leaves() > 1  # nothing is untracked
+        else:
+            with pytest.raises(CorruptMap, match="non-finite"):
+                load_octree(path)
+
+
 @given(data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_loader_fuzz_truncation_and_bit_flips(tmp_path_factory, saved_tree_bytes, data):

@@ -18,12 +18,12 @@ from ssmi.logodds import SensorParams
 from ssmi.mi import (
     beam_mi_dense,
     beam_mi_srle,
-    collapse_map_to_binary,
+    collapse_to_binary,
     fan_beams,
     select_nonoverlapping,
     trajectory_mi,
 )
-from ssmi.octree import SemanticOctree
+from ssmi.octree import SemanticOctree, grid_from_octree
 from ssmi.planner import (
     CandidatePlan,
     PlannerConfig,
@@ -355,10 +355,20 @@ def trajectory_mi_reference(mapper, fans, params):
 
 
 def evaluate_candidates_reference(mapper, view, start, params, config):
-    """One independent trajectory evaluation per candidate, no shared fans."""
+    """One independent trajectory evaluation per candidate, no shared fans;
+    ``fsmi-binary`` collapses the whole grid first, where the planner
+    collapses the runs it evaluates."""
     frontiers = find_frontiers(view, config.min_frontier_size)
     if config.selector == "fsmi-binary":
-        mapper, params = collapse_map_to_binary(mapper), SensorParams.default(1)
+        # an occupancy-only copy of the grid: every cell and the prior
+        # collapsed with collapse_to_binary, observation flags kept
+        binary = GridMap(
+            mapper.dims, mapper.resolution, 1,
+            prior=collapse_to_binary(mapper.prior), origin=mapper.origin,
+        )
+        binary.cells = collapse_to_binary(mapper.cells)
+        binary.observed = mapper.observed.copy()
+        mapper, params = binary, SensorParams.default(1)
     out = []
     for idx, frontier in enumerate(frontiers):
         try:
@@ -406,6 +416,37 @@ def test_batched_cycle_equals_per_candidate_loop(monkeypatch, mapper_type, selec
     }))
     assert len(shared) >= 6
     assert sum(shared) > 0  # some cycles did share sensing poses
+
+
+def test_fsmi_binary_on_octree_plans_as_on_its_grid(monkeypatch):
+    # every cycle of an A7-config octree episode: the tree's runs, merged on
+    # full beliefs and then collapsed, score the candidates as the dense
+    # grid sampled from the same tree does
+    real = planner_mod.evaluate_candidates
+    cycles = []
+
+    def checked(mapper, view, start, params, config):
+        got = real(mapper, view, start, params, config)
+        want = real(grid_from_octree(mapper), view, start, params, config)
+        assert [(c.frontier_index, c.path, c.cost) for c in got] == [
+            (c.frontier_index, c.path, c.cost) for c in want]
+        for g, w in zip(got, want):
+            assert g.mi == pytest.approx(w.mi, rel=1e-10, abs=0.0)
+        cycles.append(sum(c.mi > 0.0 for c in got))
+        return got
+
+    monkeypatch.setattr(planner_mod, "evaluate_candidates", checked)
+    run_episode(config_from_dict({
+        "seed": 0,
+        "env": {"profile": "random", "dims": [32, 32], "num_classes": 3},
+        "sensor": {"num_beams": 48, "r_max": 10.0, "range_sigma": 0.1, "misclass_prob": 0.35},
+        "mapper": {"type": "octree"},
+        "planner": {"selector": "fsmi-binary", "num_beams": 16, "beam_range": 10.0,
+                    "stride": 3},
+        "run": {"max_steps": 60, "explored_stop": 0.9},
+    }))
+    assert len(cycles) >= 6
+    assert all(cycles)  # every cycle scored candidates with information
 
 
 def forked_corridor():

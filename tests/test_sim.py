@@ -201,8 +201,10 @@ def test_monotone_metrics_and_entropy_decrease_noise_free():
         prev = row
 
 
-def test_fsmi_binary_selector_runs():
-    metrics = run_episode(make_config(planner={"selector": "fsmi-binary"}, run={"max_steps": 3}))
+@pytest.mark.parametrize("mapper", ["grid", "octree"])
+def test_fsmi_binary_selector_runs(mapper):
+    metrics = run_episode(make_config(planner={"selector": "fsmi-binary"}, mapper={"type": mapper},
+                                      run={"max_steps": 3}))
     assert metrics.rows
 
 
