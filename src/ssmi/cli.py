@@ -174,9 +174,10 @@ def cmd_mi_surface(args) -> int:
         mapper = grid_from_octree(mapper)
     # --binary is the occupancy-only surface: the one-class profile, whatever --config says
     params = SensorParams.default(1) if args.binary else _map_params(args, mapper.num_classes)
+    r_max = args.r_max if args.r_max is not None else max(mapper.dims[:2]) * mapper.resolution
     print(f"resolved config:\n  map: {args.map}\n  beams: {args.beams}"
-          f"\n  r_max: {args.r_max}\n  binary: {args.binary}")
-    surface = mi_mod.mi_surface(mapper, params, num_beams=args.beams, max_range=args.r_max)
+          f"\n  r_max: {r_max}\n  binary: {args.binary}")
+    surface = mi_mod.mi_surface(mapper, params, num_beams=args.beams, max_range=r_max)
     cfg_hash = SimConfig().config_hash() if not args.config else load_config(args.config).config_hash()
     with open(args.out, "w") as fh:
         fh.write(f"# config-hash: {cfg_hash}\n")

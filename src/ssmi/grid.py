@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import bisect
 import io
+import logging
 import math
 import struct
 from dataclasses import dataclass
@@ -25,6 +26,8 @@ from .logodds import SensorParams
 
 GRID_MAGIC = b"SSMIGRID"
 GRID_VERSION = 1
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -277,6 +280,7 @@ class GridMap:
         self.prior = prior
         self.cells = np.tile(prior, dims + (1,)).reshape(dims + (num_classes + 1,))
         self.observed = np.zeros(dims, dtype=bool)
+        self._cells_written = 0  # by integrate; insert_scan logs the count per scan
 
     # -- geometry ----------------------------------------------------------
 
@@ -332,12 +336,16 @@ class GridMap:
             l = params.hit_logodds(beam.category)
             self.cells[hit] = logodds.clamp(self.cells[hit] + (l - self.prior), params)
             self.observed[hit] = True
+        self._cells_written += end + (trace.hit_index is not None)
         return self
 
     def insert_scan(self, beams: list[BeamMeasurement], params: SensorParams) -> "GridMap":
         """Integrate a scan's beams in order."""
+        written = self._cells_written
         for beam in beams:
             self.integrate(beam, params)
+        log.debug("insert_scan: %d beams, %d cells written", len(beams),
+                  self._cells_written - written)
         return self
 
     def set_cell(self, cell, h: np.ndarray, observed: bool = True) -> None:

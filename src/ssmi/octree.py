@@ -12,6 +12,14 @@ of hundreds of elements.
 Queries, ray casts, aggregates and files all read leaves only, so an inner
 node holds no belief: the tree is its structure plus the leaf beliefs, and
 ``save_octree`` writes exactly that (as OctoMap's compact ``.bt`` files do).
+
+A child's slot is ``x<<2 | y<<1 | z``, so a preorder walk meets the leaves in
+Morton order and each leaf covers one contiguous interval of Morton codes.
+The batch reads of a planning cycle (``encode_traces``, ``labels_observed``,
+``map_state``) look elements up in one such leaf table, built lazily after
+the tree last changed; single-ray reads (``encode_trace``, ``raycast_srle``)
+descend the tree per element, which costs less than a table build for a
+handful of rays and is the reference the table path is tested against.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ import functools
 import logging
 import math
 import struct
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,6 +121,57 @@ class SemanticNode:
     @property
     def is_leaf(self) -> bool:
         return self.children is None
+
+
+# bit b of each byte value moved to bit 3b, for interleaving three coordinates
+_SPREAD = sum(((np.arange(256, dtype=np.int64) >> b) & 1) << 3 * b for b in range(8))
+
+
+def _spread(v: np.ndarray) -> np.ndarray:
+    """Each bit b of 16-bit coordinates at bit 3b."""
+    return _SPREAD[v & 255] | _SPREAD[v >> 8] << 24
+
+
+def morton(x, y, z) -> np.ndarray:
+    """Morton codes of element coordinates (integer arrays that broadcast
+    together), ordered as the tree's child slots: x above y above z at every
+    level."""
+    return _spread(x) << 2 | _spread(y) << 1 | _spread(z)
+
+
+def _exact_key(sem: "TruncatedSemantics"):
+    """A dict key that tells beliefs apart bit for bit: the belief itself,
+    paired with the signs of its zeros when it holds any (``0.0 == -0.0``)."""
+    zeros = [math.copysign(1.0, v) for _, v in sem.data if v == 0.0]
+    if sem.others == 0.0:
+        zeros.append(math.copysign(1.0, sem.others))
+    return (sem, tuple(zeros)) if zeros else sem
+
+
+@dataclass(frozen=True)
+class LeafTable:
+    """The leaves of one tree revision in preorder, which is Morton order.
+
+    Per leaf: ``starts`` (the Morton code of its low corner, ascending),
+    ``corners`` and ``sizes`` (in elements), and ``ids``, its belief
+    interned bit for bit. Per belief id: ``full`` (the ``to_full`` row),
+    ``same`` (the id of the first belief equal to it under ``==``, which
+    differs only for signed zeros), ``entropy`` and ``observed`` (off the
+    prior). The leaf holding element ``c`` is
+    ``searchsorted(starts, morton(c), "right") - 1``."""
+
+    starts: np.ndarray
+    corners: np.ndarray
+    sizes: np.ndarray
+    ids: np.ndarray
+    full: np.ndarray
+    same: np.ndarray
+    entropy: np.ndarray
+    observed: np.ndarray
+
+    def element_ids(self, codes: np.ndarray) -> np.ndarray:
+        """Belief id of the element at each Morton code."""
+        return self.ids[np.searchsorted(self.starts, codes, side="right") - 1]
 
 
 def _uniform_scalar(vec: np.ndarray, name: str) -> float:
@@ -242,8 +302,19 @@ class SemanticOctree:
         self.prior = prior
         self.prior_semantics = TruncatedSemantics.from_full(prior)
         self.root = SemanticNode(self.prior_semantics)
-        # belief -> (entropy, observed flag), filled by map_state
-        self._belief_stats: dict[TruncatedSemantics, tuple[float, bool]] = {}
+        # belief (bit for bit, see _exact_key) -> (to_full row, entropy,
+        # observed flag); kept across revisions by the leaf table builds
+        self._belief_stats: dict = {}
+
+    @property
+    def root(self) -> SemanticNode:
+        return self._root
+
+    @root.setter
+    def root(self, node: SemanticNode) -> None:
+        """Installing a root (a new tree, a loaded file) drops the leaf table."""
+        self._root = node
+        self._table: LeafTable | None = None
 
     @property
     def size_elements(self) -> int:
@@ -265,7 +336,7 @@ class SemanticOctree:
         """Leaf value covering an element, with the leaf's low corner and edge
         length in elements (used for run caching along rays)."""
         x, y, z = cell
-        node = self.root
+        node = self._root  # per element, so the attribute rather than the property
         bit = self.max_depth - 1
         while node.children is not None:
             node = node.children[((x >> bit) & 1) << 2 | ((y >> bit) & 1) << 1 | ((z >> bit) & 1)]
@@ -295,7 +366,7 @@ class SemanticOctree:
         and the new value stored, so saturated space stays pruned. Returns
         whether the element changed."""
         x, y, z = cell
-        node = self.root
+        node = self._root
         bit = self.max_depth - 1
         while node.children is not None:
             node = node.children[((x >> bit) & 1) << 2 | ((y >> bit) & 1) << 1 | ((z >> bit) & 1)]
@@ -304,6 +375,7 @@ class SemanticOctree:
         new = update(current)
         if new == current:
             return False
+        self._table = None
         while bit >= 0:
             node.children = [SemanticNode(current) for _ in range(8)]
             node.semantics = None
@@ -384,6 +456,8 @@ class SemanticOctree:
                 collapsed += 1
 
         visit(self.root, self.max_depth - 1, cells)
+        if collapsed:  # the leaves changed, though no element did
+            self._table = None
         return collapsed
 
     # -- ray casting -------------------------------------------------------------
@@ -424,34 +498,42 @@ class SemanticOctree:
         """The runs past each trace's sensor cell (``encode_trace`` with
         ``skip_first_cell``), stacked in trace order, and each trace's run
         count; the runs are None when no trace has a cell past its sensor
-        cell."""
-        rays = [self.encode_trace(trace, skip_first_cell=True) for trace in traces]
-        counts = [0 if ray is None else ray.num_runs for ray in rays]
-        rays = [ray for ray in rays if ray is not None]
-        if not rays:
-            return None, counts
+        cell. All elements are looked up in the leaf table at once; a run
+        starts at each trace's first element and wherever the belief
+        changes under ``==``, and takes its first element's belief."""
+        lengths = [len(trace) - 1 for trace in traces]
+        if not any(lengths):
+            return None, lengths
+        table = self.leaf_table()
+        cells = np.concatenate([trace.cells[1:] for trace in traces])
+        ids = table.element_ids(morton(*cells.T))
+        same = table.same[ids]
+        lengths = np.array(lengths)
+        new = np.empty(ids.shape[0], dtype=bool)
+        new[0] = True
+        np.not_equal(same[1:], same[:-1], out=new[1:])
+        new[(np.cumsum(lengths) - lengths)[lengths > 0]] = True
+        starts = np.flatnonzero(new)
+        chi_t = table.full[ids[starts]]
+        owner = np.repeat(np.arange(lengths.shape[0]), lengths)
         return SrleRay(
-            widths=np.concatenate([ray.widths for ray in rays]),
-            chi_t=np.concatenate([ray.chi_t for ray in rays]),
-            chi_0=np.concatenate([ray.chi_0 for ray in rays]),
-        ), counts
+            widths=np.diff(starts, append=ids.shape[0]),
+            chi_t=chi_t,
+            chi_0=np.broadcast_to(self.prior, chi_t.shape),
+        ), np.bincount(owner[starts], minlength=lengths.shape[0]).tolist()
 
     def raycast_srle(self, beam: BeamMeasurement) -> SrleRay:
         """Cast a beam and return its run-length encoded belief sequence."""
         return self.encode_trace(self.cast_ray(beam), skip_first_cell=False)
 
-    # -- aggregates ----------------------------------------------------------------
+    # -- leaf table and aggregates ----------------------------------------------------
 
-    def iter_leaves(self, box=None):
+    def iter_leaves(self):
         """Yield (semantics, low_corner, size_elements) over all leaves in
-        preorder, or over those overlapping a box (element coordinates,
-        ((lo),(hi)) half-open); subtrees outside the box are skipped."""
-        (bx, by, bz), (ex, ey, ez) = box if box is not None else ((0, 0, 0), self.dims)
+        preorder, which is Morton order."""
         stack = [(self.root, 0, 0, 0, self.size_elements)]
         while stack:
             node, x, y, z, size = stack.pop()
-            if x >= ex or y >= ey or z >= ez or x + size <= bx or y + size <= by or z + size <= bz:
-                continue
             if node.children is None:
                 yield node.semantics, (x, y, z), size
                 continue
@@ -468,67 +550,92 @@ class SemanticOctree:
     def num_leaves(self) -> int:
         return sum(1 for _ in self.iter_leaves())
 
-    def leaf_index(self, box) -> tuple[list[TruncatedSemantics], np.ndarray]:
-        """The distinct beliefs of the leaves overlapping a box (element
-        coordinates, ((lo),(hi)) half-open, inside the cube) and an int array
-        over the box holding each element's position in that list."""
-        (bx, by, bz), (ex, ey, ez) = box = self._box(box)
-        index = np.empty((ex - bx, ey - by, ez - bz), dtype=np.intp)
-        ids: dict[TruncatedSemantics, int] = {}
-        units, unit_ids = [], []
-        for sem, (x, y, z), size in self.iter_leaves(box):
-            i = ids.setdefault(sem, len(ids))
-            if size == 1:  # most leaves: filled together below
-                units.append((x - bx, y - by, z - bz))
-                unit_ids.append(i)
-            else:  # slice stops past the box end are clipped by numpy
-                index[max(x, bx) - bx:x + size - bx,
-                      max(y, by) - by:y + size - by,
-                      max(z, bz) - bz:z + size - bz] = i
-        if units:
-            index[tuple(np.array(units).T)] = unit_ids
-        return list(ids), index
+    def leaf_table(self) -> LeafTable:
+        """The leaf table of the tree as it is now, built on the first call
+        after an element write, a pruning collapse or a new root."""
+        if self._table is None:
+            self._table = self._build_leaf_table()
+        return self._table
+
+    def _build_leaf_table(self) -> LeafTable:
+        """One leaf walk. Siblings share belief objects, so a leaf's belief
+        is interned by object first and by ``_exact_key`` only for objects
+        not met before. Each belief's row, entropy and observed flag are
+        pure functions of its bits, so they are kept on the tree from build
+        to build; a build keeps the entries of the beliefs it met."""
+        t0 = time.perf_counter()
+        by_object: dict[int, int] = {}
+        by_key: dict = {}
+        by_value: dict[TruncatedSemantics, int] = {}  # the first id of each value
+        keys, beliefs, same = [], [], []
+        corners, sizes, ids = [], [], []
+        for sem, corner, size in self.iter_leaves():
+            i = by_object.get(id(sem))
+            if i is None:
+                key = _exact_key(sem)
+                i = by_key.get(key)
+                if i is None:
+                    i = by_key[key] = len(keys)
+                    keys.append(key)
+                    beliefs.append(sem)
+                    same.append(by_value.setdefault(sem, i))
+                by_object[id(sem)] = i
+            corners.extend(corner)
+            sizes.append(size)
+            ids.append(i)
+        cache, kept = self._belief_stats, {}
+        for key, sem in zip(keys, beliefs):
+            stats = cache.get(key)
+            if stats is None:
+                stats = (sem.to_full(self.num_classes), sem.entropy(), sem != self.prior_semantics)
+            kept[key] = stats
+        self._belief_stats = kept
+        corners = np.array(corners, dtype=np.int64).reshape(-1, 3)
+        table = LeafTable(
+            starts=morton(*corners.T),
+            corners=corners,
+            sizes=np.array(sizes, dtype=np.int64),
+            ids=np.array(ids, dtype=np.intp),
+            full=np.array([kept[key][0] for key in keys]),
+            same=np.array(same, dtype=np.intp),
+            entropy=np.array([kept[key][1] for key in keys]),
+            observed=np.array([kept[key][2] for key in keys], dtype=bool),
+        )
+        log.debug(
+            "leaf table: %d leaves, %d beliefs, %.3f ms",
+            len(ids), len(keys), (time.perf_counter() - t0) * 1e3,
+        )
+        return table
+
+    def _box_ids(self, box) -> tuple[LeafTable, np.ndarray]:
+        """The leaf table and an int array over a half-open element box
+        ((lo), (hi)) inside the cube holding each element's belief id."""
+        lo, hi = self._box(box)
+        table = self.leaf_table()
+        return table, table.element_ids(morton(*np.ix_(*map(range, lo, hi))))
 
     def labels_observed(self, box) -> tuple[np.ndarray, np.ndarray]:
         """Most likely class (the argmax of the full belief, ties to the
         lowest class) and observed flag (belief off the prior) of every
         element in a half-open box ((lo), (hi)) inside the cube."""
-        values, index = self.leaf_index(box)
-        labels = np.array([np.argmax(v.to_full(self.num_classes)) for v in values], dtype=np.int64)
-        observed = np.array([v != self.prior_semantics for v in values], dtype=bool)
-        return labels[index], observed[index]
+        table, ids = self._box_ids(box)
+        return np.argmax(table.full, axis=1)[ids], table.observed[ids]
 
     def map_state(self, region=None) -> tuple[float, float]:
-        """``(map_entropy(region), observed_fraction(region))`` from one
-        leaf pass. Each belief's entropy and observed flag are cached on the
-        tree across calls, keyed by the belief value: both are pure
-        functions of it, so an entry is never stale. A pass keeps the
-        entries of the beliefs it met and drops the rest. A box not inside
-        the cube raises ValueError, as on the grid."""
-        (bx, by, bz), (ex, ey, ez) = box = self._box(region)
-        cache, kept = self._belief_stats, {}
-        entropy = 0.0
-        total = seen = 0
-        # the walk yields only leaves whose overlap with the box is >= 0 on
-        # every axis, so the product is the overlap's element count
-        for sem, (x, y, z), size in self.iter_leaves(box):
-            n = (
-                (min(x + size, ex) - max(x, bx))
-                * (min(y + size, ey) - max(y, by))
-                * (min(z + size, ez) - max(z, bz))
-            )
-            stats = kept.get(sem)
-            if stats is None:
-                stats = cache.get(sem)
-                if stats is None:
-                    stats = (sem.entropy(), sem != self.prior_semantics)
-                kept[sem] = stats
-            entropy += n * stats[0]
-            total += n
-            if stats[1]:
-                seen += n
-        self._belief_stats = kept
-        return entropy, (seen / total if total else 0.0)
+        """``(map_entropy(region), observed_fraction(region))`` from the leaf
+        table: each leaf's element count inside the box times its belief's
+        entropy, added leaf by leaf in preorder. A box not inside the cube
+        raises ValueError, as on the grid."""
+        lo, hi = self._box(region)
+        table = self.leaf_table()
+        ends = table.corners + table.sizes[:, None]
+        n = np.prod(np.maximum(np.minimum(ends, hi) - np.maximum(table.corners, lo), 0), axis=1)
+        # a running sum from 0.0, as a loop over the leaves adds; numpy's
+        # pairwise sum would round differently
+        terms = np.concatenate(([0.0], n * table.entropy[table.ids]))
+        total = int(n.sum())
+        seen = int(n[table.observed[table.ids]].sum())
+        return float(np.cumsum(terms)[-1]), (seen / total if total else 0.0)
 
     def map_entropy(self, region=None) -> float:
         """Total entropy in nats over a region box (element coordinates,
@@ -567,10 +674,9 @@ def grid_from_octree(tree: SemanticOctree, dims=None) -> GridMap:
     (K > 3) expand with the untracked classes sharing the lump evenly."""
     dims = tuple(dims) if dims is not None else tree.dims
     gmap = GridMap(dims, tree.element_size, tree.num_classes, tree.prior, tree.origin)
-    values, index = tree.leaf_index(((0, 0, 0), gmap.dims))
-    full = np.array([v.to_full(tree.num_classes) for v in values])
-    np.take(full, index, axis=0, out=gmap.cells)
-    np.take([v != tree.prior_semantics for v in values], index, out=gmap.observed)
+    table, ids = tree._box_ids(((0, 0, 0), gmap.dims))
+    np.take(table.full, ids, axis=0, out=gmap.cells)
+    np.take(table.observed, ids, out=gmap.observed)
     return gmap
 
 

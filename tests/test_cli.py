@@ -160,6 +160,22 @@ def test_mi_surface_empty_map_interior_uniform(tmp_path):
     assert np.ptp(interior) < 1e-9
 
 
+def test_mi_surface_prints_the_default_range_it_uses(tmp_path, capsys):
+    """Without ``--r-max`` the range is the map's larger planar extent in
+    meters; the printed config names it, and the surface is the one that
+    range gives when passed explicitly."""
+    map_path = tmp_path / "m.ssmigrid"
+    save_grid(GridMap((14, 10), 0.5, 2), map_path)
+    surfaces = []
+    for extra in ([], ["--r-max", "7.0"]):
+        out = tmp_path / f"s{len(surfaces)}.csv"
+        assert main(["mi-surface", "--map", str(map_path), "--out", str(out),
+                     "--beams", "4", *extra]) == 0
+        assert "\n  r_max: 7.0\n" in capsys.readouterr().out
+        surfaces.append(out.read_text())
+    assert surfaces[0] == surfaces[1]
+
+
 def read_surface(path):
     """(nx, ny) array from a surface CSV: the hash line, the header, then
     one row per y."""

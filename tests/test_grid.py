@@ -1,6 +1,7 @@
 """Dense grid map: ray casting against a geometric reference, integration,
 beam event probabilities, entropy, and serialization."""
 
+import logging
 import math
 import struct
 
@@ -401,6 +402,26 @@ def test_integrate_beyond_endpoint_untouched(params3):
     for i in range(4, 8):
         np.testing.assert_array_equal(gmap.cells[i, 0, 0], gmap.prior)
         assert not gmap.observed[i, 0, 0]
+
+
+def test_insert_scan_logs_beams_and_cells_written(params3, caplog):
+    """One DEBUG line per scan: its beam count and the cells its beams
+    wrote, counting each write (a cell two beams cross counts twice)."""
+    gmap = GridMap((10, 10), 1.0, 3)
+    scans = [
+        [BeamMeasurement.planar((0.5, 0.5), 0.0, 3.2, 1, 8.0),  # 3 free + 1 hit
+         BeamMeasurement.planar((0.5, 0.5), 0.0, 8.0, None, 8.0)],  # 9 free, to x = 8.5
+        [],
+        [BeamMeasurement.planar((5.5, 5.5), math.pi / 2, 20.0, None, 20.0)],  # 5 to the edge
+    ]
+    with caplog.at_level(logging.DEBUG, logger="ssmi.grid"):
+        for scan in scans:
+            gmap.insert_scan(scan, params3)
+    assert [r.getMessage() for r in caplog.records] == [
+        "insert_scan: 2 beams, 13 cells written",
+        "insert_scan: 0 beams, 0 cells written",
+        "insert_scan: 1 beams, 5 cells written",
+    ]
 
 
 def reference_integrate(gmap, beam, params):

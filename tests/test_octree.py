@@ -2,8 +2,11 @@
 bookkeeping, pruning, run-length ray casts, grid conversion, and both
 versions of the file format."""
 
+import itertools
 import json
+import logging
 import math
+import re
 import struct
 from dataclasses import replace
 from pathlib import Path
@@ -483,6 +486,181 @@ def test_doubling_depth_keeps_fresh_q_one():
         assert tree.raycast_srle(beam).num_runs == 1
 
 
+# -- the leaf table ------------------------------------------------------------------
+
+SIGNED = st.sampled_from([0.0, -0.0, 1.5, -2.0])
+
+
+def paint(tree, blocks):
+    """Write each (corner, size, belief) block element by element, the block
+    sharing one fresh copy of the belief (equal to the palette entry, not
+    the same object), then prune the whole tree."""
+    for corner, size, sem in blocks:
+        copy = TruncatedSemantics(sem.data, sem.others)
+        for cell in itertools.product(*(range(c, c + size) for c in corner)):
+            tree._write_element(cell, lambda _: copy)
+    tree.prune()
+    return tree
+
+
+@st.composite
+def leaf_table_case(draw):
+    """A pruned tree of depth 2-4, K = 3 (all tracked) or K = 5 (three
+    tracked and a lump), painted in blocks from a palette whose values
+    include both signed zeros, so beliefs equal under ``==`` can differ in
+    bits; 3-D rays from inside the cube, and boxes, some empty and some
+    cutting through large leaves."""
+    k = draw(st.sampled_from([3, 5]), label="k")
+    depth = draw(st.integers(2, 4), label="depth")
+    tree = SemanticOctree(1.0, depth, k)
+    n = tree.size_elements
+
+    def belief():
+        classes = draw(st.permutations(range(1, k + 1)))[:3]
+        others = draw(SIGNED) if k > 3 else NEG_INF
+        return TruncatedSemantics(TruncatedSemantics._sorted((c, draw(SIGNED)) for c in classes),
+                                  others)
+
+    palette = [belief() for _ in range(draw(st.integers(1, 4)))]
+    blocks = []
+    for _ in range(draw(st.integers(0, 10))):
+        size = 1 << draw(st.integers(0, depth - 1))
+        corner = [draw(st.integers(0, n // size - 1)) * size for _ in range(3)]
+        blocks.append((corner, size, draw(st.sampled_from(palette))))
+    paint(tree, blocks)
+    coord = st.integers(0, n - 1) | st.floats(0.0, n, exclude_max=True)
+    component = st.sampled_from([0.0, 1.0, -1.0, 0.5]) | st.floats(-1.0, 1.0)
+    beams = []
+    for _ in range(draw(st.integers(0, 5))):
+        d = [draw(component) for _ in range(3)]
+        assume(any(abs(v) > 1e-3 for v in d))
+        r = draw(st.floats(0.5, 2.0 * n))
+        beams.append(BeamMeasurement(np.array([draw(coord) for _ in range(3)], dtype=float),
+                                     np.array(d), r, None, r))
+    boxes = []
+    for _ in range(3):
+        ends = [sorted((draw(st.integers(0, n)), draw(st.integers(0, n)))) for _ in range(3)]
+        boxes.append(tuple(zip(*ends)))
+    return tree, beams, boxes
+
+
+def _signed_zero_leaf_case():
+    """A ray in -x meets an element holding -0.0 first; the preorder walk
+    meets the equal +0.0 belief first (at x = 0)."""
+    tree = SemanticOctree(1.0, 2, 3)
+    plus = TruncatedSemantics(((1, 1.5), (2, 0.0), (3, -2.0)), NEG_INF)
+    minus = TruncatedSemantics(((1, 1.5), (2, -0.0), (3, -2.0)), NEG_INF)
+    paint(tree, [((0, 1, 1), 1, plus), ((1, 1, 1), 1, minus), ((2, 1, 1), 1, minus)])
+    beam = BeamMeasurement(np.array([3.5, 1.5, 1.5]), np.array([-1.0, 0.0, 0.0]), 4.0, None, 4.0)
+    return tree, [beam], [((0, 0, 0), (4, 2, 3)), ((1, 1, 1), (1, 4, 4)), ((0, 0, 0), (4, 4, 4))]
+
+
+@given(case=leaf_table_case())
+@example(case=_signed_zero_leaf_case())
+@settings(max_examples=150, deadline=None)
+def test_leaf_table_reads_equal_the_element_loop(case):
+    """The batch reads served from the leaf table against one root descent
+    per element: ``encode_traces`` against the stacked ``encode_trace`` runs
+    (widths, and chi bytes, so signed zeros count), ``labels_observed``
+    against each element's belief, ``map_state`` against ``leaf_sums`` bit
+    for bit."""
+    tree, beams, boxes = case
+    k = tree.num_classes
+    traces = [tree.cast_ray(beam) for beam in beams]
+    runs, counts = tree.encode_traces(traces)
+    want = [tree.encode_trace(trace, skip_first_cell=True) for trace in traces]
+    assert counts == [0 if ray is None else ray.num_runs for ray in want]
+    want = [ray for ray in want if ray is not None]
+    if not want:
+        assert runs is None
+    else:
+        assert runs.widths.tolist() == np.concatenate([ray.widths for ray in want]).tolist()
+        assert runs.chi_t.tobytes() == np.concatenate([ray.chi_t for ray in want]).tobytes()
+        assert runs.chi_0.tobytes() == np.concatenate([ray.chi_0 for ray in want]).tobytes()
+    for box in boxes:
+        labels, observed = tree.labels_observed(box)
+        assert labels.shape == observed.shape == tuple(hi - lo for lo, hi in zip(*box))
+        for rel in np.ndindex(labels.shape):
+            sem = tree.query_element(tuple(lo + r for lo, r in zip(box[0], rel)))
+            assert labels[rel] == np.argmax(sem.to_full(k))
+            assert observed[rel] == (sem != tree.prior_semantics)
+        assert tree.map_state(box) == leaf_sums(tree, box)
+    assert tree.map_state() == leaf_sums(tree, ((0, 0, 0), tree.dims))
+
+
+def test_signed_zero_case_keeps_the_first_elements_bits():
+    tree, beams, _ = _signed_zero_leaf_case()
+    first = next(sem for sem, _, _ in tree.iter_leaves() if sem.data[0] == (1, 1.5))
+    assert math.copysign(1.0, first.data[1][1]) == 1.0  # the walk meets +0.0 first
+    runs, counts = tree.encode_traces([tree.cast_ray(beams[0])])
+    assert counts == [1] and runs.widths.tolist() == [3]  # x = 2, 1, 0 under ==
+    assert math.copysign(1.0, runs.chi_t[0, 2]) == -1.0  # x = 2 holds -0.0
+
+
+def table_builds(caplog, tree):
+    """The leaf table builds logged so far; each line's leaf count is
+    checked against the tree as it is now, so call after every read."""
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("leaf table")]
+    for line in lines:
+        assert re.fullmatch(r"leaf table: \d+ leaves, \d+ beliefs, \d+\.\d{3} ms", line)
+    if lines:
+        assert lines[-1].split()[2] == str(tree.num_leaves())
+    return len(lines)
+
+
+def read_all(tree, beam):
+    """The three batch reads of a planning cycle."""
+    tree.labels_observed(((0, 0, 0), tree.dims))
+    tree.map_state()
+    tree.encode_traces([tree.cast_ray(beam)])
+
+
+def test_leaf_table_is_rebuilt_only_after_the_tree_changes(params3, caplog, tmp_path):
+    """One build serves every read until an element write, a collapsing
+    prune or a new root; a scan that changes no element keeps the table."""
+    tree = SemanticOctree(1.0, 3, 3)
+    beam = BeamMeasurement.planar((0.0, 3.5), 0.0, 5.5, 2, 8.0, z=3.5)
+    with caplog.at_level(logging.DEBUG, logger="ssmi.octree"):
+        read_all(tree, beam)
+        read_all(tree, beam)
+        assert table_builds(caplog, tree) == 1
+        tree.insert_scan([beam], params3)
+        read_all(tree, beam)
+        assert table_builds(caplog, tree) == 2
+        for _ in range(40):  # until the clamp stops every element changing
+            caplog.clear()
+            tree.insert_scan([beam], params3)
+            read_all(tree, beam)
+            if ", 0 changed," in caplog.records[0].getMessage():
+                break
+        assert table_builds(caplog, tree) == 0
+        caplog.clear()
+        tree.set_element((6, 6, 6), tree.prior)  # the value it holds
+        read_all(tree, beam)
+        assert table_builds(caplog, tree) == 0
+        h = np.array([0.0, 2.0, -1.0, -1.0])
+        for cell in itertools.product((6, 7), repeat=3):
+            tree.set_element(cell, h)
+            read_all(tree, beam)
+        assert table_builds(caplog, tree) == 8
+        leaves = tree.num_leaves()
+        assert tree.prune() == 1
+        read_all(tree, beam)
+        assert table_builds(caplog, tree) == 9
+        assert tree.num_leaves() == leaves - 7
+        assert tree.prune() == 0
+        read_all(tree, beam)
+        assert table_builds(caplog, tree) == 9
+        save_octree(tree, tmp_path / "t.ssmioct")
+        back = load_octree(tmp_path / "t.ssmioct")
+        read_all(back, beam)
+        assert table_builds(caplog, back) == 10
+        tree.root = SemanticNode(tree.prior_semantics)
+        read_all(tree, beam)
+        assert table_builds(caplog, tree) == 11
+        assert tree.map_state() == leaf_sums(tree, ((0, 0, 0), tree.dims))
+
+
 # -- grid agreement at scale ---------------------------------------------------------
 
 
@@ -525,13 +703,14 @@ def test_map_entropy_and_observed_fraction_match_leaf_sums(params3, rng):
         entropy, fraction = leaf_sums(tree, box)
         assert tree.map_entropy(box) == entropy  # same summation order, bit for bit
         assert tree.observed_fraction(box) == fraction
-        values, index = tree.leaf_index(box)
-        assert index.shape == tuple(hi - lo for lo, hi in zip(*box))
-        for rel in np.ndindex(index.shape):
-            cell = tuple(lo + r for lo, r in zip(box[0], rel))
-            assert values[index[rel]] == tree.query_element(cell)
+        labels, observed = tree.labels_observed(box)
+        assert labels.shape == observed.shape == tuple(hi - lo for lo, hi in zip(*box))
+        for rel in np.ndindex(labels.shape):
+            sem = tree.query_element(tuple(lo + r for lo, r in zip(box[0], rel)))
+            assert labels[rel] == np.argmax(sem.to_full(3))
+            assert observed[rel] == (sem != tree.prior_semantics)
     with pytest.raises(ValueError):
-        tree.leaf_index(((0, 0, 0), (33, 1, 1)))
+        tree.labels_observed(((0, 0, 0), (33, 1, 1)))
 
 
 def test_map_state_is_both_aggregates_on_either_map(params3, rng):

@@ -228,11 +228,17 @@ def test_debug_log_has_scan_and_cycle_lines_and_leaves_metrics_alone(caplog):
     with caplog.at_level(logging.DEBUG, logger="ssmi"):
         metrics = run_episode(config)
     assert metrics.metrics_csv() == quiet
-    scans = [r.getMessage() for r in caplog.records if r.name == "ssmi.octree"]
+    octree = [r.getMessage() for r in caplog.records if r.name == "ssmi.octree"]
     cycles = [r.getMessage() for r in caplog.records if r.name == "ssmi.sim"]
+    scans = [m for m in octree if m.startswith("insert_scan")]
+    tables = [m for m in octree if m.startswith("leaf table")]
+    assert len(scans) + len(tables) == len(octree)
     assert scans and all(
         re.fullmatch(r"insert_scan: 24 beams, \d+ elements visited, \d+ changed, "
                      r"\d+ nodes collapsed", m) for m in scans
+    )
+    assert tables and all(
+        re.fullmatch(r"leaf table: \d+ leaves, \d+ beliefs, \d+\.\d{3} ms", m) for m in tables
     )
     assert [m.split(":")[0] for m in cycles] == [f"cycle {r.step}" for r in metrics.rows]
     assert all(f"entropy {r.entropy!r} nats, explored {r.explored!r}" in m
