@@ -12,7 +12,6 @@ from .errors import (
     BadDims,
     DegeneratePivot,
     EmptyRay,
-    IndexOutOfRange,
     InvalidClass,
     NoFrontiers,
     OriginOutOfBounds,
@@ -35,10 +34,12 @@ from .logodds import (
 )
 from .mi import (
     BeamMI,
+    FanCast,
     SrleRay,
     beam_mi_dense,
     beam_mi_oracle,
     beam_mi_srle,
+    cast_fan,
     encode_runs,
     select_nonoverlapping,
     trajectory_mi,

@@ -17,10 +17,6 @@ class OriginOutOfBounds(SsmiError):
     """A beam origin lies outside the map volume."""
 
 
-class IndexOutOfRange(SsmiError):
-    """A per-ray cell index n is outside 1..N."""
-
-
 class EmptyRay(SsmiError):
     """A mutual-information query was given no cells or runs."""
 

@@ -12,7 +12,6 @@ forms equal bit for bit, so both maps agree under the same observations.
 from __future__ import annotations
 
 import bisect
-import io
 import logging
 import math
 import struct
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import logodds
-from .errors import CorruptMap, IndexOutOfRange, InvalidClass, OriginOutOfBounds
+from .errors import CorruptMap, InvalidClass, OriginOutOfBounds
 from .logodds import SensorParams
 
 GRID_MAGIC = b"SSMIGRID"
@@ -232,8 +231,10 @@ def cast(beam: BeamMeasurement, origin, cell_size: float, dims) -> RayTrace:
     need the full sequence to max range); the trace is truncated where the
     ray leaves the box, which counts as reaching max range.
     """
-    g = [(p - q) / cell_size for p, q in zip(beam.origin.tolist(), origin)]
-    if not all(0.0 <= v < n for v, n in zip(g, dims)):
+    # unrolled over the three axes: this runs once per cast beam
+    (px, py, pz), (ox, oy, oz), (nx, ny, nz) = beam.origin.tolist(), origin, dims
+    g = ((px - ox) / cell_size, (py - oy) / cell_size, (pz - oz) / cell_size)
+    if not (0.0 <= g[0] < nx and 0.0 <= g[1] < ny and 0.0 <= g[2] < nz):
         raise OriginOutOfBounds(f"beam origin {beam.origin} outside the map")
     coords, entries = voxel_walk(g, beam.direction.tolist(), beam.max_range / cell_size, dims)
     hit_index = None
@@ -303,16 +304,17 @@ class GridMap:
         :func:`cast`)."""
         return cast(beam, self.origin.tolist(), self.resolution, self.dims)
 
-    def encode_traces(self, traces: list[RayTrace]) -> tuple[SrleRay | None, list[int]]:
-        """The cells past each trace's sensor cell as runs for the run-length
-        kernel, stacked in trace order, and each trace's run count; the runs
-        are None when no trace has such a cell. Every run is one cell (width
+    def encode_traces(self, cells: np.ndarray, counts) -> tuple[SrleRay | None, list[int]]:
+        """Runs for the run-length kernel over a compact cast (``mi.FanCast``):
+        ``cells`` stacks each beam's cells past its sensor cell in beam order,
+        ``counts[b]`` of them for beam b. Returns the runs, None when there
+        is no cell, and each beam's run count. Every run is one cell (width
         1), on which the kernel performs exactly the per-cell recursion of
         ``mi.beam_mi_dense``."""
-        counts = [len(trace) - 1 for trace in traces]
-        if not any(counts):
+        counts = list(counts)
+        if not cells.shape[0]:
             return None, counts
-        h_t = self.cells[tuple(np.concatenate([trace.cells[1:] for trace in traces]).T)]
+        h_t = self.cells[tuple(cells.T)]
         widths = np.ones(h_t.shape[0], dtype=np.int64)
         return SrleRay(widths, h_t, np.broadcast_to(self.prior, h_t.shape)), counts
 
@@ -358,19 +360,11 @@ class GridMap:
 
     # -- queries -----------------------------------------------------------
 
-    def beam_likelihood(self, trace: RayTrace, n: int, y: int) -> float:
-        """Probability that the n-th traced cell (1-based) is the hit cell
-        with class y while every earlier cell is free."""
-        if not 1 <= n <= len(trace):
-            raise IndexOutOfRange(f"n must be in 1..{len(trace)}")
-        if not 1 <= y <= self.num_classes:
-            raise InvalidClass(f"class must be in 1..{self.num_classes}")
-        idx = tuple(trace.cells[:n].T)
-        pmfs = logodds.softmax_pmf(self.cells[idx])
-        return float(pmfs[-1, y] * np.prod(pmfs[:-1, 0]))
-
     def ray_logodds(self, trace: RayTrace) -> tuple[np.ndarray, np.ndarray]:
-        """(current, prior) log-odds stacked per traced cell, shape (N, K+1)."""
+        """(current, prior) log-odds stacked per traced cell, shape (N, K+1).
+        Planning reads cells through ``encode_traces``; this whole-trace read
+        is what the benchmark's 3-D probes (``perfbench/workloads.py``) feed
+        to ``mi.beam_mi_dense``."""
         idx = tuple(trace.cells.T)
         h_t = self.cells[idx]
         h_0 = np.broadcast_to(self.prior, h_t.shape)
@@ -469,37 +463,4 @@ def load_grid(path) -> GridMap:
     gmap.cells = cells.reshape(dims + (width,))
     gmap.cells[..., 0] = 0.0
     gmap.observed = np.frombuffer(buf, np.uint8, count, mask_at).astype(bool).reshape(dims)
-    return gmap
-
-
-def grid_to_text(gmap: GridMap) -> str:
-    """Lossless text form (hex floats); intended for small maps in tests."""
-    out = io.StringIO()
-    out.write(f"ssmigrid-text dims={gmap.dims[0]},{gmap.dims[1]},{gmap.dims[2]} ")
-    out.write(f"resolution={gmap.resolution.hex()} K={gmap.num_classes} ")
-    out.write("origin=" + ",".join(v.hex() for v in gmap.origin) + "\n")
-    out.write("prior " + " ".join(v.hex() for v in gmap.prior) + "\n")
-    for i in range(gmap.dims[0]):
-        for j in range(gmap.dims[1]):
-            for k in range(gmap.dims[2]):
-                flag = "1" if gmap.observed[i, j, k] else "0"
-                vals = " ".join(v.hex() for v in gmap.cells[i, j, k])
-                out.write(f"{i} {j} {k} {flag} {vals}\n")
-    return out.getvalue()
-
-
-def grid_from_text(text: str) -> GridMap:
-    lines = text.strip().splitlines()
-    head = dict(part.split("=", 1) for part in lines[0].split()[1:])
-    dims = tuple(int(v) for v in head["dims"].split(","))
-    resolution = float.fromhex(head["resolution"])
-    num_classes = int(head["K"])
-    origin = [float.fromhex(v) for v in head["origin"].split(",")]
-    prior = np.array([float.fromhex(v) for v in lines[1].split()[1:]])
-    gmap = GridMap(dims, resolution, num_classes, prior, origin)
-    for line in lines[2:]:
-        parts = line.split()
-        i, j, k = int(parts[0]), int(parts[1]), int(parts[2])
-        gmap.observed[i, j, k] = parts[3] == "1"
-        gmap.cells[i, j, k] = [float.fromhex(v) for v in parts[4:]]
     return gmap

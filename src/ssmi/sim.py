@@ -359,6 +359,7 @@ def run_episode(config: SimConfig, env: Environment | None = None) -> EpisodeMet
     def pose_center(cell) -> np.ndarray:
         return (np.asarray(cell, dtype=np.float64) + 0.5) * env.resolution
 
+    casts: dict = {}  # the episode's cast cache (planner.evaluate_candidates)
     pose = (spawn[0], spawn[1])
     z_idx = spawn[2]
     heading = 0.0
@@ -370,7 +371,8 @@ def run_episode(config: SimConfig, env: Environment | None = None) -> EpisodeMet
         view = planner_mod.view_from_grid(mapper, env.dims, config.planner.band)
         t0 = time.perf_counter()
         try:
-            candidates = planner_mod.evaluate_candidates(mapper, view, pose, params, config.planner)
+            candidates = planner_mod.evaluate_candidates(mapper, view, pose, params,
+                                                         config.planner, casts)
             plan = planner_mod.select_best(candidates)
         except (NoFrontiers, AllUnreachable):
             entropy, explored = mapper.map_state(world)

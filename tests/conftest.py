@@ -36,3 +36,11 @@ def random_logodds(rng, n, k, scale=6.0):
     h = np.zeros((n, k + 1))
     h[:, 1:] = rng.uniform(-scale, scale, (n, k))
     return h
+
+
+def stacked_casts(traces):
+    """The cells past each ``RayTrace``'s sensor cell, stacked in trace order
+    as the traces hold them, and each trace's count of them: the arguments
+    of ``encode_traces`` built from full traces."""
+    cells = np.concatenate([np.empty((0, 3), dtype=np.int64)] + [t.cells[1:] for t in traces])
+    return cells, [len(t) - 1 for t in traces]

@@ -250,6 +250,14 @@ def test_map_path_that_is_a_directory_exit_2(tmp_path, capsys, caplog):
     ("env", "resolution", 0.0),
     ("mapper", "clamp_limit", -1.0),
     ("sensor", "range_sigma", -1.0),
+    ("planner", "num_beams", 0),
+    ("planner", "num_beams", -3),
+    ("planner", "stride", 0),
+    ("planner", "stride", -2),
+    ("planner", "fov", 0.0),
+    ("planner", "fov", -1.0),
+    ("planner", "fov", math.inf),
+    ("planner", "fov", math.nan),
 ])
 def test_config_value_out_of_range_exit_2(tmp_path, capsys, caplog, section, key, value):
     cfg = {**SMOKE, section: {**SMOKE.get(section, {}), key: value}}
@@ -316,7 +324,7 @@ def _dump_rows_reference(mapper, fan, params):
 
     tree = isinstance(mapper, SemanticOctree)
     traces = [mapper.cast_ray(b) for b in fan]
-    keep = mi.select_nonoverlapping(traces)
+    keep = mi.select_nonoverlapping(mi.cast_fan(mapper, fan))
     rows = []
     for idx in keep:
         if tree:

@@ -11,17 +11,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ssmi import logodds as lo
-from ssmi.errors import CorruptMap, IndexOutOfRange, OriginOutOfBounds
+from ssmi.errors import CorruptMap, OriginOutOfBounds
 from ssmi.grid import (
     BeamMeasurement,
     GridMap,
     cast,
-    grid_from_text,
-    grid_to_text,
     load_grid,
     save_grid,
 )
 from ssmi.logodds import SensorParams
+from ssmi.mi import beam_mi_dense
 from ssmi.octree import SemanticOctree
 from ssmi.sim import SensorSpec, generate_env, sense, srle_study
 
@@ -489,13 +488,7 @@ def test_integrate_is_the_per_cell_update_bit_for_bit(case):
     assert np.array_equal(gmap.observed, want.observed)
 
 
-# -- beam likelihood ---------------------------------------------------------------
-
-
-def test_beam_likelihood_uniform_first_cell():
-    gmap = GridMap((8, 1), 1.0, 2)
-    trace = gmap.cast_ray(BeamMeasurement.planar((0.5, 0.5), 0.0, 8.0, None, 8.0))
-    assert gmap.beam_likelihood(trace, 1, 1) == pytest.approx(1 / 3, abs=1e-14)
+# -- beam event probabilities ------------------------------------------------------
 
 
 def test_beam_event_probabilities_total_one(params3, rng):
@@ -504,32 +497,14 @@ def test_beam_event_probabilities_total_one(params3, rng):
         h = np.zeros(4)
         h[1:] = rng.uniform(-4, 4, 3)
         gmap.set_cell((i, 0, 0), h)
-    trace = gmap.cast_ray(BeamMeasurement.planar((0.5, 0.5), 0.0, 10.0, None, 10.0))
-    total = sum(
-        gmap.beam_likelihood(trace, n, y) for n in range(1, len(trace) + 1) for y in (1, 2, 3)
-    )
+    # the dense pass's (n, y) event probabilities, "cells before n free and
+    # cell n of class y", plus the all-free outcome
+    h_t, h_0 = gmap.ray_logodds(gmap.cast_ray(
+        BeamMeasurement.planar((0.5, 0.5), 0.0, 10.0, None, 10.0)))
+    total = float(beam_mi_dense(h_t, h_0, params3, return_detail=True).p_detail.sum())
     pmfs = lo.softmax_pmf(gmap.cells[:, 0, 0, :])
     total += float(np.prod(pmfs[:, 0]))
     assert total == pytest.approx(1.0, abs=1e-12)
-
-
-def test_beam_likelihood_certain_free_map():
-    gmap = GridMap((6, 1), 1.0, 2)
-    for i in range(6):
-        gmap.set_cell((i, 0, 0), np.array([0.0, -745.0, -745.0]))
-    trace = gmap.cast_ray(BeamMeasurement.planar((0.5, 0.5), 0.0, 6.0, None, 6.0))
-    for n in range(1, 7):
-        for y in (1, 2):
-            assert gmap.beam_likelihood(trace, n, y) < 1e-300
-
-
-def test_beam_likelihood_index_errors():
-    gmap = GridMap((4, 1), 1.0, 2)
-    trace = gmap.cast_ray(BeamMeasurement.planar((0.5, 0.5), 0.0, 4.0, None, 4.0))
-    with pytest.raises(IndexOutOfRange):
-        gmap.beam_likelihood(trace, 0, 1)
-    with pytest.raises(IndexOutOfRange):
-        gmap.beam_likelihood(trace, len(trace) + 1, 1)
 
 
 # -- entropy ------------------------------------------------------------------------
@@ -580,19 +555,6 @@ def test_binary_roundtrip(tmp_path, params3, rng):
     np.testing.assert_array_equal(
         back.cells.astype(np.float32), gmap.cells.astype(np.float32)
     )
-
-
-def test_text_roundtrip_lossless(rng):
-    gmap = GridMap((3, 3), 1.0, 2)
-    for _ in range(5):
-        cell = (rng.integers(3), rng.integers(3), 0)
-        h = np.zeros(3)
-        h[1:] = rng.uniform(-6, 6, 2)
-        gmap.set_cell(cell, h)
-    back = grid_from_text(grid_to_text(gmap))
-    np.testing.assert_array_equal(back.cells, gmap.cells)
-    np.testing.assert_array_equal(back.observed, gmap.observed)
-    assert back.resolution == gmap.resolution
 
 
 def test_bad_magic_rejected(tmp_path):

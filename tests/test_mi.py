@@ -23,13 +23,15 @@ from ssmi.mi import (
     beam_mi_srle_batch,
     beam_mi_srle_direct,
     collapse_to_binary,
+    FanCast,
+    cast_fan,
     encode_runs,
     fan_beams,
     select_nonoverlapping,
     trajectories_mi,
     trajectory_mi,
 )
-from conftest import random_logodds
+from conftest import random_logodds, stacked_casts
 
 
 # -- dense path ----------------------------------------------------------------
@@ -370,22 +372,20 @@ def test_batch_rejects_empty_segment(params3):
 def test_parallel_beams_all_selected():
     gmap = GridMap((10, 10), 1.0, 1)
     beams = [BeamMeasurement.planar((0.5, y + 0.5), 0.0, 10.0, None, 10.0) for y in range(5)]
-    traces = [gmap.cast_ray(b) for b in beams]
-    assert select_nonoverlapping(traces) == [0, 1, 2, 3, 4]
+    assert select_nonoverlapping(cast_fan(gmap, beams)) == [0, 1, 2, 3, 4]
 
 
 def test_identical_beams_one_selected():
     gmap = GridMap((10, 10), 1.0, 1)
     beam = BeamMeasurement.planar((0.5, 0.5), 0.3, 10.0, None, 10.0)
-    traces = [gmap.cast_ray(beam), gmap.cast_ray(beam)]
-    assert select_nonoverlapping(traces) == [0]
+    assert select_nonoverlapping(cast_fan(gmap, [beam, beam])) == [0]
 
 
 def test_fan_selection_is_pairwise_disjoint():
     gmap = GridMap((17, 17), 1.0, 1)
     fan = fan_beams(np.array([8.5, 8.5, 0.5]), 8, 7.0)
     traces = [gmap.cast_ray(b) for b in fan]
-    keep = select_nonoverlapping(traces)
+    keep = select_nonoverlapping(cast_fan(gmap, fan))
     assert len(keep) >= 2
     sets = [{tuple(c) for c in traces[i].cells[1:]} for i in keep]
     for a in range(len(sets)):
@@ -410,7 +410,7 @@ def select_nonoverlapping_reference(traces, skip_first_cell=True):
 def test_flat_key_selection_matches_tuple_sets(dims, rng):
     gmap = GridMap(dims, 0.5, 1)
     extent = np.array(dims) * 0.5
-    assert select_nonoverlapping([]) == []
+    assert select_nonoverlapping(cast_fan(gmap, [])) == []
     for _ in range(20):
         beams = []
         for _ in range(int(rng.integers(1, 24))):
@@ -420,9 +420,11 @@ def test_flat_key_selection_matches_tuple_sets(dims, rng):
             beams.append(BeamMeasurement(rng.uniform(0.0, 1.0, 3) * extent, d / np.linalg.norm(d),
                                          4.0, None, 4.0))
         traces = [gmap.cast_ray(b) for b in beams]
-        for skip in (True, False):
-            assert (select_nonoverlapping(traces, skip_first_cell=skip)
-                    == select_nonoverlapping_reference(traces, skip_first_cell=skip))
+        whole = FanCast(np.concatenate([t.cells for t in traces]), tuple(map(len, traces)))
+        assert (select_nonoverlapping(cast_fan(gmap, beams))
+                == select_nonoverlapping_reference(traces, skip_first_cell=True))
+        assert (select_nonoverlapping(whole)
+                == select_nonoverlapping_reference(traces, skip_first_cell=False))
 
 
 # -- trajectory ------------------------------------------------------------------------
@@ -467,7 +469,7 @@ def test_trajectories_mi_on_grid_matches_dense_reference(k, clamp, seed, num_bea
     want = dense_results_reference(gmap, [gmap.cast_ray(b) for b in beams], params, True)
     assert want[0] is None
     # one trajectory per beam, then all beams in one trajectory
-    fans = [[b] for b in beams]
+    fans = [cast_fan(gmap, [b]) for b in beams]
     trajectories = [[i] for i in range(len(beams))] + [list(range(len(beams)))]
     got = trajectories_mi(gmap, fans, trajectories, params, return_detail=True).trajectories
     for traj, ref in zip(got, want):
@@ -489,14 +491,14 @@ def test_no_cell_past_the_sensor_cells_calls_no_kernel(kind, params3, monkeypatc
     mapper = GridMap((8, 8, 8), 1.0, 3) if kind == "grid" else SemanticOctree(1.0, 3, 3)
     outward = BeamMeasurement(np.array([0.5, 3.5, 3.5]), np.array([-1.0, 0.0, 0.0]),
                               2.0, None, 2.0)
-    assert mapper.encode_traces([mapper.cast_ray(outward)] * 2) == (None, [0, 0])
+    assert mapper.encode_traces(*stacked_casts([mapper.cast_ray(outward)] * 2)) == (None, [0, 0])
 
     def no_kernel(*args, **kwargs):
         raise AssertionError("kernel called without runs")
 
     monkeypatch.setattr(mi_mod, "beam_mi_srle_batch", no_kernel)
-    got = trajectories_mi(mapper, [[outward, outward], []], [[0], [1], []], params3,
-                          return_detail=True)
+    fans = [cast_fan(mapper, [outward, outward]), cast_fan(mapper, [])]
+    got = trajectories_mi(mapper, fans, [[0], [1], []], params3, return_detail=True)
     assert [(t.value, t.beams_total, t.beams_kept, t.beams) for t in got.trajectories] == [
         (0.0, 2, 2, []), (0.0, 0, 0, []), (0.0, 0, 0, [])]
 

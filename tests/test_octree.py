@@ -35,6 +35,8 @@ from ssmi.octree import (
     save_octree,
 )
 from ssmi.sim import run_episode
+from ssmi.mi import cast_fan
+from conftest import stacked_casts
 
 
 def random_beam(rng, lo_pt=1.0, hi_pt=31.0, r_max=20.0, k=3):
@@ -567,7 +569,7 @@ def test_leaf_table_reads_equal_the_element_loop(case):
     tree, beams, boxes = case
     k = tree.num_classes
     traces = [tree.cast_ray(beam) for beam in beams]
-    runs, counts = tree.encode_traces(traces)
+    runs, counts = tree.encode_traces(*stacked_casts(traces))
     want = [tree.encode_trace(trace, skip_first_cell=True) for trace in traces]
     assert counts == [0 if ray is None else ray.num_runs for ray in want]
     want = [ray for ray in want if ray is not None]
@@ -592,9 +594,38 @@ def test_signed_zero_case_keeps_the_first_elements_bits():
     tree, beams, _ = _signed_zero_leaf_case()
     first = next(sem for sem, _, _ in tree.iter_leaves() if sem.data[0] == (1, 1.5))
     assert math.copysign(1.0, first.data[1][1]) == 1.0  # the walk meets +0.0 first
-    runs, counts = tree.encode_traces([tree.cast_ray(beams[0])])
+    runs, counts = tree.encode_traces(*stacked_casts([tree.cast_ray(beams[0])]))
     assert counts == [1] and runs.widths.tolist() == [3]  # x = 2, 1, 0 under ==
     assert math.copysign(1.0, runs.chi_t[0, 2]) == -1.0  # x = 2 holds -0.0
+
+
+@given(case=leaf_table_case())
+@example(case=_signed_zero_leaf_case())
+@settings(max_examples=100, deadline=None)
+def test_compact_fan_cast_encodes_as_the_stacked_ray_traces(case):
+    """``mi.cast_fan`` keeps the cells past each beam's sensor cell as one
+    int32 array and per-beam counts; on the tree and on its dense grid
+    (``grid_from_octree``), ``encode_traces`` on that compact form gives the
+    widths, chi bytes and counts it gives on the stacked ``RayTrace`` s.
+    Every case holds a beam whose trace is only its sensor cell; the random
+    3-D rays often leave the cube."""
+    tree, beams, _ = case
+    beams = beams + [BeamMeasurement(np.array([0.5, 0.5, 0.5]), np.array([-1.0, 0.0, 0.0]),
+                                     4.0, None, 4.0)]
+    for mapper in (tree, grid_from_octree(tree)):
+        fan = cast_fan(mapper, beams)
+        cells, counts = stacked_casts([mapper.cast_ray(beam) for beam in beams])
+        assert fan.cells.dtype == np.int32 and fan.counts[-1] == 0
+        assert fan.counts == tuple(counts) and np.array_equal(fan.cells, cells)
+        got, got_counts = mapper.encode_traces(fan.cells, fan.counts)
+        want, want_counts = mapper.encode_traces(cells, counts)
+        assert got_counts == want_counts
+        if want is None:
+            assert got is None
+            continue
+        assert got.widths.tolist() == want.widths.tolist()
+        assert got.chi_t.tobytes() == want.chi_t.tobytes()
+        assert got.chi_0.tobytes() == want.chi_0.tobytes()
 
 
 def table_builds(caplog, tree):
@@ -612,7 +643,7 @@ def read_all(tree, beam):
     """The three batch reads of a planning cycle."""
     tree.labels_observed(((0, 0, 0), tree.dims))
     tree.map_state()
-    tree.encode_traces([tree.cast_ray(beam)])
+    tree.encode_traces(*stacked_casts([tree.cast_ray(beam)]))
 
 
 def test_leaf_table_is_rebuilt_only_after_the_tree_changes(params3, caplog, tmp_path):

@@ -18,6 +18,7 @@ from ssmi.logodds import SensorParams
 from ssmi.mi import (
     beam_mi_dense,
     beam_mi_srle,
+    cast_fan,
     collapse_to_binary,
     fan_beams,
     select_nonoverlapping,
@@ -341,7 +342,7 @@ def trajectory_mi_reference(mapper, fans, params):
     is_tree = isinstance(mapper, SemanticOctree)
     traces = [mapper.cast_ray(b) for fan in fans for b in fan]
     total = 0.0
-    for idx in select_nonoverlapping(traces):
+    for idx in select_nonoverlapping(cast_fan(mapper, [b for fan in fans for b in fan])):
         if is_tree:
             ray = mapper.encode_trace(traces[idx], skip_first_cell=True)
             if ray is not None:
@@ -397,8 +398,8 @@ def test_batched_cycle_equals_per_candidate_loop(monkeypatch, mapper_type, selec
     real = planner_mod.evaluate_candidates
     shared = []
 
-    def checked(mapper, view, start, params, config):
-        got = real(mapper, view, start, params, config)
+    def checked(mapper, view, start, params, config, casts):
+        got = real(mapper, view, start, params, config, casts)
         assert plan_rows(got) == plan_rows(
             evaluate_candidates_reference(mapper, view, start, params, config))
         poses = [p for c in got for p in sensing_poses(c.path, config.stride)]
@@ -425,8 +426,8 @@ def test_fsmi_binary_on_octree_plans_as_on_its_grid(monkeypatch):
     real = planner_mod.evaluate_candidates
     cycles = []
 
-    def checked(mapper, view, start, params, config):
-        got = real(mapper, view, start, params, config)
+    def checked(mapper, view, start, params, config, casts):
+        got = real(mapper, view, start, params, config, casts)
         want = real(grid_from_octree(mapper), view, start, params, config)
         assert [(c.frontier_index, c.path, c.cost) for c in got] == [
             (c.frontier_index, c.path, c.cost) for c in want]
@@ -449,6 +450,36 @@ def test_fsmi_binary_on_octree_plans_as_on_its_grid(monkeypatch):
     assert all(cycles)  # every cycle scored candidates with information
 
 
+@pytest.mark.parametrize("mapper_type", ["grid", "octree"])
+@pytest.mark.parametrize("selector", ["ssmi", "fsmi-binary"])
+def test_cached_and_uncached_planning_agree(monkeypatch, mapper_type, selector):
+    # every planning cycle of an A7 world-0 episode: the candidates planned
+    # on the episode's cast cache equal, under ==, those planned on a fresh
+    # cache, and later cycles are served fans cast in earlier ones
+    real = planner_mod.evaluate_candidates
+    served = []
+
+    def checked(mapper, view, start, params, config, casts):
+        before = set(casts)
+        got = real(mapper, view, start, params, config, casts)
+        assert got == real(mapper, view, start, params, config, {})
+        poses = {p for c in got for p in sensing_poses(c.path, config.stride)}
+        served.append(len(poses & before))
+        return got
+
+    monkeypatch.setattr(planner_mod, "evaluate_candidates", checked)
+    run_episode(config_from_dict({
+        "seed": 0,
+        "env": {"profile": "random", "dims": [32, 32], "num_classes": 3},
+        "sensor": {"num_beams": 48, "r_max": 10.0, "range_sigma": 0.1, "misclass_prob": 0.35},
+        "mapper": {"type": mapper_type},
+        "planner": {"selector": selector, "num_beams": 16, "beam_range": 10.0, "stride": 3},
+        "run": {"max_steps": 60, "explored_stop": 0.9},
+    }))
+    assert len(served) >= 6
+    assert sum(served) > 0
+
+
 def forked_corridor():
     """Walls everywhere except a corridor along y = 10 that meets a 3-wide
     vertical hall at x = 11..13; the hall opens into unknown space at both
@@ -465,16 +496,21 @@ def forked_corridor():
 
 
 def test_cycle_debug_line_counts_the_work(caplog):
+    # two calls on one cast cache: the first casts every distinct pose, the
+    # second is served every fan from the cache and casts nothing
     gmap = forked_corridor()
     params = SensorParams.default(2)
     config = PlannerConfig(num_beams=8, beam_range=6.0, stride=2)
     view = view_from_grid(gmap)
+    casts = {}
     with caplog.at_level(logging.DEBUG, logger="ssmi.planner"):
-        candidates = evaluate_candidates(gmap, view, (2, 10), params, config)
+        candidates = evaluate_candidates(gmap, view, (2, 10), params, config, casts)
+        again = evaluate_candidates(gmap, view, (2, 10), params, config, casts)
     assert len(candidates) == 2
+    assert again == candidates
     lines = [r.getMessage() for r in caplog.records if r.name == "ssmi.planner"]
-    assert len(lines) == 1
-    numbers = [int(v) for v in re.findall(r"\d+", lines[0])]
+    assert len(lines) == 2
+    first, second = ([int(v) for v in re.findall(r"\d+", line)] for line in lines)
     poses = [sensing_poses(c.path, config.stride) for c in candidates]
     distinct = {p for ps in poses for p in ps}
     kept = [
@@ -482,12 +518,15 @@ def test_cycle_debug_line_counts_the_work(caplog):
                              for cell, heading in ps], params, return_detail=True).beams_kept
         for ps in poses
     ]
-    n_cand, n_poses, n_distinct, n_cast, n_kept, n_eval = numbers
+    n_cand, n_poses, n_distinct, n_cast, n_kept, n_eval, n_served, n_fans, n_held = first
     assert (n_cand, n_poses, n_distinct) == (len(candidates), sum(map(len, poses)), len(distinct))
     assert len(distinct) < sum(map(len, poses))
     assert n_cast == 8 * len(distinct)
     assert n_kept == sum(kept)
     assert max(kept) <= n_eval <= n_kept
+    assert (n_served, n_fans, n_held) == (0, len(distinct), len(distinct))
+    assert set(casts) == distinct
+    assert second == first[:3] + [0] + first[4:6] + [len(distinct), 0, len(distinct)]
 
 
 def test_view_from_octree_matches_grid(params3, rng):

@@ -240,6 +240,18 @@ def test_debug_log_has_scan_and_cycle_lines_and_leaves_metrics_alone(caplog):
     assert tables and all(
         re.fullmatch(r"leaf table: \d+ leaves, \d+ beliefs, \d+\.\d{3} ms", m) for m in tables
     )
+    plans = [r.getMessage() for r in caplog.records if r.name == "ssmi.planner"]
+    assert plans and all(
+        re.fullmatch(r"\d+ candidates, \d+ sensing poses \(\d+ distinct\), \d+ beams cast, "
+                     r"\d+ kept over candidates, \d+ distinct kept beams evaluated; "
+                     r"cast cache: \d+ fans served, \d+ fans cast, \d+ fans held", m)
+        for m in plans
+    )
+    held = 0
+    for m in plans:  # the episode's cache only grows, by the fans each cycle casts
+        _, _, distinct, beams, _, _, served, cast, now = map(int, re.findall(r"\d+", m))
+        assert (served + cast, beams, now) == (distinct, 16 * cast, held + cast)
+        held = now
     assert [m.split(":")[0] for m in cycles] == [f"cycle {r.step}" for r in metrics.rows]
     assert all(f"entropy {r.entropy!r} nats, explored {r.explored!r}" in m
                for m, r in zip(cycles, metrics.rows))
