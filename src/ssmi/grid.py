@@ -29,6 +29,23 @@ GRID_VERSION = 1
 log = logging.getLogger(__name__)
 
 
+def unit_direction(d: list[float]) -> list[float]:
+    """``d`` (three floats) itself when its norm is within 1e-9 of one, else
+    ``d`` over its norm; raises ValueError for a zero vector. Every beam
+    direction passes here: a ``BeamMeasurement``'s, and each direction of a
+    fan cast from its pose (``mi.FanCast.from_pose``)."""
+    x, y, z = d
+    # |d.d - 1| <= 1e-10 implies |norm - 1| < 1e-9, so the exact norm is only
+    # needed outside that margin
+    if abs(x * x + y * y + z * z - 1.0) > 1e-10:
+        norm = float(np.linalg.norm(d))
+        if abs(norm - 1.0) > 1e-9:
+            if norm == 0.0:
+                raise ValueError("direction must be nonzero")
+            return [x / norm, y / norm, z / norm]
+    return d
+
+
 @dataclass(frozen=True)
 class BeamMeasurement:
     """One range-category return along a ray from ``origin``.
@@ -48,15 +65,10 @@ class BeamMeasurement:
         direction = np.ascontiguousarray(self.direction, dtype=np.float64)
         if origin.shape != (3,) or direction.shape != (3,):
             raise ValueError("origin and direction must be 3-vectors")
-        # |x.x - 1| <= 1e-10 implies |norm - 1| < 1e-9, so the exact norm is
-        # only needed outside that margin
-        x, y, z = direction.tolist()
-        if abs(x * x + y * y + z * z - 1.0) > 1e-10:
-            norm = float(np.linalg.norm(direction))
-            if abs(norm - 1.0) > 1e-9:
-                if norm == 0.0:
-                    raise ValueError("direction must be nonzero")
-                direction = direction / norm
+        d = direction.tolist()
+        unit = unit_direction(d)
+        if unit is not d:
+            direction = np.array(unit)
         origin.flags.writeable = False
         direction.flags.writeable = False
         object.__setattr__(self, "origin", origin)
@@ -222,6 +234,18 @@ def voxel_walk(g, d, s_max: float, dims) -> tuple[list[int], list[float]]:
         coords += (i, j, k)
 
 
+def _cell_point(point, origin, cell_size: float, dims) -> tuple[float, float, float]:
+    """``point`` (three floats) in cell units of the box of ``dims`` cells of
+    edge ``cell_size`` whose low corner sits at ``origin``; raises
+    OriginOutOfBounds when it is not inside the box."""
+    # unrolled over the three axes: this runs once per cast beam or fan
+    (px, py, pz), (ox, oy, oz), (nx, ny, nz) = point, origin, dims
+    g = ((px - ox) / cell_size, (py - oy) / cell_size, (pz - oz) / cell_size)
+    if not (0.0 <= g[0] < nx and 0.0 <= g[1] < ny and 0.0 <= g[2] < nz):
+        raise OriginOutOfBounds(f"beam origin {np.array(point)} outside the map")
+    return g
+
+
 def cast(beam: BeamMeasurement, origin, cell_size: float, dims) -> RayTrace:
     """Trace ``beam`` through the box of ``dims`` cells of edge ``cell_size``
     whose low corner sits at ``origin`` (three floats); the one caster behind
@@ -231,11 +255,7 @@ def cast(beam: BeamMeasurement, origin, cell_size: float, dims) -> RayTrace:
     need the full sequence to max range); the trace is truncated where the
     ray leaves the box, which counts as reaching max range.
     """
-    # unrolled over the three axes: this runs once per cast beam
-    (px, py, pz), (ox, oy, oz), (nx, ny, nz) = beam.origin.tolist(), origin, dims
-    g = ((px - ox) / cell_size, (py - oy) / cell_size, (pz - oz) / cell_size)
-    if not (0.0 <= g[0] < nx and 0.0 <= g[1] < ny and 0.0 <= g[2] < nz):
-        raise OriginOutOfBounds(f"beam origin {beam.origin} outside the map")
+    g = _cell_point(beam.origin.tolist(), origin, cell_size, dims)
     coords, entries = voxel_walk(g, beam.direction.tolist(), beam.max_range / cell_size, dims)
     hit_index = None
     if beam.hits:
@@ -244,6 +264,27 @@ def cast(beam: BeamMeasurement, origin, cell_size: float, dims) -> RayTrace:
             hit_index = bisect.bisect_right(entries, s_hit, 1) - 1
     cells = np.array(coords, dtype=np.int64).reshape(-1, 3)
     return RayTrace(cells=cells, hit_index=hit_index, entries=entries, cell_size=cell_size)
+
+
+def walk_fan(center, directions, max_range: float, origin, cell_size: float,
+             dims) -> tuple[list[int], list[int]]:
+    """The cells of a fan of full-length rays from one ``center`` (three
+    floats) along ``directions`` (unit 3-vectors of floats), in the box of
+    :func:`cast`: each ray's cells past its sensor cell, in ray order, as
+    one flat coordinate list (i0, j0, k0, i1, ...), and each ray's count of
+    them. They are the cells after the first that ``cast`` lists for the
+    beam of that origin, direction and ``max_range``: the same origin check
+    and ``voxel_walk`` on the same floats. No entries, hit index or array
+    are built, since planning reads cells only."""
+    g = _cell_point(center, origin, cell_size, dims)
+    s_max = max_range / cell_size
+    coords: list[int] = []
+    counts: list[int] = []
+    for d in directions:
+        cells = voxel_walk(g, d, s_max, dims)[0]
+        coords += cells[3:]
+        counts.append(len(cells) // 3 - 1)
+    return coords, counts
 
 
 class GridMap:
@@ -303,6 +344,11 @@ class GridMap:
         """All cells the beam's full-length ray traverses, in order (see
         :func:`cast`)."""
         return cast(beam, self.origin.tolist(), self.resolution, self.dims)
+
+    def fan_cells(self, center, directions, max_range: float) -> tuple[list[int], list[int]]:
+        """The cells past the sensor cell of a fan of rays (see :func:`walk_fan`)."""
+        return walk_fan(center, directions, max_range, self.origin.tolist(), self.resolution,
+                        self.dims)
 
     def encode_traces(self, cells: np.ndarray, counts) -> tuple[SrleRay | None, list[int]]:
         """Runs for the run-length kernel over a compact cast (``mi.FanCast``):

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import logodds
 from .errors import EmptyRay, ScaleExceeded
-from .grid import BeamMeasurement, GridMap, SrleRay
+from .grid import BeamMeasurement, GridMap, SrleRay, unit_direction
 from .logodds import SensorParams
 
 LIMIT_EPS = 1e-9  # switch to the analytic limit of the geometric sums
@@ -335,13 +335,41 @@ class FanCast:
     cells past each beam's sensor cell in beam order, one (M, 3) int32 array,
     and ``counts[b]`` is beam b's share of them (0 for a beam that leaves the
     map from its sensor cell). It holds cells only, no beliefs, so it stays
-    valid while the map's geometry does: origin, cell size and dims."""
+    valid while the map's geometry does: origin, cell size and dims.
+
+    Two paths build one: :func:`cast_fan` casts any beams through
+    ``mapper.cast_ray``, and :meth:`from_pose` casts a planar fan straight
+    from its pose, which is how planning, ``mi_surface`` and ``ssmi mi-eval``
+    cast."""
 
     cells: np.ndarray
     counts: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.counts)
+
+    @classmethod
+    def from_pose(cls, mapper, center, num_beams: int, max_range: float,
+                  heading: float = 0.0, fov: float = 2.0 * math.pi) -> "FanCast":
+        """``cast_fan(mapper, fan_beams(center, num_beams, max_range, heading,
+        fov))``, byte for byte, without a ``BeamMeasurement`` or a
+        ``RayTrace`` per beam: the directions are made as floats from the
+        angles of :func:`fan_angles`, which ``fan_beams`` takes too, and each
+        passes the beam's unit-direction check (``grid.unit_direction``);
+        ``mapper.fan_cells`` then runs the caster's own origin check and
+        voxel walk on the same floats, keeping only the cells. So the result
+        is exact, and raises where the beams would: ``ValueError`` for a
+        negative or NaN range, ``OriginOutOfBounds`` for a center outside
+        the map."""
+        origin = np.asarray(center, dtype=np.float64)
+        if origin.shape != (3,):
+            raise ValueError("origin and direction must be 3-vectors")
+        if not 0.0 <= max_range:
+            raise ValueError("need 0 <= range <= max_range")
+        directions = [unit_direction([math.cos(a), math.sin(a), 0.0])
+                      for a in fan_angles(num_beams, heading, fov)]
+        coords, counts = mapper.fan_cells(origin.tolist(), directions, max_range)
+        return cls(np.array(coords, dtype=np.int32).reshape(-1, 3), tuple(counts))
 
     @classmethod
     def join(cls, casts: list["FanCast"]) -> "FanCast":
@@ -525,6 +553,17 @@ def collapse_to_binary(h: np.ndarray) -> np.ndarray:
     return out
 
 
+def fan_angles(num_beams: int, heading: float = 0.0,
+               fov: float = 2.0 * math.pi) -> list[float]:
+    """The beam angles of a planar fan around ``heading``, in beam order;
+    they sit strictly between the fov edges (half-step offset) so fans avoid
+    exact axis alignment. :func:`fan_beams` and :meth:`FanCast.from_pose`
+    both take their angles here, so the two cast the same directions."""
+    start = heading - fov / 2.0
+    step = fov / num_beams
+    return [start + (b + 0.5) * step for b in range(num_beams)]
+
+
 def fan_beams(
     center: np.ndarray,
     num_beams: int,
@@ -532,24 +571,21 @@ def fan_beams(
     heading: float = 0.0,
     fov: float = 2.0 * math.pi,
 ) -> list[BeamMeasurement]:
-    """Planar candidate beams around ``heading``; angles sit strictly between
-    the fov edges (half-step offset) so fans avoid exact axis alignment."""
-    start = heading - fov / 2.0
-    step = fov / num_beams
+    """Planar candidate beams around ``heading`` at the :func:`fan_angles`,
+    reaching ``max_range`` with no hit. Planning casts the same fan with
+    :meth:`FanCast.from_pose`; these beams are for ``trajectory_mi`` and
+    any other caller that needs the beams themselves."""
     origin = np.array(center, dtype=np.float64)  # read-only once a beam holds it
-    out = []
-    for b in range(num_beams):
-        angle = start + (b + 0.5) * step
-        out.append(
-            BeamMeasurement(
-                origin=origin,
-                direction=np.array([math.cos(angle), math.sin(angle), 0.0]),
-                range=max_range,
-                category=None,
-                max_range=max_range,
-            )
+    return [
+        BeamMeasurement(
+            origin=origin,
+            direction=np.array([math.cos(angle), math.sin(angle), 0.0]),
+            range=max_range,
+            category=None,
+            max_range=max_range,
         )
-    return out
+        for angle in fan_angles(num_beams, heading, fov)
+    ]
 
 
 def mi_surface(
@@ -578,9 +614,9 @@ def mi_surface(
         for j in range(gmap.dims[1]):
             if labels[i, j] != 0:
                 continue
-            fan = fan_beams(gmap.cell_center((i, j, 0)), num_beams, max_range)
+            fan = FanCast.from_pose(gmap, gmap.cell_center((i, j, 0)), num_beams, max_range)
             total = 0.0
-            for res in _traces_mi(gmap, cast_fan(gmap, fan), params):
+            for res in _traces_mi(gmap, fan, params):
                 if res is not None:
                     total += res.value
             out[i, j] = total

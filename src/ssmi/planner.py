@@ -241,12 +241,16 @@ def evaluate_candidates(
     either map. All candidates are evaluated in one ``trajectories_mi`` call.
 
     ``casts`` is the cast cache: a :class:`ssmi.mi.FanCast` per sensing pose,
-    keyed by ``(cell, heading)``. A pose missing from it is cast and added;
-    a pose found in it, from this call or an earlier one, is not cast again.
-    The cache is exact: a fan's beams are a pure function of the pose and
-    ``config``, and a cast is a pure function of the beam and the map's
-    fixed geometry (origin, cell or element size, dims), while beliefs are
-    read fresh at encode time in every call. So one cache serves one map
+    keyed by ``(cell, heading)``. A pose missing from it is cast straight
+    from the pose with ``FanCast.from_pose`` and added; a pose found in it,
+    from this call or an earlier one, is not cast again. ``from_pose`` walks
+    the angles ``mi.fan_beams`` would build beams at (``mi.fan_angles``)
+    with the caster's own checks and voxel walk, so its bytes are those of
+    ``cast_fan`` over ``fan_beams``, without building either. The cache is
+    exact: a fan's directions are a pure function of the pose and
+    ``config``, and a cast is a pure function of them and the map's fixed
+    geometry (origin, cell or element size, dims), while beliefs are read
+    fresh at encode time in every call. So one cache serves one map
     geometry and one ``config``; ``sim.run_episode`` owns one per episode.
     Its keys are planning cells times the 8 path-tangent headings, so it
     needs no bound: over A7 worlds 0-9 the largest held 556 fans in
@@ -279,9 +283,9 @@ def evaluate_candidates(
         poses = sensing_poses(path, config.stride)
         for cell, heading in poses:
             if (cell, heading) not in casts:
-                casts[cell, heading] = mi_mod.cast_fan(mapper, mi_mod.fan_beams(
-                    view.cell_center(cell), config.num_beams, config.beam_range, heading,
-                    config.fov))
+                casts[cell, heading] = mi_mod.FanCast.from_pose(
+                    mapper, view.cell_center(cell), config.num_beams, config.beam_range,
+                    heading, config.fov)
         trajectories.append(poses)
     batch = mi_mod.trajectories_mi(mapper, casts, trajectories, params)
     distinct = len({pose for poses in trajectories for pose in poses})

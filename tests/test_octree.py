@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from ssmi import logodds as lo
 from ssmi.config import config_from_dict
-from ssmi.errors import CorruptMap, InvalidClass
+from ssmi.errors import CorruptMap, InvalidClass, OriginOutOfBounds
 from ssmi.grid import BeamMeasurement, GridMap
 from ssmi.logodds import SensorParams
 from ssmi.octree import (
@@ -35,7 +35,7 @@ from ssmi.octree import (
     save_octree,
 )
 from ssmi.sim import run_episode
-from ssmi.mi import cast_fan
+from ssmi.mi import FanCast, cast_fan, fan_beams
 from conftest import stacked_casts
 
 
@@ -626,6 +626,91 @@ def test_compact_fan_cast_encodes_as_the_stacked_ray_traces(case):
         assert got.widths.tolist() == want.widths.tolist()
         assert got.chi_t.tobytes() == want.chi_t.tobytes()
         assert got.chi_0.tobytes() == want.chi_0.tobytes()
+
+
+def _pose_fan_case(dims, size, origin, center, num_beams, max_range, heading, fov):
+    """A world of ``dims`` cells of edge ``size`` at ``origin``, as a grid and
+    as an octree whose cube (16 elements a side) is larger than the world,
+    and a planar fan; ``center`` is in cell units of the world."""
+    grid = GridMap(dims, size, 3, origin=origin)
+    tree = SemanticOctree(size, 4, 3, origin=origin)
+    center = [o + c * size for o, c in zip(origin, center)]
+    return (grid, tree), (center, num_beams, max_range, heading, fov)
+
+
+@st.composite
+def pose_fan_case(draw):
+    """Centers on cell faces, edges and corners (integer and half-integer
+    cell coordinates) or anywhere; along x up to one cell past the world on
+    either side, so some lie outside the grid, the cube, or both; headings on the axes
+    and diagonals or anywhere; 1 to 32 beams over a fov in (0, 2 pi];
+    ranges from zero to under one cell, or past both maps."""
+    size = draw(st.sampled_from([1.0, 0.5, 0.3]), label="cell size")
+    origin = [draw(st.sampled_from([0.0, -1.5, 2.25])) for _ in range(3)]
+    dims = (draw(st.integers(1, 12)), draw(st.integers(1, 12)), draw(st.integers(1, 3)))
+    center = [draw(st.integers(2 * lo, 2 * n + 2 * lo).map(lambda h: h / 2.0)
+                   | st.floats(lo, n + lo, exclude_max=True))
+              for lo, n in zip((-1, 0, 0), (dims[0] + 2, dims[1], dims[2]))]
+    heading = draw(st.integers(-8, 8).map(lambda k: k * math.pi / 4.0) | st.floats(-7.0, 7.0))
+    fov = draw(st.just(2.0 * math.pi) | st.floats(0.0, 2.0 * math.pi, exclude_min=True))
+    max_range = draw(st.floats(0.0, 0.99 * size) | st.floats(size, 40.0 * size))
+    return _pose_fan_case(dims, size, origin, center, draw(st.integers(1, 32)), max_range,
+                          heading, fov)
+
+
+@given(case=pose_fan_case())
+# every beam leaves the grid from its sensor cell (counts all 0), and in the
+# tree's cube crosses into a second element only past the grid's edge
+@example(case=_pose_fan_case((4, 4, 1), 1.0, [0.0] * 3, [0.0, 0.0, 0.5], 8, 0.5, math.pi,
+                             math.pi / 2.0))
+# outside the grid and the cube: below the low corner
+@example(case=_pose_fan_case((4, 4, 1), 0.5, [-1.5] * 3, [-0.5, 2.0, 0.5], 4, 3.0, 0.0, 1.0))
+# outside the grid on its far face, inside the cube
+@example(case=_pose_fan_case((4, 3, 1), 1.0, [0.0] * 3, [4.0, 1.5, 0.5], 16, 20.0,
+                             math.pi / 4.0, 2.0 * math.pi))
+@settings(max_examples=300, deadline=None)
+def test_fan_cast_from_a_pose_equals_casting_its_beams(case):
+    """``FanCast.from_pose`` gives the bytes of ``cast_fan`` over
+    ``fan_beams`` (cells, dtype, shape and counts) on a grid and on an
+    octree larger than it, and raises ``OriginOutOfBounds`` with the same
+    message where casting the beams does."""
+    mappers, fan = case
+    for mapper in mappers:
+        try:
+            want = cast_fan(mapper, fan_beams(*fan))
+        except OriginOutOfBounds as exc:
+            with pytest.raises(OriginOutOfBounds, match=re.escape(str(exc))):
+                FanCast.from_pose(mapper, *fan)
+            continue
+        got = FanCast.from_pose(mapper, *fan)
+        assert got.counts == want.counts
+        assert got.cells.dtype == want.cells.dtype == np.int32
+        assert got.cells.shape == want.cells.shape
+        assert got.cells.tobytes() == want.cells.tobytes()
+
+
+def test_fan_cast_from_a_pose_checks_what_its_beams_check():
+    """The examples above do reach their edge cases, and a pose fan refuses
+    what a beam refuses: a negative or NaN range, a center that is not a
+    3-vector."""
+    (grid, tree), fan = _pose_fan_case((4, 4, 1), 1.0, [0.0] * 3, [0.0, 0.0, 0.5], 8, 0.5,
+                                       math.pi, math.pi / 2.0)
+    assert FanCast.from_pose(grid, *fan).counts == (0,) * 8
+    assert FanCast.from_pose(tree, *fan).counts == (0,) * 8
+    below, fan = _pose_fan_case((4, 4, 1), 0.5, [-1.5] * 3, [-0.5, 2.0, 0.5], 4, 3.0, 0.0, 1.0)
+    for mapper in below:
+        with pytest.raises(OriginOutOfBounds):
+            FanCast.from_pose(mapper, *fan)
+    (far_grid, far_tree), fan = _pose_fan_case((4, 3, 1), 1.0, [0.0] * 3, [4.0, 1.5, 0.5], 16,
+                                               20.0, 0.0, 1.0)
+    with pytest.raises(OriginOutOfBounds):
+        FanCast.from_pose(far_grid, *fan)
+    assert len(FanCast.from_pose(far_tree, *fan)) == 16
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="range"):
+            FanCast.from_pose(grid, [1.5, 1.5, 0.5], 4, bad)
+    with pytest.raises(ValueError, match="3-vectors"):
+        FanCast.from_pose(grid, [1.5, 1.5], 4, 2.0)
 
 
 def table_builds(caplog, tree):

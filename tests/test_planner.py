@@ -16,6 +16,7 @@ from ssmi.errors import NoFrontiers, Unreachable
 from ssmi.grid import GridMap
 from ssmi.logodds import SensorParams
 from ssmi.mi import (
+    FanCast,
     beam_mi_dense,
     beam_mi_srle,
     cast_fan,
@@ -478,6 +479,50 @@ def test_cached_and_uncached_planning_agree(monkeypatch, mapper_type, selector):
     }))
     assert len(served) >= 6
     assert sum(served) > 0
+
+
+@pytest.mark.parametrize("mapper_type", ["grid", "octree"])
+@pytest.mark.parametrize("selector", ["ssmi", "fsmi-binary"])
+def test_pose_fan_casts_plan_as_casting_the_beams(monkeypatch, mapper_type, selector):
+    # every planning cycle of an A7 world-0 episode: the candidates planned
+    # on fans cast straight from their poses (``FanCast.from_pose``) equal,
+    # under ==, those planned on a fresh cache filled by casting each pose's
+    # ``fan_beams`` with ``cast_fan``, and every cached cast is byte-equal
+    real = planner_mod.evaluate_candidates
+    from_pose = FanCast.from_pose
+    reference_casts = []
+    cycles = []
+
+    def reference_cast(mapper, center, num_beams, max_range, heading, fov):
+        reference_casts.append(center)
+        return cast_fan(mapper, fan_beams(center, num_beams, max_range, heading, fov))
+
+    def checked(mapper, view, start, params, config, casts):
+        got = real(mapper, view, start, params, config, casts)
+        want_casts = {}
+        with monkeypatch.context() as patch:
+            patch.setattr(FanCast, "from_pose", staticmethod(reference_cast))
+            want = real(mapper, view, start, params, config, want_casts)
+        assert FanCast.from_pose == from_pose
+        assert got == want
+        for pose, fan in want_casts.items():
+            assert casts[pose].counts == fan.counts
+            assert casts[pose].cells.dtype == fan.cells.dtype
+            assert casts[pose].cells.tobytes() == fan.cells.tobytes()
+        cycles.append(len(want_casts))
+        return got
+
+    monkeypatch.setattr(planner_mod, "evaluate_candidates", checked)
+    run_episode(config_from_dict({
+        "seed": 0,
+        "env": {"profile": "random", "dims": [32, 32], "num_classes": 3},
+        "sensor": {"num_beams": 48, "r_max": 10.0, "range_sigma": 0.1, "misclass_prob": 0.35},
+        "mapper": {"type": mapper_type},
+        "planner": {"selector": selector, "num_beams": 16, "beam_range": 10.0, "stride": 3},
+        "run": {"max_steps": 60, "explored_stop": 0.9},
+    }))
+    assert len(cycles) >= 6
+    assert len(reference_casts) == sum(cycles)
 
 
 def forked_corridor():
