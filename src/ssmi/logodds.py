@@ -238,7 +238,10 @@ def f_logratio(phi: np.ndarray, h: np.ndarray) -> float:
 
 
 def f_logratio_rows(phi: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Row-wise f_logratio for (N, K+1) stacks; used by the ray hot loops."""
+    """Row-wise f_logratio for (N, K+1) stacks. The reference for the beam
+    kernels' fused row terms (``mi._row_terms``), which give these values
+    bit for bit while sharing one log-sum-exp of ``h`` and one softmax pass
+    over the free and hit models."""
     phi = np.asarray(phi, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
     phi, h = np.broadcast_arrays(phi, h)

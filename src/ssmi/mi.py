@@ -18,6 +18,12 @@ beliefs. Three evaluations of the same quantity live here:
 plus direct (non-recursive) counterparts of the two passes that rebuild
 every prefix from scratch, used to validate the forward recursions.
 
+Both passes take their per-row terms (log p_free, the pmf, the free and the
+K hit log-ratios) from one fused helper, ``_row_terms``, which shares the
+work the ``logodds`` reference (``logsumexp``, ``softmax_pmf``,
+``f_logratio_rows``) repeats and equals it bit for bit; a row with NaN or
++inf raises ``ValueError``.
+
 The occupancy-only baseline (FSMI, Zhang et al., ICRA 2019) is a one-class
 ``SensorParams`` on a map with more classes: the runs of either map are then
 collapsed to occupied/free (``collapse_to_binary``) before the kernel call.
@@ -81,6 +87,36 @@ def _hit_models(params: SensorParams) -> np.ndarray:
     return models
 
 
+def _row_terms(h_t: np.ndarray, h_0: np.ndarray, params: SensorParams):
+    """``log_p0`` (R,), the pmf (R, K+1), ``f_free`` (R,) and the K
+    ``f_hit`` (R, K) of a stack of (current, prior) beliefs, (R, K+1) each.
+
+    One max, one exp and one sum per stack give both a row's log-sum-exp and
+    its softmax; ``lse(h_t)`` is ``-log_p0`` and the ``z1`` of every f term;
+    the free model and the K hit models go through one (R, K+1, K+1) pass.
+    Wherever a row's max is finite, these are the elementwise operations and
+    length-(K+1) reductions of ``logodds.logsumexp``, ``softmax_pmf`` and
+    ``f_logratio_rows`` on the same values, so the bits are theirs. Every
+    stored belief has a finite max, its pivot being 0; a row of ``h_t`` with
+    a NaN or +inf raises ``ValueError``, and -inf entries are fine.
+    """
+    top = np.max(h_t, axis=-1, keepdims=True)
+    if not np.isfinite(top).all():
+        raise ValueError("a belief row holds NaN or +inf")
+    e = np.exp(h_t - top)
+    s = np.sum(e, axis=-1, keepdims=True)
+    lse = np.log(s) + top  # (R, 1), h_t[:, 0] == 0
+    models = np.vstack([params.phi_minus, _hit_models(params)])  # (K+1, K+1)
+    phi = models[None, :, :] - h_0[:, None, :]
+    shifted = phi + h_t[:, None, :]
+    top2 = np.max(shifted, axis=-1, keepdims=True)
+    e2 = np.exp(shifted - top2)
+    s2 = np.sum(e2, axis=-1, keepdims=True)
+    z2 = np.log(s2[..., 0]) + top2[..., 0]
+    f = lse - z2 + np.sum(phi * (e2 / s2), axis=-1)
+    return -lse[:, 0], e / s, f[:, 0], f[:, 1:]
+
+
 def _exclusive_cumsum(x: np.ndarray, spans: list[tuple[int, int]]) -> np.ndarray:
     """Per-segment exclusive prefix sums of ``x``; every segment is summed on
     its own, so each slice equals a separate ``cumsum`` of that segment."""
@@ -125,19 +161,13 @@ def beam_mi_dense(
     One free-update log-ratio and K hit-update log-ratios are evaluated per
     cell; prefix products and sums carry the recursion, so the total work is
     O(K N) for N cells. Planning evaluates beams with the run-length kernel;
-    this pass is the reference it is checked against.
+    this pass is the reference it is checked against. A row of ``h_t`` with
+    a NaN or +inf raises ``ValueError``.
     """
     h_t = np.atleast_2d(np.asarray(h_t, dtype=np.float64))
     h_0 = np.broadcast_to(np.asarray(h_0, dtype=np.float64), h_t.shape)
     spans = _spans((0, h_t.shape[0]))
-    lse = logodds.logsumexp(h_t, axis=-1)
-    log_p0 = -np.asarray(lse)  # h_t[:, 0] == 0
-    pmf = logodds.softmax_pmf(h_t)
-
-    f_free = logodds.f_logratio_rows(params.phi_minus - h_0, h_t)
-    hit = _hit_models(params)  # (K, K+1)
-    f_hit = logodds.f_logratio_rows(hit[None, :, :] - h_0[:, None, :], h_t[:, None, :])
-
+    log_p0, pmf, f_free, f_hit = _row_terms(h_t, h_0, params)
     before_log_p0 = _exclusive_cumsum(log_p0, spans)
     before_f_free = _exclusive_cumsum(f_free, spans)
 
@@ -203,18 +233,12 @@ def beam_mi_srle_batch(
     ``runs`` stacks every beam's runs; beam b owns runs ``offsets[b]`` to
     ``offsets[b + 1]``. Row-wise terms and geometric sums are computed once
     over all runs; prefix sums and final reductions run per beam, so every
-    beam's result is bit-identical to evaluating it alone.
+    beam's result is bit-identical to evaluating it alone. A run whose
+    ``chi_t`` holds a NaN or +inf raises ``ValueError``.
     """
     spans = _spans(offsets)
-    chi_t, chi_0, w = runs.chi_t, runs.chi_0, runs.widths.astype(np.float64)
-    lse = np.asarray(logodds.logsumexp(chi_t, axis=-1), dtype=np.float64).reshape(-1)
-    log_p0 = -lse
-    pmf = logodds.softmax_pmf(chi_t)
-
-    f_free = logodds.f_logratio_rows(params.phi_minus - chi_0, chi_t)
-    hit = _hit_models(params)
-    f_hit = logodds.f_logratio_rows(hit[None, :, :] - chi_0[:, None, :], chi_t[:, None, :])
-
+    w = runs.widths.astype(np.float64)
+    log_p0, pmf, f_free, f_hit = _row_terms(runs.chi_t, runs.chi_0, params)
     run_log_p0 = w * log_p0
     run_f_free = w * f_free
     before_log_p0 = _exclusive_cumsum(run_log_p0, spans)

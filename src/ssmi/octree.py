@@ -52,7 +52,9 @@ class TruncatedSemantics:
 
     ``data`` is sorted by descending log-odds with class index breaking ties,
     and ``others`` is the log-odds of the aggregate probability of all
-    untracked classes (-inf when nothing is untracked).
+    untracked classes (-inf when nothing is untracked). The hash is the one
+    the dataclass would compute, ``hash((data, others))``, made once here
+    rather than on every dict lookup.
     """
 
     data: tuple[tuple[int, float], ...]
@@ -64,6 +66,10 @@ class TruncatedSemantics:
         classes = [c for c, _ in self.data]
         if len(set(classes)) != len(classes) or any(c < 1 for c in classes):
             raise ValueError("tracked classes must be distinct ids >= 1")
+        object.__setattr__(self, "_hash", hash((self.data, self.others)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def _sorted(pairs) -> tuple[tuple[int, float], ...]:

@@ -253,7 +253,8 @@ def assert_same_result(got, ref, detail):
 def cell_rows(rng, kinds, k, clamp):
     """One log-odds row per kind: 0 uniform, 1 saturated at the clamp,
     2 rounded to 0.5, 3 free with p_free within 1e-13 of 1 (the LIMIT_EPS
-    branch of the geometric sums), 4 the uniform prior."""
+    branch of the geometric sums), 4 the uniform prior, 5 signed zeros (the
+    first class -0.0, the others -0.0 or 0.0)."""
     near_free = math.log(1e-13 / (1.0 - 1e-13) / k)
     rows = np.zeros((len(kinds), k + 1))
     for r, kind in enumerate(kinds):
@@ -265,10 +266,15 @@ def cell_rows(rng, kinds, k, clamp):
             rows[r, 1:] = np.round(rng.uniform(-clamp, clamp, k) * 2.0) / 2.0
         elif kind == 3:
             rows[r, 1:] = near_free
+        elif kind == 5:
+            rows[r, 1:] = rng.choice([-0.0, 0.0], k)
+            rows[r, 1] = -0.0
     return rows
 
 
-beam_kinds = st.lists(st.lists(st.integers(0, 4), min_size=1, max_size=9), min_size=1, max_size=7)
+NUM_KINDS = 6
+row_kinds = st.lists(st.integers(0, NUM_KINDS - 1), min_size=1, max_size=9)
+beam_kinds = st.lists(row_kinds, min_size=1, max_size=7)
 
 
 def beam_rows(rng, beams, k, clamp):
@@ -278,9 +284,10 @@ def beam_rows(rng, beams, k, clamp):
     for kinds in beams:
         h_t = cell_rows(rng, kinds, k, clamp)
         if rng.random() < 0.5:
-            h_0 = np.broadcast_to(cell_rows(rng, [int(rng.integers(5))], k, clamp)[0], h_t.shape)
+            h_0 = np.broadcast_to(cell_rows(rng, [int(rng.integers(NUM_KINDS))], k, clamp)[0],
+                                  h_t.shape)
         else:
-            h_0 = cell_rows(rng, rng.integers(0, 5, len(h_t)), k, clamp)
+            h_0 = cell_rows(rng, rng.integers(0, NUM_KINDS, len(h_t)), k, clamp)
         out.append((h_t, h_0))
     return out
 
@@ -334,7 +341,7 @@ def test_srle_batch_equals_single_beam_reference(k, beams, clamp, seed, detail):
     for kinds in beams:
         widths = rng.integers(1, 40, len(kinds))
         widths[rng.random(len(kinds)) < 0.3] = 1
-        prior = cell_rows(rng, [int(rng.integers(5))], k, clamp)
+        prior = cell_rows(rng, [int(rng.integers(NUM_KINDS))], k, clamp)
         rays.append(SrleRay(widths=widths, chi_t=cell_rows(rng, kinds, k, clamp),
                             chi_0=np.repeat(prior, len(kinds), axis=0)))
     runs = SrleRay(
@@ -357,6 +364,69 @@ def test_limit_branch_reached_by_near_free_runs():
     for k in range(1, 6):
         log_p0 = -lo.logsumexp(cell_rows(rng, [3], k, 6.0), axis=-1)
         assert -np.expm1(log_p0[0]) < mi_mod.LIMIT_EPS
+
+
+def assert_same_rows(got, want):
+    """Equal arrays, element for element and bit for bit, signed zeros too."""
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert [v.hex() for v in got.ravel().tolist()] == [v.hex() for v in want.ravel().tolist()]
+
+
+@given(k=st.integers(1, 5), kinds=row_kinds, clamp=st.sampled_from([4.0, 6.0, 12.0]),
+       seed=st.integers(0, 2**32 - 1), neg_inf=st.sampled_from([0.0, 0.3, 1.0]),
+       binary=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_row_terms_are_the_logodds_reference_bit_for_bit(k, kinds, clamp, seed, neg_inf,
+                                                         binary):
+    """The fused row terms of the kernels against ``logodds``: every
+    ``cell_rows`` kind, class entries set to -inf at random (all of them at
+    ``neg_inf = 1``), and, with ``binary``, the K = 1 rows that
+    ``collapse_to_binary`` makes of them."""
+    rng = np.random.default_rng(seed)
+    params = SensorParams.default(1 if binary else k, clamp_limit=clamp)
+    h_t = cell_rows(rng, kinds, k, clamp)
+    h_t[:, 1:][rng.random((len(kinds), k)) < neg_inf] = -np.inf
+    h_0 = cell_rows(rng, rng.integers(0, NUM_KINDS, len(kinds)), k, clamp)
+    if binary:
+        h_t, h_0 = collapse_to_binary(h_t), collapse_to_binary(h_0)
+    hit = mi_mod._hit_models(params)
+    want = (
+        -lo.logsumexp(h_t, axis=-1),
+        lo.softmax_pmf(h_t),
+        lo.f_logratio_rows(params.phi_minus - h_0, h_t),
+        lo.f_logratio_rows(hit[None, :, :] - h_0[:, None, :], h_t[:, None, :]),
+    )
+    got = mi_mod._row_terms(h_t, h_0, params)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert_same_rows(g, w)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_kernels_reject_rows_without_a_finite_max(bad, params3):
+    h_t = np.zeros((3, 4))
+    h_t[1, 2] = bad
+    runs = SrleRay(widths=np.ones(3, dtype=np.int64), chi_t=h_t, chi_0=np.zeros((3, 4)))
+    with pytest.raises(ValueError, match="NaN"):
+        beam_mi_dense(h_t, np.zeros(4), params3)
+    with pytest.raises(ValueError, match="NaN"):
+        beam_mi_srle(runs, params3)
+    with pytest.raises(ValueError, match="NaN"):
+        beam_mi_srle_batch(runs, [0, 1, 3], params3)
+
+
+def test_kernels_keep_the_reference_bits_on_minus_inf_classes(params3):
+    h_t = np.array([[0.0, -np.inf, 1.5, -2.0],
+                    [0.0, -np.inf, -np.inf, -np.inf],
+                    [0.0, 3.0, -np.inf, -0.0]])
+    h_0 = np.zeros((3, 4))
+    runs = SrleRay(widths=np.array([1, 4, 2]), chi_t=h_t, chi_0=h_0)
+    assert_same_bits(beam_mi_dense(h_t, h_0, params3, True),
+                     beam_mi_dense_reference(h_t, h_0, params3, True))
+    want = beam_mi_srle_reference(runs, params3, True)
+    assert_same_bits(beam_mi_srle(runs, params3, True), want)
+    assert_same_bits(beam_mi_srle_batch(runs, [0, 3], params3, True)[0], want)
 
 
 def test_batch_rejects_empty_segment(params3):

@@ -292,6 +292,20 @@ def test_lumped_builder_is_the_per_element_update_bit_for_bit(case):
     assert bits(element_update(params, prior)(y)(sem)) == want
 
 
+def test_belief_hash_is_the_field_tuple_hash():
+    """The cached hash is the dataclass's own, so dict and set order stay;
+    beliefs equal under ``0.0 == -0.0`` hash equal, as equal keys must."""
+    for sem in (TruncatedSemantics(data=((5, 3.9), (3, 3.8), (1, 2.0)), others=-3.0),
+                TruncatedSemantics(data=(), others=NEG_INF),
+                TruncatedSemantics.from_full(np.array([0.0, 1.0, -2.0, 0.5, 0.25]))):
+        assert hash(sem) == hash((sem.data, sem.others))
+        assert hash(replace(sem, others=1.5)) == hash((sem.data, 1.5))
+    pos = TruncatedSemantics(data=((2, 1.0), (1, 0.0)), others=0.0)
+    neg = TruncatedSemantics(data=((2, 1.0), (1, -0.0)), others=-0.0)
+    assert pos == neg and hash(pos) == hash(neg)
+    assert len({pos, neg}) == 1
+
+
 @pytest.mark.parametrize("k", [3, 5])
 def test_insert_scan_rejects_hit_class_beyond_k(k):
     tree = SemanticOctree(1.0, 3, k)
