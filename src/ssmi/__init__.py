@@ -39,10 +39,9 @@ from .mi import (
     beam_mi_dense,
     beam_mi_oracle,
     beam_mi_srle,
-    cast_fan,
     encode_runs,
     select_nonoverlapping,
-    trajectory_mi,
+    trajectories_mi,
 )
 from .octree import SemanticOctree, TruncatedSemantics, load_octree, save_octree
 

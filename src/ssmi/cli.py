@@ -274,6 +274,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("must be finite")
+    return value
+
+
 def _positive_float(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value > 0.0):
@@ -302,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--y", type=float, required=True)
     p.add_argument("--z", type=float, default=0.5)
-    p.add_argument("--heading", type=float, default=0.0)
+    p.add_argument("--heading", type=_finite_float, default=0.0)
     p.add_argument("--beams", type=_positive_int, default=16)
     p.add_argument("--r-max", type=_positive_float, default=10.0)
     p.add_argument("--config")

@@ -101,6 +101,10 @@ class SweepConfig:
 
     def __post_init__(self):
         self.resolutions = tuple(float(r) for r in self.resolutions)
+        for r in self.resolutions:
+            _require_positive(r, "sweep.resolutions")
+        if self.iterations < 1 or self.beams < 1:
+            raise ConfigError("sweep.iterations and sweep.beams must be >= 1")
 
 
 @dataclass

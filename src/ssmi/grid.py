@@ -345,11 +345,6 @@ class GridMap:
         :func:`cast`)."""
         return cast(beam, self.origin.tolist(), self.resolution, self.dims)
 
-    def fan_cells(self, center, directions, max_range: float) -> tuple[list[int], list[int]]:
-        """The cells past the sensor cell of a fan of rays (see :func:`walk_fan`)."""
-        return walk_fan(center, directions, max_range, self.origin.tolist(), self.resolution,
-                        self.dims)
-
     def encode_traces(self, cells: np.ndarray, counts) -> tuple[SrleRay | None, list[int]]:
         """Runs for the run-length kernel over a compact cast (``mi.FanCast``):
         ``cells`` stacks each beam's cells past its sensor cell in beam order,

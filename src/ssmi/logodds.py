@@ -77,6 +77,8 @@ class SensorParams:
     every traversed cell before it. ``clamp_lo``/``clamp_hi`` bound stored
     log-odds so beliefs saturate, and ``alpha`` is the probability fraction
     split off the octree "others" lump when an untracked class is hit.
+    ``models`` is the kernels' read-only (K+1, K+1) stack of them: row 0 is
+    ``phi_minus``, row y is ``hit_logodds(y)``.
     """
 
     phi_plus: np.ndarray
@@ -107,6 +109,10 @@ class SensorParams:
             raise ValueError("clamp_lo must be < clamp_hi elementwise")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
+        models = np.vstack([self.phi_minus, np.tile(self.phi_plus, (n - 1, 1))])
+        models[np.arange(1, n), np.arange(1, n)] += self.psi_plus[1:]
+        models.flags.writeable = False
+        object.__setattr__(self, "models", models)
 
     @property
     def num_classes(self) -> int:

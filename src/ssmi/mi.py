@@ -24,6 +24,9 @@ work the ``logodds`` reference (``logsumexp``, ``softmax_pmf``,
 ``f_logratio_rows``) repeats and equals it bit for bit; a row with NaN or
 +inf raises ``ValueError``.
 
+A trajectory is scored one way: ``FanCast.from_pose`` casts each sensing
+pose's fan, and ``trajectories_mi`` adds up its non-overlapping beams.
+
 The occupancy-only baseline (FSMI, Zhang et al., ICRA 2019) is a one-class
 ``SensorParams`` on a map with more classes: the runs of either map are then
 collapsed to occupied/free (``collapse_to_binary``) before the kernel call.
@@ -38,7 +41,7 @@ import numpy as np
 
 from . import logodds
 from .errors import EmptyRay, ScaleExceeded
-from .grid import BeamMeasurement, GridMap, SrleRay, unit_direction
+from .grid import GridMap, SrleRay, unit_direction, walk_fan
 from .logodds import SensorParams
 
 LIMIT_EPS = 1e-9  # switch to the analytic limit of the geometric sums
@@ -79,14 +82,6 @@ class BeamMI:
         return self.value
 
 
-def _hit_models(params: SensorParams) -> np.ndarray:
-    """Stack of the K hit-update log-odds vectors, shape (K, K+1)."""
-    k = params.num_classes
-    models = np.tile(params.phi_plus, (k, 1))
-    models[np.arange(k), np.arange(1, k + 1)] += params.psi_plus[1:]
-    return models
-
-
 def _row_terms(h_t: np.ndarray, h_0: np.ndarray, params: SensorParams):
     """``log_p0`` (R,), the pmf (R, K+1), ``f_free`` (R,) and the K
     ``f_hit`` (R, K) of a stack of (current, prior) beliefs, (R, K+1) each.
@@ -106,8 +101,7 @@ def _row_terms(h_t: np.ndarray, h_0: np.ndarray, params: SensorParams):
     e = np.exp(h_t - top)
     s = np.sum(e, axis=-1, keepdims=True)
     lse = np.log(s) + top  # (R, 1), h_t[:, 0] == 0
-    models = np.vstack([params.phi_minus, _hit_models(params)])  # (K+1, K+1)
-    phi = models[None, :, :] - h_0[:, None, :]
+    phi = params.models[None, :, :] - h_0[:, None, :]
     shifted = phi + h_t[:, None, :]
     top2 = np.max(shifted, axis=-1, keepdims=True)
     e2 = np.exp(shifted - top2)
@@ -190,12 +184,11 @@ def beam_mi_dense_direct(h_t: np.ndarray, h_0: np.ndarray, params: SensorParams)
         raise EmptyRay("dense information query over zero cells")
     k_classes = params.num_classes
     pmf = logodds.softmax_pmf(h_t)
-    hit = _hit_models(params)
     total = 0.0
     for k in range(1, k_classes + 1):
         for n in range(n_cells):
             p = pmf[n, k]
-            c = logodds.f_logratio(hit[k - 1] - h_0[n], h_t[n])
+            c = logodds.f_logratio(params.models[k] - h_0[n], h_t[n])
             for i in range(n):
                 p *= pmf[i, 0]
                 c += logodds.f_logratio(params.phi_minus - h_0[i], h_t[i])
@@ -271,13 +264,12 @@ def beam_mi_srle_direct(ray: SrleRay, params: SensorParams) -> float:
     if ray.num_runs == 0:
         raise EmptyRay("run-length information query over zero runs")
     pmf = logodds.softmax_pmf(ray.chi_t)
-    hit = _hit_models(params)
     k_classes = params.num_classes
     total = 0.0
     for k in range(1, k_classes + 1):
         for q in range(ray.num_runs):
             rho = pmf[q, k]
-            beta = logodds.f_logratio(hit[k - 1] - ray.chi_0[q], ray.chi_t[q])
+            beta = logodds.f_logratio(params.models[k] - ray.chi_0[q], ray.chi_t[q])
             for j in range(q):
                 rho *= pmf[j, 0] ** int(ray.widths[j])
                 beta += int(ray.widths[j]) * logodds.f_logratio(
@@ -361,10 +353,8 @@ class FanCast:
     map from its sensor cell). It holds cells only, no beliefs, so it stays
     valid while the map's geometry does: origin, cell size and dims.
 
-    Two paths build one: :func:`cast_fan` casts any beams through
-    ``mapper.cast_ray``, and :meth:`from_pose` casts a planar fan straight
-    from its pose, which is how planning, ``mi_surface`` and ``ssmi mi-eval``
-    cast."""
+    :meth:`from_pose` builds one straight from a planar fan's pose; it is
+    how planning, ``mi_surface`` and ``ssmi mi-eval`` cast."""
 
     cells: np.ndarray
     counts: tuple[int, ...]
@@ -375,16 +365,16 @@ class FanCast:
     @classmethod
     def from_pose(cls, mapper, center, num_beams: int, max_range: float,
                   heading: float = 0.0, fov: float = 2.0 * math.pi) -> "FanCast":
-        """``cast_fan(mapper, fan_beams(center, num_beams, max_range, heading,
-        fov))``, byte for byte, without a ``BeamMeasurement`` or a
-        ``RayTrace`` per beam: the directions are made as floats from the
-        angles of :func:`fan_angles`, which ``fan_beams`` takes too, and each
-        passes the beam's unit-direction check (``grid.unit_direction``);
-        ``mapper.fan_cells`` then runs the caster's own origin check and
-        voxel walk on the same floats, keeping only the cells. So the result
-        is exact, and raises where the beams would: ``ValueError`` for a
-        negative or NaN range, ``OriginOutOfBounds`` for a center outside
-        the map."""
+        """The fan of ``num_beams`` full-length beams at the
+        :func:`fan_angles` around ``heading`` from ``center``, on a GridMap
+        or a semantic octree. Each direction is made as floats and passes
+        the beam's unit-direction check (``grid.unit_direction``);
+        ``grid.walk_fan`` then runs the caster's own origin check and voxel
+        walk on the same floats in the map's box (origin, resolution, dims),
+        keeping only the cells. So the cells are those ``mapper.cast_ray``
+        gives for the same beams, byte for byte, and it raises where those
+        beams would: ``ValueError`` for a negative or NaN range,
+        ``OriginOutOfBounds`` for a center outside the map."""
         origin = np.asarray(center, dtype=np.float64)
         if origin.shape != (3,):
             raise ValueError("origin and direction must be 3-vectors")
@@ -392,7 +382,8 @@ class FanCast:
             raise ValueError("need 0 <= range <= max_range")
         directions = [unit_direction([math.cos(a), math.sin(a), 0.0])
                       for a in fan_angles(num_beams, heading, fov)]
-        coords, counts = mapper.fan_cells(origin.tolist(), directions, max_range)
+        coords, counts = walk_fan(origin.tolist(), directions, max_range,
+                                  mapper.origin.tolist(), mapper.resolution, mapper.dims)
         return cls(np.array(coords, dtype=np.int32).reshape(-1, 3), tuple(counts))
 
     @classmethod
@@ -400,14 +391,6 @@ class FanCast:
         """The beams of several casts, in order, as one cast."""
         return cls(np.concatenate([_NO_CELLS] + [c.cells for c in casts]),
                    tuple(n for c in casts for n in c.counts))
-
-
-def cast_fan(mapper, beams: list[BeamMeasurement]) -> FanCast:
-    """Cast each beam with ``mapper.cast_ray`` (a GridMap or a semantic
-    octree) and keep the compact form. Out-of-bounds beams propagate."""
-    cells = [mapper.cast_ray(beam).cells[1:] for beam in beams]
-    return FanCast(np.concatenate([_NO_CELLS] + cells).astype(np.int32),
-                   tuple(len(c) for c in cells))
 
 
 def select_nonoverlapping(beams: FanCast) -> list[int]:
@@ -543,24 +526,6 @@ def trajectories_mi(
     return BatchMI(trajectories=results, beams_evaluated=len(slots))
 
 
-def trajectory_mi(
-    mapper,
-    beams_per_pose: list[list[BeamMeasurement]],
-    params: SensorParams,
-    return_detail: bool = False,
-):
-    """Information of a whole observation sequence: cast every fan once, drop
-    overlapping beams greedily across the horizon, and add up per-beam
-    values. The one-trajectory case of :func:`trajectories_mi`; with
-    ``return_detail`` the whole :class:`TrajectoryMI`, per-beam terms
-    included, instead of the value.
-    """
-    fans = [cast_fan(mapper, beams) for beams in beams_per_pose]
-    result = trajectories_mi(mapper, fans, [list(range(len(fans)))], params,
-                             return_detail).trajectories[0]
-    return result if return_detail else result.value
-
-
 # -- binary collapse ----------------------------------------------------------
 
 
@@ -581,35 +546,11 @@ def fan_angles(num_beams: int, heading: float = 0.0,
                fov: float = 2.0 * math.pi) -> list[float]:
     """The beam angles of a planar fan around ``heading``, in beam order;
     they sit strictly between the fov edges (half-step offset) so fans avoid
-    exact axis alignment. :func:`fan_beams` and :meth:`FanCast.from_pose`
-    both take their angles here, so the two cast the same directions."""
+    exact axis alignment. :meth:`FanCast.from_pose` casts at these angles,
+    and ``sim.sense`` senses at them."""
     start = heading - fov / 2.0
     step = fov / num_beams
     return [start + (b + 0.5) * step for b in range(num_beams)]
-
-
-def fan_beams(
-    center: np.ndarray,
-    num_beams: int,
-    max_range: float,
-    heading: float = 0.0,
-    fov: float = 2.0 * math.pi,
-) -> list[BeamMeasurement]:
-    """Planar candidate beams around ``heading`` at the :func:`fan_angles`,
-    reaching ``max_range`` with no hit. Planning casts the same fan with
-    :meth:`FanCast.from_pose`; these beams are for ``trajectory_mi`` and
-    any other caller that needs the beams themselves."""
-    origin = np.array(center, dtype=np.float64)  # read-only once a beam holds it
-    return [
-        BeamMeasurement(
-            origin=origin,
-            direction=np.array([math.cos(angle), math.sin(angle), 0.0]),
-            range=max_range,
-            category=None,
-            max_range=max_range,
-        )
-        for angle in fan_angles(num_beams, heading, fov)
-    ]
 
 
 def mi_surface(

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import logodds
 from .errors import CorruptMap, InvalidClass
-from .grid import GRID_MAGIC, BeamMeasurement, GridMap, RayTrace, SrleRay, cast, walk_fan
+from .grid import GRID_MAGIC, BeamMeasurement, GridMap, RayTrace, SrleRay, cast
 from .logodds import SensorParams
 
 OCTREE_MAGIC = b"SSMIOCT2"
@@ -473,12 +473,6 @@ class SemanticOctree:
         with the element size and cube extent, so grid and tree agree on
         what a beam touches."""
         return cast(beam, self.origin.tolist(), self.element_size, self.dims)
-
-    def fan_cells(self, center, directions, max_range: float) -> tuple[list[int], list[int]]:
-        """The elements past the sensor element of a fan of rays, by the
-        dense grid's fan walk (see ``grid.walk_fan``)."""
-        return walk_fan(center, directions, max_range, self.origin.tolist(), self.element_size,
-                        self.dims)
 
     def encode_trace(self, trace: RayTrace, skip_first_cell: bool = False) -> SrleRay | None:
         """Run-length encode leaf beliefs along a trace.

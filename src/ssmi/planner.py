@@ -213,6 +213,10 @@ class PlannerConfig:
         if not (math.isfinite(self.beam_range) and self.beam_range > 0.0):
             raise ValueError(
                 f"planner.beam_range must be positive and finite, got {self.beam_range!r}")
+        if self.band is not None and not (
+                isinstance(self.band, (list, tuple)) and len(self.band) == 2
+                and all(type(z) is int for z in self.band) and 0 <= self.band[0] < self.band[1]):
+            raise ValueError(f"planner.band must be [z0, z1] with 0 <= z0 < z1, got {self.band!r}")
 
 
 @dataclass
@@ -241,20 +245,16 @@ def evaluate_candidates(
     either map. All candidates are evaluated in one ``trajectories_mi`` call.
 
     ``casts`` is the cast cache: a :class:`ssmi.mi.FanCast` per sensing pose,
-    keyed by ``(cell, heading)``. A pose missing from it is cast straight
-    from the pose with ``FanCast.from_pose`` and added; a pose found in it,
-    from this call or an earlier one, is not cast again. ``from_pose`` walks
-    the angles ``mi.fan_beams`` would build beams at (``mi.fan_angles``)
-    with the caster's own checks and voxel walk, so its bytes are those of
-    ``cast_fan`` over ``fan_beams``, without building either. The cache is
-    exact: a fan's directions are a pure function of the pose and
-    ``config``, and a cast is a pure function of them and the map's fixed
-    geometry (origin, cell or element size, dims), while beliefs are read
-    fresh at encode time in every call. So one cache serves one map
-    geometry and one ``config``; ``sim.run_episode`` owns one per episode.
-    Its keys are planning cells times the 8 path-tangent headings, so it
-    needs no bound: over A7 worlds 0-9 the largest held 556 fans in
-    1.23 MB of cells. None gives the call a cache of its own.
+    keyed by ``(cell, heading)``. A pose missing from it is cast with
+    ``FanCast.from_pose`` and added; a pose found in it, from this call or
+    an earlier one, is not cast again. The cache is exact: a cast is a pure
+    function of the pose, ``config`` and the map's fixed geometry (origin,
+    cell or element size, dims), while beliefs are read fresh at encode
+    time in every call. So one cache serves one map geometry and one
+    ``config``; ``sim.run_episode`` owns one per episode. Its keys are
+    planning cells times the 8 path-tangent headings, so it needs no bound:
+    over A7 worlds 0-9 the largest held 556 fans in 1.23 MB of cells. None
+    gives the call a cache of its own.
     """
     frontiers = find_frontiers(view, config.min_frontier_size)
     if config.selector == "fsmi-binary":
@@ -307,10 +307,3 @@ def evaluate_candidates(
 def select_best(candidates: list[CandidatePlan]) -> CandidatePlan:
     """Argmax score; exact ties fall back to shorter cost, then lower index."""
     return min(candidates, key=lambda c: (-c.score, c.cost, c.frontier_index))
-
-
-def select_plan(
-    mapper, view: PlanView, start: tuple[int, int], params: SensorParams,
-    config: PlannerConfig,
-) -> CandidatePlan:
-    return select_best(evaluate_candidates(mapper, view, start, params, config))

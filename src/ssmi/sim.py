@@ -20,9 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import planner as planner_mod
-from .config import SimConfig
+from .config import ConfigError, SimConfig
 from .errors import AllUnreachable, BadDims, NoFrontiers, PoseInObstacle
 from .grid import BeamMeasurement, GridMap, voxel_walk
+from .mi import fan_angles
 from .octree import SemanticOctree
 
 log = logging.getLogger(__name__)
@@ -197,8 +198,9 @@ def sense(
     spec: SensorSpec,
     rng: np.random.Generator,
 ) -> list[BeamMeasurement]:
-    """Simulate one scan: exact ranges from the ground truth, then additive
-    Gaussian range noise (clipped to [0, r_max]) and uniform class flips.
+    """Simulate one scan, one beam at each ``mi.fan_angles``: exact ranges
+    from the ground truth, then additive Gaussian range noise (clipped to
+    [0, r_max]) and uniform class flips.
 
     Beams that reach max range (or leave the world) report no hit and carry
     no noise. A hit whose noisy range clips to r_max also degrades to no hit.
@@ -213,10 +215,7 @@ def sense(
         raise PoseInObstacle(f"pose {position} lies in a class-{env.grid[cell]} cell")
 
     beams = []
-    start = heading - spec.fov / 2.0
-    step = spec.fov / spec.num_beams
-    for b in range(spec.num_beams):
-        angle = start + (b + 0.5) * step
+    for angle in fan_angles(spec.num_beams, heading, spec.fov):
         direction = np.array([math.cos(angle), math.sin(angle), 0.0])
         hit = first_hit(env, position, direction, spec.r_max)
         if hit is None:
@@ -343,6 +342,8 @@ def run_episode(config: SimConfig, env: Environment | None = None) -> EpisodeMet
             config.env.target_occupancy,
         )
     spawn = env.spawns[int(env_rng.integers(len(env.spawns)))]
+    if config.planner.band is not None and config.planner.band[1] > env.dims[2]:
+        raise ConfigError(f"planner.band {config.planner.band!r} runs past the world's z cells")
 
     params = config.mapper.sensor_params(env.num_classes)
     mapper = _build_mapper(config, env)

@@ -1,9 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
 from ssmi.config import config_from_dict
+from ssmi.grid import BeamMeasurement
 from ssmi.logodds import SensorParams
+from ssmi.mi import FanCast, fan_angles
 from ssmi.sim import run_episode
+
+# stacked first, it gives any list of cast cells, even none, shape (M, 3)
+_NO_CELLS = np.empty((0, 3), dtype=np.int32)
 
 
 @pytest.fixture
@@ -44,3 +51,35 @@ def stacked_casts(traces):
     of ``encode_traces`` built from full traces."""
     cells = np.concatenate([np.empty((0, 3), dtype=np.int64)] + [t.cells[1:] for t in traces])
     return cells, [len(t) - 1 for t in traces]
+
+
+def cast_fan(mapper, beams: list[BeamMeasurement]) -> FanCast:
+    """Cast each beam with ``mapper.cast_ray`` (a GridMap or a semantic
+    octree) and keep the compact form. Out-of-bounds beams propagate. The
+    reference ``FanCast.from_pose`` is held to, byte for byte."""
+    cells = [mapper.cast_ray(beam).cells[1:] for beam in beams]
+    return FanCast(np.concatenate([_NO_CELLS] + cells).astype(np.int32),
+                   tuple(len(c) for c in cells))
+
+
+def fan_beams(
+    center: np.ndarray,
+    num_beams: int,
+    max_range: float,
+    heading: float = 0.0,
+    fov: float = 2.0 * math.pi,
+) -> list[BeamMeasurement]:
+    """Planar candidate beams around ``heading`` at the ``mi.fan_angles``,
+    reaching ``max_range`` with no hit: the beams of the fan that
+    ``FanCast.from_pose`` casts from the same pose."""
+    origin = np.array(center, dtype=np.float64)  # read-only once a beam holds it
+    return [
+        BeamMeasurement(
+            origin=origin,
+            direction=np.array([math.cos(angle), math.sin(angle), 0.0]),
+            range=max_range,
+            category=None,
+            max_range=max_range,
+        )
+        for angle in fan_angles(num_beams, heading, fov)
+    ]

@@ -13,8 +13,9 @@ from ssmi.cli import main
 from ssmi import logodds as lo
 from ssmi.grid import BeamMeasurement, GridMap, load_grid, save_grid
 from ssmi.logodds import SensorParams
-from ssmi.mi import beam_mi_dense, collapse_to_binary, fan_beams
+from ssmi.mi import beam_mi_dense, collapse_to_binary
 from ssmi.octree import SemanticOctree, load_octree, save_octree
+from conftest import cast_fan, fan_beams
 
 
 SMOKE = {
@@ -235,6 +236,17 @@ def test_r_max_must_be_positive_and_finite_exit_2(tmp_path, capsys, caplog, comm
     assert not caplog.records
 
 
+@pytest.mark.parametrize("heading", ["nan", "inf", "-inf"])
+def test_mi_eval_heading_must_be_finite_exit_2(tmp_path, capsys, caplog, heading):
+    path = tmp_path / "g.ssmigrid"
+    save_grid(GridMap((8, 8), 1.0, 2), path)
+    assert main(["mi-eval", "--map", str(path), "--x", "4.5", "--y", "4.5",
+                 f"--heading={heading}"]) == 2
+    err = capsys.readouterr().err
+    assert "--heading" in err and "must be finite" in err
+    assert not caplog.records
+
+
 def test_map_path_that_is_a_directory_exit_2(tmp_path, capsys, caplog):
     assert main(["map", "inspect", "--map", str(tmp_path)]) == 2
     err = capsys.readouterr().err
@@ -258,6 +270,19 @@ def test_map_path_that_is_a_directory_exit_2(tmp_path, capsys, caplog):
     ("planner", "fov", -1.0),
     ("planner", "fov", math.inf),
     ("planner", "fov", math.nan),
+    # well formed, but deeper than the one-cell-deep world: the episode
+    # rejects it before its first scan
+    ("planner", "band", [0, 5]),
+    ("planner", "band", [3, 1]),
+    ("planner", "band", [-1, 1]),
+    ("planner", "band", [0]),
+    ("planner", "band", [0.0, 1.0]),
+    ("planner", "band", 1),
+    ("sweep", "resolutions", [0.0]),
+    ("sweep", "resolutions", [1.0, -2.0]),
+    ("sweep", "resolutions", [math.nan]),
+    ("sweep", "iterations", 0),
+    ("sweep", "beams", 0),
 ])
 def test_config_value_out_of_range_exit_2(tmp_path, capsys, caplog, section, key, value):
     cfg = {**SMOKE, section: {**SMOKE.get(section, {}), key: value}}
@@ -324,7 +349,7 @@ def _dump_rows_reference(mapper, fan, params):
 
     tree = isinstance(mapper, SemanticOctree)
     traces = [mapper.cast_ray(b) for b in fan]
-    keep = mi.select_nonoverlapping(mi.cast_fan(mapper, fan))
+    keep = mi.select_nonoverlapping(cast_fan(mapper, fan))
     rows = []
     for idx in keep:
         if tree:
@@ -347,8 +372,9 @@ def _dump_rows_reference(mapper, fan, params):
 
 def test_mi_eval_matches_trajectory_mi_on_grid_and_octree(tmp_path, capsys, params3, rng):
     """``mi-eval`` on a saved non-trivial K=3 grid and on its octree: the
-    printed value is ``trajectory_mi`` on the loaded map, the counts and the
-    dump follow the single-beam functions row by row."""
+    printed value is ``trajectories_mi`` of the reference cast of the fan on
+    the loaded map, the counts and the dump follow the single-beam functions
+    row by row."""
     from ssmi import mi
     from ssmi.grid import load_grid
     from ssmi.octree import octree_from_grid
@@ -367,8 +393,9 @@ def test_mi_eval_matches_trajectory_mi_on_grid_and_octree(tmp_path, capsys, para
         assert code == 0
         out = capsys.readouterr().out.splitlines()
         mapper = loader(path)
-        fan = mi.fan_beams(np.array([x, y, 0.5]), 20, 9.0, heading=0.4)
-        value = mi.trajectory_mi(mapper, [fan], params3)
+        fan = fan_beams(np.array([x, y, 0.5]), 20, 9.0, heading=0.4)
+        value = mi.trajectories_mi(mapper, [cast_fan(mapper, fan)], [[0]],
+                                   params3).trajectories[0].value
         total, kept, rows = _dump_rows_reference(mapper, fan, params3)
         assert 1 < kept < total and value > 0.0
         assert f"beams: {total} kept: {kept}" in out
@@ -380,7 +407,7 @@ def test_mi_eval_matches_trajectory_mi_on_grid_and_octree(tmp_path, capsys, para
 
 def test_mi_eval_on_saved_octree_equals_in_memory_tree(tmp_path, capsys, a7_octree_tree):
     """The octree file is lossless, so ``mi-eval`` on the saved A7 episode
-    tree prints the in-memory tree's ``trajectory_mi`` digit for digit."""
+    tree prints the in-memory tree's ``trajectories_mi`` digit for digit."""
     from ssmi import mi
     from ssmi.logodds import SensorParams
 
@@ -391,8 +418,8 @@ def test_mi_eval_on_saved_octree_equals_in_memory_tree(tmp_path, capsys, a7_octr
         assert main(["mi-eval", "--map", str(path), "--x", repr(x), "--y", repr(y),
                      "--heading", "0.3", "--beams", "16", "--r-max", "10.0"]) == 0
         out = capsys.readouterr().out.splitlines()
-        fan = mi.fan_beams(np.array([x, y, 0.5]), 16, 10.0, heading=0.3)
-        value = mi.trajectory_mi(a7_octree_tree, [fan], params)
+        fan = cast_fan(a7_octree_tree, fan_beams(np.array([x, y, 0.5]), 16, 10.0, heading=0.3))
+        value = mi.trajectories_mi(a7_octree_tree, [fan], [[0]], params).trajectories[0].value
         assert value > 0.0
         assert f"mutual information: {value!r} nats" in out
 

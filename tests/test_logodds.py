@@ -91,6 +91,22 @@ def test_default_hit_model_true_positive_rate(k):
         assert pmf[y] == pytest.approx(0.65, abs=1e-12)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_models_stack_phi_minus_and_the_hit_models_read_only(k):
+    rng = np.random.default_rng(k)
+    # a class-uniform profile and one with a different value in every entry
+    vecs = [np.concatenate([[0.0], rng.uniform(-2.0, 2.0, k)]) for _ in range(3)]
+    bounds = [np.concatenate([[0.0], np.full(k, c)]) for c in (-6.0, 6.0)]
+    for params in (SensorParams.default(k), SensorParams(*vecs, *bounds)):
+        assert params.models.shape == (k + 1, k + 1)
+        assert params.models[0].tobytes() == params.phi_minus.tobytes()
+        for y in range(1, k + 1):
+            assert params.models[y].tobytes() == params.hit_logodds(y).tobytes()
+        assert not params.models.flags.writeable
+        with pytest.raises(ValueError):
+            params.models[0, 1] = 1.0
+
+
 def test_params_validation():
     bad = np.array([1.0, 0.5])
     good = np.array([0.0, 0.5])

@@ -24,14 +24,11 @@ from ssmi.mi import (
     beam_mi_srle_direct,
     collapse_to_binary,
     FanCast,
-    cast_fan,
     encode_runs,
-    fan_beams,
     select_nonoverlapping,
     trajectories_mi,
-    trajectory_mi,
 )
-from conftest import random_logodds, stacked_casts
+from conftest import cast_fan, fan_beams, random_logodds, stacked_casts
 
 
 # -- dense path ----------------------------------------------------------------
@@ -198,6 +195,15 @@ def test_binary_collapse_blind_to_class_split():
 # -- batch kernels against the single-beam formulas ---------------------------------
 
 
+def hit_rows(params):
+    """The K hit-update log-odds vectors, (K, K+1), made from ``phi_plus``
+    and ``psi_plus`` here, apart from ``SensorParams.models``."""
+    k = params.num_classes
+    rows = np.tile(params.phi_plus, (k, 1))
+    rows[np.arange(k), np.arange(1, k + 1)] += params.psi_plus[1:]
+    return rows
+
+
 def beam_mi_dense_reference(h_t, h_0, params, return_detail=False):
     """The single-beam dense pass as written before the batch kernel."""
     h_t = np.atleast_2d(np.asarray(h_t, dtype=np.float64))
@@ -206,7 +212,7 @@ def beam_mi_dense_reference(h_t, h_0, params, return_detail=False):
     log_p0 = -np.asarray(lse)
     pmf = lo.softmax_pmf(h_t)
     f_free = lo.f_logratio_rows(params.phi_minus - h_0, h_t)
-    hit = mi_mod._hit_models(params)
+    hit = hit_rows(params)
     f_hit = lo.f_logratio_rows(hit[None, :, :] - h_0[:, None, :], h_t[:, None, :])
     before_log_p0 = np.concatenate([[0.0], np.cumsum(log_p0)[:-1]])
     before_f_free = np.concatenate([[0.0], np.cumsum(f_free)[:-1]])
@@ -226,7 +232,7 @@ def beam_mi_srle_reference(ray, params, return_detail=False):
     log_p0 = -lse
     pmf = lo.softmax_pmf(chi_t)
     f_free = lo.f_logratio_rows(params.phi_minus - chi_0, chi_t)
-    hit = mi_mod._hit_models(params)
+    hit = hit_rows(params)
     f_hit = lo.f_logratio_rows(hit[None, :, :] - chi_0[:, None, :], chi_t[:, None, :])
     run_log_p0 = w * log_p0
     before_log_p0 = np.concatenate([[0.0], np.cumsum(run_log_p0)[:-1]])
@@ -390,7 +396,7 @@ def test_row_terms_are_the_logodds_reference_bit_for_bit(k, kinds, clamp, seed, 
     h_0 = cell_rows(rng, rng.integers(0, NUM_KINDS, len(kinds)), k, clamp)
     if binary:
         h_t, h_0 = collapse_to_binary(h_t), collapse_to_binary(h_0)
-    hit = mi_mod._hit_models(params)
+    hit = hit_rows(params)
     want = (
         -lo.logsumexp(h_t, axis=-1),
         lo.softmax_pmf(h_t),
@@ -573,10 +579,17 @@ def test_no_cell_past_the_sensor_cells_calls_no_kernel(kind, params3, monkeypatc
         (0.0, 2, 2, []), (0.0, 0, 0, []), (0.0, 0, 0, [])]
 
 
+def trajectory_value(mapper, beams_per_pose, params):
+    """The :class:`TrajectoryMI` of one trajectory that observes each pose's
+    beams in turn, cast with the reference ``cast_fan``."""
+    fans = [cast_fan(mapper, beams) for beams in beams_per_pose]
+    return trajectories_mi(mapper, fans, [list(range(len(fans)))], params).trajectories[0]
+
+
 def test_trajectory_single_beam_equals_beam_mi(params1):
     gmap = GridMap((12, 12), 1.0, 1)
     beam = BeamMeasurement.planar((0.5, 5.5), 0.0, 8.0, None, 8.0)
-    total = trajectory_mi(gmap, [[beam]], params1)
+    total = trajectory_value(gmap, [[beam]], params1).value
     trace = gmap.cast_ray(beam)
     h_t = gmap.cells[tuple(trace.cells[1:].T)]
     expect = beam_mi_dense(h_t, np.broadcast_to(gmap.prior, h_t.shape), params1).value
@@ -587,8 +600,9 @@ def test_trajectory_disjoint_beams_add(params1):
     gmap = GridMap((12, 12), 1.0, 1)
     b1 = BeamMeasurement.planar((0.5, 2.5), 0.0, 6.0, None, 6.0)
     b2 = BeamMeasurement.planar((0.5, 9.5), 0.0, 6.0, None, 6.0)
-    total = trajectory_mi(gmap, [[b1], [b2]], params1)
-    parts = trajectory_mi(gmap, [[b1]], params1) + trajectory_mi(gmap, [[b2]], params1)
+    total = trajectory_value(gmap, [[b1], [b2]], params1).value
+    parts = (trajectory_value(gmap, [[b1]], params1).value
+             + trajectory_value(gmap, [[b2]], params1).value)
     assert total == pytest.approx(parts, rel=1e-12)
 
 
@@ -600,14 +614,14 @@ def test_filtered_leq_naive_sum(params3, rng):
         h[1:] = rng.uniform(-6, 6, 3)
         gmap.set_cell(cell, h)
     fan = fan_beams(np.array([10.5, 10.5, 0.5]), 12, 8.0)
-    detail = trajectory_mi(gmap, [fan], params3, return_detail=True)
+    traj = trajectory_value(gmap, [fan], params3)
     naive = 0.0
     for beam in fan:
         trace = gmap.cast_ray(beam)
         h_t = gmap.cells[tuple(trace.cells[1:].T)]
         naive += beam_mi_dense(h_t, np.broadcast_to(gmap.prior, h_t.shape), params3).value
-    assert detail.value <= naive + 1e-12
-    assert detail.beams_kept <= detail.beams_total
+    assert traj.value <= naive + 1e-12
+    assert traj.beams_kept <= traj.beams_total
 
 
 @pytest.mark.parametrize("kind", ["grid", "octree"])
@@ -618,8 +632,8 @@ def test_profile_must_match_the_map_or_have_one_class(kind, params1, params3):
                               2.0, None, 2.0)
     for beams in ([inward], [[outward]]):  # with and without runs to evaluate
         with pytest.raises(ValueError, match="^sensor profile and map disagree on K$"):
-            trajectory_mi(mapper, beams, params3)
-    assert trajectory_mi(mapper, [inward], params1) > 0.0
+            trajectory_value(mapper, beams, params3)
+    assert trajectory_value(mapper, [inward], params1).value > 0.0
 
 
 # -- surfaces -----------------------------------------------------------------------

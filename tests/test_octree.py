@@ -35,8 +35,8 @@ from ssmi.octree import (
     save_octree,
 )
 from ssmi.sim import run_episode
-from ssmi.mi import FanCast, cast_fan, fan_beams
-from conftest import stacked_casts
+from ssmi.mi import FanCast
+from conftest import cast_fan, fan_beams, stacked_casts
 
 
 def random_beam(rng, lo_pt=1.0, hi_pt=31.0, r_max=20.0, k=3):
@@ -617,7 +617,7 @@ def test_signed_zero_case_keeps_the_first_elements_bits():
 @example(case=_signed_zero_leaf_case())
 @settings(max_examples=100, deadline=None)
 def test_compact_fan_cast_encodes_as_the_stacked_ray_traces(case):
-    """``mi.cast_fan`` keeps the cells past each beam's sensor cell as one
+    """The reference ``cast_fan`` keeps the cells past each beam's sensor cell as one
     int32 array and per-beam counts; on the tree and on its dense grid
     (``grid_from_octree``), ``encode_traces`` on that compact form gives the
     widths, chi bytes and counts it gives on the stacked ``RayTrace`` s.

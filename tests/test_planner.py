@@ -19,11 +19,9 @@ from ssmi.mi import (
     FanCast,
     beam_mi_dense,
     beam_mi_srle,
-    cast_fan,
     collapse_to_binary,
-    fan_beams,
     select_nonoverlapping,
-    trajectory_mi,
+    trajectories_mi,
 )
 from ssmi.octree import SemanticOctree, grid_from_octree
 from ssmi.planner import (
@@ -33,11 +31,11 @@ from ssmi.planner import (
     find_frontiers,
     plan_path,
     select_best,
-    select_plan,
     sensing_poses,
     view_from_grid,
 )
 from ssmi.sim import run_episode
+from conftest import cast_fan, fan_beams
 
 FREE_SAT = np.array([0.0, -6.0, -6.0])
 WALL = np.array([0.0, 6.0, 6.0])
@@ -266,7 +264,7 @@ def test_select_plan_prefers_uncertain_wall():
     for green_side, want_col in (("right", 20), ("left", 4)):
         gmap = uncertain_wall_arena(green_side)
         view = view_from_grid(gmap)
-        plan = select_plan(gmap, view, (12, 8), params, config)
+        plan = select_best(evaluate_candidates(gmap, view, (12, 8), params, config))
         assert plan.path[-1] == (want_col, 8)
 
 
@@ -277,10 +275,15 @@ def test_select_plan_single_frontier(params1):
     params = SensorParams.default(1)
     config = PlannerConfig(num_beams=8, beam_range=5.0)
     view = view_from_grid(gmap)
-    plan = select_plan(gmap, view, (5, 5), params, config)
+    plan = select_best(evaluate_candidates(gmap, view, (5, 5), params, config))
     frontiers = find_frontiers(view)
     assert len(frontiers) == 1
     assert plan.frontier_index == 0
+
+
+def test_planner_config_takes_a_well_formed_band():
+    for band in ((0, 1), [2, 6]):
+        assert PlannerConfig(band=band).band == band
 
 
 def test_candidates_scored_and_best_is_argmax():
@@ -328,7 +331,7 @@ def test_frontier_selector_picks_largest():
     params = SensorParams.default(2)
     config = PlannerConfig(selector="frontier")
     view = view_from_grid(gmap)
-    plan = select_plan(gmap, view, (12, 12), params, config)
+    plan = select_best(evaluate_candidates(gmap, view, (12, 12), params, config))
     frontiers = find_frontiers(view)
     assert plan.frontier_index == 0  # frontiers are ordered largest first
     assert frontiers[0].size > frontiers[1].size
@@ -338,7 +341,7 @@ def test_frontier_selector_picks_largest():
 # -- one batched evaluation per cycle -------------------------------------------------
 
 
-def trajectory_mi_reference(mapper, fans, params):
+def trajectory_info_reference(mapper, fans, params):
     """Per-beam trajectory sum, one single-beam evaluation per kept beam."""
     is_tree = isinstance(mapper, SemanticOctree)
     traces = [mapper.cast_ray(b) for fan in fans for b in fan]
@@ -382,7 +385,7 @@ def evaluate_candidates_reference(mapper, view, start, params, config):
                       config.fov)
             for cell, heading in sensing_poses(path, config.stride)
         ]
-        info = trajectory_mi_reference(mapper, fans, params)
+        info = trajectory_info_reference(mapper, fans, params)
         out.append(CandidatePlan(idx, path, cost, mi=info, score=info / cost))
     return out
 
@@ -558,11 +561,9 @@ def test_cycle_debug_line_counts_the_work(caplog):
     first, second = ([int(v) for v in re.findall(r"\d+", line)] for line in lines)
     poses = [sensing_poses(c.path, config.stride) for c in candidates]
     distinct = {p for ps in poses for p in ps}
-    kept = [
-        trajectory_mi(gmap, [fan_beams(view.cell_center(cell), 8, 6.0, heading)
-                             for cell, heading in ps], params, return_detail=True).beams_kept
-        for ps in poses
-    ]
+    fans = {(cell, heading): cast_fan(gmap, fan_beams(view.cell_center(cell), 8, 6.0, heading))
+            for cell, heading in distinct}
+    kept = [t.beams_kept for t in trajectories_mi(gmap, fans, poses, params).trajectories]
     n_cand, n_poses, n_distinct, n_cast, n_kept, n_eval, n_served, n_fans, n_held = first
     assert (n_cand, n_poses, n_distinct) == (len(candidates), sum(map(len, poses)), len(distinct))
     assert len(distinct) < sum(map(len, poses))

@@ -10,6 +10,8 @@ import pytest
 
 from ssmi.config import config_from_dict
 from ssmi.errors import BadDims, PoseInObstacle
+from ssmi.grid import unit_direction
+from ssmi.mi import fan_angles
 from ssmi.sim import (
     Environment,
     SensorSpec,
@@ -108,6 +110,15 @@ def test_open_space_beam_reports_no_hit():
     assert beams[0].range == 6.0
     assert beams[0].category is None
     assert not beams[0].hits
+
+
+def test_sense_casts_its_beams_at_the_fan_angles():
+    env = wall_env()
+    spec = SensorSpec(num_beams=7, fov=2.5, r_max=12.0, range_sigma=0.0, misclass_prob=0.0)
+    beams = sense(env, np.array([2.5, 8.5, 0.5]), 0.3, spec, np.random.default_rng(0))
+    want = [unit_direction([math.cos(a), math.sin(a), 0.0]) for a in fan_angles(7, 0.3, 2.5)]
+    assert [b.direction.tolist() for b in beams] == want
+    assert any(b.hits for b in beams) and not all(b.hits for b in beams)
 
 
 def test_pose_in_obstacle_rejected():
