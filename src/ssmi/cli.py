@@ -306,9 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mi-eval", help="information of one beam fan on a saved map")
     p.add_argument("--map", required=True)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--y", type=float, required=True)
-    p.add_argument("--z", type=float, default=0.5)
+    p.add_argument("--x", type=_finite_float, required=True)
+    p.add_argument("--y", type=_finite_float, required=True)
+    p.add_argument("--z", type=_finite_float, default=0.5)
     p.add_argument("--heading", type=_finite_float, default=0.0)
     p.add_argument("--beams", type=_positive_int, default=16)
     p.add_argument("--r-max", type=_positive_float, default=10.0)

@@ -15,8 +15,9 @@ beliefs. Three evaluations of the same quantity live here:
   nothing but softmax, the posterior update, and a direct KL sum; the ground
   truth the dense pass is tested against
 
-plus direct (non-recursive) counterparts of the two passes that rebuild
-every prefix from scratch, used to validate the forward recursions.
+The direct (non-recursive) counterparts of the two passes, which rebuild
+every prefix from scratch to validate the forward recursions (A3), live with
+the tests (``tests/conftest.py``).
 
 Both passes take their per-row terms (log p_free, the pmf, the free and the
 K hit log-ratios) from one fused helper, ``_row_terms``, which shares the
@@ -171,35 +172,6 @@ def beam_mi_dense(
     return _beam_results(terms, p_nk, c_nk, log_p0, f_free, spans, return_detail)[0]
 
 
-def beam_mi_dense_direct(h_t: np.ndarray, h_0: np.ndarray, params: SensorParams) -> float:
-    """Direct O(K N^2) evaluation with every prefix rebuilt from scratch.
-
-    Exists to validate the forward recursion; shares the f kernel but no
-    prefix bookkeeping with :func:`beam_mi_dense`.
-    """
-    h_t = np.atleast_2d(np.asarray(h_t, dtype=np.float64))
-    h_0 = np.broadcast_to(np.asarray(h_0, dtype=np.float64), h_t.shape)
-    n_cells = h_t.shape[0]
-    if n_cells == 0:
-        raise EmptyRay("dense information query over zero cells")
-    k_classes = params.num_classes
-    pmf = logodds.softmax_pmf(h_t)
-    total = 0.0
-    for k in range(1, k_classes + 1):
-        for n in range(n_cells):
-            p = pmf[n, k]
-            c = logodds.f_logratio(params.models[k] - h_0[n], h_t[n])
-            for i in range(n):
-                p *= pmf[i, 0]
-                c += logodds.f_logratio(params.phi_minus - h_0[i], h_t[i])
-            total += p * c
-    p_pass = float(np.prod(pmf[:, 0]))
-    c_pass = sum(
-        logodds.f_logratio(params.phi_minus - h_0[i], h_t[i]) for i in range(n_cells)
-    )
-    return total + p_pass * c_pass
-
-
 def _geometric_sums(log_p0: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """S0 = sum_{j<w} x^j and S1 = sum_{j<w} j x^j for x = exp(log_p0).
 
@@ -253,39 +225,6 @@ def beam_mi_srle(ray: SrleRay, params: SensorParams, return_detail: bool = False
     not elements. The one-beam case of :func:`beam_mi_srle_batch`.
     """
     return beam_mi_srle_batch(ray, (0, ray.num_runs), params, return_detail)[0]
-
-
-def beam_mi_srle_direct(ray: SrleRay, params: SensorParams) -> float:
-    """Direct run-by-run evaluation with explicit geometric summation loops.
-
-    Rebuilds rho and beta from scratch per run and sums the in-run series
-    term by term; independent of both the closed forms and the recursion.
-    """
-    if ray.num_runs == 0:
-        raise EmptyRay("run-length information query over zero runs")
-    pmf = logodds.softmax_pmf(ray.chi_t)
-    k_classes = params.num_classes
-    total = 0.0
-    for k in range(1, k_classes + 1):
-        for q in range(ray.num_runs):
-            rho = pmf[q, k]
-            beta = logodds.f_logratio(params.models[k] - ray.chi_0[q], ray.chi_t[q])
-            for j in range(q):
-                rho *= pmf[j, 0] ** int(ray.widths[j])
-                beta += int(ray.widths[j]) * logodds.f_logratio(
-                    params.phi_minus - ray.chi_0[j], ray.chi_t[j]
-                )
-            ffq = logodds.f_logratio(params.phi_minus - ray.chi_0[q], ray.chi_t[q])
-            s0 = sum(pmf[q, 0] ** j for j in range(int(ray.widths[q])))
-            s1 = sum(j * pmf[q, 0] ** j for j in range(int(ray.widths[q])))
-            total += rho * (beta * s0 + ffq * s1)
-    p_pass = float(np.prod([pmf[q, 0] ** int(ray.widths[q]) for q in range(ray.num_runs)]))
-    c_pass = sum(
-        int(ray.widths[q])
-        * logodds.f_logratio(params.phi_minus - ray.chi_0[q], ray.chi_t[q])
-        for q in range(ray.num_runs)
-    )
-    return total + p_pass * c_pass
 
 
 ORACLE_MAX_CELLS = 8

@@ -16,10 +16,19 @@ node holds no belief: the tree is its structure plus the leaf beliefs, and
 A child's slot is ``x<<2 | y<<1 | z``, so a preorder walk meets the leaves in
 Morton order and each leaf covers one contiguous interval of Morton codes.
 The batch reads of a planning cycle (``encode_traces``, ``labels_observed``,
-``map_state``) look elements up in one such leaf table, built lazily after
-the tree last changed; single-ray reads (``encode_trace``, ``raycast_srle``)
-descend the tree per element, which costs less than a table build for a
-handful of rays and is the reference the table path is tested against.
+``map_state``) look elements up in one such leaf table; single-ray reads
+(``encode_trace``, ``raycast_srle``) descend the tree per element, which
+costs less than a table for a handful of rays and is the reference the
+table path is tested against.
+
+Upkeep follows what a scan changes, not the size of the tree. Every belief
+the tree stores is interned bit for bit when it is written, so equal values
+share one object, and ``insert_scan`` memoizes each update by hit class and
+belief object for the scan: a write that changes nothing costs a lookup.
+Writes that expand a leaf and prunes that collapse a node record that node;
+the next read walks only the highest recorded nodes and splices their leaves
+into the table over the same Morton intervals. A new root (a new tree, a
+loaded file) gets a full walk.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ import functools
 import logging
 import math
 import struct
+import threading
 import time
 from dataclasses import dataclass
 
@@ -154,17 +164,104 @@ def _exact_key(sem: "TruncatedSemantics"):
     return (sem, tuple(zeros)) if zeros else sem
 
 
+class _Beliefs:
+    """The beliefs of one tree, interned bit for bit (``_exact_key``): equal
+    values share one object, and each object has an append-only id. Per id:
+    ``same`` (the first id equal to it under ``==``, which differs only for
+    signed zeros), set when it is interned, and ``full`` (the ``to_full``
+    row), ``entropy`` and ``observed`` (off the prior), computed once, when
+    a leaf table first holds the id (``fill``): a scan interns many
+    beliefs that it overwrites before any table sees them. The store keeps
+    its objects alive, so ``by_object`` may key them by ``id``."""
+
+    def __init__(self, prior_semantics: "TruncatedSemantics", num_classes: int):
+        self.prior_semantics = prior_semantics
+        self.num_classes = num_classes
+        self.objects: list[TruncatedSemantics] = []
+        self.by_key: dict = {}
+        self.by_object: dict[int, int] = {}
+        self.by_value: dict[TruncatedSemantics, int] = {}
+        self._allocate(64)
+
+    def __len__(self) -> int:
+        return len(self.objects)
+
+    def _allocate(self, capacity: int) -> None:
+        """Fresh arrays of ``capacity`` rows holding the rows so far; tables
+        built earlier keep views of the old arrays, whose rows never change."""
+        n = len(self.objects)
+        rows = [np.zeros((capacity, self.num_classes + 1)), np.zeros(capacity, dtype=np.intp),
+                np.zeros(capacity), np.zeros(capacity, dtype=bool), np.zeros(capacity, dtype=bool)]
+        if n:
+            for new, old in zip(rows, (self.full, self.same, self.entropy, self.observed,
+                                       self.ready)):
+                new[:n] = old[:n]
+        self.full, self.same, self.entropy, self.observed, self.ready = rows
+
+    def intern(self, sem: "TruncatedSemantics") -> "TruncatedSemantics":
+        """The stored object bit-equal to ``sem``, which is ``sem`` itself
+        when no such object was stored before."""
+        if id(sem) in self.by_object:
+            return sem
+        return self.objects[self._key_id(sem)]
+
+    def id_of(self, sem: "TruncatedSemantics") -> int:
+        i = self.by_object.get(id(sem))
+        return self._key_id(sem) if i is None else i
+
+    def _key_id(self, sem: "TruncatedSemantics") -> int:
+        key = _exact_key(sem)
+        i = self.by_key.get(key)
+        if i is not None:
+            return i
+        i = self.by_key[key] = len(self.objects)
+        if i == self.same.shape[0]:
+            self._allocate(2 * i)
+        self.objects.append(sem)
+        self.by_object[id(sem)] = i
+        self.same[i] = self.by_value.setdefault(sem, i)
+        return i
+
+    def fill(self, ids: np.ndarray) -> None:
+        """Compute the rows of those ``ids`` that have none yet. The rows of
+        an id never change once computed."""
+        for i in np.unique(ids[~self.ready[ids]]).tolist():
+            sem = self.objects[i]
+            self.full[i] = sem.to_full(self.num_classes)
+            self.entropy[i] = sem.entropy()
+            self.observed[i] = sem != self.prior_semantics
+            self.ready[i] = True
+
+    def compacted(self, live: np.ndarray) -> "_Beliefs":
+        """A store of the ``live`` ids alone, numbered in that order, with
+        the rows they have."""
+        new = _Beliefs(self.prior_semantics, self.num_classes)
+        for i in live.tolist():
+            new.id_of(self.objects[i])
+        m = live.shape[0]
+        for mine, theirs in ((new.full, self.full), (new.entropy, self.entropy),
+                             (new.observed, self.observed), (new.ready, self.ready)):
+            mine[:m] = theirs[live]
+        return new
+
+    def table(self, starts, corners, sizes, ids) -> "LeafTable":
+        """A leaf table over these leaves, with the rows of every id so far."""
+        n = len(self.objects)
+        return LeafTable(starts=starts, corners=corners, sizes=sizes, ids=ids,
+                         full=self.full[:n], same=self.same[:n],
+                         entropy=self.entropy[:n], observed=self.observed[:n])
+
+
 @dataclass(frozen=True)
 class LeafTable:
     """The leaves of one tree revision in preorder, which is Morton order.
 
     Per leaf: ``starts`` (the Morton code of its low corner, ascending),
-    ``corners`` and ``sizes`` (in elements), and ``ids``, its belief
-    interned bit for bit. Per belief id: ``full`` (the ``to_full`` row),
-    ``same`` (the id of the first belief equal to it under ``==``, which
-    differs only for signed zeros), ``entropy`` and ``observed`` (off the
-    prior). The leaf holding element ``c`` is
-    ``searchsorted(starts, morton(c), "right") - 1``."""
+    ``corners`` and ``sizes`` (in elements), and ``ids``, the id of its
+    belief in the tree's interned beliefs. Per belief id, the rows of those
+    (``_Beliefs``): ``full``, ``same``, ``entropy`` and ``observed``; ids
+    that no leaf holds any more keep their rows. The leaf holding element
+    ``c`` is ``searchsorted(starts, morton(c), "right") - 1``."""
 
     starts: np.ndarray
     corners: np.ndarray
@@ -306,11 +403,12 @@ class SemanticOctree:
             raise ValueError("prior must be a K+1 log-odds vector with zero pivot")
         prior.flags.writeable = False
         self.prior = prior
-        self.prior_semantics = TruncatedSemantics.from_full(prior)
+        prior_semantics = TruncatedSemantics.from_full(prior)
+        self._beliefs = _Beliefs(prior_semantics, num_classes)
+        self.prior_semantics = self._beliefs.intern(prior_semantics)
+        # reads may run concurrently, and one of them brings the table up to date
+        self._upkeep = threading.Lock()
         self.root = SemanticNode(self.prior_semantics)
-        # belief (bit for bit, see _exact_key) -> (to_full row, entropy,
-        # observed flag); kept across revisions by the leaf table builds
-        self._belief_stats: dict = {}
 
     @property
     def root(self) -> SemanticNode:
@@ -321,6 +419,9 @@ class SemanticOctree:
         """Installing a root (a new tree, a loaded file) drops the leaf table."""
         self._root = node
         self._table: LeafTable | None = None
+        # (corner..., size) of each node whose leaves changed since the table
+        # was made, recorded only while there is a table to patch
+        self._dirty: set[tuple[int, int, int, int]] = set()
 
     @property
     def size_elements(self) -> int:
@@ -369,7 +470,8 @@ class SemanticOctree:
         """The one element writer: a single root-to-leaf descent finds the
         leaf covering the element, and when ``update(belief)`` differs from
         that leaf's belief, the leaf is expanded down to element resolution
-        and the new value stored, so saturated space stays pruned. Returns
+        and the new value, interned, stored, so saturated space stays
+        pruned. The leaf's node is recorded for the leaf table. Returns
         whether the element changed."""
         x, y, z = cell
         node = self._root
@@ -379,9 +481,12 @@ class SemanticOctree:
             bit -= 1
         current = node.semantics
         new = update(current)
-        if new == current:
+        if new is current or new == current:
             return False
-        self._table = None
+        new = self._beliefs.intern(new)
+        if self._table is not None:
+            size = 1 << bit + 1
+            self._dirty.add((x & -size, y & -size, z & -size, size))
         while bit >= 0:
             node.children = [SemanticNode(current) for _ in range(8)]
             node.semantics = None
@@ -399,15 +504,39 @@ class SemanticOctree:
         """Integrate beams in order (same cell arithmetic as the dense grid),
         then prune bottom-up, visiting only the paths to the elements the
         scan changed: a tree that was pruned before the scan is pruned after
-        it."""
+        it.
+
+        The update is a pure function of the hit class and the belief's
+        bits, and equal beliefs share one interned object, so each class
+        memoizes it by belief object for the scan: a belief meets each
+        update once, and a write that changes nothing gets back the object
+        it holds."""
         if params.num_classes != self.num_classes:
             raise ValueError("sensor parameters and tree disagree on K")
         update = element_update(params, self.prior)
-        free = update(None)
+        intern = self._beliefs.intern
+        memos: list[dict] = []
+        held = []  # the memos' keys stay alive, so no other belief takes their id
+
+        def memoized(step):
+            memo = {}
+            memos.append(memo)
+
+            def memo_step(sem):
+                new = memo.get(id(sem))
+                if new is None:
+                    new = step(sem)
+                    new = memo[id(sem)] = sem if new == sem else intern(new)
+                    held.append(sem)
+                return new
+
+            return memo_step
+
+        free = memoized(update(None))
+        hits = {}
         write = self._write_element
         changed = set()
-        debug = log.isEnabledFor(logging.DEBUG)
-        visited = 0
+        visited = writes = 0
         for beam in beams:
             trace = self.cast_ray(beam)
             cells = trace.cells.tolist()
@@ -415,18 +544,24 @@ class SemanticOctree:
             for cell in cells[:end]:
                 if write(cell, free):
                     changed.add(tuple(cell))
+                    writes += 1
+            visited += end
             if trace.hit_index is not None:
+                hit = hits.get(beam.category)
+                if hit is None:
+                    hit = hits[beam.category] = memoized(update(beam.category))
                 cell = cells[end]
-                if write(cell, update(beam.category)):
+                if write(cell, hit):
                     changed.add(tuple(cell))
-            if debug:
-                visited += end + (trace.hit_index is not None)
+                    writes += 1
+                visited += 1
         collapsed = self.prune(changed)
-        if debug:
-            log.debug(
-                "insert_scan: %d beams, %d elements visited, %d changed, %d nodes collapsed",
-                len(beams), visited, len(changed), collapsed,
-            )
+        log.debug(
+            "insert_scan: %d beams, %d elements visited, %d changed, %d nodes collapsed, "
+            "%d memo hits, %d no-op writes",
+            len(beams), visited, len(changed), collapsed,
+            visited - sum(map(len, memos)), visited - writes,
+        )
         return self
 
     def prune(self, cells=None) -> int:
@@ -434,24 +569,26 @@ class SemanticOctree:
         leaves. Point queries are unaffected. Without ``cells`` the whole tree
         is visited (trees built by hand or loaded from a file); with them,
         only the inner nodes on the root paths of those elements, which is
-        enough when the tree was pruned before they were written. Returns
-        the number of nodes collapsed."""
-        collapsed = 0
+        enough when the tree was pruned before they were written. Each
+        collapsed node is recorded for the leaf table. Returns the number of
+        nodes collapsed."""
+        collapsed = []
 
-        def visit(node: SemanticNode, bit: int, cells) -> None:
-            nonlocal collapsed
+        def visit(node: SemanticNode, bit: int, x: int, y: int, z: int, cells) -> None:
             if node.children is None:
                 return
             if cells is None:
-                for child in node.children:
-                    visit(child, bit - 1, None)
+                groups = dict.fromkeys(range(8))
             else:
                 groups: dict[int, list] = {}
-                for x, y, z in cells:
-                    slot = ((x >> bit) & 1) << 2 | ((y >> bit) & 1) << 1 | ((z >> bit) & 1)
-                    groups.setdefault(slot, []).append((x, y, z))
-                for slot, group in groups.items():
-                    visit(node.children[slot], bit - 1, group)
+                for cell in cells:
+                    cx, cy, cz = cell
+                    slot = ((cx >> bit) & 1) << 2 | ((cy >> bit) & 1) << 1 | ((cz >> bit) & 1)
+                    groups.setdefault(slot, []).append(cell)
+            half = 1 << bit
+            for slot, group in groups.items():
+                visit(node.children[slot], bit - 1, x | (slot >> 2) * half,
+                      y | (slot >> 1 & 1) * half, z | (slot & 1) * half, group)
             first = node.children[0]
             if first.children is None and all(
                 c.children is None and c.semantics == first.semantics
@@ -459,12 +596,12 @@ class SemanticOctree:
             ):
                 node.semantics = first.semantics
                 node.children = None
-                collapsed += 1
+                collapsed.append((x, y, z, 2 * half))
 
-        visit(self.root, self.max_depth - 1, cells)
-        if collapsed:  # the leaves changed, though no element did
-            self._table = None
-        return collapsed
+        visit(self.root, self.max_depth - 1, 0, 0, 0, cells)
+        if self._table is not None:  # the leaves changed, though no element did
+            self._dirty.update(collapsed)
+        return len(collapsed)
 
     # -- ray casting -------------------------------------------------------------
 
@@ -537,7 +674,12 @@ class SemanticOctree:
     def iter_leaves(self):
         """Yield (semantics, low_corner, size_elements) over all leaves in
         preorder, which is Morton order."""
-        stack = [(self.root, 0, 0, 0, self.size_elements)]
+        return self._leaves(self._root, (0, 0, 0), self.size_elements)
+
+    @staticmethod
+    def _leaves(node: SemanticNode, corner, size: int):
+        """``iter_leaves`` under one node, at ``corner`` with edge ``size``."""
+        stack = [(node, *corner, size)]
         while stack:
             node, x, y, z, size = stack.pop()
             if node.children is None:
@@ -554,64 +696,112 @@ class SemanticOctree:
             ))
 
     def num_leaves(self) -> int:
-        return sum(1 for _ in self.iter_leaves())
+        return len(self.leaf_table().ids)
 
     def leaf_table(self) -> LeafTable:
-        """The leaf table of the tree as it is now, built on the first call
-        after an element write, a pruning collapse or a new root."""
-        if self._table is None:
-            self._table = self._build_leaf_table()
-        return self._table
+        """The leaf table of the tree as it is now. A new root (a new tree, a
+        loaded file) gets a full build; after element writes and pruning
+        collapses, only the subtrees of the highest nodes they touched are
+        walked again and spliced in (``_patch_leaf_table``)."""
+        with self._upkeep:
+            if self._table is None:
+                self._table = self._build_leaf_table()
+            elif self._dirty:
+                self._table = self._patch_leaf_table()
+            return self._table
+
+    def _compacted(self, starts, corners, sizes, ids) -> LeafTable:
+        """The table with the interned beliefs cut down to those its leaves
+        hold, renumbered by first leaf in preorder; ids and ``same`` are then
+        those a walk that interns from nothing assigns."""
+        live, first = np.unique(ids, return_index=True)
+        live = live[np.argsort(first)]
+        renumber = np.empty(len(self._beliefs), dtype=np.intp)
+        renumber[live] = np.arange(live.shape[0])
+        self._beliefs = self._beliefs.compacted(live)
+        return self._beliefs.table(starts, corners, sizes, renumber[ids])
 
     def _build_leaf_table(self) -> LeafTable:
-        """One leaf walk. Siblings share belief objects, so a leaf's belief
-        is interned by object first and by ``_exact_key`` only for objects
-        not met before. Each belief's row, entropy and observed flag are
-        pure functions of its bits, so they are kept on the tree from build
-        to build; a build keeps the entries of the beliefs it met."""
+        """One walk over every leaf, then a compaction."""
         t0 = time.perf_counter()
-        by_object: dict[int, int] = {}
-        by_key: dict = {}
-        by_value: dict[TruncatedSemantics, int] = {}  # the first id of each value
-        keys, beliefs, same = [], [], []
-        corners, sizes, ids = [], [], []
-        for sem, corner, size in self.iter_leaves():
-            i = by_object.get(id(sem))
-            if i is None:
-                key = _exact_key(sem)
-                i = by_key.get(key)
-                if i is None:
-                    i = by_key[key] = len(keys)
-                    keys.append(key)
-                    beliefs.append(sem)
-                    same.append(by_value.setdefault(sem, i))
-                by_object[id(sem)] = i
-            corners.extend(corner)
-            sizes.append(size)
-            ids.append(i)
-        cache, kept = self._belief_stats, {}
-        for key, sem in zip(keys, beliefs):
-            stats = cache.get(key)
-            if stats is None:
-                stats = (sem.to_full(self.num_classes), sem.entropy(), sem != self.prior_semantics)
-            kept[key] = stats
-        self._belief_stats = kept
-        corners = np.array(corners, dtype=np.int64).reshape(-1, 3)
-        table = LeafTable(
-            starts=morton(*corners.T),
-            corners=corners,
-            sizes=np.array(sizes, dtype=np.int64),
-            ids=np.array(ids, dtype=np.intp),
-            full=np.array([kept[key][0] for key in keys]),
-            same=np.array(same, dtype=np.intp),
-            entropy=np.array([kept[key][1] for key in keys]),
-            observed=np.array([kept[key][2] for key in keys], dtype=bool),
-        )
-        log.debug(
-            "leaf table: %d leaves, %d beliefs, %.3f ms",
-            len(ids), len(keys), (time.perf_counter() - t0) * 1e3,
-        )
+        self._dirty.clear()
+        corners, sizes, ids = self._walk([(self._root, 0, 0, 0, self.size_elements)])
+        table = self._compacted(morton(*corners.T), corners, sizes, ids)
+        self._log_table(table, "full", ids.shape[0], t0)
         return table
+
+    def _walk(self, tops) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The leaves under each ``(node, x, y, z, size)`` in turn, in
+        preorder: their low corners, sizes and belief ids (with rows)."""
+        corners, sizes, beliefs = [], [], []
+        for node, x, y, z, size in tops:
+            for sem, corner, edge in self._leaves(node, (x, y, z), size):
+                corners += corner
+                sizes.append(edge)
+                beliefs.append(sem)
+        ids = np.array(list(map(self._beliefs.id_of, beliefs)), dtype=np.intp)
+        self._beliefs.fill(ids)
+        return (np.array(corners, dtype=np.int64).reshape(-1, 3),
+                np.array(sizes, dtype=np.int64), ids)
+
+    def _patch_leaf_table(self) -> LeafTable:
+        """Walk again only the highest recorded nodes and splice their leaves
+        into the table in place of the old leaves in their Morton intervals.
+        Leaves are aligned octree nodes, so each recorded interval is the
+        union of whole old leaves and of whole new ones. Once ids that no
+        leaf holds outnumber the held ones, the patched table is compacted."""
+        t0 = time.perf_counter()
+        old = self._table
+        boxes = np.array(list(self._dirty), dtype=np.int64)
+        self._dirty.clear()
+        lows = morton(*boxes[:, :3].T)
+        highs = lows + boxes[:, 3] ** 3
+        order = np.lexsort((-highs, lows))
+        lows, highs, boxes = lows[order], highs[order], boxes[order]
+        top = np.ones(len(lows), dtype=bool)
+        top[1:] = lows[1:] >= np.maximum.accumulate(highs)[:-1]  # not inside an earlier one
+        lows, highs = lows[top], highs[top]
+        tops = []
+        for x, y, z, size in boxes[top].tolist():
+            node, bit = self._root, self.max_depth - 1
+            while 1 << bit + 1 > size:
+                slot = ((x >> bit) & 1) << 2 | ((y >> bit) & 1) << 1 | ((z >> bit) & 1)
+                node = node.children[slot]
+                bit -= 1
+            tops.append((node, x, y, z, size))
+        corners, sizes, ids = self._walk(tops)
+        starts = morton(*corners.T)
+        # old leaf i stays unless an interval covers it; new leaf m goes after
+        # the old leaves kept before its interval and the new leaves before it
+        n = old.ids.shape[0]
+        lo, hi = np.searchsorted(old.starts, lows), np.searchsorted(old.starts, highs)
+        covered = np.cumsum(np.bincount(lo, minlength=n + 1) - np.bincount(hi, minlength=n + 1))
+        keep = covered[:n] == 0
+        kept_before = np.concatenate(([0], np.cumsum(keep)))
+        counts = np.searchsorted(starts, highs) - np.searchsorted(starts, lows)
+        at = np.repeat(kept_before[lo], counts) + np.arange(starts.shape[0])
+        fresh = np.zeros(kept_before[-1] + starts.shape[0], dtype=bool)
+        fresh[at] = True
+        parts = []
+        for was, now in ((old.starts, starts), (old.corners, corners), (old.sizes, sizes),
+                         (old.ids, ids)):
+            out = np.empty((fresh.shape[0],) + was.shape[1:], dtype=was.dtype)
+            out[at] = now
+            out[~fresh] = was[keep]
+            parts.append(out)
+        held = np.count_nonzero(np.bincount(parts[3], minlength=len(self._beliefs)))
+        if 2 * held < len(self._beliefs):
+            table, how = self._compacted(*parts), "patched and compacted"
+        else:
+            table, how = self._beliefs.table(*parts), "patched"
+        self._log_table(table, how, starts.shape[0], t0)
+        return table
+
+    def _log_table(self, table: LeafTable, how: str, walked: int, t0: float) -> None:
+        log.debug(
+            "leaf table: %d leaves, %d beliefs, %s, %d leaves walked, %.3f ms",
+            len(table.ids), len(table.full), how, walked, (time.perf_counter() - t0) * 1e3,
+        )
 
     def _box_ids(self, box) -> tuple[LeafTable, np.ndarray]:
         """The leaf table and an int array over a half-open element box
@@ -800,7 +990,7 @@ def load_octree(path) -> SemanticOctree:
         if mask and depth == max_depth:
             raise CorruptMap(f"{path}: tree deeper than max_depth {max_depth}")
         if not mask:
-            return SemanticNode(read_belief())
+            return SemanticNode(tree._beliefs.intern(read_belief()))
         if v1:
             read_belief()  # the inner-node summary
         return SemanticNode(None, [read_node(depth + 1) for _ in range(8)])

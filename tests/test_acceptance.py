@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 
 from ssmi import check, logodds as lo
-from ssmi import mi as mi_mod
 from ssmi.config import config_from_dict
 from ssmi.grid import BeamMeasurement, GridMap
 from ssmi.logodds import SensorParams
 from ssmi.mi import SrleRay, beam_mi_dense, beam_mi_srle, mi_surface
 from ssmi.octree import SemanticOctree
 from ssmi.sim import run_episode, srle_study
+from conftest import beam_mi_dense_direct, beam_mi_srle_direct
 
 
 def report(name: str, detail: str) -> None:
@@ -72,7 +72,7 @@ def test_a3_recursions_agree_and_dense_cost_is_linear():
         h_0 = np.zeros((n, 4))
         h_0[:, 1:] = rng.uniform(-2, 2, (n, 3))
         a = beam_mi_dense(h_t, h_0, params).value
-        b = mi_mod.beam_mi_dense_direct(h_t, h_0, params)
+        b = beam_mi_dense_direct(h_t, h_0, params)
         assert a == pytest.approx(b, abs=1e-12, rel=1e-12)
     for _ in range(200):
         q = int(rng.integers(1, 7))
@@ -86,7 +86,7 @@ def test_a3_recursions_agree_and_dense_cost_is_linear():
             ),
         )
         a = beam_mi_srle(ray, params).value
-        b = mi_mod.beam_mi_srle_direct(ray, params)
+        b = beam_mi_srle_direct(ray, params)
         assert a == pytest.approx(b, abs=1e-12, rel=1e-12)
 
     def inputs(n_cells: int) -> tuple[np.ndarray, np.ndarray]:

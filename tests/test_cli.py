@@ -247,6 +247,21 @@ def test_mi_eval_heading_must_be_finite_exit_2(tmp_path, capsys, caplog, heading
     assert not caplog.records
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--x", "nan"), ("--y", "inf"), ("--z", "-inf"), ("--z", "nan"),
+])
+def test_mi_eval_pose_must_be_finite_exit_2(tmp_path, capsys, caplog, flag, value):
+    """A non-finite pose is a bad argument (exit 2), not a beam origin
+    outside the map (``OriginOutOfBounds``, exit 3)."""
+    path = tmp_path / "g.ssmigrid"
+    save_grid(GridMap((8, 8), 1.0, 2), path)
+    pose = {"--x": "4.5", "--y": "4.5", "--z": "0.5", flag: value}
+    assert main(["mi-eval", "--map", str(path)] + [f"{k}={v}" for k, v in pose.items()]) == 2
+    err = capsys.readouterr().err
+    assert flag in err and "must be finite" in err
+    assert not caplog.records
+
+
 def test_map_path_that_is_a_directory_exit_2(tmp_path, capsys, caplog):
     assert main(["map", "inspect", "--map", str(tmp_path)]) == 2
     err = capsys.readouterr().err

@@ -17,18 +17,23 @@ from ssmi.octree import SemanticOctree
 from ssmi.mi import (
     SrleRay,
     beam_mi_dense,
-    beam_mi_dense_direct,
     beam_mi_oracle,
     beam_mi_srle,
     beam_mi_srle_batch,
-    beam_mi_srle_direct,
     collapse_to_binary,
     FanCast,
     encode_runs,
     select_nonoverlapping,
     trajectories_mi,
 )
-from conftest import cast_fan, fan_beams, random_logodds, stacked_casts
+from conftest import (
+    beam_mi_dense_direct,
+    beam_mi_srle_direct,
+    cast_fan,
+    fan_beams,
+    random_logodds,
+    stacked_casts,
+)
 
 
 # -- dense path ----------------------------------------------------------------

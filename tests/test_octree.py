@@ -8,6 +8,8 @@ import logging
 import math
 import re
 import struct
+import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -28,6 +30,7 @@ from ssmi.octree import (
     SemanticNode,
     SemanticOctree,
     TruncatedSemantics,
+    _exact_key,
     element_update,
     grid_from_octree,
     load_octree,
@@ -36,7 +39,13 @@ from ssmi.octree import (
 )
 from ssmi.sim import run_episode
 from ssmi.mi import FanCast
-from conftest import cast_fan, fan_beams, stacked_casts
+from conftest import (
+    cast_fan,
+    fan_beams,
+    insert_scan_reference,
+    leaf_table_reference,
+    stacked_casts,
+)
 
 
 def random_beam(rng, lo_pt=1.0, hi_pt=31.0, r_max=20.0, k=3):
@@ -732,7 +741,9 @@ def table_builds(caplog, tree):
     checked against the tree as it is now, so call after every read."""
     lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("leaf table")]
     for line in lines:
-        assert re.fullmatch(r"leaf table: \d+ leaves, \d+ beliefs, \d+\.\d{3} ms", line)
+        assert re.fullmatch(r"leaf table: \d+ leaves, \d+ beliefs, "
+                            r"(full|patched|patched and compacted), "
+                            r"\d+ leaves walked, \d+\.\d{3} ms", line)
     if lines:
         assert lines[-1].split()[2] == str(tree.num_leaves())
     return len(lines)
@@ -789,6 +800,255 @@ def test_leaf_table_is_rebuilt_only_after_the_tree_changes(params3, caplog, tmp_
         read_all(tree, beam)
         assert table_builds(caplog, tree) == 11
         assert tree.map_state() == leaf_sums(tree, ((0, 0, 0), tree.dims))
+
+
+def assert_table_is_the_reference(tree):
+    """The tree's leaf table against a walk over all its leaves: the same
+    leaves (starts, corners, sizes), each leaf's row bit for bit, and the
+    same ``==`` classes, whichever ids stand for them."""
+    got, want = tree.leaf_table(), leaf_table_reference(tree)
+    for name in ("starts", "corners", "sizes"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    for name in ("full", "entropy", "observed"):
+        assert (getattr(got, name)[got.ids].tobytes()
+                == getattr(want, name)[want.ids].tobytes()), name
+
+    def classes(table):  # per leaf, the first leaf holding a belief == to its own
+        _, first, inverse = np.unique(table.same[table.ids], return_index=True,
+                                      return_inverse=True)
+        return first[inverse]
+
+    assert classes(got).tolist() == classes(want).tolist()
+
+
+def scan_beam(draw, n, k):
+    """A 3-D beam from anywhere in a cube of edge ``n``, most of them hits."""
+    component = st.sampled_from([0.0, 1.0, -1.0, 0.5]) | st.floats(-1.0, 1.0)
+    d = [draw(component) for _ in range(3)]
+    assume(any(abs(v) > 1e-3 for v in d))
+    r_max = float(n)
+    r = draw(st.floats(0.0, r_max) | st.just(r_max))
+    cat = draw(st.integers(1, k)) if r < r_max else None
+    origin = [draw(st.floats(0.0, n, exclude_max=True)) for _ in range(3)]
+    return BeamMeasurement(np.array(origin), np.array(d), r, cat, r_max)
+
+
+@st.composite
+def table_history(draw):
+    """A tree of depth 2-4 at K = 3 or 5 and the changes made to it, each
+    followed or not by a table read: scans (a low clamp saturates cells, so
+    paths prune), ``set_element`` and block writes of beliefs holding both
+    signed zeros, whole-tree prunes, a new root, a save and load."""
+    k = draw(st.sampled_from([3, 5]), label="k")
+    depth = draw(st.integers(2, 4), label="depth")
+    n = 1 << depth
+    params = SensorParams.default(k, clamp_limit=draw(st.sampled_from([1.0, 2.5, 6.0])))
+    cell = st.tuples(*[st.integers(0, n - 1)] * 3)
+    steps = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["scan", "scan", "set", "block", "prune", "root", "load"]))
+        if kind == "scan":
+            arg = [scan_beam(draw, n, k) for _ in range(draw(st.integers(1, 6)))]
+        elif kind == "set":
+            arg = (draw(cell), np.array([0.0] + [draw(SIGNED) for _ in range(k)]))
+        elif kind == "block":
+            size = 1 << draw(st.integers(0, depth - 1))
+            classes = draw(st.permutations(range(1, k + 1)))[:3]
+            sem = TruncatedSemantics(TruncatedSemantics._sorted((c, draw(SIGNED)) for c in classes),
+                                     draw(SIGNED) if k > 3 else NEG_INF)
+            arg = ([draw(st.integers(0, n // size - 1)) * size for _ in range(3)], size, sem)
+        else:
+            arg = None
+        steps.append((kind, arg, draw(st.booleans())))
+    return SemanticOctree(1.0, depth, k), params, steps
+
+
+@given(case=table_history())
+@settings(max_examples=120, deadline=None)
+def test_patched_leaf_table_equals_a_full_build(case, tmp_path_factory):
+    """Reads after element writes and pruning collapses patch the table;
+    after every read, and at the end, it equals a walk over all the leaves."""
+    tree, params, steps = case
+    for kind, arg, read in steps:
+        if kind == "scan":
+            tree.insert_scan(arg, params)
+        elif kind == "set":
+            tree.set_element(*arg)
+        elif kind == "block":
+            corner, size, sem = arg
+            for cell in itertools.product(*(range(c, c + size) for c in corner)):
+                tree._write_element(cell, lambda _: sem)
+        elif kind == "prune":
+            tree.prune()
+        elif kind == "root":
+            tree.root = SemanticNode(tree.prior_semantics)
+        else:
+            path = tmp_path_factory.mktemp("load") / "t.ssmioct"
+            save_octree(tree, path)
+            tree = load_octree(path)
+        if read:
+            assert_table_is_the_reference(tree)
+    assert_table_is_the_reference(tree)
+
+
+def test_full_and_compacted_tables_are_the_reference_down_to_ids(caplog, tmp_path):
+    """Scans intern beliefs that later scans overwrite; once those outnumber
+    the beliefs the leaves hold, a patch compacts them. A compacted table,
+    like a full build after a load, is the reference walk itself: the same
+    ids and ``same``, not only the same classes."""
+    # far bounds, and beams that cross most of a small cube: every scan moves
+    # many elements to beliefs no element held before
+    params = SensorParams.default(3, clamp_limit=40.0)
+    rng = np.random.default_rng(11)
+    tree = SemanticOctree(1.0, 2, 3)
+    hows = []
+
+    def assert_exact(tree):
+        got, want = tree.leaf_table(), leaf_table_reference(tree)
+        for name in ("ids", "full", "same", "entropy", "observed"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    with caplog.at_level(logging.DEBUG, logger="ssmi.octree"):
+        for _ in range(30):
+            caplog.clear()
+            tree.insert_scan([random_beam(rng, 0.5, 3.5, r_max=6.0) for _ in range(6)], params)
+            assert_table_is_the_reference(tree)
+            (line,) = [r.getMessage() for r in caplog.records
+                       if r.getMessage().startswith("leaf table")]
+            hows.append(line.split(", ")[2])
+            if hows[-1] != "patched":
+                assert_exact(tree)
+        save_octree(tree, tmp_path / "t.ssmioct")
+        assert_exact(load_octree(tmp_path / "t.ssmioct"))
+    assert hows[0] == "full" and {"patched", "patched and compacted"} <= set(hows[1:])
+
+
+@st.composite
+def memo_scan_case(draw):
+    """Parameters at K = 1, 2, 3 (any per class) or 5 (class-uniform) drawn
+    around shared edge values, so updates land on and past the clamp bounds
+    and on both signed zeros; a tree of depth 2-3 painted with beliefs near
+    those values; and scans of 3-D beams, most of them hits."""
+    k = draw(st.sampled_from([1, 2, 3, 5]), label="k")
+    lumped = k > 3
+    if lumped:
+        lo_, hi_ = sorted((draw(LOGODDS), draw(LOGODDS)))
+        assume(lo_ < hi_)
+        bounds = [(lo_, hi_)] * k
+
+        def vec():
+            return np.array([0.0] + [draw(LOGODDS)] * k)
+    else:
+        bounds = [sorted((draw(LOGODDS), draw(LOGODDS))) for _ in range(k)]
+        assume(all(a < b for a, b in bounds))
+
+        def vec():
+            return np.array([0.0] + [draw(LOGODDS) for _ in range(k)])
+    params = SensorParams(
+        phi_plus=vec(), phi_minus=vec(), psi_plus=vec(),
+        clamp_lo=np.array([0.0] + [a for a, _ in bounds]),
+        clamp_hi=np.array([0.0] + [b for _, b in bounds]),
+    )
+    prior = vec()
+    near = LOGODDS | st.sampled_from([v for ab in bounds for v in ab])
+    depth = draw(st.integers(2, 3), label="depth")
+    n = 1 << depth
+    blocks = []
+    for _ in range(draw(st.integers(0, 4))):
+        classes = draw(st.permutations(range(1, k + 1)))[:3]
+        sem = TruncatedSemantics(TruncatedSemantics._sorted((c, draw(near)) for c in classes),
+                                 draw(near) if lumped else NEG_INF)
+        size = 1 << draw(st.integers(0, depth - 1))
+        blocks.append(([draw(st.integers(0, n // size - 1)) * size for _ in range(3)], size, sem))
+    scans = [[scan_beam(draw, n, k) for _ in range(draw(st.integers(1, 6)))]
+             for _ in range(draw(st.integers(1, 4)))]
+    return k, depth, prior, blocks, params, scans
+
+
+@given(case=memo_scan_case())
+@settings(max_examples=200, deadline=None)
+def test_memoized_scan_is_the_per_element_loop_bit_for_bit(case, tmp_path_factory):
+    """``insert_scan`` against ``insert_scan_reference`` on two copies of a
+    painted tree: after every scan the saved bytes are equal, and so every
+    element's bits, signed zeros and ties at a bound included."""
+    k, depth, prior, blocks, params, scans = case
+    trees = [SemanticOctree(1.0, depth, k, prior=prior) for _ in range(2)]
+    for tree in trees:
+        paint(tree, blocks)
+    path = tmp_path_factory.mktemp("memo")
+    for scan in scans:
+        trees[0].insert_scan(scan, params)
+        insert_scan_reference(trees[1], scan, params)
+        assert saved_bytes(trees[0], path) == saved_bytes(trees[1], path)
+
+
+def assert_one_object_per_value(tree):
+    objects: dict = {}
+    for sem, _, _ in tree.iter_leaves():
+        objects.setdefault(_exact_key(sem), set()).add(id(sem))
+    assert all(len(ids) == 1 for ids in objects.values())
+    return len(objects)
+
+
+def test_tree_holds_one_object_per_exact_belief(a7_octree_tree, params3, rng, tmp_path):
+    """Writes, prunes and loads intern what they store: leaves equal bit for
+    bit are one object, while the two signed zeros stay two."""
+    assert assert_one_object_per_value(a7_octree_tree) > 1
+    tree = SemanticOctree(1.0, 4, 3)
+    for _ in range(20):
+        tree.insert_scan([random_beam(rng, 1.0, 15.0, r_max=10.0) for _ in range(5)], params3)
+    plus, minus = np.array([0.0, 1.5, 0.0, -2.0]), np.array([0.0, 1.5, -0.0, -2.0])
+    for cell in itertools.product(range(2), repeat=3):
+        tree.set_element(cell, plus if sum(cell) % 2 else minus)
+    tree.set_element((8, 8, 8), plus)
+    assert assert_one_object_per_value(tree) > 2
+    assert tree.query_element((0, 0, 1)) is tree.query_element((8, 8, 8))
+    assert tree.query_element((0, 0, 0)) is not tree.query_element((0, 0, 1))
+    save_octree(tree, tmp_path / "t.ssmioct")
+    assert_one_object_per_value(load_octree(tmp_path / "t.ssmioct"))
+
+
+def test_concurrent_reads_after_a_scan_all_see_the_scanned_tree(params3):
+    """Readers racing to bring the table up to date after a scan, more of
+    them than cores and switching often, each read the scanned tree."""
+    rng = np.random.default_rng(5)
+    tree = SemanticOctree(1.0, 4, 3)
+    tree.leaf_table()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(30):
+            tree.insert_scan([random_beam(rng, 1.0, 15.0, r_max=10.0) for _ in range(8)], params3)
+            results = []
+            readers = [threading.Thread(target=lambda: results.append(tree.map_state()))
+                       for _ in range(16)]
+            for reader in readers:
+                reader.start()
+            for reader in readers:
+                reader.join(timeout=60)
+            assert not any(reader.is_alive() for reader in readers)
+            assert results == [leaf_sums(tree, ((0, 0, 0), tree.dims))] * len(readers)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a7_octree_episode_is_byte_identical_on_the_references(tmp_path, monkeypatch):
+    """World 0 of the A7 config on the octree writes the same bytes with the
+    per-element scan and a leaf table walked in full on every read."""
+    from ssmi import cli
+
+    config = tmp_path / "a7.json"
+    config.write_text(json.dumps({"mapper": {"type": "octree"}, "run": {"explored_stop": 0.9}}))
+
+    def explore(out):
+        assert cli.main(["explore", "--config", str(config), "--out", str(out), "--seed", "0"]) == 0
+        return {name: (out / name).read_bytes() for name in (
+            "metrics.csv", "plans.txt", "summary.json", "final_map.ssmioct", "env_truth.ssmigrid")}
+
+    fast = explore(tmp_path / "fast")
+    monkeypatch.setattr(SemanticOctree, "insert_scan", insert_scan_reference)
+    monkeypatch.setattr(SemanticOctree, "leaf_table", leaf_table_reference)
+    assert explore(tmp_path / "reference") == fast
 
 
 # -- grid agreement at scale ---------------------------------------------------------

@@ -246,10 +246,11 @@ def test_debug_log_has_scan_and_cycle_lines_and_leaves_metrics_alone(caplog):
     assert len(scans) + len(tables) == len(octree)
     assert scans and all(
         re.fullmatch(r"insert_scan: 24 beams, \d+ elements visited, \d+ changed, "
-                     r"\d+ nodes collapsed", m) for m in scans
+                     r"\d+ nodes collapsed, \d+ memo hits, \d+ no-op writes", m) for m in scans
     )
     assert tables and all(
-        re.fullmatch(r"leaf table: \d+ leaves, \d+ beliefs, \d+\.\d{3} ms", m) for m in tables
+        re.fullmatch(r"leaf table: \d+ leaves, \d+ beliefs, (full|patched|patched and compacted), "
+                     r"\d+ leaves walked, \d+\.\d{3} ms", m) for m in tables
     )
     plans = [r.getMessage() for r in caplog.records if r.name == "ssmi.planner"]
     assert plans and all(
