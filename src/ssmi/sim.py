@@ -1,11 +1,14 @@
 """Headless synthetic environments, a noisy range-category sensor, and the
 closed exploration loop.
 
-Everything here is deterministic given (seed, config): the environment,
-sensor noise, and tie-breaking each draw from an independent child stream of
-one seed, so turning noise off does not reshuffle the world. Wall-clock
-planning times are collected but kept out of the metrics table, which must be
-byte-reproducible.
+Everything here is deterministic given (seed, config). ``run_episode``
+spawns three child streams of the seed. The world generator and the spawn
+draw are two Generators on the same ``streams[0]``, so the spawn index comes
+from the first raw 32-bit value that the world's first ``wx`` draw also used.
+Sensor noise draws from ``streams[1]``, so turning noise off does not
+reshuffle the world; ``streams[2]`` is spawned but never read, and planning
+breaks ties without drawing. Wall-clock planning times are collected but
+kept out of the metrics table, which must be byte-reproducible.
 """
 
 from __future__ import annotations
@@ -53,39 +56,97 @@ class Environment:
 
 
 def _spawn_cells(grid: np.ndarray) -> list[tuple[int, int, int]]:
-    """Free cells whose 3x3 in-plane neighbourhood is free."""
-    nx, ny, nz = grid.shape
-    spawns = []
-    for i in range(1, nx - 1):
-        for j in range(1, ny - 1):
-            for k in range(nz):
-                if np.all(grid[i - 1 : i + 2, j - 1 : j + 2, k] == 0):
-                    spawns.append((i, j, k))
-    return spawns
+    """Free cells whose 3x3 in-plane neighbourhood is free, in (i, j, k)
+    order."""
+    nx, ny, _ = grid.shape
+    free = grid == 0
+    clear = np.logical_and.reduce(
+        [free[di : di + nx - 2, dj : dj + ny - 2] for di in range(3) for dj in range(3)]
+    )
+    i, j, k = np.nonzero(clear)
+    return list(zip((i + 1).tolist(), (j + 1).tolist(), k.tolist()))
 
 
-def _gen_random(rng: np.random.Generator, dims, num_classes: int, target: float) -> np.ndarray:
+GEN_ATTEMPTS = 4000  # block placements a random world tries before it settles
+_U32 = 1 << 32
+
+
+def _bounded(u: np.ndarray, n) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's bounded draw (``buffered_bounded_lemire_uint32``) of a value
+    in ``[0, n)`` from each raw 32-bit value ``u``, and where numpy would
+    reject that raw value and take the next one instead."""
+    n = np.asarray(n, dtype=np.uint64)
+    m = u.astype(np.uint64) * n
+    rejected = (m & 0xFFFFFFFF) < (_U32 - n) % n
+    return (m >> 32).astype(np.int64), rejected
+
+
+def _gen_random(
+    rng: np.random.Generator, dims, num_classes: int, target: float
+) -> tuple[np.ndarray, int]:
+    """Scatter blocks of 2 or 3 cells a side, each of one class, at least
+    ``margin`` cells from the border and ``gap`` free cells from any other
+    block, until ``target`` of the plane is occupied or ``GEN_ATTEMPTS``
+    placements were tried. Returns the grid and the attempts it took.
+
+    Each attempt draws ``wx, wy, x0, y0, cls`` with ``rng.integers``, in
+    that order and whatever the grid holds. So the draws are made up front
+    as one batch of raw 32-bit values and bounded as numpy's ``integers``
+    bounds them; a one-value range (``cls`` when K = 1) takes no raw value.
+    The grid is the one the scalar draws build, byte for byte; the
+    Generator is left in another state.
+    """
     nx, ny = dims[0], dims[1]
-    grid = np.zeros((nx, ny, 1), dtype=np.int16)
-    margin, gap = 2, 2
+    margin, gap = 2, 2  # margin >= gap: a block's moat never crosses the border
+    per = 5 if num_classes > 1 else 4  # raw values an attempt takes
+    need = GEN_ATTEMPTS * per
+    u = rng.integers(0, _U32, size=need + 64, dtype=np.uint32)
+    while True:
+        draws = u[:need].reshape(GEN_ATTEMPTS, per)
+        wx, wy = (2 + (draws[:, :2] >> 31)).astype(np.int64).T  # n = 2 never rejects
+        nx_free, ny_free = nx - 2 * margin - wx + 1, ny - 2 * margin - wy + 1
+        valid = (nx_free > 1) & (ny_free > 1)  # else BadDims, before x0 is drawn
+        rejected = np.zeros(draws.shape, dtype=bool)
+        x0, rejected[:, 2] = _bounded(draws[:, 2], np.maximum(nx_free, 1))
+        y0, rejected[:, 3] = _bounded(draws[:, 3], np.maximum(ny_free, 1))
+        cls = np.zeros(GEN_ATTEMPTS, dtype=np.int64)
+        if per == 5:
+            cls, rejected[:, 4] = _bounded(draws[:, 4], num_classes)
+        (hit,) = np.nonzero(rejected.ravel())
+        if not len(hit):
+            break
+        # numpy drops a rejected value and draws the same slot again from
+        # the next one, so every later draw moves up by one value
+        u = np.delete(u, hit[0])
+        if len(u) < need:
+            u = np.concatenate([u, rng.integers(0, _U32, size=64, dtype=np.uint32)])
+
+    # occupancy as one int, bit x * ny + y; a moat covers its block, so
+    # blocks never overlap and the occupied count is a running sum
+    def rect(w: int, h: int) -> int:
+        return sum(((1 << h) - 1) << (r * ny) for r in range(w))
+
+    moats = {(w, h): rect(w + 2 * gap, h + 2 * gap) for w in (2, 3) for h in (2, 3)}
+    blocks = {(w, h): rect(w, h) for w in (2, 3) for h in (2, 3)}
     target_cells = target * nx * ny
-    attempts = 0
-    while np.count_nonzero(grid) < target_cells and attempts < 4000:
+    occupied = count = attempts = 0
+    placed = []
+    for w, h, x, y, c, ok in zip(wx.tolist(), wy.tolist(), (x0 + margin).tolist(),
+                                 (y0 + margin).tolist(), (cls + 1).tolist(), valid.tolist()):
+        if count >= target_cells:
+            break
         attempts += 1
-        wx = int(rng.integers(2, 4))
-        wy = int(rng.integers(2, 4))
-        if nx - margin - wx <= margin or ny - margin - wy <= margin:
+        if not ok:
             raise BadDims("environment too small for obstacle blocks")
-        x0 = int(rng.integers(margin, nx - margin - wx + 1))
-        y0 = int(rng.integers(margin, ny - margin - wy + 1))
-        cls = int(rng.integers(1, num_classes + 1))
-        # keep a 2-cell free moat around each block so free space stays connected
-        xlo, xhi = max(0, x0 - gap), min(nx, x0 + wx + gap)
-        ylo, yhi = max(0, y0 - gap), min(ny, y0 + wy + gap)
-        if np.any(grid[xlo:xhi, ylo:yhi, 0] != 0):
+        if occupied & (moats[w, h] << ((x - gap) * ny + y - gap)):
             continue
-        grid[x0 : x0 + wx, y0 : y0 + wy, 0] = cls
-    return grid
+        occupied |= blocks[w, h] << (x * ny + y)
+        count += w * h
+        placed.append((x, y, w, h, c))
+    grid = np.zeros((nx, ny, 1), dtype=np.int16)
+    for x, y, w, h, c in placed:
+        grid[x : x + w, y : y + h, 0] = c
+    return grid, attempts
 
 
 def _gen_structured(dims, num_classes: int) -> np.ndarray:
@@ -137,9 +198,13 @@ def generate_env(
     dims = tuple(int(d) for d in dims)
     if any(d < 16 for d in dims[:2]):
         raise BadDims("need at least 16 cells per planar axis")
+    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
+    tried = ""
     if profile == "random":
-        grid = _gen_random(rng, dims, num_classes, target_occupancy)
+        grid, attempts = _gen_random(rng, dims, num_classes, target_occupancy)
+        target = math.ceil(target_occupancy * dims[0] * dims[1])
+        tried = f"{attempts}/{GEN_ATTEMPTS} attempts, target {target} cells, "
     elif profile == "structured":
         grid = _gen_structured(dims, num_classes)
     elif profile == "corridor":
@@ -149,6 +214,8 @@ def generate_env(
     spawns = _spawn_cells(grid)
     if not spawns:
         raise BadDims("generated environment has no 3x3 free spawn area")
+    log.debug("world %s %s: %s%d cells occupied, %d spawns, %.3f ms", profile, grid.shape,
+              tried, np.count_nonzero(grid), len(spawns), 1e3 * (time.perf_counter() - t0))
     return Environment(grid=grid, num_classes=num_classes, resolution=resolution, spawns=spawns)
 
 
@@ -330,6 +397,9 @@ def run_episode(config: SimConfig, env: Environment | None = None) -> EpisodeMet
     occupied, and stays put when that is the first step.
     """
     streams = np.random.SeedSequence(config.seed).spawn(3)
+    # a second Generator on the world's stream: the spawn index reuses the
+    # world's first raw draw. streams[2] is never read. Changing either
+    # would change every world and every episode.
     env_rng = np.random.default_rng(streams[0])
     sensor_rng = np.random.default_rng(streams[1])
     if env is None:

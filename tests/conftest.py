@@ -5,7 +5,7 @@ import pytest
 
 from ssmi import logodds
 from ssmi.config import config_from_dict
-from ssmi.errors import EmptyRay
+from ssmi.errors import BadDims, EmptyRay
 from ssmi.grid import BeamMeasurement, SrleRay
 from ssmi.logodds import SensorParams
 from ssmi.mi import FanCast, fan_angles
@@ -201,3 +201,44 @@ def leaf_table_reference(tree) -> LeafTable:
         entropy=np.array([sem.entropy() for sem in beliefs]),
         observed=np.array([sem != tree.prior_semantics for sem in beliefs], dtype=bool),
     )
+
+
+def spawn_cells_reference(grid: np.ndarray) -> list[tuple[int, int, int]]:
+    """``sim._spawn_cells`` one cell at a time: free cells whose 3x3
+    in-plane neighbourhood is free, in (i, j, k) order."""
+    nx, ny, nz = grid.shape
+    spawns = []
+    for i in range(1, nx - 1):
+        for j in range(1, ny - 1):
+            for k in range(nz):
+                if np.all(grid[i - 1 : i + 2, j - 1 : j + 2, k] == 0):
+                    spawns.append((i, j, k))
+    return spawns
+
+
+def gen_random_reference(rng: np.random.Generator, dims, num_classes: int,
+                         target: float) -> np.ndarray:
+    """``sim._gen_random`` with one scalar ``rng.integers`` call per draw,
+    counting the occupied cells of the grid before every attempt. The
+    batched generator is held to its grids byte for byte."""
+    nx, ny = dims[0], dims[1]
+    grid = np.zeros((nx, ny, 1), dtype=np.int16)
+    margin, gap = 2, 2
+    target_cells = target * nx * ny
+    attempts = 0
+    while np.count_nonzero(grid) < target_cells and attempts < 4000:
+        attempts += 1
+        wx = int(rng.integers(2, 4))
+        wy = int(rng.integers(2, 4))
+        if nx - margin - wx <= margin or ny - margin - wy <= margin:
+            raise BadDims("environment too small for obstacle blocks")
+        x0 = int(rng.integers(margin, nx - margin - wx + 1))
+        y0 = int(rng.integers(margin, ny - margin - wy + 1))
+        cls = int(rng.integers(1, num_classes + 1))
+        # keep a 2-cell free moat around each block so free space stays connected
+        xlo, xhi = max(0, x0 - gap), min(nx, x0 + wx + gap)
+        ylo, yhi = max(0, y0 - gap), min(ny, y0 + wy + gap)
+        if np.any(grid[xlo:xhi, ylo:yhi, 0] != 0):
+            continue
+        grid[x0 : x0 + wx, y0 : y0 + wy, 0] = cls
+    return grid

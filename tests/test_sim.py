@@ -8,13 +8,19 @@ import re
 import numpy as np
 import pytest
 
+from conftest import gen_random_reference, spawn_cells_reference
 from ssmi.config import config_from_dict
 from ssmi.errors import BadDims, PoseInObstacle
 from ssmi.grid import unit_direction
 from ssmi.mi import fan_angles
 from ssmi.sim import (
+    GEN_ATTEMPTS,
     Environment,
     SensorSpec,
+    _bounded,
+    _gen_random,
+    _gen_corridor,
+    _spawn_cells,
     generate_env,
     run_episode,
     sense,
@@ -82,6 +88,92 @@ def test_structured_env_layout():
 def test_bad_dims_rejected():
     with pytest.raises(BadDims):
         generate_env(0, "random", (8, 8), 3)
+
+
+def assert_same_world(seed, dims, num_classes, target):
+    """``_gen_random`` and ``_spawn_cells`` give the reference's grid (bytes,
+    dtype and shape) and spawn list, or raise where it raises."""
+    try:
+        want = gen_random_reference(np.random.default_rng(seed), dims, num_classes, target)
+    except BadDims:
+        with pytest.raises(BadDims):
+            _gen_random(np.random.default_rng(seed), dims, num_classes, target)
+        return None
+    grid, attempts = _gen_random(np.random.default_rng(seed), dims, num_classes, target)
+    assert (grid.dtype, grid.shape) == (want.dtype, want.shape)
+    assert grid.tobytes() == want.tobytes()
+    assert _spawn_cells(grid) == spawn_cells_reference(want)
+    return attempts
+
+
+@pytest.mark.parametrize("num_classes", [1, 2, 3, 5])  # K = 1 draws no class
+@pytest.mark.parametrize("dims", [(16, 16), (24, 40), (64, 64)])
+def test_batched_worlds_are_the_scalar_draws_worlds(dims, num_classes):
+    seeds = [num_classes, np.random.SeedSequence(100 + num_classes).spawn(3)[0]]
+    for target, seed in zip([0.05, 0.2, 0.5], seeds + seeds):
+        attempts = assert_same_world(seed, dims, num_classes, target)
+        if target == 0.05:  # stops at the target, well before the cap
+            assert attempts < GEN_ATTEMPTS
+        if target == 0.5:
+            assert attempts == GEN_ATTEMPTS
+
+
+def test_rejected_bounded_draw_shifts_every_later_draw():
+    """World 121 with K = 32513 makes numpy reject the 800th raw value (the
+    class of attempt 160), so every later draw takes the next raw value."""
+    raw = np.random.default_rng(121).integers(0, 2**32, size=800, dtype=np.uint32)
+    assert _bounded(raw[799:], 32513)[1].tolist() == [True]
+    assert assert_same_world(121, (64, 64), 32513, 0.5) == GEN_ATTEMPTS
+
+
+@pytest.mark.parametrize("dims", [(5, 40), (6, 20), (7, 30), (40, 7), (7, 40)])
+def test_too_small_for_blocks_raises_where_the_scalar_draws_do(dims):
+    # (7, n): only a 3-cell block side is too wide, so the draws decide
+    # whether, and after how many blocks, it raises
+    outcomes = {assert_same_world(seed, dims, 3, 0.02) is None for seed in range(8)}
+    assert outcomes == ({True} if min(dims) < 7 else {True, False})
+
+
+@pytest.mark.parametrize("dims", [(16, 16, 8), (24, 40, 3), (32, 32, 8)])
+def test_spawn_cells_of_3d_grids_are_the_per_cell_loops(dims):
+    corridor = _gen_corridor(dims, 3)
+    assert _spawn_cells(corridor) == spawn_cells_reference(corridor)
+    rng = np.random.default_rng(sum(dims))
+    for p in (0.02, 0.1):
+        grid = (rng.random(dims) < p).astype(np.int16)
+        assert _spawn_cells(grid) == spawn_cells_reference(grid)
+    for thin in ((2, 9, 1), (9, 2, 2), (1, 1, 1)):
+        assert _spawn_cells(np.zeros(thin, dtype=np.int16)) == []
+
+
+# content hashes of the worlds the scalar-draw generator built: a faster
+# generator must give back every one of them
+A7_WORLD_HASHES = [
+    "ea30f0453e0482ca", "0d70dac741ca795f", "b26526df3f31fac3", "86cc068b668c4885",
+    "1e64ad07a2cd6dec", "d8eabc7e79c44756", "00c123a35e19c246", "f701aa44e71743bf",
+    "a751e8680bf1873e", "d0e98a36472ef96b",
+]
+
+
+def test_worlds_keep_their_content_hashes():
+    a7 = [generate_env(np.random.SeedSequence(s).spawn(3)[0], "random", (32, 32), 3)
+          for s in range(10)]
+    assert [env.content_hash() for env in a7] == A7_WORLD_HASHES
+    assert generate_env(0, "structured", (32, 32), 3).content_hash() == "fbee43af1b52afc2"
+    assert generate_env(0, "corridor", (32, 32, 8), 3).content_hash() == "17f865b71ea27fb0"
+
+
+def test_generate_env_logs_one_world_line(caplog):
+    with caplog.at_level(logging.DEBUG, logger="ssmi.sim"):
+        env = generate_env(np.random.SeedSequence(0).spawn(3)[0], "random", (32, 32), 3)
+        generate_env(0, "structured", (32, 32), 3)
+    random_line, structured_line = [r.getMessage() for r in caplog.records]
+    occupied = int(np.count_nonzero(env.grid))
+    assert re.fullmatch(
+        rf"world random \(32, 32, 1\): 4000/4000 attempts, target 205 cells, "
+        rf"{occupied} cells occupied, {len(env.spawns)} spawns, \d+\.\d{{3}} ms", random_line)
+    assert re.fullmatch(r"world structured \(32, 32, 1\): \d+ cells occupied, \d+ spawns, "
+                        r"\d+\.\d{3} ms", structured_line)
 
 
 # -- sensing -----------------------------------------------------------------------
@@ -240,7 +332,8 @@ def test_debug_log_has_scan_and_cycle_lines_and_leaves_metrics_alone(caplog):
         metrics = run_episode(config)
     assert metrics.metrics_csv() == quiet
     octree = [r.getMessage() for r in caplog.records if r.name == "ssmi.octree"]
-    cycles = [r.getMessage() for r in caplog.records if r.name == "ssmi.sim"]
+    world, *cycles = [r.getMessage() for r in caplog.records if r.name == "ssmi.sim"]
+    assert world.startswith("world random (16, 16, 1): ")
     scans = [m for m in octree if m.startswith("insert_scan")]
     tables = [m for m in octree if m.startswith("leaf table")]
     assert len(scans) + len(tables) == len(octree)
