@@ -28,6 +28,12 @@ def _require_positive(value, name: str) -> None:
         raise ConfigError(f"{name} must be positive and finite, got {value!r}")
 
 
+# K at most 255: the sensor's (K+1) x (K+1) float64 model stack then stays
+# at 512 KiB, and class ids fit the world grid's int16 and the map files'
+# 16-bit class fields with room to spare
+MAX_CLASSES = 255
+
+
 @dataclass
 class EnvConfig:
     profile: str = "random"  # random | structured | corridor
@@ -40,6 +46,9 @@ class EnvConfig:
         self.dims = tuple(int(d) for d in self.dims)
         if self.profile not in ("random", "structured", "corridor"):
             raise ConfigError(f"unknown env profile {self.profile!r}")
+        if type(self.num_classes) is not int or not 1 <= self.num_classes <= MAX_CLASSES:
+            raise ConfigError(f"env.num_classes must be an integer in 1..{MAX_CLASSES}, "
+                              f"got {self.num_classes!r}")
         _require_positive(self.resolution, "env.resolution")
 
 

@@ -2,11 +2,13 @@
 
 Maps are always stored as 3-D arrays; a 2-D map is a 3-D map of depth one so
 every downstream consumer (information evaluation, octrees, planning) sees a
-single code path. The cell update ``clamp(h + (l - h0))`` runs here on numpy
-rows, one indexed write per beam in ``GridMap.integrate``; the octree runs
-the same arithmetic on Python floats in ``octree.element_update``. A4 and
-the float-vs-numpy hypothesis test in ``tests/test_octree.py`` pin the two
-forms equal bit for bit, so both maps agree under the same observations.
+single code path. Both maps take a scan's cell updates, in scan order, from
+one walk (``scan_updates``). The cell update ``clamp(h + (l - h0))`` runs
+here on numpy rows, in rounds of one gather, add, clip and scatter over
+distinct cells in ``GridMap.insert_scan``; the octree runs the same
+arithmetic on Python floats in ``octree.element_update``. A4 and the
+float-vs-numpy hypothesis test in ``tests/test_octree.py`` pin the two forms
+equal bit for bit, so both maps agree under the same observations.
 """
 
 from __future__ import annotations
@@ -246,6 +248,22 @@ def _cell_point(point, origin, cell_size: float, dims) -> tuple[float, float, fl
     return g
 
 
+def _walk_beam(beam: BeamMeasurement, origin, cell_size: float,
+               dims) -> tuple[list[int], list[float], int | None]:
+    """The voxel walk of ``beam`` through the box of :func:`cast`: its flat
+    cell coordinates and entry parameters (``voxel_walk``), and the index
+    of the cell holding the beam endpoint, None when the beam reached max
+    range or its endpoint lies past the walk."""
+    g = _cell_point(beam.origin.tolist(), origin, cell_size, dims)
+    coords, entries = voxel_walk(g, beam.direction.tolist(), beam.max_range / cell_size, dims)
+    hit_index = None
+    if beam.hits:
+        s_hit = beam.range / cell_size
+        if s_hit < entries[-1]:
+            hit_index = bisect.bisect_right(entries, s_hit, 1) - 1
+    return coords, entries, hit_index
+
+
 def cast(beam: BeamMeasurement, origin, cell_size: float, dims) -> RayTrace:
     """Trace ``beam`` through the box of ``dims`` cells of edge ``cell_size``
     whose low corner sits at ``origin`` (three floats); the one caster behind
@@ -255,15 +273,38 @@ def cast(beam: BeamMeasurement, origin, cell_size: float, dims) -> RayTrace:
     need the full sequence to max range); the trace is truncated where the
     ray leaves the box, which counts as reaching max range.
     """
-    g = _cell_point(beam.origin.tolist(), origin, cell_size, dims)
-    coords, entries = voxel_walk(g, beam.direction.tolist(), beam.max_range / cell_size, dims)
-    hit_index = None
-    if beam.hits:
-        s_hit = beam.range / cell_size
-        if s_hit < entries[-1]:
-            hit_index = bisect.bisect_right(entries, s_hit, 1) - 1
+    coords, entries, hit_index = _walk_beam(beam, origin, cell_size, dims)
     cells = np.array(coords, dtype=np.int64).reshape(-1, 3)
     return RayTrace(cells=cells, hit_index=hit_index, entries=entries, cell_size=cell_size)
+
+
+def scan_updates(beams, origin, cell_size: float, dims,
+                 num_classes: int) -> tuple[list[int], list[int]]:
+    """Every cell update of a scan, in scan order: the updated cells as one
+    flat coordinate list (i0, j0, k0, i1, ...) and each update's model row
+    (``SensorParams.models``), 0 for a traversed cell and y for the hit
+    cell of a class-y return. Per beam these are the cells :func:`cast`
+    lists up to its hit index, from the same walk, so both maps'
+    ``insert_scan`` write what a beam-by-beam loop over ``cast_ray`` wrote.
+
+    Every beam is walked and checked before this returns, so a scan with an
+    origin outside the box (OriginOutOfBounds) or a hit class outside
+    1..``num_classes`` (InvalidClass) raises before its caller writes."""
+    coords: list[int] = []
+    rows: list[int] = []
+    for beam in beams:
+        walk, entries, hit_index = _walk_beam(beam, origin, cell_size, dims)
+        if hit_index is None:
+            coords += walk
+            rows += [0] * (len(entries) - 1)
+            continue
+        y = beam.category
+        if not 1 <= y <= num_classes:
+            raise InvalidClass(f"hit class must be in 1..{num_classes}, got {y}")
+        coords += walk[: 3 * hit_index + 3]
+        rows += [0] * hit_index
+        rows.append(y)
+    return coords, rows
 
 
 def walk_fan(center, directions, max_range: float, origin, cell_size: float,
@@ -285,6 +326,24 @@ def walk_fan(center, directions, max_range: float, origin, cell_size: float,
         coords += cells[3:]
         counts.append(len(cells) // 3 - 1)
     return coords, counts
+
+
+def _rounds(keys: np.ndarray) -> tuple[np.ndarray, list[int], int]:
+    """Group updates into rounds. ``keys`` holds each update's cell, in
+    update order; an update's round is the number of earlier updates to
+    its cell. Returns the update indices ordered by round (stably, so each
+    round keeps update order), where each round ends in that order, and
+    the number of distinct cells."""
+    n = len(keys)
+    order = np.argsort(keys, kind="stable")
+    grouped = keys[order]
+    first = np.empty(n, dtype=bool)
+    first[0] = True
+    np.not_equal(grouped[1:], grouped[:-1], out=first[1:])
+    positions = np.arange(n)
+    rank = positions - np.maximum.accumulate(np.where(first, positions, 0))
+    picks = order[np.argsort(rank, kind="stable")]
+    return picks, np.bincount(rank).cumsum().tolist(), int(np.count_nonzero(first))
 
 
 class GridMap:
@@ -322,7 +381,6 @@ class GridMap:
         self.prior = prior
         self.cells = np.tile(prior, dims + (1,)).reshape(dims + (num_classes + 1,))
         self.observed = np.zeros(dims, dtype=bool)
-        self._cells_written = 0  # by integrate; insert_scan logs the count per scan
 
     # -- geometry ----------------------------------------------------------
 
@@ -362,33 +420,55 @@ class GridMap:
     # -- updates -----------------------------------------------------------
 
     def integrate(self, beam: BeamMeasurement, params: SensorParams) -> "GridMap":
-        """Fuse one beam: traversed cells get the free update, the endpoint
-        cell gets the hit update for the observed class, and everything past
-        the endpoint is untouched. Each is one indexed write of
-        ``clamp(h + (l - h0))`` over the rows of its cells, which equals a
-        cell-by-cell loop because a ray visits every cell once."""
-        if params.num_classes != self.num_classes:
-            raise ValueError("sensor parameters and map disagree on K")
-        trace = self.cast_ray(beam)
-        end = trace.hit_index if trace.hit_index is not None else len(trace)
-        free = tuple(trace.cells[:end].T)
-        self.cells[free] = logodds.clamp(self.cells[free] + (params.phi_minus - self.prior), params)
-        self.observed[free] = True
-        if trace.hit_index is not None:
-            hit = tuple(trace.cells[end])
-            l = params.hit_logodds(beam.category)
-            self.cells[hit] = logodds.clamp(self.cells[hit] + (l - self.prior), params)
-            self.observed[hit] = True
-        self._cells_written += end + (trace.hit_index is not None)
-        return self
+        """Fuse one beam: ``insert_scan([beam], params)``. A ray visits every
+        cell once, so this is one round of the scan update."""
+        return self.insert_scan([beam], params)
 
     def insert_scan(self, beams: list[BeamMeasurement], params: SensorParams) -> "GridMap":
-        """Integrate a scan's beams in order."""
-        written = self._cells_written
-        for beam in beams:
-            self.integrate(beam, params)
-        log.debug("insert_scan: %d beams, %d cells written", len(beams),
-                  self._cells_written - written)
+        """Fuse a scan's beams in order: traversed cells get the free update,
+        each endpoint cell the hit update for the observed class, and cells
+        past an endpoint are untouched. Every update is
+        ``clamp(h + (l - h0))`` on the cell's row, with ``l`` the model row
+        of ``SensorParams.models`` that ``scan_updates`` names.
+
+        The updates run in rounds: round r applies every cell's r-th update
+        of the scan as one gather, add, clip and scatter. A cell occurs at
+        most once per round and meets its updates in scan order, so the
+        cells end bit for bit as a beam-by-beam, cell-by-cell loop leaves
+        them. A beam that raises (``scan_updates``) leaves the map as it
+        was."""
+        if params.num_classes != self.num_classes:
+            raise ValueError("sensor parameters and map disagree on K")
+        coords, rows = scan_updates(beams, self.origin.tolist(), self.resolution, self.dims,
+                                    self.num_classes)
+        n = len(rows)
+        distinct = rounds = 0
+        if n:
+            _, ny, nz = self.dims
+            flat = np.array(coords, dtype=np.intp).reshape(-1, 3) @ (ny * nz, nz, 1)
+            deltas = (params.models - self.prior)[rows]
+            if len(beams) > 1:
+                picks, bounds, distinct = _rounds(flat)
+                flat, deltas = flat[picks], deltas[picks]
+            else:  # a ray visits a cell once
+                bounds, distinct = [n], n
+            rounds = len(bounds)
+            lo, hi = params.clamp_lo, params.clamp_hi
+            # views, unless an array is not C-ordered: then copies, written back
+            table = self.cells.reshape(-1, self.num_classes + 1)
+            mask = self.observed.reshape(-1)
+            a = 0
+            for b in bounds:
+                sel = flat[a:b]
+                table[sel] = np.minimum(np.maximum(table.take(sel, 0) + deltas[a:b], lo), hi)
+                a = b
+            mask[flat] = True
+            if not np.may_share_memory(table, self.cells):
+                self.cells[...] = table.reshape(self.cells.shape)
+            if not np.may_share_memory(mask, self.observed):
+                self.observed[...] = mask.reshape(self.observed.shape)
+        log.debug("insert_scan: %d beams, %d cells written, %d distinct, %d rounds",
+                  len(beams), n, distinct, rounds)
         return self
 
     def set_cell(self, cell, h: np.ndarray, observed: bool = True) -> None:

@@ -45,7 +45,7 @@ import numpy as np
 
 from . import logodds
 from .errors import CorruptMap, InvalidClass
-from .grid import GRID_MAGIC, BeamMeasurement, GridMap, RayTrace, SrleRay, cast
+from .grid import GRID_MAGIC, BeamMeasurement, GridMap, RayTrace, SrleRay, cast, scan_updates
 from .logodds import SensorParams
 
 OCTREE_MAGIC = b"SSMIOCT2"
@@ -504,7 +504,9 @@ class SemanticOctree:
         """Integrate beams in order (same cell arithmetic as the dense grid),
         then prune bottom-up, visiting only the paths to the elements the
         scan changed: a tree that was pruned before the scan is pruned after
-        it.
+        it. The element updates are the grid's, from ``scan_updates``, which
+        walks and checks every beam first: a scan that raises leaves the
+        tree as it was.
 
         The update is a pure function of the hit class and the belief's
         bits, and equal beliefs share one interned object, so each class
@@ -532,29 +534,21 @@ class SemanticOctree:
 
             return memo_step
 
-        free = memoized(update(None))
-        hits = {}
+        coords, rows = scan_updates(beams, self.origin.tolist(), self.element_size, self.dims,
+                                    self.num_classes)
+        steps = {0: memoized(update(None))}  # by model row: 0 free, y a class-y hit
         write = self._write_element
         changed = set()
-        visited = writes = 0
-        for beam in beams:
-            trace = self.cast_ray(beam)
-            cells = trace.cells.tolist()
-            end = trace.hit_index if trace.hit_index is not None else len(cells)
-            for cell in cells[:end]:
-                if write(cell, free):
-                    changed.add(tuple(cell))
-                    writes += 1
-            visited += end
-            if trace.hit_index is not None:
-                hit = hits.get(beam.category)
-                if hit is None:
-                    hit = hits[beam.category] = memoized(update(beam.category))
-                cell = cells[end]
-                if write(cell, hit):
-                    changed.add(tuple(cell))
-                    writes += 1
-                visited += 1
+        writes = 0
+        cells = iter(coords)
+        for cell, row in zip(zip(cells, cells, cells), rows):
+            step = steps.get(row)
+            if step is None:
+                step = steps[row] = memoized(update(row))
+            if write(cell, step):
+                changed.add(cell)
+                writes += 1
+        visited = len(rows)
         collapsed = self.prune(changed)
         log.debug(
             "insert_scan: %d beams, %d elements visited, %d changed, %d nodes collapsed, "

@@ -123,53 +123,67 @@ def plan_path(view: PlanView, start: tuple[int, int], goal: tuple[int, int]):
     Diagonal moves may not cut corners: both orthogonal neighbours must be
     free too. Returns (path, cost_meters); a zero-length path costs one
     resolution unit so information-per-cost ratios stay finite.
+
+    Cells are flat ids into the view padded with a one-cell blocked
+    border, so a move needs no bounds check. Moves are tried in
+    ``EIGHT_NEIGHBOURS`` order and the heap holds ``(f, counter, id)``, so
+    the search pushes and pops as one on ``(x, y)`` cells does.
     """
-    nx, ny = view.free.shape
-    free = view.free.tolist()  # nested lists index faster than numpy here
-    if not free[start[0]][start[1]]:
+    ny = view.free.shape[1]
+    if not view.free[start[0], start[1]]:
         raise Unreachable(f"start {start} is not free-labeled")
-    if not free[goal[0]][goal[1]]:
+    if not view.free[goal[0], goal[1]]:
         raise Unreachable(f"goal {goal} is not free-labeled")
     if start == goal:
         return [start], view.resolution
 
     res = view.resolution
+    width = ny + 2
+    free = np.pad(view.free, 1).ravel().tolist()
+    moves = []
+    for dx, dy in EIGHT_NEIGHBOURS:
+        diagonal = dx != 0 and dy != 0
+        step = res * (math.sqrt(2.0) if diagonal else 1.0)
+        # a diagonal move needs both orthogonal neighbours free; 0: no check
+        moves.append((dx * width + dy, step, dx * width if diagonal else 0, dy))
+    source = (int(start[0]) + 1) * width + int(start[1]) + 1
+    target = (int(goal[0]) + 1) * width + int(goal[1]) + 1
+    gx, gy = divmod(target, width)
+    hypot = math.hypot
 
-    def heuristic(c):
-        return math.hypot(c[0] - goal[0], c[1] - goal[1]) * res
-
-    g_cost = {start: 0.0}
-    parent = {start: None}
+    g_cost = [math.inf] * len(free)
+    g_cost[source] = 0.0
+    parent = {source: None}
     counter = 0
-    heap = [(heuristic(start), counter, start)]
-    closed = set()
+    heap = [(hypot(start[0] - goal[0], start[1] - goal[1]) * res, counter, source)]
+    closed = bytearray(len(free))
     while heap:
-        f_val, _, cur = heapq.heappop(heap)
-        if cur in closed:
+        _, _, cur = heapq.heappop(heap)
+        if closed[cur]:
             continue
-        if cur == goal:
+        if cur == target:
             path = []
             while cur is not None:
-                path.append(cur)
+                x, y = divmod(cur, width)
+                path.append((x - 1, y - 1))
                 cur = parent[cur]
             path.reverse()
-            return path, g_cost[goal]
-        closed.add(cur)
-        cx, cy = cur
-        for dx, dy in EIGHT_NEIGHBOURS:
-            nxt = (cx + dx, cy + dy)
-            if not (0 <= nxt[0] < nx and 0 <= nxt[1] < ny) or not free[nxt[0]][nxt[1]]:
+            return path, g_cost[target]
+        closed[cur] = 1
+        g_cur = g_cost[cur]
+        for offset, step, corner_x, corner_y in moves:
+            nxt = cur + offset
+            if not free[nxt]:
                 continue
-            if dx != 0 and dy != 0:
-                if not (free[cx + dx][cy] and free[cx][cy + dy]):
-                    continue
-            step = res * (math.sqrt(2.0) if dx != 0 and dy != 0 else 1.0)
-            cand = g_cost[cur] + step
-            if cand < g_cost.get(nxt, math.inf) - 1e-12:
+            if corner_x and not (free[cur + corner_x] and free[cur + corner_y]):
+                continue
+            cand = g_cur + step
+            if cand < g_cost[nxt] - 1e-12:
                 g_cost[nxt] = cand
                 parent[nxt] = cur
                 counter += 1
-                heapq.heappush(heap, (cand + heuristic(nxt), counter, nxt))
+                x, y = divmod(nxt, width)
+                heapq.heappush(heap, (cand + hypot(x - gx, y - gy) * res, counter, nxt))
     raise Unreachable(f"no free path from {start} to {goal}")
 
 

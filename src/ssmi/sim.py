@@ -232,21 +232,31 @@ def env_to_grid(env: Environment) -> GridMap:
     return gmap
 
 
-def first_hit(
-    env: Environment, origin: np.ndarray, direction: np.ndarray, max_range: float
-) -> tuple[float, int] | None:
-    """Exact (range, class) of the first non-free ground-truth cell along a
-    ray from ``origin`` (meters), or None when the ray reaches ``max_range``
-    or leaves the world first. The range is where the ray enters that cell;
-    the origin cell counts, at range 0."""
-    g = (np.asarray(origin, dtype=np.float64) / env.resolution).tolist()
-    coords, entries = voxel_walk(g, direction.tolist(), max_range / env.resolution, env.dims)
-    truth = env.grid
-    for n in range(len(entries) - 1):
-        cls = truth[coords[3 * n], coords[3 * n + 1], coords[3 * n + 2]]
-        if cls != 0:
-            return entries[n] * env.resolution, int(cls)
-    return None
+def first_hits(env: Environment, rays, max_range: float) -> list[tuple[float, int] | None]:
+    """Exact (range, class) of the first non-free ground-truth cell along
+    each ray, an ``(origin, direction)`` pair of three floats each (meters,
+    unit direction), or None when the ray reaches ``max_range`` or leaves
+    the world first. The range is where the ray enters that cell; the
+    origin cell counts, at range 0. The rays are walked by ``voxel_walk``
+    in cell units, and the truth is read from a flat list made by this
+    call, so an edit of ``env.grid`` shows in the next call."""
+    res = env.resolution
+    dims = env.dims
+    _, ny, nz = dims
+    truth = env.grid.ravel().tolist()
+    s_max = max_range / res
+    out: list[tuple[float, int] | None] = []
+    for origin, direction in rays:
+        coords, entries = voxel_walk([v / res for v in origin], direction, s_max, dims)
+        hit = None
+        cells = iter(coords)
+        for entry, (i, j, k) in zip(entries, zip(cells, cells, cells)):
+            cls = truth[(i * ny + j) * nz + k]
+            if cls:
+                hit = (entry * res, cls)
+                break
+        out.append(hit)
+    return out
 
 
 @dataclass(frozen=True)
@@ -266,25 +276,28 @@ def sense(
     rng: np.random.Generator,
 ) -> list[BeamMeasurement]:
     """Simulate one scan, one beam at each ``mi.fan_angles``: exact ranges
-    from the ground truth, then additive Gaussian range noise (clipped to
-    [0, r_max]) and uniform class flips.
+    from the ground truth (``first_hits``), then additive Gaussian range
+    noise (clipped to [0, r_max]) and uniform class flips, drawn beam by
+    beam.
 
     Beams that reach max range (or leave the world) report no hit and carry
     no noise. A hit whose noisy range clips to r_max also degrades to no hit.
     """
     position = np.asarray(position, dtype=np.float64)
-    g = position / env.resolution
-    dims = np.array(env.dims)
-    cell = tuple(np.floor(g).astype(int))
-    if np.any(g < 0) or np.any(g >= dims):
+    p = position.tolist()
+    g = [v / env.resolution for v in p]
+    if not all(0.0 <= v < n for v, n in zip(g, env.dims)):
         raise PoseInObstacle(f"pose {position} outside the environment")
-    if env.grid[cell] != 0:
-        raise PoseInObstacle(f"pose {position} lies in a class-{env.grid[cell]} cell")
+    cls = env.grid[tuple(math.floor(v) for v in g)]
+    if cls != 0:
+        raise PoseInObstacle(f"pose {position} lies in a class-{cls} cell")
 
+    directions = [[math.cos(a), math.sin(a), 0.0]
+                  for a in fan_angles(spec.num_beams, heading, spec.fov)]
+    hits = first_hits(env, [(p, d) for d in directions], spec.r_max)
     beams = []
-    for angle in fan_angles(spec.num_beams, heading, spec.fov):
-        direction = np.array([math.cos(angle), math.sin(angle), 0.0])
-        hit = first_hit(env, position, direction, spec.r_max)
+    for direction, hit in zip(directions, hits):
+        direction = np.array(direction)
         if hit is None:
             beams.append(
                 BeamMeasurement(position, direction, spec.r_max, None, spec.r_max)
@@ -543,15 +556,15 @@ def srle_study(config: SimConfig, env: Environment | None = None) -> list[StudyR
         t0 = time.perf_counter()
         for _ in range(config.sweep.iterations):
             beams = []
-            direction = np.array([1.0, 0.0, 0.0])
-            for y in ys:
-                for z in zs:
-                    origin = np.array([0.5 * element, y, z])
-                    hit = first_hit(env, origin, direction, r_max)
-                    rng_range, category = hit if hit is not None else (r_max, None)
-                    beams.append(
-                        BeamMeasurement(origin, direction, rng_range, category, r_max)
-                    )
+            direction = [1.0, 0.0, 0.0]
+            origins = [[0.5 * element, float(y), float(z)] for y in ys for z in zs]
+            hits = first_hits(env, [(origin, direction) for origin in origins], r_max)
+            for origin, hit in zip(origins, hits):
+                rng_range, category = hit if hit is not None else (r_max, None)
+                beams.append(
+                    BeamMeasurement(np.array(origin), np.array(direction), rng_range,
+                                    category, r_max)
+                )
             tree.insert_scan(beams, params)
             for beam in beams:
                 ray = tree.raycast_srle(beam)

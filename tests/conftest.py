@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import numpy as np
@@ -5,11 +6,12 @@ import pytest
 
 from ssmi import logodds
 from ssmi.config import config_from_dict
-from ssmi.errors import BadDims, EmptyRay
-from ssmi.grid import BeamMeasurement, SrleRay
+from ssmi.errors import BadDims, EmptyRay, PoseInObstacle, Unreachable
+from ssmi.grid import BeamMeasurement, SrleRay, voxel_walk
 from ssmi.logodds import SensorParams
 from ssmi.mi import FanCast, fan_angles
 from ssmi.octree import LeafTable, _exact_key, element_update, morton
+from ssmi.planner import EIGHT_NEIGHBOURS
 from ssmi.sim import run_episode
 
 # stacked first, it gives any list of cast cells, even none, shape (M, 3)
@@ -242,3 +244,132 @@ def gen_random_reference(rng: np.random.Generator, dims, num_classes: int,
             continue
         grid[x0 : x0 + wx, y0 : y0 + wy, 0] = cls
     return grid
+
+
+def integrate_reference(gmap, beam: BeamMeasurement, params: SensorParams):
+    """One beam fused on its own: traversed cells get the free update, the
+    endpoint cell the hit update for the observed class, each as one
+    indexed write of ``clamp(h + (l - h0))`` over the rows of its cells.
+    The per-beam loop that ``GridMap.insert_scan``'s rounds are held to,
+    bit for bit."""
+    if params.num_classes != gmap.num_classes:
+        raise ValueError("sensor parameters and map disagree on K")
+    trace = gmap.cast_ray(beam)
+    end = trace.hit_index if trace.hit_index is not None else len(trace)
+    free = tuple(trace.cells[:end].T)
+    gmap.cells[free] = logodds.clamp(gmap.cells[free] + (params.phi_minus - gmap.prior), params)
+    gmap.observed[free] = True
+    if trace.hit_index is not None:
+        hit = tuple(trace.cells[end])
+        l = params.hit_logodds(beam.category)
+        gmap.cells[hit] = logodds.clamp(gmap.cells[hit] + (l - gmap.prior), params)
+        gmap.observed[hit] = True
+    return gmap
+
+
+def first_hit_reference(env, origin, direction, max_range):
+    """The first non-free ground-truth cell along one ray, read by numpy
+    scalar indexing of ``env.grid`` along ``voxel_walk``: (range, class),
+    or None."""
+    g = (np.asarray(origin, dtype=np.float64) / env.resolution).tolist()
+    coords, entries = voxel_walk(g, direction.tolist(), max_range / env.resolution, env.dims)
+    truth = env.grid
+    for n in range(len(entries) - 1):
+        cls = truth[coords[3 * n], coords[3 * n + 1], coords[3 * n + 2]]
+        if cls != 0:
+            return entries[n] * env.resolution, int(cls)
+    return None
+
+
+def sense_reference(env, position, heading, spec, rng) -> list[BeamMeasurement]:
+    """``sim.sense`` one beam at a time: a first-hit search per beam
+    (``first_hit_reference``), then that beam's noise draws. The scan
+    ``sense`` is held to, beam for beam and draw for draw."""
+    position = np.asarray(position, dtype=np.float64)
+    g = position / env.resolution
+    dims = np.array(env.dims)
+    cell = tuple(np.floor(g).astype(int))
+    if np.any(g < 0) or np.any(g >= dims):
+        raise PoseInObstacle(f"pose {position} outside the environment")
+    if env.grid[cell] != 0:
+        raise PoseInObstacle(f"pose {position} lies in a class-{env.grid[cell]} cell")
+
+    beams = []
+    for angle in fan_angles(spec.num_beams, heading, spec.fov):
+        direction = np.array([math.cos(angle), math.sin(angle), 0.0])
+        hit = first_hit_reference(env, position, direction, spec.r_max)
+        if hit is None:
+            beams.append(
+                BeamMeasurement(position, direction, spec.r_max, None, spec.r_max)
+            )
+            continue
+        true_range, true_class = hit
+        reported = true_range
+        if spec.range_sigma > 0.0:
+            reported += rng.normal(0.0, spec.range_sigma)
+        reported = min(max(reported, 0.0), spec.r_max)
+        if reported >= spec.r_max:
+            beams.append(
+                BeamMeasurement(position, direction, spec.r_max, None, spec.r_max)
+            )
+            continue
+        label = true_class
+        if env.num_classes > 1 and spec.misclass_prob > 0.0:
+            if rng.random() < spec.misclass_prob:
+                others = [c for c in range(1, env.num_classes + 1) if c != true_class]
+                label = int(others[rng.integers(len(others))])
+        beams.append(BeamMeasurement(position, direction, reported, label, spec.r_max))
+    return beams
+
+
+def plan_path_reference(view, start: tuple[int, int], goal: tuple[int, int]):
+    """A* on ``(x, y)`` cells over nested lists, with a bounds check per
+    move. The search ``planner.plan_path`` is held to: the same path, cost
+    bits and ``Unreachable`` messages."""
+    nx, ny = view.free.shape
+    free = view.free.tolist()  # nested lists index faster than numpy here
+    if not free[start[0]][start[1]]:
+        raise Unreachable(f"start {start} is not free-labeled")
+    if not free[goal[0]][goal[1]]:
+        raise Unreachable(f"goal {goal} is not free-labeled")
+    if start == goal:
+        return [start], view.resolution
+
+    res = view.resolution
+
+    def heuristic(c):
+        return math.hypot(c[0] - goal[0], c[1] - goal[1]) * res
+
+    g_cost = {start: 0.0}
+    parent = {start: None}
+    counter = 0
+    heap = [(heuristic(start), counter, start)]
+    closed = set()
+    while heap:
+        f_val, _, cur = heapq.heappop(heap)
+        if cur in closed:
+            continue
+        if cur == goal:
+            path = []
+            while cur is not None:
+                path.append(cur)
+                cur = parent[cur]
+            path.reverse()
+            return path, g_cost[goal]
+        closed.add(cur)
+        cx, cy = cur
+        for dx, dy in EIGHT_NEIGHBOURS:
+            nxt = (cx + dx, cy + dy)
+            if not (0 <= nxt[0] < nx and 0 <= nxt[1] < ny) or not free[nxt[0]][nxt[1]]:
+                continue
+            if dx != 0 and dy != 0:
+                if not (free[cx + dx][cy] and free[cx][cy + dy]):
+                    continue
+            step = res * (math.sqrt(2.0) if dx != 0 and dy != 0 else 1.0)
+            cand = g_cost[cur] + step
+            if cand < g_cost.get(nxt, math.inf) - 1e-12:
+                g_cost[nxt] = cand
+                parent[nxt] = cur
+                counter += 1
+                heapq.heappush(heap, (cand + heuristic(nxt), counter, nxt))
+    raise Unreachable(f"no free path from {start} to {goal}")

@@ -298,6 +298,13 @@ def test_map_path_that_is_a_directory_exit_2(tmp_path, capsys, caplog):
     ("sweep", "resolutions", [math.nan]),
     ("sweep", "iterations", 0),
     ("sweep", "beams", 0),
+    # an int in 1..255; 40000 would otherwise allocate an 11.9 GiB model stack
+    ("env", "num_classes", 0),
+    ("env", "num_classes", -2),
+    ("env", "num_classes", 2.5),
+    ("env", "num_classes", True),
+    ("env", "num_classes", 256),
+    ("env", "num_classes", 40000),
 ])
 def test_config_value_out_of_range_exit_2(tmp_path, capsys, caplog, section, key, value):
     cfg = {**SMOKE, section: {**SMOKE.get(section, {}), key: value}}

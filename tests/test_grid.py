@@ -11,7 +11,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ssmi import logodds as lo
-from ssmi.errors import CorruptMap, OriginOutOfBounds
+from conftest import integrate_reference, sense_reference
+from ssmi.errors import CorruptMap, InvalidClass, OriginOutOfBounds
 from ssmi.grid import (
     BeamMeasurement,
     GridMap,
@@ -21,7 +22,7 @@ from ssmi.grid import (
 )
 from ssmi.logodds import SensorParams
 from ssmi.mi import beam_mi_dense
-from ssmi.octree import SemanticOctree
+from ssmi.octree import SemanticOctree, save_octree
 from ssmi.sim import SensorSpec, generate_env, sense, srle_study
 
 LN3 = math.log(3.0)
@@ -404,8 +405,10 @@ def test_integrate_beyond_endpoint_untouched(params3):
 
 
 def test_insert_scan_logs_beams_and_cells_written(params3, caplog):
-    """One DEBUG line per scan: its beam count and the cells its beams
-    wrote, counting each write (a cell two beams cross counts twice)."""
+    """One DEBUG line per scan: its beam count, the cells its beams wrote,
+    counting each write (a cell two beams cross counts twice), the distinct
+    cells among them, and the rounds the writes took (the most writes to
+    one cell)."""
     gmap = GridMap((10, 10), 1.0, 3)
     scans = [
         [BeamMeasurement.planar((0.5, 0.5), 0.0, 3.2, 1, 8.0),  # 3 free + 1 hit
@@ -417,9 +420,9 @@ def test_insert_scan_logs_beams_and_cells_written(params3, caplog):
         for scan in scans:
             gmap.insert_scan(scan, params3)
     assert [r.getMessage() for r in caplog.records] == [
-        "insert_scan: 2 beams, 13 cells written",
-        "insert_scan: 0 beams, 0 cells written",
-        "insert_scan: 1 beams, 5 cells written",
+        "insert_scan: 2 beams, 13 cells written, 9 distinct, 2 rounds",
+        "insert_scan: 0 beams, 0 cells written, 0 distinct, 0 rounds",
+        "insert_scan: 1 beams, 5 cells written, 5 distinct, 1 rounds",
     ]
 
 
@@ -486,6 +489,157 @@ def test_integrate_is_the_per_cell_update_bit_for_bit(case):
         reference_integrate(want, beam, params)
     assert gmap.cells.tobytes() == want.cells.tobytes()
     assert np.array_equal(gmap.observed, want.observed)
+
+
+@st.composite
+def scan_case(draw):
+    """Parameters, prior and starting beliefs drawn as in ``integrate_case``
+    at K = 1, 2, 3 or 5, and one scan of 2-48 3-D beams through a small
+    box from one to three shared origins (every beam of a sensor pose
+    starts in its cell), with axis-aligned, diagonal and random direction
+    components, and ranges of 0, inside the beam, and max range."""
+    k = draw(st.sampled_from([1, 2, 3, 5]))
+
+    def vec(values=INTEGRATE_LOGODDS):
+        return np.array([0.0] + [draw(values) for _ in range(k)])
+
+    bounds = [sorted((draw(INTEGRATE_LOGODDS), draw(INTEGRATE_LOGODDS))) for _ in range(k)]
+    assume(all(a < b for a, b in bounds))
+    params = SensorParams(
+        phi_plus=vec(), phi_minus=vec(), psi_plus=vec(),
+        clamp_lo=np.array([0.0] + [a for a, _ in bounds]),
+        clamp_hi=np.array([0.0] + [b for _, b in bounds]),
+    )
+    gmap = GridMap((5, 4, 3), 1.0, k, vec())
+    near = INTEGRATE_LOGODDS | st.sampled_from([v for ab in bounds for v in ab])
+    palette = np.array([vec(near) for _ in range(3)] + [gmap.prior])
+    pick = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(0, 4, gmap.dims)
+    gmap.cells = palette[pick]
+    origins = [np.array([draw(st.floats(0.0, n, exclude_max=True)) for n in gmap.dims])
+               for _ in range(draw(st.integers(1, 3)))]
+    component = st.sampled_from([0.0, 1.0, -1.0, 0.5]) | st.floats(-1.0, 1.0)
+    beams = []
+    for _ in range(draw(st.integers(2, 48))):
+        d = np.array([draw(component) for _ in range(3)])
+        assume(np.linalg.norm(d) > 1e-3)
+        r_max = draw(st.floats(0.5, 8.0))
+        r = draw(st.just(0.0) | st.floats(0.0, r_max) | st.just(r_max))
+        category = draw(st.integers(1, k)) if r < r_max else None
+        beams.append(BeamMeasurement(draw(st.sampled_from(origins)), d / np.linalg.norm(d), r,
+                                     category, r_max))
+    return gmap, beams, params
+
+
+@given(case=scan_case())
+@settings(max_examples=300, deadline=None)
+def test_insert_scan_is_the_per_beam_loop_bit_for_bit(case):
+    """A whole scan, applied in rounds, against the beams fused one at a
+    time by ``integrate_reference``: the same cell bits, signed zeros and
+    values at the clamp bounds included, and the same observed flags."""
+    gmap, beams, params = case
+    want = gmap.copy()
+    gmap.insert_scan(beams, params)
+    for beam in beams:
+        integrate_reference(want, beam, params)
+    assert gmap.cells.tobytes() == want.cells.tobytes()
+    assert np.array_equal(gmap.observed, want.observed)
+
+
+def test_insert_scan_writes_through_to_arrays_in_any_order(params3, rng):
+    """Cells and observed flags held in Fortran order, which the rounds
+    cannot view flat, still receive every write, in the arrays the map
+    holds."""
+    gmap = GridMap((6, 5, 4), 1.0, 3)
+    want = gmap.copy()
+    gmap.cells = np.asfortranarray(gmap.cells)
+    gmap.observed = np.asfortranarray(gmap.observed)
+    cells, observed = gmap.cells, gmap.observed
+    origin = np.array([2.5, 2.5, 1.5])
+    scan = []
+    for _ in range(12):
+        d = rng.normal(size=3)
+        scan.append(BeamMeasurement(origin, d / np.linalg.norm(d), 2.2, 2, 4.0))
+    gmap.insert_scan(scan, params3)
+    for beam in scan:
+        integrate_reference(want, beam, params3)
+    assert gmap.cells is cells and gmap.observed is observed
+    assert np.array_equal(gmap.cells, want.cells) and gmap.cells.tobytes() == want.cells.tobytes()
+    assert np.array_equal(gmap.observed, want.observed)
+
+
+def raising_scans():
+    """Scans at K = 3 whose last, first or middle beam raises: a hit of
+    class 4, or an origin outside either map. ``good`` beams write."""
+    good = [BeamMeasurement.planar((2.5, 2.5), a, 4.5, 1 + i % 3, 8.0)
+            for i, a in enumerate(np.linspace(0.1, 6.0, 6))]
+    bad_class = BeamMeasurement.planar((2.5, 2.5), 0.0, 3.2, 4, 8.0)
+    bad_origin = BeamMeasurement.planar((-0.5, 2.5), 0.0, 3.2, 1, 8.0)
+    for bad, error in ((bad_class, InvalidClass), (bad_origin, OriginOutOfBounds)):
+        for at in (len(good), 0, 3):
+            yield good[:at] + [bad] + good[at:], error
+
+
+def test_a_scan_that_raises_leaves_either_map_unchanged(params3, tmp_path):
+    """Every beam is walked and checked before the first write, so a scan
+    that raises writes nothing: the grid's cells and observed flags and the
+    octree's saved bytes are those from before it."""
+    warm = [BeamMeasurement.planar((5.5, 5.5), a, 3.5, 2, 6.0) for a in (0.3, 2.0, 4.1)]
+    for scan, error in raising_scans():
+        gmap = GridMap((10, 10), 1.0, 3).insert_scan(warm, params3)
+        tree = SemanticOctree(1.0, 4, 3).insert_scan(warm, params3)
+        cells, observed = gmap.cells.tobytes(), gmap.observed.copy()
+        save_octree(tree, tmp_path / "before.ssmioct")
+        with pytest.raises(error):
+            gmap.insert_scan(scan, params3)
+        with pytest.raises(error):
+            tree.insert_scan(scan, params3)
+        assert gmap.cells.tobytes() == cells
+        assert np.array_equal(gmap.observed, observed)
+        save_octree(tree, tmp_path / "after.ssmioct")
+        assert (tmp_path / "after.ssmioct").read_bytes() == (tmp_path / "before.ssmioct").read_bytes()
+
+
+def test_sense_is_the_per_beam_loop(rng):
+    """The fan walk of ``sense`` against the per-beam search and numpy truth
+    reads it replaced, with noise on: the same beams (origin and direction
+    bits, range, class, max range), and the sensor Generator left in the
+    same state. Planar worlds at K = 1 and 3, and a 3-D corridor world."""
+    spec = SensorSpec(num_beams=48, fov=2.0 * math.pi, r_max=10.0, range_sigma=0.1,
+                      misclass_prob=0.35)
+    narrow = SensorSpec(num_beams=7, fov=1.3, r_max=25.0, range_sigma=2.0, misclass_prob=0.9)
+    worlds = [generate_env(3, "random", (32, 32), 3), generate_env(4, "random", (24, 20), 1),
+              generate_env(0, "corridor", (20, 16, 6), 2)]
+    for env in worlds:
+        for _ in range(6):
+            spawn = env.spawns[rng.integers(len(env.spawns))]
+            position = (np.asarray(spawn, dtype=np.float64) + rng.uniform(0.05, 0.95, 3))
+            heading = float(rng.uniform(-math.pi, math.pi))
+            for s in (spec, narrow):
+                seed = int(rng.integers(2**32))
+                got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = sense(env, position.copy(), heading, s, got_rng)
+                want = sense_reference(env, position.copy(), heading, s, want_rng)
+                assert [(b.origin.tobytes(), b.direction.tobytes(), b.range, b.category,
+                         b.max_range) for b in got] == [
+                    (b.origin.tobytes(), b.direction.tobytes(), b.range, b.category,
+                     b.max_range) for b in want]
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_sense_sees_edits_of_the_truth():
+    """``sense`` reads the world as it is at the call: a block painted into
+    ``env.grid`` after one scan shows in the next, as in the reference."""
+    env = generate_env(0, "structured", (32, 32), 3)
+    spec = SensorSpec(num_beams=16, fov=2.0 * math.pi, r_max=10.0, range_sigma=0.0,
+                      misclass_prob=0.0)
+    position = (np.asarray(env.spawns[0], dtype=np.float64) + 0.5) * env.resolution
+    before = [b.range for b in sense(env, position, 0.0, spec, np.random.default_rng(0))]
+    x, y, _ = env.spawns[0]
+    env.grid[x + 2 : x + 4, y - 1 : y + 2, 0] = 3
+    after = sense(env, position, 0.0, spec, np.random.default_rng(0))
+    want = sense_reference(env, position, 0.0, spec, np.random.default_rng(0))
+    assert [(b.range, b.category) for b in after] == [(b.range, b.category) for b in want]
+    assert [b.range for b in after] != before
 
 
 # -- beam event probabilities ------------------------------------------------------

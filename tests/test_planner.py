@@ -8,6 +8,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssmi import logodds as lo
 from ssmi import planner as planner_mod
@@ -27,6 +29,7 @@ from ssmi.octree import SemanticOctree, grid_from_octree
 from ssmi.planner import (
     CandidatePlan,
     PlannerConfig,
+    PlanView,
     evaluate_candidates,
     find_frontiers,
     plan_path,
@@ -35,7 +38,7 @@ from ssmi.planner import (
     view_from_grid,
 )
 from ssmi.sim import run_episode
-from conftest import cast_fan, fan_beams
+from conftest import cast_fan, fan_beams, plan_path_reference
 
 FREE_SAT = np.array([0.0, -6.0, -6.0])
 WALL = np.array([0.0, 6.0, 6.0])
@@ -219,6 +222,61 @@ def test_random_maps_match_dijkstra(rng):
         else:
             _, cost = plan_path(view, start, goal)
             assert cost == pytest.approx(oracle, abs=1e-9)
+
+
+def search_outcome(search, view, start, goal):
+    """A search's path and cost bits, or its Unreachable message."""
+    try:
+        path, cost = search(view, start, goal)
+    except Unreachable as exc:
+        return "unreachable", str(exc)
+    return path, cost.hex()
+
+
+@st.composite
+def astar_case(draw):
+    """A plan view of 1-14 cells a side with obstacles from none to most
+    cells, a resolution, and a start and goal anywhere in it: on blocked
+    cells, walled off from each other, or the same cell."""
+    nx, ny = draw(st.integers(1, 14)), draw(st.integers(1, 14))
+    blocked = draw(st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.7]))
+    free = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random((nx, ny)) >= blocked
+    if nx > 2 and draw(st.booleans()):  # a full wall: most goals across it are unreachable
+        free[draw(st.integers(1, nx - 2)), :] = False
+    cell = st.tuples(st.integers(0, nx - 1), st.integers(0, ny - 1))
+    start = draw(cell)
+    goal = start if draw(st.integers(0, 9)) == 0 else draw(cell)
+    for c in (start, goal):
+        if draw(st.integers(0, 4)):  # mostly free, sometimes as drawn
+            free[c] = True
+    view = PlanView(free=free, unknown=~free, origin=np.zeros(2), z_center=0.5,
+                    resolution=draw(st.sampled_from([1.0, 0.5, 0.3, 0.1, 2.5])))
+    return view, start, goal
+
+
+@given(case=astar_case())
+@settings(max_examples=400, deadline=None)
+def test_flat_id_astar_is_the_cell_astar(case):
+    """``plan_path`` on padded flat ids against the A* on (x, y) cells it
+    replaced: the same path, the same cost bits, the same messages."""
+    view, start, goal = case
+    assert (search_outcome(plan_path, view, start, goal)
+            == search_outcome(plan_path_reference, view, start, goal))
+
+
+def test_flat_id_astar_on_episode_views(monkeypatch):
+    """Every search of a short A7-config grid episode (world 0) returns what
+    the A* on (x, y) cells returns on the same view."""
+    calls = []
+
+    def checked(view, start, goal):
+        want = search_outcome(plan_path_reference, view, start, goal)
+        calls.append(search_outcome(plan_path, view, start, goal) == want)
+        return plan_path(view, start, goal)
+
+    monkeypatch.setattr(planner_mod, "plan_path", checked)
+    run_episode(config_from_dict({"seed": 0, "run": {"max_steps": 6}}))
+    assert len(calls) > 10 and all(calls)
 
 
 def test_sensing_poses_stride_and_tangent():
