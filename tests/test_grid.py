@@ -563,7 +563,7 @@ def test_insert_scan_writes_through_to_arrays_in_any_order(params3, rng):
     for beam in scan:
         integrate_reference(want, beam, params3)
     assert gmap.cells is cells and gmap.observed is observed
-    assert np.array_equal(gmap.cells, want.cells) and gmap.cells.tobytes() == want.cells.tobytes()
+    assert gmap.cells.tobytes() == want.cells.tobytes()  # in C order, whatever the layout
     assert np.array_equal(gmap.observed, want.observed)
 
 
