@@ -158,51 +158,51 @@ def _relative_error(a: float, b: float) -> float:
     return abs(a - b) / scale
 
 
-def run_dense_suite(trials: int, seed: int, tolerance: float = DENSE_TOL) -> SuiteResult:
-    """Dense forward pass versus the outcome-tree oracle on random instances."""
+def _dense_pair(h_t, h_0, params: SensorParams) -> tuple[float, float]:
+    """The dense forward pass and the outcome-tree oracle on one instance."""
+    return mi_mod.beam_mi_dense(h_t, h_0, params).value, mi_mod.beam_mi_oracle(h_t, h_0, params)
+
+
+def _srle_pair(ray: mi_mod.SrleRay, params: SensorParams) -> tuple[float, float]:
+    """The run-length form and the dense form of the expanded ray."""
+    h_t, h_0 = ray.expand()
+    return mi_mod.beam_mi_srle(ray, params).value, mi_mod.beam_mi_dense(h_t, h_0, params).value
+
+
+_PAIRS = {"dense": _dense_pair, "srle": _srle_pair}  # by instance kind
+
+
+def _run_suite(name: str, kind: str, sample, payload, trials: int, seed: int,
+               tolerance: float) -> SuiteResult:
+    """``trials`` instances drawn by ``sample``, each scored by its kind's
+    (fast, reference) pair; a breach is kept as its serialized instance."""
     rng = np.random.default_rng(seed)
-    result = SuiteResult("dense-vs-oracle", trials, tolerance)
+    result = SuiteResult(name, trials, tolerance)
     for _ in range(trials):
-        h_t, h_0, params = sample_dense_instance(rng)
-        fast = mi_mod.beam_mi_dense(h_t, h_0, params).value
-        truth = mi_mod.beam_mi_oracle(h_t, h_0, params)
-        rel = _relative_error(fast, truth)
-        result.max_abs_err = max(result.max_abs_err, abs(fast - truth))
+        *instance, params = sample(rng)
+        fast, ref = _PAIRS[kind](*instance, params)
+        rel = _relative_error(fast, ref)
+        result.max_abs_err = max(result.max_abs_err, abs(fast - ref))
         result.max_rel_err = max(result.max_rel_err, rel)
         if rel > tolerance:
-            result.failures.append(
-                instance_to_json("dense", _dense_payload(h_t, h_0), params)
-            )
+            result.failures.append(instance_to_json(kind, payload(*instance), params))
     return result
+
+
+def run_dense_suite(trials: int, seed: int, tolerance: float = DENSE_TOL) -> SuiteResult:
+    """Dense forward pass versus the outcome-tree oracle on random instances."""
+    return _run_suite("dense-vs-oracle", "dense", sample_dense_instance, _dense_payload,
+                      trials, seed, tolerance)
 
 
 def run_srle_suite(trials: int, seed: int, tolerance: float = SRLE_TOL) -> SuiteResult:
     """Run-length form versus the dense form on the expanded ray."""
-    rng = np.random.default_rng(seed)
-    result = SuiteResult("srle-vs-dense", trials, tolerance)
-    for _ in range(trials):
-        ray, params = sample_srle_instance(rng)
-        fast = mi_mod.beam_mi_srle(ray, params).value
-        h_t, h_0 = ray.expand()
-        dense = mi_mod.beam_mi_dense(h_t, h_0, params).value
-        rel = _relative_error(fast, dense)
-        result.max_abs_err = max(result.max_abs_err, abs(fast - dense))
-        result.max_rel_err = max(result.max_rel_err, rel)
-        if rel > tolerance:
-            result.failures.append(instance_to_json("srle", _srle_payload(ray), params))
-    return result
+    return _run_suite("srle-vs-dense", "srle", sample_srle_instance, _srle_payload,
+                      trials, seed, tolerance)
 
 
 def replay_instance(text: str) -> tuple[str, float, float, float]:
     """Re-run one serialized instance; returns (kind, fast, reference, rel_err)."""
     kind, payload = instance_from_json(text)
-    if kind == "dense":
-        h_t, h_0, params = payload
-        fast = mi_mod.beam_mi_dense(h_t, h_0, params).value
-        ref = mi_mod.beam_mi_oracle(h_t, h_0, params)
-    else:
-        ray, params = payload
-        fast = mi_mod.beam_mi_srle(ray, params).value
-        h_t, h_0 = ray.expand()
-        ref = mi_mod.beam_mi_dense(h_t, h_0, params).value
+    fast, ref = _PAIRS[kind](*payload)
     return kind, fast, ref, _relative_error(fast, ref)

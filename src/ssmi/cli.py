@@ -151,7 +151,7 @@ def cmd_mi_eval(args) -> int:
           f"\n  beams: {args.beams}\n  r_max: {args.r_max}\n  heading: {args.heading}")
     center = np.array([args.x, args.y, args.z])
     fan = mi_mod.FanCast.from_pose(mapper, center, args.beams, args.r_max, heading=args.heading)
-    batch = mi_mod.trajectories_mi(mapper, [fan], [[0]], params, return_detail=True)
+    batch = mi_mod.trajectories_mi(mapper, [fan], [[0]], params)
     result = batch.trajectories[0]
     print(f"beams: {result.beams_total} kept: {result.beams_kept}")
     print(f"mutual information: {result.value!r} nats")

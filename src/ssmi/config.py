@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 
 import yaml
 
-from .logodds import SensorParams
+from .logodds import MAX_CLASSES, SensorParams
 from .planner import PlannerConfig
 
 
@@ -26,12 +26,6 @@ class ConfigError(ValueError):
 def _require_positive(value, name: str) -> None:
     if not (math.isfinite(value) and value > 0.0):
         raise ConfigError(f"{name} must be positive and finite, got {value!r}")
-
-
-# K at most 255: the sensor's (K+1) x (K+1) float64 model stack then stays
-# at 512 KiB, and class ids fit the world grid's int16 and the map files'
-# 16-bit class fields with room to spare
-MAX_CLASSES = 255
 
 
 @dataclass
@@ -65,6 +59,7 @@ class SensorConfig:
             raise ConfigError("sensor.num_beams must be >= 1")
         if not 0.0 <= self.misclass_prob < 1.0:
             raise ConfigError("sensor.misclass_prob must be in [0, 1)")
+        _require_positive(self.fov_deg, "sensor.fov_deg")
         _require_positive(self.r_max, "sensor.r_max")
         if not (math.isfinite(self.range_sigma) and self.range_sigma >= 0.0):
             raise ConfigError(

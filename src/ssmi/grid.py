@@ -23,7 +23,7 @@ import numpy as np
 
 from . import logodds
 from .errors import CorruptMap, InvalidClass, OriginOutOfBounds
-from .logodds import SensorParams
+from .logodds import MAX_CLASSES, SensorParams
 
 GRID_MAGIC = b"SSMIGRID"
 GRID_VERSION = 1
@@ -33,14 +33,17 @@ log = logging.getLogger(__name__)
 
 def unit_direction(d: list[float]) -> list[float]:
     """``d`` (three floats) itself when its norm is within 1e-9 of one, else
-    ``d`` over its norm; raises ValueError for a zero vector. Every beam
-    direction passes here: a ``BeamMeasurement``'s, and each direction of a
-    fan cast from its pose (``mi.FanCast.from_pose``)."""
+    ``d`` over its norm; raises ValueError for a zero vector and for a norm
+    that is NaN or infinite. Every beam direction passes here: a
+    ``BeamMeasurement``'s, and each direction of a fan cast from its pose
+    (``mi.FanCast.from_pose``)."""
     x, y, z = d
     # |d.d - 1| <= 1e-10 implies |norm - 1| < 1e-9, so the exact norm is only
-    # needed outside that margin
-    if abs(x * x + y * y + z * z - 1.0) > 1e-10:
+    # needed outside that margin, where a NaN or infinite d.d lands too
+    if not abs(x * x + y * y + z * z - 1.0) <= 1e-10:
         norm = float(np.linalg.norm(d))
+        if not math.isfinite(norm):
+            raise ValueError(f"direction {d} has no finite norm")
         if abs(norm - 1.0) > 1e-9:
             if norm == 0.0:
                 raise ValueError("direction must be nonzero")
@@ -547,7 +550,9 @@ GRID_HEADER = struct.Struct("<8sH3IdH3d")  # magic, version, dims, resolution, K
 def load_grid(path) -> GridMap:
     """Read a ``save_grid`` file. Raises CorruptMap when the file is not a
     grid map of this version, is truncated, has trailing bytes, holds a
-    header the format does not allow, or holds a NaN or infinite log-odds."""
+    header the format does not allow (a zero extent, no class or more than
+    ``MAX_CLASSES``, a resolution that is not positive, a NaN or infinite
+    origin), or holds a NaN or infinite log-odds."""
     with open(path, "rb") as fh:
         buf = fh.read()
     if buf[:8] != GRID_MAGIC:
@@ -562,8 +567,12 @@ def load_grid(path) -> GridMap:
         raise CorruptMap(f"{path}: zero extent in dims {dims}")
     if num_classes < 1:
         raise CorruptMap(f"{path}: no occupied classes")
+    if num_classes > MAX_CLASSES:
+        raise CorruptMap(f"{path}: {num_classes} classes (at most {MAX_CLASSES})")
     if not (math.isfinite(resolution) and resolution > 0.0):
         raise CorruptMap(f"{path}: resolution {resolution!r} is not positive")
+    if not all(math.isfinite(o) for o in origin):
+        raise CorruptMap(f"{path}: origin {origin} is not finite")
     width = num_classes + 1
     count = nx * ny * nz
     cells_at = GRID_HEADER.size + 4 * width

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import DegeneratePivot, InvalidClass
 
 __all__ = [
+    "MAX_CLASSES",
     "CellRelation",
     "SensorParams",
     "softmax_pmf",
@@ -66,6 +67,13 @@ class CellRelation(enum.Enum):
     OCCUPIED = "occupied"
     FREE = "free"
     UNOBSERVED = "unobserved"
+
+
+# K at most 255: the sensor's (K+1) x (K+1) float64 model stack then stays
+# at 512 KiB, and class ids fit the world grid's int16 and the map files'
+# 16-bit class fields with room to spare. Configs and map files above it
+# are rejected.
+MAX_CLASSES = 255
 
 
 @dataclass(frozen=True)

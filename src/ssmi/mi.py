@@ -65,19 +65,19 @@ def encode_runs(h_t: np.ndarray, h_0: np.ndarray) -> SrleRay:
 
 @dataclass
 class BeamMI:
-    """Information value of one beam in nats, with optional term breakdown.
-
-    When detail is requested, ``terms`` holds the (N or Q, K) summands of the
-    hit part, ``p_detail`` the event probabilities (p or rho) and ``c_detail``
-    the accumulated log-ratios (C or Theta) they multiply.
+    """Information value of one beam in nats, with its term breakdown:
+    ``terms`` holds the (N or Q, K) summands of the hit part, ``p_detail``
+    the event probabilities (p or rho) and ``c_detail`` the accumulated
+    log-ratios (C or Theta) they multiply. The three are slices of the
+    kernel's own arrays, so keeping them costs no extra pass.
     """
 
     value: float
     hit_term: float
     free_term: float
-    terms: np.ndarray | None = None
-    p_detail: np.ndarray | None = None
-    c_detail: np.ndarray | None = None
+    terms: np.ndarray
+    p_detail: np.ndarray
+    c_detail: np.ndarray
 
     def __float__(self) -> float:
         return self.value
@@ -129,28 +129,20 @@ def _spans(offsets) -> list[tuple[int, int]]:
     return spans
 
 
-def _beam_results(terms, p_detail, c_detail, log_pass, f_pass, spans,
-                  return_detail: bool) -> list[BeamMI]:
+def _beam_results(terms, p_detail, c_detail, log_pass, f_pass, spans) -> list[BeamMI]:
     """Each segment's hit and free terms, reduced over its own slice."""
     total = np.add.reduce  # what ndarray.sum and np.sum call
     out = []
     for start, end in spans:
-        hit_term = float(total(terms[start:end], axis=None))
+        beam_terms = terms[start:end]
+        hit_term = float(total(beam_terms, axis=None))
         free_term = float(math.exp(total(log_pass[start:end])) * total(f_pass[start:end]))
-        out.append(BeamMI(
-            value=hit_term + free_term,
-            hit_term=hit_term,
-            free_term=free_term,
-            terms=terms[start:end] if return_detail else None,
-            p_detail=p_detail[start:end] if return_detail else None,
-            c_detail=c_detail[start:end] if return_detail else None,
-        ))
+        out.append(BeamMI(hit_term + free_term, hit_term, free_term, beam_terms,
+                          p_detail[start:end], c_detail[start:end]))
     return out
 
 
-def beam_mi_dense(
-    h_t: np.ndarray, h_0: np.ndarray, params: SensorParams, return_detail: bool = False
-) -> BeamMI:
+def beam_mi_dense(h_t: np.ndarray, h_0: np.ndarray, params: SensorParams) -> BeamMI:
     """Per-cell forward pass: expected log-ratio over the beam outcome tree.
 
     One free-update log-ratio and K hit-update log-ratios are evaluated per
@@ -169,7 +161,7 @@ def beam_mi_dense(
     p_nk = pmf[:, 1:] * np.exp(before_log_p0)[:, None]
     c_nk = f_hit + before_f_free[:, None]
     terms = p_nk * c_nk
-    return _beam_results(terms, p_nk, c_nk, log_p0, f_free, spans, return_detail)[0]
+    return _beam_results(terms, p_nk, c_nk, log_p0, f_free, spans)[0]
 
 
 def _geometric_sums(log_p0: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -190,9 +182,7 @@ def _geometric_sums(log_p0: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray,
     return s0, s1
 
 
-def beam_mi_srle_batch(
-    runs: SrleRay, offsets, params: SensorParams, return_detail: bool = False
-) -> list[BeamMI]:
+def beam_mi_srle_batch(runs: SrleRay, offsets, params: SensorParams) -> list[BeamMI]:
     """Run-length information of many beams in one vectorised pass.
 
     ``runs`` stacks every beam's runs; beam b owns runs ``offsets[b]`` to
@@ -214,17 +204,17 @@ def beam_mi_srle_batch(
     s0, s1 = _geometric_sums(log_p0, runs.widths)
     theta = beta * s0[:, None] + (f_free * s1)[:, None]
     terms = rho * theta
-    return _beam_results(terms, rho, theta, run_log_p0, run_f_free, spans, return_detail)
+    return _beam_results(terms, rho, theta, run_log_p0, run_f_free, spans)
 
 
-def beam_mi_srle(ray: SrleRay, params: SensorParams, return_detail: bool = False) -> BeamMI:
+def beam_mi_srle(ray: SrleRay, params: SensorParams) -> BeamMI:
     """Run-length evaluation: exactly the dense value in O(K Q) work.
 
     Within a homogeneous run the per-element contributions form geometric
     sums that collapse in closed form, so cost depends on the number of runs,
     not elements. The one-beam case of :func:`beam_mi_srle_batch`.
     """
-    return beam_mi_srle_batch(ray, (0, ray.num_runs), params, return_detail)[0]
+    return beam_mi_srle_batch(ray, (0, ray.num_runs), params)[0]
 
 
 ORACLE_MAX_CELLS = 8
@@ -359,8 +349,7 @@ def select_nonoverlapping(beams: FanCast) -> list[int]:
     return chosen
 
 
-def _traces_mi(mapper, beams: FanCast, params: SensorParams,
-               return_detail: bool = False) -> list[BeamMI | None]:
+def _traces_mi(mapper, beams: FanCast, params: SensorParams) -> list[BeamMI | None]:
     """Information of each beam's cast cells, all beams in one run-length
     kernel call over the runs the map encodes for them, beliefs read now;
     None for a beam without cells.
@@ -380,22 +369,22 @@ def _traces_mi(mapper, beams: FanCast, params: SensorParams,
                        collapse_to_binary(runs.chi_0))
     used = [i for i, count in enumerate(counts) if count]
     offsets = np.cumsum([0] + [counts[i] for i in used]).tolist()
-    for i, res in zip(used, beam_mi_srle_batch(runs, offsets, params, return_detail)):
+    for i, res in zip(used, beam_mi_srle_batch(runs, offsets, params)):
         out[i] = res
     return out
 
 
 @dataclass
 class TrajectoryMI:
-    """Information of one trajectory. With detail, ``beams`` lists every kept
-    beam that has cells past the sensor cell, in keep order, as (its index in
-    the trajectory's beams, its :class:`BeamMI` with the term breakdown);
-    kept beams without such cells add nothing to ``value``."""
+    """Information of one trajectory. ``beams`` lists every kept beam that
+    has cells past the sensor cell, in keep order, as (its index in the
+    trajectory's beams, its :class:`BeamMI`); kept beams without such cells
+    add nothing to ``value``."""
 
     value: float
     beams_total: int
     beams_kept: int
-    beams: list[tuple[int, BeamMI]] | None = None
+    beams: list[tuple[int, BeamMI]]
 
 
 @dataclass
@@ -407,13 +396,7 @@ class BatchMI:
     beams_evaluated: int
 
 
-def trajectories_mi(
-    mapper,
-    fans,
-    trajectories: list[list],
-    params: SensorParams,
-    return_detail: bool = False,
-) -> BatchMI:
+def trajectories_mi(mapper, fans, trajectories: list[list], params: SensorParams) -> BatchMI:
     """Information of many observation sequences that share sensing poses.
 
     ``fans`` holds :class:`FanCast` s, as a list or a dict; trajectory t
@@ -428,8 +411,7 @@ def trajectories_mi(
     greedily per trajectory, across its whole horizon, and the union of kept
     beams is evaluated in one kernel call. Each trajectory's value adds its
     kept beams' values in keep order, so it is bit-identical to evaluating
-    that trajectory alone. ``return_detail`` fills each result's ``beams``;
-    the values do not depend on it.
+    that trajectory alone.
 
     ``mapper`` is a GridMap or a semantic octree: it encodes the kept beams'
     runs (one per cell on the grid, one per stretch of equal leaf beliefs on
@@ -452,7 +434,7 @@ def trajectories_mi(
             bounds = starts[f] = np.cumsum((0,) + fans[f].counts).tolist()
         pieces.append(fans[f].cells[bounds[b]:bounds[b + 1]])
     union = FanCast(np.concatenate([_NO_CELLS] + pieces), tuple(map(len, pieces)))
-    evaluated = _traces_mi(mapper, union, params, return_detail)
+    evaluated = _traces_mi(mapper, union, params)
     results = []
     for picks, beams_total in zip(kept, totals):
         beams = [(i, evaluated[pos]) for i, pos in picks if evaluated[pos] is not None]
@@ -460,8 +442,7 @@ def trajectories_mi(
         for _, res in beams:
             total += res.value
         results.append(TrajectoryMI(value=total, beams_total=beams_total,
-                                    beams_kept=len(picks),
-                                    beams=beams if return_detail else None))
+                                    beams_kept=len(picks), beams=beams))
     return BatchMI(trajectories=results, beams_evaluated=len(slots))
 
 

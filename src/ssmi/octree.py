@@ -17,9 +17,14 @@ A child's slot is ``x<<2 | y<<1 | z``, so a preorder walk meets the leaves in
 Morton order and each leaf covers one contiguous interval of Morton codes.
 The batch reads of a planning cycle (``encode_traces``, ``labels_observed``,
 ``map_state``) look elements up in one such leaf table; single-ray reads
-(``encode_trace``, ``raycast_srle``) descend the tree per element, which
-costs less than a table for a handful of rays and is the reference the
-table path is tested against.
+(``encode_trace``, ``raycast_srle``) descend the tree per element, and are
+the reference the table path is tested against. They stay off the table
+because a scan between two reads forces a table patch, whose leaf walk
+costs more than the descents: serving ``raycast_srle`` from the table gave
+the same runs byte for byte on 1,600 probes of the benchmark's ``scan3d``
+workload, but its median read time went from 4.70-4.81 to 6.65-6.87 ms
+and its median episode from 0.127-0.138 to 0.173-0.179 s (4 runs each,
+2-core machine).
 
 Upkeep follows what a scan changes, not the size of the tree. Every belief
 the tree stores is interned bit for bit when it is written, so equal values
@@ -27,7 +32,8 @@ share one object, and ``insert_scan`` memoizes each update by hit class and
 belief object for the scan: a write that changes nothing costs a lookup.
 Writes that expand a leaf and prunes that collapse a node record that node;
 the next read walks only the highest recorded nodes and splices their leaves
-into the table over the same Morton intervals. A new root (a new tree, a
+into the table over the same Morton intervals, ordered with the kept
+leaves by one sort on their Morton starts. A new root (a new tree, a
 loaded file) gets a full walk.
 """
 
@@ -46,7 +52,7 @@ import numpy as np
 from . import logodds
 from .errors import CorruptMap, InvalidClass
 from .grid import GRID_MAGIC, BeamMeasurement, GridMap, RayTrace, SrleRay, cast, scan_updates
-from .logodds import SensorParams
+from .logodds import MAX_CLASSES, SensorParams
 
 OCTREE_MAGIC = b"SSMIOCT2"
 OCTREE_MAGIC_V1 = b"SSMIOCT1"  # read only
@@ -133,10 +139,6 @@ class SemanticNode:
     def __init__(self, semantics: TruncatedSemantics | None, children=None):
         self.semantics = semantics
         self.children = children
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.children is None
 
 
 # bit b of each byte value moved to bit 3b, for interleaving three coordinates
@@ -319,14 +321,11 @@ def element_update(params: SensorParams, prior: np.ndarray):
     k = params.num_classes
     if k <= 3:
         lo, hi = params.clamp_lo.tolist(), params.clamp_hi.tolist()
-        made = {}
 
         def update(y):
-            if y not in made:
-                l = params.phi_minus if y is None else params.hit_logodds(y)
-                delta = (l - prior).tolist()
-                made[y] = lambda sem: _tracked_update(sem, delta, lo, hi, k)
-            return made[y]
+            l = params.phi_minus if y is None else params.hit_logodds(y)
+            delta = (l - prior).tolist()
+            return lambda sem: _tracked_update(sem, delta, lo, hi, k)
 
         return update
 
@@ -605,14 +604,15 @@ class SemanticOctree:
         what a beam touches."""
         return cast(beam, self.origin.tolist(), self.element_size, self.dims)
 
-    def encode_trace(self, trace: RayTrace, skip_first_cell: bool = False) -> SrleRay | None:
-        """Run-length encode leaf beliefs along a trace.
+    def encode_trace(self, cells: np.ndarray) -> SrleRay | None:
+        """Run-length encode leaf beliefs along a sequence of elements, an
+        (M, 3) integer array such as ``RayTrace.cells``; None when it is
+        empty.
 
         Consecutive elements with equal beliefs merge into one run even when
         they belong to distinct leaves, so expanding the result reproduces the
         per-element sequence exactly and the widths sum to the element count.
         """
-        cells = trace.cells[1:] if skip_first_cell else trace.cells
         if cells.shape[0] == 0:
             return None
         widths: list[int] = []
@@ -634,8 +634,8 @@ class SemanticOctree:
     def encode_traces(self, cells: np.ndarray, counts) -> tuple[SrleRay | None, list[int]]:
         """The runs over a compact cast (``mi.FanCast``: ``cells`` stacks each
         beam's elements past its sensor element in beam order, ``counts[b]``
-        of them for beam b), as ``encode_trace`` with ``skip_first_cell``
-        gives them per beam, stacked, and each beam's run count; the runs are
+        of them for beam b), as ``encode_trace`` gives them per beam,
+        stacked, and each beam's run count; the runs are
         None when there is no element. All elements are looked up in the
         leaf table at once; a run starts at each beam's first element and
         wherever the belief changes under ``==``, and takes its first
@@ -661,7 +661,7 @@ class SemanticOctree:
 
     def raycast_srle(self, beam: BeamMeasurement) -> SrleRay:
         """Cast a beam and return its run-length encoded belief sequence."""
-        return self.encode_trace(self.cast_ray(beam), skip_first_cell=False)
+        return self.encode_trace(self.cast_ray(beam).cells)
 
     # -- leaf table and aggregates ----------------------------------------------------
 
@@ -765,24 +765,15 @@ class SemanticOctree:
             tops.append((node, x, y, z, size))
         corners, sizes, ids = self._walk(tops)
         starts = morton(*corners.T)
-        # old leaf i stays unless an interval covers it; new leaf m goes after
-        # the old leaves kept before its interval and the new leaves before it
-        n = old.ids.shape[0]
-        lo, hi = np.searchsorted(old.starts, lows), np.searchsorted(old.starts, highs)
-        covered = np.cumsum(np.bincount(lo, minlength=n + 1) - np.bincount(hi, minlength=n + 1))
-        keep = covered[:n] == 0
-        kept_before = np.concatenate(([0], np.cumsum(keep)))
-        counts = np.searchsorted(starts, highs) - np.searchsorted(starts, lows)
-        at = np.repeat(kept_before[lo], counts) + np.arange(starts.shape[0])
-        fresh = np.zeros(kept_before[-1] + starts.shape[0], dtype=bool)
-        fresh[at] = True
-        parts = []
-        for was, now in ((old.starts, starts), (old.corners, corners), (old.sizes, sizes),
-                         (old.ids, ids)):
-            out = np.empty((fresh.shape[0],) + was.shape[1:], dtype=was.dtype)
-            out[at] = now
-            out[~fresh] = was[keep]
-            parts.append(out)
+        # an old leaf stays unless it starts inside the interval with the
+        # last low at or before its start; the kept and the new leaves all
+        # start at distinct codes, so ordering them by start is preorder
+        at = np.searchsorted(lows, old.starts, side="right") - 1
+        keep = (at < 0) | (old.starts >= highs[at])
+        order = np.argsort(np.concatenate((old.starts[keep], starts)))
+        parts = [np.concatenate((was[keep], now))[order]
+                 for was, now in ((old.starts, starts), (old.corners, corners),
+                                  (old.sizes, sizes), (old.ids, ids))]
         held = np.count_nonzero(np.bincount(parts[3], minlength=len(self._beliefs)))
         if 2 * held < len(self._beliefs):
             table, how = self._compacted(*parts), "patched and compacted"
@@ -907,8 +898,9 @@ def load_octree(path) -> SemanticOctree:
     """Read a ``.ssmioct`` file of version 2, or of version 1, whose f32
     inner-node summaries are checked and skipped. Raises CorruptMap when the
     file is truncated, has trailing bytes, or holds a header or node record
-    the format does not allow, a NaN or infinite prior or tracked value, or
-    a NaN or +inf lump."""
+    the format does not allow (no class or more than ``MAX_CLASSES``
+    among them), a NaN or infinite prior or tracked value, or a NaN or +inf
+    lump."""
     with open(path, "rb") as fh:
         buf = fh.read()
     pos = 0
@@ -941,6 +933,8 @@ def load_octree(path) -> SemanticOctree:
         raise CorruptMap(f"{path}: max_depth {max_depth} outside 1..16")
     if num_classes < 1:
         raise CorruptMap(f"{path}: no occupied classes")
+    if num_classes > MAX_CLASSES:
+        raise CorruptMap(f"{path}: {num_classes} classes (at most {MAX_CLASSES})")
     if v1 and summary_flag not in (0, 1):
         raise CorruptMap(f"{path}: unknown summary flag {summary_flag}")
     prior = np.array(take(f"<{num_classes + 1}{real}"), dtype=np.float64)

@@ -25,7 +25,7 @@ import numpy as np
 from . import planner as planner_mod
 from .config import ConfigError, SimConfig
 from .errors import AllUnreachable, BadDims, NoFrontiers, PoseInObstacle
-from .grid import BeamMeasurement, GridMap, voxel_walk
+from .grid import BeamMeasurement, GridMap, _cell_point, voxel_walk
 from .mi import fan_angles
 from .octree import SemanticOctree
 
@@ -237,9 +237,11 @@ def first_hits(env: Environment, rays, max_range: float) -> list[tuple[float, in
     each ray, an ``(origin, direction)`` pair of three floats each (meters,
     unit direction), or None when the ray reaches ``max_range`` or leaves
     the world first. The range is where the ray enters that cell; the
-    origin cell counts, at range 0. The rays are walked by ``voxel_walk``
-    in cell units, and the truth is read from a flat list made by this
-    call, so an edit of ``env.grid`` shows in the next call."""
+    origin cell counts, at range 0. An origin outside the world raises
+    OriginOutOfBounds (the casters' origin check, ``grid._cell_point``).
+    The rays are walked by ``voxel_walk`` in cell units, and the truth is
+    read from a flat list made by this call, so an edit of ``env.grid``
+    shows in the next call."""
     res = env.resolution
     dims = env.dims
     _, ny, nz = dims
@@ -247,7 +249,8 @@ def first_hits(env: Environment, rays, max_range: float) -> list[tuple[float, in
     s_max = max_range / res
     out: list[tuple[float, int] | None] = []
     for origin, direction in rays:
-        coords, entries = voxel_walk([v / res for v in origin], direction, s_max, dims)
+        g = _cell_point(origin, (0.0, 0.0, 0.0), res, dims)
+        coords, entries = voxel_walk(g, direction, s_max, dims)
         hit = None
         cells = iter(coords)
         for entry, (i, j, k) in zip(entries, zip(cells, cells, cells)):

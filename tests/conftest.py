@@ -161,13 +161,14 @@ def insert_scan_reference(tree, beams: list[BeamMeasurement], params: SensorPara
     if params.num_classes != tree.num_classes:
         raise ValueError("sensor parameters and tree disagree on K")
     update = element_update(params, tree.prior)
+    free = update(None)
     changed = set()
     for beam in beams:
         trace = tree.cast_ray(beam)
         cells = trace.cells.tolist()
         end = trace.hit_index if trace.hit_index is not None else len(cells)
         for cell in cells[:end]:
-            if tree._write_element(cell, update(None)):
+            if tree._write_element(cell, free):
                 changed.add(tuple(cell))
         if trace.hit_index is not None and tree._write_element(cells[end], update(beam.category)):
             changed.add(tuple(cells[end]))

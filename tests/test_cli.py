@@ -10,6 +10,7 @@ import yaml
 
 from ssmi import check
 from ssmi.cli import main
+from ssmi.errors import CorruptMap
 from ssmi import logodds as lo
 from ssmi.grid import BeamMeasurement, GridMap, load_grid, save_grid
 from ssmi.logodds import SensorParams
@@ -305,6 +306,11 @@ def test_map_path_that_is_a_directory_exit_2(tmp_path, capsys, caplog):
     ("env", "num_classes", True),
     ("env", "num_classes", 256),
     ("env", "num_classes", 40000),
+    # a NaN field of view makes every beam direction NaN
+    ("sensor", "fov_deg", math.nan),
+    ("sensor", "fov_deg", math.inf),
+    ("sensor", "fov_deg", 0.0),
+    ("sensor", "fov_deg", -90.0),
 ])
 def test_config_value_out_of_range_exit_2(tmp_path, capsys, caplog, section, key, value):
     cfg = {**SMOKE, section: {**SMOKE.get(section, {}), key: value}}
@@ -329,6 +335,39 @@ def test_grid_file_with_nan_cell_exit_3(tmp_path, capsys, caplog):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "non-finite" in err
         assert len(err.splitlines()) == 1
+    assert not caplog.records
+
+
+@pytest.mark.parametrize("kind,num_classes", [("grid", 256), ("grid", 65535), ("octree", 256)])
+def test_map_file_with_too_many_classes_exit_3(tmp_path, capsys, caplog, kind, num_classes):
+    # a one-cell grid file with K = 65535 is half a megabyte, but the
+    # (K+1)^2 float64 model stack a command builds for it would be 32 GiB
+    if kind == "grid":
+        path, load = tmp_path / "m.ssmigrid", load_grid
+        save_grid(GridMap((1, 1, 1), 1.0, num_classes), path)
+    else:
+        path, load = tmp_path / "m.ssmioct", load_octree
+        save_octree(SemanticOctree(1.0, 1, num_classes), path)
+    with pytest.raises(CorruptMap, match=rf"{num_classes} classes \(at most 255\)"):
+        load(path)
+    assert main(["map", "inspect", "--map", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{num_classes} classes (at most 255)" in err
+    assert len(err.splitlines()) == 1
+    assert not caplog.records
+
+
+@pytest.mark.parametrize("origin", [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0),
+                                    (0.0, 0.0, -math.inf)])
+def test_grid_file_with_non_finite_origin_exit_3(tmp_path, capsys, caplog, origin):
+    path = tmp_path / "g.ssmigrid"
+    save_grid(GridMap((4, 4), 1.0, 2, origin=origin), path)
+    with pytest.raises(CorruptMap, match="origin .* is not finite"):
+        load_grid(path)
+    assert main(["map", "inspect", "--map", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "is not finite" in err
+    assert len(err.splitlines()) == 1
     assert not caplog.records
 
 
@@ -375,17 +414,16 @@ def _dump_rows_reference(mapper, fan, params):
     rows = []
     for idx in keep:
         if tree:
-            ray = mapper.encode_trace(traces[idx], skip_first_cell=True)
+            ray = mapper.encode_trace(traces[idx].cells[1:])
             if ray is None:
                 continue
-            res = mi.beam_mi_srle(ray, params, return_detail=True)
+            res = mi.beam_mi_srle(ray, params)
         else:
             cells = traces[idx].cells[1:]
             if cells.shape[0] == 0:
                 continue
             h_t = mapper.cells[tuple(cells.T)]
-            res = mi.beam_mi_dense(h_t, np.broadcast_to(mapper.prior, h_t.shape), params,
-                                   return_detail=True)
+            res = mi.beam_mi_dense(h_t, np.broadcast_to(mapper.prior, h_t.shape), params)
         for r, c in np.ndindex(res.terms.shape):
             rows.append(f"{idx},{r + 1},{c + 1},{float(res.p_detail[r, c])!r},"
                         f"{float(res.c_detail[r, c])!r},{float(res.terms[r, c])!r}")

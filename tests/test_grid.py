@@ -19,6 +19,7 @@ from ssmi.grid import (
     cast,
     load_grid,
     save_grid,
+    unit_direction,
 )
 from ssmi.logodds import SensorParams
 from ssmi.mi import beam_mi_dense
@@ -655,7 +656,7 @@ def test_beam_event_probabilities_total_one(params3, rng):
     # cell n of class y", plus the all-free outcome
     h_t, h_0 = gmap.ray_logodds(gmap.cast_ray(
         BeamMeasurement.planar((0.5, 0.5), 0.0, 10.0, None, 10.0)))
-    total = float(beam_mi_dense(h_t, h_0, params3, return_detail=True).p_detail.sum())
+    total = float(beam_mi_dense(h_t, h_0, params3).p_detail.sum())
     pmfs = lo.softmax_pmf(gmap.cells[:, 0, 0, :])
     total += float(np.prod(pmfs[:, 0]))
     assert total == pytest.approx(1.0, abs=1e-12)
@@ -810,6 +811,17 @@ def normalised_reference(direction):
     direction = np.asarray(direction, dtype=np.float64)
     norm = float(np.linalg.norm(direction))
     return direction / norm if abs(norm - 1.0) > 1e-9 else direction
+
+
+@pytest.mark.parametrize("direction", [[math.nan, math.nan, 0.0], [math.inf, 0.0, 0.0],
+                                       [1.0, -math.inf, 0.0], [0.0, 0.0, math.nan]])
+def test_direction_without_finite_norm_raises(direction):
+    # a NaN direction would walk its origin cell only, and an infinite one
+    # would normalise to NaN
+    with pytest.raises(ValueError, match="no finite norm"):
+        unit_direction(direction)
+    with pytest.raises(ValueError, match="no finite norm"):
+        BeamMeasurement(np.full(3, 0.5), np.array(direction), 1.0, None, 1.0)
 
 
 @given(

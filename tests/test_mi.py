@@ -209,7 +209,7 @@ def hit_rows(params):
     return rows
 
 
-def beam_mi_dense_reference(h_t, h_0, params, return_detail=False):
+def beam_mi_dense_reference(h_t, h_0, params):
     """The single-beam dense pass as written before the batch kernel."""
     h_t = np.atleast_2d(np.asarray(h_t, dtype=np.float64))
     h_0 = np.broadcast_to(np.asarray(h_0, dtype=np.float64), h_t.shape)
@@ -226,11 +226,10 @@ def beam_mi_dense_reference(h_t, h_0, params, return_detail=False):
     terms = p_nk * c_nk
     hit_term = float(terms.sum())
     free_term = float(math.exp(np.sum(log_p0)) * np.sum(f_free))
-    return mi_mod.BeamMI(hit_term + free_term, hit_term, free_term,
-                         *((terms, p_nk, c_nk) if return_detail else ()))
+    return mi_mod.BeamMI(hit_term + free_term, hit_term, free_term, terms, p_nk, c_nk)
 
 
-def beam_mi_srle_reference(ray, params, return_detail=False):
+def beam_mi_srle_reference(ray, params):
     """The single-beam run-length pass as written before the batch kernel."""
     chi_t, chi_0, w = ray.chi_t, ray.chi_0, ray.widths.astype(np.float64)
     lse = np.asarray(lo.logsumexp(chi_t, axis=-1), dtype=np.float64).reshape(-1)
@@ -249,16 +248,14 @@ def beam_mi_srle_reference(ray, params, return_detail=False):
     terms = rho * theta
     hit_term = float(terms.sum())
     free_term = float(math.exp(np.sum(run_log_p0)) * np.sum(w * f_free))
-    return mi_mod.BeamMI(hit_term + free_term, hit_term, free_term,
-                         *((terms, rho, theta) if return_detail else ()))
+    return mi_mod.BeamMI(hit_term + free_term, hit_term, free_term, terms, rho, theta)
 
 
-def assert_same_result(got, ref, detail):
+def assert_same_result(got, ref):
     assert (got.value, got.hit_term, got.free_term) == (ref.value, ref.hit_term, ref.free_term)
-    if detail:
-        for a, b in ((got.terms, ref.terms), (got.p_detail, ref.p_detail),
-                     (got.c_detail, ref.c_detail)):
-            assert a.shape == b.shape and np.array_equal(a, b)
+    for a, b in ((got.terms, ref.terms), (got.p_detail, ref.p_detail),
+                 (got.c_detail, ref.c_detail)):
+        assert a.shape == b.shape and np.array_equal(a, b)
 
 
 def cell_rows(rng, kinds, k, clamp):
@@ -314,14 +311,14 @@ def assert_same_bits(got, want):
 
 
 @given(k=st.integers(1, 5), beams=beam_kinds, clamp=st.sampled_from([4.0, 6.0, 12.0]),
-       seed=st.integers(0, 2**32 - 1), detail=st.booleans())
+       seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=300, deadline=None)
-def test_dense_equals_single_beam_reference(k, beams, clamp, seed, detail):
+def test_dense_equals_single_beam_reference(k, beams, clamp, seed):
     rng = np.random.default_rng(seed)
     params = SensorParams.default(k, clamp_limit=clamp)
     for h_t, h_0 in beam_rows(rng, beams, k, clamp):
-        ref = beam_mi_dense_reference(h_t, h_0, params, detail)
-        assert_same_result(beam_mi_dense(h_t, h_0, params, detail), ref, detail)
+        ref = beam_mi_dense_reference(h_t, h_0, params)
+        assert_same_result(beam_mi_dense(h_t, h_0, params), ref)
 
 
 @given(k=st.integers(1, 3), beams=beam_kinds, clamp=st.sampled_from([4.0, 6.0, 12.0]),
@@ -337,15 +334,15 @@ def test_unit_width_runs_degenerate_to_dense(k, beams, clamp, seed):
     runs = SrleRay(widths=np.ones(len(h_t), dtype=np.int64), chi_t=h_t,
                    chi_0=np.concatenate([z for _, z in rows]))
     offsets = np.cumsum([0] + [len(t) for t, _ in rows]).tolist()
-    batch = beam_mi_srle_batch(runs, offsets, params, return_detail=True)
+    batch = beam_mi_srle_batch(runs, offsets, params)
     for got, (t, z) in zip(batch, rows, strict=True):
-        assert_same_bits(got, beam_mi_dense(t, z, params, return_detail=True))
+        assert_same_bits(got, beam_mi_dense(t, z, params))
 
 
 @given(k=st.integers(1, 5), beams=beam_kinds, clamp=st.sampled_from([4.0, 6.0, 12.0]),
-       seed=st.integers(0, 2**32 - 1), detail=st.booleans())
+       seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=300, deadline=None)
-def test_srle_batch_equals_single_beam_reference(k, beams, clamp, seed, detail):
+def test_srle_batch_equals_single_beam_reference(k, beams, clamp, seed):
     rng = np.random.default_rng(seed)
     params = SensorParams.default(k, clamp_limit=clamp)
     rays = []
@@ -361,12 +358,12 @@ def test_srle_batch_equals_single_beam_reference(k, beams, clamp, seed, detail):
         chi_0=np.concatenate([r.chi_0 for r in rays]),
     )
     offsets = np.cumsum([0] + [r.num_runs for r in rays]).tolist()
-    batch = beam_mi_srle_batch(runs, offsets, params, detail)
+    batch = beam_mi_srle_batch(runs, offsets, params)
     assert len(batch) == len(beams)
     for b, ray in enumerate(rays):
-        ref = beam_mi_srle_reference(ray, params, detail)
-        assert_same_result(batch[b], ref, detail)
-        assert_same_result(beam_mi_srle(ray, params, detail), ref, detail)
+        ref = beam_mi_srle_reference(ray, params)
+        assert_same_result(batch[b], ref)
+        assert_same_result(beam_mi_srle(ray, params), ref)
 
 
 def test_limit_branch_reached_by_near_free_runs():
@@ -433,11 +430,11 @@ def test_kernels_keep_the_reference_bits_on_minus_inf_classes(params3):
                     [0.0, 3.0, -np.inf, -0.0]])
     h_0 = np.zeros((3, 4))
     runs = SrleRay(widths=np.array([1, 4, 2]), chi_t=h_t, chi_0=h_0)
-    assert_same_bits(beam_mi_dense(h_t, h_0, params3, True),
-                     beam_mi_dense_reference(h_t, h_0, params3, True))
-    want = beam_mi_srle_reference(runs, params3, True)
-    assert_same_bits(beam_mi_srle(runs, params3, True), want)
-    assert_same_bits(beam_mi_srle_batch(runs, [0, 3], params3, True)[0], want)
+    assert_same_bits(beam_mi_dense(h_t, h_0, params3),
+                     beam_mi_dense_reference(h_t, h_0, params3))
+    want = beam_mi_srle_reference(runs, params3)
+    assert_same_bits(beam_mi_srle(runs, params3), want)
+    assert_same_bits(beam_mi_srle_batch(runs, [0, 3], params3)[0], want)
 
 
 def test_batch_rejects_empty_segment(params3):
@@ -511,7 +508,7 @@ def test_flat_key_selection_matches_tuple_sets(dims, rng):
 # -- trajectory ------------------------------------------------------------------------
 
 
-def dense_results_reference(gmap, traces, params, return_detail=False):
+def dense_results_reference(gmap, traces, params):
     """Planning's grid evaluation before it went through the run-length
     kernel: each trace's cells past the sensor cell gathered with one index,
     then the dense pass per beam (which equalled the dense batch kernel per
@@ -525,7 +522,7 @@ def dense_results_reference(gmap, traces, params, return_detail=False):
     h_0 = np.broadcast_to(gmap.prior, h_t.shape)
     offsets = np.cumsum([0] + [cells[i].shape[0] for i in used]).tolist()
     for i, start, end in zip(used, offsets[:-1], offsets[1:]):
-        out[i] = beam_mi_dense(h_t[start:end], h_0[start:end], params, return_detail)
+        out[i] = beam_mi_dense(h_t[start:end], h_0[start:end], params)
     return out
 
 
@@ -547,12 +544,12 @@ def test_trajectories_mi_on_grid_matches_dense_reference(k, clamp, seed, num_bea
         d = rng.normal(size=3)
         beams.append(BeamMeasurement(rng.uniform(0.0, 1.0, 3) * extent, d / np.linalg.norm(d),
                                      4.0, None, 4.0))
-    want = dense_results_reference(gmap, [gmap.cast_ray(b) for b in beams], params, True)
+    want = dense_results_reference(gmap, [gmap.cast_ray(b) for b in beams], params)
     assert want[0] is None
     # one trajectory per beam, then all beams in one trajectory
     fans = [cast_fan(gmap, [b]) for b in beams]
     trajectories = [[i] for i in range(len(beams))] + [list(range(len(beams)))]
-    got = trajectories_mi(gmap, fans, trajectories, params, return_detail=True).trajectories
+    got = trajectories_mi(gmap, fans, trajectories, params).trajectories
     for traj, ref in zip(got, want):
         if ref is None:
             assert traj.beams == [] and traj.value == 0.0
@@ -579,7 +576,7 @@ def test_no_cell_past_the_sensor_cells_calls_no_kernel(kind, params3, monkeypatc
 
     monkeypatch.setattr(mi_mod, "beam_mi_srle_batch", no_kernel)
     fans = [cast_fan(mapper, [outward, outward]), cast_fan(mapper, [])]
-    got = trajectories_mi(mapper, fans, [[0], [1], []], params3, return_detail=True)
+    got = trajectories_mi(mapper, fans, [[0], [1], []], params3)
     assert [(t.value, t.beams_total, t.beams_kept, t.beams) for t in got.trajectories] == [
         (0.0, 2, 2, []), (0.0, 0, 0, []), (0.0, 0, 0, [])]
 

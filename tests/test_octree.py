@@ -368,13 +368,13 @@ def test_single_beam_fresh_tree(params3):
     # octants the beam never touched stay single prior leaves
     assert tree.query_element((3, 3, 12)) == tree.prior_semantics
     upper = tree.root.children[1]  # octant z >= 8, x < 8, y < 8
-    assert upper.is_leaf
+    assert upper.children is None
 
 
 def test_empty_scan_is_noop(params3):
     tree = SemanticOctree(1.0, 3, 3)
     tree.insert_scan([], params3)
-    assert tree.root.is_leaf
+    assert tree.root.children is None
     assert tree.num_leaves() == 1
 
 
@@ -425,7 +425,7 @@ def test_prune_uniform_tree_to_root():
     sem = tree.prior_semantics
     tree.root.children = [type(tree.root)(sem) for _ in range(8)]
     tree.prune()
-    assert tree.root.is_leaf
+    assert tree.root.children is None
 
 
 def test_prune_requires_all_eight_identical():
@@ -434,7 +434,7 @@ def test_prune_requires_all_eight_identical():
     other = TruncatedSemantics.from_full(np.array([0.0, 1.0, 0.0, 0.0]))
     tree.root.children = [type(tree.root)(sem) for _ in range(7)] + [type(tree.root)(other)]
     tree.prune()
-    assert not tree.root.is_leaf
+    assert tree.root.children is not None
 
 
 def test_prune_idempotent_and_query_transparent(params3, rng):
@@ -495,7 +495,7 @@ def test_srle_expansion_matches_element_queries(params3, rng):
     for _ in range(10):
         beam = random_beam(rng, r_max=25.0)
         trace = tree.cast_ray(beam)
-        ray = tree.encode_trace(trace)
+        ray = tree.encode_trace(trace.cells)
         assert ray.num_elements == len(trace)
         expanded, _ = ray.expand()
         for idx, cell in enumerate(trace.cells):
@@ -593,7 +593,7 @@ def test_leaf_table_reads_equal_the_element_loop(case):
     k = tree.num_classes
     traces = [tree.cast_ray(beam) for beam in beams]
     runs, counts = tree.encode_traces(*stacked_casts(traces))
-    want = [tree.encode_trace(trace, skip_first_cell=True) for trace in traces]
+    want = [tree.encode_trace(trace.cells[1:]) for trace in traces]
     assert counts == [0 if ray is None else ray.num_runs for ray in want]
     want = [ray for ray in want if ray is not None]
     if not want:
@@ -1237,7 +1237,7 @@ def test_save_octree_leaves_tree_unchanged(params3, rng, tmp_path):
 
     tree = SemanticOctree(1.0, 4, 3)
     tree.insert_scan([random_beam(rng, 1.0, 15.0, r_max=10.0) for _ in range(10)], params3)
-    assert not tree.root.is_leaf and tree.root.semantics is None
+    assert tree.root.children is not None and tree.root.semantics is None
     before = structure(tree.root)
     save_octree(tree, tmp_path / "t.ssmioct")
     assert structure(tree.root) == before

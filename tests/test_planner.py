@@ -322,7 +322,7 @@ def test_select_plan_prefers_uncertain_wall():
     for green_side, want_col in (("right", 20), ("left", 4)):
         gmap = uncertain_wall_arena(green_side)
         view = view_from_grid(gmap)
-        plan = select_best(evaluate_candidates(gmap, view, (12, 8), params, config))
+        plan = select_best(evaluate_candidates(gmap, view, (12, 8), params, config, {}))
         assert plan.path[-1] == (want_col, 8)
 
 
@@ -333,7 +333,7 @@ def test_select_plan_single_frontier(params1):
     params = SensorParams.default(1)
     config = PlannerConfig(num_beams=8, beam_range=5.0)
     view = view_from_grid(gmap)
-    plan = select_best(evaluate_candidates(gmap, view, (5, 5), params, config))
+    plan = select_best(evaluate_candidates(gmap, view, (5, 5), params, config, {}))
     frontiers = find_frontiers(view)
     assert len(frontiers) == 1
     assert plan.frontier_index == 0
@@ -349,7 +349,7 @@ def test_candidates_scored_and_best_is_argmax():
     params = SensorParams.default(2)
     config = PlannerConfig(num_beams=8, beam_range=6.0)
     view = view_from_grid(gmap)
-    candidates = evaluate_candidates(gmap, view, (10, 7), params, config)
+    candidates = evaluate_candidates(gmap, view, (10, 7), params, config, {})
     best = select_best(candidates)
     assert all(best.score >= c.score for c in candidates)
     assert all(c.cost > 0 for c in candidates)
@@ -389,7 +389,7 @@ def test_frontier_selector_picks_largest():
     params = SensorParams.default(2)
     config = PlannerConfig(selector="frontier")
     view = view_from_grid(gmap)
-    plan = select_best(evaluate_candidates(gmap, view, (12, 12), params, config))
+    plan = select_best(evaluate_candidates(gmap, view, (12, 12), params, config, {}))
     frontiers = find_frontiers(view)
     assert plan.frontier_index == 0  # frontiers are ordered largest first
     assert frontiers[0].size > frontiers[1].size
@@ -406,7 +406,7 @@ def trajectory_info_reference(mapper, fans, params):
     total = 0.0
     for idx in select_nonoverlapping(cast_fan(mapper, [b for fan in fans for b in fan])):
         if is_tree:
-            ray = mapper.encode_trace(traces[idx], skip_first_cell=True)
+            ray = mapper.encode_trace(traces[idx].cells[1:])
             if ray is not None:
                 total += beam_mi_srle(ray, params).value
         else:
@@ -490,7 +490,7 @@ def test_fsmi_binary_on_octree_plans_as_on_its_grid(monkeypatch):
 
     def checked(mapper, view, start, params, config, casts):
         got = real(mapper, view, start, params, config, casts)
-        want = real(grid_from_octree(mapper), view, start, params, config)
+        want = real(grid_from_octree(mapper), view, start, params, config, {})
         assert [(c.frontier_index, c.path, c.cost) for c in got] == [
             (c.frontier_index, c.path, c.cost) for c in want]
         for g, w in zip(got, want):

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import gen_random_reference, spawn_cells_reference
 from ssmi.config import config_from_dict
-from ssmi.errors import BadDims, PoseInObstacle
+from ssmi.errors import BadDims, OriginOutOfBounds, PoseInObstacle
 from ssmi.grid import unit_direction
 from ssmi.mi import fan_angles
 from ssmi.sim import (
@@ -21,6 +21,7 @@ from ssmi.sim import (
     _gen_random,
     _gen_corridor,
     _spawn_cells,
+    first_hits,
     generate_env,
     run_episode,
     sense,
@@ -211,6 +212,17 @@ def test_sense_casts_its_beams_at_the_fan_angles():
     want = [unit_direction([math.cos(a), math.sin(a), 0.0]) for a in fan_angles(7, 0.3, 2.5)]
     assert [b.direction.tolist() for b in beams] == want
     assert any(b.hits for b in beams) and not all(b.hits for b in beams)
+
+
+@pytest.mark.parametrize("origin", [[-3.5, 8.5, 0.5], [40.5, 8.5, 0.5], [2.5, -0.25, 0.5],
+                                    [2.5, 16.0, 0.5], [2.5, 8.5, 1.0], [math.nan, 8.5, 0.5]])
+def test_first_hits_rejects_an_origin_outside_the_world(origin):
+    # the truth is read at flat indices, so an origin outside the world would
+    # read wrapped or missing cells
+    env = wall_env()
+    assert first_hits(env, [([2.5, 8.5, 0.5], [1.0, 0.0, 0.0])], 14.0) == [(9.5, 2)]
+    with pytest.raises(OriginOutOfBounds):
+        first_hits(env, [([2.5, 8.5, 0.5], [1.0, 0.0, 0.0]), (origin, [1.0, 0.0, 0.0])], 14.0)
 
 
 def test_pose_in_obstacle_rejected():
