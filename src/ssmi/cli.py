@@ -29,8 +29,7 @@ from .errors import SsmiError
 from .grid import GRID_MAGIC, load_grid, save_grid
 from .logodds import SensorParams
 from .octree import (
-    OCTREE_MAGIC,
-    OCTREE_MAGIC_V1,
+    OCTREE_VERSIONS,
     SemanticOctree,
     grid_from_octree,
     load_octree,
@@ -67,6 +66,10 @@ def _parse_seeds(text: str | None, fallback: int) -> list[int]:
             seeds.append(int(token))
         except ValueError:
             raise ConfigError(f"--seed: {token.strip()!r} is not an integer") from None
+        if seeds[-1] < 0:
+            raise ConfigError(f"--seed: {token.strip()!r} is negative")
+    if not seeds:
+        raise ConfigError(f"--seed: {text!r} holds no seed")
     return seeds
 
 
@@ -133,7 +136,7 @@ def _load_any_map(path: str):
         magic = fh.read(8)
     if magic == GRID_MAGIC:
         return load_grid(path)
-    if magic in (OCTREE_MAGIC, OCTREE_MAGIC_V1):
+    if magic in OCTREE_VERSIONS:
         return load_octree(path)
     raise SsmiError(f"{path}: unrecognized map file (magic {magic!r})")
 
@@ -236,17 +239,14 @@ def cmd_oracle_check(args) -> int:
 def cmd_map_inspect(args) -> int:
     mapper = _load_any_map(args.map)
     print(f"resolved config:\n  map: {args.map}")
-    if isinstance(mapper, SemanticOctree):
-        print("type: octree")
-        print(f"element_size: {mapper.element_size}")
+    tree = isinstance(mapper, SemanticOctree)
+    print(f"type: {'octree' if tree else 'grid'}")
+    print(f"dims: {mapper.dims}")
+    print(f"resolution: {mapper.resolution}")
+    print(f"num_classes: {mapper.num_classes}")
+    if tree:
         print(f"max_depth: {mapper.max_depth} (cube edge {mapper.size_elements} elements)")
-        print(f"num_classes: {mapper.num_classes}")
         print(f"leaves: {mapper.num_leaves()}")
-    else:
-        print("type: grid")
-        print(f"dims: {mapper.dims}")
-        print(f"resolution: {mapper.resolution}")
-        print(f"num_classes: {mapper.num_classes}")
     print(f"entropy_nats: {mapper.map_entropy()!r}")
     print(f"observed_fraction: {mapper.observed_fraction()!r}")
     return 0

@@ -28,6 +28,16 @@ def _require_positive(value, name: str) -> None:
         raise ConfigError(f"{name} must be positive and finite, got {value!r}")
 
 
+def _require_int(value, name: str, least: int) -> None:
+    if type(value) is not int or value < least:
+        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _require_fraction(value, name: str) -> None:
+    if isinstance(value, bool) or not (isinstance(value, (int, float)) and 0.0 <= value <= 1.0):
+        raise ConfigError(f"{name} must be in [0, 1], got {value!r}")
+
+
 @dataclass
 class EnvConfig:
     profile: str = "random"  # random | structured | corridor
@@ -37,7 +47,14 @@ class EnvConfig:
     target_occupancy: float = 0.2
 
     def __post_init__(self):
-        self.dims = tuple(int(d) for d in self.dims)
+        given = self.dims
+        try:
+            self.dims = tuple(int(d) for d in given)
+        except (TypeError, ValueError, OverflowError):
+            self.dims = ()
+        if len(self.dims) not in (2, 3) or min(self.dims) < 1:
+            raise ConfigError(f"env.dims must be 2 or 3 positive extents, got {given!r}")
+        _require_fraction(self.target_occupancy, "env.target_occupancy")
         if self.profile not in ("random", "structured", "corridor"):
             raise ConfigError(f"unknown env profile {self.profile!r}")
         if type(self.num_classes) is not int or not 1 <= self.num_classes <= MAX_CLASSES:
@@ -95,6 +112,10 @@ class MapperConfig:
 class RunConfig:
     max_steps: int = 60
     explored_stop: float = 0.995
+
+    def __post_init__(self):
+        _require_int(self.max_steps, "run.max_steps", 1)
+        _require_fraction(self.explored_stop, "run.explored_stop")
 
 
 @dataclass
@@ -158,7 +179,8 @@ def config_from_dict(data: dict) -> SimConfig:
     unknown = set(data) - set(_SECTIONS) - {"seed"}
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-    kwargs = {"seed": int(data.get("seed", 0))}
+    kwargs = {"seed": data.get("seed", 0)}
+    _require_int(kwargs["seed"], "seed", 0)
     for name, cls in _SECTIONS.items():
         section = data.get(name, {})
         if not isinstance(section, dict):

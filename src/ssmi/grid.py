@@ -498,9 +498,10 @@ class GridMap:
         """Per-cell argmax class; ties resolve to the lowest class index."""
         return np.argmax(self.cells, axis=-1)
 
-    def labels_observed(self, box) -> tuple[np.ndarray, np.ndarray]:
+    def labels_observed(self, box=None) -> tuple[np.ndarray, np.ndarray]:
         """Most likely class and observed flag of every cell in a half-open
-        box ((lo), (hi)); ties resolve to the lowest class index."""
+        box ((lo), (hi)) or the whole map; ties resolve to the lowest class
+        index."""
         sl = self._box(box)
         return np.argmax(self.cells[sl], axis=-1), self.observed[sl].copy()
 

@@ -13,6 +13,12 @@ Queries, ray casts, aggregates and files all read leaves only, so an inner
 node holds no belief: the tree is its structure plus the leaf beliefs, and
 ``save_octree`` writes exactly that (as OctoMap's compact ``.bt`` files do).
 
+The cube of ``2**max_depth`` elements a side is the tree's storage only. The
+map covers a world box of ``dims`` elements at the cube's low corner, as a
+``GridMap`` of the same dims does: scans, ray casts, pose fans and the
+default box of every aggregate end at the world's faces, so both maps share
+one geometry.
+
 A child's slot is ``x<<2 | y<<1 | z``, so a preorder walk meets the leaves in
 Morton order and each leaf covers one contiguous interval of Morton codes.
 The batch reads of a planning cycle (``encode_traces``, ``labels_observed``,
@@ -54,8 +60,10 @@ from .errors import CorruptMap, InvalidClass
 from .grid import GRID_MAGIC, BeamMeasurement, GridMap, RayTrace, SrleRay, cast, scan_updates
 from .logodds import MAX_CLASSES, SensorParams
 
-OCTREE_MAGIC = b"SSMIOCT2"
+OCTREE_MAGIC = b"SSMIOCT3"
+OCTREE_MAGIC_V2 = b"SSMIOCT2"  # read only: no extent, the world is the cube
 OCTREE_MAGIC_V1 = b"SSMIOCT1"  # read only
+OCTREE_VERSIONS = {OCTREE_MAGIC_V1: 1, OCTREE_MAGIC_V2: 2, OCTREE_MAGIC: 3}
 
 NEG_INF = float("-inf")
 
@@ -378,8 +386,16 @@ def element_update(params: SensorParams, prior: np.ndarray):
     return update
 
 
+def cube_depth(dims) -> int:
+    """The least tree depth (at least 1) whose cube holds ``dims`` elements
+    along every axis."""
+    return max(1, math.ceil(math.log2(max(dims))))
+
+
 class SemanticOctree:
-    """Cube-shaped multi-class map of side ``element_size * 2**max_depth``."""
+    """Multi-class map of a world of ``dims`` elements (x, y, z) of edge
+    ``element_size``, stored in a cube of ``2**max_depth`` elements a side;
+    ``dims`` defaults to the whole cube and must fit inside it."""
 
     def __init__(
         self,
@@ -388,11 +404,16 @@ class SemanticOctree:
         num_classes: int,
         prior: np.ndarray | None = None,
         origin=(0.0, 0.0, 0.0),
+        dims=None,
     ):
         if max_depth < 1 or max_depth > 16:
             raise ValueError("max_depth must be in 1..16")
         self.element_size = float(element_size)
         self.max_depth = int(max_depth)
+        n = self.size_elements
+        self.dims = (n, n, n) if dims is None else tuple(int(d) for d in dims)
+        if len(self.dims) != 3 or not all(1 <= d <= n for d in self.dims):
+            raise ValueError(f"dims {self.dims} are not three extents in 1..{n}")
         self.num_classes = int(num_classes)
         self.origin = np.asarray(origin, dtype=np.float64)
         if prior is None:
@@ -427,11 +448,6 @@ class SemanticOctree:
         return 1 << self.max_depth
 
     @property
-    def dims(self) -> tuple[int, int, int]:
-        n = self.size_elements
-        return (n, n, n)
-
-    @property
     def resolution(self) -> float:
         """Element edge length (the grid's name for its cell size)."""
         return self.element_size
@@ -455,12 +471,13 @@ class SemanticOctree:
         return self.leaf_at(cell)[0]
 
     def _box(self, region):
-        """A half-open element box ((lo), (hi)) inside the cube, or the whole
-        cube for None; ValueError for a box that is not inside it."""
+        """A half-open element box ((lo), (hi)) inside the world, or the whole
+        world for None; ValueError for a box that is not inside it, as on the
+        grid."""
         if region is None:
             return (0, 0, 0), self.dims
-        if not all(0 <= lo <= hi <= self.size_elements for lo, hi in zip(region[0], region[1])):
-            raise ValueError(f"box {region} is not inside the cube")
+        if not all(0 <= lo <= hi <= n for lo, hi, n in zip(region[0], region[1], self.dims)):
+            raise ValueError(f"box {region} is not inside the map")
         return region
 
     # -- updates ---------------------------------------------------------------
@@ -599,9 +616,9 @@ class SemanticOctree:
     # -- ray casting -------------------------------------------------------------
 
     def cast_ray(self, beam: BeamMeasurement) -> RayTrace:
-        """Element-resolution trace through the cube: the dense grid's caster
-        with the element size and cube extent, so grid and tree agree on
-        what a beam touches."""
+        """Element-resolution trace through the world: the dense grid's
+        caster with the element size and the world's extent, so grid and
+        tree agree on what a beam touches."""
         return cast(beam, self.origin.tolist(), self.element_size, self.dims)
 
     def encode_trace(self, cells: np.ndarray) -> SrleRay | None:
@@ -790,23 +807,25 @@ class SemanticOctree:
 
     def _box_ids(self, box) -> tuple[LeafTable, np.ndarray]:
         """The leaf table and an int array over a half-open element box
-        ((lo), (hi)) inside the cube holding each element's belief id."""
+        ((lo), (hi)) inside the world, or the whole world for None, holding
+        each element's belief id."""
         lo, hi = self._box(box)
         table = self.leaf_table()
         return table, table.element_ids(morton(*np.ix_(*map(range, lo, hi))))
 
-    def labels_observed(self, box) -> tuple[np.ndarray, np.ndarray]:
+    def labels_observed(self, box=None) -> tuple[np.ndarray, np.ndarray]:
         """Most likely class (the argmax of the full belief, ties to the
         lowest class) and observed flag (belief off the prior) of every
-        element in a half-open box ((lo), (hi)) inside the cube."""
+        element in a half-open box ((lo), (hi)) inside the world, or of the
+        whole world."""
         table, ids = self._box_ids(box)
         return np.argmax(table.full, axis=1)[ids], table.observed[ids]
 
     def map_state(self, region=None) -> tuple[float, float]:
         """``(map_entropy(region), observed_fraction(region))`` from the leaf
         table: each leaf's element count inside the box times its belief's
-        entropy, added leaf by leaf in preorder. A box not inside the cube
-        raises ValueError, as on the grid."""
+        entropy, added leaf by leaf in preorder. The box defaults to the
+        world; one not inside it raises ValueError, as on the grid."""
         lo, hi = self._box(region)
         table = self.leaf_table()
         ends = table.corners + table.sizes[:, None]
@@ -820,7 +839,7 @@ class SemanticOctree:
 
     def map_entropy(self, region=None) -> float:
         """Total entropy in nats over a region box (element coordinates,
-        ((lo),(hi)) half-open) or the full cube."""
+        ((lo),(hi)) half-open) or the whole world."""
         return self.map_state(region)[0]
 
     def observed_fraction(self, region=None) -> float:
@@ -832,15 +851,15 @@ class SemanticOctree:
 
 
 def octree_from_grid(gmap: GridMap) -> SemanticOctree:
-    """Copy a dense map into a fresh octree at the grid resolution and prune.
-    The cube edge is the next power of two covering the largest extent."""
-    depth = max(1, math.ceil(math.log2(max(gmap.dims))))
+    """Copy a dense map into a fresh octree of the grid's extent, at its
+    resolution, in the least cube that holds it, and prune."""
     tree = SemanticOctree(
         element_size=gmap.resolution,
-        max_depth=depth,
+        max_depth=cube_depth(gmap.dims),
         num_classes=gmap.num_classes,
         prior=gmap.prior,
         origin=gmap.origin,
+        dims=gmap.dims,
     )
     for i in range(gmap.dims[0]):
         for j in range(gmap.dims[1]):
@@ -850,12 +869,12 @@ def octree_from_grid(gmap: GridMap) -> SemanticOctree:
     return tree
 
 
-def grid_from_octree(tree: SemanticOctree, dims=None) -> GridMap:
-    """Sample every element of a region into a dense map. Lumped beliefs
-    (K > 3) expand with the untracked classes sharing the lump evenly."""
-    dims = tuple(dims) if dims is not None else tree.dims
-    gmap = GridMap(dims, tree.element_size, tree.num_classes, tree.prior, tree.origin)
-    table, ids = tree._box_ids(((0, 0, 0), gmap.dims))
+def grid_from_octree(tree: SemanticOctree) -> GridMap:
+    """Sample every element of the tree's world into a dense map. Lumped
+    beliefs (K > 3) expand with the untracked classes sharing the lump
+    evenly."""
+    gmap = GridMap(tree.dims, tree.element_size, tree.num_classes, tree.prior, tree.origin)
+    table, ids = tree._box_ids(None)
     np.take(table.full, ids, axis=0, out=gmap.cells)
     np.take(table.observed, ids, out=gmap.observed)
     return gmap
@@ -863,21 +882,24 @@ def grid_from_octree(tree: SemanticOctree, dims=None) -> GridMap:
 
 # -- serialization -----------------------------------------------------------------
 
-# after the magic: element size, max depth, K, origin (v1 has one more u8 before the
-# origin, the flag of the rule its inner-node summaries were made with)
-_HEADER = struct.Struct("<dBH3d")
+# after the magic: element size, max depth, K, origin, the world's extent in elements
+# (v2 ends at the origin; v1 also has one more u8 before the origin, the flag of
+# the rule its inner-node summaries were made with)
+_HEADER = struct.Struct("<dBH3d3I")
+_HEADER_V2 = struct.Struct("<dBH3d")
 _HEADER_V1 = struct.Struct("<dBHB3d")
-# a v2 leaf record by tracked count: child mask 0, count, (class, log-odds) pairs, lump
+# a v2/v3 leaf record by tracked count: child mask 0, count, (class, log-odds) pairs, lump
 _LEAF = [struct.Struct("<BB" + "Hd" * n + "d") for n in range(4)]
 
 
 def save_octree(tree: SemanticOctree, path) -> None:
-    """Write a ``.ssmioct`` version 2 file: the header, then every node in
+    """Write a ``.ssmioct`` version 3 file: the header, then every node in
     preorder, an inner node as its child mask and a leaf as its mask plus
     its belief in f64. Only reads the tree; the bytes depend on it alone."""
     parts = [
         OCTREE_MAGIC,
-        _HEADER.pack(tree.element_size, tree.max_depth, tree.num_classes, *tree.origin),
+        _HEADER.pack(tree.element_size, tree.max_depth, tree.num_classes, *tree.origin,
+                     *tree.dims),
         tree.prior.astype("<f8").tobytes(),
     ]
     stack = [tree.root]
@@ -895,12 +917,13 @@ def save_octree(tree: SemanticOctree, path) -> None:
 
 
 def load_octree(path) -> SemanticOctree:
-    """Read a ``.ssmioct`` file of version 2, or of version 1, whose f32
-    inner-node summaries are checked and skipped. Raises CorruptMap when the
-    file is truncated, has trailing bytes, or holds a header or node record
-    the format does not allow (no class or more than ``MAX_CLASSES``
-    among them), a NaN or infinite prior or tracked value, or a NaN or +inf
-    lump."""
+    """Read a ``.ssmioct`` file of version 3, or of version 2 or 1, whose
+    world is the whole cube (version 1's f32 inner-node summaries are
+    checked and skipped). Raises CorruptMap when the file is truncated, has
+    trailing bytes, or holds a header or node record the format does not
+    allow (no class or more than ``MAX_CLASSES`` among them, an extent that
+    is zero or larger than the cube), a NaN or infinite prior or tracked
+    value, or a NaN or +inf lump."""
     with open(path, "rb") as fh:
         buf = fh.read()
     pos = 0
@@ -915,22 +938,30 @@ def load_octree(path) -> SemanticOctree:
         return values
 
     magic = buf[:8]
-    if magic not in (OCTREE_MAGIC, OCTREE_MAGIC_V1):
+    version = OCTREE_VERSIONS.get(magic)
+    if version is None:
         kind = "grid map" if magic == GRID_MAGIC else f"unknown (magic {magic!r})"
         raise CorruptMap(f"not an octree file: {kind}")
-    v1 = magic == OCTREE_MAGIC_V1
+    v1 = version == 1
     real = "f" if v1 else "d"
     pos = 8
+    dims = None
     if v1:
         element_size, max_depth, num_classes, summary_flag, *origin = take(_HEADER_V1.format)
+    elif version == 2:
+        element_size, max_depth, num_classes, *origin = take(_HEADER_V2.format)
     else:
         element_size, max_depth, num_classes, *origin = take(_HEADER.format)
+        origin, dims = origin[:3], origin[3:]
     if not (math.isfinite(element_size) and element_size > 0.0):
         raise CorruptMap(f"{path}: element size {element_size!r} is not positive")
     if not all(math.isfinite(o) for o in origin):
         raise CorruptMap(f"{path}: origin {origin} is not finite")
     if not 1 <= max_depth <= 16:
         raise CorruptMap(f"{path}: max_depth {max_depth} outside 1..16")
+    if dims is not None and not all(1 <= d <= 1 << max_depth for d in dims):
+        raise CorruptMap(f"{path}: extent {tuple(dims)} is zero or larger than the cube "
+                         f"of {1 << max_depth} elements a side")
     if num_classes < 1:
         raise CorruptMap(f"{path}: no occupied classes")
     if num_classes > MAX_CLASSES:
@@ -943,7 +974,7 @@ def load_octree(path) -> SemanticOctree:
     if not np.isfinite(prior).all():
         raise CorruptMap(f"{path}: non-finite prior {prior.tolist()}")
     prior[0] = 0.0  # a version-1 pivot is read but not required to be 0
-    tree = SemanticOctree(element_size, max_depth, num_classes, prior, origin)
+    tree = SemanticOctree(element_size, max_depth, num_classes, prior, origin, dims)
 
     def read_belief() -> TruncatedSemantics:
         (count,) = take("<B")

@@ -51,17 +51,15 @@ class PlanView:
         )
 
 
-def view_from_grid(mapper, region_dims=None, band: tuple[int, int] | None = None) -> PlanView:
-    """Project a map (a ``GridMap`` or a ``SemanticOctree``) onto the 2-D
-    planning grid over the box of ``region_dims`` cells at its origin, which
-    defaults to the map's dims (an octree's cube is usually larger than the
-    world).
+def view_from_grid(mapper, band: tuple[int, int] | None = None) -> PlanView:
+    """Project a map (a ``GridMap`` or a ``SemanticOctree``) over its dims
+    onto the 2-D planning grid.
 
     A column is free when every cell of the half-open z ``band`` (default:
-    the region's full depth) is observed and most likely free, and unknown
+    the map's full depth) is observed and most likely free, and unknown
     when none of them is observed.
     """
-    nx, ny, nz = mapper.dims if region_dims is None else region_dims
+    nx, ny, nz = mapper.dims
     z0, z1 = band if band is not None else (0, nz)
     labels, observed = mapper.labels_observed(((0, 0, z0), (nx, ny, z1)))
     free = np.all(observed & (labels == 0), axis=-1)
@@ -222,6 +220,9 @@ class PlannerConfig:
             raise ValueError(f"planner.num_beams must be >= 1, got {self.num_beams!r}")
         if self.stride < 1:
             raise ValueError(f"planner.stride must be >= 1, got {self.stride!r}")
+        if type(self.min_frontier_size) is not int or self.min_frontier_size < 1:
+            raise ValueError(f"planner.min_frontier_size must be an integer >= 1, "
+                             f"got {self.min_frontier_size!r}")
         if not (math.isfinite(self.fov) and self.fov > 0.0):
             raise ValueError(f"planner.fov must be positive and finite, got {self.fov!r}")
         if not (math.isfinite(self.beam_range) and self.beam_range > 0.0):

@@ -27,7 +27,7 @@ from .config import ConfigError, SimConfig
 from .errors import AllUnreachable, BadDims, NoFrontiers, PoseInObstacle
 from .grid import BeamMeasurement, GridMap, _cell_point, voxel_walk
 from .mi import fan_angles
-from .octree import SemanticOctree
+from .octree import SemanticOctree, cube_depth
 
 log = logging.getLogger(__name__)
 
@@ -377,21 +377,15 @@ class EpisodeMetrics:
 
 
 def _build_mapper(config: SimConfig, env: Environment):
-    dims = env.dims
     if config.mapper.type == "grid":
-        return GridMap(dims, env.resolution, env.num_classes)
-    depth = max(1, math.ceil(math.log2(max(dims))))
-    return SemanticOctree(
-        element_size=env.resolution,
-        max_depth=depth,
-        num_classes=env.num_classes,
-    )
+        return GridMap(env.dims, env.resolution, env.num_classes)
+    return SemanticOctree(env.resolution, cube_depth(env.dims), env.num_classes, dims=env.dims)
 
 
 def class_precision(mapper, env: Environment) -> dict[int, float | None]:
     """Per-class precision of the most-likely map over observed cells; None
     when the map never labeled a cell with that class."""
-    labels, observed = mapper.labels_observed(((0, 0, 0), env.dims))
+    labels, observed = mapper.labels_observed()
     out: dict[int, float | None] = {}
     for k in range(1, env.num_classes + 1):
         sel = observed & (labels == k)
@@ -441,7 +435,6 @@ def run_episode(config: SimConfig, env: Environment | None = None) -> EpisodeMet
         misclass_prob=config.sensor.misclass_prob,
     )
     metrics = EpisodeMetrics(env_hash=env.content_hash(), config_hash=config.config_hash())
-    world = ((0, 0, 0), env.dims)  # an octree's cube can be larger than the world
 
     def pose_center(cell) -> np.ndarray:
         return (np.asarray(cell, dtype=np.float64) + 0.5) * env.resolution
@@ -455,14 +448,14 @@ def run_episode(config: SimConfig, env: Environment | None = None) -> EpisodeMet
         scan = sense(env, pose_center((pose[0], pose[1], z_idx)), heading, spec, sensor_rng)
         mapper.insert_scan(scan, params)
 
-        view = planner_mod.view_from_grid(mapper, env.dims, config.planner.band)
+        view = planner_mod.view_from_grid(mapper, config.planner.band)
         t0 = time.perf_counter()
         try:
             candidates = planner_mod.evaluate_candidates(mapper, view, pose, params,
                                                          config.planner, casts)
             plan = planner_mod.select_best(candidates)
         except (NoFrontiers, AllUnreachable):
-            entropy, explored = mapper.map_state(world)
+            entropy, explored = mapper.map_state()
             metrics.rows.append(CycleRow(step, distance, entropy, explored, 0.0))
             log.debug("cycle %d: entropy %r nats, explored %r, no plan", step, entropy, explored)
             break
@@ -490,7 +483,7 @@ def run_episode(config: SimConfig, env: Environment | None = None) -> EpisodeMet
         pose = path[-1]
         heading = poses[-1][1]
 
-        entropy, explored = mapper.map_state(world)
+        entropy, explored = mapper.map_state()
         metrics.rows.append(CycleRow(step, distance, entropy, explored, plan.mi))
         log.debug("cycle %d: entropy %r nats, explored %r, plan %.4f s",
                   step, entropy, explored, plan_s)
@@ -551,8 +544,8 @@ def srle_study(config: SimConfig, env: Environment | None = None) -> list[StudyR
     rows = []
     for res in config.sweep.resolutions:
         element = 1.0 / res
-        depth = max(1, math.ceil(math.log2(extent.max() * res)))
-        tree = SemanticOctree(element, depth, env.num_classes)
+        dims = [math.ceil(e * res) for e in extent.tolist()]
+        tree = SemanticOctree(element, cube_depth(dims), env.num_classes, dims=dims)
         params = config.mapper.sensor_params(env.num_classes)
         qs: list[int] = []
         ns: list[int] = []

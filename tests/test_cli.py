@@ -10,12 +10,14 @@ import yaml
 
 from ssmi import check
 from ssmi.cli import main
+from ssmi.config import config_from_dict
 from ssmi.errors import CorruptMap
 from ssmi import logodds as lo
 from ssmi.grid import BeamMeasurement, GridMap, load_grid, save_grid
 from ssmi.logodds import SensorParams
 from ssmi.mi import beam_mi_dense, collapse_to_binary
 from ssmi.octree import SemanticOctree, load_octree, save_octree
+from ssmi.sim import run_episode
 from conftest import cast_fan, fan_beams
 
 
@@ -56,13 +58,16 @@ def test_removed_fusion_key_exit_2(tmp_path, capsys):
 
 def test_bad_seed_list_exit_2(tmp_path, capsys):
     out = tmp_path / "run"
-    code = main(["explore", "--config", write_config(tmp_path), "--out", str(out),
-                 "--seed", "1,x"])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "'x'" in err
-    assert "Traceback" not in err
-    assert not out.exists()
+    # a token that is no integer or is negative, or a list with no seed at all
+    for seeds, named in (("1,x", "'x'"), ("-1", "'-1'"), ("2,-1", "'-1'"), (",", "','"),
+                         (" , ", "' , '")):
+        code = main(["explore", "--config", write_config(tmp_path), "--out", str(out),
+                     f"--seed={seeds}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --seed: ") and named in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 def test_explore_smoke(tmp_path, capsys):
@@ -311,14 +316,38 @@ def test_map_path_that_is_a_directory_exit_2(tmp_path, capsys, caplog):
     ("sensor", "fov_deg", math.inf),
     ("sensor", "fov_deg", 0.0),
     ("sensor", "fov_deg", -90.0),
+    # malformed run values, each of which ended in a traceback or an empty
+    # or endless run; the seed is a top-level key (no section)
+    ("seed", None, "abc"),
+    ("seed", None, -1),
+    ("seed", None, 2.5),
+    ("run", "max_steps", "abc"),
+    ("run", "max_steps", 0),
+    ("run", "max_steps", 2.0),
+    ("run", "explored_stop", math.nan),
+    ("run", "explored_stop", 1.5),
+    ("run", "explored_stop", "abc"),
+    ("planner", "min_frontier_size", "abc"),
+    ("planner", "min_frontier_size", 0),
+    ("env", "dims", [32]),
+    ("env", "dims", [32, 32, 8, 2]),
+    ("env", "dims", [32, 0]),
+    ("env", "dims", 32),
+    ("env", "dims", ["abc", 32]),
+    ("env", "target_occupancy", math.nan),
+    ("env", "target_occupancy", 5),
+    ("env", "target_occupancy", -0.1),
 ])
 def test_config_value_out_of_range_exit_2(tmp_path, capsys, caplog, section, key, value):
-    cfg = {**SMOKE, section: {**SMOKE.get(section, {}), key: value}}
+    if key is None:
+        cfg, name = {**SMOKE, section: value}, section
+    else:
+        cfg, name = {**SMOKE, section: {**SMOKE.get(section, {}), key: value}}, f"{section}.{key}"
     out = tmp_path / "run"
     code = main(["explore", "--config", write_config(tmp_path, cfg), "--out", str(out)])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and f"{section}.{key}" in err
+    assert err.startswith("error: ") and name in err
     assert len(err.splitlines()) == 1
     assert not caplog.records
     assert not out.exists()
@@ -514,6 +543,49 @@ def test_map_inspect_and_convert_roundtrip(tmp_path, capsys, params3, rng):
     back = load_grid(back_path)
     # the grid file stores f32
     np.testing.assert_allclose(back.cells, gmap.cells, atol=1e-5)
+
+
+def inspect_lines(path, capsys):
+    assert main(["map", "inspect", "--map", str(path)]) == 0
+    return capsys.readouterr().out.splitlines()[2:]  # past the resolved config
+
+
+@pytest.mark.parametrize("dims", [[32, 32], [24, 20]])
+def test_map_convert_round_trip_gives_back_the_grid_file(tmp_path, capsys, dims):
+    """The final map of a grid episode (A7 config, world 0) converted grid ->
+    octree -> grid is the source file byte for byte, since the octree file
+    holds the world's extent; both files of the map inspect alike (the
+    entropy sums in another order) and give the same information surface,
+    whose default range is the world's."""
+    config = config_from_dict({**A7_K5, "env": {**A7_K5["env"], "dims": dims,
+                                                "num_classes": 3}})
+    grid_path, tree_path, back_path = (tmp_path / n for n in ("m.ssmigrid", "m.ssmioct",
+                                                               "back.ssmigrid"))
+    save_grid(run_episode(config).mapper, grid_path)
+    assert main(["map", "convert", "--map", str(grid_path), "--out", str(tree_path)]) == 0
+    assert main(["map", "convert", "--map", str(tree_path), "--out", str(back_path)]) == 0
+    capsys.readouterr()
+    assert back_path.read_bytes() == grid_path.read_bytes()
+    assert load_octree(tree_path).dims == (*dims, 1)
+
+    grid_lines, tree_lines = inspect_lines(grid_path, capsys), inspect_lines(tree_path, capsys)
+    assert grid_lines[0] == "type: grid" and tree_lines[0] == "type: octree"
+    assert grid_lines[1] == tree_lines[1] == f"dims: ({dims[0]}, {dims[1]}, 1)"
+    shared = [l.split(": ") for l in tree_lines if not l.startswith(("max_depth:", "leaves:"))]
+    assert [k for k, _ in shared] == [l.split(": ")[0] for l in grid_lines]
+    for (key, got), want in zip(shared[1:], grid_lines[1:]):
+        if key == "entropy_nats":
+            assert float(got) == pytest.approx(float(want.split(": ")[1]), rel=1e-12)
+        else:
+            assert f"{key}: {got}" == want
+
+    surfaces = []
+    for path in (grid_path, tree_path):
+        out = tmp_path / f"{path.suffix[1:]}.csv"
+        assert main(["mi-surface", "--map", str(path), "--out", str(out), "--beams", "4"]) == 0
+        assert f"\n  r_max: {float(max(dims))}\n" in capsys.readouterr().out
+        surfaces.append(out.read_bytes())
+    assert surfaces[0] == surfaces[1]
 
 
 def test_srle_study_cli(tmp_path, capsys):

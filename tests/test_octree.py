@@ -1,6 +1,6 @@
 """Semantic octree: element updates against the dense grid, truncated-belief
-bookkeeping, pruning, run-length ray casts, grid conversion, and both
-versions of the file format."""
+bookkeeping, pruning, run-length ray casts, grid conversion, and every
+version of the file format."""
 
 import itertools
 import json
@@ -27,6 +27,7 @@ from ssmi.octree import (
     NEG_INF,
     OCTREE_MAGIC,
     OCTREE_MAGIC_V1,
+    OCTREE_MAGIC_V2,
     SemanticNode,
     SemanticOctree,
     TruncatedSemantics,
@@ -694,22 +695,29 @@ def pose_fan_case(draw):
 @settings(max_examples=300, deadline=None)
 def test_fan_cast_from_a_pose_equals_casting_its_beams(case):
     """``FanCast.from_pose`` gives the bytes of ``cast_fan`` over
-    ``fan_beams`` (cells, dtype, shape and counts) on a grid and on an
-    octree larger than it, and raises ``OriginOutOfBounds`` with the same
-    message where casting the beams does."""
-    mappers, fan = case
-    for mapper in mappers:
+    ``fan_beams`` (cells, dtype, shape and counts) on a grid, on an octree
+    over its whole cube, larger than the grid, and on an octree of the
+    grid's dims in that cube, and raises ``OriginOutOfBounds`` with the same
+    message where casting the beams does. The octree of the grid's dims
+    casts what the grid casts."""
+    (grid, tree), fan = case
+    world = SemanticOctree(grid.resolution, 4, 3, origin=grid.origin, dims=grid.dims)
+    casts = []
+    for mapper in (grid, tree, world):
         try:
             want = cast_fan(mapper, fan_beams(*fan))
         except OriginOutOfBounds as exc:
             with pytest.raises(OriginOutOfBounds, match=re.escape(str(exc))):
                 FanCast.from_pose(mapper, *fan)
+            casts.append(None)
             continue
         got = FanCast.from_pose(mapper, *fan)
         assert got.counts == want.counts
         assert got.cells.dtype == want.cells.dtype == np.int32
         assert got.cells.shape == want.cells.shape
         assert got.cells.tobytes() == want.cells.tobytes()
+        casts.append((got.counts, got.cells.tobytes()))
+    assert casts[2] == casts[0]
 
 
 def test_fan_cast_from_a_pose_checks_what_its_beams_check():
@@ -1134,17 +1142,16 @@ def test_aggregates_reject_boxes_outside_the_map(kind, params3):
 
 
 def test_grid_and_octree_answer_the_shared_calls_alike(params3):
-    """The same A4-style scans into a grid and a K=3 octree whose cube is
-    larger than the grid, both through ``insert_scan``: after every scan the
-    world box and a z band agree on labels and observed flags (exactly), on
-    the observed fraction (exactly) and on entropy (the summation orders
-    differ). Beams leaving the grid go on through the cube, but the world
-    box sees the same cell sequence in both."""
+    """The same A4-style scans into a grid and a K=3 octree of the grid's
+    dims in a larger cube, both through ``insert_scan``: after every scan
+    the whole map and a z band agree on labels and observed flags
+    (exactly), on the observed fraction (exactly) and on entropy (the
+    summation orders differ). Beams end at the world's faces on both."""
     rng = np.random.default_rng(405)
     dims = (24, 20, 12)
     gmap = GridMap(dims, 1.0, 3)
-    tree = SemanticOctree(1.0, 5, 3)
-    boxes = (((0, 0, 0), dims), ((0, 0, 4), (24, 20, 8)))
+    tree = SemanticOctree(1.0, 5, 3, dims=dims)
+    boxes = (None, ((0, 0, 4), (24, 20, 8)))
     for _ in range(20):
         scan = []
         for _ in range(10):
@@ -1304,14 +1311,15 @@ def test_v1_file_loads_to_the_leaves_it_held(tmp_path, name):
     """Version 1 files (f32 beliefs plus fused inner-node summaries, here one
     K=3 tree fused by the pairwise fold and one K=5 tree fused by the mean)
     written by the last version-1 writer. Each loads to the leaves that
-    writer's own loader returned, stored beside it as hex floats, and
-    re-saves as a lossless version 2 file."""
+    writer's own loader returned, stored beside it as hex floats, over its
+    whole cube, and re-saves as a lossless version 3 file."""
     want = json.loads((DATA / f"{name}.leaves.json").read_text())
     tree = load_octree(DATA / f"{name}.ssmioct")
     assert tree.element_size == want["element_size"]
     assert tree.max_depth == want["max_depth"]
     assert tree.num_classes == want["num_classes"]
     assert tree.origin.tolist() == want["origin"]
+    assert tree.dims == (tree.size_elements,) * 3
     assert [float(v).hex() for v in tree.prior] == want["prior"]
     got = [
         [list(low), size, [[c, v.hex()] for c, v in sem.data], sem.others.hex()]
@@ -1322,9 +1330,9 @@ def test_v1_file_loads_to_the_leaves_it_held(tmp_path, name):
     assert leaves(load_octree(tmp_path / "t.ssmioct")) == leaves(tree)
 
 
-def grid_from_octree_reference(tree, dims):
-    """One root descent per element."""
-    gmap = GridMap(dims, tree.element_size, tree.num_classes, tree.prior, tree.origin)
+def grid_from_octree_reference(tree):
+    """One root descent per element of the tree's world."""
+    gmap = GridMap(tree.dims, tree.element_size, tree.num_classes, tree.prior, tree.origin)
     for i, j, k in np.ndindex(gmap.dims):
         sem = tree.query_element((i, j, k))
         gmap.cells[i, j, k] = sem.to_full(tree.num_classes)
@@ -1332,13 +1340,22 @@ def grid_from_octree_reference(tree, dims):
     return gmap
 
 
+def with_dims(tree, dims):
+    """A tree over the nodes of ``tree`` whose world is ``dims`` elements."""
+    out = SemanticOctree(tree.element_size, tree.max_depth, tree.num_classes, tree.prior,
+                         tree.origin, dims)
+    out.root = tree.root
+    return out
+
+
 @pytest.mark.parametrize("k", [3, 5])
 def test_grid_from_octree_matches_element_loop(k):
     tree, _ = scanned_tree(k, 6.0, scans=4)
-    for dims in (None, (13, 9), (16, 5, 11)):
-        got = grid_from_octree(tree, dims)
-        want = grid_from_octree_reference(tree, dims if dims is not None else tree.dims)
-        assert got.dims == want.dims
+    for dims in (None, (13, 9, 1), (16, 5, 11)):
+        world = tree if dims is None else with_dims(tree, dims)
+        got = grid_from_octree(world)
+        want = grid_from_octree_reference(world)
+        assert got.dims == want.dims == world.dims
         assert got.cells.tobytes() == want.cells.tobytes()
         assert (got.observed == want.observed).all()
     assert 0.0 < want.observed.mean() < 1.0
@@ -1348,32 +1365,84 @@ def test_grid_from_octree_matches_element_loop(k):
 
 
 def layout(b: bytes) -> dict:
-    """Byte offsets in a K=3 file of either version: ``origin`` is where the
-    origin starts, ``header`` where the root's record starts, and ``count``
-    the tracked count of the first record holding a belief (v1: the root's
-    summary; v2: the first leaf)."""
+    """Byte offsets in a K=3 file of any version: ``origin`` is where the
+    origin starts, ``prior`` where the prior starts (v3: after the extent),
+    ``header`` where the root's record starts, and ``count`` the tracked
+    count of the first record holding a belief (v1: the root's summary;
+    v2 and v3: the first leaf)."""
     v1 = b[:8] == OCTREE_MAGIC_V1
     origin = 8 + (12 if v1 else 11)
-    header = origin + 24 + (4 if v1 else 8) * 4
+    prior = origin + 24 + (12 if b[:8] == OCTREE_MAGIC else 0)
+    header = prior + (4 if v1 else 8) * 4
     count = header + 5 if v1 else b.index(0, header) + 1
-    return {"origin": origin, "header": header, "count": count}
+    return {"origin": origin, "prior": prior, "header": header, "count": count}
+
+
+def scanned_depth3_tree(dims=None):
+    """A depth-3, K=3 tree after one scan of six 3-D beams."""
+    params = SensorParams.default(3)
+    rng = np.random.default_rng(7)
+    tree = SemanticOctree(1.0, 3, 3, dims=dims)
+    tree.insert_scan([random_beam(rng, 1.0, 7.0, r_max=6.0) for _ in range(6)], params)
+    return tree
 
 
 @pytest.fixture(scope="module")
 def saved_tree_bytes(tmp_path_factory):
-    """Depth-3, K=3 trees as file bytes: version 2 written here, version 1
-    from a committed fixture."""
-    params = SensorParams.default(3)
-    rng = np.random.default_rng(7)
-    tree = SemanticOctree(1.0, 3, 3)
-    tree.insert_scan([random_beam(rng, 1.0, 7.0, r_max=6.0) for _ in range(6)], params)
+    """Depth-3, K=3 trees as file bytes: version 3 written here, versions 2
+    and 1 from committed fixtures (version 2: the tree written here, saved
+    by the last version-2 writer)."""
     path = tmp_path_factory.mktemp("oct") / "t.ssmioct"
-    save_octree(tree, path)
-    return {"v2": path.read_bytes(), "v1": (DATA / "v1_k3_fold.ssmioct").read_bytes()}
+    save_octree(scanned_depth3_tree(), path)
+    return {"v3": path.read_bytes(), "v2": (DATA / "v2_k3.ssmioct").read_bytes(),
+            "v1": (DATA / "v1_k3_fold.ssmioct").read_bytes()}
+
+
+def test_v2_file_loads_as_a_tree_over_its_cube(saved_tree_bytes, tmp_path):
+    """A version-2 file holds no extent, so its world is the cube; saved
+    again, it differs from the version-2 bytes only in the magic and the
+    extent after the origin."""
+    path = tmp_path / "v2.ssmioct"
+    path.write_bytes(saved_tree_bytes["v2"])
+    tree = load_octree(path)
+    assert tree.dims == (8, 8, 8)
+    assert leaves(tree) == leaves(scanned_depth3_tree())
+    v2, v3 = saved_tree_bytes["v2"], saved_bytes(tree, tmp_path)
+    assert v3 == saved_tree_bytes["v3"]
+    at = layout(v3)["origin"] + 24
+    assert v2[:8] == OCTREE_MAGIC_V2 and v3[:8] == OCTREE_MAGIC
+    assert v3[at:at + 12] == struct.pack("<3I", 8, 8, 8)
+    assert v3[8:at] + v3[at + 12:] == v2[8:]
+
+
+@pytest.mark.parametrize("dims", [(8, 8, 8), (7, 5, 1), (1, 1, 1), (3, 8, 2)])
+def test_tree_file_keeps_its_world(tmp_path, dims):
+    """A version-3 file stores the world's extent: the loaded tree has the
+    saved one's dims, leaves and aggregates over its world."""
+    tree = with_dims(scanned_depth3_tree(), dims)
+    save_octree(tree, tmp_path / "t.ssmioct")
+    back = load_octree(tmp_path / "t.ssmioct")
+    assert back.dims == tree.dims == dims
+    assert leaves(back) == leaves(tree)
+    assert back.map_state() == tree.map_state()
+
+
+def test_tree_world_must_fit_its_cube():
+    for dims in ((9, 8, 8), (8, 8, 9), (0, 4, 4), (4, 4, 4, 4), (4, 4)):
+        with pytest.raises(ValueError, match="dims"):
+            SemanticOctree(1.0, 3, 3, dims=dims)
 
 
 def element_size(value: float):
     return lambda b, at: b[:8] + struct.pack("<d", value) + b[16:]
+
+
+def with_depth(b: bytes, at: dict, depth: int) -> bytes:
+    """``b`` with max depth ``depth``, and a v3 extent cut to one element,
+    which fits every cube."""
+    b = b[:16] + bytes([depth]) + b[17:]
+    extent = at["origin"] + 24
+    return b[:extent] + struct.pack("<3I", 1, 1, 1) * (at["prior"] > extent) + b[at["prior"]:]
 
 
 @pytest.mark.parametrize(
@@ -1382,8 +1451,8 @@ def element_size(value: float):
         (lambda b, at: b[:-1], "truncated"),
         (lambda b, at: b[:at["header"] - 3], "truncated"),
         (lambda b, at: b + b"\0", "trailing"),
-        (lambda b, at: b[:16] + bytes([2]) + b[17:], "deeper than max_depth"),
-        (lambda b, at: b[:16] + bytes([17]) + b[17:], "max_depth"),
+        (lambda b, at: with_depth(b, at, 2), "deeper than max_depth"),
+        (lambda b, at: with_depth(b, at, 17), "max_depth"),
         (lambda b, at: b[:at["count"]] + bytes([4]) + b[at["count"] + 1:], "at most 3"),
         (
             lambda b, at: b[:at["count"] + 1] + (9).to_bytes(2, "little") + b[at["count"] + 3:],
@@ -1413,8 +1482,17 @@ def test_loader_rejects_malformed_file(tmp_path, saved_tree_bytes, patch, match)
         ("v1", 19, bytes([2]), "unknown summary flag 2"),  # after size, depth and K
         ("v2", 43, struct.pack("<d", 1.0), "pivot 1.0 is not 0"),  # prior[0]
         ("v2", 43, struct.pack("<d", math.nan), "pivot nan is not 0"),
+        ("v3", 55, struct.pack("<d", 1.0), "pivot 1.0 is not 0"),  # prior[0], past the extent
+        ("v3", 55, struct.pack("<d", math.nan), "pivot nan is not 0"),
+        ("v3", 43, struct.pack("<I", 0), r"extent \(0, 8, 8\) is zero or larger"),
+        ("v3", 51, struct.pack("<I", 0), r"extent \(8, 8, 0\) is zero or larger"),
+        ("v3", 47, struct.pack("<I", 9), r"extent \(8, 9, 8\) is zero or larger than the cube "
+                                         "of 8 elements"),
+        ("v3", 43, struct.pack("<I", 2**32 - 1), "is zero or larger"),
     ],
-    ids=["v1 summary flag", "v2 pivot 1", "v2 pivot nan"],
+    ids=["v1 summary flag", "v2 pivot 1", "v2 pivot nan", "v3 pivot 1", "v3 pivot nan",
+         "v3 zero extent x", "v3 zero extent z", "v3 extent past the cube",
+         "v3 extent 2**32-1"],
 )
 def test_loader_rejects_malformed_version_field(tmp_path, saved_tree_bytes, version, offset,
                                                 value, match):
@@ -1435,7 +1513,7 @@ def test_loader_rejects_non_finite_beliefs(tmp_path, saved_tree_bytes, where, va
         size = struct.calcsize(fmt)
         assert good[at["count"]] == 3  # K = 3: every class tracked, the lump is -inf
         offset = {
-            "prior": at["origin"] + 24 + size,  # class 1
+            "prior": at["prior"] + size,  # class 1
             "tracked": at["count"] + 3,  # the first pair's value, after its class id
             "lump": at["count"] + 1 + 3 * (2 + size),
         }[where]
@@ -1450,7 +1528,7 @@ def test_loader_rejects_non_finite_beliefs(tmp_path, saved_tree_bytes, where, va
 @given(data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_loader_fuzz_truncation_and_bit_flips(tmp_path_factory, saved_tree_bytes, data):
-    good = saved_tree_bytes[data.draw(st.sampled_from(["v1", "v2"]), label="version")]
+    good = saved_tree_bytes[data.draw(st.sampled_from(["v1", "v2", "v3"]), label="version")]
     path = tmp_path_factory.mktemp("fuzz") / "f.ssmioct"
     cut = data.draw(st.integers(0, len(good) - 1), label="cut")
     path.write_bytes(good[:cut])

@@ -638,27 +638,28 @@ def test_view_from_octree_matches_grid(params3, rng):
     from ssmi.grid import BeamMeasurement
 
     gmap = GridMap((16, 16), 1.0, 3)
-    tree = SemanticOctree(1.0, 4, 3)
+    tree = SemanticOctree(1.0, 4, 3, dims=(16, 16, 1))
     for _ in range(15):
         ang = rng.uniform(0, 2 * math.pi)
         beam = BeamMeasurement.planar((8.5, 8.5), ang, 6.0, int(rng.integers(1, 4)), 10.0)
         gmap.integrate(beam, params3)
         tree.insert_scan([beam], params3)
     vg = view_from_grid(gmap, band=(0, 1))
-    vt = view_from_grid(tree, (16, 16, 1), band=(0, 1))
+    vt = view_from_grid(tree, band=(0, 1))
     np.testing.assert_array_equal(vg.free, vt.free)
     np.testing.assert_array_equal(vg.unknown, vt.unknown)
 
 
 def test_view_from_octree_matches_element_loop(rng):
     """The leaf-box fill against a per-element projection with the argmax
-    labelling rule, on a lumped (K=5) tree, a region smaller than the cube
+    labelling rule, on a lumped (K=5) tree, a world smaller than its cube
     and a z band."""
     from ssmi.grid import BeamMeasurement
     from ssmi.octree import SemanticOctree
 
     params = SensorParams.default(5)
-    tree = SemanticOctree(1.0, 4, 5)
+    region, band = (12, 10, 8), (2, 6)
+    tree = SemanticOctree(1.0, 4, 5, dims=region)
     for z in (2.5, 3.5, 4.5, 5.5):  # level fans fill whole columns of the band
         beams = []
         for ang in rng.uniform(0, 2 * math.pi, 24):
@@ -668,8 +669,7 @@ def test_view_from_octree_matches_element_loop(rng):
             direction = np.array([math.cos(ang), math.sin(ang), 0.0])
             beams.append(BeamMeasurement(np.array([6.5, 5.5, z]), direction, r, cat, 7.0))
         tree.insert_scan(beams, params)
-    region, band = (12, 10, 8), (2, 6)
-    view = view_from_grid(tree, region, band)
+    view = view_from_grid(tree, band)
     free = np.ones(region[:2], dtype=bool)
     unknown = np.ones(region[:2], dtype=bool)
     for i in range(region[0]):
@@ -696,7 +696,7 @@ def test_lumped_octree_view_labels_like_the_grid():
     tree = octree_from_grid(gmap)
     assert tree.query_element((0, 0, 0)).others > 0.0
     vg = view_from_grid(gmap)
-    vt = view_from_grid(tree, gmap.dims)
+    vt = view_from_grid(tree)
     assert vg.free.all()
     np.testing.assert_array_equal(vt.free, vg.free)
     np.testing.assert_array_equal(vt.unknown, vg.unknown)

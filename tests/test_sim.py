@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import gen_random_reference, spawn_cells_reference
-from ssmi.config import config_from_dict
+from ssmi.config import ConfigError, config_from_dict
 from ssmi.errors import BadDims, OriginOutOfBounds, PoseInObstacle
 from ssmi.grid import unit_direction
 from ssmi.mi import fan_angles
@@ -278,12 +278,34 @@ def test_range_noise_statistics():
 # -- episodes ----------------------------------------------------------------------
 
 
-def test_step_cap_zero_gives_header_only():
-    metrics = run_episode(make_config(run={"max_steps": 0}))
-    assert metrics.rows == []
-    csv = metrics.metrics_csv()
-    assert csv.splitlines()[2] == "step,distance_m,entropy_nats,explored_fraction,plan_mi_nats"
-    assert len(csv.splitlines()) == 3
+@pytest.mark.parametrize("max_steps", [0, -1, 2.0, "abc", True])
+def test_step_cap_below_one_is_a_config_error(max_steps):
+    # an episode always logs its first cycle, so a cap below one step is
+    # not a run
+    with pytest.raises(ConfigError, match="run.max_steps"):
+        make_config(run={"max_steps": max_steps})
+    csv = run_episode(make_config(run={"max_steps": 1})).metrics_csv().splitlines()
+    assert csv[2] == "step,distance_m,entropy_nats,explored_fraction,plan_mi_nats"
+    assert len(csv) == 4 and csv[3].startswith("1,")
+
+
+@pytest.mark.parametrize("dims", [[24, 20], [40, 24]])
+def test_octree_episode_on_a_world_smaller_than_its_cube_is_the_grid_episode(dims):
+    """The octree knows its world's extent, so its scans, pose fans and
+    aggregates stop at the world's faces, not the cube's: on a 24x20 and a
+    40x24 world (A7 sensor and planner, world 0) it plans and moves as the
+    grid does, and its entropy differs only in summation order."""
+    base = make_config(seed=0, env={"dims": dims}, sensor={"num_beams": 48, "r_max": 10.0},
+                       planner={"beam_range": 10.0}, run={"max_steps": 60, "explored_stop": 0.9})
+    grid = run_episode(base)
+    base.mapper.type = "octree"
+    tree = run_episode(base)
+    assert tree.mapper.dims == grid.mapper.dims == (*dims, 1)
+    assert len(grid.rows) > 3
+    assert [(r.step, r.distance, r.explored) for r in tree.rows] == [
+        (r.step, r.distance, r.explored) for r in grid.rows]
+    for t, g in zip(tree.rows, grid.rows):
+        assert t.entropy == pytest.approx(g.entropy, rel=1e-12, abs=0.0)
 
 
 def test_episode_deterministic():
