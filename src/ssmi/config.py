@@ -57,6 +57,10 @@ class EnvConfig:
         _require_fraction(self.target_occupancy, "env.target_occupancy")
         if self.profile not in ("random", "structured", "corridor"):
             raise ConfigError(f"unknown env profile {self.profile!r}")
+        if self.profile != "corridor" and len(self.dims) == 3 and self.dims[2] > 1:
+            # the planar generators build one layer: this would run a 2-D world
+            raise ConfigError(f"env.dims {given!r}: profile {self.profile!r} makes planar "
+                              f"worlds, so a third extent must be 1")
         if type(self.num_classes) is not int or not 1 <= self.num_classes <= MAX_CLASSES:
             raise ConfigError(f"env.num_classes must be an integer in 1..{MAX_CLASSES}, "
                               f"got {self.num_classes!r}")
@@ -72,8 +76,7 @@ class SensorConfig:
     misclass_prob: float = 0.35
 
     def __post_init__(self):
-        if self.num_beams < 1:
-            raise ConfigError("sensor.num_beams must be >= 1")
+        _require_int(self.num_beams, "sensor.num_beams", 1)
         if not 0.0 <= self.misclass_prob < 1.0:
             raise ConfigError("sensor.misclass_prob must be in [0, 1)")
         _require_positive(self.fov_deg, "sensor.fov_deg")
@@ -128,8 +131,8 @@ class SweepConfig:
         self.resolutions = tuple(float(r) for r in self.resolutions)
         for r in self.resolutions:
             _require_positive(r, "sweep.resolutions")
-        if self.iterations < 1 or self.beams < 1:
-            raise ConfigError("sweep.iterations and sweep.beams must be >= 1")
+        _require_int(self.iterations, "sweep.iterations", 1)
+        _require_int(self.beams, "sweep.beams", 1)
 
 
 @dataclass

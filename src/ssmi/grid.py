@@ -5,9 +5,10 @@ every downstream consumer (information evaluation, octrees, planning) sees a
 single code path. Both maps take a scan's cell updates, in scan order, from
 one walk (``scan_updates``). The cell update ``clamp(h + (l - h0))`` runs
 here on numpy rows, in rounds of one gather, add, clip and scatter over
-distinct cells in ``GridMap.insert_scan``; the octree runs the same
-arithmetic on Python floats in ``octree.element_update``. A4 and the
-float-vs-numpy hypothesis test in ``tests/test_octree.py`` pin the two forms
+distinct cells in ``GridMap.insert_scan`` (a scan's last cell finishes its
+chain on Python floats); the octree runs the same arithmetic on Python
+floats in ``octree.element_update``. A4 and the float-vs-numpy hypothesis
+tests in ``tests/test_octree.py`` and ``tests/test_grid.py`` pin the forms
 equal bit for bit, so both maps agree under the same observations.
 """
 
@@ -172,7 +173,7 @@ class SrleRay:
         return h_t, h_0
 
 
-def voxel_walk(g, d, s_max: float, dims) -> tuple[list[int], list[float]]:
+def voxel_walk(g, d, s_max: float, dims, occupied=None) -> tuple[list[int], list[float]]:
     """Amanatides-Woo voxel walk in cell units with scalar floats.
 
     ``g`` is the origin and ``d`` the unit direction, each three floats;
@@ -184,6 +185,17 @@ def voxel_walk(g, d, s_max: float, dims) -> tuple[list[int], list[float]]:
     Visits every cell the segment passes through with positive chord length.
     When the segment crosses a cell corner or edge exactly, all tied axes
     step together, so zero-chord corner neighbours are skipped.
+
+    With ``occupied``, a flat row-major list of the box's cells, the walk
+    also stops at the first cell whose entry in it is nonzero (the origin
+    cell included), and then its entries are not closed: the last cell is
+    that cell, and a walk whose last cell is free found none.
+
+    Walks of one ray are prefixes of each other. The walk's state (cell,
+    next boundary per axis) never reads ``s_max`` or ``occupied``; only
+    the stop tests do. So a walk cut at a smaller ``s_max``, or at an
+    occupied cell, lists the first cells and entries of the longer walk
+    (Amanatides & Woo's traversal is incremental in the ray parameter).
     """
     gx, gy, gz = g
     dx, dy, dz = d
@@ -213,6 +225,8 @@ def voxel_walk(g, d, s_max: float, dims) -> tuple[list[int], list[float]]:
 
     coords = [i, j, k]
     entries = [0.0]
+    if occupied is not None and occupied[(i * ny + j) * nz + k]:
+        return coords, entries
     while True:
         t = ti if ti < tj else tj
         if tk < t:
@@ -237,6 +251,8 @@ def voxel_walk(g, d, s_max: float, dims) -> tuple[list[int], list[float]]:
                 return coords, entries
             tk += dk
         coords += (i, j, k)
+        if occupied is not None and occupied[(i * ny + j) * nz + k]:
+            return coords, entries
 
 
 def _cell_point(point, origin, cell_size: float, dims) -> tuple[float, float, float]:
@@ -251,19 +267,31 @@ def _cell_point(point, origin, cell_size: float, dims) -> tuple[float, float, fl
     return g
 
 
-def _walk_beam(beam: BeamMeasurement, origin, cell_size: float,
-               dims) -> tuple[list[int], list[float], int | None]:
+def _walk_beam(beam: BeamMeasurement, origin, cell_size: float, dims,
+               to_hit: bool = False) -> tuple[list[int], list[float], int | None]:
     """The voxel walk of ``beam`` through the box of :func:`cast`: its flat
     cell coordinates and entry parameters (``voxel_walk``), and the index
     of the cell holding the beam endpoint, None when the beam reached max
-    range or its endpoint lies past the walk."""
+    range or its endpoint lies past the walk.
+
+    With ``to_hit``, a hit beam is walked only to ``min(s_max,
+    nextafter(s_hit, inf))``, in cells, which ends the walk at the first
+    boundary past ``s_hit``. That walk is a prefix of the full one
+    (``voxel_walk``), holding every entry ``<= s_hit`` and closed by a
+    value ``> s_hit`` unless the ray left the box at or before ``s_hit``,
+    where both walks are the same. So ``s_hit < entries[-1]`` and the
+    ``bisect`` over the entries decide alike on both walks, and the hit
+    cell is the cut walk's last. ``s_hit`` can round to ``s_max`` though
+    the beam hits: then the cut is ``s_max``, and the test finds no hit."""
     g = _cell_point(beam.origin.tolist(), origin, cell_size, dims)
-    coords, entries = voxel_walk(g, beam.direction.tolist(), beam.max_range / cell_size, dims)
+    s_max = beam.max_range / cell_size
+    s_hit = beam.range / cell_size
+    if to_hit and beam.hits:
+        s_max = min(s_max, math.nextafter(s_hit, math.inf))
+    coords, entries = voxel_walk(g, beam.direction.tolist(), s_max, dims)
     hit_index = None
-    if beam.hits:
-        s_hit = beam.range / cell_size
-        if s_hit < entries[-1]:
-            hit_index = bisect.bisect_right(entries, s_hit, 1) - 1
+    if beam.hits and s_hit < entries[-1]:
+        hit_index = bisect.bisect_right(entries, s_hit, 1) - 1
     return coords, entries, hit_index
 
 
@@ -287,8 +315,10 @@ def scan_updates(beams, origin, cell_size: float, dims,
     flat coordinate list (i0, j0, k0, i1, ...) and each update's model row
     (``SensorParams.models``), 0 for a traversed cell and y for the hit
     cell of a class-y return. Per beam these are the cells :func:`cast`
-    lists up to its hit index, from the same walk, so both maps'
-    ``insert_scan`` write what a beam-by-beam loop over ``cast_ray`` wrote.
+    lists up to its hit index, from a prefix of the same walk (a hit beam
+    is walked only just past its endpoint, see ``_walk_beam``), so both
+    maps' ``insert_scan`` write what a beam-by-beam loop over ``cast_ray``
+    wrote.
 
     Every beam is walked and checked before this returns, so a scan with an
     origin outside the box (OriginOutOfBounds) or a hit class outside
@@ -296,7 +326,7 @@ def scan_updates(beams, origin, cell_size: float, dims,
     coords: list[int] = []
     rows: list[int] = []
     for beam in beams:
-        walk, entries, hit_index = _walk_beam(beam, origin, cell_size, dims)
+        walk, entries, hit_index = _walk_beam(beam, origin, cell_size, dims, to_hit=True)
         if hit_index is None:
             coords += walk
             rows += [0] * (len(entries) - 1)
@@ -304,7 +334,7 @@ def scan_updates(beams, origin, cell_size: float, dims,
         y = beam.category
         if not 1 <= y <= num_classes:
             raise InvalidClass(f"hit class must be in 1..{num_classes}, got {y}")
-        coords += walk[: 3 * hit_index + 3]
+        coords += walk  # the hit cell is the cut walk's last
         rows += [0] * hit_index
         rows.append(y)
     return coords, rows
@@ -347,6 +377,28 @@ def _rounds(keys: np.ndarray) -> tuple[np.ndarray, list[int], int]:
     rank = positions - np.maximum.accumulate(np.where(first, positions, 0))
     picks = order[np.argsort(rank, kind="stable")]
     return picks, np.bincount(rank).cumsum().tolist(), int(np.count_nonzero(first))
+
+
+def _clamped_chain(h: list[float], deltas: list[list[float]], lo: list[float],
+                   hi: list[float]) -> list[float]:
+    """One cell's row ``h`` after each row of ``deltas`` in turn, each
+    ``np.minimum(np.maximum(h + delta, lo), hi)`` on Python floats, bit for
+    bit: the adds round alike, and a value equal to a bound takes the
+    bound, as ``np.maximum`` and ``np.minimum`` return their second argument
+    on ties (which decides the sign of a zero, as at element 0, whose
+    bounds are both zero). A NaN passes through both, as in numpy."""
+    bounds = list(zip(lo, hi))
+    for delta in deltas:
+        row = []
+        for v, d, (l, u) in zip(h, delta, bounds):
+            v += d
+            if v <= l:
+                v = l
+            if v >= u:
+                v = u
+            row.append(v)
+        h = row
+    return h
 
 
 class GridMap:
@@ -438,8 +490,12 @@ class GridMap:
         of the scan as one gather, add, clip and scatter. A cell occurs at
         most once per round and meets its updates in scan order, so the
         cells end bit for bit as a beam-by-beam, cell-by-cell loop leaves
-        them. A beam that raises (``scan_updates``) leaves the map as it
-        was."""
+        them. Rounds never grow, and a cell of round r + 1 is in round r, so
+        from the first round of one cell on, every update left is that
+        cell's (in a planar scan, the sensor cell's). That tail is applied
+        on Python floats (``_clamped_chain``) rather than as rounds of
+        numpy calls. A beam that raises (``scan_updates``) leaves the map
+        as it was."""
         if params.num_classes != self.num_classes:
             raise ValueError("sensor parameters and map disagree on K")
         coords, rows = scan_updates(beams, self.origin.tolist(), self.resolution, self.dims,
@@ -462,6 +518,11 @@ class GridMap:
             mask = self.observed.reshape(-1)
             a = 0
             for b in bounds:
+                if b - a == 1:  # this and every later round hold one cell
+                    cell = int(flat[a])
+                    table[cell] = _clamped_chain(table[cell].tolist(), deltas[a:].tolist(),
+                                                 lo.tolist(), hi.tolist())
+                    break
                 sel = flat[a:b]
                 table[sel] = np.minimum(np.maximum(table.take(sel, 0) + deltas[a:b], lo), hi)
                 a = b

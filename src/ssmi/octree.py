@@ -386,6 +386,13 @@ def element_update(params: SensorParams, prior: np.ndarray):
     return update
 
 
+def _chain(steps, sem: TruncatedSemantics) -> TruncatedSemantics:
+    """``sem`` after each of ``steps`` (belief updates) in turn."""
+    for step in steps:
+        sem = step(sem)
+    return sem
+
+
 def cube_depth(dims) -> int:
     """The least tree depth (at least 1) whose cube holds ``dims`` elements
     along every axis."""
@@ -528,7 +535,14 @@ class SemanticOctree:
         bits, and equal beliefs share one interned object, so each class
         memoizes it by belief object for the scan: a belief meets each
         update once, and a write that changes nothing gets back the object
-        it holds."""
+        it holds.
+
+        Only the order of updates within one element matters, so the
+        updates are grouped by element, in scan order within each, and
+        each element is written once with its chain of steps: one descent
+        per distinct element rather than per update. An element whose chain
+        ends at the belief it held is not written; a write per update would
+        have expanded its leaf and the prune collapsed it again."""
         if params.num_classes != self.num_classes:
             raise ValueError("sensor parameters and tree disagree on K")
         update = element_update(params, self.prior)
@@ -553,24 +567,25 @@ class SemanticOctree:
         coords, rows = scan_updates(beams, self.origin.tolist(), self.element_size, self.dims,
                                     self.num_classes)
         steps = {0: memoized(update(None))}  # by model row: 0 free, y a class-y hit
-        write = self._write_element
-        changed = set()
-        writes = 0
+        chains: dict[tuple[int, int, int], list] = {}
         cells = iter(coords)
         for cell, row in zip(zip(cells, cells, cells), rows):
             step = steps.get(row)
             if step is None:
                 step = steps[row] = memoized(update(row))
-            if write(cell, step):
-                changed.add(cell)
-                writes += 1
+            chains.setdefault(cell, []).append(step)
+        write = self._write_element
+        changed = [
+            cell for cell, chain in chains.items()
+            if write(cell, chain[0] if len(chain) == 1 else functools.partial(_chain, chain))
+        ]
         visited = len(rows)
         collapsed = self.prune(changed)
         log.debug(
             "insert_scan: %d beams, %d elements visited, %d changed, %d nodes collapsed, "
             "%d memo hits, %d no-op writes",
             len(beams), visited, len(changed), collapsed,
-            visited - sum(map(len, memos)), visited - writes,
+            visited - sum(map(len, memos)), len(chains) - len(changed),
         )
         return self
 

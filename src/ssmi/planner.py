@@ -15,6 +15,7 @@ import heapq
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import ndimage
@@ -40,6 +41,14 @@ class PlanView:
     resolution: float
     origin: np.ndarray
     z_center: float
+
+    @cached_property
+    def padded_free(self) -> list[bool]:
+        """``free`` padded with a one-cell blocked border, as one flat
+        row-major list: the cells ``plan_path`` searches, built once per
+        view for all of its searches. A view is a snapshot: ``free`` is not
+        written after the first search."""
+        return np.pad(self.free, 1).ravel().tolist()
 
     def cell_center(self, cell) -> np.ndarray:
         return np.array(
@@ -123,9 +132,10 @@ def plan_path(view: PlanView, start: tuple[int, int], goal: tuple[int, int]):
     resolution unit so information-per-cost ratios stay finite.
 
     Cells are flat ids into the view padded with a one-cell blocked
-    border, so a move needs no bounds check. Moves are tried in
-    ``EIGHT_NEIGHBOURS`` order and the heap holds ``(f, counter, id)``, so
-    the search pushes and pops as one on ``(x, y)`` cells does.
+    border (``PlanView.padded_free``), so a move needs no bounds check.
+    Moves are tried in ``EIGHT_NEIGHBOURS`` order and the heap holds
+    ``(f, counter, id)``, so the search pushes and pops as one on
+    ``(x, y)`` cells does.
     """
     ny = view.free.shape[1]
     if not view.free[start[0], start[1]]:
@@ -137,7 +147,7 @@ def plan_path(view: PlanView, start: tuple[int, int], goal: tuple[int, int]):
 
     res = view.resolution
     width = ny + 2
-    free = np.pad(view.free, 1).ravel().tolist()
+    free = view.padded_free
     moves = []
     for dx, dy in EIGHT_NEIGHBOURS:
         diagonal = dx != 0 and dy != 0
@@ -216,13 +226,10 @@ class PlannerConfig:
     def __post_init__(self):
         if self.selector not in ("ssmi", "frontier", "fsmi-binary"):
             raise ValueError(f"unknown selector {self.selector!r}")
-        if self.num_beams < 1:
-            raise ValueError(f"planner.num_beams must be >= 1, got {self.num_beams!r}")
-        if self.stride < 1:
-            raise ValueError(f"planner.stride must be >= 1, got {self.stride!r}")
-        if type(self.min_frontier_size) is not int or self.min_frontier_size < 1:
-            raise ValueError(f"planner.min_frontier_size must be an integer >= 1, "
-                             f"got {self.min_frontier_size!r}")
+        for name in ("num_beams", "stride", "min_frontier_size"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"planner.{name} must be an integer >= 1, got {value!r}")
         if not (math.isfinite(self.fov) and self.fov > 0.0):
             raise ValueError(f"planner.fov must be positive and finite, got {self.fov!r}")
         if not (math.isfinite(self.beam_range) and self.beam_range > 0.0):

@@ -241,7 +241,9 @@ def first_hits(env: Environment, rays, max_range: float) -> list[tuple[float, in
     OriginOutOfBounds (the casters' origin check, ``grid._cell_point``).
     The rays are walked by ``voxel_walk`` in cell units, and the truth is
     read from a flat list made by this call, so an edit of ``env.grid``
-    shows in the next call."""
+    shows in the next call. Each walk stops at the first occupied cell and
+    is a prefix of the walk to ``max_range`` (``voxel_walk``), so the hit
+    is that walk's first occupied cell."""
     res = env.resolution
     dims = env.dims
     _, ny, nz = dims
@@ -250,15 +252,10 @@ def first_hits(env: Environment, rays, max_range: float) -> list[tuple[float, in
     out: list[tuple[float, int] | None] = []
     for origin, direction in rays:
         g = _cell_point(origin, (0.0, 0.0, 0.0), res, dims)
-        coords, entries = voxel_walk(g, direction, s_max, dims)
-        hit = None
-        cells = iter(coords)
-        for entry, (i, j, k) in zip(entries, zip(cells, cells, cells)):
-            cls = truth[(i * ny + j) * nz + k]
-            if cls:
-                hit = (entry * res, cls)
-                break
-        out.append(hit)
+        coords, entries = voxel_walk(g, direction, s_max, dims, truth)
+        i, j, k = coords[-3:]
+        cls = truth[(i * ny + j) * nz + k]
+        out.append((entries[len(coords) // 3 - 1] * res, cls) if cls else None)
     return out
 
 

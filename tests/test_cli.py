@@ -337,6 +337,17 @@ def test_map_path_that_is_a_directory_exit_2(tmp_path, capsys, caplog):
     ("env", "target_occupancy", math.nan),
     ("env", "target_occupancy", 5),
     ("env", "target_occupancy", -0.1),
+    # non-integer values of fields once checked with `<` alone: a string
+    # exited 2 without the field's name, a float or bool passed the check
+    ("sensor", "num_beams", "abc"),
+    ("sensor", "num_beams", 48.0),
+    ("planner", "num_beams", "abc"),
+    ("planner", "stride", "abc"),
+    ("planner", "stride", True),
+    ("sweep", "iterations", "abc"),
+    ("sweep", "beams", "abc"),
+    # the random profile builds one layer, so this would run a 16x16x1 world
+    ("env", "dims", [16, 16, 8]),
 ])
 def test_config_value_out_of_range_exit_2(tmp_path, capsys, caplog, section, key, value):
     if key is None:
@@ -351,6 +362,28 @@ def test_config_value_out_of_range_exit_2(tmp_path, capsys, caplog, section, key
     assert len(err.splitlines()) == 1
     assert not caplog.records
     assert not out.exists()
+
+
+@pytest.mark.parametrize("profile", ["random", "structured"])
+def test_planar_profile_takes_a_third_extent_of_one_only(tmp_path, capsys, profile):
+    """The random and structured generators build one layer: a third extent
+    above 1 exits 2 and names the field, and a third extent of 1 runs the
+    same episode as the planar dims."""
+    env = {**SMOKE["env"], "profile": profile}
+    deep = {**SMOKE, "env": {**env, "dims": [16, 16, 4]}}
+    code = main(["explore", "--config", write_config(tmp_path, deep), "--out",
+                 str(tmp_path / "deep")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "env.dims" in err and profile in err
+    assert not (tmp_path / "deep").exists()
+    runs = []
+    for dims in ([16, 16], [16, 16, 1]):
+        out = tmp_path / f"run{len(dims)}"
+        cfg = {**SMOKE, "env": {**env, "dims": dims}}
+        assert main(["explore", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        runs.append((out / "plans.txt").read_text())
+    assert runs[0] == runs[1]
 
 
 def test_grid_file_with_nan_cell_exit_3(tmp_path, capsys, caplog):

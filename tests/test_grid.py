@@ -11,20 +11,24 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ssmi import logodds as lo
-from conftest import integrate_reference, sense_reference
+from conftest import first_hit_reference, integrate_reference, sense_reference
 from ssmi.errors import CorruptMap, InvalidClass, OriginOutOfBounds
 from ssmi.grid import (
     BeamMeasurement,
     GridMap,
+    _clamped_chain,
+    _walk_beam,
     cast,
     load_grid,
     save_grid,
+    scan_updates,
     unit_direction,
+    voxel_walk,
 )
 from ssmi.logodds import SensorParams
 from ssmi.mi import beam_mi_dense
 from ssmi.octree import SemanticOctree, save_octree
-from ssmi.sim import SensorSpec, generate_env, sense, srle_study
+from ssmi.sim import Environment, SensorSpec, first_hits, generate_env, sense, srle_study
 
 LN3 = math.log(3.0)
 
@@ -277,6 +281,151 @@ def test_cast_equals_numpy_reference_on_edge_geometry(case):
     assert trace.hit_index == want_hit
     assert trace.cells.dtype == np.int64
     assert np.array_equal(trace.chords, np.diff(want_entries) * cell_size)
+
+
+@st.composite
+def hit_on_edge_geometry(draw):
+    """A ray of ``edge_rays`` that hits, at a range the full walk puts on a
+    cell face, edge or corner (one of its entries), where the walk stops (the
+    ray leaving the box, or max range), one float below max range, or
+    anywhere below it."""
+    beam, map_origin, cell_size, dims = draw(edge_rays())
+    g = ((beam.origin - np.asarray(map_origin)) / cell_size).tolist()
+    assume(all(0.0 <= v < n for v, n in zip(g, dims)))
+    entries = voxel_walk(g, beam.direction.tolist(), beam.max_range / cell_size, dims)[1]
+    kind = draw(st.sampled_from(("entry", "end", "below max", "any")))
+    if kind == "entry":
+        r = draw(st.sampled_from(entries)) * cell_size
+    elif kind == "end":
+        r = entries[-1] * cell_size
+    elif kind == "below max":
+        r = math.nextafter(beam.max_range, 0.0)
+    else:
+        r = draw(st.floats(0.0, beam.max_range))
+    r = min(r, beam.max_range)
+    assume(r < beam.max_range)
+    hit = BeamMeasurement(beam.origin, beam.direction, r, 2, beam.max_range)
+    return hit, map_origin, cell_size, dims
+
+
+def assert_cut_walk_is_a_prefix(beam, map_origin, cell_size, dims):
+    """The walk ``scan_updates`` makes of a hit beam against the full walk
+    of ``cast``: a prefix of its cells and entries, the same hit index, the
+    hit cell last, and the scan's updates those of the cast."""
+    cells, entries, hit = _walk_beam(beam, map_origin, cell_size, dims, to_hit=True)
+    full_cells, full_entries, full_hit = _walk_beam(beam, map_origin, cell_size, dims)
+    assert hit == full_hit
+    assert cells == full_cells[: len(cells)]
+    assert entries[:-1] == full_entries[: len(entries) - 1]
+    if hit is not None:
+        assert hit == len(entries) - 2  # the hit cell is the cut walk's last
+    trace = cast(beam, map_origin, cell_size, dims)
+    end = len(trace) if trace.hit_index is None else trace.hit_index + 1
+    coords, rows = scan_updates([beam], map_origin, cell_size, dims, 3)
+    assert coords == trace.cells[:end].ravel().tolist()
+    assert rows == [0] * (end - (hit is not None)) + [2] * (hit is not None)
+
+
+@given(hit_on_edge_geometry())
+@settings(max_examples=600, deadline=None)
+def test_walk_cut_at_the_hit_is_a_prefix_of_the_full_walk(case):
+    assert_cut_walk_is_a_prefix(*case)
+
+
+def test_walk_cut_where_the_hit_range_rounds_to_max_range():
+    """A hit range one float below max range whose cell parameter rounds to
+    max range's: both walks end at max range, and neither finds a hit."""
+    r_max = 7.3
+    r = math.nextafter(r_max, 0.0)
+    assert r / 0.3 == r_max / 0.3
+    beam = BeamMeasurement.planar((0.45, 0.45), 0.0, r, 1, r_max, z=0.15)
+    assert beam.hits
+    assert_cut_walk_is_a_prefix(beam, (0.0, 0.0, 0.0), 0.3, (32, 4, 1))
+    assert cast(beam, (0.0, 0.0, 0.0), 0.3, (32, 4, 1)).hit_index is None
+
+
+def test_walk_cut_where_the_beam_leaves_the_box_at_its_hit():
+    """A beam whose hit range is where it leaves the box: the walk ends
+    there, before the cut, and finds no hit, as the full walk does."""
+    beam = BeamMeasurement.planar((1.5, 1.5), 0.0, 6.5, 1, 9.0)
+    assert cast(beam, (0.0, 0.0, 0.0), 1.0, (8, 4, 1)).entries[-1] == 6.5
+    assert_cut_walk_is_a_prefix(beam, (0.0, 0.0, 0.0), 1.0, (8, 4, 1))
+
+
+@st.composite
+def truth_rays(draw):
+    """A small truth of free and occupied cells (from empty to dense), and
+    rays from origins on cell faces, edges, corners and centres, with
+    lattice and generic directions and ranges past the box."""
+    dims = draw(st.sampled_from([(6, 5, 1), (5, 4, 3), (7, 1, 1)]))
+    density = draw(st.sampled_from((0.0, 0.05, 0.3, 1.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = np.where(rng.random(dims) < density, rng.integers(1, 4, dims), 0).astype(np.int16)
+    rays = []
+    for _ in range(draw(st.integers(1, 6))):
+        origin = [draw(origin_coord(n)) for n in dims]
+        rays.append((origin, list(draw(direction(dims)))))
+    max_range = draw(st.floats(0.0, 2.0 * math.hypot(*dims)) | st.just(4.0))
+    return Environment(grid=grid, num_classes=3, resolution=1.0, spawns=[]), rays, max_range
+
+
+@given(truth_rays())
+@settings(max_examples=300, deadline=None)
+def test_truth_walk_cut_at_the_first_occupied_cell_is_a_prefix(case):
+    """The walk ``first_hits`` makes, stopped at the first occupied cell,
+    against the full walk: the same cells and entries up to that cell (all
+    of them when there is none), and the same hit as the per-ray search
+    over the full walk."""
+    env, rays, max_range = case
+    _, ny, nz = env.dims
+    truth = env.grid.ravel().tolist()
+    for origin, d in rays:
+        cells, entries = voxel_walk(origin, d, max_range, env.dims, truth)
+        full_cells, full_entries = voxel_walk(origin, d, max_range, env.dims)
+        occupied = [truth[(i * ny + j) * nz + k] for i, j, k in
+                    zip(full_cells[0::3], full_cells[1::3], full_cells[2::3])]
+        first = next((n for n, cls in enumerate(occupied) if cls), None)
+        if first is None:
+            assert (cells, entries) == (full_cells, full_entries)
+        else:
+            assert cells == full_cells[: 3 * first + 3]
+            assert entries == full_entries[: first + 1]
+    want = [first_hit_reference(env, np.array(o), np.array(d), max_range) for o, d in rays]
+    assert first_hits(env, rays, max_range) == want
+
+
+FLOAT_EDGES = st.sampled_from([0.0, -0.0, 6.0, -6.0, 0.41, -1.39, 2.5, -2.5, 1e-300])
+
+
+@st.composite
+def clamp_chains(draw):
+    """A row of K + 1 values, class bounds drawn around shared edge values
+    (element 0 bounded by signed zeros), and a chain of deltas whose sums
+    land on the bounds, past them and on both signed zeros."""
+    k = draw(st.integers(1, 5))
+    value = FLOAT_EDGES | st.floats(-9.0, 9.0, allow_nan=False)
+    bounds = [sorted((draw(value), draw(value))) for _ in range(k)]
+    assume(all(a < b for a, b in bounds))
+    near = value | st.sampled_from([v for ab in bounds for v in ab])
+    lo = [draw(st.sampled_from((0.0, -0.0)))] + [a for a, _ in bounds]
+    hi = [draw(st.sampled_from((0.0, -0.0)))] + [b for _, b in bounds]
+    h = [draw(near | st.just(math.nan)) for _ in range(k + 1)]
+    deltas = [[draw(near) for _ in range(k + 1)] for _ in range(draw(st.integers(0, 12)))]
+    return h, deltas, lo, hi
+
+
+@given(clamp_chains())
+@settings(max_examples=400, deadline=None)
+def test_float_tail_is_the_numpy_round_bit_for_bit(case):
+    """``_clamped_chain`` against one numpy round per delta,
+    ``np.minimum(np.maximum(h + delta, lo), hi)``: the same bits, ties with
+    either bound, signed zeros and NaN included."""
+    h, deltas, lo, hi = case
+    want = np.array(h)
+    for delta in deltas:
+        want = np.minimum(np.maximum(want + np.array(delta), np.array(lo)), np.array(hi))
+    got = _clamped_chain(list(h), deltas, lo, hi)
+    assert np.array(got).tobytes() == want.tobytes()
 
 
 def test_exact_corner_crossings_skip_zero_chord_neighbours():

@@ -990,6 +990,73 @@ def test_memoized_scan_is_the_per_element_loop_bit_for_bit(case, tmp_path_factor
         assert saved_bytes(trees[0], path) == saved_bytes(trees[1], path)
 
 
+@st.composite
+def sensor_scan_case(draw):
+    """The parameters and painted tree of ``memo_scan_case``, and scans as a
+    sensor makes them: 2-16 beams from one or two origins, some beams
+    repeated, so most elements near an origin get several updates in one
+    scan, hits and traversals mixed, and some chains end at the belief the
+    element held."""
+    k, depth, prior, blocks, params, _ = draw(memo_scan_case())
+    n = 1 << depth
+    scans = []
+    for _ in range(draw(st.integers(1, 3))):
+        origins = [[draw(st.floats(0.0, n, exclude_max=True)) for _ in range(3)]
+                   for _ in range(draw(st.integers(1, 2)))]
+        beams = []
+        for _ in range(draw(st.integers(2, 16))):
+            beam = scan_beam(draw, n, k)
+            beam = BeamMeasurement(np.array(draw(st.sampled_from(origins))), beam.direction,
+                                   beam.range, beam.category, beam.max_range)
+            beams += [beam] * draw(st.integers(1, 2))
+        scans.append(beams)
+    return k, depth, prior, blocks, params, scans
+
+
+@given(case=sensor_scan_case())
+@settings(max_examples=100, deadline=None)
+def test_grouped_scan_is_the_per_update_writer_bit_for_bit(case, tmp_path_factory):
+    """``insert_scan``, one write per element with its updates chained in
+    scan order, against ``insert_scan_reference``, one write per update, on
+    sensor-like scans: after every scan the saved bytes are equal, and the
+    leaf table, brought up to date by a patch, is the full walk's."""
+    k, depth, prior, blocks, params, scans = case
+    trees = [SemanticOctree(1.0, depth, k, prior=prior) for _ in range(2)]
+    for tree in trees:
+        paint(tree, blocks)
+    trees[0].leaf_table()  # so each scan records what the next read patches
+    path = tmp_path_factory.mktemp("grouped")
+    for scan in scans:
+        trees[0].insert_scan(scan, params)
+        insert_scan_reference(trees[1], scan, params)
+        assert saved_bytes(trees[0], path) == saved_bytes(trees[1], path)
+        assert_table_is_the_reference(trees[0])
+
+
+def test_an_element_whose_chain_ends_where_it_began_is_not_written(params3, caplog):
+    """A saturated free element that one beam of a scan hits and two later
+    beams cross ends the scan as it began: the grouped scan leaves it
+    alone (no write, no expansion) where the per-update writer expanded
+    its leaf and the prune collapsed it again; both leave the same tree."""
+    trees = [SemanticOctree(1.0, 3, 3) for _ in range(2)]
+    free = [BeamMeasurement.planar((0.5, 0.5), 0.0, 8.0, None, 8.0)]
+    for tree in trees:
+        for _ in range(5):
+            tree.insert_scan(free, params3)
+    saturated = trees[0].query_element((3, 0, 0))
+    assert saturated.data == ((1, -6.0), (2, -6.0), (3, -6.0))
+    scan = [BeamMeasurement.planar((0.5, 0.5), 0.0, 3.2, 1, 8.0)] + free * 2
+    with caplog.at_level(logging.DEBUG, logger="ssmi.octree"):
+        trees[0].insert_scan(scan, params3)
+    insert_scan_reference(trees[1], scan, params3)
+    assert trees[0].query_element((3, 0, 0)) is saturated
+    assert leaves(trees[0]) == leaves(trees[1])
+    (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("insert_scan")]
+    # 20 updates of 8 elements, 4 distinct (update, belief) pairs
+    assert line == ("insert_scan: 3 beams, 20 elements visited, 0 changed, 0 nodes collapsed, "
+                    "16 memo hits, 8 no-op writes")
+
+
 def assert_one_object_per_value(tree):
     objects: dict = {}
     for sem, _, _ in tree.iter_leaves():
