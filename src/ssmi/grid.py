@@ -15,6 +15,7 @@ equal bit for bit, so both maps agree under the same observations.
 from __future__ import annotations
 
 import bisect
+import functools
 import logging
 import math
 import struct
@@ -191,35 +192,50 @@ def voxel_walk(g, d, s_max: float, dims, occupied=None) -> tuple[list[int], list
     cell included), and then its entries are not closed: the last cell is
     that cell, and a walk whose last cell is free found none.
 
+    ``dims=None`` walks with no box: the walk stops at ``s_max`` only (and
+    ``occupied`` cannot be given).
+
     Walks of one ray are prefixes of each other. The walk's state (cell,
-    next boundary per axis) never reads ``s_max`` or ``occupied``; only
-    the stop tests do. So a walk cut at a smaller ``s_max``, or at an
-    occupied cell, lists the first cells and entries of the longer walk
-    (Amanatides & Woo's traversal is incremental in the ray parameter).
+    next boundary per axis) never reads ``s_max``, ``dims`` or
+    ``occupied``; only the stop tests do. So a walk cut at a smaller
+    ``s_max``, or at an occupied cell, lists the first cells and entries of
+    the longer walk (Amanatides & Woo's traversal is incremental in the ray
+    parameter). Each axis steps one way only, so a walk in a box lists the
+    cells of the walk with no box up to the first cell outside the box.
+
+    The walk is translation invariant: with no box, the walk from ``g``
+    lists the cells of the walk from ``f = g - floor(g)`` shifted by
+    ``floor(g)``, with the same entries. ``fx = gx - i`` is exact for ``i = floor(gx)``, so
+    ``i + 1.0 - gx`` and ``i - gx`` round to the same floats as
+    ``1.0 - fx`` and ``-fx``, and the state and stop tests are those of the
+    walk from ``f``. ``walk_fan`` casts its fans from such shifted walks.
     """
     gx, gy, gz = g
     dx, dy, dz = d
-    nx, ny, nz = dims
+    if dims is None:  # no coordinate leaves a box that is not there
+        nx = ny = nz = low = None
+    else:
+        (nx, ny, nz), low = dims, -1
     i, j, k = math.floor(gx), math.floor(gy), math.floor(gz)
     # per axis: step, parameter of the next boundary, parameter per cell, and
-    # the coordinate at which the walk has left the box (None: never steps)
+    # the coordinate at which the walk has left the box (None: never leaves)
     inf = math.inf
     if dx > 0.0:
         si, ti, di, ei = 1, (i + 1.0 - gx) / dx, 1.0 / dx, nx
     elif dx < 0.0:
-        si, ti, di, ei = -1, (i - gx) / dx, -1.0 / dx, -1
+        si, ti, di, ei = -1, (i - gx) / dx, -1.0 / dx, low
     else:
         si, ti, di, ei = 0, inf, inf, None
     if dy > 0.0:
         sj, tj, dj, ej = 1, (j + 1.0 - gy) / dy, 1.0 / dy, ny
     elif dy < 0.0:
-        sj, tj, dj, ej = -1, (j - gy) / dy, -1.0 / dy, -1
+        sj, tj, dj, ej = -1, (j - gy) / dy, -1.0 / dy, low
     else:
         sj, tj, dj, ej = 0, inf, inf, None
     if dz > 0.0:
         sk, tk, dk, ek = 1, (k + 1.0 - gz) / dz, 1.0 / dz, nz
     elif dz < 0.0:
-        sk, tk, dk, ek = -1, (k - gz) / dz, -1.0 / dz, -1
+        sk, tk, dk, ek = -1, (k - gz) / dz, -1.0 / dz, low
     else:
         sk, tk, dk, ek = 0, inf, inf, None
 
@@ -267,12 +283,13 @@ def _cell_point(point, origin, cell_size: float, dims) -> tuple[float, float, fl
     return g
 
 
-def _walk_beam(beam: BeamMeasurement, origin, cell_size: float, dims,
+def _walk_beam(beam: BeamMeasurement, g, cell_size: float, dims,
                to_hit: bool = False) -> tuple[list[int], list[float], int | None]:
-    """The voxel walk of ``beam`` through the box of :func:`cast`: its flat
-    cell coordinates and entry parameters (``voxel_walk``), and the index
-    of the cell holding the beam endpoint, None when the beam reached max
-    range or its endpoint lies past the walk.
+    """The voxel walk of ``beam`` from ``g``, its origin in cell units of
+    the box of :func:`cast` (``_cell_point``): its flat cell coordinates and
+    entry parameters (``voxel_walk``), and the index of the cell holding the
+    beam endpoint, None when the beam reached max range or its endpoint lies
+    past the walk.
 
     With ``to_hit``, a hit beam is walked only to ``min(s_max,
     nextafter(s_hit, inf))``, in cells, which ends the walk at the first
@@ -283,7 +300,6 @@ def _walk_beam(beam: BeamMeasurement, origin, cell_size: float, dims,
     ``bisect`` over the entries decide alike on both walks, and the hit
     cell is the cut walk's last. ``s_hit`` can round to ``s_max`` though
     the beam hits: then the cut is ``s_max``, and the test finds no hit."""
-    g = _cell_point(beam.origin.tolist(), origin, cell_size, dims)
     s_max = beam.max_range / cell_size
     s_hit = beam.range / cell_size
     if to_hit and beam.hits:
@@ -304,7 +320,8 @@ def cast(beam: BeamMeasurement, origin, cell_size: float, dims) -> RayTrace:
     need the full sequence to max range); the trace is truncated where the
     ray leaves the box, which counts as reaching max range.
     """
-    coords, entries, hit_index = _walk_beam(beam, origin, cell_size, dims)
+    g = _cell_point(beam.origin.tolist(), origin, cell_size, dims)
+    coords, entries, hit_index = _walk_beam(beam, g, cell_size, dims)
     cells = np.array(coords, dtype=np.int64).reshape(-1, 3)
     return RayTrace(cells=cells, hit_index=hit_index, entries=entries, cell_size=cell_size)
 
@@ -318,15 +335,20 @@ def scan_updates(beams, origin, cell_size: float, dims,
     lists up to its hit index, from a prefix of the same walk (a hit beam
     is walked only just past its endpoint, see ``_walk_beam``), so both
     maps' ``insert_scan`` write what a beam-by-beam loop over ``cast_ray``
-    wrote.
+    wrote. The origin check runs once per run of beams that hold the same
+    origin array, as the beams of a ``sim.sense`` scan do.
 
     Every beam is walked and checked before this returns, so a scan with an
     origin outside the box (OriginOutOfBounds) or a hit class outside
     1..``num_classes`` (InvalidClass) raises before its caller writes."""
     coords: list[int] = []
     rows: list[int] = []
+    checked = g = None
     for beam in beams:
-        walk, entries, hit_index = _walk_beam(beam, origin, cell_size, dims, to_hit=True)
+        if beam.origin is not checked:
+            g = _cell_point(beam.origin.tolist(), origin, cell_size, dims)
+            checked = beam.origin
+        walk, entries, hit_index = _walk_beam(beam, g, cell_size, dims, to_hit=True)
         if hit_index is None:
             coords += walk
             rows += [0] * (len(entries) - 1)
@@ -340,25 +362,59 @@ def scan_updates(beams, origin, cell_size: float, dims,
     return coords, rows
 
 
-def walk_fan(center, directions, max_range: float, origin, cell_size: float,
-             dims) -> tuple[list[int], list[int]]:
-    """The cells of a fan of full-length rays from one ``center`` (three
-    floats) along ``directions`` (unit 3-vectors of floats), in the box of
-    :func:`cast`: each ray's cells past its sensor cell, in ray order, as
-    one flat coordinate list (i0, j0, k0, i1, ...), and each ray's count of
-    them. They are the cells after the first that ``cast`` lists for the
-    beam of that origin, direction and ``max_range``: the same origin check
-    and ``voxel_walk`` on the same floats. No entries, hit index or array
-    are built, since planning reads cells only."""
-    g = _cell_point(center, origin, cell_size, dims)
-    s_max = max_range / cell_size
+@functools.lru_cache(maxsize=64)
+def _fan_template(f, directions, s_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """The walks of a fan from ``f``, a point of cell (0, 0, 0), along
+    ``directions`` to ``s_max`` cells with no box (``voxel_walk`` with
+    ``dims=None``): each ray's cells past the first, in ray order, as one
+    read-only (M, 3) int32 array of cell offsets, and each offset's ray
+    index. The walks are pure geometry, so a template serves every fan
+    whose center has the sub-cell part ``f``; the memo holds the 64 most
+    recently used."""
     coords: list[int] = []
-    counts: list[int] = []
-    for d in directions:
-        cells = voxel_walk(g, d, s_max, dims)[0]
+    rays: list[int] = []
+    for ray, d in enumerate(directions):
+        cells = voxel_walk(f, d, s_max, None)[0]
         coords += cells[3:]
-        counts.append(len(cells) // 3 - 1)
-    return coords, counts
+        rays += [ray] * (len(cells) // 3 - 1)
+    offsets = np.array(coords, dtype=np.int32).reshape(-1, 3)
+    ray_of = np.array(rays, dtype=np.intp)
+    offsets.flags.writeable = ray_of.flags.writeable = False
+    return offsets, ray_of
+
+
+def walk_fan(center, directions, max_range: float, origin, cell_size: float,
+             dims) -> tuple[np.ndarray, list[int]]:
+    """The cells of a fan of full-length rays from one ``center`` (three
+    floats) along ``directions`` (a tuple of unit 3-tuples of floats), in
+    the box of :func:`cast`: each ray's cells past its sensor cell, in ray
+    order, as one (M, 3) int32 array, and each ray's count of them. They
+    are the cells after the first that ``cast`` lists for the beam of that
+    origin, direction and ``max_range``, byte for byte. The range check
+    (``ValueError`` for a negative or NaN range) and the origin check
+    (``OriginOutOfBounds``) run first, in the order a beam runs them.
+
+    The walks are not run per fan: with ``g`` the center in cell units,
+    the fan is the memoized ``_fan_template`` of the sub-cell part
+    ``g - floor(g)``, the same directions and range, shifted by
+    ``floor(g)`` (``voxel_walk`` is translation invariant) and cut to the
+    box (each ray's cells in the box are the prefix the walk in the box
+    lists). A ray leaves the box before its parameter exceeds the sum of
+    the box's extents, which bounds the template's range, so a range far
+    past the box walks no further than the box needs."""
+    if not 0.0 <= max_range:
+        raise ValueError("need 0 <= range <= max_range")
+    g = _cell_point(center, origin, cell_size, dims)
+    base = [math.floor(v) for v in g]
+    f = tuple(v - i for v, i in zip(g, base))
+    s_max = min(max_range / cell_size, float(sum(dims)))
+    offsets, ray_of = _fan_template(f, directions, s_max)
+    cells = offsets + np.array(base, dtype=np.int32)
+    unsigned = cells.view(np.uint32)  # a coordinate below 0 reads as one past any extent
+    nx, ny, nz = dims
+    inside = (unsigned[:, 0] < nx) & (unsigned[:, 1] < ny) & (unsigned[:, 2] < nz)
+    counts = np.bincount(ray_of.compress(inside), minlength=len(directions))
+    return cells.compress(inside, axis=0), counts.tolist()
 
 
 def _rounds(keys: np.ndarray) -> tuple[np.ndarray, list[int], int]:

@@ -35,6 +35,7 @@ collapsed to occupied/free (``collapse_to_binary``) before the kernel call.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -297,23 +298,23 @@ class FanCast:
         """The fan of ``num_beams`` full-length beams at the
         :func:`fan_angles` around ``heading`` from ``center``, on a GridMap
         or a semantic octree. Each direction is made as floats and passes
-        the beam's unit-direction check (``grid.unit_direction``);
-        ``grid.walk_fan`` then runs the caster's own origin check and voxel
-        walk on the same floats in the map's box (origin, resolution, dims),
-        keeping only the cells. So the cells are those ``mapper.cast_ray``
-        gives for the same beams, byte for byte, and it raises where those
-        beams would: ``ValueError`` for a negative or NaN range,
-        ``OriginOutOfBounds`` for a center outside the map."""
+        the beam's unit-direction check (``grid.unit_direction``), once per
+        fan shape (``_fan_directions``, memoized); ``grid.walk_fan`` then
+        runs the caster's range and origin checks, and gives the cells of
+        the same walks in the map's box (origin, resolution, dims), shifted
+        from a memoized walk of the fan from the center's sub-cell part. So
+        the cells are those ``mapper.cast_ray`` gives for the same beams,
+        byte for byte, and it raises where those beams would:
+        ``ValueError`` for a direction without a finite norm (a NaN
+        heading) and for a negative or NaN range, ``OriginOutOfBounds`` for
+        a center outside the map."""
         origin = np.asarray(center, dtype=np.float64)
         if origin.shape != (3,):
             raise ValueError("origin and direction must be 3-vectors")
-        if not 0.0 <= max_range:
-            raise ValueError("need 0 <= range <= max_range")
-        directions = [unit_direction([math.cos(a), math.sin(a), 0.0])
-                      for a in fan_angles(num_beams, heading, fov)]
-        coords, counts = walk_fan(origin.tolist(), directions, max_range,
-                                  mapper.origin.tolist(), mapper.resolution, mapper.dims)
-        return cls(np.array(coords, dtype=np.int32).reshape(-1, 3), tuple(counts))
+        directions = _fan_directions(num_beams, heading, fov)
+        cells, counts = walk_fan(origin.tolist(), directions, max_range,
+                                 mapper.origin.tolist(), mapper.resolution, mapper.dims)
+        return cls(cells, tuple(counts))
 
     @classmethod
     def join(cls, casts: list["FanCast"]) -> "FanCast":
@@ -473,6 +474,16 @@ def fan_angles(num_beams: int, heading: float = 0.0,
     return [start + (b + 0.5) * step for b in range(num_beams)]
 
 
+@functools.lru_cache(maxsize=64)
+def _fan_directions(num_beams: int, heading: float, fov: float) -> tuple[tuple[float, ...], ...]:
+    """The unit directions of the planar fan at :func:`fan_angles`, each
+    made as floats and passed through ``grid.unit_direction``. A NaN or
+    infinite angle raises ``ValueError`` (from ``math.cos`` or the check),
+    and a raise is not memoized. ``FanCast.from_pose`` casts along them."""
+    return tuple(tuple(unit_direction([math.cos(a), math.sin(a), 0.0]))
+                 for a in fan_angles(num_beams, heading, fov))
+
+
 def mi_surface(
     gmap: GridMap,
     params: SensorParams,
@@ -486,10 +497,12 @@ def mi_surface(
     occupancy-only surface of a multi-class map; free cells are still picked
     by the full belief.
 
-    The surface is a per-cell field for inspection, so every beam of the fan
-    is summed (each beam's value is exact on its own); the non-overlap
-    filtering that the trajectory bound requires would make the field depend
-    on beam enumeration order.
+    Each cell's fan is ``FanCast.from_pose`` from its center, so cells whose
+    centers share a sub-cell part share one memoized walk of the fan
+    (``grid.walk_fan``). The surface is a per-cell field for inspection, so
+    every beam of the fan is summed (each beam's value is exact on its
+    own); the non-overlap filtering that the trajectory bound requires
+    would make the field depend on beam enumeration order.
     """
     if max_range is None:
         max_range = max(gmap.dims[:2]) * gmap.resolution

@@ -269,7 +269,11 @@ def evaluate_candidates(
     ``casts`` is the cast cache: a :class:`ssmi.mi.FanCast` per sensing pose,
     keyed by ``(cell, heading)``. A pose missing from it is cast with
     ``FanCast.from_pose`` and added; a pose found in it, from this call or
-    an earlier one, is not cast again. The cache is exact: a cast is a pure
+    an earlier one, is not cast again. A pose that is cast walks no ray
+    either: ``grid.walk_fan`` shifts the memoized walks of the fan from
+    the pose's sub-cell part, which the poses, all cell centers, largely
+    share (on a map of 1 m cells from the origin, all of them do). The
+    cache is exact: a cast is a pure
     function of the pose, ``config`` and the map's fixed geometry (origin,
     cell or element size, dims), while beliefs are read fresh at encode
     time in every call. So one cache serves one map geometry and one

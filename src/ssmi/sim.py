@@ -238,7 +238,9 @@ def first_hits(env: Environment, rays, max_range: float) -> list[tuple[float, in
     unit direction), or None when the ray reaches ``max_range`` or leaves
     the world first. The range is where the ray enters that cell; the
     origin cell counts, at range 0. An origin outside the world raises
-    OriginOutOfBounds (the casters' origin check, ``grid._cell_point``).
+    OriginOutOfBounds (the casters' origin check, ``grid._cell_point``,
+    run once per run of rays that hold the same origin object, as the rays
+    of a ``sense`` scan do).
     The rays are walked by ``voxel_walk`` in cell units, and the truth is
     read from a flat list made by this call, so an edit of ``env.grid``
     shows in the next call. Each walk stops at the first occupied cell and
@@ -250,8 +252,11 @@ def first_hits(env: Environment, rays, max_range: float) -> list[tuple[float, in
     truth = env.grid.ravel().tolist()
     s_max = max_range / res
     out: list[tuple[float, int] | None] = []
+    checked = g = None
     for origin, direction in rays:
-        g = _cell_point(origin, (0.0, 0.0, 0.0), res, dims)
+        if origin is not checked:  # a scan's rays share one origin
+            g = _cell_point(origin, (0.0, 0.0, 0.0), res, dims)
+            checked = origin
         coords, entries = voxel_walk(g, direction, s_max, dims, truth)
         i, j, k = coords[-3:]
         cls = truth[(i * ny + j) * nz + k]

@@ -16,6 +16,7 @@ from ssmi.errors import CorruptMap, InvalidClass, OriginOutOfBounds
 from ssmi.grid import (
     BeamMeasurement,
     GridMap,
+    _cell_point,
     _clamped_chain,
     _walk_beam,
     cast,
@@ -24,6 +25,7 @@ from ssmi.grid import (
     scan_updates,
     unit_direction,
     voxel_walk,
+    walk_fan,
 )
 from ssmi.logodds import SensorParams
 from ssmi.mi import beam_mi_dense
@@ -90,7 +92,8 @@ def traverse_reference(origin_g, direction, s_max, dims):
             break
         advance = t_next == t_exit
         cell = cell + np.where(advance, step, 0)
-        t_next = np.where(advance, t_next + t_delta, t_next)
+        with np.errstate(over="ignore"):  # so do their later boundaries
+            t_next = np.where(advance, t_next + t_delta, t_next)
         t = t_exit
         if np.any(cell < 0) or np.any(cell >= dims):
             entries.append(t)  # close the last interval at the boundary
@@ -283,6 +286,40 @@ def test_cast_equals_numpy_reference_on_edge_geometry(case):
     assert np.array_equal(trace.chords, np.diff(want_entries) * cell_size)
 
 
+@given(edge_rays())
+@settings(max_examples=600, deadline=None)
+def test_walk_in_the_box_is_the_shifted_walk_from_the_sub_cell_origin(case):
+    """``voxel_walk`` is translation invariant and its box is a filter: the
+    walk with no box (``dims=None``) from the sub-cell part ``f = g -
+    floor(g)`` of the origin, shifted by ``floor(g)``, has its cells in the
+    box first and then none; those cells and the entries up to the first
+    cell outside are the walk in the box. ``walk_fan``, which casts from
+    such shifted walks (with a range cut to the box's extent sum), gives the
+    cells ``cast`` lists past the sensor cell."""
+    beam, map_origin, cell_size, dims = case
+    g = ((beam.origin - np.asarray(map_origin)) / cell_size).tolist()
+    assume(all(0.0 <= v < n for v, n in zip(g, dims)))
+    d = beam.direction.tolist()
+    s_max = beam.max_range / cell_size
+    base = [math.floor(v) for v in g]
+    f = [v - i for v, i in zip(g, base)]
+    assert all(0.0 <= v < 1.0 for v in f)
+    free_coords, free_entries = voxel_walk(f, d, s_max, None)
+    shifted = [c + base[n % 3] for n, c in enumerate(free_coords)]
+    inside = [all(0 <= c < n for c, n in zip(shifted[m:m + 3], dims))
+              for m in range(0, len(shifted), 3)]
+    m = inside.index(False) if False in inside else len(inside)
+    assert not any(inside[m:])
+    assert voxel_walk(g, d, s_max, dims) == (shifted[:3 * m], free_entries[:m + 1])
+    cells, counts = walk_fan(beam.origin.tolist(), (tuple(d),), beam.max_range,
+                             map_origin, cell_size, dims)
+    want = cast(beam, map_origin, cell_size, dims).cells[1:].astype(np.int32)
+    assert counts == [len(want)]
+    assert cells.dtype == np.int32
+    assert cells.shape == want.shape
+    assert cells.tobytes() == want.tobytes()
+
+
 @st.composite
 def hit_on_edge_geometry(draw):
     """A ray of ``edge_rays`` that hits, at a range the full walk puts on a
@@ -312,8 +349,9 @@ def assert_cut_walk_is_a_prefix(beam, map_origin, cell_size, dims):
     """The walk ``scan_updates`` makes of a hit beam against the full walk
     of ``cast``: a prefix of its cells and entries, the same hit index, the
     hit cell last, and the scan's updates those of the cast."""
-    cells, entries, hit = _walk_beam(beam, map_origin, cell_size, dims, to_hit=True)
-    full_cells, full_entries, full_hit = _walk_beam(beam, map_origin, cell_size, dims)
+    g = _cell_point(beam.origin.tolist(), map_origin, cell_size, dims)
+    cells, entries, hit = _walk_beam(beam, g, cell_size, dims, to_hit=True)
+    full_cells, full_entries, full_hit = _walk_beam(beam, g, cell_size, dims)
     assert hit == full_hit
     assert cells == full_cells[: len(cells)]
     assert entries[:-1] == full_entries[: len(entries) - 1]
@@ -719,14 +757,21 @@ def test_insert_scan_writes_through_to_arrays_in_any_order(params3, rng):
 
 def raising_scans():
     """Scans at K = 3 whose last, first or middle beam raises: a hit of
-    class 4, or an origin outside either map. ``good`` beams write."""
+    class 4, or an origin outside either map. ``good`` beams write; in the
+    second scan of each pair they hold one origin array, as the beams of a
+    sensed scan do, so the bad beam breaks a run of a shared origin."""
+    angles = np.linspace(0.1, 6.0, 6)
     good = [BeamMeasurement.planar((2.5, 2.5), a, 4.5, 1 + i % 3, 8.0)
-            for i, a in enumerate(np.linspace(0.1, 6.0, 6))]
+            for i, a in enumerate(angles)]
+    shared = np.array([2.5, 2.5, 0.5])
+    sensed = [BeamMeasurement(shared, np.array([math.cos(a), math.sin(a), 0.0]), 4.5,
+                              1 + i % 3, 8.0) for i, a in enumerate(angles)]
     bad_class = BeamMeasurement.planar((2.5, 2.5), 0.0, 3.2, 4, 8.0)
     bad_origin = BeamMeasurement.planar((-0.5, 2.5), 0.0, 3.2, 1, 8.0)
     for bad, error in ((bad_class, InvalidClass), (bad_origin, OriginOutOfBounds)):
         for at in (len(good), 0, 3):
-            yield good[:at] + [bad] + good[at:], error
+            for beams in (good, sensed):
+                yield beams[:at] + [bad] + beams[at:], error
 
 
 def test_a_scan_that_raises_leaves_either_map_unchanged(params3, tmp_path):

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from ssmi import check, logodds as lo
 from ssmi import mi as mi_mod
-from ssmi.errors import EmptyRay, ScaleExceeded
-from ssmi.grid import BeamMeasurement, GridMap
+from ssmi.errors import EmptyRay, OriginOutOfBounds, ScaleExceeded
+from ssmi.grid import BeamMeasurement, GridMap, _fan_template
 from ssmi.logodds import SensorParams
 from ssmi.octree import SemanticOctree
 from ssmi.mi import (
@@ -705,6 +705,101 @@ def test_mi_surface_equals_per_beam_reference(binary):
     want = mi_surface_reference(gmap, params, 16, 6.0, binary=binary)
     assert np.array_equal(got, want)
     assert np.count_nonzero(got) == 24 * 16 - 12
+
+
+# -- the pose fan memo ---------------------------------------------------------------
+
+
+def clear_fan_memos():
+    _fan_template.cache_clear()
+    mi_mod._fan_directions.cache_clear()
+
+
+def assert_same_fan(got, want):
+    assert got.counts == want.counts
+    assert got.cells.dtype == want.cells.dtype == np.int32
+    assert got.cells.shape == want.cells.shape
+    assert got.cells.tobytes() == want.cells.tobytes()
+
+
+@pytest.mark.parametrize("resolution, origin", [(1.0, (0.0, 0.0, 0.0)), (0.3, (0.1, -0.2, 0.0))])
+def test_a_fan_served_from_the_memo_is_the_fan_cast_afresh(resolution, origin):
+    """A fan shifted from a memoized walk (a pose whose sub-cell part an
+    earlier pose shares) has the bytes of the same fan cast with an empty
+    memo, and of casting its beams; poses near the walls cut the walks to
+    the box."""
+    gmap = GridMap((12, 9), resolution, 3, origin=origin)
+    cells = [(0, 0), (5, 4), (11, 8), (1, 7), (10, 2), (6, 0)]
+    for heading in (0.0, 0.7, math.pi):
+        for first, second in zip(cells, cells[1:]):
+            fan = (gmap.cell_center(second + (0,)), 16, 7 * resolution, heading, 1.5 * math.pi)
+            clear_fan_memos()
+            miss = FanCast.from_pose(gmap, *fan)
+            assert _fan_template.cache_info().misses == 1
+            clear_fan_memos()
+            FanCast.from_pose(gmap, gmap.cell_center(first + (0,)), *fan[1:])
+            before = _fan_template.cache_info()
+            served = FanCast.from_pose(gmap, *fan)
+            after = _fan_template.cache_info()
+            assert after.hits + after.misses == before.hits + before.misses + 1
+            if resolution == 1.0:  # every cell center has the sub-cell part (0.5, 0.5, 0.5)
+                assert after.hits == before.hits + 1
+            assert_same_fan(served, miss)
+            assert_same_fan(served, cast_fan(gmap, fan_beams(*fan)))
+
+
+def test_a_memoized_sub_cell_origin_still_checks_the_pose():
+    """With the memo holding the walks of a fan whose sub-cell part the
+    next poses share, a NaN heading, a negative or NaN range and a center
+    outside the map (at either side) still raise, each time, and serve
+    nothing from the memo."""
+    gmap = GridMap((8, 8), 1.0, 3)
+    clear_fan_memos()
+    FanCast.from_pose(gmap, [2.5, 2.5, 0.5], 16, 5.0)
+    assert _fan_template.cache_info().currsize == 1
+    hits = _fan_template.cache_info().hits
+    for _ in range(2):
+        with pytest.raises(ValueError, match="finite norm"):
+            FanCast.from_pose(gmap, [3.5, 3.5, 0.5], 16, 5.0, math.nan)
+        for bad in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="range"):
+                FanCast.from_pose(gmap, [3.5, 3.5, 0.5], 16, bad)
+        for center in ([8.5, 2.5, 0.5], [-0.5, 2.5, 0.5], [2.5, 2.5, 1.5]):
+            with pytest.raises(OriginOutOfBounds):
+                FanCast.from_pose(gmap, center, 16, 5.0)
+    assert _fan_template.cache_info().hits == hits
+
+
+def test_a_range_far_past_the_box_walks_only_the_box():
+    """A range far past the map casts what casting its beams gives, and
+    the memo's walks stop at the sum of the box's extents (12 cells here),
+    past which no ray stays in the box."""
+    gmap = GridMap((6, 5), 1.0, 3)
+    clear_fan_memos()
+    center = gmap.cell_center((1, 3, 0))
+    far = FanCast.from_pose(gmap, center, 16, 1e12)
+    assert_same_fan(far, cast_fan(gmap, fan_beams(center, 16, 1e12)))
+    assert_same_fan(far, FanCast.from_pose(gmap, center, 16, 12.0))
+    info = _fan_template.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    directions = mi_mod._fan_directions(16, 0.0, 2.0 * math.pi)
+    offsets, _ = _fan_template((0.5, 0.5, 0.5), directions, 12.0)
+    assert _fan_template.cache_info().hits == 2
+    assert np.abs(offsets).max() <= 12
+
+
+def test_the_fan_memo_stays_within_its_bound_over_surfaces(params3):
+    """``mi_surface`` on a 0.3 m map casts from every cell, from sub-cell
+    origins that differ between cells; over four fan shapes that is more
+    keys than the memo holds, and it holds no more than its bound."""
+    gmap = GridMap((16, 16), 0.3, 3, origin=(0.1, 0.2, 0.0))
+    clear_fan_memos()
+    for num_beams in (4, 6, 8, 10):
+        mi_mod.mi_surface(gmap, params3, num_beams=num_beams, max_range=2.0)
+    info = _fan_template.cache_info()
+    assert info.misses > info.maxsize
+    assert info.currsize <= info.maxsize
+    assert mi_mod._fan_directions.cache_info().currsize == 4
 
 
 # -- failing-instance replay ----------------------------------------------------------

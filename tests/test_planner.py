@@ -542,13 +542,21 @@ def test_cached_and_uncached_planning_agree(monkeypatch, mapper_type, selector):
     assert sum(served) > 0
 
 
-@pytest.mark.parametrize("mapper_type", ["grid", "octree"])
-@pytest.mark.parametrize("selector", ["ssmi", "fsmi-binary"])
-def test_pose_fan_casts_plan_as_casting_the_beams(monkeypatch, mapper_type, selector):
+@pytest.mark.parametrize("selector, mapper_type, resolution", [
+    pytest.param(selector, mapper_type, resolution,
+                 id=f"{selector}-{mapper_type}" + ("-0.3m" if resolution != 1.0 else ""))
+    for resolution in (1.0, 0.3)
+    for selector in ("ssmi", "fsmi-binary")
+    for mapper_type in ("grid", "octree")
+])
+def test_pose_fan_casts_plan_as_casting_the_beams(monkeypatch, mapper_type, selector,
+                                                  resolution):
     # every planning cycle of an A7 world-0 episode: the candidates planned
     # on fans cast straight from their poses (``FanCast.from_pose``) equal,
     # under ==, those planned on a fresh cache filled by casting each pose's
-    # ``fan_beams`` with ``cast_fan``, and every cached cast is byte-equal
+    # ``fan_beams`` with ``cast_fan``, and every cached cast is byte-equal.
+    # At 0.3 m cells the poses' sub-cell origins differ between cells, so
+    # the fan memo misses there as well as serving shifted walks
     real = planner_mod.evaluate_candidates
     from_pose = FanCast.from_pose
     reference_casts = []
@@ -576,7 +584,8 @@ def test_pose_fan_casts_plan_as_casting_the_beams(monkeypatch, mapper_type, sele
     monkeypatch.setattr(planner_mod, "evaluate_candidates", checked)
     run_episode(config_from_dict({
         "seed": 0,
-        "env": {"profile": "random", "dims": [32, 32], "num_classes": 3},
+        "env": {"profile": "random", "dims": [32, 32], "num_classes": 3,
+                "resolution": resolution},
         "sensor": {"num_beams": 48, "r_max": 10.0, "range_sigma": 0.1, "misclass_prob": 0.35},
         "mapper": {"type": mapper_type},
         "planner": {"selector": selector, "num_beams": 16, "beam_range": 10.0, "stride": 3},

@@ -223,6 +223,11 @@ def test_first_hits_rejects_an_origin_outside_the_world(origin):
     assert first_hits(env, [([2.5, 8.5, 0.5], [1.0, 0.0, 0.0])], 14.0) == [(9.5, 2)]
     with pytest.raises(OriginOutOfBounds):
         first_hits(env, [([2.5, 8.5, 0.5], [1.0, 0.0, 0.0]), (origin, [1.0, 0.0, 0.0])], 14.0)
+    # between rays that share one origin, as the rays of a scan do
+    shared = [2.5, 8.5, 0.5]
+    with pytest.raises(OriginOutOfBounds):
+        first_hits(env, [(shared, [1.0, 0.0, 0.0]), (shared, [0.0, 1.0, 0.0]),
+                         (origin, [1.0, 0.0, 0.0]), (shared, [1.0, 0.0, 0.0])], 14.0)
 
 
 def test_pose_in_obstacle_rejected():
