@@ -40,7 +40,7 @@ mismatch = sum(
 )
 print(f"elements disagreeing with the grid: {mismatch} of {32 ** 3}")
 print(f"grid stores {32 ** 3} cells; octree stores {tree.num_leaves()} leaves")
-print(f"map entropy: grid {gmap.map_entropy():.1f}  octree {tree.map_entropy():.1f} nats")
+print(f"map entropy: grid {gmap.map_state()[0]:.1f}  octree {tree.map_state()[0]:.1f} nats")
 
 print("\n== run-length ray casts ==")
 for _ in range(5):

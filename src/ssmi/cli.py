@@ -150,9 +150,12 @@ def _map_params(args, num_classes: int) -> SensorParams:
 def cmd_mi_eval(args) -> int:
     mapper = _load_any_map(args.map)
     params = _map_params(args, mapper.num_classes)
-    print(f"resolved config:\n  map: {args.map}\n  pose: ({args.x}, {args.y}, {args.z})"
+    z = args.z
+    if z is None:  # the middle of the map's z extent
+        z = float(mapper.origin[2]) + mapper.dims[2] * mapper.resolution / 2
+    print(f"resolved config:\n  map: {args.map}\n  pose: ({args.x}, {args.y}, {z})"
           f"\n  beams: {args.beams}\n  r_max: {args.r_max}\n  heading: {args.heading}")
-    center = np.array([args.x, args.y, args.z])
+    center = np.array([args.x, args.y, z])
     fan = mi_mod.FanCast.from_pose(mapper, center, args.beams, args.r_max, heading=args.heading)
     batch = mi_mod.trajectories_mi(mapper, [fan], [[0]], params)
     result = batch.trajectories[0]
@@ -247,8 +250,9 @@ def cmd_map_inspect(args) -> int:
     if tree:
         print(f"max_depth: {mapper.max_depth} (cube edge {mapper.size_elements} elements)")
         print(f"leaves: {mapper.num_leaves()}")
-    print(f"entropy_nats: {mapper.map_entropy()!r}")
-    print(f"observed_fraction: {mapper.observed_fraction()!r}")
+    entropy, observed = mapper.map_state()
+    print(f"entropy_nats: {entropy!r}")
+    print(f"observed_fraction: {observed!r}")
     return 0
 
 
@@ -308,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True)
     p.add_argument("--x", type=_finite_float, required=True)
     p.add_argument("--y", type=_finite_float, required=True)
-    p.add_argument("--z", type=_finite_float, default=0.5)
+    p.add_argument("--z", type=_finite_float, help="default: the middle of the map's z extent")
     p.add_argument("--heading", type=_finite_float, default=0.0)
     p.add_argument("--beams", type=_positive_int, default=16)
     p.add_argument("--r-max", type=_positive_float, default=10.0)

@@ -115,24 +115,12 @@ class RayTrace:
 
     ``cells`` is (M, 3) integer cell coordinates; ``hit_index`` is the
     position of the cell containing the beam endpoint, absent when the beam
-    reached max range or exited the map. ``entries`` holds the M + 1 ray
-    parameters, in cells, at which the beam enters each traced cell and
-    finally stops (at max range or at the map boundary). ``chords``, the
-    in-cell path lengths in meters, cancel out of every information formula
-    and are derived on demand for inspection only.
+    reached max range or exited the map. The entry parameters of the walk
+    stay in ``_walk_beam``, which finds the hit among them.
     """
 
     cells: np.ndarray
     hit_index: int | None
-    entries: list[float]
-    cell_size: float
-
-    def __len__(self) -> int:
-        return self.cells.shape[0]
-
-    @property
-    def chords(self) -> np.ndarray:
-        return np.diff(self.entries) * self.cell_size
 
 
 @dataclass(frozen=True)
@@ -321,9 +309,8 @@ def cast(beam: BeamMeasurement, origin, cell_size: float, dims) -> RayTrace:
     ray leaves the box, which counts as reaching max range.
     """
     g = _cell_point(beam.origin.tolist(), origin, cell_size, dims)
-    coords, entries, hit_index = _walk_beam(beam, g, cell_size, dims)
-    cells = np.array(coords, dtype=np.int64).reshape(-1, 3)
-    return RayTrace(cells=cells, hit_index=hit_index, entries=entries, cell_size=cell_size)
+    coords, _, hit_index = _walk_beam(beam, g, cell_size, dims)
+    return RayTrace(cells=np.array(coords, dtype=np.int64).reshape(-1, 3), hit_index=hit_index)
 
 
 def scan_updates(beams, origin, cell_size: float, dims,
@@ -611,10 +598,6 @@ class GridMap:
         h_0 = np.broadcast_to(self.prior, h_t.shape)
         return h_t, h_0
 
-    def most_likely(self) -> np.ndarray:
-        """Per-cell argmax class; ties resolve to the lowest class index."""
-        return np.argmax(self.cells, axis=-1)
-
     def labels_observed(self, box=None) -> tuple[np.ndarray, np.ndarray]:
         """Most likely class and observed flag of every cell in a half-open
         box ((lo), (hi)) or the whole map; ties resolve to the lowest class
@@ -622,27 +605,16 @@ class GridMap:
         sl = self._box(box)
         return np.argmax(self.cells[sl], axis=-1), self.observed[sl].copy()
 
-    def map_entropy(self, region=None) -> float:
-        """Total Shannon entropy in nats over a half-open cell box
-        ((lo), (hi)) or the whole map; an empty box contributes zero."""
-        h = self.cells[self._box(region)].reshape(-1, self.num_classes + 1)
-        return logodds.entropy(h) if h.size else 0.0
-
-    def observed_fraction(self, region=None) -> float:
-        """Fraction of cells in a half-open box (or the whole map) that a
-        beam has written."""
-        observed = self.observed[self._box(region)]
-        return float(np.mean(observed)) if observed.size else 0.0
-
     def map_state(self, region=None) -> tuple[float, float]:
-        """``(map_entropy(region), observed_fraction(region))``."""
-        return self.map_entropy(region), self.observed_fraction(region)
-
-    def copy(self) -> "GridMap":
-        out = GridMap(self.dims, self.resolution, self.num_classes, self.prior, self.origin)
-        out.cells = self.cells.copy()
-        out.observed = self.observed.copy()
-        return out
+        """Total Shannon entropy in nats, and the fraction of cells that a
+        beam has written, over a half-open cell box ((lo), (hi)) or the
+        whole map; ``(0.0, 0.0)`` for an empty box."""
+        sl = self._box(region)
+        observed = self.observed[sl]
+        if not observed.size:
+            return 0.0, 0.0
+        h = self.cells[sl].reshape(-1, self.num_classes + 1)
+        return logodds.entropy(h), float(np.mean(observed))
 
 
 # -- serialization ----------------------------------------------------------

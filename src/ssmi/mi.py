@@ -506,7 +506,7 @@ def mi_surface(
     """
     if max_range is None:
         max_range = max(gmap.dims[:2]) * gmap.resolution
-    labels = gmap.most_likely()[:, :, 0]
+    labels = np.argmax(gmap.cells[:, :, 0], axis=-1)
     out = np.zeros(gmap.dims[:2], dtype=np.float64)
     for i in range(gmap.dims[0]):
         for j in range(gmap.dims[1]):

@@ -127,15 +127,13 @@ class TruncatedSemantics:
                 h[c] = share
         return h
 
-    def pseudo_logodds(self) -> np.ndarray:
-        """Pivot + tracked values + lump as one log-odds vector for entropy."""
+    def entropy(self) -> float:
+        """Entropy in nats of the pivot, the tracked values and the lump
+        (when finite) as one log-odds vector."""
         vals = [0.0] + [v for _, v in self.data]
         if np.isfinite(self.others):
             vals.append(self.others)
-        return np.array(vals, dtype=np.float64)
-
-    def entropy(self) -> float:
-        return logodds.entropy(self.pseudo_logodds())
+        return logodds.entropy(np.array(vals, dtype=np.float64))
 
 
 class SemanticNode:
@@ -461,18 +459,26 @@ class SemanticOctree:
 
     # -- addressing ----------------------------------------------------------
 
+    def _descend(self, x: int, y: int, z: int, size: int = 1) -> tuple[SemanticNode, int]:
+        """The one root-to-node descent: the node of edge ``size`` (a power
+        of two, in elements) holding element (x, y, z), or the leaf above it,
+        and the bit of the level below that node, whose edge is therefore
+        ``1 << bit + 1``."""
+        node = self._root  # per element, so the attribute rather than the property
+        bit = self.max_depth - 1
+        stop = size.bit_length() - 2  # the bit below a node of edge size
+        while node.children is not None and bit > stop:
+            node = node.children[((x >> bit) & 1) << 2 | ((y >> bit) & 1) << 1 | ((z >> bit) & 1)]
+            bit -= 1
+        return node, bit
+
     def leaf_at(self, cell) -> tuple[TruncatedSemantics, tuple[int, int, int], int]:
         """Leaf value covering an element, with the leaf's low corner and edge
         length in elements (used for run caching along rays)."""
         x, y, z = cell
-        node = self._root  # per element, so the attribute rather than the property
-        bit = self.max_depth - 1
-        while node.children is not None:
-            node = node.children[((x >> bit) & 1) << 2 | ((y >> bit) & 1) << 1 | ((z >> bit) & 1)]
-            bit -= 1
-        size = 1 << (bit + 1)
-        mask = ~(size - 1)
-        return node.semantics, (x & mask, y & mask, z & mask), size
+        node, bit = self._descend(x, y, z)
+        size = 1 << bit + 1
+        return node.semantics, (x & -size, y & -size, z & -size), size
 
     def query_element(self, cell) -> TruncatedSemantics:
         return self.leaf_at(cell)[0]
@@ -497,11 +503,7 @@ class SemanticOctree:
         pruned. The leaf's node is recorded for the leaf table. Returns
         whether the element changed."""
         x, y, z = cell
-        node = self._root
-        bit = self.max_depth - 1
-        while node.children is not None:
-            node = node.children[((x >> bit) & 1) << 2 | ((y >> bit) & 1) << 1 | ((z >> bit) & 1)]
-            bit -= 1
+        node, bit = self._descend(x, y, z)
         current = node.semantics
         new = update(current)
         if new is current or new == current:
@@ -787,14 +789,8 @@ class SemanticOctree:
         top = np.ones(len(lows), dtype=bool)
         top[1:] = lows[1:] >= np.maximum.accumulate(highs)[:-1]  # not inside an earlier one
         lows, highs = lows[top], highs[top]
-        tops = []
-        for x, y, z, size in boxes[top].tolist():
-            node, bit = self._root, self.max_depth - 1
-            while 1 << bit + 1 > size:
-                slot = ((x >> bit) & 1) << 2 | ((y >> bit) & 1) << 1 | ((z >> bit) & 1)
-                node = node.children[slot]
-                bit -= 1
-            tops.append((node, x, y, z, size))
+        tops = [(self._descend(x, y, z, size)[0], x, y, z, size)
+                for x, y, z, size in boxes[top].tolist()]
         corners, sizes, ids = self._walk(tops)
         starts = morton(*corners.T)
         # an old leaf stays unless it starts inside the interval with the
@@ -837,10 +833,12 @@ class SemanticOctree:
         return np.argmax(table.full, axis=1)[ids], table.observed[ids]
 
     def map_state(self, region=None) -> tuple[float, float]:
-        """``(map_entropy(region), observed_fraction(region))`` from the leaf
-        table: each leaf's element count inside the box times its belief's
-        entropy, added leaf by leaf in preorder. The box defaults to the
-        world; one not inside it raises ValueError, as on the grid."""
+        """Total entropy in nats, and the fraction of elements whose belief
+        moved off the prior, over a half-open element box ((lo), (hi)) from
+        the leaf table: each leaf's element count inside the box times its
+        belief's entropy, added leaf by leaf in preorder. The box defaults to
+        the world; one not inside it raises ValueError, as on the grid, and
+        an empty one gives ``(0.0, 0.0)``."""
         lo, hi = self._box(region)
         table = self.leaf_table()
         ends = table.corners + table.sizes[:, None]
@@ -851,15 +849,6 @@ class SemanticOctree:
         total = int(n.sum())
         seen = int(n[table.observed[table.ids]].sum())
         return float(np.cumsum(terms)[-1]), (seen / total if total else 0.0)
-
-    def map_entropy(self, region=None) -> float:
-        """Total entropy in nats over a region box (element coordinates,
-        ((lo),(hi)) half-open) or the whole world."""
-        return self.map_state(region)[0]
-
-    def observed_fraction(self, region=None) -> float:
-        """Fraction of elements in the region whose belief moved off the prior."""
-        return self.map_state(region)[1]
 
 
 # -- grid conversion --------------------------------------------------------------

@@ -51,9 +51,6 @@ class Environment:
         h.update(str((self.grid.shape, self.num_classes, self.resolution)).encode())
         return h.hexdigest()[:16]
 
-    def occupancy_fraction(self) -> float:
-        return float(np.mean(self.grid != 0))
-
 
 def _spawn_cells(grid: np.ndarray) -> list[tuple[int, int, int]]:
     """Free cells whose 3x3 in-plane neighbourhood is free, in (i, j, k)

@@ -55,7 +55,7 @@ def stacked_casts(traces):
     as the traces hold them, and each trace's count of them: the arguments
     of ``encode_traces`` built from full traces."""
     cells = np.concatenate([np.empty((0, 3), dtype=np.int64)] + [t.cells[1:] for t in traces])
-    return cells, [len(t) - 1 for t in traces]
+    return cells, [len(t.cells) - 1 for t in traces]
 
 
 def cast_fan(mapper, beams: list[BeamMeasurement]) -> FanCast:
@@ -256,7 +256,7 @@ def integrate_reference(gmap, beam: BeamMeasurement, params: SensorParams):
     if params.num_classes != gmap.num_classes:
         raise ValueError("sensor parameters and map disagree on K")
     trace = gmap.cast_ray(beam)
-    end = trace.hit_index if trace.hit_index is not None else len(trace)
+    end = trace.hit_index if trace.hit_index is not None else len(trace.cells)
     free = tuple(trace.cells[:end].T)
     gmap.cells[free] = logodds.clamp(gmap.cells[free] + (params.phi_minus - gmap.prior), params)
     gmap.observed[free] = True

@@ -194,7 +194,7 @@ def binary_surface_reference(gmap, num_beams, max_range):
     """Per-beam occupancy-only fan sums at the free-labeled cells, each beam's
     cells and prior collapsed on their own."""
     params = SensorParams.default(1)
-    labels = gmap.most_likely()[:, :, 0]
+    labels = gmap.labels_observed()[0][:, :, 0]
     out = np.zeros(gmap.dims[:2])
     for i, j in zip(*np.nonzero(labels == 0)):
         total = 0.0
@@ -447,6 +447,32 @@ def test_mi_eval_prints_value(tmp_path, capsys):
     assert "mutual information:" in out
     header = dump.read_text().splitlines()[0]
     assert header == "beam,n,k,p,c,term"
+
+
+@pytest.mark.parametrize("kind", ["grid", "octree"])
+@pytest.mark.parametrize("origin_z, depth", [(0.0, 1), (-1.0, 2)])
+def test_mi_eval_defaults_z_to_the_middle_of_the_map(tmp_path, capsys, params3, kind, origin_z,
+                                                     depth):
+    """At 0.3 m cells a planar map ends below z = 0.5 m; without ``--z`` the
+    fan starts at the middle of the map's z extent, as if ``--z`` named it."""
+    from ssmi.octree import octree_from_grid
+
+    gmap = GridMap((16, 16, depth), 0.3, 3, origin=(0.0, 0.0, origin_z))
+    z = origin_z + depth * 0.3 / 2
+    for angle in np.linspace(0.0, 2 * np.pi, 12, endpoint=False):
+        gmap.integrate(BeamMeasurement.planar((2.45, 2.35), angle, 1.7, 2, 3.0, z=z), params3)
+    path = tmp_path / ("m.ssmigrid" if kind == "grid" else "m.ssmioct")
+    if kind == "grid":
+        save_grid(gmap, path)
+    else:
+        save_octree(octree_from_grid(gmap), path)
+    pose = ["mi-eval", "--map", str(path), "--x", "2.45", "--y", "2.35", "--r-max", "3.0"]
+    assert main(pose) == 0
+    out = capsys.readouterr().out
+    assert f"pose: (2.45, 2.35, {z})" in out
+    assert main(pose + ["--z", repr(z)]) == 0
+    assert capsys.readouterr().out == out
+    assert float(out.split("mutual information: ")[1].split()[0]) > 0.0
 
 
 def _scanned_grid(params3, rng):

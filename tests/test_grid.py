@@ -1,6 +1,7 @@
 """Dense grid map: ray casting against a geometric reference, integration,
 beam event probabilities, entropy, and serialization."""
 
+import copy
 import logging
 import math
 import struct
@@ -209,11 +210,16 @@ def test_boundary_exit_truncates_without_hit():
     assert np.all(trace.cells[:, 0] <= 3)
 
 
+def walk_entries(beam, map_origin, cell_size, dims) -> list[float]:
+    """The entry parameters, in cells, of the walk behind ``cast``."""
+    g = _cell_point(beam.origin.tolist(), map_origin, cell_size, dims)
+    return _walk_beam(beam, g, cell_size, dims)[1]
+
+
 def test_chords_sum_to_in_map_length():
-    gmap = GridMap((16, 16), 0.5, 1)
     beam = BeamMeasurement.planar((1.1, 1.7), 0.4, 4.0, None, 4.0, z=0.25)
-    trace = gmap.cast_ray(beam)
-    assert trace.chords.sum() == pytest.approx(4.0, abs=1e-9)
+    entries = walk_entries(beam, (0.0, 0.0, 0.0), 0.5, (16, 16, 1))
+    assert (np.diff(entries) * 0.5).sum() == pytest.approx(4.0, abs=1e-9)
 
 
 # -- edge geometry: the scalar caster against the numpy reference --------------
@@ -280,10 +286,9 @@ def test_cast_equals_numpy_reference_on_edge_geometry(case):
     want_cells, want_entries, want_hit = cast_reference(beam, map_origin, cell_size, dims)
     trace = cast(beam, map_origin, cell_size, dims)
     assert [tuple(c) for c in trace.cells.tolist()] == want_cells
-    assert trace.entries == want_entries
+    assert walk_entries(beam, map_origin, cell_size, dims) == want_entries
     assert trace.hit_index == want_hit
     assert trace.cells.dtype == np.int64
-    assert np.array_equal(trace.chords, np.diff(want_entries) * cell_size)
 
 
 @given(edge_rays())
@@ -358,7 +363,7 @@ def assert_cut_walk_is_a_prefix(beam, map_origin, cell_size, dims):
     if hit is not None:
         assert hit == len(entries) - 2  # the hit cell is the cut walk's last
     trace = cast(beam, map_origin, cell_size, dims)
-    end = len(trace) if trace.hit_index is None else trace.hit_index + 1
+    end = len(trace.cells) if trace.hit_index is None else trace.hit_index + 1
     coords, rows = scan_updates([beam], map_origin, cell_size, dims, 3)
     assert coords == trace.cells[:end].ravel().tolist()
     assert rows == [0] * (end - (hit is not None)) + [2] * (hit is not None)
@@ -386,7 +391,7 @@ def test_walk_cut_where_the_beam_leaves_the_box_at_its_hit():
     """A beam whose hit range is where it leaves the box: the walk ends
     there, before the cut, and finds no hit, as the full walk does."""
     beam = BeamMeasurement.planar((1.5, 1.5), 0.0, 6.5, 1, 9.0)
-    assert cast(beam, (0.0, 0.0, 0.0), 1.0, (8, 4, 1)).entries[-1] == 6.5
+    assert walk_entries(beam, (0.0, 0.0, 0.0), 1.0, (8, 4, 1))[-1] == 6.5
     assert_cut_walk_is_a_prefix(beam, (0.0, 0.0, 0.0), 1.0, (8, 4, 1))
 
 
@@ -474,8 +479,9 @@ def test_exact_corner_crossings_skip_zero_chord_neighbours():
     trace = cast(beam, (0.0, 0.0, 0.0), 1.0, (4, 4, 4))
     assert trace.cells.tolist() == [[n, n, n] for n in range(4)]
     # the ray leaves the map at the far corner, before max range
-    assert trace.entries[-1] == pytest.approx(4.0 * math.sqrt(3.0))
-    assert trace.entries[-1] < 10.0
+    end = walk_entries(beam, (0.0, 0.0, 0.0), 1.0, (4, 4, 4))[-1]
+    assert end == pytest.approx(4.0 * math.sqrt(3.0))
+    assert end < 10.0
     assert trace.hit_index is None
 
 
@@ -489,7 +495,6 @@ def test_octree_and_grid_cast_same_geometry(rng):
         beam = BeamMeasurement(origin, d / np.linalg.norm(d), r_max / 2, 1, r_max)
         a, b = gmap.cast_ray(beam), tree.cast_ray(beam)
         np.testing.assert_array_equal(a.cells, b.cells)
-        assert a.entries == b.entries
         assert a.hit_index == b.hit_index
 
 
@@ -618,7 +623,7 @@ def reference_integrate(gmap, beam, params):
     """The per-cell form of ``GridMap.integrate``: one posterior update and
     clamp per traversed cell, then one for the hit cell."""
     trace = gmap.cast_ray(beam)
-    end = trace.hit_index if trace.hit_index is not None else len(trace)
+    end = trace.hit_index if trace.hit_index is not None else len(trace.cells)
     updates = [(cell, params.phi_minus) for cell in trace.cells[:end]]
     if trace.hit_index is not None:
         updates.append((trace.cells[end], params.hit_logodds(beam.category)))
@@ -671,7 +676,7 @@ def integrate_case(draw):
 @settings(max_examples=300, deadline=None)
 def test_integrate_is_the_per_cell_update_bit_for_bit(case):
     gmap, beams, params = case
-    want = gmap.copy()
+    want = copy.deepcopy(gmap)
     for beam in beams:
         gmap.integrate(beam, params)
         reference_integrate(want, beam, params)
@@ -725,7 +730,7 @@ def test_insert_scan_is_the_per_beam_loop_bit_for_bit(case):
     time by ``integrate_reference``: the same cell bits, signed zeros and
     values at the clamp bounds included, and the same observed flags."""
     gmap, beams, params = case
-    want = gmap.copy()
+    want = copy.deepcopy(gmap)
     gmap.insert_scan(beams, params)
     for beam in beams:
         integrate_reference(want, beam, params)
@@ -738,7 +743,7 @@ def test_insert_scan_writes_through_to_arrays_in_any_order(params3, rng):
     cannot view flat, still receive every write, in the arrays the map
     holds."""
     gmap = GridMap((6, 5, 4), 1.0, 3)
-    want = gmap.copy()
+    want = copy.deepcopy(gmap)
     gmap.cells = np.asfortranarray(gmap.cells)
     gmap.observed = np.asfortranarray(gmap.observed)
     cells, observed = gmap.cells, gmap.observed
@@ -861,7 +866,7 @@ def test_beam_event_probabilities_total_one(params3, rng):
 
 def test_fresh_map_entropy():
     gmap = GridMap((10, 1), 1.0, 2)
-    assert gmap.map_entropy() == pytest.approx(10 * LN3, abs=1e-10)
+    assert gmap.map_state()[0] == pytest.approx(10 * LN3, abs=1e-10)
 
 
 def test_saturated_map_entropy_positive(params3):
@@ -869,18 +874,19 @@ def test_saturated_map_entropy_positive(params3):
     sat = lo.clamp(np.array([0.0, -99.0, -99.0, -99.0]), params3)
     for i in range(10):
         gmap.set_cell((i, 0, 0), sat)
-    assert 0.0 < gmap.map_entropy() < 10 * lo.entropy(sat) + 1e-12
-    assert gmap.map_entropy() == pytest.approx(10 * lo.entropy(sat), abs=1e-10)
+    entropy = gmap.map_state()[0]
+    assert 0.0 < entropy < 10 * lo.entropy(sat) + 1e-12
+    assert entropy == pytest.approx(10 * lo.entropy(sat), abs=1e-10)
 
 
 def test_empty_region_entropy_zero():
     gmap = GridMap((4, 4), 1.0, 2)
-    assert gmap.map_entropy(region=((0, 0, 0), (0, 4, 1))) == 0.0
+    assert gmap.map_state(region=((0, 0, 0), (0, 4, 1))) == (0.0, 0.0)
 
 
 def test_region_mask_entropy():
     gmap = GridMap((4, 4), 1.0, 2)
-    assert gmap.map_entropy(region=((0, 0, 0), (1, 1, 1))) == pytest.approx(LN3, abs=1e-12)
+    assert gmap.map_state(region=((0, 0, 0), (1, 1, 1)))[0] == pytest.approx(LN3, abs=1e-12)
 
 
 # -- serialization --------------------------------------------------------------------

@@ -498,7 +498,8 @@ def test_flat_key_selection_matches_tuple_sets(dims, rng):
             beams.append(BeamMeasurement(rng.uniform(0.0, 1.0, 3) * extent, d / np.linalg.norm(d),
                                          4.0, None, 4.0))
         traces = [gmap.cast_ray(b) for b in beams]
-        whole = FanCast(np.concatenate([t.cells for t in traces]), tuple(map(len, traces)))
+        whole = FanCast(np.concatenate([t.cells for t in traces]),
+                        tuple(len(t.cells) for t in traces))
         assert (select_nonoverlapping(cast_fan(gmap, beams))
                 == select_nonoverlapping_reference(traces, skip_first_cell=True))
         assert (select_nonoverlapping(whole)
@@ -662,7 +663,7 @@ def test_mi_surface_k1_equals_binary_path():
 def mi_surface_reference(gmap, params, num_beams, max_range, binary=False):
     """The per-beam surface loop with the single-beam reference formula."""
     binary_params = SensorParams.default(1)
-    labels = gmap.most_likely()[:, :, 0]
+    labels = gmap.labels_observed()[0][:, :, 0]
     out = np.zeros(gmap.dims[:2])
     for i in range(gmap.dims[0]):
         for j in range(gmap.dims[1]):

@@ -497,7 +497,7 @@ def test_srle_expansion_matches_element_queries(params3, rng):
         beam = random_beam(rng, r_max=25.0)
         trace = tree.cast_ray(beam)
         ray = tree.encode_trace(trace.cells)
-        assert ray.num_elements == len(trace)
+        assert ray.num_elements == len(trace.cells)
         expanded, _ = ray.expand()
         for idx, cell in enumerate(trace.cells):
             want = tree.query_element(tuple(cell)).to_full(3)
@@ -1165,9 +1165,8 @@ def test_map_entropy_and_observed_fraction_match_leaf_sums(params3, rng):
     for _ in range(30):
         tree.insert_scan([random_beam(rng)], params3)
     for box in (((0, 0, 0), (32, 32, 32)), ((3, 0, 5), (29, 17, 6)), ((4, 4, 4), (4, 9, 9))):
-        entropy, fraction = leaf_sums(tree, box)
-        assert tree.map_entropy(box) == entropy  # same summation order, bit for bit
-        assert tree.observed_fraction(box) == fraction
+        # same summation order, bit for bit
+        assert tree.map_state(box) == leaf_sums(tree, box)
         labels, observed = tree.labels_observed(box)
         assert labels.shape == observed.shape == tuple(hi - lo for lo, hi in zip(*box))
         for rel in np.ndindex(labels.shape):
@@ -1176,6 +1175,17 @@ def test_map_entropy_and_observed_fraction_match_leaf_sums(params3, rng):
             assert observed[rel] == (sem != tree.prior_semantics)
     with pytest.raises(ValueError):
         tree.labels_observed(((0, 0, 0), (33, 1, 1)))
+
+
+def grid_sums(gmap, box):
+    """The grid's aggregates over a half-open box (None: the whole map) by
+    hand: the entropy of the stacked rows and the mean observed flag,
+    ``(0.0, 0.0)`` for an empty box."""
+    sl = (slice(None),) * 3 if box is None else tuple(map(slice, *box))
+    observed = gmap.observed[sl]
+    if not observed.size:
+        return 0.0, 0.0
+    return lo.entropy(gmap.cells[sl].reshape(-1, gmap.num_classes + 1)), float(np.mean(observed))
 
 
 def test_map_state_is_both_aggregates_on_either_map(params3, rng):
@@ -1188,10 +1198,11 @@ def test_map_state_is_both_aggregates_on_either_map(params3, rng):
         tree.insert_scan(scan, params3)
         for _ in range(2):  # the second pass reads the octree's belief cache
             for box in boxes:
-                for m in (gmap, tree):
-                    assert m.map_state(box) == (m.map_entropy(box), m.observed_fraction(box))
+                want = grid_sums(gmap, box)
+                assert np.array(gmap.map_state(box)).tobytes() == np.array(want).tobytes()
                 assert tree.map_state(box) == leaf_sums(tree, box or ((0, 0, 0), tree.dims))
-    assert 0.0 < tree.observed_fraction() < 1.0
+    assert 0.0 < tree.map_state()[1] < 1.0
+    assert gmap.map_state(boxes[3]) == tree.map_state(boxes[3]) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("kind", ["grid", "octree"])
@@ -1202,7 +1213,7 @@ def test_aggregates_reject_boxes_outside_the_map(kind, params3):
     past_extent = ((0, 0, 0), (12, 12, 12))
     negative_corner = ((-2, 0, 0), (4, 4, 4))
     for box in (inverted, past_extent, negative_corner):
-        for query in (m.map_state, m.map_entropy, m.observed_fraction):
+        for query in (m.map_state, m.labels_observed):
             with pytest.raises(ValueError):
                 query(box)
     assert m.map_state(((2, 2, 2), (2, 5, 5))) == (0.0, 0.0)
@@ -1234,9 +1245,11 @@ def test_grid_and_octree_answer_the_shared_calls_alike(params3):
             g_labels, g_observed = gmap.labels_observed(box)
             t_labels, t_observed = tree.labels_observed(box)
             assert (g_labels == t_labels).all() and (g_observed == t_observed).all()
-            assert gmap.observed_fraction(box) == tree.observed_fraction(box)
-            assert gmap.map_entropy(box) == pytest.approx(tree.map_entropy(box), rel=1e-10)
-    assert 0.05 < gmap.observed_fraction() < 0.95
+            g_entropy, g_fraction = gmap.map_state(box)
+            t_entropy, t_fraction = tree.map_state(box)
+            assert g_fraction == t_fraction
+            assert g_entropy == pytest.approx(t_entropy, rel=1e-10)
+    assert 0.05 < gmap.map_state()[1] < 0.95
     assert len(np.unique(gmap.labels_observed(boxes[0])[0])) == 4
 
 
