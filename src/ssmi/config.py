@@ -23,9 +23,15 @@ class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
 
 
+def _require_real(value, name: str, ok, what: str) -> None:
+    """ConfigError naming the field unless ``value`` is an int or a float
+    (not a bool) that ``ok`` accepts."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not ok(value):
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+
+
 def _require_positive(value, name: str) -> None:
-    if not (math.isfinite(value) and value > 0.0):
-        raise ConfigError(f"{name} must be positive and finite, got {value!r}")
+    _require_real(value, name, lambda v: math.isfinite(v) and v > 0.0, "positive and finite")
 
 
 def _require_int(value, name: str, least: int) -> None:
@@ -34,8 +40,7 @@ def _require_int(value, name: str, least: int) -> None:
 
 
 def _require_fraction(value, name: str) -> None:
-    if isinstance(value, bool) or not (isinstance(value, (int, float)) and 0.0 <= value <= 1.0):
-        raise ConfigError(f"{name} must be in [0, 1], got {value!r}")
+    _require_real(value, name, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 
 
 @dataclass
@@ -77,13 +82,11 @@ class SensorConfig:
 
     def __post_init__(self):
         _require_int(self.num_beams, "sensor.num_beams", 1)
-        if not 0.0 <= self.misclass_prob < 1.0:
-            raise ConfigError("sensor.misclass_prob must be in [0, 1)")
+        _require_real(self.misclass_prob, "sensor.misclass_prob", lambda v: 0 <= v < 1, "in [0, 1)")
         _require_positive(self.fov_deg, "sensor.fov_deg")
         _require_positive(self.r_max, "sensor.r_max")
-        if not (math.isfinite(self.range_sigma) and self.range_sigma >= 0.0):
-            raise ConfigError(
-                f"sensor.range_sigma must be finite and >= 0, got {self.range_sigma!r}")
+        _require_real(self.range_sigma, "sensor.range_sigma",
+                      lambda v: math.isfinite(v) and v >= 0.0, "finite and >= 0")
 
 
 @dataclass
@@ -99,6 +102,10 @@ class MapperConfig:
         if self.type not in ("grid", "octree"):
             raise ConfigError(f"unknown mapper type {self.type!r}")
         _require_positive(self.clamp_limit, "mapper.clamp_limit")
+        for name in ("free_odds", "hit_odds"):
+            _require_real(getattr(self, name), f"mapper.{name}", math.isfinite, "finite")
+        for name in ("true_positive_rate", "alpha"):
+            _require_real(getattr(self, name), f"mapper.{name}", lambda v: 0 < v < 1, "in (0, 1)")
 
     def sensor_params(self, num_classes: int) -> SensorParams:
         return SensorParams.default(
@@ -128,9 +135,9 @@ class SweepConfig:
     beams: int = 9
 
     def __post_init__(self):
-        self.resolutions = tuple(float(r) for r in self.resolutions)
         for r in self.resolutions:
             _require_positive(r, "sweep.resolutions")
+        self.resolutions = tuple(float(r) for r in self.resolutions)
         _require_int(self.iterations, "sweep.iterations", 1)
         _require_int(self.beams, "sweep.beams", 1)
 
@@ -190,7 +197,8 @@ def config_from_dict(data: dict) -> SimConfig:
             raise ConfigError(f"config section {name!r} must be a mapping")
         if name == "planner" and "fov_deg" in section:
             section = dict(section)
-            section["fov"] = math.radians(float(section.pop("fov_deg")))
+            _require_positive(section["fov_deg"], "planner.fov_deg")
+            section["fov"] = math.radians(section.pop("fov_deg"))
         try:
             kwargs[name] = cls(**section)
         except TypeError as exc:

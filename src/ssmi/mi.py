@@ -476,10 +476,10 @@ def fan_angles(num_beams: int, heading: float = 0.0,
 
 @functools.lru_cache(maxsize=64)
 def _fan_directions(num_beams: int, heading: float, fov: float) -> tuple[tuple[float, ...], ...]:
-    """The unit directions of the planar fan at :func:`fan_angles`, each
-    made as floats and passed through ``grid.unit_direction``. A NaN or
-    infinite angle raises ``ValueError`` (from ``math.cos`` or the check),
-    and a raise is not memoized. ``FanCast.from_pose`` casts along them."""
+    """The unit directions of the planar fan at :func:`fan_angles`, made as
+    floats and passed through ``grid.unit_direction``; ``FanCast.from_pose``
+    casts and ``sim.sense`` senses along them. A NaN or infinite angle raises
+    ``ValueError`` (from ``math.cos`` or the check), which is not memoized."""
     return tuple(tuple(unit_direction([math.cos(a), math.sin(a), 0.0]))
                  for a in fan_angles(num_beams, heading, fov))
 

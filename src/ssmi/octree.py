@@ -4,10 +4,10 @@ categorical beliefs.
 Every node has 0 or 8 children. Leaves store at most the 3 most likely class
 log-odds plus a single "others" lump for the rest; with K <= 3 all classes are
 tracked, the lump stays empty, and element updates reproduce the dense grid
-arithmetic bit for bit. After each scan, sibling leaves that ended up with
-identical beliefs are pruned into their parent, which is what makes ray casts
-over this structure short: a ray meets a handful of homogeneous runs instead
-of hundreds of elements.
+arithmetic bit for bit. Every write keeps the tree pruned: eight sibling
+leaves that come to hold one belief collapse into their parent, which is
+what makes ray casts over this structure short: a ray meets a handful of
+homogeneous runs instead of hundreds of elements.
 
 Queries, ray casts, aggregates and files all read leaves only, so an inner
 node holds no belief: the tree is its structure plus the leaf beliefs, and
@@ -33,14 +33,14 @@ and its median episode from 0.127-0.138 to 0.173-0.179 s (4 runs each,
 2-core machine).
 
 Upkeep follows what a scan changes, not the size of the tree. Every belief
-the tree stores is interned bit for bit when it is written, so equal values
-share one object, and ``insert_scan`` memoizes each update by hit class and
-belief object for the scan: a write that changes nothing costs a lookup.
-Writes that expand a leaf and prunes that collapse a node record that node;
-the next read walks only the highest recorded nodes and splices their leaves
-into the table over the same Morton intervals, ordered with the kept
-leaves by one sort on their Morton starts. A new root (a new tree, a
-loaded file) gets a full walk.
+the tree stores is interned bit for bit, so equal values share one object
+and beliefs compare by identity (``0.0`` and ``-0.0`` stay apart), and
+``insert_scan`` memoizes each update by hit class and belief object for the
+scan: a write that changes nothing costs a lookup. Each write records the
+highest node whose leaves it changed; the next read walks only the highest
+recorded nodes and splices their leaves into the table over the same Morton
+intervals, ordered with the kept leaves by one sort on their Morton starts.
+A new root (a new tree, a loaded file) gets a full walk.
 """
 
 from __future__ import annotations
@@ -174,13 +174,13 @@ def _exact_key(sem: "TruncatedSemantics"):
 
 class _Beliefs:
     """The beliefs of one tree, interned bit for bit (``_exact_key``): equal
-    values share one object, and each object has an append-only id. Per id:
-    ``same`` (the first id equal to it under ``==``, which differs only for
-    signed zeros), set when it is interned, and ``full`` (the ``to_full``
-    row), ``entropy`` and ``observed`` (off the prior), computed once, when
-    a leaf table first holds the id (``fill``): a scan interns many
-    beliefs that it overwrites before any table sees them. The store keeps
-    its objects alive, so ``by_object`` may key them by ``id``."""
+    values share one object, so beliefs compare by identity, and each object
+    has an append-only id. The prior is id 0 of every store, so a belief
+    bit-equal to it is always ``prior_semantics``. Per id: ``full`` (the
+    ``to_full`` row), ``entropy`` and ``observed`` (not the prior), computed
+    once, when a leaf table first holds the id (``fill``): a scan interns
+    many beliefs that it overwrites before any table sees them. The store
+    keeps its objects alive, so ``by_object`` may key them by ``id``."""
 
     def __init__(self, prior_semantics: "TruncatedSemantics", num_classes: int):
         self.prior_semantics = prior_semantics
@@ -188,8 +188,8 @@ class _Beliefs:
         self.objects: list[TruncatedSemantics] = []
         self.by_key: dict = {}
         self.by_object: dict[int, int] = {}
-        self.by_value: dict[TruncatedSemantics, int] = {}
         self._allocate(64)
+        self.fill(np.array([self.id_of(prior_semantics)]))
 
     def __len__(self) -> int:
         return len(self.objects)
@@ -198,36 +198,29 @@ class _Beliefs:
         """Fresh arrays of ``capacity`` rows holding the rows so far; tables
         built earlier keep views of the old arrays, whose rows never change."""
         n = len(self.objects)
-        rows = [np.zeros((capacity, self.num_classes + 1)), np.zeros(capacity, dtype=np.intp),
-                np.zeros(capacity), np.zeros(capacity, dtype=bool), np.zeros(capacity, dtype=bool)]
+        rows = [np.zeros((capacity, self.num_classes + 1)), np.zeros(capacity),
+                np.zeros(capacity, dtype=bool), np.zeros(capacity, dtype=bool)]
         if n:
-            for new, old in zip(rows, (self.full, self.same, self.entropy, self.observed,
-                                       self.ready)):
+            for new, old in zip(rows, (self.full, self.entropy, self.observed, self.ready)):
                 new[:n] = old[:n]
-        self.full, self.same, self.entropy, self.observed, self.ready = rows
+        self.full, self.entropy, self.observed, self.ready = rows
 
     def intern(self, sem: "TruncatedSemantics") -> "TruncatedSemantics":
         """The stored object bit-equal to ``sem``, which is ``sem`` itself
         when no such object was stored before."""
-        if id(sem) in self.by_object:
-            return sem
-        return self.objects[self._key_id(sem)]
+        return self.objects[self.id_of(sem)]
 
     def id_of(self, sem: "TruncatedSemantics") -> int:
         i = self.by_object.get(id(sem))
-        return self._key_id(sem) if i is None else i
-
-    def _key_id(self, sem: "TruncatedSemantics") -> int:
-        key = _exact_key(sem)
-        i = self.by_key.get(key)
-        if i is not None:
-            return i
-        i = self.by_key[key] = len(self.objects)
-        if i == self.same.shape[0]:
-            self._allocate(2 * i)
-        self.objects.append(sem)
-        self.by_object[id(sem)] = i
-        self.same[i] = self.by_value.setdefault(sem, i)
+        if i is None:
+            key = _exact_key(sem)
+            i = self.by_key.get(key)
+        if i is None:
+            i = self.by_key[key] = len(self.objects)
+            if i == self.ready.shape[0]:
+                self._allocate(2 * i)
+            self.objects.append(sem)
+            self.by_object[id(sem)] = i
         return i
 
     def fill(self, ids: np.ndarray) -> None:
@@ -237,12 +230,12 @@ class _Beliefs:
             sem = self.objects[i]
             self.full[i] = sem.to_full(self.num_classes)
             self.entropy[i] = sem.entropy()
-            self.observed[i] = sem != self.prior_semantics
+            self.observed[i] = sem is not self.prior_semantics
             self.ready[i] = True
 
     def compacted(self, live: np.ndarray) -> "_Beliefs":
-        """A store of the ``live`` ids alone, numbered in that order, with
-        the rows they have."""
+        """A store of the ``live`` ids alone (the prior's first), numbered in
+        that order, with the rows they have."""
         new = _Beliefs(self.prior_semantics, self.num_classes)
         for i in live.tolist():
             new.id_of(self.objects[i])
@@ -256,8 +249,8 @@ class _Beliefs:
         """A leaf table over these leaves, with the rows of every id so far."""
         n = len(self.objects)
         return LeafTable(starts=starts, corners=corners, sizes=sizes, ids=ids,
-                         full=self.full[:n], same=self.same[:n],
-                         entropy=self.entropy[:n], observed=self.observed[:n])
+                         full=self.full[:n], entropy=self.entropy[:n],
+                         observed=self.observed[:n])
 
 
 @dataclass(frozen=True)
@@ -266,17 +259,16 @@ class LeafTable:
 
     Per leaf: ``starts`` (the Morton code of its low corner, ascending),
     ``corners`` and ``sizes`` (in elements), and ``ids``, the id of its
-    belief in the tree's interned beliefs. Per belief id, the rows of those
-    (``_Beliefs``): ``full``, ``same``, ``entropy`` and ``observed``; ids
-    that no leaf holds any more keep their rows. The leaf holding element
-    ``c`` is ``searchsorted(starts, morton(c), "right") - 1``."""
+    belief in the tree's interned beliefs, so equal ids are equal bits. Per
+    belief id, the rows of those (``_Beliefs``): ``full``, ``entropy`` and
+    ``observed``; ids that no leaf holds any more keep their rows. The leaf
+    holding element ``c`` is ``searchsorted(starts, morton(c), "right") - 1``."""
 
     starts: np.ndarray
     corners: np.ndarray
     sizes: np.ndarray
     ids: np.ndarray
     full: np.ndarray
-    same: np.ndarray
     entropy: np.ndarray
     observed: np.ndarray
 
@@ -428,9 +420,8 @@ class SemanticOctree:
             raise ValueError("prior must be a K+1 log-odds vector with zero pivot")
         prior.flags.writeable = False
         self.prior = prior
-        prior_semantics = TruncatedSemantics.from_full(prior)
-        self._beliefs = _Beliefs(prior_semantics, num_classes)
-        self.prior_semantics = self._beliefs.intern(prior_semantics)
+        self._beliefs = _Beliefs(TruncatedSemantics.from_full(prior), num_classes)
+        self.prior_semantics = self._beliefs.prior_semantics
         # reads may run concurrently, and one of them brings the table up to date
         self._upkeep = threading.Lock()
         self.root = SemanticNode(self.prior_semantics)
@@ -495,29 +486,52 @@ class SemanticOctree:
 
     # -- updates ---------------------------------------------------------------
 
-    def _write_element(self, cell, update) -> bool:
-        """The one element writer: a single root-to-leaf descent finds the
-        leaf covering the element, and when ``update(belief)`` differs from
-        that leaf's belief, the leaf is expanded down to element resolution
-        and the new value, interned, stored, so saturated space stays
-        pruned. The leaf's node is recorded for the leaf table. Returns
-        whether the element changed."""
+    def _write_element(self, cell, update) -> int | None:
+        """The one element writer: it finds the leaf covering the element and
+        interns ``update(belief)``. Unless that is the leaf's belief (then it
+        returns None), it expands a larger leaf down to the element, whose 7
+        new siblings keep the old belief, or writes an element-level leaf and
+        collapses each parent whose 8 children now hold one belief, up to the
+        first that does not (``_collapse``). It records the highest node whose
+        leaves changed for the leaf table and returns how many nodes collapsed."""
         x, y, z = cell
-        node, bit = self._descend(x, y, z)
+        node, bit = self._descend(x, y, z, 2)
+        if node.children is not None:  # the node of edge 2 over an element leaf
+            parent, node, bit = node, node.children[(x & 1) << 2 | (y & 1) << 1 | (z & 1)], -1
         current = node.semantics
-        new = update(current)
-        if new is current or new == current:
-            return False
-        new = self._beliefs.intern(new)
+        new = self._beliefs.intern(update(current))
+        if new is current:
+            return None
+        size = 1 << bit + 1  # the changed leaf's edge
+        collapsed = 0
+        if bit < 0:
+            node.semantics = new
+            while self._collapse(parent):
+                collapsed += 1
+                size <<= 1
+                if size == self.size_elements:
+                    break
+                parent = self._descend(x, y, z, size << 1)[0]
+        else:
+            while bit >= 0:
+                node.children = [SemanticNode(current) for _ in range(8)]
+                node.semantics = None
+                node = node.children[((x >> bit) & 1) << 2 | ((y >> bit) & 1) << 1 | ((z >> bit) & 1)]
+                bit -= 1
+            node.semantics = new
         if self._table is not None:
-            size = 1 << bit + 1
             self._dirty.add((x & -size, y & -size, z & -size, size))
-        while bit >= 0:
-            node.children = [SemanticNode(current) for _ in range(8)]
-            node.semantics = None
-            node = node.children[((x >> bit) & 1) << 2 | ((y >> bit) & 1) << 1 | ((z >> bit) & 1)]
-            bit -= 1
-        node.semantics = new
+        return collapsed
+
+    @staticmethod
+    def _collapse(node: SemanticNode) -> bool:
+        """Make an inner node a leaf when its 8 children are leaves holding
+        one belief object (an inner node holds None); returns whether it
+        did. The one collapse test, of the writer and of ``prune``."""
+        sem = node.children[0].semantics
+        if sem is None or any(child.semantics is not sem for child in node.children):
+            return False
+        node.semantics, node.children = sem, None
         return True
 
     def set_element(self, cell, h: np.ndarray) -> None:
@@ -526,12 +540,10 @@ class SemanticOctree:
         self._write_element(cell, lambda _: new)
 
     def insert_scan(self, beams: list[BeamMeasurement], params: SensorParams) -> "SemanticOctree":
-        """Integrate beams in order (same cell arithmetic as the dense grid),
-        then prune bottom-up, visiting only the paths to the elements the
-        scan changed: a tree that was pruned before the scan is pruned after
-        it. The element updates are the grid's, from ``scan_updates``, which
-        walks and checks every beam first: a scan that raises leaves the
-        tree as it was.
+        """Integrate beams in order (same cell arithmetic as the dense grid);
+        each write keeps the tree pruned. The element updates are the
+        grid's, from ``scan_updates``, which walks and checks every beam
+        first: a scan that raises leaves the tree as it was.
 
         The update is a pure function of the hit class and the belief's
         bits, and equal beliefs share one interned object, so each class
@@ -544,7 +556,7 @@ class SemanticOctree:
         each element is written once with its chain of steps: one descent
         per distinct element rather than per update. An element whose chain
         ends at the belief it held is not written; a write per update would
-        have expanded its leaf and the prune collapsed it again."""
+        have expanded its leaf and collapsed it again."""
         if params.num_classes != self.num_classes:
             raise ValueError("sensor parameters and tree disagree on K")
         update = element_update(params, self.prior)
@@ -559,8 +571,7 @@ class SemanticOctree:
             def memo_step(sem):
                 new = memo.get(id(sem))
                 if new is None:
-                    new = step(sem)
-                    new = memo[id(sem)] = sem if new == sem else intern(new)
+                    new = memo[id(sem)] = intern(step(sem))
                     held.append(sem)
                 return new
 
@@ -577,55 +588,38 @@ class SemanticOctree:
                 step = steps[row] = memoized(update(row))
             chains.setdefault(cell, []).append(step)
         write = self._write_element
-        changed = [
-            cell for cell, chain in chains.items()
-            if write(cell, chain[0] if len(chain) == 1 else functools.partial(_chain, chain))
-        ]
+        written = [write(cell, chain[0] if len(chain) == 1 else functools.partial(_chain, chain))
+                   for cell, chain in chains.items()]
+        changed = [n for n in written if n is not None]  # nodes each changing write collapsed
         visited = len(rows)
-        collapsed = self.prune(changed)
         log.debug(
             "insert_scan: %d beams, %d elements visited, %d changed, %d nodes collapsed, "
             "%d memo hits, %d no-op writes",
-            len(beams), visited, len(changed), collapsed,
+            len(beams), visited, len(changed), sum(changed),
             visited - sum(map(len, memos)), len(chains) - len(changed),
         )
         return self
 
-    def prune(self, cells=None) -> int:
-        """Bottom-up: collapse inner nodes whose 8 children are identical
-        leaves. Point queries are unaffected. Without ``cells`` the whole tree
-        is visited (trees built by hand or loaded from a file); with them,
-        only the inner nodes on the root paths of those elements, which is
-        enough when the tree was pruned before they were written. Each
-        collapsed node is recorded for the leaf table. Returns the number of
-        nodes collapsed."""
+    def prune(self) -> int:
+        """Bottom-up over the whole tree, intern each leaf's belief and
+        collapse every inner node whose 8 children hold one (``_collapse``):
+        for trees built by hand, since writes keep a pruned tree pruned.
+        Each collapsed node is recorded for the leaf table. Returns the
+        number of nodes collapsed."""
         collapsed = []
 
-        def visit(node: SemanticNode, bit: int, x: int, y: int, z: int, cells) -> None:
+        def visit(node: SemanticNode, bit: int, x: int, y: int, z: int) -> None:
             if node.children is None:
+                node.semantics = self._beliefs.intern(node.semantics)
                 return
-            if cells is None:
-                groups = dict.fromkeys(range(8))
-            else:
-                groups: dict[int, list] = {}
-                for cell in cells:
-                    cx, cy, cz = cell
-                    slot = ((cx >> bit) & 1) << 2 | ((cy >> bit) & 1) << 1 | ((cz >> bit) & 1)
-                    groups.setdefault(slot, []).append(cell)
             half = 1 << bit
-            for slot, group in groups.items():
-                visit(node.children[slot], bit - 1, x | (slot >> 2) * half,
-                      y | (slot >> 1 & 1) * half, z | (slot & 1) * half, group)
-            first = node.children[0]
-            if first.children is None and all(
-                c.children is None and c.semantics == first.semantics
-                for c in node.children[1:]
-            ):
-                node.semantics = first.semantics
-                node.children = None
+            for slot, child in enumerate(node.children):
+                visit(child, bit - 1, x | (slot >> 2) * half, y | (slot >> 1 & 1) * half,
+                      z | (slot & 1) * half)
+            if self._collapse(node):
                 collapsed.append((x, y, z, 2 * half))
 
-        visit(self.root, self.max_depth - 1, 0, 0, 0, cells)
+        visit(self._root, self.max_depth - 1, 0, 0, 0)
         if self._table is not None:  # the leaves changed, though no element did
             self._dirty.update(collapsed)
         return len(collapsed)
@@ -656,7 +650,7 @@ class SemanticOctree:
         for x, y, z in cells.tolist():
             if not (lx <= x < lx + size and ly <= y < ly + size and lz <= z < lz + size):
                 sem, (lx, ly, lz), size = self.leaf_at((x, y, z))
-            if values and values[-1] == sem:
+            if values and values[-1] is sem:
                 widths[-1] += 1
             else:
                 values.append(sem)
@@ -672,17 +666,16 @@ class SemanticOctree:
         stacked, and each beam's run count; the runs are
         None when there is no element. All elements are looked up in the
         leaf table at once; a run starts at each beam's first element and
-        wherever the belief changes under ``==``, and takes its first
-        element's belief."""
+        wherever the belief id changes (ids are interned bits), and takes
+        its first element's belief."""
         lengths = np.array(counts, dtype=np.int64)
         if not cells.shape[0]:
             return None, lengths.tolist()
         table = self.leaf_table()
         ids = table.element_ids(morton(*cells.T))
-        same = table.same[ids]
         new = np.empty(ids.shape[0], dtype=bool)
         new[0] = True
-        np.not_equal(same[1:], same[:-1], out=new[1:])
+        np.not_equal(ids[1:], ids[:-1], out=new[1:])
         new[(np.cumsum(lengths) - lengths)[lengths > 0]] = True
         starts = np.flatnonzero(new)
         chi_t = table.full[ids[starts]]
@@ -739,10 +732,10 @@ class SemanticOctree:
             return self._table
 
     def _compacted(self, starts, corners, sizes, ids) -> LeafTable:
-        """The table with the interned beliefs cut down to those its leaves
-        hold, renumbered by first leaf in preorder; ids and ``same`` are then
-        those a walk that interns from nothing assigns."""
-        live, first = np.unique(ids, return_index=True)
+        """The table with the interned beliefs cut down to the prior and those
+        its leaves hold, renumbered prior first, then by first leaf in
+        preorder: the ids a walk that interns from a fresh store assigns."""
+        live, first = np.unique(np.concatenate(([0], ids)), return_index=True)
         live = live[np.argsort(first)]
         renumber = np.empty(len(self._beliefs), dtype=np.intp)
         renumber[live] = np.arange(live.shape[0])
@@ -856,7 +849,8 @@ class SemanticOctree:
 
 def octree_from_grid(gmap: GridMap) -> SemanticOctree:
     """Copy a dense map into a fresh octree of the grid's extent, at its
-    resolution, in the least cube that holds it, and prune."""
+    resolution, in the least cube that holds it; the writes keep it
+    pruned."""
     tree = SemanticOctree(
         element_size=gmap.resolution,
         max_depth=cube_depth(gmap.dims),
@@ -865,11 +859,8 @@ def octree_from_grid(gmap: GridMap) -> SemanticOctree:
         origin=gmap.origin,
         dims=gmap.dims,
     )
-    for i in range(gmap.dims[0]):
-        for j in range(gmap.dims[1]):
-            for k in range(gmap.dims[2]):
-                tree.set_element((i, j, k), gmap.cells[i, j, k])
-    tree.prune()
+    for cell in np.ndindex(gmap.dims):
+        tree.set_element(cell, gmap.cells[cell])
     return tree
 
 

@@ -230,11 +230,11 @@ class PlannerConfig:
             value = getattr(self, name)
             if type(value) is not int or value < 1:
                 raise ValueError(f"planner.{name} must be an integer >= 1, got {value!r}")
-        if not (math.isfinite(self.fov) and self.fov > 0.0):
-            raise ValueError(f"planner.fov must be positive and finite, got {self.fov!r}")
-        if not (math.isfinite(self.beam_range) and self.beam_range > 0.0):
-            raise ValueError(
-                f"planner.beam_range must be positive and finite, got {self.beam_range!r}")
+        for name in ("fov", "beam_range"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not (math.isfinite(value) and value > 0.0)):
+                raise ValueError(f"planner.{name} must be positive and finite, got {value!r}")
         if self.band is not None and not (
                 isinstance(self.band, (list, tuple)) and len(self.band) == 2
                 and all(type(z) is int for z in self.band) and 0 <= self.band[0] < self.band[1]):

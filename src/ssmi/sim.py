@@ -26,7 +26,7 @@ from . import planner as planner_mod
 from .config import ConfigError, SimConfig
 from .errors import AllUnreachable, BadDims, NoFrontiers, PoseInObstacle
 from .grid import BeamMeasurement, GridMap, _cell_point, voxel_walk
-from .mi import fan_angles
+from .mi import _fan_directions
 from .octree import SemanticOctree, cube_depth
 
 log = logging.getLogger(__name__)
@@ -277,7 +277,7 @@ def sense(
     spec: SensorSpec,
     rng: np.random.Generator,
 ) -> list[BeamMeasurement]:
-    """Simulate one scan, one beam at each ``mi.fan_angles``: exact ranges
+    """Simulate one scan, one beam along each ``mi._fan_directions``: exact ranges
     from the ground truth (``first_hits``), then additive Gaussian range
     noise (clipped to [0, r_max]) and uniform class flips, drawn beam by
     beam.
@@ -294,8 +294,7 @@ def sense(
     if cls != 0:
         raise PoseInObstacle(f"pose {position} lies in a class-{cls} cell")
 
-    directions = [[math.cos(a), math.sin(a), 0.0]
-                  for a in fan_angles(spec.num_beams, heading, spec.fov)]
+    directions = _fan_directions(spec.num_beams, heading, spec.fov)
     hits = first_hits(env, [(p, d) for d in directions], spec.r_max)
     beams = []
     for direction, hit in zip(directions, hits):

@@ -1,4 +1,5 @@
 import heapq
+import itertools
 import math
 
 import numpy as np
@@ -7,10 +8,10 @@ import pytest
 from ssmi import logodds
 from ssmi.config import config_from_dict
 from ssmi.errors import BadDims, EmptyRay, PoseInObstacle, Unreachable
-from ssmi.grid import BeamMeasurement, SrleRay, voxel_walk
+from ssmi.grid import BeamMeasurement, GridMap, SrleRay, voxel_walk
 from ssmi.logodds import SensorParams
 from ssmi.mi import FanCast, fan_angles
-from ssmi.octree import LeafTable, _exact_key, element_update, morton
+from ssmi.octree import LeafTable, SemanticNode, _exact_key, element_update, morton
 from ssmi.planner import EIGHT_NEIGHBOURS
 from ssmi.sim import run_episode
 
@@ -152,12 +153,69 @@ def beam_mi_srle_direct(ray: SrleRay, params: SensorParams) -> float:
     return total + p_pass * c_pass
 
 
+def write_element_reference(tree, cell, update) -> bool:
+    """An element writer that never collapses: one descent to the leaf
+    covering the element, and when ``update(belief)``, interned, is not
+    the object it holds, the leaf is expanded down to element resolution
+    and the new value stored. The leaf's node is recorded for the leaf
+    table. Returns whether the element changed."""
+    x, y, z = cell
+    node, bit = tree._descend(x, y, z)
+    current = node.semantics
+    new = tree._beliefs.intern(update(current))
+    if new is current:
+        return False
+    if tree._table is not None:
+        size = 1 << bit + 1
+        tree._dirty.add((x & -size, y & -size, z & -size, size))
+    while bit >= 0:
+        node.children = [SemanticNode(current) for _ in range(8)]
+        node.semantics = None
+        node = node.children[((x >> bit) & 1) << 2 | ((y >> bit) & 1) << 1 | ((z >> bit) & 1)]
+        bit -= 1
+    node.semantics = new
+    return True
+
+
+def prune_paths_reference(tree, cells) -> int:
+    """Bottom-up over the inner nodes on the root paths of ``cells`` only,
+    collapse each whose 8 children are leaves holding one belief object:
+    enough when the tree was pruned before those elements were written.
+    Each collapsed node is recorded for the leaf table. Returns the number
+    of nodes collapsed."""
+    collapsed = []
+
+    def visit(node, bit, x, y, z, cells):
+        if node.children is None:
+            return
+        groups = {}
+        for cell in cells:
+            cx, cy, cz = cell
+            slot = ((cx >> bit) & 1) << 2 | ((cy >> bit) & 1) << 1 | ((cz >> bit) & 1)
+            groups.setdefault(slot, []).append(cell)
+        half = 1 << bit
+        for slot, group in groups.items():
+            visit(node.children[slot], bit - 1, x | (slot >> 2) * half,
+                  y | (slot >> 1 & 1) * half, z | (slot & 1) * half, group)
+        first = node.children[0].semantics
+        if all(c.children is None and c.semantics is first for c in node.children):
+            node.semantics = first
+            node.children = None
+            collapsed.append((x, y, z, 2 * half))
+
+    visit(tree.root, tree.max_depth - 1, 0, 0, 0, cells)
+    if tree._table is not None:
+        tree._dirty.update(collapsed)
+    return len(collapsed)
+
+
 def insert_scan_reference(tree, beams: list[BeamMeasurement], params: SensorParams):
-    """``SemanticOctree.insert_scan`` with one update per element and no
-    memo: each traversed element gets the free update of its belief and
-    each hit element the hit update, written in beam order, then the paths
-    to the changed elements are pruned. The reference the memoized scan is
-    held to, bit for bit."""
+    """``SemanticOctree.insert_scan`` with one update per element, no memo
+    and no collapse on write: each traversed element gets the free update
+    of its belief and each hit element the hit update, written in beam
+    order by ``write_element_reference``, then the paths to the changed
+    elements are pruned (``prune_paths_reference``). The reference the
+    memoized, collapsing scan is held to, bit for bit."""
     if params.num_classes != tree.num_classes:
         raise ValueError("sensor parameters and tree disagree on K")
     update = element_update(params, tree.prior)
@@ -168,20 +226,28 @@ def insert_scan_reference(tree, beams: list[BeamMeasurement], params: SensorPara
         cells = trace.cells.tolist()
         end = trace.hit_index if trace.hit_index is not None else len(cells)
         for cell in cells[:end]:
-            if tree._write_element(cell, free):
+            if write_element_reference(tree, cell, free):
                 changed.add(tuple(cell))
-        if trace.hit_index is not None and tree._write_element(cells[end], update(beam.category)):
+        if trace.hit_index is not None and write_element_reference(
+                tree, cells[end], update(beam.category)):
             changed.add(tuple(cells[end]))
-    tree.prune(changed)
+    prune_paths_reference(tree, changed)
     return tree
+
+
+def off_prior(tree, sem) -> bool:
+    """Whether a belief's bits differ from the tree's prior: what the
+    octree's observed flag reads."""
+    return _exact_key(sem) != _exact_key(tree.prior_semantics)
 
 
 def leaf_table_reference(tree) -> LeafTable:
     """The leaf table of a tree by one walk over all its leaves: beliefs
-    numbered bit for bit (``_exact_key``) by their first leaf in preorder,
-    ``same`` the first number equal under ``==``, and every row computed
-    from the belief. The full build a patched table is held to."""
-    by_key, by_value, beliefs, same = {}, {}, [], []
+    numbered bit for bit (``_exact_key``), the prior first and the rest by
+    their first leaf in preorder, and every row computed from the belief,
+    ``observed`` where its bits are not the prior's. The full build a
+    patched table is held to."""
+    by_key, beliefs = {_exact_key(tree.prior_semantics): 0}, [tree.prior_semantics]
     corners, sizes, ids = [], [], []
     for sem, corner, size in tree.iter_leaves():
         key = _exact_key(sem)
@@ -189,7 +255,6 @@ def leaf_table_reference(tree) -> LeafTable:
         if i is None:
             i = by_key[key] = len(beliefs)
             beliefs.append(sem)
-            same.append(by_value.setdefault(sem, i))
         corners.extend(corner)
         sizes.append(size)
         ids.append(i)
@@ -200,10 +265,22 @@ def leaf_table_reference(tree) -> LeafTable:
         sizes=np.array(sizes, dtype=np.int64),
         ids=np.array(ids, dtype=np.intp),
         full=np.array([sem.to_full(tree.num_classes) for sem in beliefs]),
-        same=np.array(same, dtype=np.intp),
         entropy=np.array([sem.entropy() for sem in beliefs]),
-        observed=np.array([sem != tree.prior_semantics for sem in beliefs], dtype=bool),
+        observed=np.array([off_prior(tree, sem) for sem in beliefs], dtype=bool),
     )
+
+
+def signed_zero_grid() -> GridMap:
+    """A 4x4x4 grid (K = 3, the all-zero uniform prior) whose 2x2x2 corner
+    alternates +0.0 and -0.0 in class 2, and whose cell (3, 3, 3) holds
+    the prior with -0.0 in class 1: beliefs ``==`` cannot tell apart.
+    Observed where a cell's bits are not the prior's, as the octree reads
+    it."""
+    gmap = GridMap((4, 4, 4), 1.0, 3)
+    for cell in itertools.product(range(2), repeat=3):
+        gmap.set_cell(cell, [0.0, 1.5, 0.0 if sum(cell) % 2 else -0.0, -2.0])
+    gmap.set_cell((3, 3, 3), [0.0, -0.0, 0.0, 0.0])
+    return gmap
 
 
 def spawn_cells_reference(grid: np.ndarray) -> list[tuple[int, int, int]]:

@@ -18,7 +18,7 @@ from ssmi.logodds import SensorParams
 from ssmi.mi import beam_mi_dense, collapse_to_binary
 from ssmi.octree import SemanticOctree, load_octree, save_octree
 from ssmi.sim import run_episode
-from conftest import cast_fan, fan_beams
+from conftest import cast_fan, fan_beams, signed_zero_grid
 
 
 SMOKE = {
@@ -348,6 +348,26 @@ def test_map_path_that_is_a_directory_exit_2(tmp_path, capsys, caplog):
     ("sweep", "beams", "abc"),
     # the random profile builds one layer, so this would run a 16x16x1 world
     ("env", "dims", [16, 16, 8]),
+    # sensor-model values that SensorParams rejected only once the episode
+    # built it, exiting 3 with a traceback
+    ("mapper", "free_odds", "abc"),
+    ("mapper", "free_odds", math.nan),
+    ("mapper", "hit_odds", "abc"),
+    ("mapper", "hit_odds", math.nan),
+    ("mapper", "true_positive_rate", "abc"),
+    ("mapper", "true_positive_rate", 1.0),
+    ("mapper", "alpha", "abc"),
+    ("mapper", "alpha", 0.0),
+    ("mapper", "alpha", 2.0),
+    ("planner", "fov_deg", "abc"),
+    # non-numbers that exited 2 without the field's name
+    ("mapper", "clamp_limit", "abc"),
+    ("sensor", "misclass_prob", "abc"),
+    ("sensor", "range_sigma", "abc"),
+    ("sensor", "r_max", "abc"),
+    ("env", "resolution", "abc"),
+    ("planner", "beam_range", "abc"),
+    ("sweep", "resolutions", ["abc"]),
 ])
 def test_config_value_out_of_range_exit_2(tmp_path, capsys, caplog, section, key, value):
     if key is None:
@@ -602,6 +622,23 @@ def test_map_inspect_and_convert_roundtrip(tmp_path, capsys, params3, rng):
     back = load_grid(back_path)
     # the grid file stores f32
     np.testing.assert_allclose(back.cells, gmap.cells, atol=1e-5)
+
+
+def test_map_convert_keeps_signed_zeros(tmp_path, capsys):
+    """A grid holding beliefs that differ from each other or from the prior
+    only in the sign of a zero (``signed_zero_grid``), saved and converted
+    grid -> octree -> grid, comes back with every cell's bits and the
+    observed mask: the same file byte for byte."""
+    gmap = signed_zero_grid()
+    paths = [tmp_path / name for name in ("m.ssmigrid", "m.ssmioct", "back.ssmigrid")]
+    save_grid(gmap, paths[0])
+    for source, out in zip(paths, paths[1:]):
+        assert main(["map", "convert", "--map", str(source), "--out", str(out)]) == 0
+    capsys.readouterr()
+    back = load_grid(paths[2])
+    assert back.cells.tobytes() == gmap.cells.tobytes()
+    assert back.observed.tobytes() == gmap.observed.tobytes()
+    assert paths[2].read_bytes() == paths[0].read_bytes()
 
 
 def inspect_lines(path, capsys):

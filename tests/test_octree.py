@@ -45,6 +45,8 @@ from conftest import (
     fan_beams,
     insert_scan_reference,
     leaf_table_reference,
+    off_prior,
+    signed_zero_grid,
     stacked_casts,
 )
 
@@ -454,8 +456,8 @@ def test_prune_idempotent_and_query_transparent(params3, rng):
 
 @pytest.mark.parametrize("k,clamp_limit", [(3, 6.0), (5, 4.0)])
 def test_insert_scan_leaves_the_tree_pruned(tmp_path, k, clamp_limit):
-    """insert_scan prunes only the paths to the elements it changed; a
-    whole-tree prune afterwards finds nothing left to collapse."""
+    """Each write of insert_scan collapses what it completes; a whole-tree
+    prune afterwards finds nothing left to collapse."""
     params = SensorParams.default(k, clamp_limit=clamp_limit)
     tree = SemanticOctree(1.0, 5, k)
     rng = np.random.default_rng(7 + k)
@@ -609,18 +611,20 @@ def test_leaf_table_reads_equal_the_element_loop(case):
         for rel in np.ndindex(labels.shape):
             sem = tree.query_element(tuple(lo + r for lo, r in zip(box[0], rel)))
             assert labels[rel] == np.argmax(sem.to_full(k))
-            assert observed[rel] == (sem != tree.prior_semantics)
+            assert observed[rel] == off_prior(tree, sem)
         assert tree.map_state(box) == leaf_sums(tree, box)
     assert tree.map_state() == leaf_sums(tree, ((0, 0, 0), tree.dims))
 
 
 def test_signed_zero_case_keeps_the_first_elements_bits():
+    """Beliefs equal under ``==`` but not in their bits make two runs, and
+    every element keeps its own bits: x = 2 and 1 hold -0.0, x = 0 +0.0."""
     tree, beams, _ = _signed_zero_leaf_case()
     first = next(sem for sem, _, _ in tree.iter_leaves() if sem.data[0] == (1, 1.5))
     assert math.copysign(1.0, first.data[1][1]) == 1.0  # the walk meets +0.0 first
     runs, counts = tree.encode_traces(*stacked_casts([tree.cast_ray(beams[0])]))
-    assert counts == [1] and runs.widths.tolist() == [3]  # x = 2, 1, 0 under ==
-    assert math.copysign(1.0, runs.chi_t[0, 2]) == -1.0  # x = 2 holds -0.0
+    assert counts == [2] and runs.widths.tolist() == [2, 1]
+    assert [math.copysign(1.0, v) for v in runs.chi_t[:, 2]] == [-1.0, 1.0]
 
 
 @given(case=leaf_table_case())
@@ -766,7 +770,8 @@ def read_all(tree, beam):
 
 def test_leaf_table_is_rebuilt_only_after_the_tree_changes(params3, caplog, tmp_path):
     """One build serves every read until an element write, a collapsing
-    prune or a new root; a scan that changes no element keeps the table."""
+    prune or a new root; a scan that changes no element keeps the table,
+    and the write that completes a block collapses it."""
     tree = SemanticOctree(1.0, 3, 3)
     beam = BeamMeasurement.planar((0.0, 3.5), 0.0, 5.5, 2, 8.0, z=3.5)
     with caplog.at_level(logging.DEBUG, logger="ssmi.octree"):
@@ -792,11 +797,16 @@ def test_leaf_table_is_rebuilt_only_after_the_tree_changes(params3, caplog, tmp_
             tree.set_element(cell, h)
             read_all(tree, beam)
         assert table_builds(caplog, tree) == 8
+        node, bit = tree._descend(6, 6, 6, 2)  # the eighth write collapsed the block
+        assert node.children is None and bit == 0
         leaves = tree.num_leaves()
+        # split by hand, which records nothing; the prune that collapses it
+        # again does, so the table is patched back to the same leaves
+        node.children, node.semantics = [SemanticNode(node.semantics) for _ in range(8)], None
         assert tree.prune() == 1
         read_all(tree, beam)
         assert table_builds(caplog, tree) == 9
-        assert tree.num_leaves() == leaves - 7
+        assert tree.num_leaves() == leaves
         assert tree.prune() == 0
         read_all(tree, beam)
         assert table_builds(caplog, tree) == 9
@@ -813,7 +823,7 @@ def test_leaf_table_is_rebuilt_only_after_the_tree_changes(params3, caplog, tmp_
 def assert_table_is_the_reference(tree):
     """The tree's leaf table against a walk over all its leaves: the same
     leaves (starts, corners, sizes), each leaf's row bit for bit, and the
-    same ``==`` classes, whichever ids stand for them."""
+    same classes of bit-equal beliefs, whichever ids stand for them."""
     got, want = tree.leaf_table(), leaf_table_reference(tree)
     for name in ("starts", "corners", "sizes"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
@@ -821,9 +831,8 @@ def assert_table_is_the_reference(tree):
         assert (getattr(got, name)[got.ids].tobytes()
                 == getattr(want, name)[want.ids].tobytes()), name
 
-    def classes(table):  # per leaf, the first leaf holding a belief == to its own
-        _, first, inverse = np.unique(table.same[table.ids], return_index=True,
-                                      return_inverse=True)
+    def classes(table):  # per leaf, the first leaf holding its belief
+        _, first, inverse = np.unique(table.ids, return_index=True, return_inverse=True)
         return first[inverse]
 
     assert classes(got).tolist() == classes(want).tolist()
@@ -899,11 +908,65 @@ def test_patched_leaf_table_equals_a_full_build(case, tmp_path_factory):
     assert_table_is_the_reference(tree)
 
 
+@st.composite
+def write_history(draw):
+    """A fresh tree of depth 2-3 at K = 3 or 5 and a mix of scans (a low
+    clamp saturates cells) and ``set_element`` writes, of one element or of
+    every element of an aligned block in turn, from a palette of beliefs
+    holding both signed zeros."""
+    k = draw(st.sampled_from([3, 5]), label="k")
+    depth = draw(st.integers(2, 3), label="depth")
+    n = 1 << depth
+    params = SensorParams.default(k, clamp_limit=draw(st.sampled_from([1.0, 2.5, 6.0])))
+    palette = [np.array([0.0] + [draw(SIGNED) for _ in range(k)])
+               for _ in range(draw(st.integers(1, 3)))]
+    steps = []
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.booleans()):
+            steps.append([scan_beam(draw, n, k) for _ in range(draw(st.integers(1, 6)))])
+        else:
+            size = 1 << draw(st.integers(0, depth))
+            corner = [draw(st.integers(0, n // size - 1)) * size for _ in range(3)]
+            steps.append((corner, size, draw(st.sampled_from(palette))))
+    return SemanticOctree(1.0, depth, k), params, steps
+
+
+@given(case=write_history())
+@settings(max_examples=100, deadline=None)
+def test_writes_keep_a_pruned_tree_pruned(case):
+    """After every scan and every run of ``set_element`` writes, a
+    whole-tree prune finds nothing left to collapse."""
+    tree, params, steps = case
+    for step in steps:
+        if isinstance(step, list):
+            tree.insert_scan(step, params)
+        else:
+            corner, size, h = step
+            for cell in itertools.product(*(range(c, c + size) for c in corner)):
+                tree.set_element(cell, h)
+        assert tree.prune() == 0
+
+
+def test_the_prior_stays_interned_through_a_compaction():
+    """A compaction drops the beliefs no leaf holds, but not the prior: a
+    belief with the prior's bits written after it is ``prior_semantics``
+    itself, so its element reads unobserved."""
+    tree = SemanticOctree(1.0, 1, 3)
+    for cell in itertools.product(range(2), repeat=3):
+        tree.set_element(cell, [0.0, 1.0, 0.0, 0.0])
+    assert tree.root.children is None
+    tree.leaf_table()  # a full build, which compacts to the one held belief
+    tree.set_element((0, 0, 0), tree.prior.copy())
+    assert tree.query_element((0, 0, 0)) is tree.prior_semantics
+    assert tree.labels_observed()[1].sum() == 7
+    assert tree.map_state()[1] == 7 / 8
+
+
 def test_full_and_compacted_tables_are_the_reference_down_to_ids(caplog, tmp_path):
     """Scans intern beliefs that later scans overwrite; once those outnumber
     the beliefs the leaves hold, a patch compacts them. A compacted table,
     like a full build after a load, is the reference walk itself: the same
-    ids and ``same``, not only the same classes."""
+    ids, not only the same classes."""
     # far bounds, and beams that cross most of a small cube: every scan moves
     # many elements to beliefs no element held before
     params = SensorParams.default(3, clamp_limit=40.0)
@@ -913,7 +976,7 @@ def test_full_and_compacted_tables_are_the_reference_down_to_ids(caplog, tmp_pat
 
     def assert_exact(tree):
         got, want = tree.leaf_table(), leaf_table_reference(tree)
-        for name in ("ids", "full", "same", "entropy", "observed"):
+        for name in ("ids", "full", "entropy", "observed"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
     with caplog.at_level(logging.DEBUG, logger="ssmi.octree"):
@@ -1156,7 +1219,7 @@ def leaf_sums(tree, box):
         if n:
             entropy += n * sem.entropy()
             total += n
-            seen += n if sem != tree.prior_semantics else 0
+            seen += n if off_prior(tree, sem) else 0
     return entropy, (seen / total if total else 0.0)
 
 
@@ -1172,7 +1235,7 @@ def test_map_entropy_and_observed_fraction_match_leaf_sums(params3, rng):
         for rel in np.ndindex(labels.shape):
             sem = tree.query_element(tuple(lo + r for lo, r in zip(box[0], rel)))
             assert labels[rel] == np.argmax(sem.to_full(3))
-            assert observed[rel] == (sem != tree.prior_semantics)
+            assert observed[rel] == off_prior(tree, sem)
     with pytest.raises(ValueError):
         tree.labels_observed(((0, 0, 0), (33, 1, 1)))
 
@@ -1301,6 +1364,18 @@ def test_grid_octree_conversion(params3, rng):
     np.testing.assert_array_equal(back.cells, gmap.cells)
 
 
+def test_signed_zero_grid_round_trip_keeps_every_cells_bits():
+    """The corner's +0.0 and -0.0 beliefs stay eight leaves and the -0.0
+    copy of the prior stays observed: converted to an octree and back, the
+    grid has the same cell bytes and observed mask."""
+    gmap = signed_zero_grid()
+    tree = octree_from_grid(gmap)
+    back = grid_from_octree(tree)
+    assert back.cells.tobytes() == gmap.cells.tobytes()
+    assert back.observed.tobytes() == gmap.observed.tobytes()
+    assert tree.prune() == 0
+
+
 def test_tied_pairs_keep_their_saved_order(tmp_path):
     """Files written while a lumped update clamped after it sorted can hold
     two tracked classes tied at the clamp out of class order; a load keeps
@@ -1416,7 +1491,7 @@ def grid_from_octree_reference(tree):
     for i, j, k in np.ndindex(gmap.dims):
         sem = tree.query_element((i, j, k))
         gmap.cells[i, j, k] = sem.to_full(tree.num_classes)
-        gmap.observed[i, j, k] = sem != tree.prior_semantics
+        gmap.observed[i, j, k] = off_prior(tree, sem)
     return gmap
 
 
