@@ -280,17 +280,51 @@ class FanCast:
     """The cast of a sequence of beams, kept compact: ``cells`` stacks the
     cells past each beam's sensor cell in beam order, one (M, 3) int32 array,
     and ``counts[b]`` is beam b's share of them (0 for a beam that leaves the
-    map from its sensor cell). It holds cells only, no beliefs, so it stays
-    valid while the map's geometry does: origin, cell size and dims.
+    map from its sensor cell). ``dims`` is the box of the map it was cast on.
+    It holds cells only, no beliefs, so it stays valid while the map's
+    geometry does: origin, cell size and dims.
 
     :meth:`from_pose` builds one straight from a planar fan's pose; it is
-    how planning, ``mi_surface`` and ``ssmi mi-eval`` cast."""
+    how planning, ``mi_surface`` and ``ssmi mi-eval`` cast. The overlap
+    filter reads each beam's cells as one bit mask (:attr:`masks`), and the
+    evaluation of kept beams slices ``cells`` at :attr:`bounds`; both are
+    built on first use and kept with the fan, so a fan in the planner's cast
+    cache builds them once per episode. A mask costs up to ``cells/8``
+    bytes per beam, ``cells`` being the box's cell count: 128 B on a 32x32
+    map, but 4 KiB in a 32^3 box, which 3-D worlds should revisit."""
 
     cells: np.ndarray
     counts: tuple[int, ...]
+    dims: tuple[int, int, int]
 
     def __len__(self) -> int:
         return len(self.counts)
+
+    @functools.cached_property
+    def bounds(self) -> list[int]:
+        """Where each beam's cells start in ``cells``, then where the last
+        one's end: beam b owns ``cells[bounds[b]:bounds[b + 1]]``."""
+        return np.cumsum((0,) + self.counts).tolist()
+
+    @functools.cached_property
+    def masks(self) -> list[int]:
+        """One Python int per beam, with bit ``(i * ny + j) * nz + k`` set
+        for each cell ``(i, j, k)`` the beam claims: a key that is injective
+        on the box, so two beams share a cell exactly when their masks
+        share a bit. Built for all beams in one numpy pass over the span of
+        bytes their keys fall in."""
+        if not self.cells.shape[0]:
+            return [0] * len(self.counts)
+        _, ny, nz = self.dims
+        keys = self.cells @ np.array([ny * nz, nz, 1], dtype=np.int64)
+        low = int(keys.min()) >> 3
+        width = (int(keys.max()) >> 3) - low + 1
+        bits = np.zeros((len(self.counts), 8 * width), dtype=bool)
+        bits[np.repeat(np.arange(len(self.counts)), self.counts), keys - 8 * low] = True
+        data = np.packbits(bits, axis=1, bitorder="little").tobytes()
+        shift = 8 * low
+        return [int.from_bytes(data[b:b + width], "little") << shift
+                for b in range(0, len(data), width)]
 
     @classmethod
     def from_pose(cls, mapper, center, num_beams: int, max_range: float,
@@ -314,46 +348,32 @@ class FanCast:
         directions = _fan_directions(num_beams, heading, fov)
         cells, counts = walk_fan(origin.tolist(), directions, max_range,
                                  mapper.origin.tolist(), mapper.resolution, mapper.dims)
-        return cls(cells, tuple(counts))
-
-    @classmethod
-    def join(cls, casts: list["FanCast"]) -> "FanCast":
-        """The beams of several casts, in order, as one cast."""
-        return cls(np.concatenate([_NO_CELLS] + [c.cells for c in casts]),
-                   tuple(n for c in casts for n in c.counts))
+        return cls(cells, tuple(counts), mapper.dims)
 
 
-def select_nonoverlapping(beams: FanCast) -> list[int]:
+def select_nonoverlapping(masks: list[int]) -> list[int]:
     """Greedy maximal subset of beams sharing no cell, in input order.
 
-    A beam claims the cells of its compact cast, which leaves out the cell it
+    ``masks`` holds each beam's cells as a bit mask (``FanCast.masks``). A
+    beam claims the cells of its compact cast, which leaves out the cell it
     starts in: that is the sensor's own location, carries no range
     information, and would otherwise make every pair of beams from one pose
     overlap trivially. A beam that claims no cell is always kept.
     """
-    # one flat integer key per cell: c0 * r1 * r2 + c1 * r2 + c2 is injective
-    # for 0 <= c1 < r1, 0 <= c2 < r2 and stays below the cell count of the map
-    cells = beams.cells.astype(np.int64)
-    if not cells.shape[0]:
-        return list(range(len(beams)))
-    r1, r2 = (cells[:, 1:].max(axis=0) + 1).tolist()
-    keys = ((cells[:, 0] * r1 + cells[:, 1]) * r2 + cells[:, 2]).tolist()
     chosen: list[int] = []
-    used: set[int] = set()
-    end = 0
-    for idx, count in enumerate(beams.counts):
-        start, end = end, end + count
-        cell_set = set(keys[start:end])
-        if cell_set.isdisjoint(used):
+    used = 0
+    for idx, mask in enumerate(masks):
+        if not mask & used:
             chosen.append(idx)
-            used |= cell_set
+            used |= mask
     return chosen
 
 
-def _traces_mi(mapper, beams: FanCast, params: SensorParams) -> list[BeamMI | None]:
-    """Information of each beam's cast cells, all beams in one run-length
-    kernel call over the runs the map encodes for them, beliefs read now;
-    None for a beam without cells.
+def _traces_mi(mapper, cells: np.ndarray, counts, params: SensorParams) -> list[BeamMI | None]:
+    """Information of each beam's cast cells (``cells`` stacked in beam
+    order, ``counts`` per beam, as ``FanCast`` holds them), all beams in one
+    run-length kernel call over the runs the map encodes for them, beliefs
+    read now; None for a beam without cells.
 
     A one-class ``params`` on a map with more classes evaluates the collapse
     of the runs as the map merged them on full beliefs; the kernel is exact
@@ -361,8 +381,8 @@ def _traces_mi(mapper, beams: FanCast, params: SensorParams) -> list[BeamMI | No
     collapse = params.num_classes != mapper.num_classes
     if collapse and params.num_classes != 1:
         raise ValueError("sensor profile and map disagree on K")
-    runs, counts = mapper.encode_traces(beams.cells, beams.counts)
-    out: list[BeamMI | None] = [None] * len(beams)
+    out: list[BeamMI | None] = [None] * len(counts)
+    runs, counts = mapper.encode_traces(cells, counts)
     if runs is None:
         return out
     if collapse:
@@ -407,10 +427,12 @@ def trajectories_mi(mapper, fans, trajectories: list[list], params: SensorParams
     function of the beams and the geometry, and the beliefs are read here,
     when the kept beams are encoded. Planning passes its episode's cast
     cache, keyed by sensing pose ``(cell, heading)`` (see
-    ``planner.evaluate_candidates``; at most 556 fans and 1.23 MB over A7
-    worlds 0-9), with trajectories of poses. Overlapping beams are dropped
-    greedily per trajectory, across its whole horizon, and the union of kept
-    beams is evaluated in one kernel call. Each trajectory's value adds its
+    ``planner.evaluate_candidates``), with trajectories of poses.
+    Overlapping beams are dropped greedily per trajectory, across its whole
+    horizon: one :func:`select_nonoverlapping` call on the concatenated
+    masks of its fans (``FanCast.masks``). The kept beams' cells are sliced
+    at their fans' ``FanCast.bounds``, and the union of kept beams is
+    evaluated in one kernel call. Each trajectory's value adds its
     kept beams' values in keep order, so it is bit-identical to evaluating
     that trajectory alone.
 
@@ -424,18 +446,16 @@ def trajectories_mi(mapper, fans, trajectories: list[list], params: SensorParams
     for traj in trajectories:
         casts = [fans[f] for f in traj]
         pairs = [(f, b) for f, cast in zip(traj, casts) for b in range(len(cast))]
-        keep = select_nonoverlapping(FanCast.join(casts))
+        keep = select_nonoverlapping([mask for cast in casts for mask in cast.masks])
         kept.append([(i, slots.setdefault(pairs[i], len(slots))) for i in keep])
         totals.append(len(pairs))
-    starts: dict = {}  # fan -> where each of its beams' cells start, and end
     pieces = []
     for f, b in slots:
-        bounds = starts.get(f)
-        if bounds is None:
-            bounds = starts[f] = np.cumsum((0,) + fans[f].counts).tolist()
-        pieces.append(fans[f].cells[bounds[b]:bounds[b + 1]])
-    union = FanCast(np.concatenate([_NO_CELLS] + pieces), tuple(map(len, pieces)))
-    evaluated = _traces_mi(mapper, union, params)
+        cast = fans[f]
+        bounds = cast.bounds
+        pieces.append(cast.cells[bounds[b]:bounds[b + 1]])
+    evaluated = _traces_mi(mapper, np.concatenate([_NO_CELLS] + pieces),
+                           list(map(len, pieces)), params)
     results = []
     for picks, beams_total in zip(kept, totals):
         beams = [(i, evaluated[pos]) for i, pos in picks if evaluated[pos] is not None]
@@ -514,7 +534,7 @@ def mi_surface(
                 continue
             fan = FanCast.from_pose(gmap, gmap.cell_center((i, j, 0)), num_beams, max_range)
             total = 0.0
-            for res in _traces_mi(gmap, fan, params):
+            for res in _traces_mi(gmap, fan.cells, fan.counts, params):
                 if res is not None:
                     total += res.value
             out[i, j] = total

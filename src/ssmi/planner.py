@@ -15,7 +15,7 @@ import heapq
 import logging
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import ndimage
@@ -43,12 +43,28 @@ class PlanView:
     z_center: float
 
     @cached_property
-    def padded_free(self) -> list[bool]:
-        """``free`` padded with a one-cell blocked border, as one flat
-        row-major list: the cells ``plan_path`` searches, built once per
-        view for all of its searches. A view is a snapshot: ``free`` is not
-        written after the first search."""
-        return np.pad(self.free, 1).ravel().tolist()
+    def move_table(self) -> list[int]:
+        """The legal moves of every cell of ``free`` padded with a one-cell
+        blocked border, as one flat row-major list of 8-bit masks: bit m is
+        set when the m-th move of ``EIGHT_NEIGHBOURS`` lands on a free cell
+        and, for a diagonal, both orthogonal neighbours are free too (no
+        corner cutting). Border cells have no moves. Built once per view,
+        in one numpy pass, for all of its searches (``plan_path``); a view
+        is a snapshot: ``free`` is not written after the first search."""
+        nx, ny = self.free.shape
+        padded = np.pad(self.free, 1)
+
+        def shifted(dx, dy):  # free[x + dx, y + dy] for every cell (x, y) of free
+            return padded[1 + dx:1 + dx + nx, 1 + dy:1 + dy + ny]
+
+        table = np.zeros((nx + 2, ny + 2), dtype=np.uint8)
+        inner = table[1:-1, 1:-1]
+        for bit, (dx, dy) in enumerate(EIGHT_NEIGHBOURS):
+            legal = shifted(dx, dy)
+            if dx and dy:
+                legal = legal & shifted(dx, 0) & shifted(0, dy)
+            inner |= legal.astype(np.uint8) << bit
+        return table.ravel().tolist()
 
     def cell_center(self, cell) -> np.ndarray:
         return np.array(
@@ -132,10 +148,12 @@ def plan_path(view: PlanView, start: tuple[int, int], goal: tuple[int, int]):
     resolution unit so information-per-cost ratios stay finite.
 
     Cells are flat ids into the view padded with a one-cell blocked
-    border (``PlanView.padded_free``), so a move needs no bounds check.
-    Moves are tried in ``EIGHT_NEIGHBOURS`` order and the heap holds
-    ``(f, counter, id)``, so the search pushes and pops as one on
-    ``(x, y)`` cells does.
+    border, and each cell's legal moves are read from the view's move table
+    (``PlanView.move_table``), so a move needs no bounds, free or corner
+    check. Moves are tried in ``EIGHT_NEIGHBOURS`` order and the heap holds
+    ``(f, counter, id)``, with the heuristic's integer arguments those of
+    the ``(x, y)`` cells, so the search pushes and pops as one on ``(x, y)``
+    cells does.
     """
     ny = view.free.shape[1]
     if not view.free[start[0], start[1]]:
@@ -147,24 +165,19 @@ def plan_path(view: PlanView, start: tuple[int, int], goal: tuple[int, int]):
 
     res = view.resolution
     width = ny + 2
-    free = view.padded_free
-    moves = []
-    for dx, dy in EIGHT_NEIGHBOURS:
-        diagonal = dx != 0 and dy != 0
-        step = res * (math.sqrt(2.0) if diagonal else 1.0)
-        # a diagonal move needs both orthogonal neighbours free; 0: no check
-        moves.append((dx * width + dy, step, dx * width if diagonal else 0, dy))
+    table = view.move_table
+    moves_of = _moves_by_mask(width, res)
     source = (int(start[0]) + 1) * width + int(start[1]) + 1
     target = (int(goal[0]) + 1) * width + int(goal[1]) + 1
     gx, gy = divmod(target, width)
     hypot = math.hypot
 
-    g_cost = [math.inf] * len(free)
+    g_cost = [math.inf] * len(table)
     g_cost[source] = 0.0
     parent = {source: None}
     counter = 0
     heap = [(hypot(start[0] - goal[0], start[1] - goal[1]) * res, counter, source)]
-    closed = bytearray(len(free))
+    closed = bytearray(len(table))
     while heap:
         _, _, cur = heapq.heappop(heap)
         if closed[cur]:
@@ -179,20 +192,28 @@ def plan_path(view: PlanView, start: tuple[int, int], goal: tuple[int, int]):
             return path, g_cost[target]
         closed[cur] = 1
         g_cur = g_cost[cur]
-        for offset, step, corner_x, corner_y in moves:
+        cx, cy = divmod(cur, width)
+        ex, ey = cx - gx, cy - gy
+        for offset, step, dx, dy in moves_of[table[cur]]:
             nxt = cur + offset
-            if not free[nxt]:
-                continue
-            if corner_x and not (free[cur + corner_x] and free[cur + corner_y]):
-                continue
             cand = g_cur + step
             if cand < g_cost[nxt] - 1e-12:
                 g_cost[nxt] = cand
                 parent[nxt] = cur
                 counter += 1
-                x, y = divmod(nxt, width)
-                heapq.heappush(heap, (cand + hypot(x - gx, y - gy) * res, counter, nxt))
+                heapq.heappush(heap, (cand + hypot(ex + dx, ey + dy) * res, counter, nxt))
     raise Unreachable(f"no free path from {start} to {goal}")
+
+
+@lru_cache(maxsize=16)
+def _moves_by_mask(width: int, res: float) -> tuple[tuple[tuple[int, float, int, int], ...], ...]:
+    """For each 8-bit move mask of ``PlanView.move_table``, the moves it
+    allows as ``(flat offset, step cost, dx, dy)`` in ``EIGHT_NEIGHBOURS``
+    order, on a padded view ``width`` cells wide with cells ``res`` wide."""
+    moves = [(dx * width + dy, res * (math.sqrt(2.0) if dx and dy else 1.0), dx, dy)
+             for dx, dy in EIGHT_NEIGHBOURS]
+    return tuple(tuple(move for bit, move in enumerate(moves) if mask >> bit & 1)
+                 for mask in range(256))
 
 
 def sensing_poses(path: list[tuple[int, int]], stride: int) -> list[tuple[tuple[int, int], float]]:
@@ -279,8 +300,10 @@ def evaluate_candidates(
     time in every call. So one cache serves one map geometry and one
     ``config``; ``sim.run_episode`` owns one per episode. Its keys are
     planning cells times the 8 path-tangent headings, so it needs no bound:
-    over A7 worlds 0-9 the largest held 556 fans in 1.23 MB of cells. A
-    call on its own passes an empty dict.
+    over A7 worlds 0-9 (both maps, ``ssmi`` and ``fsmi-binary``) the
+    largest held 556 fans in 1.23 MB of cells plus 1.08 MB of the beam
+    masks the overlap filter built on them (``FanCast.masks``: 0.97 MB of
+    ints, 0.10 MB of lists). A call on its own passes an empty dict.
     """
     frontiers = find_frontiers(view, config.min_frontier_size)
     if config.selector == "fsmi-binary":

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ssmi import logodds
+from ssmi import mi as mi_mod
 from ssmi.config import config_from_dict
 from ssmi.errors import BadDims, EmptyRay, PoseInObstacle, Unreachable
 from ssmi.grid import BeamMeasurement, GridMap, SrleRay, voxel_walk
@@ -65,7 +66,58 @@ def cast_fan(mapper, beams: list[BeamMeasurement]) -> FanCast:
     reference ``FanCast.from_pose`` is held to, byte for byte."""
     cells = [mapper.cast_ray(beam).cells[1:] for beam in beams]
     return FanCast(np.concatenate([_NO_CELLS] + cells).astype(np.int32),
-                   tuple(len(c) for c in cells))
+                   tuple(len(c) for c in cells), mapper.dims)
+
+
+def select_nonoverlapping_reference(cells, counts) -> list[int]:
+    """The greedy overlap filter over sets of cell tuples: beam b claims its
+    ``counts[b]`` cells of the stacked ``cells`` and is kept when none of
+    them is claimed by a beam kept before it, in input order. The bit-mask
+    filter ``mi.select_nonoverlapping`` is held to it."""
+    chosen, used = [], set()
+    end = 0
+    for idx, count in enumerate(counts):
+        start, end = end, end + count
+        claimed = {tuple(c) for c in np.asarray(cells)[start:end].tolist()}
+        if claimed.isdisjoint(used):
+            chosen.append(idx)
+            used |= claimed
+    return chosen
+
+
+def trajectories_mi_reference(mapper, fans, trajectories, params):
+    """``mi.trajectories_mi`` with the overlap filter on cell sets: each
+    trajectory's casts joined into one stack of cells and counts, the set
+    greedy run on it, and the kept beams' cells sliced at the cumulative
+    counts of their fans, recomputed per call; the union of kept beams is
+    evaluated in one kernel call and each trajectory adds its kept beams'
+    values in keep order. Returns each trajectory's kept list and the
+    ``BatchMI``."""
+    slots, kept, totals, keeps = {}, [], [], []
+    for traj in trajectories:
+        casts = [fans[f] for f in traj]
+        pairs = [(f, b) for f, cast in zip(traj, casts) for b in range(len(cast))]
+        keep = select_nonoverlapping_reference(
+            np.concatenate([_NO_CELLS] + [c.cells for c in casts]),
+            [n for c in casts for n in c.counts])
+        keeps.append(keep)
+        kept.append([(i, slots.setdefault(pairs[i], len(slots))) for i in keep])
+        totals.append(len(pairs))
+    pieces = []
+    for f, b in slots:
+        starts = np.cumsum((0,) + fans[f].counts)
+        pieces.append(fans[f].cells[starts[b]:starts[b + 1]])
+    evaluated = mi_mod._traces_mi(mapper, np.concatenate([_NO_CELLS] + pieces),
+                                  [len(p) for p in pieces], params)
+    results = []
+    for picks, beams_total in zip(kept, totals):
+        beams = [(i, evaluated[pos]) for i, pos in picks if evaluated[pos] is not None]
+        total = 0.0
+        for _, res in beams:
+            total += res.value
+        results.append(mi_mod.TrajectoryMI(value=total, beams_total=beams_total,
+                                           beams_kept=len(picks), beams=beams))
+    return keeps, mi_mod.BatchMI(trajectories=results, beams_evaluated=len(slots))
 
 
 def fan_beams(

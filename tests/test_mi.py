@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 from ssmi import check, logodds as lo
 from ssmi import mi as mi_mod
+from ssmi.config import config_from_dict
 from ssmi.errors import EmptyRay, OriginOutOfBounds, ScaleExceeded
 from ssmi.grid import BeamMeasurement, GridMap, _fan_template
 from ssmi.logodds import SensorParams
 from ssmi.octree import SemanticOctree
+from ssmi.sim import run_episode
 from ssmi.mi import (
     SrleRay,
     beam_mi_dense,
@@ -32,7 +34,9 @@ from conftest import (
     cast_fan,
     fan_beams,
     random_logodds,
+    select_nonoverlapping_reference,
     stacked_casts,
+    trajectories_mi_reference,
 )
 
 
@@ -450,20 +454,20 @@ def test_batch_rejects_empty_segment(params3):
 def test_parallel_beams_all_selected():
     gmap = GridMap((10, 10), 1.0, 1)
     beams = [BeamMeasurement.planar((0.5, y + 0.5), 0.0, 10.0, None, 10.0) for y in range(5)]
-    assert select_nonoverlapping(cast_fan(gmap, beams)) == [0, 1, 2, 3, 4]
+    assert select_nonoverlapping(cast_fan(gmap, beams).masks) == [0, 1, 2, 3, 4]
 
 
 def test_identical_beams_one_selected():
     gmap = GridMap((10, 10), 1.0, 1)
     beam = BeamMeasurement.planar((0.5, 0.5), 0.3, 10.0, None, 10.0)
-    assert select_nonoverlapping(cast_fan(gmap, [beam, beam])) == [0]
+    assert select_nonoverlapping(cast_fan(gmap, [beam, beam]).masks) == [0]
 
 
 def test_fan_selection_is_pairwise_disjoint():
     gmap = GridMap((17, 17), 1.0, 1)
     fan = fan_beams(np.array([8.5, 8.5, 0.5]), 8, 7.0)
     traces = [gmap.cast_ray(b) for b in fan]
-    keep = select_nonoverlapping(cast_fan(gmap, fan))
+    keep = select_nonoverlapping(cast_fan(gmap, fan).masks)
     assert len(keep) >= 2
     sets = [{tuple(c) for c in traces[i].cells[1:]} for i in keep]
     for a in range(len(sets)):
@@ -471,39 +475,79 @@ def test_fan_selection_is_pairwise_disjoint():
             assert not sets[a] & sets[b]
 
 
-def select_nonoverlapping_reference(traces, skip_first_cell=True):
-    """Greedy filter over sets of cell tuples, as the flat-key filter was
-    written before."""
-    chosen, used = [], set()
-    for idx, trace in enumerate(traces):
-        cells = trace.cells[1:] if skip_first_cell else trace.cells
-        cell_set = {tuple(c) for c in cells}
-        if not cell_set & used:
-            chosen.append(idx)
-            used |= cell_set
-    return chosen
+def claimed_keys(fan: FanCast) -> list[set[int]]:
+    """Each beam's cells of ``fan`` as flat row-major keys of its box."""
+    _, ny, nz = fan.dims
+    out, end = [], 0
+    for count in fan.counts:
+        start, end = end, end + count
+        out.append({(i * ny + j) * nz + k for i, j, k in fan.cells[start:end].tolist()})
+    return out
 
 
-@pytest.mark.parametrize("dims", [(12, 9, 1), (7, 11, 5), (1, 1, 6)])
+@pytest.mark.parametrize("dims", [(12, 9, 1), (7, 11, 5), (1, 1, 6), (32, 32, 1), (9, 1, 1)])
 def test_flat_key_selection_matches_tuple_sets(dims, rng):
+    """The bit-mask greedy keeps what the greedy on cell-tuple sets keeps,
+    in 2-D and 3-D boxes: random beams, beams that leave the map from their
+    sensor cell (they claim no cell), repeats of earlier beams, and whole
+    traces (sensor cell included). Each mask has exactly the bits of its
+    beam's flat cell keys."""
     gmap = GridMap(dims, 0.5, 1)
     extent = np.array(dims) * 0.5
-    assert select_nonoverlapping(cast_fan(gmap, [])) == []
+    outward = BeamMeasurement(np.array([0.1, 0.2, 0.2]), np.array([-1.0, 0.0, 0.0]),
+                              4.0, None, 4.0)
+    assert select_nonoverlapping(cast_fan(gmap, []).masks) == []
     for _ in range(20):
         beams = []
         for _ in range(int(rng.integers(1, 24))):
-            d = rng.normal(size=3)
-            if dims[2] == 1:
-                d[2] = 0.0
-            beams.append(BeamMeasurement(rng.uniform(0.0, 1.0, 3) * extent, d / np.linalg.norm(d),
-                                         4.0, None, 4.0))
+            draw = rng.random()
+            if draw < 0.1:
+                beams.append(outward)
+            elif draw < 0.25 and beams:
+                beams.append(beams[int(rng.integers(len(beams)))])
+            else:
+                d = rng.normal(size=3)
+                if dims[2] == 1:
+                    d[2] = 0.0
+                beams.append(BeamMeasurement(rng.uniform(0.0, 1.0, 3) * extent,
+                                             d / np.linalg.norm(d), 4.0, None, 4.0))
         traces = [gmap.cast_ray(b) for b in beams]
         whole = FanCast(np.concatenate([t.cells for t in traces]),
-                        tuple(len(t.cells) for t in traces))
-        assert (select_nonoverlapping(cast_fan(gmap, beams))
-                == select_nonoverlapping_reference(traces, skip_first_cell=True))
-        assert (select_nonoverlapping(whole)
-                == select_nonoverlapping_reference(traces, skip_first_cell=False))
+                        tuple(len(t.cells) for t in traces), gmap.dims)
+        for fan in (cast_fan(gmap, beams), whole):
+            assert fan.masks == [sum(1 << key for key in keys) for keys in claimed_keys(fan)]
+            assert (select_nonoverlapping(fan.masks)
+                    == select_nonoverlapping_reference(fan.cells, fan.counts))
+
+
+@pytest.mark.parametrize("mapper_type", ["grid", "octree"])
+def test_trajectories_mi_equals_the_set_greedy_reference(monkeypatch, mapper_type):
+    """Every ``trajectories_mi`` call of a short A7-config episode (world 0)
+    keeps, per trajectory, the beams the set greedy keeps on the joined
+    casts, and gives the values, per trajectory and per kept beam, of the
+    reference that slices the kept beams at recomputed cumulative counts,
+    bit for bit."""
+    real = mi_mod.trajectories_mi
+    calls = []
+
+    def rows(batch):
+        return batch.beams_evaluated, [
+            (t.value.hex(), t.beams_total, t.beams_kept,
+             [(i, res.value.hex()) for i, res in t.beams]) for t in batch.trajectories]
+
+    def checked(mapper, fans, trajectories, params):
+        got = real(mapper, fans, trajectories, params)
+        keeps, want = trajectories_mi_reference(mapper, fans, trajectories, params)
+        for traj, keep in zip(trajectories, keeps):
+            assert select_nonoverlapping([m for f in traj for m in fans[f].masks]) == keep
+        assert rows(got) == rows(want)
+        calls.append(len(trajectories))
+        return got
+
+    monkeypatch.setattr(mi_mod, "trajectories_mi", checked)
+    run_episode(config_from_dict(
+        {"seed": 0, "mapper": {"type": mapper_type}, "run": {"max_steps": 8}}))
+    assert len(calls) >= 6 and sum(calls) > len(calls)
 
 
 # -- trajectory ------------------------------------------------------------------------
@@ -717,7 +761,7 @@ def clear_fan_memos():
 
 
 def assert_same_fan(got, want):
-    assert got.counts == want.counts
+    assert got.counts == want.counts and got.dims == want.dims
     assert got.cells.dtype == want.cells.dtype == np.int32
     assert got.cells.shape == want.cells.shape
     assert got.cells.tobytes() == want.cells.tobytes()

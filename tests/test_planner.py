@@ -22,7 +22,6 @@ from ssmi.mi import (
     beam_mi_dense,
     beam_mi_srle,
     collapse_to_binary,
-    select_nonoverlapping,
     trajectories_mi,
 )
 from ssmi.octree import SemanticOctree, grid_from_octree
@@ -38,7 +37,7 @@ from ssmi.planner import (
     view_from_grid,
 )
 from ssmi.sim import run_episode
-from conftest import cast_fan, fan_beams, plan_path_reference
+from conftest import cast_fan, fan_beams, plan_path_reference, select_nonoverlapping_reference
 
 FREE_SAT = np.array([0.0, -6.0, -6.0])
 WALL = np.array([0.0, 6.0, 6.0])
@@ -265,18 +264,60 @@ def test_flat_id_astar_is_the_cell_astar(case):
 
 
 def test_flat_id_astar_on_episode_views(monkeypatch):
-    """Every search of a short A7-config grid episode (world 0) returns what
-    the A* on (x, y) cells returns on the same view."""
-    calls = []
+    """Every search of short A7-config episodes (world 0) returns what the
+    A* on (x, y) cells returns on the same view: on the grid and the octree,
+    at 1 m and 0.3 m cells."""
+    for mapper_type in ("grid", "octree"):
+        for resolution in (1.0, 0.3):
+            calls = []
 
-    def checked(view, start, goal):
-        want = search_outcome(plan_path_reference, view, start, goal)
-        calls.append(search_outcome(plan_path, view, start, goal) == want)
-        return plan_path(view, start, goal)
+            def checked(view, start, goal):
+                want = search_outcome(plan_path_reference, view, start, goal)
+                calls.append(search_outcome(plan_path, view, start, goal) == want)
+                return plan_path(view, start, goal)
 
-    monkeypatch.setattr(planner_mod, "plan_path", checked)
-    run_episode(config_from_dict({"seed": 0, "run": {"max_steps": 6}}))
-    assert len(calls) > 10 and all(calls)
+            monkeypatch.setattr(planner_mod, "plan_path", checked)
+            run_episode(config_from_dict({
+                "seed": 0, "env": {"resolution": resolution},
+                "mapper": {"type": mapper_type}, "run": {"max_steps": 6}}))
+            assert len(calls) > 10 and all(calls), (mapper_type, resolution)
+
+
+def move_table_reference(free: np.ndarray) -> list[int]:
+    """The move masks of ``PlanView.move_table`` from the per-move checks of
+    the A* on (x, y) cells: a bounds and free check on the target and, for a
+    diagonal, on both orthogonal neighbours."""
+    nx, ny = free.shape
+
+    def ok(x, y):
+        return 0 <= x < nx and 0 <= y < ny and bool(free[x, y])
+
+    table = [0] * ((nx + 2) * (ny + 2))
+    for x in range(nx):
+        for y in range(ny):
+            for bit, (dx, dy) in enumerate(planner_mod.EIGHT_NEIGHBOURS):
+                if ok(x + dx, y + dy) and (not (dx and dy) or (ok(x + dx, y) and ok(x, y + dy))):
+                    table[(x + 1) * (ny + 2) + y + 1] |= 1 << bit
+    return table
+
+
+@st.composite
+def move_table_view(draw):
+    """A plan view from ``astar_case``, or a 1xN, an Nx1 or an all-blocked one."""
+    kind = draw(st.sampled_from(["case", "row", "column", "blocked"]))
+    if kind == "case":
+        return draw(astar_case())[0]
+    n = draw(st.integers(1, 20))
+    shape = {"row": (1, n), "column": (n, 1), "blocked": (draw(st.integers(1, 14)), n)}[kind]
+    free = (np.zeros(shape, dtype=bool) if kind == "blocked" else
+            np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(shape) >= 0.3)
+    return PlanView(free=free, unknown=~free, origin=np.zeros(2), z_center=0.5, resolution=1.0)
+
+
+@given(view=move_table_view())
+@settings(max_examples=300, deadline=None)
+def test_move_table_is_the_per_move_checks(view):
+    assert view.move_table == move_table_reference(view.free)
 
 
 def test_sensing_poses_stride_and_tangent():
@@ -404,7 +445,8 @@ def trajectory_info_reference(mapper, fans, params):
     is_tree = isinstance(mapper, SemanticOctree)
     traces = [mapper.cast_ray(b) for fan in fans for b in fan]
     total = 0.0
-    for idx in select_nonoverlapping(cast_fan(mapper, [b for fan in fans for b in fan])):
+    cast = cast_fan(mapper, [b for fan in fans for b in fan])
+    for idx in select_nonoverlapping_reference(cast.cells, cast.counts):
         if is_tree:
             ray = mapper.encode_trace(traces[idx].cells[1:])
             if ray is not None:
@@ -575,7 +617,7 @@ def test_pose_fan_casts_plan_as_casting_the_beams(monkeypatch, mapper_type, sele
         assert FanCast.from_pose == from_pose
         assert got == want
         for pose, fan in want_casts.items():
-            assert casts[pose].counts == fan.counts
+            assert casts[pose].counts == fan.counts and casts[pose].dims == fan.dims
             assert casts[pose].cells.dtype == fan.cells.dtype
             assert casts[pose].cells.tobytes() == fan.cells.tobytes()
         cycles.append(len(want_casts))
