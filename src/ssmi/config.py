@@ -16,7 +16,6 @@ from dataclasses import asdict, dataclass, field
 import yaml
 
 from .logodds import MAX_CLASSES, SensorParams
-from .planner import PlannerConfig
 
 
 class ConfigError(ValueError):
@@ -87,6 +86,29 @@ class SensorConfig:
         _require_positive(self.r_max, "sensor.r_max")
         _require_real(self.range_sigma, "sensor.range_sigma",
                       lambda v: math.isfinite(v) and v >= 0.0, "finite and >= 0")
+
+
+@dataclass
+class PlannerConfig:
+    selector: str = "ssmi"  # ssmi | frontier | fsmi-binary
+    stride: int = 3
+    min_frontier_size: int = 3
+    num_beams: int = 16
+    beam_range: float = 10.0
+    fov: float = 2.0 * math.pi
+    band: tuple[int, int] | None = None
+
+    def __post_init__(self):
+        if self.selector not in ("ssmi", "frontier", "fsmi-binary"):
+            raise ConfigError(f"unknown selector {self.selector!r}")
+        for name in ("num_beams", "stride", "min_frontier_size"):
+            _require_int(getattr(self, name), f"planner.{name}", 1)
+        for name in ("fov", "beam_range"):
+            _require_positive(getattr(self, name), f"planner.{name}")
+        if self.band is not None and not (
+                isinstance(self.band, (list, tuple)) and len(self.band) == 2
+                and all(type(z) is int for z in self.band) and 0 <= self.band[0] < self.band[1]):
+            raise ConfigError(f"planner.band must be [z0, z1] with 0 <= z0 < z1, got {self.band!r}")
 
 
 @dataclass
@@ -196,6 +218,8 @@ def config_from_dict(data: dict) -> SimConfig:
         if not isinstance(section, dict):
             raise ConfigError(f"config section {name!r} must be a mapping")
         if name == "planner" and "fov_deg" in section:
+            if "fov" in section:
+                raise ConfigError("planner.fov and planner.fov_deg are both given; give one")
             section = dict(section)
             _require_positive(section["fov_deg"], "planner.fov_deg")
             section["fov"] = math.radians(section.pop("fov_deg"))

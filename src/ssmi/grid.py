@@ -3,13 +3,15 @@
 Maps are always stored as 3-D arrays; a 2-D map is a 3-D map of depth one so
 every downstream consumer (information evaluation, octrees, planning) sees a
 single code path. Both maps take a scan's cell updates, in scan order, from
-one walk (``scan_updates``). The cell update ``clamp(h + (l - h0))`` runs
-here on numpy rows, in rounds of one gather, add, clip and scatter over
-distinct cells in ``GridMap.insert_scan`` (a scan's last cell finishes its
-chain on Python floats); the octree runs the same arithmetic on Python
-floats in ``octree.element_update``. A4 and the float-vs-numpy hypothesis
-tests in ``tests/test_octree.py`` and ``tests/test_grid.py`` pin the forms
-equal bit for bit, so both maps agree under the same observations.
+one walk (``scan_updates``). The cell update ``clamp(h + (l - h0))`` has
+two forms, both here: numpy rows, in rounds of one gather, add, clip and
+scatter over distinct cells in ``GridMap.insert_scan``, and Python floats
+in ``_clamped_add``, which finishes a scan's last cell and is the octree's
+K <= 3 update (``octree.element_update``). A4 and the float-vs-numpy
+hypothesis test in ``tests/test_grid.py`` pin the forms equal bit for bit,
+so both maps agree under the same observations. The maps also share their
+box check (``_box_corners``), their prior (``_prior_vector``) and their
+files' header checks (``_check_header``).
 """
 
 from __future__ import annotations
@@ -422,26 +424,48 @@ def _rounds(keys: np.ndarray) -> tuple[np.ndarray, list[int], int]:
     return picks, np.bincount(rank).cumsum().tolist(), int(np.count_nonzero(first))
 
 
-def _clamped_chain(h: list[float], deltas: list[list[float]], lo: list[float],
-                   hi: list[float]) -> list[float]:
-    """One cell's row ``h`` after each row of ``deltas`` in turn, each
-    ``np.minimum(np.maximum(h + delta, lo), hi)`` on Python floats, bit for
-    bit: the adds round alike, and a value equal to a bound takes the
+def _clamped_add(h, delta, lo, hi) -> list[float]:
+    """``np.minimum(np.maximum(h + delta, lo), hi)`` on Python floats, bit
+    for bit: the adds round alike, and a value equal to a bound takes the
     bound, as ``np.maximum`` and ``np.minimum`` return their second argument
-    on ties (which decides the sign of a zero, as at element 0, whose
-    bounds are both zero). A NaN passes through both, as in numpy."""
-    bounds = list(zip(lo, hi))
-    for delta in deltas:
-        row = []
-        for v, d, (l, u) in zip(h, delta, bounds):
-            v += d
-            if v <= l:
-                v = l
-            if v >= u:
-                v = u
-            row.append(v)
-        h = row
-    return h
+    on ties (which decides the sign of a zero, as at element 0, whose bounds
+    are both zero). A NaN passes through both, as in numpy. The float form
+    of the cell update: the grid's one-cell tail (``GridMap.insert_scan``)
+    chains it over its rows, and the octree's K <= 3 update
+    (``octree.element_update``) runs it on a belief's class values."""
+    row = []
+    for v, d, l, u in zip(h, delta, lo, hi):
+        v += d
+        if v <= l:
+            v = l
+        if v >= u:
+            v = u
+        row.append(v)
+    return row
+
+
+def _box_corners(region, dims) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The low and high corners of a half-open cell box ((lo), (hi)) inside
+    ``dims``, or of the whole of ``dims`` for None; ValueError for a box
+    that is not inside. Both maps' ``_box`` check their boxes here."""
+    if region is None:
+        return (0, 0, 0), tuple(dims)
+    if not all(0 <= lo <= hi <= n for lo, hi, n in zip(region[0], region[1], dims)):
+        raise ValueError(f"box {region} is not inside the map")
+    return tuple(region[0]), tuple(region[1])
+
+
+def _prior_vector(prior, num_classes: int) -> np.ndarray:
+    """A map's read-only prior: ``prior`` as a float64 log-odds vector of
+    length K+1 with a zero pivot (ValueError otherwise), or the uniform
+    prior for None. Both maps' constructors take their prior from here."""
+    if prior is None:
+        prior = logodds.uniform_prior(num_classes)
+    prior = np.ascontiguousarray(prior, dtype=np.float64)
+    if prior.shape != (num_classes + 1,) or prior[0] != 0.0:
+        raise ValueError("prior must be a K+1 log-odds vector with zero pivot")
+    prior.flags.writeable = False
+    return prior
 
 
 class GridMap:
@@ -470,13 +494,7 @@ class GridMap:
         self.resolution = float(resolution)
         self.num_classes = int(num_classes)
         self.origin = np.asarray(origin, dtype=np.float64)
-        if prior is None:
-            prior = logodds.uniform_prior(num_classes)
-        prior = np.ascontiguousarray(prior, dtype=np.float64)
-        if prior.shape != (num_classes + 1,) or prior[0] != 0.0:
-            raise ValueError("prior must be a valid log-odds vector of length K+1")
-        prior.flags.writeable = False
-        self.prior = prior
+        self.prior = prior = _prior_vector(prior, self.num_classes)
         self.cells = np.tile(prior, dims + (1,)).reshape(dims + (num_classes + 1,))
         self.observed = np.zeros(dims, dtype=bool)
 
@@ -487,12 +505,8 @@ class GridMap:
 
     def _box(self, region) -> tuple[slice, slice, slice]:
         """Slices of a half-open cell box ((lo), (hi)) inside the map, or of
-        the whole map for None."""
-        if region is None:
-            return (slice(None),) * 3
-        if not all(0 <= lo <= hi <= n for lo, hi, n in zip(region[0], region[1], self.dims)):
-            raise ValueError(f"box {region} is not inside the map")
-        return tuple(slice(lo, hi) for lo, hi in zip(region[0], region[1]))
+        the whole map for None (``_box_corners``)."""
+        return tuple(map(slice, *_box_corners(region, self.dims)))
 
     # -- ray casting -------------------------------------------------------
 
@@ -536,7 +550,7 @@ class GridMap:
         them. Rounds never grow, and a cell of round r + 1 is in round r, so
         from the first round of one cell on, every update left is that
         cell's (in a planar scan, the sensor cell's). That tail is applied
-        on Python floats (``_clamped_chain``) rather than as rounds of
+        on Python floats (``_clamped_add``) rather than as rounds of
         numpy calls. A beam that raises (``scan_updates``) leaves the map
         as it was."""
         if params.num_classes != self.num_classes:
@@ -563,8 +577,10 @@ class GridMap:
             for b in bounds:
                 if b - a == 1:  # this and every later round hold one cell
                     cell = int(flat[a])
-                    table[cell] = _clamped_chain(table[cell].tolist(), deltas[a:].tolist(),
-                                                 lo.tolist(), hi.tolist())
+                    h, lo, hi = table[cell].tolist(), lo.tolist(), hi.tolist()
+                    for delta in deltas[a:].tolist():
+                        h = _clamped_add(h, delta, lo, hi)
+                    table[cell] = h
                     break
                 sel = flat[a:b]
                 table[sel] = np.minimum(np.maximum(table.take(sel, 0) + deltas[a:b], lo), hi)
@@ -577,14 +593,6 @@ class GridMap:
         log.debug("insert_scan: %d beams, %d cells written, %d distinct, %d rounds",
                   len(beams), n, distinct, rounds)
         return self
-
-    def set_cell(self, cell, h: np.ndarray, observed: bool = True) -> None:
-        """Write a cell belief directly (scene construction and tests)."""
-        h = np.asarray(h, dtype=np.float64)
-        if h.shape != (self.num_classes + 1,) or h[0] != 0.0:
-            raise ValueError("cell log-odds must have length K+1 with zero pivot")
-        self.cells[tuple(cell)] = h
-        self.observed[tuple(cell)] = observed
 
     # -- queries -----------------------------------------------------------
 
@@ -634,6 +642,21 @@ def save_grid(gmap: GridMap, path) -> None:
         fh.write(gmap.observed.astype(np.uint8).tobytes())
 
 
+def _check_header(path, size_name: str, size: float, origin, num_classes: int) -> None:
+    """The header checks both map files share (``load_grid`` and
+    ``octree.load_octree``): CorruptMap unless the cell or element size,
+    read as ``size_name``, is finite and positive, the origin is finite and
+    the class count is in 1..``MAX_CLASSES``."""
+    if not (math.isfinite(size) and size > 0.0):
+        raise CorruptMap(f"{path}: {size_name} {size!r} is not positive")
+    if not all(math.isfinite(o) for o in origin):
+        raise CorruptMap(f"{path}: origin {origin} is not finite")
+    if num_classes < 1:
+        raise CorruptMap(f"{path}: no occupied classes")
+    if num_classes > MAX_CLASSES:
+        raise CorruptMap(f"{path}: {num_classes} classes (at most {MAX_CLASSES})")
+
+
 GRID_HEADER = struct.Struct("<8sH3IdH3d")  # magic, version, dims, resolution, K, origin
 
 
@@ -655,14 +678,7 @@ def load_grid(path) -> GridMap:
     dims = (nx, ny, nz)
     if min(dims) < 1:
         raise CorruptMap(f"{path}: zero extent in dims {dims}")
-    if num_classes < 1:
-        raise CorruptMap(f"{path}: no occupied classes")
-    if num_classes > MAX_CLASSES:
-        raise CorruptMap(f"{path}: {num_classes} classes (at most {MAX_CLASSES})")
-    if not (math.isfinite(resolution) and resolution > 0.0):
-        raise CorruptMap(f"{path}: resolution {resolution!r} is not positive")
-    if not all(math.isfinite(o) for o in origin):
-        raise CorruptMap(f"{path}: origin {origin} is not finite")
+    _check_header(path, "resolution", resolution, origin, num_classes)
     width = num_classes + 1
     count = nx * ny * nz
     cells_at = GRID_HEADER.size + 4 * width

@@ -3,11 +3,12 @@ categorical beliefs.
 
 Every node has 0 or 8 children. Leaves store at most the 3 most likely class
 log-odds plus a single "others" lump for the rest; with K <= 3 all classes are
-tracked, the lump stays empty, and element updates reproduce the dense grid
-arithmetic bit for bit. Every write keeps the tree pruned: eight sibling
-leaves that come to hold one belief collapse into their parent, which is
-what makes ray casts over this structure short: a ray meets a handful of
-homogeneous runs instead of hundreds of elements.
+tracked, the lump stays empty, and element updates are the dense grid's float
+form of the cell update (``grid._clamped_add``), so they reproduce the grid
+bit for bit. Every write keeps the tree pruned: eight sibling leaves that
+come to hold one belief collapse into their parent, which is what makes ray
+casts over this structure short: a ray meets a handful of homogeneous runs
+instead of hundreds of elements.
 
 Queries, ray casts, aggregates and files all read leaves only, so an inner
 node holds no belief: the tree is its structure plus the leaf beliefs, and
@@ -58,7 +59,8 @@ import numpy as np
 from . import logodds
 from .errors import CorruptMap, InvalidClass
 from .grid import GRID_MAGIC, BeamMeasurement, GridMap, RayTrace, SrleRay, cast, scan_updates
-from .logodds import MAX_CLASSES, SensorParams
+from .grid import _box_corners, _check_header, _clamped_add, _prior_vector
+from .logodds import SensorParams
 
 OCTREE_MAGIC = b"SSMIOCT3"
 OCTREE_MAGIC_V2 = b"SSMIOCT2"  # read only: no extent, the world is the cube
@@ -286,22 +288,13 @@ def _uniform_scalar(vec: np.ndarray, name: str) -> float:
 def _tracked_update(
     sem: TruncatedSemantics, delta, lo, hi, num_classes: int
 ) -> TruncatedSemantics:
-    """K <= 3 update on Python floats: per class ``h + (l - h0)`` clamped to
-    ``[lo, hi]``, where ``delta`` holds ``l - h0`` and all three are indexed
-    by class. IEEE-identical to ``clamp(posterior_update(h, l, h0))`` followed
-    by ``from_full``: the adds round alike, and a value equal to a bound takes
-    the bound, as ``np.maximum``/``np.minimum`` return their second argument
-    on ties (which decides the sign of a zero)."""
-    h = dict(sem.data) if len(sem.data) == num_classes else sem.to_full(num_classes).tolist()
-    pairs = []
-    for c in range(1, num_classes + 1):
-        v = h[c] + delta[c]
-        if v <= lo[c]:
-            v = lo[c]
-        elif v >= hi[c]:
-            v = hi[c]
-        pairs.append((c, v))
-    return TruncatedSemantics(data=TruncatedSemantics._sorted(pairs), others=NEG_INF)
+    """K <= 3 update: ``grid._clamped_add`` on the class values 1..K, with
+    ``delta`` (``l - h0``), ``lo`` and ``hi`` listed from class 1, so bit
+    for bit ``clamp(posterior_update(h, l, h0))`` followed by ``from_full``."""
+    full = len(sem.data) == num_classes
+    h = [v for _, v in sorted(sem.data)] if full else sem.to_full(num_classes).tolist()[1:]
+    row = _clamped_add(h, delta, lo, hi)
+    return TruncatedSemantics(data=TruncatedSemantics._sorted(enumerate(row, 1)), others=NEG_INF)
 
 
 def element_update(params: SensorParams, prior: np.ndarray):
@@ -310,19 +303,20 @@ def element_update(params: SensorParams, prior: np.ndarray):
     update of one belief.
 
     With K <= 3 it is the dense grid's ``clamp(h + (l - h0))`` on Python
-    floats (``_tracked_update``). With more classes the parameters must be
-    class-uniform (ValueError here otherwise), and a hit on an untracked
-    class splits an alpha fraction off the lump for the new class, updates,
-    keeps the three largest values, folds the rest back into the lump, and
-    clamps.
+    floats (``_tracked_update``, through ``grid._clamped_add``). With more
+    classes the parameters must be class-uniform (ValueError here
+    otherwise), and a hit on an untracked class splits an alpha fraction
+    off the lump for the new class, updates, keeps the three largest
+    values, folds the rest back into the lump, and clamps with its own
+    ``min``/``max``.
     """
     k = params.num_classes
     if k <= 3:
-        lo, hi = params.clamp_lo.tolist(), params.clamp_hi.tolist()
+        lo, hi = params.clamp_lo[1:].tolist(), params.clamp_hi[1:].tolist()
 
         def update(y):
             l = params.phi_minus if y is None else params.hit_logodds(y)
-            delta = (l - prior).tolist()
+            delta = (l - prior)[1:].tolist()
             return lambda sem: _tracked_update(sem, delta, lo, hi, k)
 
         return update
@@ -413,13 +407,7 @@ class SemanticOctree:
             raise ValueError(f"dims {self.dims} are not three extents in 1..{n}")
         self.num_classes = int(num_classes)
         self.origin = np.asarray(origin, dtype=np.float64)
-        if prior is None:
-            prior = logodds.uniform_prior(num_classes)
-        prior = np.ascontiguousarray(prior, dtype=np.float64)
-        if prior.shape != (num_classes + 1,) or prior[0] != 0.0:
-            raise ValueError("prior must be a K+1 log-odds vector with zero pivot")
-        prior.flags.writeable = False
-        self.prior = prior
+        self.prior = prior = _prior_vector(prior, self.num_classes)
         self._beliefs = _Beliefs(TruncatedSemantics.from_full(prior), num_classes)
         self.prior_semantics = self._beliefs.prior_semantics
         # reads may run concurrently, and one of them brings the table up to date
@@ -477,12 +465,8 @@ class SemanticOctree:
     def _box(self, region):
         """A half-open element box ((lo), (hi)) inside the world, or the whole
         world for None; ValueError for a box that is not inside it, as on the
-        grid."""
-        if region is None:
-            return (0, 0, 0), self.dims
-        if not all(0 <= lo <= hi <= n for lo, hi, n in zip(region[0], region[1], self.dims)):
-            raise ValueError(f"box {region} is not inside the map")
-        return region
+        grid (``grid._box_corners``)."""
+        return _box_corners(region, self.dims)
 
     # -- updates ---------------------------------------------------------------
 
@@ -948,19 +932,12 @@ def load_octree(path) -> SemanticOctree:
     else:
         element_size, max_depth, num_classes, *origin = take(_HEADER.format)
         origin, dims = origin[:3], origin[3:]
-    if not (math.isfinite(element_size) and element_size > 0.0):
-        raise CorruptMap(f"{path}: element size {element_size!r} is not positive")
-    if not all(math.isfinite(o) for o in origin):
-        raise CorruptMap(f"{path}: origin {origin} is not finite")
+    _check_header(path, "element size", element_size, origin, num_classes)
     if not 1 <= max_depth <= 16:
         raise CorruptMap(f"{path}: max_depth {max_depth} outside 1..16")
     if dims is not None and not all(1 <= d <= 1 << max_depth for d in dims):
         raise CorruptMap(f"{path}: extent {tuple(dims)} is zero or larger than the cube "
                          f"of {1 << max_depth} elements a side")
-    if num_classes < 1:
-        raise CorruptMap(f"{path}: no occupied classes")
-    if num_classes > MAX_CLASSES:
-        raise CorruptMap(f"{path}: {num_classes} classes (at most {MAX_CLASSES})")
     if v1 and summary_flag not in (0, 1):
         raise CorruptMap(f"{path}: unknown summary flag {summary_flag}")
     prior = np.array(take(f"<{num_classes + 1}{real}"), dtype=np.float64)

@@ -21,6 +21,7 @@ import numpy as np
 from scipy import ndimage
 
 from . import mi as mi_mod
+from .config import PlannerConfig
 from .errors import AllUnreachable, NoFrontiers, Unreachable
 from .logodds import SensorParams
 
@@ -232,34 +233,6 @@ def sensing_poses(path: list[tuple[int, int]], stride: int) -> list[tuple[tuple[
             heading = math.atan2(path[i][1] - path[i - 1][1], path[i][0] - path[i - 1][0])
         poses.append((path[i], heading))
     return poses
-
-
-@dataclass
-class PlannerConfig:
-    selector: str = "ssmi"  # ssmi | frontier | fsmi-binary
-    stride: int = 3
-    min_frontier_size: int = 3
-    num_beams: int = 16
-    beam_range: float = 10.0
-    fov: float = 2.0 * math.pi
-    band: tuple[int, int] | None = None
-
-    def __post_init__(self):
-        if self.selector not in ("ssmi", "frontier", "fsmi-binary"):
-            raise ValueError(f"unknown selector {self.selector!r}")
-        for name in ("num_beams", "stride", "min_frontier_size"):
-            value = getattr(self, name)
-            if type(value) is not int or value < 1:
-                raise ValueError(f"planner.{name} must be an integer >= 1, got {value!r}")
-        for name in ("fov", "beam_range"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not (math.isfinite(value) and value > 0.0)):
-                raise ValueError(f"planner.{name} must be positive and finite, got {value!r}")
-        if self.band is not None and not (
-                isinstance(self.band, (list, tuple)) and len(self.band) == 2
-                and all(type(z) is int for z in self.band) and 0 <= self.band[0] < self.band[1]):
-            raise ValueError(f"planner.band must be [z0, z1] with 0 <= z0 < z1, got {self.band!r}")
 
 
 @dataclass

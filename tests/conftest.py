@@ -322,6 +322,16 @@ def leaf_table_reference(tree) -> LeafTable:
     )
 
 
+def set_cell(gmap: GridMap, cell, h, observed: bool = True) -> None:
+    """Write one grid cell's belief directly, for scene construction: ``h``
+    must have length K+1 and a zero pivot (ValueError otherwise)."""
+    h = np.asarray(h, dtype=np.float64)
+    if h.shape != (gmap.num_classes + 1,) or h[0] != 0.0:
+        raise ValueError("cell log-odds must have length K+1 with zero pivot")
+    gmap.cells[tuple(cell)] = h
+    gmap.observed[tuple(cell)] = observed
+
+
 def signed_zero_grid() -> GridMap:
     """A 4x4x4 grid (K = 3, the all-zero uniform prior) whose 2x2x2 corner
     alternates +0.0 and -0.0 in class 2, and whose cell (3, 3, 3) holds
@@ -330,8 +340,8 @@ def signed_zero_grid() -> GridMap:
     it."""
     gmap = GridMap((4, 4, 4), 1.0, 3)
     for cell in itertools.product(range(2), repeat=3):
-        gmap.set_cell(cell, [0.0, 1.5, 0.0 if sum(cell) % 2 else -0.0, -2.0])
-    gmap.set_cell((3, 3, 3), [0.0, -0.0, 0.0, 0.0])
+        set_cell(gmap, cell, [0.0, 1.5, 0.0 if sum(cell) % 2 else -0.0, -2.0])
+    set_cell(gmap, (3, 3, 3), [0.0, -0.0, 0.0, 0.0])
     return gmap
 
 

@@ -16,7 +16,7 @@ from ssmi.logodds import SensorParams
 from ssmi.mi import SrleRay, beam_mi_dense, beam_mi_srle, mi_surface
 from ssmi.octree import SemanticOctree
 from ssmi.sim import run_episode, srle_study
-from conftest import beam_mi_dense_direct, beam_mi_srle_direct
+from conftest import beam_mi_dense_direct, beam_mi_srle_direct, set_cell
 
 
 def report(name: str, detail: str) -> None:
@@ -173,8 +173,8 @@ def test_a6_semantic_walls_distinguished_binary_blind():
     green = lo.logodds_from_pmf(np.array([0.1, 0.45, 0.45]))
     red_x, green_x = 5, 18  # mirror images about the arena center
     for y in range(5, 11):
-        gmap.set_cell((red_x, y, 0), red)
-        gmap.set_cell((green_x, y, 0), green)
+        set_cell(gmap, (red_x, y, 0), red)
+        set_cell(gmap, (green_x, y, 0), green)
     params = SensorParams.default(2)
     multi = mi_surface(gmap, params, num_beams=16, max_range=6.0)
     binary = mi_surface(gmap, SensorParams.default(1), num_beams=16, max_range=6.0)

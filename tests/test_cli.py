@@ -18,7 +18,7 @@ from ssmi.logodds import SensorParams
 from ssmi.mi import beam_mi_dense, collapse_to_binary
 from ssmi.octree import SemanticOctree, load_octree, save_octree
 from ssmi.sim import run_episode
-from conftest import cast_fan, fan_beams, signed_zero_grid
+from conftest import cast_fan, fan_beams, set_cell, signed_zero_grid
 
 
 SMOKE = {
@@ -215,7 +215,7 @@ def test_mi_surface_binary_on_grid_and_its_octree(tmp_path, capsys, rng):
     gmap.observed[:] = True
     for _ in range(10):
         cell = (int(rng.integers(8)), int(rng.integers(8)), 0)
-        gmap.set_cell(cell, lo.logodds_from_pmf(rng.dirichlet(np.ones(4))))
+        set_cell(gmap, cell, lo.logodds_from_pmf(rng.dirichlet(np.ones(4))))
     grid_path, tree_path = tmp_path / "m.ssmigrid", tmp_path / "m.ssmioct"
     save_grid(gmap, grid_path)
     assert main(["map", "convert", "--map", str(grid_path), "--out", str(tree_path)]) == 0
@@ -384,6 +384,20 @@ def test_config_value_out_of_range_exit_2(tmp_path, capsys, caplog, section, key
     assert not out.exists()
 
 
+def test_planner_fov_in_radians_and_degrees_together_exit_2(tmp_path, capsys, caplog):
+    """``planner.fov_deg`` was converted over a ``planner.fov`` given next
+    to it, which was dropped without a word."""
+    cfg = {**SMOKE, "planner": {**SMOKE["planner"], "fov": 1.0, "fov_deg": 90.0}}
+    out = tmp_path / "run"
+    code = main(["explore", "--config", write_config(tmp_path, cfg), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "planner.fov " in err and "planner.fov_deg" in err
+    assert len(err.splitlines()) == 1
+    assert not caplog.records
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("profile", ["random", "structured"])
 def test_planar_profile_takes_a_third_extent_of_one_only(tmp_path, capsys, profile):
     """The random and structured generators build one layer: a third extent
@@ -408,7 +422,7 @@ def test_planar_profile_takes_a_third_extent_of_one_only(tmp_path, capsys, profi
 
 def test_grid_file_with_nan_cell_exit_3(tmp_path, capsys, caplog):
     gmap = GridMap((8, 8), 1.0, 2)
-    gmap.set_cell((5, 4, 0), np.array([0.0, math.nan, 1.0]))
+    set_cell(gmap, (5, 4, 0), np.array([0.0, math.nan, 1.0]))
     path = tmp_path / "g.ssmigrid"
     save_grid(gmap, path)
     for command in (["map", "inspect", "--map", str(path)],
@@ -746,7 +760,7 @@ def test_octree_file_with_zero_element_size_exit_3(tmp_path, capsys, caplog):
 
 def test_malformed_grid_file_exit_3(tmp_path, capsys, caplog):
     gmap = GridMap((6, 5), 1.0, 2)
-    gmap.set_cell((2, 3, 0), np.array([0.0, 1.5, -0.5]))
+    set_cell(gmap, (2, 3, 0), np.array([0.0, 1.5, -0.5]))
     path = tmp_path / "g.ssmigrid"
     save_grid(gmap, path)
     good = path.read_bytes()

@@ -12,13 +12,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ssmi import logodds as lo
-from conftest import first_hit_reference, integrate_reference, sense_reference
+from conftest import first_hit_reference, integrate_reference, sense_reference, set_cell
 from ssmi.errors import CorruptMap, InvalidClass, OriginOutOfBounds
 from ssmi.grid import (
     BeamMeasurement,
     GridMap,
     _cell_point,
-    _clamped_chain,
+    _clamped_add,
     _walk_beam,
     cast,
     load_grid,
@@ -30,7 +30,7 @@ from ssmi.grid import (
 )
 from ssmi.logodds import SensorParams
 from ssmi.mi import beam_mi_dense
-from ssmi.octree import SemanticOctree, save_octree
+from ssmi.octree import NEG_INF, SemanticOctree, TruncatedSemantics, _tracked_update, save_octree
 from ssmi.sim import Environment, SensorSpec, first_hits, generate_env, sense, srle_study
 
 LN3 = math.log(3.0)
@@ -460,15 +460,28 @@ def clamp_chains(draw):
 @given(clamp_chains())
 @settings(max_examples=400, deadline=None)
 def test_float_tail_is_the_numpy_round_bit_for_bit(case):
-    """``_clamped_chain`` against one numpy round per delta,
-    ``np.minimum(np.maximum(h + delta, lo), hi)``: the same bits, ties with
-    either bound, signed zeros and NaN included."""
+    """``_clamped_add`` chained over the deltas against one numpy round per
+    delta, ``np.minimum(np.maximum(h + delta, lo), hi)``: the same bits, ties
+    with either bound, signed zeros and NaN included. With K <= 3 the
+    octree's update, which runs ``_clamped_add`` on a belief's class values,
+    chains to the truncation of the same rows."""
     h, deltas, lo, hi = case
     want = np.array(h)
     for delta in deltas:
         want = np.minimum(np.maximum(want + np.array(delta), np.array(lo)), np.array(hi))
-    got = _clamped_chain(list(h), deltas, lo, hi)
+    got = list(h)
+    for delta in deltas:
+        got = _clamped_add(got, delta, lo, hi)
     assert np.array(got).tobytes() == want.tobytes()
+    k = len(h) - 1
+    if k <= 3:
+        sem = TruncatedSemantics(data=TruncatedSemantics._sorted(enumerate(h[1:], 1)),
+                                 others=NEG_INF)
+        for delta in deltas:
+            sem = _tracked_update(sem, delta[1:], lo[1:], hi[1:], k)
+        tracked = TruncatedSemantics.from_full(want)
+        assert [(c, v.hex()) for c, v in sem.data] == [(c, v.hex()) for c, v in tracked.data]
+        assert sem.others == tracked.others == NEG_INF
 
 
 def test_exact_corner_crossings_skip_zero_chord_neighbours():
@@ -850,7 +863,7 @@ def test_beam_event_probabilities_total_one(params3, rng):
     for i in range(10):
         h = np.zeros(4)
         h[1:] = rng.uniform(-4, 4, 3)
-        gmap.set_cell((i, 0, 0), h)
+        set_cell(gmap, (i, 0, 0), h)
     # the dense pass's (n, y) event probabilities, "cells before n free and
     # cell n of class y", plus the all-free outcome
     h_t, h_0 = gmap.ray_logodds(gmap.cast_ray(
@@ -873,7 +886,7 @@ def test_saturated_map_entropy_positive(params3):
     gmap = GridMap((10, 1), 1.0, 3)
     sat = lo.clamp(np.array([0.0, -99.0, -99.0, -99.0]), params3)
     for i in range(10):
-        gmap.set_cell((i, 0, 0), sat)
+        set_cell(gmap, (i, 0, 0), sat)
     entropy = gmap.map_state()[0]
     assert 0.0 < entropy < 10 * lo.entropy(sat) + 1e-12
     assert entropy == pytest.approx(10 * lo.entropy(sat), abs=1e-10)
@@ -898,7 +911,7 @@ def test_binary_roundtrip(tmp_path, params3, rng):
         cell = (rng.integers(6), rng.integers(5), rng.integers(2))
         h = np.zeros(4)
         h[1:] = rng.uniform(-6, 6, 3)
-        gmap.set_cell(cell, h)
+        set_cell(gmap, cell, h)
     path = tmp_path / "map.ssmigrid"
     save_grid(gmap, path)
     back = load_grid(path)
@@ -926,7 +939,7 @@ def saved_grid_bytes(tmp_path_factory):
     for _ in range(12):
         h = np.zeros(4)
         h[1:] = rng.uniform(-6, 6, 3)
-        gmap.set_cell((rng.integers(5), rng.integers(4), rng.integers(2)), h)
+        set_cell(gmap, (rng.integers(5), rng.integers(4), rng.integers(2)), h)
     path = tmp_path_factory.mktemp("grid") / "g.ssmigrid"
     save_grid(gmap, path)
     return path.read_bytes()

@@ -35,6 +35,7 @@ from conftest import (
     fan_beams,
     random_logodds,
     select_nonoverlapping_reference,
+    set_cell,
     stacked_casts,
     trajectories_mi_reference,
 )
@@ -659,7 +660,7 @@ def test_filtered_leq_naive_sum(params3, rng):
         cell = (int(rng.integers(20)), int(rng.integers(20)), 0)
         h = np.zeros(4)
         h[1:] = rng.uniform(-6, 6, 3)
-        gmap.set_cell(cell, h)
+        set_cell(gmap, cell, h)
     fan = fan_beams(np.array([10.5, 10.5, 0.5]), 12, 8.0)
     traj = trajectory_value(gmap, [fan], params3)
     naive = 0.0
@@ -736,8 +737,8 @@ def two_wall_scene():
     gmap.cells[..., :] = np.array([0.0, -6.0, -6.0])
     gmap.observed[:] = True
     for y in range(5, 11):
-        gmap.set_cell((5, y, 0), lo.logodds_from_pmf(np.array([0.1, 0.8, 0.1])))
-        gmap.set_cell((18, y, 0), lo.logodds_from_pmf(np.array([0.1, 0.45, 0.45])))
+        set_cell(gmap, (5, y, 0), lo.logodds_from_pmf(np.array([0.1, 0.8, 0.1])))
+        set_cell(gmap, (18, y, 0), lo.logodds_from_pmf(np.array([0.1, 0.45, 0.45])))
     return gmap
 
 

@@ -1282,6 +1282,30 @@ def test_aggregates_reject_boxes_outside_the_map(kind, params3):
     assert m.map_state(((2, 2, 2), (2, 5, 5))) == (0.0, 0.0)
 
 
+@pytest.mark.parametrize("what, bad", [
+    ("box", ((4, 0, 0), (2, 8, 8))),
+    ("box", ((0, 0, 0), (12, 12, 12))),
+    ("box", ((-2, 0, 0), (4, 4, 4))),
+    ("prior", [0.0, 1.0, 2.0]),
+    ("prior", [0.5, 0.0, 0.0, 0.0]),
+    ("prior", [[0.0, 0.0, 0.0, 0.0]]),
+])
+def test_both_maps_reject_a_bad_box_or_prior_with_one_message(what, bad):
+    def message(call) -> str:
+        with pytest.raises(ValueError) as info:
+            call()
+        return str(info.value)
+
+    if what == "box":
+        maps = (GridMap((8, 8, 8), 1.0, 3), SemanticOctree(1.0, 3, 3))
+        texts = {message(lambda: query(bad)) for m in maps
+                 for query in (m.map_state, m.labels_observed)}
+    else:
+        texts = {message(lambda: GridMap((8, 8, 8), 1.0, 3, prior=bad)),
+                 message(lambda: SemanticOctree(1.0, 3, 3, prior=bad))}
+    assert len(texts) == 1
+
+
 def test_grid_and_octree_answer_the_shared_calls_alike(params3):
     """The same A4-style scans into a grid and a K=3 octree of the grid's
     dims in a larger cube, both through ``insert_scan``: after every scan

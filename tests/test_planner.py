@@ -37,7 +37,13 @@ from ssmi.planner import (
     view_from_grid,
 )
 from ssmi.sim import run_episode
-from conftest import cast_fan, fan_beams, plan_path_reference, select_nonoverlapping_reference
+from conftest import (
+    cast_fan,
+    fan_beams,
+    plan_path_reference,
+    select_nonoverlapping_reference,
+    set_cell,
+)
 
 FREE_SAT = np.array([0.0, -6.0, -6.0])
 WALL = np.array([0.0, 6.0, 6.0])
@@ -112,7 +118,7 @@ def test_free_disk_gives_one_ring_frontier():
     for i in range(20):
         for j in range(20):
             if (i - 10) ** 2 + (j - 10) ** 2 <= 16:
-                gmap.set_cell((i, j, 0), FREE_SAT)
+                set_cell(gmap, (i, j, 0), FREE_SAT)
     frontiers = find_frontiers(view_from_grid(gmap))
     assert len(frontiers) == 1
     # every frontier cell sits on the disk boundary
@@ -346,11 +352,11 @@ def uncertain_wall_arena(green_side="right"):
         gmap.cells[x0 : x1 + 1, 6:11, 0] = gmap.prior
         gmap.observed[x0 : x1 + 1, 6:11, 0] = False
         for x in range(x0 - 1, x1 + 2):
-            gmap.set_cell((x, 5, 0), wall)
-            gmap.set_cell((x, 11, 0), wall)
+            set_cell(gmap, (x, 5, 0), wall)
+            set_cell(gmap, (x, 11, 0), wall)
         xw = x0 - 1 if side == "left" else x1 + 1
         for y in range(5, 12):
-            gmap.set_cell((xw, y, 0), wall)
+            set_cell(gmap, (xw, y, 0), wall)
     return gmap
 
 
