@@ -152,11 +152,11 @@ def cmd_mi_eval(args) -> int:
     params = _map_params(args, mapper.num_classes)
     z = args.z
     if z is None:  # the middle of the map's z extent
-        z = float(mapper.origin[2]) + mapper.dims[2] * mapper.resolution / 2
+        z = mapper.origin[2] + mapper.dims[2] * mapper.resolution / 2
     print(f"resolved config:\n  map: {args.map}\n  pose: ({args.x}, {args.y}, {z})"
           f"\n  beams: {args.beams}\n  r_max: {args.r_max}\n  heading: {args.heading}")
-    center = np.array([args.x, args.y, z])
-    fan = mi_mod.FanCast.from_pose(mapper, center, args.beams, args.r_max, heading=args.heading)
+    fan = mi_mod.FanCast.from_pose(mapper, (args.x, args.y, z), args.beams, args.r_max,
+                                   heading=args.heading)
     batch = mi_mod.trajectories_mi(mapper, [fan], [[0]], params)
     result = batch.trajectories[0]
     print(f"beams: {result.beams_total} kept: {result.beams_kept}")

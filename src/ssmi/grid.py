@@ -35,7 +35,19 @@ GRID_VERSION = 1
 log = logging.getLogger(__name__)
 
 
-def unit_direction(d: list[float]) -> list[float]:
+def point3(v) -> tuple[float, float, float]:
+    """``v``, any three reals (a tuple, a list, an ndarray), as a tuple of
+    three floats, the one form of a point or a direction; ValueError else."""
+    try:
+        if isinstance(v, (str, bytes)):  # iterable, and its characters may parse
+            raise TypeError
+        x, y, z = map(float, v)
+    except (TypeError, ValueError):
+        raise ValueError("origin and direction must be 3-vectors") from None
+    return x, y, z
+
+
+def unit_direction(d: tuple[float, float, float]) -> tuple[float, float, float]:
     """``d`` (three floats) itself when its norm is within 1e-9 of one, else
     ``d`` over its norm; raises ValueError for a zero vector and for a norm
     that is NaN or infinite. Every beam direction passes here: a
@@ -51,7 +63,7 @@ def unit_direction(d: list[float]) -> list[float]:
         if abs(norm - 1.0) > 1e-9:
             if norm == 0.0:
                 raise ValueError("direction must be nonzero")
-            return [x / norm, y / norm, z / norm]
+            return x / norm, y / norm, z / norm
     return d
 
 
@@ -59,29 +71,22 @@ def unit_direction(d: list[float]) -> list[float]:
 class BeamMeasurement:
     """One range-category return along a ray from ``origin``.
 
+    ``origin`` and ``direction`` are given as any three reals and held as
+    tuples of three floats (``point3``), the direction of unit norm
+    (``unit_direction``); so beams compare and hash by value.
     ``category`` is the observed class in 1..K for a genuine hit and None
     when the beam reached ``max_range`` without hitting anything.
     """
 
-    origin: np.ndarray
-    direction: np.ndarray
+    origin: tuple[float, float, float]
+    direction: tuple[float, float, float]
     range: float
     category: int | None
     max_range: float
 
     def __post_init__(self):
-        origin = np.ascontiguousarray(self.origin, dtype=np.float64)
-        direction = np.ascontiguousarray(self.direction, dtype=np.float64)
-        if origin.shape != (3,) or direction.shape != (3,):
-            raise ValueError("origin and direction must be 3-vectors")
-        d = direction.tolist()
-        unit = unit_direction(d)
-        if unit is not d:
-            direction = np.array(unit)
-        origin.flags.writeable = False
-        direction.flags.writeable = False
-        object.__setattr__(self, "origin", origin)
-        object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "origin", point3(self.origin))
+        object.__setattr__(self, "direction", unit_direction(point3(self.direction)))
         if not 0.0 <= self.range <= self.max_range:
             raise ValueError("need 0 <= range <= max_range")
         if self.hits and (self.category is None or self.category < 1):
@@ -103,8 +108,8 @@ class BeamMeasurement:
     ) -> "BeamMeasurement":
         """Beam in the z-plane of a depth-one map (z defaults to the cell center)."""
         return cls(
-            origin=np.array([xy[0], xy[1], z]),
-            direction=np.array([np.cos(angle), np.sin(angle), 0.0]),
+            origin=(xy[0], xy[1], z),
+            direction=(math.cos(angle), math.sin(angle), 0.0),
             range=rng,
             category=category,
             max_range=max_range,
@@ -269,7 +274,7 @@ def _cell_point(point, origin, cell_size: float, dims) -> tuple[float, float, fl
     (px, py, pz), (ox, oy, oz), (nx, ny, nz) = point, origin, dims
     g = ((px - ox) / cell_size, (py - oy) / cell_size, (pz - oz) / cell_size)
     if not (0.0 <= g[0] < nx and 0.0 <= g[1] < ny and 0.0 <= g[2] < nz):
-        raise OriginOutOfBounds(f"beam origin {np.array(point)} outside the map")
+        raise OriginOutOfBounds(f"beam origin {point} outside the map")
     return g
 
 
@@ -294,7 +299,7 @@ def _walk_beam(beam: BeamMeasurement, g, cell_size: float, dims,
     s_hit = beam.range / cell_size
     if to_hit and beam.hits:
         s_max = min(s_max, math.nextafter(s_hit, math.inf))
-    coords, entries = voxel_walk(g, beam.direction.tolist(), s_max, dims)
+    coords, entries = voxel_walk(g, beam.direction, s_max, dims)
     hit_index = None
     if beam.hits and s_hit < entries[-1]:
         hit_index = bisect.bisect_right(entries, s_hit, 1) - 1
@@ -310,7 +315,7 @@ def cast(beam: BeamMeasurement, origin, cell_size: float, dims) -> RayTrace:
     need the full sequence to max range); the trace is truncated where the
     ray leaves the box, which counts as reaching max range.
     """
-    g = _cell_point(beam.origin.tolist(), origin, cell_size, dims)
+    g = _cell_point(beam.origin, origin, cell_size, dims)
     coords, _, hit_index = _walk_beam(beam, g, cell_size, dims)
     return RayTrace(cells=np.array(coords, dtype=np.int64).reshape(-1, 3), hit_index=hit_index)
 
@@ -324,8 +329,8 @@ def scan_updates(beams, origin, cell_size: float, dims,
     lists up to its hit index, from a prefix of the same walk (a hit beam
     is walked only just past its endpoint, see ``_walk_beam``), so both
     maps' ``insert_scan`` write what a beam-by-beam loop over ``cast_ray``
-    wrote. The origin check runs once per run of beams that hold the same
-    origin array, as the beams of a ``sim.sense`` scan do.
+    wrote. The origin check runs once per run of beams with equal
+    origins, as the beams of a ``sim.sense`` scan are.
 
     Every beam is walked and checked before this returns, so a scan with an
     origin outside the box (OriginOutOfBounds) or a hit class outside
@@ -334,9 +339,9 @@ def scan_updates(beams, origin, cell_size: float, dims,
     rows: list[int] = []
     checked = g = None
     for beam in beams:
-        if beam.origin is not checked:
-            g = _cell_point(beam.origin.tolist(), origin, cell_size, dims)
+        if beam.origin != checked:
             checked = beam.origin
+            g = _cell_point(checked, origin, cell_size, dims)
         walk, entries, hit_index = _walk_beam(beam, g, cell_size, dims, to_hit=True)
         if hit_index is None:
             coords += walk
@@ -374,8 +379,8 @@ def _fan_template(f, directions, s_max: float) -> tuple[np.ndarray, np.ndarray]:
 
 def walk_fan(center, directions, max_range: float, origin, cell_size: float,
              dims) -> tuple[np.ndarray, list[int]]:
-    """The cells of a fan of full-length rays from one ``center`` (three
-    floats) along ``directions`` (a tuple of unit 3-tuples of floats), in
+    """The cells of a fan of full-length rays from one ``center`` (a 3-tuple
+    of floats) along ``directions`` (a tuple of unit 3-tuples of floats), in
     the box of :func:`cast`: each ray's cells past its sensor cell, in ray
     order, as one (M, 3) int32 array, and each ray's count of them. They
     are the cells after the first that ``cast`` lists for the beam of that
@@ -456,12 +461,13 @@ def _box_corners(region, dims) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def _prior_vector(prior, num_classes: int) -> np.ndarray:
-    """A map's read-only prior: ``prior`` as a float64 log-odds vector of
-    length K+1 with a zero pivot (ValueError otherwise), or the uniform
-    prior for None. Both maps' constructors take their prior from here."""
+    """A map's read-only prior: a float64 copy of ``prior``, so the caller's
+    array stays writable and later edits of it miss the map, as a log-odds
+    vector of length K+1 with a zero pivot (ValueError otherwise), or the
+    uniform prior for None. Both maps' constructors take their prior here."""
     if prior is None:
         prior = logodds.uniform_prior(num_classes)
-    prior = np.ascontiguousarray(prior, dtype=np.float64)
+    prior = np.array(prior, dtype=np.float64)
     if prior.shape != (num_classes + 1,) or prior[0] != 0.0:
         raise ValueError("prior must be a K+1 log-odds vector with zero pivot")
     prior.flags.writeable = False
@@ -473,6 +479,7 @@ class GridMap:
 
     Cells hold float64 log-odds vectors with element 0 pinned to zero; cells
     never written stay at the shared prior and are flagged unobserved.
+    ``origin``, the low corner of cell (0, 0, 0), is three floats.
     """
 
     def __init__(
@@ -493,15 +500,15 @@ class GridMap:
         self.dims = dims
         self.resolution = float(resolution)
         self.num_classes = int(num_classes)
-        self.origin = np.asarray(origin, dtype=np.float64)
+        self.origin = point3(origin)
         self.prior = prior = _prior_vector(prior, self.num_classes)
         self.cells = np.tile(prior, dims + (1,)).reshape(dims + (num_classes + 1,))
         self.observed = np.zeros(dims, dtype=bool)
 
     # -- geometry ----------------------------------------------------------
 
-    def cell_center(self, cell) -> np.ndarray:
-        return self.origin + (np.asarray(cell, dtype=np.float64) + 0.5) * self.resolution
+    def cell_center(self, cell) -> tuple[float, float, float]:
+        return tuple(o + (c + 0.5) * self.resolution for o, c in zip(self.origin, cell))
 
     def _box(self, region) -> tuple[slice, slice, slice]:
         """Slices of a half-open cell box ((lo), (hi)) inside the map, or of
@@ -513,7 +520,7 @@ class GridMap:
     def cast_ray(self, beam: BeamMeasurement) -> RayTrace:
         """All cells the beam's full-length ray traverses, in order (see
         :func:`cast`)."""
-        return cast(beam, self.origin.tolist(), self.resolution, self.dims)
+        return cast(beam, self.origin, self.resolution, self.dims)
 
     def encode_traces(self, cells: np.ndarray, counts) -> tuple[SrleRay | None, list[int]]:
         """Runs for the run-length kernel over a compact cast (``mi.FanCast``):
@@ -555,7 +562,7 @@ class GridMap:
         as it was."""
         if params.num_classes != self.num_classes:
             raise ValueError("sensor parameters and map disagree on K")
-        coords, rows = scan_updates(beams, self.origin.tolist(), self.resolution, self.dims,
+        coords, rows = scan_updates(beams, self.origin, self.resolution, self.dims,
                                     self.num_classes)
         n = len(rows)
         distinct = rounds = 0

@@ -87,7 +87,8 @@ class SensorParams:
     log-odds so beliefs saturate, and ``alpha`` is the probability fraction
     split off the octree "others" lump when an untracked class is hit.
     ``models`` is the kernels' read-only (K+1, K+1) stack of them: row 0 is
-    ``phi_minus``, row y is ``hit_logodds(y)``.
+    ``phi_minus``, row y is ``hit_logodds(y)``. The vectors are read-only
+    float64 copies: the caller's arrays stay writable, and edits miss them.
     """
 
     phi_plus: np.ndarray
@@ -99,7 +100,7 @@ class SensorParams:
 
     def __post_init__(self):
         for name in ("phi_plus", "phi_minus", "psi_plus", "clamp_lo", "clamp_hi"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
+            arr = np.array(getattr(self, name), dtype=np.float64)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         n = self.phi_plus.shape[0]

@@ -35,6 +35,7 @@ collapsed to occupied/free (``collapse_to_binary``) before the kernel call.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -43,7 +44,7 @@ import numpy as np
 
 from . import logodds
 from .errors import EmptyRay, ScaleExceeded
-from .grid import GridMap, SrleRay, unit_direction, walk_fan
+from .grid import GridMap, SrleRay, point3, unit_direction, walk_fan
 from .logodds import SensorParams
 
 LIMIT_EPS = 1e-9  # switch to the analytic limit of the geometric sums
@@ -330,8 +331,9 @@ class FanCast:
     def from_pose(cls, mapper, center, num_beams: int, max_range: float,
                   heading: float = 0.0, fov: float = 2.0 * math.pi) -> "FanCast":
         """The fan of ``num_beams`` full-length beams at the
-        :func:`fan_angles` around ``heading`` from ``center``, on a GridMap
-        or a semantic octree. Each direction is made as floats and passes
+        :func:`fan_angles` around ``heading`` from ``center``, any three
+        reals, taken as three floats (``grid.point3``), on a GridMap or a
+        semantic octree. Each direction is a 3-tuple of floats and passes
         the beam's unit-direction check (``grid.unit_direction``), once per
         fan shape (``_fan_directions``, memoized); ``grid.walk_fan`` then
         runs the caster's range and origin checks, and gives the cells of
@@ -339,15 +341,11 @@ class FanCast:
         from a memoized walk of the fan from the center's sub-cell part. So
         the cells are those ``mapper.cast_ray`` gives for the same beams,
         byte for byte, and it raises where those beams would:
-        ``ValueError`` for a direction without a finite norm (a NaN
-        heading) and for a negative or NaN range, ``OriginOutOfBounds`` for
-        a center outside the map."""
-        origin = np.asarray(center, dtype=np.float64)
-        if origin.shape != (3,):
-            raise ValueError("origin and direction must be 3-vectors")
-        directions = _fan_directions(num_beams, heading, fov)
-        cells, counts = walk_fan(origin.tolist(), directions, max_range,
-                                 mapper.origin.tolist(), mapper.resolution, mapper.dims)
+        ``ValueError`` for a center that is not three reals, for a
+        direction without a finite norm (a NaN heading) and for a negative
+        or NaN range, ``OriginOutOfBounds`` for a center outside the map."""
+        cells, counts = walk_fan(point3(center), _fan_directions(num_beams, heading, fov),
+                                 max_range, mapper.origin, mapper.resolution, mapper.dims)
         return cls(cells, tuple(counts), mapper.dims)
 
 
@@ -445,10 +443,12 @@ def trajectories_mi(mapper, fans, trajectories: list[list], params: SensorParams
     totals: list[int] = []
     for traj in trajectories:
         casts = [fans[f] for f in traj]
-        pairs = [(f, b) for f, cast in zip(traj, casts) for b in range(len(cast))]
+        starts = np.cumsum([0] + [len(cast) for cast in casts]).tolist()  # each fan's first beam
         keep = select_nonoverlapping([mask for cast in casts for mask in cast.masks])
-        kept.append([(i, slots.setdefault(pairs[i], len(slots))) for i in keep])
-        totals.append(len(pairs))
+        fan_of = [bisect.bisect_right(starts, i) - 1 for i in keep]  # skips fans without beams
+        kept.append([(i, slots.setdefault((traj[n], i - starts[n]), len(slots)))
+                     for i, n in zip(keep, fan_of)])
+        totals.append(starts[-1])
     pieces = []
     for f, b in slots:
         cast = fans[f]
@@ -500,7 +500,7 @@ def _fan_directions(num_beams: int, heading: float, fov: float) -> tuple[tuple[f
     floats and passed through ``grid.unit_direction``; ``FanCast.from_pose``
     casts and ``sim.sense`` senses along them. A NaN or infinite angle raises
     ``ValueError`` (from ``math.cos`` or the check), which is not memoized."""
-    return tuple(tuple(unit_direction([math.cos(a), math.sin(a), 0.0]))
+    return tuple(unit_direction((math.cos(a), math.sin(a), 0.0))
                  for a in fan_angles(num_beams, heading, fov))
 
 

@@ -59,7 +59,7 @@ import numpy as np
 from . import logodds
 from .errors import CorruptMap, InvalidClass
 from .grid import GRID_MAGIC, BeamMeasurement, GridMap, RayTrace, SrleRay, cast, scan_updates
-from .grid import _box_corners, _check_header, _clamped_add, _prior_vector
+from .grid import _box_corners, _check_header, _clamped_add, _prior_vector, point3
 from .logodds import SensorParams
 
 OCTREE_MAGIC = b"SSMIOCT3"
@@ -386,7 +386,8 @@ def cube_depth(dims) -> int:
 class SemanticOctree:
     """Multi-class map of a world of ``dims`` elements (x, y, z) of edge
     ``element_size``, stored in a cube of ``2**max_depth`` elements a side;
-    ``dims`` defaults to the whole cube and must fit inside it."""
+    ``dims`` defaults to the whole cube and must fit inside it. ``origin``,
+    the low corner of element (0, 0, 0), is three floats."""
 
     def __init__(
         self,
@@ -406,7 +407,7 @@ class SemanticOctree:
         if len(self.dims) != 3 or not all(1 <= d <= n for d in self.dims):
             raise ValueError(f"dims {self.dims} are not three extents in 1..{n}")
         self.num_classes = int(num_classes)
-        self.origin = np.asarray(origin, dtype=np.float64)
+        self.origin = point3(origin)
         self.prior = prior = _prior_vector(prior, self.num_classes)
         self._beliefs = _Beliefs(TruncatedSemantics.from_full(prior), num_classes)
         self.prior_semantics = self._beliefs.prior_semantics
@@ -561,7 +562,7 @@ class SemanticOctree:
 
             return memo_step
 
-        coords, rows = scan_updates(beams, self.origin.tolist(), self.element_size, self.dims,
+        coords, rows = scan_updates(beams, self.origin, self.element_size, self.dims,
                                     self.num_classes)
         steps = {0: memoized(update(None))}  # by model row: 0 free, y a class-y hit
         chains: dict[tuple[int, int, int], list] = {}
@@ -614,7 +615,7 @@ class SemanticOctree:
         """Element-resolution trace through the world: the dense grid's
         caster with the element size and the world's extent, so grid and
         tree agree on what a beam touches."""
-        return cast(beam, self.origin.tolist(), self.element_size, self.dims)
+        return cast(beam, self.origin, self.element_size, self.dims)
 
     def encode_trace(self, cells: np.ndarray) -> SrleRay | None:
         """Run-length encode leaf beliefs along a sequence of elements, an

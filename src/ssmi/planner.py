@@ -35,12 +35,13 @@ EIGHT_NEIGHBOURS = [
 
 @dataclass(frozen=True)
 class PlanView:
-    """2-D traversability snapshot: free, unknown, or blocked per column."""
+    """2-D traversability snapshot: free, unknown, or blocked per column,
+    of the map whose ``origin`` (three floats) it holds."""
 
     free: np.ndarray
     unknown: np.ndarray
     resolution: float
-    origin: np.ndarray
+    origin: tuple[float, float, float]
     z_center: float
 
     @cached_property
@@ -67,14 +68,9 @@ class PlanView:
             inner |= legal.astype(np.uint8) << bit
         return table.ravel().tolist()
 
-    def cell_center(self, cell) -> np.ndarray:
-        return np.array(
-            [
-                self.origin[0] + (cell[0] + 0.5) * self.resolution,
-                self.origin[1] + (cell[1] + 0.5) * self.resolution,
-                self.z_center,
-            ]
-        )
+    def cell_center(self, cell) -> tuple[float, float, float]:
+        return (self.origin[0] + (cell[0] + 0.5) * self.resolution,
+                self.origin[1] + (cell[1] + 0.5) * self.resolution, self.z_center)
 
 
 def view_from_grid(mapper, band: tuple[int, int] | None = None) -> PlanView:
@@ -93,7 +89,7 @@ def view_from_grid(mapper, band: tuple[int, int] | None = None) -> PlanView:
     z_center = mapper.origin[2] + (z0 + z1) / 2.0 * mapper.resolution
     return PlanView(
         free=free, unknown=unknown, resolution=mapper.resolution,
-        origin=mapper.origin[:2].copy(), z_center=z_center,
+        origin=mapper.origin, z_center=z_center,
     )
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from . import planner as planner_mod
 from .config import ConfigError, SimConfig
 from .errors import AllUnreachable, BadDims, NoFrontiers, PoseInObstacle
-from .grid import BeamMeasurement, GridMap, _cell_point, voxel_walk
+from .grid import BeamMeasurement, GridMap, _cell_point, point3, voxel_walk
 from .mi import _fan_directions
 from .octree import SemanticOctree, cube_depth
 
@@ -231,29 +231,29 @@ def env_to_grid(env: Environment) -> GridMap:
 
 def first_hits(env: Environment, rays, max_range: float) -> list[tuple[float, int] | None]:
     """Exact (range, class) of the first non-free ground-truth cell along
-    each ray, an ``(origin, direction)`` pair of three floats each (meters,
+    each ray, an ``(origin, direction)`` pair of float 3-tuples (meters,
     unit direction), or None when the ray reaches ``max_range`` or leaves
     the world first. The range is where the ray enters that cell; the
     origin cell counts, at range 0. An origin outside the world raises
     OriginOutOfBounds (the casters' origin check, ``grid._cell_point``,
-    run once per run of rays that hold the same origin object, as the rays
-    of a ``sense`` scan do).
+    run once per run of rays with equal origins, as a ``sense`` scan's).
     The rays are walked by ``voxel_walk`` in cell units, and the truth is
-    read from a flat list made by this call, so an edit of ``env.grid``
-    shows in the next call. Each walk stops at the first occupied cell and
-    is a prefix of the walk to ``max_range`` (``voxel_walk``), so the hit
-    is that walk's first occupied cell."""
+    read in place through a flat view of ``env.grid`` (a copy only if it is
+    not C-contiguous), so an edit of ``env.grid`` shows in the next call.
+    Each walk stops at the first occupied cell and is a prefix of the walk
+    to ``max_range`` (``voxel_walk``), so the hit is that walk's first
+    occupied cell."""
     res = env.resolution
     dims = env.dims
     _, ny, nz = dims
-    truth = env.grid.ravel().tolist()
+    truth = memoryview(env.grid.ravel())
     s_max = max_range / res
     out: list[tuple[float, int] | None] = []
     checked = g = None
     for origin, direction in rays:
-        if origin is not checked:  # a scan's rays share one origin
-            g = _cell_point(origin, (0.0, 0.0, 0.0), res, dims)
+        if origin != checked:  # a scan's rays share one origin
             checked = origin
+            g = _cell_point(origin, (0.0, 0.0, 0.0), res, dims)
         coords, entries = voxel_walk(g, direction, s_max, dims, truth)
         i, j, k = coords[-3:]
         cls = truth[(i * ny + j) * nz + k]
@@ -272,22 +272,21 @@ class SensorSpec:
 
 def sense(
     env: Environment,
-    position: np.ndarray,
+    position,
     heading: float,
     spec: SensorSpec,
     rng: np.random.Generator,
 ) -> list[BeamMeasurement]:
-    """Simulate one scan, one beam along each ``mi._fan_directions``: exact ranges
-    from the ground truth (``first_hits``), then additive Gaussian range
-    noise (clipped to [0, r_max]) and uniform class flips, drawn beam by
-    beam.
+    """Simulate one scan from ``position`` (three reals), one beam along each
+    ``mi._fan_directions``: exact ranges from the ground truth
+    (``first_hits``), then additive Gaussian range noise (clipped to [0,
+    r_max]) and uniform class flips, drawn beam by beam.
 
     Beams that reach max range (or leave the world) report no hit and carry
     no noise. A hit whose noisy range clips to r_max also degrades to no hit.
     """
-    position = np.asarray(position, dtype=np.float64)
-    p = position.tolist()
-    g = [v / env.resolution for v in p]
+    position = point3(position)
+    g = [v / env.resolution for v in position]
     if not all(0.0 <= v < n for v, n in zip(g, env.dims)):
         raise PoseInObstacle(f"pose {position} outside the environment")
     cls = env.grid[tuple(math.floor(v) for v in g)]
@@ -295,30 +294,20 @@ def sense(
         raise PoseInObstacle(f"pose {position} lies in a class-{cls} cell")
 
     directions = _fan_directions(spec.num_beams, heading, spec.fov)
-    hits = first_hits(env, [(p, d) for d in directions], spec.r_max)
+    hits = first_hits(env, [(position, d) for d in directions], spec.r_max)
     beams = []
     for direction, hit in zip(directions, hits):
-        direction = np.array(direction)
-        if hit is None:
-            beams.append(
-                BeamMeasurement(position, direction, spec.r_max, None, spec.r_max)
-            )
-            continue
-        true_range, true_class = hit
-        reported = true_range
-        if spec.range_sigma > 0.0:
-            reported += rng.normal(0.0, spec.range_sigma)
-        reported = min(max(reported, 0.0), spec.r_max)
-        if reported >= spec.r_max:
-            beams.append(
-                BeamMeasurement(position, direction, spec.r_max, None, spec.r_max)
-            )
-            continue
-        label = true_class
-        if env.num_classes > 1 and spec.misclass_prob > 0.0:
-            if rng.random() < spec.misclass_prob:
-                others = [c for c in range(1, env.num_classes + 1) if c != true_class]
-                label = int(others[rng.integers(len(others))])
+        reported, label = spec.r_max, None
+        if hit is not None:
+            reported, label = hit
+            if spec.range_sigma > 0.0:
+                reported += rng.normal(0.0, spec.range_sigma)
+            reported = min(max(reported, 0.0), spec.r_max)
+        if reported >= spec.r_max:  # no hit, or a hit whose noisy range clips: no flip drawn
+            reported, label = spec.r_max, None
+        elif env.num_classes > 1 and spec.misclass_prob > 0.0 and rng.random() < spec.misclass_prob:
+            others = [c for c in range(1, env.num_classes + 1) if c != label]
+            label = int(others[rng.integers(len(others))])
         beams.append(BeamMeasurement(position, direction, reported, label, spec.r_max))
     return beams
 
@@ -434,8 +423,8 @@ def run_episode(config: SimConfig, env: Environment | None = None) -> EpisodeMet
     )
     metrics = EpisodeMetrics(env_hash=env.content_hash(), config_hash=config.config_hash())
 
-    def pose_center(cell) -> np.ndarray:
-        return (np.asarray(cell, dtype=np.float64) + 0.5) * env.resolution
+    def pose_center(cell) -> tuple[float, float, float]:
+        return tuple((c + 0.5) * env.resolution for c in cell)
 
     casts: dict = {}  # the episode's cast cache (planner.evaluate_candidates)
     pose = (spawn[0], spawn[1])
@@ -531,18 +520,18 @@ def srle_study(config: SimConfig, env: Environment | None = None) -> list[StudyR
     if env is None:
         dims = config.env.dims if len(config.env.dims) == 3 else (16, 16, 16)
         env = generate_env(config.seed, "corridor", dims, config.env.num_classes, 1.0)
-    extent = np.array(env.dims, dtype=np.float64) * env.resolution
+    extent = [n * env.resolution for n in env.dims]
     n_side = max(1, int(math.isqrt(config.sweep.beams)))
     # irrational-ish cross-section offsets: never land on an element boundary
     # at any swept resolution
     ys = [0.5 + (i + 0.37) * (extent[1] - 1.0) / n_side for i in range(n_side)]
     zs = [0.5 + (i + 0.37) * (extent[2] - 1.0) / n_side for i in range(n_side)]
-    r_max = float(extent[0])
+    r_max = extent[0]
 
     rows = []
     for res in config.sweep.resolutions:
         element = 1.0 / res
-        dims = [math.ceil(e * res) for e in extent.tolist()]
+        dims = [math.ceil(e * res) for e in extent]
         tree = SemanticOctree(element, cube_depth(dims), env.num_classes, dims=dims)
         params = config.mapper.sensor_params(env.num_classes)
         qs: list[int] = []
@@ -555,10 +544,7 @@ def srle_study(config: SimConfig, env: Environment | None = None) -> list[StudyR
             hits = first_hits(env, [(origin, direction) for origin in origins], r_max)
             for origin, hit in zip(origins, hits):
                 rng_range, category = hit if hit is not None else (r_max, None)
-                beams.append(
-                    BeamMeasurement(np.array(origin), np.array(direction), rng_range,
-                                    category, r_max)
-                )
+                beams.append(BeamMeasurement(origin, direction, rng_range, category, r_max))
             tree.insert_scan(beams, params)
             for beam in beams:
                 ray = tree.raycast_srle(beam)

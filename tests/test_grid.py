@@ -36,6 +36,12 @@ from ssmi.sim import Environment, SensorSpec, first_hits, generate_env, sense, s
 LN3 = math.log(3.0)
 
 
+def bits(v) -> list[str]:
+    """The exact floats of a point or a direction, as hex, so that signed
+    zeros differ."""
+    return [float(x).hex() for x in v]
+
+
 def clip_trace_reference(origin, direction, length, dims, resolution):
     """Cells whose open box the segment crosses with positive chord, ordered
     by entry parameter. Independent slab-clipping reference for the caster."""
@@ -212,7 +218,7 @@ def test_boundary_exit_truncates_without_hit():
 
 def walk_entries(beam, map_origin, cell_size, dims) -> list[float]:
     """The entry parameters, in cells, of the walk behind ``cast``."""
-    g = _cell_point(beam.origin.tolist(), map_origin, cell_size, dims)
+    g = _cell_point(beam.origin, map_origin, cell_size, dims)
     return _walk_beam(beam, g, cell_size, dims)[1]
 
 
@@ -304,7 +310,7 @@ def test_walk_in_the_box_is_the_shifted_walk_from_the_sub_cell_origin(case):
     beam, map_origin, cell_size, dims = case
     g = ((beam.origin - np.asarray(map_origin)) / cell_size).tolist()
     assume(all(0.0 <= v < n for v, n in zip(g, dims)))
-    d = beam.direction.tolist()
+    d = beam.direction
     s_max = beam.max_range / cell_size
     base = [math.floor(v) for v in g]
     f = [v - i for v, i in zip(g, base)]
@@ -316,7 +322,7 @@ def test_walk_in_the_box_is_the_shifted_walk_from_the_sub_cell_origin(case):
     m = inside.index(False) if False in inside else len(inside)
     assert not any(inside[m:])
     assert voxel_walk(g, d, s_max, dims) == (shifted[:3 * m], free_entries[:m + 1])
-    cells, counts = walk_fan(beam.origin.tolist(), (tuple(d),), beam.max_range,
+    cells, counts = walk_fan(beam.origin, (d,), beam.max_range,
                              map_origin, cell_size, dims)
     want = cast(beam, map_origin, cell_size, dims).cells[1:].astype(np.int32)
     assert counts == [len(want)]
@@ -334,7 +340,7 @@ def hit_on_edge_geometry(draw):
     beam, map_origin, cell_size, dims = draw(edge_rays())
     g = ((beam.origin - np.asarray(map_origin)) / cell_size).tolist()
     assume(all(0.0 <= v < n for v, n in zip(g, dims)))
-    entries = voxel_walk(g, beam.direction.tolist(), beam.max_range / cell_size, dims)[1]
+    entries = voxel_walk(g, beam.direction, beam.max_range / cell_size, dims)[1]
     kind = draw(st.sampled_from(("entry", "end", "below max", "any")))
     if kind == "entry":
         r = draw(st.sampled_from(entries)) * cell_size
@@ -354,7 +360,7 @@ def assert_cut_walk_is_a_prefix(beam, map_origin, cell_size, dims):
     """The walk ``scan_updates`` makes of a hit beam against the full walk
     of ``cast``: a prefix of its cells and entries, the same hit index, the
     hit cell last, and the scan's updates those of the cast."""
-    g = _cell_point(beam.origin.tolist(), map_origin, cell_size, dims)
+    g = _cell_point(beam.origin, map_origin, cell_size, dims)
     cells, entries, hit = _walk_beam(beam, g, cell_size, dims, to_hit=True)
     full_cells, full_entries, full_hit = _walk_beam(beam, g, cell_size, dims)
     assert hit == full_hit
@@ -832,9 +838,9 @@ def test_sense_is_the_per_beam_loop(rng):
                 got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
                 got = sense(env, position.copy(), heading, s, got_rng)
                 want = sense_reference(env, position.copy(), heading, s, want_rng)
-                assert [(b.origin.tobytes(), b.direction.tobytes(), b.range, b.category,
+                assert [(bits(b.origin), bits(b.direction), b.range, b.category,
                          b.max_range) for b in got] == [
-                    (b.origin.tobytes(), b.direction.tobytes(), b.range, b.category,
+                    (bits(b.origin), bits(b.direction), b.range, b.category,
                      b.max_range) for b in want]
                 assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
@@ -1053,6 +1059,13 @@ def test_beam_direction_bits_match_exact_norm_rule(angles, scale_exp, sign, zero
         d[zero_axis] = 0.0
     assume(np.linalg.norm(d) > 0.5)
     d = d * (1.0 + sign * 10.0 ** scale_exp)
-    want = normalised_reference(d)
-    got = BeamMeasurement(np.zeros(3), d.copy(), 1.0, None, 1.0).direction
-    assert got.tobytes() == want.tobytes()
+    want = bits(normalised_reference(d).tolist())
+    # any three reals: an ndarray, a list or a tuple, stored as the same floats
+    beams = [BeamMeasurement(np.zeros(3), given, 1.0, None, 1.0)
+             for given in (d.copy(), d.tolist(), tuple(d.tolist()))]
+    for beam in beams:
+        assert bits(beam.direction) == want
+        assert type(beam.direction) is tuple
+        assert all(type(v) is float for v in beam.origin + beam.direction)
+    assert beams[0] == beams[1] == beams[2]
+    assert len({hash(beam) for beam in beams}) == 1

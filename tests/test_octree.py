@@ -744,8 +744,15 @@ def test_fan_cast_from_a_pose_checks_what_its_beams_check():
     for bad in (-1.0, math.nan):
         with pytest.raises(ValueError, match="range"):
             FanCast.from_pose(grid, [1.5, 1.5, 0.5], 4, bad)
-    with pytest.raises(ValueError, match="3-vectors"):
-        FanCast.from_pose(grid, [1.5, 1.5], 4, 2.0)
+    # a center or a beam's origin or direction that is not three reals
+    for bad in ([1.5, 1.5], [1.5, 1.5, 0.5, 0.5], "123", np.full((3, 1), 0.5), None,
+                [1.5, 1.5, 0.5j]):
+        with pytest.raises(ValueError, match="3-vectors"):
+            FanCast.from_pose(grid, bad, 4, 2.0)
+        with pytest.raises(ValueError, match="3-vectors"):
+            BeamMeasurement(bad, [1.0, 0.0, 0.0], 1.0, None, 1.0)
+        with pytest.raises(ValueError, match="3-vectors"):
+            BeamMeasurement([1.5, 1.5, 0.5], bad, 1.0, None, 1.0)
 
 
 def table_builds(caplog, tree):
@@ -1306,6 +1313,41 @@ def test_both_maps_reject_a_bad_box_or_prior_with_one_message(what, bad):
     assert len(texts) == 1
 
 
+def test_maps_and_sensor_params_freeze_their_own_copies():
+    """Both maps and ``SensorParams`` hold read-only copies of the arrays
+    they are given: the caller's array stays writable, and a later edit of
+    it reaches neither the map's prior nor the parameters."""
+    p = np.zeros(4)
+    maps = (GridMap((2, 2), 1.0, 3, prior=p), SemanticOctree(1.0, 1, 3, prior=p))
+    p[1] = 1.0
+    for m in maps:
+        assert m.prior.tolist() == [0.0] * 4
+        assert not m.prior.flags.writeable
+    names = ("phi_plus", "phi_minus", "psi_plus", "clamp_lo", "clamp_hi")
+    given = {name: getattr(SensorParams.default(3), name).copy() for name in names}
+    params = SensorParams(**given)
+    for name, v in given.items():
+        held = v.tolist()
+        v[1] += 1.0
+        assert getattr(params, name).tolist() == held
+        assert not getattr(params, name).flags.writeable
+
+
+def test_a_converted_maps_origin_is_its_own_and_immutable():
+    """A map's origin is three floats that cannot change in place, so a map
+    converted from another (``octree_from_grid``, ``grid_from_octree``)
+    shares no mutable geometry with its source, on which fan casts cached
+    for either map would silently depend."""
+    gmap = GridMap((4, 4, 2), 0.5, 3, origin=np.array([1.0, -2.0, 0.5]))
+    tree = octree_from_grid(gmap)
+    back = grid_from_octree(tree)
+    for m in (gmap, tree, back):
+        with pytest.raises(TypeError):
+            m.origin[0] = 5.0
+        assert m.origin == (1.0, -2.0, 0.5)
+        assert all(type(v) is float for v in m.origin)
+
+
 def test_grid_and_octree_answer_the_shared_calls_alike(params3):
     """The same A4-style scans into a grid and a K=3 octree of the grid's
     dims in a larger cube, both through ``insert_scan``: after every scan
@@ -1497,7 +1539,7 @@ def test_v1_file_loads_to_the_leaves_it_held(tmp_path, name):
     assert tree.element_size == want["element_size"]
     assert tree.max_depth == want["max_depth"]
     assert tree.num_classes == want["num_classes"]
-    assert tree.origin.tolist() == want["origin"]
+    assert list(tree.origin) == want["origin"]
     assert tree.dims == (tree.size_elements,) * 3
     assert [float(v).hex() for v in tree.prior] == want["prior"]
     got = [

@@ -254,7 +254,7 @@ def astar_case(draw):
     for c in (start, goal):
         if draw(st.integers(0, 4)):  # mostly free, sometimes as drawn
             free[c] = True
-    view = PlanView(free=free, unknown=~free, origin=np.zeros(2), z_center=0.5,
+    view = PlanView(free=free, unknown=~free, origin=(0.0, 0.0, 0.0), z_center=0.5,
                     resolution=draw(st.sampled_from([1.0, 0.5, 0.3, 0.1, 2.5])))
     return view, start, goal
 
@@ -317,7 +317,7 @@ def move_table_view(draw):
     shape = {"row": (1, n), "column": (n, 1), "blocked": (draw(st.integers(1, 14)), n)}[kind]
     free = (np.zeros(shape, dtype=bool) if kind == "blocked" else
             np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(shape) >= 0.3)
-    return PlanView(free=free, unknown=~free, origin=np.zeros(2), z_center=0.5, resolution=1.0)
+    return PlanView(free=free, unknown=~free, origin=(0.0, 0.0, 0.0), z_center=0.5, resolution=1.0)
 
 
 @given(view=move_table_view())

@@ -209,8 +209,8 @@ def test_sense_casts_its_beams_at_the_fan_angles():
     env = wall_env()
     spec = SensorSpec(num_beams=7, fov=2.5, r_max=12.0, range_sigma=0.0, misclass_prob=0.0)
     beams = sense(env, np.array([2.5, 8.5, 0.5]), 0.3, spec, np.random.default_rng(0))
-    want = [unit_direction([math.cos(a), math.sin(a), 0.0]) for a in fan_angles(7, 0.3, 2.5)]
-    assert [b.direction.tolist() for b in beams] == want
+    want = [unit_direction((math.cos(a), math.sin(a), 0.0)) for a in fan_angles(7, 0.3, 2.5)]
+    assert [b.direction for b in beams] == want
     assert any(b.hits for b in beams) and not all(b.hits for b in beams)
 
 
