@@ -38,6 +38,10 @@ log = logging.getLogger(__name__)
 def point3(v) -> tuple[float, float, float]:
     """``v``, any three reals (a tuple, a list, an ndarray), as a tuple of
     three floats, the one form of a point or a direction; ValueError else."""
+    if isinstance(v, np.ndarray):
+        # the rows of a 2-D array become lists, which float() rejects on
+        # every NumPy (before 2.4 it takes a one-element array as its item)
+        v = v.tolist()
     try:
         if isinstance(v, (str, bytes)):  # iterable, and its characters may parse
             raise TypeError

@@ -35,7 +35,6 @@ collapsed to occupied/free (``collapse_to_binary``) before the kernel call.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -443,12 +442,15 @@ def trajectories_mi(mapper, fans, trajectories: list[list], params: SensorParams
     totals: list[int] = []
     for traj in trajectories:
         casts = [fans[f] for f in traj]
-        starts = np.cumsum([0] + [len(cast) for cast in casts]).tolist()  # each fan's first beam
-        keep = select_nonoverlapping([mask for cast in casts for mask in cast.masks])
-        fan_of = [bisect.bisect_right(starts, i) - 1 for i in keep]  # skips fans without beams
-        kept.append([(i, slots.setdefault((traj[n], i - starts[n]), len(slots)))
-                     for i, n in zip(keep, fan_of)])
-        totals.append(starts[-1])
+        picks = []
+        n, start, end = -1, 0, 0  # the fan of beam i: its place in traj, first beam, end
+        for i in select_nonoverlapping([mask for cast in casts for mask in cast.masks]):
+            while i >= end:  # kept beams ascend; fans without beams are passed over
+                n += 1
+                start, end = end, end + len(casts[n])
+            picks.append((i, slots.setdefault((traj[n], i - start), len(slots))))
+        kept.append(picks)
+        totals.append(sum(map(len, casts)))
     pieces = []
     for f, b in slots:
         cast = fans[f]

@@ -231,12 +231,14 @@ def env_to_grid(env: Environment) -> GridMap:
 
 def first_hits(env: Environment, rays, max_range: float) -> list[tuple[float, int] | None]:
     """Exact (range, class) of the first non-free ground-truth cell along
-    each ray, an ``(origin, direction)`` pair of float 3-tuples (meters,
-    unit direction), or None when the ray reaches ``max_range`` or leaves
-    the world first. The range is where the ray enters that cell; the
-    origin cell counts, at range 0. An origin outside the world raises
-    OriginOutOfBounds (the casters' origin check, ``grid._cell_point``,
-    run once per run of rays with equal origins, as a ``sense`` scan's).
+    each ray, an ``(origin, direction)`` pair: the origin any three reals
+    (meters), the direction three floats of unit norm. None when the ray
+    reaches ``max_range`` or leaves the world first. The range is where the
+    ray enters that cell; the origin cell counts, at range 0. An origin that
+    is not three reals raises ValueError (``grid.point3``), one outside the
+    world OriginOutOfBounds (the casters' origin check,
+    ``grid._cell_point``); both run once per run of rays that hold the same
+    origin object, as the rays of a ``sense`` scan do.
     The rays are walked by ``voxel_walk`` in cell units, and the truth is
     read in place through a flat view of ``env.grid`` (a copy only if it is
     not C-contiguous), so an edit of ``env.grid`` shows in the next call.
@@ -251,9 +253,9 @@ def first_hits(env: Environment, rays, max_range: float) -> list[tuple[float, in
     out: list[tuple[float, int] | None] = []
     checked = g = None
     for origin, direction in rays:
-        if origin != checked:  # a scan's rays share one origin
+        if origin is not checked:  # a scan's rays share one origin object
             checked = origin
-            g = _cell_point(origin, (0.0, 0.0, 0.0), res, dims)
+            g = _cell_point(point3(origin), (0.0, 0.0, 0.0), res, dims)
         coords, entries = voxel_walk(g, direction, s_max, dims, truth)
         i, j, k = coords[-3:]
         cls = truth[(i * ny + j) * nz + k]

@@ -622,9 +622,10 @@ def test_no_cell_past_the_sensor_cells_calls_no_kernel(kind, params3, monkeypatc
 
     monkeypatch.setattr(mi_mod, "beam_mi_srle_batch", no_kernel)
     fans = [cast_fan(mapper, [outward, outward]), cast_fan(mapper, [])]
-    got = trajectories_mi(mapper, fans, [[0], [1], []], params3)
+    got = trajectories_mi(mapper, fans, [[0], [1], [], [1, 0, 1]], params3)
     assert [(t.value, t.beams_total, t.beams_kept, t.beams) for t in got.trajectories] == [
-        (0.0, 2, 2, []), (0.0, 0, 0, []), (0.0, 0, 0, [])]
+        (0.0, 2, 2, []), (0.0, 0, 0, []), (0.0, 0, 0, []), (0.0, 2, 2, [])]
+    assert got.beams_evaluated == 2
 
 
 def trajectory_value(mapper, beams_per_pose, params):

@@ -724,6 +724,14 @@ def test_fan_cast_from_a_pose_equals_casting_its_beams(case):
     assert casts[2] == casts[0]
 
 
+class _FloatRowsArray(np.ndarray):
+    """An ndarray whose one-element arrays convert with float(), as they do
+    before NumPy 2.4."""
+
+    def __float__(self):
+        return float(self.reshape(-1)[0])
+
+
 def test_fan_cast_from_a_pose_checks_what_its_beams_check():
     """The examples above do reach their edge cases, and a pose fan refuses
     what a beam refuses: a negative or NaN range, a center that is not a
@@ -746,7 +754,7 @@ def test_fan_cast_from_a_pose_checks_what_its_beams_check():
             FanCast.from_pose(grid, [1.5, 1.5, 0.5], 4, bad)
     # a center or a beam's origin or direction that is not three reals
     for bad in ([1.5, 1.5], [1.5, 1.5, 0.5, 0.5], "123", np.full((3, 1), 0.5), None,
-                [1.5, 1.5, 0.5j]):
+                [1.5, 1.5, 0.5j], np.full((3, 1), 0.5).view(_FloatRowsArray)):
         with pytest.raises(ValueError, match="3-vectors"):
             FanCast.from_pose(grid, bad, 4, 2.0)
         with pytest.raises(ValueError, match="3-vectors"):

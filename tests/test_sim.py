@@ -230,6 +230,21 @@ def test_first_hits_rejects_an_origin_outside_the_world(origin):
                          (origin, [1.0, 0.0, 0.0]), (shared, [1.0, 0.0, 0.0])], 14.0)
 
 
+def test_first_hits_takes_an_origin_as_any_three_reals():
+    env = wall_env()
+    rays = [((2.5, 8.5, 0.5), (1.0, 0.0, 0.0)), ((2.5, 8.5, 0.5), (0.0, 1.0, 0.0))]
+    want = first_hits(env, rays, 14.0)
+    assert want[0] == (9.5, 2)
+    for kind in (list, np.array):
+        origin = kind([2.5, 8.5, 0.5])
+        assert first_hits(env, [(origin, d) for _, d in rays], 14.0) == want
+    with pytest.raises(OriginOutOfBounds):
+        first_hits(env, [(np.array([40.5, 8.5, 0.5]), (1.0, 0.0, 0.0))], 14.0)
+    for bad in (np.full((3, 1), 2.5), np.array([2.5, 8.5]), [2.5, 8.5], None):
+        with pytest.raises(ValueError, match="3-vectors"):
+            first_hits(env, [rays[0], (bad, (1.0, 0.0, 0.0))], 14.0)
+
+
 def test_pose_in_obstacle_rejected():
     env = wall_env()
     spec = SensorSpec(1, 0.0, 5.0, 0.0, 0.0)
