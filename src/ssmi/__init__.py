@@ -20,7 +20,7 @@ from .errors import (
     SsmiError,
     Unreachable,
 )
-from .grid import BeamMeasurement, GridMap, RayTrace, load_grid, save_grid
+from .grid import BeamMeasurement, GridMap, RayTrace, Scan, load_grid, save_grid
 from .logodds import (
     CellRelation,
     SensorParams,

@@ -3,7 +3,11 @@
 Maps are always stored as 3-D arrays; a 2-D map is a 3-D map of depth one so
 every downstream consumer (information evaluation, octrees, planning) sees a
 single code path. Both maps take a scan's cell updates, in scan order, from
-one walk (``scan_updates``). The cell update ``clamp(h + (l - h0))`` has
+``scan_updates``: a sensed scan (``Scan``, one origin and a fan of
+directions) is cut from the memoized walks of its fan (``_fan_template``),
+which planning's fans (``walk_fan``) and the truth's first-hit search
+(``sim.first_hits``) shift too, and a list of beams is walked beam by beam
+(``_walk_beam``). The cell update ``clamp(h + (l - h0))`` has
 two forms, both here: numpy rows, in rounds of one gather, add, clip and
 scatter over distinct cells in ``GridMap.insert_scan``, and Python floats
 in ``_clamped_add``, which finishes a scan's last cell and is the octree's
@@ -21,6 +25,7 @@ import functools
 import logging
 import math
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,6 +123,64 @@ class BeamMeasurement:
             category=category,
             max_range=max_range,
         )
+
+
+@functools.lru_cache(maxsize=64)
+def _unit_directions(directions: tuple) -> tuple[tuple[float, float, float], ...]:
+    """``directions`` (3-tuples) as float 3-tuples of unit norm
+    (``unit_direction``), memoized by the fan: a scan's fan directions are
+    the memoized ``mi._fan_directions`` tuple, checked there already."""
+    return tuple(unit_direction(point3(d)) for d in directions)
+
+
+@dataclass(frozen=True)
+class Scan(Sequence):
+    """One sensed scan, a fan of range-category returns from one ``origin``:
+    beam b runs along ``directions[b]`` and reports ``ranges[b]`` and
+    ``labels[b]``, all up to one ``max_range``; ``sim.sense`` returns it.
+
+    It is checked once per scan, as a ``BeamMeasurement`` checks one beam:
+    ``origin`` is held as three floats (``point3``), the directions as float
+    3-tuples of unit norm (``unit_direction``, memoized per fan), the ranges
+    as floats with ``0 <= range <= max_range`` (ValueError), and every hit
+    (a range below ``max_range``) carries a class id >= 1 (InvalidClass).
+    Both maps' ``insert_scan`` take it whole (``scan_updates``); as a
+    sequence it also gives its beams one by one, built on demand.
+    """
+
+    origin: tuple[float, float, float]
+    directions: tuple[tuple[float, float, float], ...]
+    ranges: tuple[float, ...]
+    labels: tuple[int | None, ...]
+    max_range: float
+
+    def __post_init__(self):
+        directions = tuple(self.directions)
+        if not all(type(d) is tuple for d in directions):  # lists, arrays: not hashable
+            directions = tuple(map(point3, directions))
+        ranges, labels = tuple(map(float, self.ranges)), tuple(self.labels)
+        if not len(directions) == len(ranges) == len(labels):
+            raise ValueError("a scan needs one range and one label per direction")
+        max_range = float(self.max_range)
+        object.__setattr__(self, "origin", point3(self.origin))
+        object.__setattr__(self, "directions", _unit_directions(directions))
+        object.__setattr__(self, "ranges", ranges)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "max_range", max_range)
+        if not all(0.0 <= r <= max_range for r in ranges):
+            raise ValueError("need 0 <= range <= max_range")
+        if not all(r >= max_range or (y is not None and y >= 1) for r, y in zip(ranges, labels)):
+            raise InvalidClass("a hit beam must carry a class id >= 1")
+
+    def __len__(self) -> int:
+        return len(self.directions)
+
+    def __getitem__(self, b):
+        """Beam ``b`` as a ``BeamMeasurement``, or a list of them for a slice."""
+        if isinstance(b, slice):
+            return [self[i] for i in range(len(self))[b]]
+        return BeamMeasurement(self.origin, self.directions[b], self.ranges[b], self.labels[b],
+                               self.max_range)
 
 
 @dataclass(frozen=True)
@@ -325,60 +388,138 @@ def cast(beam: BeamMeasurement, origin, cell_size: float, dims) -> RayTrace:
 
 
 def scan_updates(beams, origin, cell_size: float, dims,
-                 num_classes: int) -> tuple[list[int], list[int]]:
+                 num_classes: int) -> tuple[np.ndarray, np.ndarray]:
     """Every cell update of a scan, in scan order: the updated cells as one
-    flat coordinate list (i0, j0, k0, i1, ...) and each update's model row
+    (n, 3) integer array and each update's model row
     (``SensorParams.models``), 0 for a traversed cell and y for the hit
     cell of a class-y return. Per beam these are the cells :func:`cast`
     lists up to its hit index, from a prefix of the same walk (a hit beam
     is walked only just past its endpoint, see ``_walk_beam``), so both
     maps' ``insert_scan`` write what a beam-by-beam loop over ``cast_ray``
-    wrote. The origin check runs once per run of beams with equal
-    origins, as the beams of a ``sim.sense`` scan are.
+    wrote.
 
-    Every beam is walked and checked before this returns, so a scan with an
-    origin outside the box (OriginOutOfBounds) or a hit class outside
-    1..``num_classes`` (InvalidClass) raises before its caller writes."""
+    A ``Scan`` is not walked: its updates are cut from the memoized walks
+    of its fan (``_scan_cut``). A list of beams is walked beam by beam, so
+    a lone beam costs one cut walk; its origin check runs once per run of
+    beams with equal origins.
+
+    The origin and every hit class are checked before this returns, so a
+    scan with an origin outside the box (OriginOutOfBounds) or a hit class
+    outside 1..``num_classes`` (InvalidClass) raises before its caller
+    writes."""
+    if isinstance(beams, Scan):
+        return _scan_cut(beams, origin, cell_size, dims, num_classes)
     coords: list[int] = []
-    rows: list[int] = []
+    hits: list[tuple[int, int]] = []  # each hit update's index and class
     checked = g = None
     for beam in beams:
         if beam.origin != checked:
             checked = beam.origin
             g = _cell_point(checked, origin, cell_size, dims)
-        walk, entries, hit_index = _walk_beam(beam, g, cell_size, dims, to_hit=True)
+        walk, _, hit_index = _walk_beam(beam, g, cell_size, dims, to_hit=True)
+        coords += walk
         if hit_index is None:
-            coords += walk
-            rows += [0] * (len(entries) - 1)
             continue
         y = beam.category
         if not 1 <= y <= num_classes:
             raise InvalidClass(f"hit class must be in 1..{num_classes}, got {y}")
-        coords += walk  # the hit cell is the cut walk's last
-        rows += [0] * hit_index
-        rows.append(y)
-    return coords, rows
+        hits.append((len(coords) // 3 - 1, y))  # the hit cell is the cut walk's last
+    cells = np.array(coords, dtype=np.intp).reshape(-1, 3)
+    rows = np.zeros(len(cells), dtype=np.intp)
+    for at, y in hits:
+        rows[at] = y
+    return cells, rows
 
 
-@functools.lru_cache(maxsize=64)
-def _fan_template(f, directions, s_max: float) -> tuple[np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=128)
+def _fan_template(f, directions, s_max: float) -> tuple[np.ndarray, ...]:
     """The walks of a fan from ``f``, a point of cell (0, 0, 0), along
     ``directions`` to ``s_max`` cells with no box (``voxel_walk`` with
-    ``dims=None``): each ray's cells past the first, in ray order, as one
-    read-only (M, 3) int32 array of cell offsets, and each offset's ray
-    index. The walks are pure geometry, so a template serves every fan
-    whose center has the sub-cell part ``f``; the memo holds the 64 most
-    recently used."""
+    ``dims=None``), as read-only arrays: each ray's cells from its first,
+    in ray order, as (M, 3) int32 cell offsets, each offset's entry
+    parameter, each offset's ray index, and where each ray's offsets
+    start. The walks are pure geometry, so a template serves every fan
+    whose center has the sub-cell part ``f`` (``_fan_in_box``). Sensing
+    and planning share the memo, which holds the 128 most recently used:
+    A7 worlds 0-2 ask for 16 distinct fans at 1 m cells and 90 at 0.3 m,
+    where sub-cell parts differ between poses."""
     coords: list[int] = []
+    entries: list[float] = []
     rays: list[int] = []
+    starts: list[int] = []
     for ray, d in enumerate(directions):
-        cells = voxel_walk(f, d, s_max, None)[0]
-        coords += cells[3:]
-        rays += [ray] * (len(cells) // 3 - 1)
-    offsets = np.array(coords, dtype=np.int32).reshape(-1, 3)
-    ray_of = np.array(rays, dtype=np.intp)
-    offsets.flags.writeable = ray_of.flags.writeable = False
-    return offsets, ray_of
+        cells, walk = voxel_walk(f, d, s_max, None)
+        starts.append(len(entries))
+        coords += cells
+        entries += walk[:-1]
+        rays += [ray] * (len(walk) - 1)
+    template = (np.array(coords, dtype=np.int32).reshape(-1, 3), np.array(entries),
+                np.array(rays, dtype=np.intp), np.array(starts, dtype=np.intp))
+    for a in template:
+        a.flags.writeable = False
+    return template
+
+
+def _fan_in_box(g, directions, s_max: float, dims):
+    """The walks of a fan from ``g`` (in cell units, inside the box of
+    ``dims`` cells) along ``directions`` to ``s_max`` cells: the memoized
+    ``_fan_template`` of the sub-cell part ``g - floor(g)``, shifted by
+    ``floor(g)``. Returns the cells, which may leave the box, with their
+    entries, ray indices and ray starts (the template's), each cell's
+    in-box flag, and the template's range.
+
+    ``voxel_walk`` is translation invariant, so each ray's shifted cells
+    and entries are those of its walk from ``g`` with no box; its cells in
+    the box come first (each axis steps one way only), and they and their
+    entries are the walk in the box. A ray leaves the box before its
+    parameter exceeds the sum of the box's extents, which bounds the
+    template's range (a NaN ``s_max`` walks to that bound, as a walk in
+    the box does), so a range far past the box walks no further than the
+    box needs."""
+    base = [math.floor(v) for v in g]
+    f = tuple(v - i for v, i in zip(g, base))
+    s_max = min(float(sum(dims)), s_max)
+    offsets, entries, ray_of, starts = _fan_template(f, directions, s_max)
+    cells = offsets + np.array(base, dtype=np.int32)
+    unsigned = cells.view(np.uint32)  # a coordinate below 0 reads as one past any extent
+    nx, ny, nz = dims
+    inside = (unsigned[:, 0] < nx) & (unsigned[:, 1] < ny) & (unsigned[:, 2] < nz)
+    return cells, entries, ray_of, starts, inside, s_max
+
+
+def _scan_cut(scan: Scan, origin, cell_size: float, dims,
+              num_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """``scan_updates`` of a ``Scan``, cut from the walks of its fan in the
+    box (``_fan_in_box``) where ``_walk_beam(..., to_hit=True)`` cuts each
+    beam, in one numpy pass.
+
+    A beam with no hit keeps its cells in the box. A hit beam, at ``s_hit
+    = range / cell_size``, keeps those with entry ``<= s_hit``, that is
+    below ``nextafter(s_hit, inf)``: the cut walk's cells. That walk finds
+    its hit in its last cell unless the ray leaves the box at or before
+    ``s_hit``, or ``s_hit`` is not below the template's range (``s_max``,
+    or the box's bound past which no ray stays inside); then the beam
+    writes its cells in the box as traversed."""
+    g = _cell_point(scan.origin, origin, cell_size, dims)
+    n = len(scan)
+    cells, entries, ray_of, _, inside, s_max = _fan_in_box(
+        g, scan.directions, scan.max_range / cell_size, dims)
+    ranges = np.array(scan.ranges)
+    s_hit = ranges / cell_size
+    hits = ranges < scan.max_range
+    walked = entries <= np.where(hits, s_hit, math.inf)[ray_of]
+    kept = walked & inside
+    counts = np.bincount(ray_of.compress(kept), minlength=n)
+    found = hits & (s_hit < s_max) & (np.bincount(ray_of.compress(walked), minlength=n) == counts)
+    rows = np.zeros(int(counts.sum()), dtype=np.intp)
+    (hit_rays,) = np.nonzero(found)
+    if len(hit_rays):
+        labels = [scan.labels[b] for b in hit_rays.tolist()]
+        for y in labels:
+            if not 1 <= y <= num_classes:
+                raise InvalidClass(f"hit class must be in 1..{num_classes}, got {y}")
+        rows[counts.cumsum()[hit_rays] - 1] = labels  # the hit cell is the cut's last
+    return cells.compress(kept, axis=0), rows
 
 
 def walk_fan(center, directions, max_range: float, origin, cell_size: float,
@@ -392,25 +533,14 @@ def walk_fan(center, directions, max_range: float, origin, cell_size: float,
     (``ValueError`` for a negative or NaN range) and the origin check
     (``OriginOutOfBounds``) run first, in the order a beam runs them.
 
-    The walks are not run per fan: with ``g`` the center in cell units,
-    the fan is the memoized ``_fan_template`` of the sub-cell part
-    ``g - floor(g)``, the same directions and range, shifted by
-    ``floor(g)`` (``voxel_walk`` is translation invariant) and cut to the
-    box (each ray's cells in the box are the prefix the walk in the box
-    lists). A ray leaves the box before its parameter exceeds the sum of
-    the box's extents, which bounds the template's range, so a range far
-    past the box walks no further than the box needs."""
+    The walks are not run per fan: they are the memoized walks of the fan
+    from the center's sub-cell part, shifted and cut to the box
+    (``_fan_in_box``)."""
     if not 0.0 <= max_range:
         raise ValueError("need 0 <= range <= max_range")
     g = _cell_point(center, origin, cell_size, dims)
-    base = [math.floor(v) for v in g]
-    f = tuple(v - i for v, i in zip(g, base))
-    s_max = min(max_range / cell_size, float(sum(dims)))
-    offsets, ray_of = _fan_template(f, directions, s_max)
-    cells = offsets + np.array(base, dtype=np.int32)
-    unsigned = cells.view(np.uint32)  # a coordinate below 0 reads as one past any extent
-    nx, ny, nz = dims
-    inside = (unsigned[:, 0] < nx) & (unsigned[:, 1] < ny) & (unsigned[:, 2] < nz)
+    cells, _, ray_of, starts, inside, _ = _fan_in_box(g, directions, max_range / cell_size, dims)
+    inside[starts] = False  # each ray's sensor cell
     counts = np.bincount(ray_of.compress(inside), minlength=len(directions))
     return cells.compress(inside, axis=0), counts.tolist()
 
@@ -547,12 +677,15 @@ class GridMap:
         cell once, so this is one round of the scan update."""
         return self.insert_scan([beam], params)
 
-    def insert_scan(self, beams: list[BeamMeasurement], params: SensorParams) -> "GridMap":
-        """Fuse a scan's beams in order: traversed cells get the free update,
-        each endpoint cell the hit update for the observed class, and cells
-        past an endpoint are untouched. Every update is
-        ``clamp(h + (l - h0))`` on the cell's row, with ``l`` the model row
-        of ``SensorParams.models`` that ``scan_updates`` names.
+    def insert_scan(self, beams: Scan | list[BeamMeasurement],
+                    params: SensorParams) -> "GridMap":
+        """Fuse a scan's beams in order, a sensed ``Scan`` or a list of
+        beams: traversed cells get the free update, each endpoint cell the
+        hit update for the observed class, and cells past an endpoint are
+        untouched. Every update is ``clamp(h + (l - h0))`` on the cell's
+        row, with ``l`` the model row of ``SensorParams.models`` that
+        ``scan_updates`` names (cut from the fan's memoized walks for a
+        ``Scan``, walked beam by beam for a list).
 
         The updates run in rounds: round r applies every cell's r-th update
         of the scan as one gather, add, clip and scatter. A cell occurs at
@@ -562,17 +695,17 @@ class GridMap:
         from the first round of one cell on, every update left is that
         cell's (in a planar scan, the sensor cell's). That tail is applied
         on Python floats (``_clamped_add``) rather than as rounds of
-        numpy calls. A beam that raises (``scan_updates``) leaves the map
+        numpy calls. A scan that raises (``scan_updates``) leaves the map
         as it was."""
         if params.num_classes != self.num_classes:
             raise ValueError("sensor parameters and map disagree on K")
-        coords, rows = scan_updates(beams, self.origin, self.resolution, self.dims,
-                                    self.num_classes)
+        cells, rows = scan_updates(beams, self.origin, self.resolution, self.dims,
+                                   self.num_classes)
         n = len(rows)
         distinct = rounds = 0
         if n:
             _, ny, nz = self.dims
-            flat = np.array(coords, dtype=np.intp).reshape(-1, 3) @ (ny * nz, nz, 1)
+            flat = cells @ (ny * nz, nz, 1)
             deltas = (params.models - self.prior)[rows]
             if len(beams) > 1:
                 picks, bounds, distinct = _rounds(flat)

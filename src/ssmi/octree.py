@@ -58,8 +58,8 @@ import numpy as np
 
 from . import logodds
 from .errors import CorruptMap, InvalidClass
-from .grid import GRID_MAGIC, BeamMeasurement, GridMap, RayTrace, SrleRay, cast, scan_updates
-from .grid import _box_corners, _check_header, _clamped_add, _prior_vector, point3
+from .grid import GRID_MAGIC, BeamMeasurement, GridMap, RayTrace, Scan, SrleRay, cast
+from .grid import _box_corners, _check_header, _clamped_add, _prior_vector, point3, scan_updates
 from .logodds import SensorParams
 
 OCTREE_MAGIC = b"SSMIOCT3"
@@ -524,11 +524,14 @@ class SemanticOctree:
         new = TruncatedSemantics.from_full(np.asarray(h, dtype=np.float64))
         self._write_element(cell, lambda _: new)
 
-    def insert_scan(self, beams: list[BeamMeasurement], params: SensorParams) -> "SemanticOctree":
-        """Integrate beams in order (same cell arithmetic as the dense grid);
-        each write keeps the tree pruned. The element updates are the
-        grid's, from ``scan_updates``, which walks and checks every beam
-        first: a scan that raises leaves the tree as it was.
+    def insert_scan(self, beams: Scan | list[BeamMeasurement],
+                    params: SensorParams) -> "SemanticOctree":
+        """Integrate a scan's beams in order, a sensed ``Scan`` or a list of
+        beams (same cell arithmetic as the dense grid); each write keeps the
+        tree pruned. The element updates are the grid's, from
+        ``scan_updates``, which finds and checks every update first (cut
+        from the fan's memoized walks for a ``Scan``, walked beam by beam
+        for a list): a scan that raises leaves the tree as it was.
 
         The update is a pure function of the hit class and the belief's
         bits, and equal beliefs share one interned object, so each class
@@ -562,12 +565,11 @@ class SemanticOctree:
 
             return memo_step
 
-        coords, rows = scan_updates(beams, self.origin, self.element_size, self.dims,
-                                    self.num_classes)
+        cells, rows = scan_updates(beams, self.origin, self.element_size, self.dims,
+                                   self.num_classes)
         steps = {0: memoized(update(None))}  # by model row: 0 free, y a class-y hit
         chains: dict[tuple[int, int, int], list] = {}
-        cells = iter(coords)
-        for cell, row in zip(zip(cells, cells, cells), rows):
+        for cell, row in zip(zip(*cells.T.tolist()), rows.tolist()):
             step = steps.get(row)
             if step is None:
                 step = steps[row] = memoized(update(row))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 import logging
 import math
 import time
@@ -25,7 +26,7 @@ import numpy as np
 from . import planner as planner_mod
 from .config import ConfigError, SimConfig
 from .errors import AllUnreachable, BadDims, NoFrontiers, PoseInObstacle
-from .grid import BeamMeasurement, GridMap, _cell_point, point3, voxel_walk
+from .grid import BeamMeasurement, GridMap, Scan, _cell_point, _fan_in_box, point3, voxel_walk
 from .mi import _fan_directions
 from .octree import SemanticOctree, cube_depth
 
@@ -239,27 +240,44 @@ def first_hits(env: Environment, rays, max_range: float) -> list[tuple[float, in
     world OriginOutOfBounds (the casters' origin check,
     ``grid._cell_point``); both run once per run of rays that hold the same
     origin object, as the rays of a ``sense`` scan do.
-    The rays are walked by ``voxel_walk`` in cell units, and the truth is
-    read in place through a flat view of ``env.grid`` (a copy only if it is
-    not C-contiguous), so an edit of ``env.grid`` shows in the next call.
-    Each walk stops at the first occupied cell and is a prefix of the walk
-    to ``max_range`` (``voxel_walk``), so the hit is that walk's first
-    occupied cell."""
+
+    The truth is read in place through a flat view of ``env.grid`` (a copy
+    only if it is not C-contiguous), so an edit of ``env.grid`` shows in the
+    next call. A run of rays from one origin is read at the memoized walks
+    of its fan shifted to the origin (``grid._fan_in_box``), in one numpy
+    pass: each ray's first occupied cell in the world, with that cell's
+    entry as its range. A lone ray is walked by ``voxel_walk``, stopped at
+    its first occupied cell, a prefix of its walk to ``max_range``; so both
+    find the first occupied cell of that walk."""
     res = env.resolution
     dims = env.dims
     _, ny, nz = dims
-    truth = memoryview(env.grid.ravel())
+    flat = env.grid.ravel()
+    truth = memoryview(flat)
     s_max = max_range / res
     out: list[tuple[float, int] | None] = []
-    checked = g = None
-    for origin, direction in rays:
-        if origin is not checked:  # a scan's rays share one origin object
-            checked = origin
-            g = _cell_point(point3(origin), (0.0, 0.0, 0.0), res, dims)
-        coords, entries = voxel_walk(g, direction, s_max, dims, truth)
-        i, j, k = coords[-3:]
-        cls = truth[(i * ny + j) * nz + k]
-        out.append((entries[len(coords) // 3 - 1] * res, cls) if cls else None)
+    for _, run in itertools.groupby(rays, key=lambda ray: id(ray[0])):
+        run = list(run)
+        g = _cell_point(point3(run[0][0]), (0.0, 0.0, 0.0), res, dims)
+        if len(run) == 1:
+            coords, entries = voxel_walk(g, run[0][1], s_max, dims, truth)
+            i, j, k = coords[-3:]
+            cls = truth[(i * ny + j) * nz + k]
+            out.append((entries[len(coords) // 3 - 1] * res, cls) if cls else None)
+            continue
+        directions = tuple(d if type(d) is tuple else point3(d) for _, d in run)
+        cells, entries, ray_of, _, inside, _ = _fan_in_box(g, directions, s_max, dims)
+        seen = np.zeros(len(inside), dtype=flat.dtype)
+        seen[inside] = flat[cells.compress(inside, axis=0) @ (ny * nz, nz, 1)]
+        (at,) = np.nonzero(seen)  # each ray's cells in the world come first
+        first = np.ones(len(at), dtype=bool)
+        np.not_equal(ray_of[at[1:]], ray_of[at[:-1]], out=first[1:])
+        at = at[first]
+        found = [None] * len(run)
+        for ray, r, cls in zip(ray_of[at].tolist(), (entries[at] * res).tolist(),
+                               seen[at].tolist()):
+            found[ray] = (r, cls)
+        out += found
     return out
 
 
@@ -278,7 +296,7 @@ def sense(
     heading: float,
     spec: SensorSpec,
     rng: np.random.Generator,
-) -> list[BeamMeasurement]:
+) -> Scan:
     """Simulate one scan from ``position`` (three reals), one beam along each
     ``mi._fan_directions``: exact ranges from the ground truth
     (``first_hits``), then additive Gaussian range noise (clipped to [0,
@@ -286,6 +304,8 @@ def sense(
 
     Beams that reach max range (or leave the world) report no hit and carry
     no noise. A hit whose noisy range clips to r_max also degrades to no hit.
+    The scan is one ``grid.Scan`` record (the position, the memoized
+    directions, the reported ranges and labels, ``r_max``), checked once.
     """
     position = point3(position)
     g = [v / env.resolution for v in position]
@@ -297,8 +317,9 @@ def sense(
 
     directions = _fan_directions(spec.num_beams, heading, spec.fov)
     hits = first_hits(env, [(position, d) for d in directions], spec.r_max)
-    beams = []
-    for direction, hit in zip(directions, hits):
+    ranges: list[float] = []
+    labels: list[int | None] = []
+    for hit in hits:
         reported, label = spec.r_max, None
         if hit is not None:
             reported, label = hit
@@ -310,8 +331,9 @@ def sense(
         elif env.num_classes > 1 and spec.misclass_prob > 0.0 and rng.random() < spec.misclass_prob:
             others = [c for c in range(1, env.num_classes + 1) if c != label]
             label = int(others[rng.integers(len(others))])
-        beams.append(BeamMeasurement(position, direction, reported, label, spec.r_max))
-    return beams
+        ranges.append(reported)
+        labels.append(label)
+    return Scan(position, directions, ranges, labels, spec.r_max)
 
 
 # -- exploration episode ------------------------------------------------------

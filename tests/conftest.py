@@ -9,7 +9,7 @@ from ssmi import logodds
 from ssmi import mi as mi_mod
 from ssmi.config import config_from_dict
 from ssmi.errors import BadDims, EmptyRay, PoseInObstacle, Unreachable
-from ssmi.grid import BeamMeasurement, GridMap, SrleRay, voxel_walk
+from ssmi.grid import BeamMeasurement, GridMap, SrleRay
 from ssmi.logodds import SensorParams
 from ssmi.mi import FanCast, fan_angles
 from ssmi.octree import LeafTable, SemanticNode, _exact_key, element_update, morton
@@ -407,15 +407,56 @@ def integrate_reference(gmap, beam: BeamMeasurement, params: SensorParams):
     return gmap
 
 
+def traverse_reference(origin_g, direction, s_max, dims):
+    """Numpy parametric voxel walk in grid units: the loop the scalar caster
+    (``grid.voxel_walk``) replaced, kept as its bit-for-bit reference. Tied
+    axes step together."""
+    origin_g = np.asarray(origin_g, dtype=np.float64)
+    direction = np.asarray(direction, dtype=np.float64)
+    cell = np.floor(origin_g).astype(np.int64)
+    step = np.sign(direction).astype(np.int64)
+    t_next = np.full(3, np.inf)
+    t_delta = np.full(3, np.inf)
+    with np.errstate(over="ignore"):  # subnormal components step at infinity
+        for i in range(3):
+            if direction[i] > 0.0:
+                t_next[i] = (cell[i] + 1.0 - origin_g[i]) / direction[i]
+                t_delta[i] = 1.0 / direction[i]
+            elif direction[i] < 0.0:
+                t_next[i] = (cell[i] - origin_g[i]) / direction[i]
+                t_delta[i] = -1.0 / direction[i]
+
+    cells = []
+    entries = []
+    t = 0.0
+    while True:
+        cells.append(cell.copy())
+        entries.append(t)
+        t_exit = float(np.min(t_next))
+        if t_exit >= s_max:
+            entries.append(s_max)
+            break
+        advance = t_next == t_exit
+        cell = cell + np.where(advance, step, 0)
+        with np.errstate(over="ignore"):  # so do their later boundaries
+            t_next = np.where(advance, t_next + t_delta, t_next)
+        t = t_exit
+        if np.any(cell < 0) or np.any(cell >= dims):
+            entries.append(t)  # close the last interval at the boundary
+            break
+    return cells, entries
+
+
 def first_hit_reference(env, origin, direction, max_range):
     """The first non-free ground-truth cell along one ray, read by numpy
-    scalar indexing of ``env.grid`` along ``voxel_walk``: (range, class),
-    or None."""
-    g = (np.asarray(origin, dtype=np.float64) / env.resolution).tolist()
-    coords, entries = voxel_walk(g, direction.tolist(), max_range / env.resolution, env.dims)
-    truth = env.grid
-    for n in range(len(entries) - 1):
-        cls = truth[coords[3 * n], coords[3 * n + 1], coords[3 * n + 2]]
+    scalar indexing of ``env.grid`` along the numpy reference walk
+    (``traverse_reference``): (range, class), or None. The origin and the
+    direction are any three reals (a beam's float tuples, lists, arrays)."""
+    cells, entries = traverse_reference(np.asarray(origin, dtype=np.float64) / env.resolution,
+                                        direction, max_range / env.resolution,
+                                        np.array(env.dims))
+    for n, cell in enumerate(cells):
+        cls = env.grid[tuple(cell)]
         if cls != 0:
             return entries[n] * env.resolution, int(cls)
     return None

@@ -12,13 +12,22 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ssmi import logodds as lo
-from conftest import first_hit_reference, integrate_reference, sense_reference, set_cell
+from conftest import (
+    first_hit_reference,
+    integrate_reference,
+    sense_reference,
+    set_cell,
+    traverse_reference,
+)
 from ssmi.errors import CorruptMap, InvalidClass, OriginOutOfBounds
 from ssmi.grid import (
     BeamMeasurement,
     GridMap,
+    Scan,
     _cell_point,
     _clamped_add,
+    _fan_in_box,
+    _fan_template,
     _walk_beam,
     cast,
     load_grid,
@@ -71,43 +80,6 @@ def clip_trace_reference(origin, direction, length, dims, resolution):
     return [c for _, c in hits]
 
 
-def traverse_reference(origin_g, direction, s_max, dims):
-    """Numpy parametric voxel walk in grid units: the loop the scalar caster
-    replaced, kept as its bit-for-bit reference. Tied axes step together."""
-    cell = np.floor(origin_g).astype(np.int64)
-    step = np.sign(direction).astype(np.int64)
-    t_next = np.full(3, np.inf)
-    t_delta = np.full(3, np.inf)
-    with np.errstate(over="ignore"):  # subnormal components step at infinity
-        for i in range(3):
-            if direction[i] > 0.0:
-                t_next[i] = (cell[i] + 1.0 - origin_g[i]) / direction[i]
-                t_delta[i] = 1.0 / direction[i]
-            elif direction[i] < 0.0:
-                t_next[i] = (cell[i] - origin_g[i]) / direction[i]
-                t_delta[i] = -1.0 / direction[i]
-
-    cells = []
-    entries = []
-    t = 0.0
-    while True:
-        cells.append(cell.copy())
-        entries.append(t)
-        t_exit = float(np.min(t_next))
-        if t_exit >= s_max:
-            entries.append(s_max)
-            break
-        advance = t_next == t_exit
-        cell = cell + np.where(advance, step, 0)
-        with np.errstate(over="ignore"):  # so do their later boundaries
-            t_next = np.where(advance, t_next + t_delta, t_next)
-        t = t_exit
-        if np.any(cell < 0) or np.any(cell >= dims):
-            entries.append(t)  # close the last interval at the boundary
-            break
-    return cells, entries
-
-
 def cast_reference(beam, origin, cell_size, dims):
     """(cells, entries, hit_index) the way the numpy-walk caster computed them."""
     g = (beam.origin - np.asarray(origin, dtype=np.float64)) / cell_size
@@ -119,17 +91,6 @@ def cast_reference(beam, origin, cell_size, dims):
         if s_hit < entries[-1]:
             hit_index = int(np.searchsorted(np.asarray(entries[1:]), s_hit, side="right"))
     return [tuple(int(v) for v in c) for c in cells], entries, hit_index
-
-
-def first_hit_reference(env, origin, direction, max_range):
-    """First non-free ground-truth cell along a ray, via the reference walk."""
-    cells, entries = traverse_reference(np.asarray(origin) / env.resolution, direction,
-                                        max_range / env.resolution, np.array(env.dims))
-    for idx, c in enumerate(cells):
-        cls = env.grid[tuple(c)]
-        if cls != 0:
-            return entries[idx] * env.resolution, int(cls)
-    return None
 
 
 def planar_beam(gmap, xy, angle, rng, max_range):
@@ -322,6 +283,15 @@ def test_walk_in_the_box_is_the_shifted_walk_from_the_sub_cell_origin(case):
     m = inside.index(False) if False in inside else len(inside)
     assert not any(inside[m:])
     assert voxel_walk(g, d, s_max, dims) == (shifted[:3 * m], free_entries[:m + 1])
+    # the memoized template holds that walk with its entries, bit for bit,
+    # and shifted and cut to the box it is the walk in the box
+    offsets, entries, ray_of, starts = _fan_template(tuple(f), (d,), s_max)
+    assert offsets.ravel().tolist() == free_coords
+    assert [v.hex() for v in entries.tolist()] == [v.hex() for v in free_entries[:-1]]
+    assert ray_of.tolist() == [0] * len(entries) and starts.tolist() == [0]
+    cells, entries, _, _, inside, _ = _fan_in_box(g, (d,), s_max, dims)
+    assert cells.compress(inside, axis=0).ravel().tolist() == shifted[:3 * m]
+    assert entries.compress(inside).tolist() == free_entries[:m]
     cells, counts = walk_fan(beam.origin, (d,), beam.max_range,
                              map_origin, cell_size, dims)
     want = cast(beam, map_origin, cell_size, dims).cells[1:].astype(np.int32)
@@ -371,8 +341,13 @@ def assert_cut_walk_is_a_prefix(beam, map_origin, cell_size, dims):
     trace = cast(beam, map_origin, cell_size, dims)
     end = len(trace.cells) if trace.hit_index is None else trace.hit_index + 1
     coords, rows = scan_updates([beam], map_origin, cell_size, dims, 3)
-    assert coords == trace.cells[:end].ravel().tolist()
-    assert rows == [0] * (end - (hit is not None)) + [2] * (hit is not None)
+    assert coords.tolist() == trace.cells[:end].tolist()
+    assert rows.tolist() == [0] * (end - (hit is not None)) + [2] * (hit is not None)
+    # the same beam as a one-beam scan, cut from the memoized fan walk
+    scan = Scan(beam.origin, (beam.direction,), (beam.range,), (beam.category,), beam.max_range)
+    cut_cells, cut_rows = scan_updates(scan, map_origin, cell_size, dims, 3)
+    assert cut_cells.tolist() == coords.tolist()
+    assert cut_rows.tolist() == rows.tolist()
 
 
 @given(hit_on_edge_geometry())
@@ -796,6 +771,15 @@ def raising_scans():
         for at in (len(good), 0, 3):
             for beams in (good, sensed):
                 yield beams[:at] + [bad] + beams[at:], error
+    # sensed scan records (``sim.sense``), cut from the fan walk: a class-4
+    # hit as the last, first or middle beam, and an origin outside the map
+    directions = tuple(unit_direction((math.cos(a), math.sin(a), 0.0)) for a in angles)
+    for at in (len(good), 0, 3):
+        labels = [1 + i % 3 for i in range(6)]
+        labels.insert(at, 4)
+        fan = directions[:at] + (unit_direction((1.0, 0.0, 0.0)),) + directions[at:]
+        yield Scan((2.5, 2.5, 0.5), fan, [4.5] * 7, labels, 8.0), InvalidClass
+    yield Scan((-0.5, 2.5, 0.5), directions, [4.5] * 6, [1, 2, 3] * 2, 8.0), OriginOutOfBounds
 
 
 def test_a_scan_that_raises_leaves_either_map_unchanged(params3, tmp_path):
@@ -859,6 +843,170 @@ def test_sense_sees_edits_of_the_truth():
     want = sense_reference(env, position, 0.0, spec, np.random.default_rng(0))
     assert [(b.range, b.category) for b in after] == [(b.range, b.category) for b in want]
     assert [b.range for b in after] != before
+
+
+# -- sensing from the fan template ---------------------------------------------------
+
+
+@st.composite
+def fan_scans(draw):
+    """A scan record of 1-12 beams from one origin in the box of
+    ``edge_rays`` (on a cell face, edge or corner, at a centre, or
+    anywhere), along axis-parallel, 45-degree and generic directions, each
+    at a range the beam's full walk puts on an entry, where it leaves the
+    box or ends, past where it leaves the box, one float below max range
+    (which can round to max range in cells), anywhere, 0, or max range."""
+    dims = draw(DIMS)
+    cell_size = draw(st.sampled_from((1.0, 0.25, 0.3)))
+    map_origin = draw(st.sampled_from(((0.0, 0.0, 0.0), (-1.5, 2.0, 0.75))))
+    g = [draw(origin_coord(n)) for n in dims]
+    origin = tuple(o + v * cell_size for o, v in zip(map_origin, g))
+    g = ((np.asarray(origin) - np.asarray(map_origin)) / cell_size).tolist()
+    assume(all(0.0 <= v < n for v, n in zip(g, dims)))
+    max_range = draw(st.floats(0.0, 2.0 * math.hypot(*dims))) * cell_size
+    directions, ranges, labels = [], [], []
+    for _ in range(draw(st.integers(1, 12))):
+        d = draw(direction(dims))
+        entries = voxel_walk(g, d, max_range / cell_size, dims)[1]
+        kind = draw(st.sampled_from(("entry", "end", "past", "below max", "any", "zero", "max")))
+        if kind == "entry":
+            r = draw(st.sampled_from(entries)) * cell_size
+        elif kind == "end":
+            r = entries[-1] * cell_size
+        elif kind == "past":
+            r = draw(st.floats(min(entries[-1] * cell_size, max_range), max_range))
+        elif kind == "below max":
+            r = math.nextafter(max_range, 0.0)
+        elif kind == "any":
+            r = draw(st.floats(0.0, max_range))
+        else:
+            r = 0.0 if kind == "zero" else max_range
+        r = max(0.0, min(r, max_range))
+        directions.append(d)
+        ranges.append(r)
+        labels.append(draw(st.integers(1, 3)) if r < max_range else None)
+    return Scan(origin, tuple(directions), ranges, labels, max_range), map_origin, cell_size, dims
+
+
+@given(fan_scans())
+@settings(max_examples=400, deadline=None)
+def test_a_scan_cut_from_its_fan_walk_is_the_per_beam_walk(case):
+    """``scan_updates`` of a scan record, cut from the memoized walks of its
+    fan, against its beams walked one by one (``_walk_beam``, cut at each
+    hit): the same cells and model rows in scan order. Both maps' writes of
+    the record are those of its beams fused one at a time."""
+    scan, map_origin, cell_size, dims = case
+    cells, rows = scan_updates(scan, map_origin, cell_size, dims, 3)
+    want_cells, want_rows = scan_updates(list(scan), map_origin, cell_size, dims, 3)
+    assert cells.tolist() == want_cells.tolist()
+    assert rows.tolist() == want_rows.tolist()
+    if cells.shape[0] and max(dims) <= 12:
+        params = SensorParams.default(3)
+        gmap = GridMap(dims, cell_size, 3, origin=map_origin).insert_scan(scan, params)
+        want = GridMap(dims, cell_size, 3, origin=map_origin)
+        for beam in scan:
+            integrate_reference(want, beam, params)
+        assert gmap.cells.tobytes() == want.cells.tobytes()
+        assert np.array_equal(gmap.observed, want.observed)
+
+
+def test_scan_cut_edge_cases():
+    """Named cases of the fan cut against the per-beam walk: a hit range on
+    an entry along an axis and at 45 degrees from a cell corner (where the
+    ray crosses the corner), a hit in the origin cell at range 0, a ray
+    that leaves the box before its hit, and a hit range one float below
+    max range whose cell parameter rounds to max range's."""
+    diagonal = unit_direction((1.0, 1.0, 0.0))
+    cases = [
+        ((2.0, 2.0, 0.5), [(1.0, 0.0, 0.0), diagonal, (-1.0, 0.0, 0.0), (0.0, -1.0, 0.0)],
+         [3.0, 2.0 * math.sqrt(2.0), 0.0, 1.5], 9.0, 1.0, (8, 8, 1)),
+        ((6.5, 1.5, 0.5), [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), diagonal], [4.0, 8.9, 5.0], 9.0, 1.0,
+         (8, 4, 1)),
+        ((0.45, 0.45, 0.15), [(1.0, 0.0, 0.0), (1.0, 0.0, 0.0)],
+         [math.nextafter(7.3, 0.0), 7.3], 7.3, 0.3, (32, 4, 1)),
+    ]
+    for origin, directions, ranges, r_max, cell_size, dims in cases:
+        labels = [2 if r < r_max else None for r in ranges]
+        scan = Scan(origin, tuple(map(unit_direction, directions)), ranges, labels, r_max)
+        cells, rows = scan_updates(scan, (0.0, 0.0, 0.0), cell_size, dims, 3)
+        want_cells, want_rows = scan_updates(list(scan), (0.0, 0.0, 0.0), cell_size, dims, 3)
+        assert cells.tolist() == want_cells.tolist()
+        assert rows.tolist() == want_rows.tolist()
+    # along the face y = 2 from a cell corner, the hit range on the entry
+    # of cell x = 5: that cell is the hit cell, as the per-beam walk has it
+    scan = Scan((2.0, 2.0, 0.5), ((1.0, 0.0, 0.0),), (3.0,), (2,), 9.0)
+    cells, rows = scan_updates(scan, (0.0, 0.0, 0.0), 1.0, (8, 8, 1), 3)
+    assert cells.tolist() == [[2, 2, 0], [3, 2, 0], [4, 2, 0], [5, 2, 0]]
+    assert rows.tolist() == [0, 0, 0, 2]
+    # leaving the box at x = 8 before the hit at 8.9: traversed to the edge
+    scan = Scan((6.5, 1.5, 0.5), ((1.0, 0.0, 0.0),), (8.9,), (2,), 9.0)
+    cells, rows = scan_updates(scan, (0.0, 0.0, 0.0), 1.0, (8, 4, 1), 3)
+    assert cells.tolist() == [[6, 1, 0], [7, 1, 0]] and rows.tolist() == [0, 0]
+    # the rounding hit: both walks end at max range and find no hit
+    scan = Scan((0.45, 0.45, 0.15), ((1.0, 0.0, 0.0),), (math.nextafter(7.3, 0.0),), (2,), 7.3)
+    assert scan_updates(scan, (0.0, 0.0, 0.0), 0.3, (32, 4, 1), 3)[1].tolist() == [0] * 25
+
+
+@st.composite
+def fan_truths(draw):
+    """A small truth (from empty to full) and a fan of 2-8 rays from one
+    origin in it (on a cell face, edge or corner, at a centre, or
+    anywhere), whose cell is occupied in some draws, along axis-parallel,
+    45-degree and generic directions, with ranges past the box."""
+    dims = draw(st.sampled_from([(6, 5, 1), (5, 4, 3), (7, 1, 1), (9, 9, 1)]))
+    density = draw(st.sampled_from((0.0, 0.05, 0.3, 1.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = np.where(rng.random(dims) < density, rng.integers(1, 4, dims), 0).astype(np.int16)
+    origin = [draw(origin_coord(n)) for n in dims]
+    if draw(st.booleans()):
+        grid[tuple(math.floor(v) for v in origin)] = 3
+    directions = [draw(direction(dims)) for _ in range(draw(st.integers(2, 8)))]
+    max_range = draw(st.floats(0.0, 2.0 * math.hypot(*dims)) | st.just(4.0) | st.just(1e9))
+    env = Environment(grid=grid, num_classes=3, resolution=1.0, spawns=[])
+    return env, origin, directions, max_range
+
+
+@given(fan_truths())
+@settings(max_examples=300, deadline=None)
+def test_first_hits_of_a_fan_are_the_lone_ray_searches(case):
+    """``first_hits`` of rays that share one origin, read at their fan's
+    memoized walks, against each ray searched alone (``voxel_walk`` stopped
+    at the first occupied cell) and against the numpy reference walk: an
+    occupied origin cell is a hit at range 0, and a ray that leaves the
+    world first is no hit."""
+    env, origin, directions, max_range = case
+    got = first_hits(env, [(origin, d) for d in directions], max_range)
+    alone = [first_hits(env, [(origin, d)], max_range)[0] for d in directions]
+    want = [first_hit_reference(env, origin, d, max_range) for d in directions]
+    assert got == alone == want
+    if env.grid[tuple(math.floor(v) for v in origin)]:
+        assert all(hit == (0.0, env.grid[tuple(math.floor(v) for v in origin)]) for hit in got)
+
+
+def test_a_scan_record_checks_its_beams_once():
+    """A scan record holds its origin and ranges as floats and its
+    directions as unit float 3-tuples, rejects a range outside [0, max
+    range], a hit with no class or class 0 and a length mismatch, and gives
+    the beams a ``BeamMeasurement`` of each would hold."""
+    origin = np.array([1.5, 2.5, 0.5])
+    directions = ([2.0, 0.0, 0.0], np.array([0.0, -1.0, 0.0]), (0.6, 0.8, 0.0))
+    scan = Scan(origin, directions, [np.float64(1.0), 3, 0.0], [1, None, 2], 3)
+    assert scan.origin == (1.5, 2.5, 0.5) and scan.max_range == 3.0
+    assert scan.directions == ((1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.6, 0.8, 0.0))
+    assert all(type(v) is float for v in scan.ranges + sum(scan.directions, ()))
+    assert list(scan) == [BeamMeasurement(origin, d, r, y, 3.0)
+                          for d, r, y in zip(directions, [1.0, 3.0, 0.0], [1, None, 2])]
+    assert len(scan) == 3 and scan[1].hits is False and scan[-2:] == list(scan)[1:]
+    for ranges, labels, error in (([1.0, 3.5, 0.0], [1, None, 2], ValueError),
+                                  ([1.0, -0.1, 0.0], [1, 1, 2], ValueError),
+                                  ([1.0, math.nan, 0.0], [1, 1, 2], ValueError),
+                                  ([1.0, 2.0, 0.0], [1, None, 2], InvalidClass),
+                                  ([1.0, 2.0, 0.0], [1, 0, 2], InvalidClass),
+                                  ([1.0, 2.0], [1, 1], ValueError)):
+        with pytest.raises(error):
+            Scan(origin, directions, ranges, labels, 3.0)
+    with pytest.raises(ValueError, match="3-vectors"):
+        Scan([1.5, 2.5], directions, [1.0, 3.0, 0.0], [1, None, 2], 3.0)
 
 
 # -- beam event probabilities ------------------------------------------------------

@@ -830,23 +830,23 @@ def test_a_range_far_past_the_box_walks_only_the_box():
     info = _fan_template.cache_info()
     assert (info.hits, info.misses) == (1, 1)
     directions = mi_mod._fan_directions(16, 0.0, 2.0 * math.pi)
-    offsets, _ = _fan_template((0.5, 0.5, 0.5), directions, 12.0)
+    offsets = _fan_template((0.5, 0.5, 0.5), directions, 12.0)[0]
     assert _fan_template.cache_info().hits == 2
     assert np.abs(offsets).max() <= 12
 
 
 def test_the_fan_memo_stays_within_its_bound_over_surfaces(params3):
     """``mi_surface`` on a 0.3 m map casts from every cell, from sub-cell
-    origins that differ between cells; over four fan shapes that is more
+    origins that differ between cells; over eight fan shapes that is more
     keys than the memo holds, and it holds no more than its bound."""
     gmap = GridMap((16, 16), 0.3, 3, origin=(0.1, 0.2, 0.0))
     clear_fan_memos()
-    for num_beams in (4, 6, 8, 10):
+    for num_beams in range(4, 20, 2):
         mi_mod.mi_surface(gmap, params3, num_beams=num_beams, max_range=2.0)
     info = _fan_template.cache_info()
     assert info.misses > info.maxsize
     assert info.currsize <= info.maxsize
-    assert mi_mod._fan_directions.cache_info().currsize == 4
+    assert mi_mod._fan_directions.cache_info().currsize == 8
 
 
 # -- failing-instance replay ----------------------------------------------------------

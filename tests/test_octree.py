@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from ssmi import logodds as lo
 from ssmi.config import config_from_dict
 from ssmi.errors import CorruptMap, InvalidClass, OriginOutOfBounds
-from ssmi.grid import BeamMeasurement, GridMap
+from ssmi.grid import BeamMeasurement, GridMap, Scan
 from ssmi.logodds import SensorParams
 from ssmi.octree import (
     NEG_INF,
@@ -1109,6 +1109,26 @@ def test_grouped_scan_is_the_per_update_writer_bit_for_bit(case, tmp_path_factor
         insert_scan_reference(trees[1], scan, params)
         assert saved_bytes(trees[0], path) == saved_bytes(trees[1], path)
         assert_table_is_the_reference(trees[0])
+
+
+@given(case=sensor_scan_case())
+@settings(max_examples=60, deadline=None)
+def test_a_sensed_scan_record_is_the_per_update_writer_bit_for_bit(case, tmp_path_factory):
+    """Each scan of ``sensor_scan_case`` as the scan record ``sim.sense``
+    makes, all its beams from its first beam's origin, cut from the fan's
+    memoized walks, against its beams written one update at a time by
+    ``insert_scan_reference``: after every scan the saved bytes are equal."""
+    k, depth, prior, blocks, params, scans = case
+    trees = [SemanticOctree(1.0, depth, k, prior=prior) for _ in range(2)]
+    for tree in trees:
+        paint(tree, blocks)
+    path = tmp_path_factory.mktemp("record")
+    for beams in scans:
+        scan = Scan(beams[0].origin, tuple(b.direction for b in beams),
+                    [b.range for b in beams], [b.category for b in beams], beams[0].max_range)
+        trees[0].insert_scan(scan, params)
+        insert_scan_reference(trees[1], scan, params)
+        assert saved_bytes(trees[0], path) == saved_bytes(trees[1], path)
 
 
 def test_an_element_whose_chain_ends_where_it_began_is_not_written(params3, caplog):
