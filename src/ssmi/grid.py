@@ -10,12 +10,12 @@ which planning's fans (``walk_fan``) and the truth's first-hit search
 (``_walk_beam``). The cell update ``clamp(h + (l - h0))`` has
 two forms, both here: numpy rows, in rounds of one gather, add, clip and
 scatter over distinct cells in ``GridMap.insert_scan``, and Python floats
-in ``_clamped_add``, which finishes a scan's last cell and is the octree's
-K <= 3 update (``octree.element_update``). A4 and the float-vs-numpy
-hypothesis test in ``tests/test_grid.py`` pin the forms equal bit for bit,
-so both maps agree under the same observations. The maps also share their
-box check (``_box_corners``), their prior (``_prior_vector``) and their
-files' header checks (``_check_header``).
+in ``_clamped_add``, which finishes a scan's last cell (``_clamped_tail``)
+and is the octree's K <= 3 update (``octree.element_update``). A4 and the
+float-vs-numpy hypothesis test in ``tests/test_grid.py`` pin the forms
+equal bit for bit, so both maps agree under the same observations. The
+maps also share their box check (``_box_corners``), their prior
+(``_prior_vector``) and their files' header checks (``_check_header``).
 """
 
 from __future__ import annotations
@@ -583,6 +583,32 @@ def _clamped_add(h, delta, lo, hi) -> list[float]:
     return row
 
 
+def _clamped_tail(h, steps, rows, lo, hi) -> list[float]:
+    """``_clamped_add`` of ``steps[r]`` for each index ``r`` of ``rows`` in
+    turn, from the row ``h``: the grid's one-cell tail (``GridMap.insert_scan``).
+    It stops at the first step that leaves the row bit for bit unchanged
+    (``_same_bits``) when every later index is that step's: each of those
+    steps adds the same row to the same row, so it would change nothing
+    either. Once a cell saturates, that cuts its tail short."""
+    last = len(rows) - 1
+    run = last  # rows[run:] all name the last step's row
+    while run and rows[run - 1] == rows[last]:
+        run -= 1
+    for i, r in enumerate(rows):
+        row = _clamped_add(h, steps[r], lo, hi)
+        if i >= run and _same_bits(row, h):
+            break
+        h = row
+    return h
+
+
+def _same_bits(a, b) -> bool:
+    """Whether two rows of floats are equal bit for bit: equal values with
+    equal zero signs. A NaN never counts as equal."""
+    return all(x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+               for x, y in zip(a, b))
+
+
 def _box_corners(region, dims) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The low and high corners of a half-open cell box ((lo), (hi)) inside
     ``dims``, or of the whole of ``dims`` for None; ValueError for a box
@@ -694,9 +720,11 @@ class GridMap:
         them. Rounds never grow, and a cell of round r + 1 is in round r, so
         from the first round of one cell on, every update left is that
         cell's (in a planar scan, the sensor cell's). That tail is applied
-        on Python floats (``_clamped_add``) rather than as rounds of
-        numpy calls. A scan that raises (``scan_updates``) leaves the map
-        as it was."""
+        on Python floats (``_clamped_tail``) rather than as rounds of
+        numpy calls, and stops once an update leaves the cell bit for bit
+        unchanged and every update left is that same model row: a
+        saturated sensor cell costs one update, not one per beam. A scan
+        that raises (``scan_updates``) leaves the map as it was."""
         if params.num_classes != self.num_classes:
             raise ValueError("sensor parameters and map disagree on K")
         cells, rows = scan_updates(beams, self.origin, self.resolution, self.dims,
@@ -706,12 +734,13 @@ class GridMap:
         if n:
             _, ny, nz = self.dims
             flat = cells @ (ny * nz, nz, 1)
-            deltas = (params.models - self.prior)[rows]
+            steps = params.models - self.prior
             if len(beams) > 1:
                 picks, bounds, distinct = _rounds(flat)
-                flat, deltas = flat[picks], deltas[picks]
+                flat, rows = flat[picks], rows[picks]
             else:  # a ray visits a cell once
                 bounds, distinct = [n], n
+            deltas = steps[rows]
             rounds = len(bounds)
             lo, hi = params.clamp_lo, params.clamp_hi
             # views, unless an array is not C-ordered: then copies, written back
@@ -721,10 +750,8 @@ class GridMap:
             for b in bounds:
                 if b - a == 1:  # this and every later round hold one cell
                     cell = int(flat[a])
-                    h, lo, hi = table[cell].tolist(), lo.tolist(), hi.tolist()
-                    for delta in deltas[a:].tolist():
-                        h = _clamped_add(h, delta, lo, hi)
-                    table[cell] = h
+                    table[cell] = _clamped_tail(table[cell].tolist(), steps.tolist(),
+                                                rows[a:].tolist(), lo.tolist(), hi.tolist())
                     break
                 sel = flat[a:b]
                 table[sel] = np.minimum(np.maximum(table.take(sel, 0) + deltas[a:b], lo), hi)

@@ -36,7 +36,9 @@ EIGHT_NEIGHBOURS = [
 @dataclass(frozen=True)
 class PlanView:
     """2-D traversability snapshot: free, unknown, or blocked per column,
-    of the map whose ``origin`` (three floats) it holds."""
+    of the map whose ``origin`` (three floats) it holds. Its first search
+    (``plan_path``) builds the view's search context, which its later
+    searches share and which lives and dies with the view."""
 
     free: np.ndarray
     unknown: np.ndarray
@@ -46,27 +48,44 @@ class PlanView:
 
     @cached_property
     def move_table(self) -> list[int]:
-        """The legal moves of every cell of ``free`` padded with a one-cell
-        blocked border, as one flat row-major list of 8-bit masks: bit m is
-        set when the m-th move of ``EIGHT_NEIGHBOURS`` lands on a free cell
-        and, for a diagonal, both orthogonal neighbours are free too (no
-        corner cutting). Border cells have no moves. Built once per view,
-        in one numpy pass, for all of its searches (``plan_path``); a view
-        is a snapshot: ``free`` is not written after the first search."""
+        """The legal moves of every cell of ``free`` laid out with a blocked
+        border, as one flat row-major list of 8-bit masks: bit m is set when
+        the m-th move of ``EIGHT_NEIGHBOURS`` lands on a free cell and, for a
+        diagonal, both orthogonal neighbours are free too (no corner
+        cutting). Cell (x, y) has flat id ``(x + 1) * width + y + 1`` with
+        ``width = _row_stride(ny)``: one blocked row above and below, one
+        blocked column before each row and at least one after it. Blocked
+        cells have no moves. Built once per view, in one numpy pass, for all
+        of its searches (``plan_path``); a view is a snapshot: ``free`` is not
+        written after the first search."""
         nx, ny = self.free.shape
         padded = np.pad(self.free, 1)
 
         def shifted(dx, dy):  # free[x + dx, y + dy] for every cell (x, y) of free
             return padded[1 + dx:1 + dx + nx, 1 + dy:1 + dy + ny]
 
-        table = np.zeros((nx + 2, ny + 2), dtype=np.uint8)
-        inner = table[1:-1, 1:-1]
+        table = np.zeros((nx + 2, _row_stride(ny)), dtype=np.uint8)
+        inner = table[1:-1, 1:ny + 1]
         for bit, (dx, dy) in enumerate(EIGHT_NEIGHBOURS):
             legal = shifted(dx, dy)
             if dx and dy:
                 legal = legal & shifted(dx, 0) & shifted(0, dy)
             inner |= legal.astype(np.uint8) << bit
         return table.ravel().tolist()
+
+    @cached_property
+    def search_context(self) -> tuple[list[int], np.ndarray, tuple, tuple[float, ...]]:
+        """What every search on this view shares, built on its first search:
+        the move table, the 4-connected component label of each cell of
+        ``free`` (0 for a blocked cell), the memoized moves of each move mask
+        and the memoized heuristic table for the view's shape and resolution
+        (``_moves_by_mask``, ``_heuristic_table``). Under the no-corner-cutting
+        rule a diagonal move needs both orthogonal cells free, so two free
+        cells are joined by a path exactly when they share a label."""
+        nx, ny = self.free.shape
+        return (self.move_table, ndimage.label(self.free)[0],
+                _moves_by_mask(_row_stride(ny), self.resolution),
+                _heuristic_table(nx, ny, self.resolution))
 
     def cell_center(self, cell) -> tuple[float, float, float]:
         return (self.origin[0] + (cell[0] + 0.5) * self.resolution,
@@ -111,6 +130,12 @@ def find_frontiers(view: PlanView, min_size: int = 3) -> list[Frontier]:
     A frontier cell is free-labeled and 4-adjacent to at least one unknown
     cell; clusters are 8-connected components. Raises NoFrontiers when the
     boundary is empty, which signals that exploration is complete.
+
+    Every cluster comes out of one pass over the labelled cells: one
+    stable sort by label gives each cluster's ``cells`` as ``np.intp`` rows
+    in row-major order, and each cluster's centroid, its cell nearest to
+    the mean of its cells (ties by lowest cell index), is picked for all
+    clusters at once.
     """
     unk = view.unknown
     near_unknown = np.zeros_like(unk)
@@ -119,20 +144,25 @@ def find_frontiers(view: PlanView, min_size: int = 3) -> list[Frontier]:
     near_unknown[:, 1:] |= unk[:, :-1]
     near_unknown[:, :-1] |= unk[:, 1:]
     boundary = view.free & near_unknown
-    labels, count = ndimage.label(boundary, structure=np.ones((3, 3), dtype=int))
+    labels, _ = ndimage.label(boundary, structure=np.ones((3, 3), dtype=int))
     ny = boundary.shape[1]
-    frontiers = []
-    for lab in range(1, count + 1):
-        cells = np.argwhere(labels == lab)
-        if cells.shape[0] < min_size:
-            continue
-        mean = cells.mean(axis=0)
-        d2 = np.sum((cells - mean) ** 2, axis=1)
-        flat = cells[:, 0] * ny + cells[:, 1]
-        pick = np.lexsort((flat, d2))[0]
-        frontiers.append(Frontier(cells=cells, centroid=(int(cells[pick, 0]), int(cells[pick, 1]))))
-    if not frontiers:
+    labels = labels.ravel()
+    members = np.flatnonzero(labels)  # row-major
+    members = members[np.argsort(labels[members], kind="stable")]
+    cluster = labels[members]
+    sizes = np.bincount(cluster)[1:]
+    kept = np.flatnonzero(sizes >= min_size)
+    if not kept.size:
         raise NoFrontiers("no free/unknown boundary left")
+    starts = sizes.cumsum() - sizes
+    cells = np.stack(np.divmod(members, ny), axis=1)
+    mean = np.add.reduceat(cells, starts, axis=0) / sizes[:, None]
+    d2 = np.sum((cells - np.repeat(mean, sizes, axis=0)) ** 2, axis=1)
+    picks = np.lexsort((members, d2, cluster))[starts]
+    frontiers = [
+        Frontier(cells=cells[start:start + size], centroid=(int(cells[pick, 0]), int(cells[pick, 1])))
+        for start, size, pick in zip(starts[kept].tolist(), sizes[kept].tolist(), picks[kept].tolist())
+    ]
     frontiers.sort(key=lambda f: (-f.size, f.cells[0, 0] * ny + f.cells[0, 1]))
     return frontiers
 
@@ -142,38 +172,46 @@ def plan_path(view: PlanView, start: tuple[int, int], goal: tuple[int, int]):
 
     Diagonal moves may not cut corners: both orthogonal neighbours must be
     free too. Returns (path, cost_meters); a zero-length path costs one
-    resolution unit so information-per-cost ratios stay finite.
+    resolution unit so information-per-cost ratios stay finite. A start or
+    goal outside the view raises ValueError; one that is not free, or a
+    goal in another 4-connected component of ``free`` than the start,
+    raises Unreachable, the latter before any search.
 
-    Cells are flat ids into the view padded with a one-cell blocked
-    border, and each cell's legal moves are read from the view's move table
-    (``PlanView.move_table``), so a move needs no bounds, free or corner
-    check. Moves are tried in ``EIGHT_NEIGHBOURS`` order and the heap holds
-    ``(f, counter, id)``, with the heuristic's integer arguments those of
-    the ``(x, y)`` cells, so the search pushes and pops as one on ``(x, y)``
+    Cells are flat ids into the view's move table (``PlanView.move_table``),
+    so a move needs no bounds, free or corner check, and the search reads
+    everything else it needs from the view's search context
+    (``PlanView.search_context``). Moves are tried in ``EIGHT_NEIGHBOURS``
+    order and the heap holds ``(f, counter, id)``. The heuristic of a cell
+    is read from the table at the cell's id minus the goal's: the rows of
+    the move table are wide enough that this difference names the cell's
+    offset from the goal, and the table holds ``math.hypot`` of that offset
+    times the resolution, so the search pushes and pops as one on ``(x, y)``
     cells does.
     """
-    ny = view.free.shape[1]
+    nx, ny = view.free.shape
+    for name, cell in (("start", start), ("goal", goal)):
+        if not (0 <= cell[0] < nx and 0 <= cell[1] < ny):
+            raise ValueError(f"{name} {cell} is outside the view's {nx}x{ny} cells")
     if not view.free[start[0], start[1]]:
         raise Unreachable(f"start {start} is not free-labeled")
     if not view.free[goal[0], goal[1]]:
         raise Unreachable(f"goal {goal} is not free-labeled")
     if start == goal:
         return [start], view.resolution
+    table, components, moves_of, heuristic = view.search_context
+    if components[start[0], start[1]] != components[goal[0], goal[1]]:
+        raise Unreachable(f"no free path from {start} to {goal}")
 
-    res = view.resolution
-    width = ny + 2
-    table = view.move_table
-    moves_of = _moves_by_mask(width, res)
+    width = _row_stride(ny)
     source = (int(start[0]) + 1) * width + int(start[1]) + 1
     target = (int(goal[0]) + 1) * width + int(goal[1]) + 1
-    gx, gy = divmod(target, width)
-    hypot = math.hypot
+    shift = len(heuristic) // 2 - target  # heuristic[id + shift] is cell id's
 
     g_cost = [math.inf] * len(table)
     g_cost[source] = 0.0
-    parent = {source: None}
+    parent = [0] * len(table)
     counter = 0
-    heap = [(hypot(start[0] - goal[0], start[1] - goal[1]) * res, counter, source)]
+    heap = [(heuristic[source + shift], counter, source)]
     closed = bytearray(len(table))
     while heap:
         _, _, cur = heapq.heappop(heap)
@@ -181,36 +219,60 @@ def plan_path(view: PlanView, start: tuple[int, int], goal: tuple[int, int]):
             continue
         if cur == target:
             path = []
-            while cur is not None:
+            while True:
                 x, y = divmod(cur, width)
                 path.append((x - 1, y - 1))
+                if cur == source:
+                    break
                 cur = parent[cur]
             path.reverse()
             return path, g_cost[target]
         closed[cur] = 1
         g_cur = g_cost[cur]
-        cx, cy = divmod(cur, width)
-        ex, ey = cx - gx, cy - gy
-        for offset, step, dx, dy in moves_of[table[cur]]:
+        for offset, step in moves_of[table[cur]]:
             nxt = cur + offset
             cand = g_cur + step
             if cand < g_cost[nxt] - 1e-12:
                 g_cost[nxt] = cand
                 parent[nxt] = cur
                 counter += 1
-                heapq.heappush(heap, (cand + hypot(ex + dx, ey + dy) * res, counter, nxt))
+                heapq.heappush(heap, (cand + heuristic[nxt + shift], counter, nxt))
     raise Unreachable(f"no free path from {start} to {goal}")
 
 
+def _row_stride(ny: int) -> int:
+    """Row width of a view's move table for rows of ``ny`` cells: a blocked
+    cell before each row and ``ny + 1`` after it. The column offset j of
+    two cells takes one of the ``2 * ny - 1`` values -(ny - 1)..ny - 1, so
+    on rows this wide their id difference ``i * width + j`` names (i, j)."""
+    return 2 * ny + 1
+
+
 @lru_cache(maxsize=16)
-def _moves_by_mask(width: int, res: float) -> tuple[tuple[tuple[int, float, int, int], ...], ...]:
+def _moves_by_mask(width: int, res: float) -> tuple[tuple[tuple[int, float], ...], ...]:
     """For each 8-bit move mask of ``PlanView.move_table``, the moves it
-    allows as ``(flat offset, step cost, dx, dy)`` in ``EIGHT_NEIGHBOURS``
-    order, on a padded view ``width`` cells wide with cells ``res`` wide."""
-    moves = [(dx * width + dy, res * (math.sqrt(2.0) if dx and dy else 1.0), dx, dy)
+    allows as ``(flat offset, step cost)`` in ``EIGHT_NEIGHBOURS`` order, on
+    a table ``width`` cells wide with cells ``res`` wide."""
+    moves = [(dx * width + dy, res * (math.sqrt(2.0) if dx and dy else 1.0))
              for dx, dy in EIGHT_NEIGHBOURS]
     return tuple(tuple(move for bit, move in enumerate(moves) if mask >> bit & 1)
                  for mask in range(256))
+
+
+@lru_cache(maxsize=16)
+def _heuristic_table(nx: int, ny: int, res: float) -> tuple[float, ...]:
+    """A* heuristic for an ``nx`` x ``ny`` view with cells ``res`` wide, by
+    id difference: entry ``d + C``, with ``C`` half the table's length, is
+    ``math.hypot(i, j) * res`` for the cell offset (i, j) whose move-table
+    id difference ``i * width + j`` is ``d``. The gaps between rows, which
+    no two cells of the view are apart by, hold inf."""
+    width = _row_stride(ny)
+    gap = [math.inf] * (width - (2 * ny - 1))
+    table = []
+    for i in range(-(nx - 1), nx):
+        table += [math.hypot(i, j) * res for j in range(-(ny - 1), ny)]
+        table += gap
+    return tuple(table[:len(table) - len(gap)])
 
 
 def sensing_poses(path: list[tuple[int, int]], stride: int) -> list[tuple[tuple[int, int], float]]:

@@ -4,16 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from ssmi import logodds
 from ssmi import mi as mi_mod
 from ssmi.config import config_from_dict
-from ssmi.errors import BadDims, EmptyRay, PoseInObstacle, Unreachable
+from ssmi.errors import BadDims, EmptyRay, NoFrontiers, PoseInObstacle, Unreachable
 from ssmi.grid import BeamMeasurement, GridMap, SrleRay
 from ssmi.logodds import SensorParams
 from ssmi.mi import FanCast, fan_angles
 from ssmi.octree import LeafTable, SemanticNode, _exact_key, element_update, morton
-from ssmi.planner import EIGHT_NEIGHBOURS
+from ssmi.planner import EIGHT_NEIGHBOURS, Frontier
 from ssmi.sim import run_episode
 
 # stacked first, it gives any list of cast cells, even none, shape (M, 3)
@@ -506,8 +507,12 @@ def sense_reference(env, position, heading, spec, rng) -> list[BeamMeasurement]:
 def plan_path_reference(view, start: tuple[int, int], goal: tuple[int, int]):
     """A* on ``(x, y)`` cells over nested lists, with a bounds check per
     move. The search ``planner.plan_path`` is held to: the same path, cost
-    bits and ``Unreachable`` messages."""
+    bits and ``Unreachable`` messages, and the same ``ValueError`` for a
+    cell outside the view."""
     nx, ny = view.free.shape
+    for name, cell in (("start", start), ("goal", goal)):
+        if not (0 <= cell[0] < nx and 0 <= cell[1] < ny):
+            raise ValueError(f"{name} {cell} is outside the view's {nx}x{ny} cells")
     free = view.free.tolist()  # nested lists index faster than numpy here
     if not free[start[0]][start[1]]:
         raise Unreachable(f"start {start} is not free-labeled")
@@ -554,3 +559,32 @@ def plan_path_reference(view, start: tuple[int, int], goal: tuple[int, int]):
                 counter += 1
                 heapq.heappush(heap, (cand + heuristic(nxt), counter, nxt))
     raise Unreachable(f"no free path from {start} to {goal}")
+
+
+def find_frontiers_reference(view, min_size: int = 3) -> list:
+    """Frontier clusters with one ``labels == lab`` scan per cluster: the
+    clusters ``planner.find_frontiers`` is held to, with the same cells,
+    centroids, order and ``NoFrontiers`` message."""
+    unk = view.unknown
+    near_unknown = np.zeros_like(unk)
+    near_unknown[1:, :] |= unk[:-1, :]
+    near_unknown[:-1, :] |= unk[1:, :]
+    near_unknown[:, 1:] |= unk[:, :-1]
+    near_unknown[:, :-1] |= unk[:, 1:]
+    boundary = view.free & near_unknown
+    labels, count = ndimage.label(boundary, structure=np.ones((3, 3), dtype=int))
+    ny = boundary.shape[1]
+    frontiers = []
+    for lab in range(1, count + 1):
+        cells = np.argwhere(labels == lab)
+        if cells.shape[0] < min_size:
+            continue
+        mean = cells.mean(axis=0)
+        d2 = np.sum((cells - mean) ** 2, axis=1)
+        flat = cells[:, 0] * ny + cells[:, 1]
+        pick = np.lexsort((flat, d2))[0]
+        frontiers.append(Frontier(cells=cells, centroid=(int(cells[pick, 0]), int(cells[pick, 1]))))
+    if not frontiers:
+        raise NoFrontiers("no free/unknown boundary left")
+    frontiers.sort(key=lambda f: (-f.size, f.cells[0, 0] * ny + f.cells[0, 1]))
+    return frontiers

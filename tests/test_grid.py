@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ssmi import grid as grid_mod
 from ssmi import logodds as lo
 from conftest import (
     first_hit_reference,
@@ -26,6 +27,7 @@ from ssmi.grid import (
     Scan,
     _cell_point,
     _clamped_add,
+    _clamped_tail,
     _fan_in_box,
     _fan_template,
     _walk_beam,
@@ -463,6 +465,73 @@ def test_float_tail_is_the_numpy_round_bit_for_bit(case):
         tracked = TruncatedSemantics.from_full(want)
         assert [(c, v.hex()) for c, v in sem.data] == [(c, v.hex()) for c, v in tracked.data]
         assert sem.others == tracked.others == NEG_INF
+
+
+@st.composite
+def clamp_tails(draw):
+    """A row and bounds as ``clamp_chains`` draws them, a table of step
+    rows (drawn ones, a row that saturates every class at its low bound,
+    one that pushes a class up as a hit does, one with a NaN, and copies
+    that differ only in zero signs), and a tail of 1-5 runs of one step
+    index each. The row starts as drawn or saturated."""
+    h, deltas, lo, hi = draw(clamp_chains())
+    k = len(h) - 1
+    zero = st.sampled_from((0.0, -0.0))
+    steps = deltas + [[draw(zero)] + [-20.0] * k,
+                      [draw(zero)] + [0.41] * (k - 1) + [1.53805334],
+                      [draw(zero)] + [math.nan] * k]
+    steps += [[-v if v == 0.0 else v for v in row] for row in steps]
+    if draw(st.booleans()):
+        h = [draw(zero)] + lo[1:]
+    runs = draw(st.lists(st.tuples(st.integers(0, len(steps) - 1), st.integers(1, 20)),
+                         min_size=1, max_size=5))
+    return h, steps, [r for r, count in runs for _ in range(count)], lo, hi
+
+
+@given(clamp_tails())
+@settings(max_examples=400, deadline=None)
+def test_cut_tail_is_the_full_chain_bit_for_bit(case):
+    """``_clamped_tail``, which stops once a step leaves the row unchanged
+    and every later step is the same, against ``_clamped_add`` over every
+    step: the same bits, signed zeros and NaN included."""
+    h, steps, rows, lo, hi = case
+    want = list(h)
+    for r in rows:
+        want = _clamped_add(want, steps[r], lo, hi)
+    got = _clamped_tail(list(h), steps, rows, lo, hi)
+    assert struct.pack(f"{len(h)}d", *got) == struct.pack(f"{len(h)}d", *want)
+
+
+def test_saturated_sensor_cell_stops_its_tail(monkeypatch):
+    """A saturated cell stops after its first step of the final run, a
+    cell that saturates in that run one step after it saturates; a range-0
+    hit row after the free rows, a pivot at -0.0 that the bounds turn to
+    +0.0, and a NaN are applied as the full chain applies them."""
+    params = SensorParams.default(2)
+    steps = params.models.tolist()
+    lo, hi = params.clamp_lo.tolist(), params.clamp_hi.tolist()
+    saturated = [0.0, -6.0, -6.0]
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return _clamped_add(*args)
+
+    monkeypatch.setattr(grid_mod, "_clamped_add", counted)
+    for h, rows, steps_run in (
+        (saturated, [0] * 40, 1),
+        (saturated, [1] * 3 + [0] * 40, 8),
+        (saturated, [0] * 40 + [1], 41),
+        ([-0.0, -6.0, -6.0], [0] * 40, 2),
+        ([0.0, math.nan, -6.0], [0] * 40, 40),
+    ):
+        calls.clear()
+        got = _clamped_tail(list(h), steps, rows, lo, hi)
+        want = list(h)
+        for r in rows:
+            want = _clamped_add(want, steps[r], lo, hi)
+        assert struct.pack("3d", *got) == struct.pack("3d", *want)
+        assert len(calls) == steps_run, (h, rows)
 
 
 def test_exact_corner_crossings_skip_zero_chord_neighbours():

@@ -40,6 +40,7 @@ from ssmi.sim import run_episode
 from conftest import (
     cast_fan,
     fan_beams,
+    find_frontiers_reference,
     plan_path_reference,
     select_nonoverlapping_reference,
     set_cell,
@@ -174,6 +175,59 @@ def test_small_clusters_dropped():
         find_frontiers(view_from_grid(gmap), min_size=20)
 
 
+def frontier_outcome(find, view, min_size):
+    """Each cluster's cells (dtype, shape and bytes) and centroid, in order,
+    or the NoFrontiers message."""
+    try:
+        frontiers = find(view, min_size)
+    except NoFrontiers as exc:
+        return "none", str(exc)
+    return [(f.cells.dtype.str, f.cells.shape, f.cells.tobytes(), f.centroid)
+            for f in frontiers]
+
+
+@st.composite
+def frontier_case(draw):
+    """A plan view and a minimum cluster size: random free, unknown and
+    blocked cells; a fully known view (no frontier); or rows of separate
+    frontier segments (a free row over an unknown row), either all of one
+    length or of lengths around ``min_size``."""
+    kind = draw(st.sampled_from(["random", "known", "segments", "equal"]))
+    min_size = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind in ("random", "known"):
+        shape = (draw(st.integers(1, 16)), draw(st.integers(1, 16)))
+        p_free, p_unknown = draw(st.sampled_from([(0.5, 0.3), (0.8, 0.1), (0.3, 0.6), (0.9, 0.0)]))
+        u = rng.random(shape)
+        free = u < p_free
+        unknown = np.zeros(shape, dtype=bool) if kind == "known" else u >= 1.0 - p_unknown
+    else:
+        count = draw(st.integers(1, 5))
+        ny = draw(st.integers(min_size + 2, 14))
+        free = np.zeros((3 * count, ny), dtype=bool)
+        unknown = np.zeros_like(free)
+        for i in range(count):
+            length = (min_size + 1 if kind == "equal" else
+                      min_size + int(rng.integers(-1, 2)))
+            y0 = int(rng.integers(0, ny - length + 1))
+            free[3 * i, y0:y0 + length] = True
+            unknown[3 * i + 1, y0:y0 + length] = True
+    view = PlanView(free=free, unknown=unknown, origin=(0.0, 0.0, 0.0), z_center=0.5,
+                    resolution=1.0)
+    return view, min_size
+
+
+@given(case=frontier_case())
+@settings(max_examples=300, deadline=None)
+def test_one_pass_frontiers_are_the_per_label_scan(case):
+    """``find_frontiers`` (one stable sort of the labelled cells) against a
+    ``labels == lab`` scan per cluster: the same cells, dtype, centroids,
+    order and NoFrontiers message."""
+    view, min_size = case
+    assert (frontier_outcome(find_frontiers, view, min_size)
+            == frontier_outcome(find_frontiers_reference, view, min_size))
+
+
 # -- paths ---------------------------------------------------------------------
 
 
@@ -209,6 +263,68 @@ def test_unreachable_goal():
     view = view_from_grid(gmap)
     with pytest.raises(Unreachable):
         plan_path(view, (4, 7), (12, 7))
+
+
+def test_regions_touching_at_a_corner_are_unreachable():
+    """Two free blocks that meet only at a corner: a diagonal move between
+    them would cut the corner, so the goal is unreachable, with the
+    reference's message."""
+    free = np.zeros((6, 6), dtype=bool)
+    free[:3, :3] = free[3:, 3:] = True
+    view = PlanView(free=free, unknown=~free, origin=(0.0, 0.0, 0.0), z_center=0.5,
+                    resolution=1.0)
+    want = ("unreachable", "no free path from (1, 1) to (4, 4)")
+    assert search_outcome(plan_path, view, (1, 1), (4, 4)) == want
+    assert search_outcome(plan_path_reference, view, (1, 1), (4, 4)) == want
+
+
+def test_other_component_raises_before_any_search(monkeypatch):
+    """A goal in another 4-connected component of ``free`` raises from the
+    view's component labels: the search pushes and pops nothing."""
+    gmap = known_free_map(16, 16)
+    gmap.cells[8, :, 0] = WALL
+    view = view_from_grid(gmap)
+
+    class NoHeap:
+        def __getattr__(self, name):
+            raise AssertionError(f"heapq.{name} called")
+
+    monkeypatch.setattr(planner_mod, "heapq", NoHeap())
+    with pytest.raises(Unreachable, match=re.escape("no free path from (4, 7) to (12, 7)")):
+        plan_path(view, (4, 7), (12, 7))
+
+
+def test_wall_with_a_one_cell_gap():
+    """A full wall but for one cell: the path goes through the gap and is
+    the reference's, cost bits included."""
+    free = np.ones((9, 9), dtype=bool)
+    free[4, :] = False
+    free[4, 6] = True
+    view = PlanView(free=free, unknown=~free, origin=(0.0, 0.0, 0.0), z_center=0.5,
+                    resolution=0.5)
+    got = search_outcome(plan_path, view, (1, 1), (7, 1))
+    assert got == search_outcome(plan_path_reference, view, (1, 1), (7, 1))
+    path, cost = plan_path(view, (1, 1), (7, 1))
+    assert (4, 6) in path
+    assert cost == pytest.approx(dijkstra_cost(free, (1, 1), (7, 1), 0.5), abs=1e-12)
+
+
+@pytest.mark.parametrize("start, goal, named", [
+    ((-1, 2), (2, 2), "start (-1, 2)"),
+    ((2, 2), (0, -1), "goal (0, -1)"),
+    ((6, 2), (2, 2), "start (6, 2)"),
+    ((2, 2), (2, 5), "goal (2, 5)"),
+    ((0, 5), (0, 5), "start (0, 5)"),
+])
+def test_cells_outside_the_view_raise_value_error(start, goal, named):
+    """A negative or past-the-end start or goal is named with the view's
+    shape, before any free check (a negative cell does not wrap around)."""
+    view = PlanView(free=np.ones((6, 5), dtype=bool), unknown=np.zeros((6, 5), dtype=bool),
+                    origin=(0.0, 0.0, 0.0), z_center=0.5, resolution=1.0)
+    for search in (plan_path, plan_path_reference):
+        with pytest.raises(ValueError) as exc:
+            search(view, start, goal)
+        assert str(exc.value) == f"{named} is outside the view's 6x5 cells"
 
 
 def test_random_maps_match_dijkstra(rng):
@@ -272,9 +388,10 @@ def test_flat_id_astar_is_the_cell_astar(case):
 def test_flat_id_astar_on_episode_views(monkeypatch):
     """Every search of short A7-config episodes (world 0) returns what the
     A* on (x, y) cells returns on the same view: on the grid and the octree,
-    at 1 m and 0.3 m cells."""
+    at 1 m and 0.3 m cells, and on a 40 x 24 world, where the move table's
+    row stride and the heuristic table meet a view that is not square."""
     for mapper_type in ("grid", "octree"):
-        for resolution in (1.0, 0.3):
+        for env in ({"resolution": 1.0}, {"resolution": 0.3}, {"dims": [40, 24]}):
             calls = []
 
             def checked(view, start, goal):
@@ -284,26 +401,28 @@ def test_flat_id_astar_on_episode_views(monkeypatch):
 
             monkeypatch.setattr(planner_mod, "plan_path", checked)
             run_episode(config_from_dict({
-                "seed": 0, "env": {"resolution": resolution},
+                "seed": 0, "env": env,
                 "mapper": {"type": mapper_type}, "run": {"max_steps": 6}}))
-            assert len(calls) > 10 and all(calls), (mapper_type, resolution)
+            assert len(calls) > 10 and all(calls), (mapper_type, env)
 
 
 def move_table_reference(free: np.ndarray) -> list[int]:
     """The move masks of ``PlanView.move_table`` from the per-move checks of
     the A* on (x, y) cells: a bounds and free check on the target and, for a
-    diagonal, on both orthogonal neighbours."""
+    diagonal, on both orthogonal neighbours. Cell (x, y) sits at
+    ``(x + 1) * (2 * ny + 1) + y + 1``; every other entry is 0."""
     nx, ny = free.shape
+    width = 2 * ny + 1
 
     def ok(x, y):
         return 0 <= x < nx and 0 <= y < ny and bool(free[x, y])
 
-    table = [0] * ((nx + 2) * (ny + 2))
+    table = [0] * ((nx + 2) * width)
     for x in range(nx):
         for y in range(ny):
             for bit, (dx, dy) in enumerate(planner_mod.EIGHT_NEIGHBOURS):
                 if ok(x + dx, y + dy) and (not (dx and dy) or (ok(x + dx, y) and ok(x, y + dy))):
-                    table[(x + 1) * (ny + 2) + y + 1] |= 1 << bit
+                    table[(x + 1) * width + y + 1] |= 1 << bit
     return table
 
 
