@@ -25,7 +25,6 @@ import functools
 import logging
 import math
 import struct
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,25 +104,6 @@ class BeamMeasurement:
     def hits(self) -> bool:
         return self.range < self.max_range
 
-    @classmethod
-    def planar(
-        cls,
-        xy: tuple[float, float],
-        angle: float,
-        rng: float,
-        category: int | None,
-        max_range: float,
-        z: float = 0.5,
-    ) -> "BeamMeasurement":
-        """Beam in the z-plane of a depth-one map (z defaults to the cell center)."""
-        return cls(
-            origin=(xy[0], xy[1], z),
-            direction=(math.cos(angle), math.sin(angle), 0.0),
-            range=rng,
-            category=category,
-            max_range=max_range,
-        )
-
 
 @functools.lru_cache(maxsize=64)
 def _unit_directions(directions: tuple) -> tuple[tuple[float, float, float], ...]:
@@ -134,7 +114,7 @@ def _unit_directions(directions: tuple) -> tuple[tuple[float, float, float], ...
 
 
 @dataclass(frozen=True)
-class Scan(Sequence):
+class Scan:
     """One sensed scan, a fan of range-category returns from one ``origin``:
     beam b runs along ``directions[b]`` and reports ``ranges[b]`` and
     ``labels[b]``, all up to one ``max_range``; ``sim.sense`` returns it.
@@ -144,8 +124,7 @@ class Scan(Sequence):
     3-tuples of unit norm (``unit_direction``, memoized per fan), the ranges
     as floats with ``0 <= range <= max_range`` (ValueError), and every hit
     (a range below ``max_range``) carries a class id >= 1 (InvalidClass).
-    Both maps' ``insert_scan`` take it whole (``scan_updates``); as a
-    sequence it also gives its beams one by one, built on demand.
+    Both maps' ``insert_scan`` take it whole (``scan_updates``).
     """
 
     origin: tuple[float, float, float]
@@ -174,13 +153,6 @@ class Scan(Sequence):
 
     def __len__(self) -> int:
         return len(self.directions)
-
-    def __getitem__(self, b):
-        """Beam ``b`` as a ``BeamMeasurement``, or a list of them for a slice."""
-        if isinstance(b, slice):
-            return [self[i] for i in range(len(self))[b]]
-        return BeamMeasurement(self.origin, self.directions[b], self.ranges[b], self.labels[b],
-                               self.max_range)
 
 
 @dataclass(frozen=True)

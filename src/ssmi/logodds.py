@@ -35,7 +35,6 @@ __all__ = [
     "clamp",
     "entropy",
     "f_logratio",
-    "f_logratio_rows",
     "logsumexp",
     "uniform_prior",
 ]
@@ -253,15 +252,3 @@ def f_logratio(phi: np.ndarray, h: np.ndarray) -> float:
     return float(logsumexp(h) - logsumexp(shifted) + phi @ softmax_pmf(shifted))
 
 
-def f_logratio_rows(phi: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Row-wise f_logratio for (N, K+1) stacks. The reference for the beam
-    kernels' fused row terms (``mi._row_terms``), which give these values
-    bit for bit while sharing one log-sum-exp of ``h`` and one softmax pass
-    over the free and hit models."""
-    phi = np.asarray(phi, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
-    phi, h = np.broadcast_arrays(phi, h)
-    shifted = phi + h
-    z1 = logsumexp(h, axis=-1)
-    z2 = logsumexp(shifted, axis=-1)
-    return z1 - z2 + np.sum(phi * softmax_pmf(shifted), axis=-1)

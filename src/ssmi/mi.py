@@ -21,9 +21,9 @@ the tests (``tests/conftest.py``).
 
 Both passes take their per-row terms (log p_free, the pmf, the free and the
 K hit log-ratios) from one fused helper, ``_row_terms``, which shares the
-work the ``logodds`` reference (``logsumexp``, ``softmax_pmf``,
-``f_logratio_rows``) repeats and equals it bit for bit; a row with NaN or
-+inf raises ``ValueError``.
+work the reference (``logodds.logsumexp`` and ``softmax_pmf``, and the
+row-wise ``f_logratio_rows`` of ``tests/conftest.py``) repeats and equals
+it bit for bit; a row with NaN or +inf raises ``ValueError``.
 
 A trajectory is scored one way: ``FanCast.from_pose`` casts each sensing
 pose's fan, and ``trajectories_mi`` adds up its non-overlapping beams.
@@ -93,9 +93,10 @@ def _row_terms(h_t: np.ndarray, h_0: np.ndarray, params: SensorParams):
     the free model and the K hit models go through one (R, K+1, K+1) pass.
     Wherever a row's max is finite, these are the elementwise operations and
     length-(K+1) reductions of ``logodds.logsumexp``, ``softmax_pmf`` and
-    ``f_logratio_rows`` on the same values, so the bits are theirs. Every
-    stored belief has a finite max, its pivot being 0; a row of ``h_t`` with
-    a NaN or +inf raises ``ValueError``, and -inf entries are fine.
+    the tests' ``f_logratio_rows`` on the same values, so the bits are
+    theirs. Every stored belief has a finite max, its pivot being 0; a row
+    of ``h_t`` with a NaN or +inf raises ``ValueError``, and -inf entries
+    are fine.
     """
     top = np.max(h_t, axis=-1, keepdims=True)
     if not np.isfinite(top).all():

@@ -37,11 +37,14 @@ Upkeep follows what a scan changes, not the size of the tree. Every belief
 the tree stores is interned bit for bit, so equal values share one object
 and beliefs compare by identity (``0.0`` and ``-0.0`` stay apart), and
 ``insert_scan`` memoizes each update by hit class and belief object for the
-scan: a write that changes nothing costs a lookup. Each write records the
-highest node whose leaves it changed; the next read walks only the highest
-recorded nodes and splices their leaves into the table over the same Morton
-intervals, ordered with the kept leaves by one sort on their Morton starts.
-A new root (a new tree, a loaded file) gets a full walk.
+scan: a write that changes nothing costs a lookup. The store keeps every
+belief it interned for the tree's life, so a belief's id and its table rows
+never change. Each write records the highest node whose leaves it changed;
+the next read walks only the highest recorded nodes and splices their
+leaves into the table over the same Morton intervals, ordered with the kept
+leaves by one sort on their Morton starts. A tree with no table yet (a new
+tree, a new root, a loaded file) records nothing: its first read patches an
+empty table over the whole cube, which walks every leaf.
 """
 
 from __future__ import annotations
@@ -176,13 +179,13 @@ def _exact_key(sem: "TruncatedSemantics"):
 
 class _Beliefs:
     """The beliefs of one tree, interned bit for bit (``_exact_key``): equal
-    values share one object, so beliefs compare by identity, and each object
-    has an append-only id. The prior is id 0 of every store, so a belief
-    bit-equal to it is always ``prior_semantics``. Per id: ``full`` (the
-    ``to_full`` row), ``entropy`` and ``observed`` (not the prior), computed
-    once, when a leaf table first holds the id (``fill``): a scan interns
-    many beliefs that it overwrites before any table sees them. The store
-    keeps its objects alive, so ``by_object`` may key them by ``id``."""
+    values share one object, so beliefs compare by identity. The store is
+    append-only: each object keeps its id and stays stored for the tree's
+    life, so ``by_object`` may key them by ``id``. The prior is id 0, so a
+    belief bit-equal to it is always ``prior_semantics``. Per id: ``full``
+    (the ``to_full`` row), ``entropy`` and ``observed`` (not the prior),
+    computed once, when a leaf table first holds the id (``fill``): a scan
+    interns many beliefs that it overwrites before any table sees them."""
 
     def __init__(self, prior_semantics: "TruncatedSemantics", num_classes: int):
         self.prior_semantics = prior_semantics
@@ -235,18 +238,6 @@ class _Beliefs:
             self.observed[i] = sem is not self.prior_semantics
             self.ready[i] = True
 
-    def compacted(self, live: np.ndarray) -> "_Beliefs":
-        """A store of the ``live`` ids alone (the prior's first), numbered in
-        that order, with the rows they have."""
-        new = _Beliefs(self.prior_semantics, self.num_classes)
-        for i in live.tolist():
-            new.id_of(self.objects[i])
-        m = live.shape[0]
-        for mine, theirs in ((new.full, self.full), (new.entropy, self.entropy),
-                             (new.observed, self.observed), (new.ready, self.ready)):
-            mine[:m] = theirs[live]
-        return new
-
     def table(self, starts, corners, sizes, ids) -> "LeafTable":
         """A leaf table over these leaves, with the rows of every id so far."""
         n = len(self.objects)
@@ -263,7 +254,8 @@ class LeafTable:
     ``corners`` and ``sizes`` (in elements), and ``ids``, the id of its
     belief in the tree's interned beliefs, so equal ids are equal bits. Per
     belief id, the rows of those (``_Beliefs``): ``full``, ``entropy`` and
-    ``observed``; ids that no leaf holds any more keep their rows. The leaf
+    ``observed``; ids that no leaf holds any more keep their rows, and a
+    later table gives every id the rows and the belief it had here. The leaf
     holding element ``c`` is ``searchsorted(starts, morton(c), "right") - 1``."""
 
     starts: np.ndarray
@@ -277,6 +269,12 @@ class LeafTable:
     def element_ids(self, codes: np.ndarray) -> np.ndarray:
         """Belief id of the element at each Morton code."""
         return self.ids[np.searchsorted(self.starts, codes, side="right") - 1]
+
+
+# the starts, corners, sizes and ids of a table with no leaves, which a tree's
+# first read patches
+_NO_LEAVES = (np.empty(0, dtype=np.int64), np.empty((0, 3), dtype=np.int64),
+              np.empty(0, dtype=np.int64), np.empty(0, dtype=np.intp))
 
 
 def _uniform_scalar(vec: np.ndarray, name: str) -> float:
@@ -550,7 +548,6 @@ class SemanticOctree:
         update = element_update(params, self.prior)
         intern = self._beliefs.intern
         memos: list[dict] = []
-        held = []  # the memos' keys stay alive, so no other belief takes their id
 
         def memoized(step):
             memo = {}
@@ -560,7 +557,6 @@ class SemanticOctree:
                 new = memo.get(id(sem))
                 if new is None:
                     new = memo[id(sem)] = intern(step(sem))
-                    held.append(sem)
                 return new
 
             return memo_step
@@ -679,14 +675,11 @@ class SemanticOctree:
 
     # -- leaf table and aggregates ----------------------------------------------------
 
-    def iter_leaves(self):
-        """Yield (semantics, low_corner, size_elements) over all leaves in
-        preorder, which is Morton order."""
-        return self._leaves(self._root, (0, 0, 0), self.size_elements)
-
     @staticmethod
     def _leaves(node: SemanticNode, corner, size: int):
-        """``iter_leaves`` under one node, at ``corner`` with edge ``size``."""
+        """Yield (semantics, low corner, edge in elements) over the leaves
+        under one node, at ``corner`` with edge ``size``, in preorder, which
+        is Morton order."""
         stack = [(node, *corner, size)]
         while stack:
             node, x, y, z, size = stack.pop()
@@ -707,36 +700,17 @@ class SemanticOctree:
         return len(self.leaf_table().ids)
 
     def leaf_table(self) -> LeafTable:
-        """The leaf table of the tree as it is now. A new root (a new tree, a
-        loaded file) gets a full build; after element writes and pruning
-        collapses, only the subtrees of the highest nodes they touched are
-        walked again and spliced in (``_patch_leaf_table``)."""
+        """The leaf table of the tree as it is now: after element writes and
+        pruning collapses, only the subtrees of the highest nodes they
+        touched are walked again and spliced in (``_patch_leaf_table``). A
+        tree with no table yet patches an empty one over the whole cube."""
         with self._upkeep:
             if self._table is None:
-                self._table = self._build_leaf_table()
-            elif self._dirty:
+                self._table = self._beliefs.table(*_NO_LEAVES)
+                self._dirty.add((0, 0, 0, self.size_elements))
+            if self._dirty:
                 self._table = self._patch_leaf_table()
             return self._table
-
-    def _compacted(self, starts, corners, sizes, ids) -> LeafTable:
-        """The table with the interned beliefs cut down to the prior and those
-        its leaves hold, renumbered prior first, then by first leaf in
-        preorder: the ids a walk that interns from a fresh store assigns."""
-        live, first = np.unique(np.concatenate(([0], ids)), return_index=True)
-        live = live[np.argsort(first)]
-        renumber = np.empty(len(self._beliefs), dtype=np.intp)
-        renumber[live] = np.arange(live.shape[0])
-        self._beliefs = self._beliefs.compacted(live)
-        return self._beliefs.table(starts, corners, sizes, renumber[ids])
-
-    def _build_leaf_table(self) -> LeafTable:
-        """One walk over every leaf, then a compaction."""
-        t0 = time.perf_counter()
-        self._dirty.clear()
-        corners, sizes, ids = self._walk([(self._root, 0, 0, 0, self.size_elements)])
-        table = self._compacted(morton(*corners.T), corners, sizes, ids)
-        self._log_table(table, "full", ids.shape[0], t0)
-        return table
 
     def _walk(self, tops) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The leaves under each ``(node, x, y, z, size)`` in turn, in
@@ -756,8 +730,7 @@ class SemanticOctree:
         """Walk again only the highest recorded nodes and splice their leaves
         into the table in place of the old leaves in their Morton intervals.
         Leaves are aligned octree nodes, so each recorded interval is the
-        union of whole old leaves and of whole new ones. Once ids that no
-        leaf holds outnumber the held ones, the patched table is compacted."""
+        union of whole old leaves and of whole new ones."""
         t0 = time.perf_counter()
         old = self._table
         boxes = np.array(list(self._dirty), dtype=np.int64)
@@ -782,19 +755,12 @@ class SemanticOctree:
         parts = [np.concatenate((was[keep], now))[order]
                  for was, now in ((old.starts, starts), (old.corners, corners),
                                   (old.sizes, sizes), (old.ids, ids))]
-        held = np.count_nonzero(np.bincount(parts[3], minlength=len(self._beliefs)))
-        if 2 * held < len(self._beliefs):
-            table, how = self._compacted(*parts), "patched and compacted"
-        else:
-            table, how = self._beliefs.table(*parts), "patched"
-        self._log_table(table, how, starts.shape[0], t0)
-        return table
-
-    def _log_table(self, table: LeafTable, how: str, walked: int, t0: float) -> None:
+        table = self._beliefs.table(*parts)
         log.debug(
-            "leaf table: %d leaves, %d beliefs, %s, %d leaves walked, %.3f ms",
-            len(table.ids), len(table.full), how, walked, (time.perf_counter() - t0) * 1e3,
+            "leaf table: %d leaves, %d beliefs, %d leaves walked, %.3f ms",
+            len(table.ids), len(table.full), starts.shape[0], (time.perf_counter() - t0) * 1e3,
         )
+        return table
 
     def _box_ids(self, box) -> tuple[LeafTable, np.ndarray]:
         """The leaf table and an int array over a half-open element box

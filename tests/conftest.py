@@ -10,7 +10,7 @@ from ssmi import logodds
 from ssmi import mi as mi_mod
 from ssmi.config import config_from_dict
 from ssmi.errors import BadDims, EmptyRay, NoFrontiers, PoseInObstacle, Unreachable
-from ssmi.grid import BeamMeasurement, GridMap, SrleRay
+from ssmi.grid import BeamMeasurement, GridMap, Scan, SrleRay
 from ssmi.logodds import SensorParams
 from ssmi.mi import FanCast, fan_angles
 from ssmi.octree import LeafTable, SemanticNode, _exact_key, element_update, morton
@@ -45,6 +45,40 @@ def a7_octree_tree():
         {"seed": 0, "mapper": {"type": "octree"}, "run": {"explored_stop": 0.9}}
     )
     return run_episode(config).mapper
+
+
+def planar_beam(xy, angle: float, rng: float, category: int | None, max_range: float,
+                z: float = 0.5) -> BeamMeasurement:
+    """A beam in the z-plane of a depth-one map (z defaults to the cell
+    center), at ``angle`` from the x axis."""
+    return BeamMeasurement((xy[0], xy[1], z), (math.cos(angle), math.sin(angle), 0.0), rng,
+                           category, max_range)
+
+
+def scan_beams(scan: Scan) -> list[BeamMeasurement]:
+    """A scan record's beams, each a ``BeamMeasurement`` from its origin."""
+    return [BeamMeasurement(scan.origin, d, r, y, scan.max_range)
+            for d, r, y in zip(scan.directions, scan.ranges, scan.labels)]
+
+
+def iter_leaves(tree):
+    """(semantics, low corner, edge in elements) of every leaf of a tree in
+    preorder, which is Morton order."""
+    return tree._leaves(tree.root, (0, 0, 0), tree.size_elements)
+
+
+def f_logratio_rows(phi: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Row-wise ``logodds.f_logratio`` for (N, K+1) stacks. The reference for
+    the beam kernels' fused row terms (``mi._row_terms``), which give these
+    values bit for bit while sharing one log-sum-exp of ``h`` and one
+    softmax pass over the free and hit models."""
+    phi = np.asarray(phi, dtype=np.float64)
+    h = np.asarray(h, dtype=np.float64)
+    phi, h = np.broadcast_arrays(phi, h)
+    shifted = phi + h
+    z1 = logodds.logsumexp(h, axis=-1)
+    z2 = logodds.logsumexp(shifted, axis=-1)
+    return z1 - z2 + np.sum(phi * logodds.softmax_pmf(shifted), axis=-1)
 
 
 def random_logodds(rng, n, k, scale=6.0):
@@ -262,9 +296,10 @@ def prune_paths_reference(tree, cells) -> int:
     return len(collapsed)
 
 
-def insert_scan_reference(tree, beams: list[BeamMeasurement], params: SensorParams):
+def insert_scan_reference(tree, beams: Scan | list[BeamMeasurement], params: SensorParams):
     """``SemanticOctree.insert_scan`` with one update per element, no memo
-    and no collapse on write: each traversed element gets the free update
+    and no collapse on write, on a scan record's beams (``scan_beams``) or a
+    list of beams: each traversed element gets the free update
     of its belief and each hit element the hit update, written in beam
     order by ``write_element_reference``, then the paths to the changed
     elements are pruned (``prune_paths_reference``). The reference the
@@ -274,7 +309,7 @@ def insert_scan_reference(tree, beams: list[BeamMeasurement], params: SensorPara
     update = element_update(params, tree.prior)
     free = update(None)
     changed = set()
-    for beam in beams:
+    for beam in scan_beams(beams) if isinstance(beams, Scan) else beams:
         trace = tree.cast_ray(beam)
         cells = trace.cells.tolist()
         end = trace.hit_index if trace.hit_index is not None else len(cells)
@@ -302,7 +337,7 @@ def leaf_table_reference(tree) -> LeafTable:
     patched table is held to."""
     by_key, beliefs = {_exact_key(tree.prior_semantics): 0}, [tree.prior_semantics]
     corners, sizes, ids = [], [], []
-    for sem, corner, size in tree.iter_leaves():
+    for sem, corner, size in iter_leaves(tree):
         key = _exact_key(sem)
         i = by_key.get(key)
         if i is None:

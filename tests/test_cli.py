@@ -18,7 +18,7 @@ from ssmi.logodds import SensorParams
 from ssmi.mi import beam_mi_dense, collapse_to_binary
 from ssmi.octree import SemanticOctree, load_octree, save_octree
 from ssmi.sim import run_episode
-from conftest import cast_fan, fan_beams, set_cell, signed_zero_grid
+from conftest import cast_fan, fan_beams, planar_beam, scan_beams, set_cell, signed_zero_grid
 
 
 SMOKE = {
@@ -494,7 +494,7 @@ def test_mi_eval_defaults_z_to_the_middle_of_the_map(tmp_path, capsys, params3, 
     gmap = GridMap((16, 16, depth), 0.3, 3, origin=(0.0, 0.0, origin_z))
     z = origin_z + depth * 0.3 / 2
     for angle in np.linspace(0.0, 2 * np.pi, 12, endpoint=False):
-        gmap.integrate(BeamMeasurement.planar((2.45, 2.35), angle, 1.7, 2, 3.0, z=z), params3)
+        gmap.integrate(planar_beam((2.45, 2.35), angle, 1.7, 2, 3.0, z=z), params3)
     path = tmp_path / ("m.ssmigrid" if kind == "grid" else "m.ssmioct")
     if kind == "grid":
         save_grid(gmap, path)
@@ -519,7 +519,7 @@ def _scanned_grid(params3, rng):
                       misclass_prob=0.3)
     for cell in env.spawns[::max(1, len(env.spawns) // 3)][:3]:
         pose = (np.asarray(cell, dtype=float) + 0.5) * env.resolution
-        for beam in sense(env, pose, 0.0, spec, rng):
+        for beam in scan_beams(sense(env, pose, 0.0, spec, rng)):
             gmap.integrate(beam, params3)
     return gmap, env
 

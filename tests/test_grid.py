@@ -16,6 +16,8 @@ from ssmi import logodds as lo
 from conftest import (
     first_hit_reference,
     integrate_reference,
+    planar_beam,
+    scan_beams,
     sense_reference,
     set_cell,
     traverse_reference,
@@ -95,17 +97,13 @@ def cast_reference(beam, origin, cell_size, dims):
     return [tuple(int(v) for v in c) for c in cells], entries, hit_index
 
 
-def planar_beam(gmap, xy, angle, rng, max_range):
-    return BeamMeasurement.planar(xy, angle, rng, None if rng >= max_range else 1, max_range)
-
-
 # -- casting -------------------------------------------------------------------
 
 
 def test_axis_aligned_five_cells():
     gmap = GridMap((8, 8), 1.0, 1)
     # from the low cell face, a 5 m beam covers exactly 5 unit cells
-    beam = planar_beam(gmap, (0.0, 3.5), 0.0, 5.0, 5.0)
+    beam = planar_beam((0.0, 3.5), 0.0, 5.0, None, 5.0)
     trace = gmap.cast_ray(beam)
     np.testing.assert_array_equal(trace.cells[:, 0], [0, 1, 2, 3, 4])
     np.testing.assert_array_equal(trace.cells[:, 1], 3)
@@ -148,24 +146,24 @@ def test_cast_matches_clip_reference_all_octants(octant, rng):
 
 def test_hit_index_present_iff_hit():
     gmap = GridMap((8, 8), 1.0, 2)
-    hit = BeamMeasurement.planar((0.5, 0.5), 0.0, 3.2, 2, 6.0)
+    hit = planar_beam((0.5, 0.5), 0.0, 3.2, 2, 6.0)
     t = gmap.cast_ray(hit)
     assert t.hit_index is not None
     assert tuple(t.cells[t.hit_index][:2]) == (3, 0)
-    missed = BeamMeasurement.planar((0.5, 0.5), 0.0, 6.0, None, 6.0)
+    missed = planar_beam((0.5, 0.5), 0.0, 6.0, None, 6.0)
     assert gmap.cast_ray(missed).hit_index is None
 
 
 def test_trace_geometry_independent_of_return():
     gmap = GridMap((10, 10), 1.0, 1)
-    short = BeamMeasurement.planar((1.5, 2.5), 0.7, 3.0, 1, 8.0)
-    full = BeamMeasurement.planar((1.5, 2.5), 0.7, 8.0, None, 8.0)
+    short = planar_beam((1.5, 2.5), 0.7, 3.0, 1, 8.0)
+    full = planar_beam((1.5, 2.5), 0.7, 8.0, None, 8.0)
     np.testing.assert_array_equal(gmap.cast_ray(short).cells, gmap.cast_ray(full).cells)
 
 
 def test_origin_out_of_bounds():
     gmap = GridMap((4, 4), 1.0, 1)
-    beam = BeamMeasurement.planar((-1.0, 0.5), 0.0, 1.0, 1, 2.0)
+    beam = planar_beam((-1.0, 0.5), 0.0, 1.0, 1, 2.0)
     with pytest.raises(OriginOutOfBounds):
         gmap.cast_ray(beam)
 
@@ -173,7 +171,7 @@ def test_origin_out_of_bounds():
 def test_boundary_exit_truncates_without_hit():
     gmap = GridMap((4, 4), 1.0, 1)
     # endpoint far outside the map: truncation counts as max range reached
-    beam = BeamMeasurement.planar((3.5, 3.5), 0.0, 7.9, 1, 8.0)
+    beam = planar_beam((3.5, 3.5), 0.0, 7.9, 1, 8.0)
     trace = gmap.cast_ray(beam)
     assert trace.hit_index is None
     assert np.all(trace.cells[:, 0] <= 3)
@@ -186,7 +184,7 @@ def walk_entries(beam, map_origin, cell_size, dims) -> list[float]:
 
 
 def test_chords_sum_to_in_map_length():
-    beam = BeamMeasurement.planar((1.1, 1.7), 0.4, 4.0, None, 4.0, z=0.25)
+    beam = planar_beam((1.1, 1.7), 0.4, 4.0, None, 4.0, z=0.25)
     entries = walk_entries(beam, (0.0, 0.0, 0.0), 0.5, (16, 16, 1))
     assert (np.diff(entries) * 0.5).sum() == pytest.approx(4.0, abs=1e-9)
 
@@ -364,7 +362,7 @@ def test_walk_cut_where_the_hit_range_rounds_to_max_range():
     r_max = 7.3
     r = math.nextafter(r_max, 0.0)
     assert r / 0.3 == r_max / 0.3
-    beam = BeamMeasurement.planar((0.45, 0.45), 0.0, r, 1, r_max, z=0.15)
+    beam = planar_beam((0.45, 0.45), 0.0, r, 1, r_max, z=0.15)
     assert beam.hits
     assert_cut_walk_is_a_prefix(beam, (0.0, 0.0, 0.0), 0.3, (32, 4, 1))
     assert cast(beam, (0.0, 0.0, 0.0), 0.3, (32, 4, 1)).hit_index is None
@@ -373,7 +371,7 @@ def test_walk_cut_where_the_hit_range_rounds_to_max_range():
 def test_walk_cut_where_the_beam_leaves_the_box_at_its_hit():
     """A beam whose hit range is where it leaves the box: the walk ends
     there, before the cut, and finds no hit, as the full walk does."""
-    beam = BeamMeasurement.planar((1.5, 1.5), 0.0, 6.5, 1, 9.0)
+    beam = planar_beam((1.5, 1.5), 0.0, 6.5, 1, 9.0)
     assert walk_entries(beam, (0.0, 0.0, 0.0), 1.0, (8, 4, 1))[-1] == 6.5
     assert_cut_walk_is_a_prefix(beam, (0.0, 0.0, 0.0), 1.0, (8, 4, 1))
 
@@ -570,7 +568,7 @@ def test_sense_ranges_match_reference_walk():
     for spawn in env.spawns[:4]:
         position = (np.asarray(spawn, dtype=np.float64) + 0.5) * env.resolution
         for heading in (0.0, 0.3):
-            for beam in sense(env, position, heading, spec, rng):
+            for beam in scan_beams(sense(env, position, heading, spec, rng)):
                 want = first_hit_reference(env, position, beam.direction, spec.r_max)
                 if want is None:
                     assert (beam.range, beam.category) == (spec.r_max, None)
@@ -613,7 +611,7 @@ def test_srle_study_ranges_match_reference_walk(monkeypatch):
 
 def test_integrate_max_range_updates_all_traversed(params3):
     gmap = GridMap((8, 1), 1.0, 3)
-    beam = BeamMeasurement.planar((0.5, 0.5), 0.0, 8.0, None, 8.0)
+    beam = planar_beam((0.5, 0.5), 0.0, 8.0, None, 8.0)
     gmap.integrate(beam, params3)
     want = lo.clamp(gmap.prior + (params3.phi_minus - gmap.prior), params3)
     for i in range(8):
@@ -623,7 +621,7 @@ def test_integrate_max_range_updates_all_traversed(params3):
 
 def test_integrate_twice_is_additive(params3):
     gmap = GridMap((8, 1), 1.0, 3)
-    beam = BeamMeasurement.planar((0.5, 0.5), 0.0, 8.0, None, 8.0)
+    beam = planar_beam((0.5, 0.5), 0.0, 8.0, None, 8.0)
     gmap.integrate(beam, params3).integrate(beam, params3)
     want = gmap.prior + 2 * (params3.phi_minus - gmap.prior)
     np.testing.assert_allclose(gmap.cells[3, 0, 0], want, atol=1e-12)
@@ -631,8 +629,8 @@ def test_integrate_twice_is_additive(params3):
 
 def test_integrate_symmetric_hits_tie(params3):
     gmap = GridMap((4, 1), 1.0, 3)
-    b2 = BeamMeasurement.planar((0.5, 0.5), 0.0, 2.5, 2, 8.0)
-    b1 = BeamMeasurement.planar((0.5, 0.5), 0.0, 2.5, 1, 8.0)
+    b2 = planar_beam((0.5, 0.5), 0.0, 2.5, 2, 8.0)
+    b1 = planar_beam((0.5, 0.5), 0.0, 2.5, 1, 8.0)
     gmap.integrate(b2, params3).integrate(b1, params3)
     pmf = lo.softmax_pmf(gmap.cells[2, 0, 0])
     assert pmf[1] == pytest.approx(pmf[2], abs=1e-14)
@@ -641,7 +639,7 @@ def test_integrate_symmetric_hits_tie(params3):
 def test_integrate_touches_only_traced_cells(params3):
     gmap = GridMap((8, 8), 1.0, 3)
     before = gmap.cells.copy()
-    beam = BeamMeasurement.planar((0.5, 2.5), 0.0, 5.0, 1, 6.0)
+    beam = planar_beam((0.5, 2.5), 0.0, 5.0, 1, 6.0)
     trace = gmap.cast_ray(beam)
     gmap.integrate(beam, params3)
     touched = {tuple(c) for c in trace.cells[: trace.hit_index + 1]}
@@ -653,7 +651,7 @@ def test_integrate_touches_only_traced_cells(params3):
 
 def test_integrate_beyond_endpoint_untouched(params3):
     gmap = GridMap((8, 1), 1.0, 3)
-    beam = BeamMeasurement.planar((0.5, 0.5), 0.0, 3.2, 1, 8.0)
+    beam = planar_beam((0.5, 0.5), 0.0, 3.2, 1, 8.0)
     gmap.integrate(beam, params3)
     for i in range(4, 8):
         np.testing.assert_array_equal(gmap.cells[i, 0, 0], gmap.prior)
@@ -667,10 +665,10 @@ def test_insert_scan_logs_beams_and_cells_written(params3, caplog):
     one cell)."""
     gmap = GridMap((10, 10), 1.0, 3)
     scans = [
-        [BeamMeasurement.planar((0.5, 0.5), 0.0, 3.2, 1, 8.0),  # 3 free + 1 hit
-         BeamMeasurement.planar((0.5, 0.5), 0.0, 8.0, None, 8.0)],  # 9 free, to x = 8.5
+        [planar_beam((0.5, 0.5), 0.0, 3.2, 1, 8.0),  # 3 free + 1 hit
+         planar_beam((0.5, 0.5), 0.0, 8.0, None, 8.0)],  # 9 free, to x = 8.5
         [],
-        [BeamMeasurement.planar((5.5, 5.5), math.pi / 2, 20.0, None, 20.0)],  # 5 to the edge
+        [planar_beam((5.5, 5.5), math.pi / 2, 20.0, None, 20.0)],  # 5 to the edge
     ]
     with caplog.at_level(logging.DEBUG, logger="ssmi.grid"):
         for scan in scans:
@@ -829,13 +827,13 @@ def raising_scans():
     second scan of each pair they hold one origin array, as the beams of a
     sensed scan do, so the bad beam breaks a run of a shared origin."""
     angles = np.linspace(0.1, 6.0, 6)
-    good = [BeamMeasurement.planar((2.5, 2.5), a, 4.5, 1 + i % 3, 8.0)
+    good = [planar_beam((2.5, 2.5), a, 4.5, 1 + i % 3, 8.0)
             for i, a in enumerate(angles)]
     shared = np.array([2.5, 2.5, 0.5])
     sensed = [BeamMeasurement(shared, np.array([math.cos(a), math.sin(a), 0.0]), 4.5,
                               1 + i % 3, 8.0) for i, a in enumerate(angles)]
-    bad_class = BeamMeasurement.planar((2.5, 2.5), 0.0, 3.2, 4, 8.0)
-    bad_origin = BeamMeasurement.planar((-0.5, 2.5), 0.0, 3.2, 1, 8.0)
+    bad_class = planar_beam((2.5, 2.5), 0.0, 3.2, 4, 8.0)
+    bad_origin = planar_beam((-0.5, 2.5), 0.0, 3.2, 1, 8.0)
     for bad, error in ((bad_class, InvalidClass), (bad_origin, OriginOutOfBounds)):
         for at in (len(good), 0, 3):
             for beams in (good, sensed):
@@ -855,7 +853,7 @@ def test_a_scan_that_raises_leaves_either_map_unchanged(params3, tmp_path):
     """Every beam is walked and checked before the first write, so a scan
     that raises writes nothing: the grid's cells and observed flags and the
     octree's saved bytes are those from before it."""
-    warm = [BeamMeasurement.planar((5.5, 5.5), a, 3.5, 2, 6.0) for a in (0.3, 2.0, 4.1)]
+    warm = [planar_beam((5.5, 5.5), a, 3.5, 2, 6.0) for a in (0.3, 2.0, 4.1)]
     for scan, error in raising_scans():
         gmap = GridMap((10, 10), 1.0, 3).insert_scan(warm, params3)
         tree = SemanticOctree(1.0, 4, 3).insert_scan(warm, params3)
@@ -889,7 +887,7 @@ def test_sense_is_the_per_beam_loop(rng):
             for s in (spec, narrow):
                 seed = int(rng.integers(2**32))
                 got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-                got = sense(env, position.copy(), heading, s, got_rng)
+                got = scan_beams(sense(env, position.copy(), heading, s, got_rng))
                 want = sense_reference(env, position.copy(), heading, s, want_rng)
                 assert [(bits(b.origin), bits(b.direction), b.range, b.category,
                          b.max_range) for b in got] == [
@@ -905,10 +903,10 @@ def test_sense_sees_edits_of_the_truth():
     spec = SensorSpec(num_beams=16, fov=2.0 * math.pi, r_max=10.0, range_sigma=0.0,
                       misclass_prob=0.0)
     position = (np.asarray(env.spawns[0], dtype=np.float64) + 0.5) * env.resolution
-    before = [b.range for b in sense(env, position, 0.0, spec, np.random.default_rng(0))]
+    before = list(sense(env, position, 0.0, spec, np.random.default_rng(0)).ranges)
     x, y, _ = env.spawns[0]
     env.grid[x + 2 : x + 4, y - 1 : y + 2, 0] = 3
-    after = sense(env, position, 0.0, spec, np.random.default_rng(0))
+    after = scan_beams(sense(env, position, 0.0, spec, np.random.default_rng(0)))
     want = sense_reference(env, position, 0.0, spec, np.random.default_rng(0))
     assert [(b.range, b.category) for b in after] == [(b.range, b.category) for b in want]
     assert [b.range for b in after] != before
@@ -966,14 +964,14 @@ def test_a_scan_cut_from_its_fan_walk_is_the_per_beam_walk(case):
     the record are those of its beams fused one at a time."""
     scan, map_origin, cell_size, dims = case
     cells, rows = scan_updates(scan, map_origin, cell_size, dims, 3)
-    want_cells, want_rows = scan_updates(list(scan), map_origin, cell_size, dims, 3)
+    want_cells, want_rows = scan_updates(scan_beams(scan), map_origin, cell_size, dims, 3)
     assert cells.tolist() == want_cells.tolist()
     assert rows.tolist() == want_rows.tolist()
     if cells.shape[0] and max(dims) <= 12:
         params = SensorParams.default(3)
         gmap = GridMap(dims, cell_size, 3, origin=map_origin).insert_scan(scan, params)
         want = GridMap(dims, cell_size, 3, origin=map_origin)
-        for beam in scan:
+        for beam in scan_beams(scan):
             integrate_reference(want, beam, params)
         assert gmap.cells.tobytes() == want.cells.tobytes()
         assert np.array_equal(gmap.observed, want.observed)
@@ -998,7 +996,7 @@ def test_scan_cut_edge_cases():
         labels = [2 if r < r_max else None for r in ranges]
         scan = Scan(origin, tuple(map(unit_direction, directions)), ranges, labels, r_max)
         cells, rows = scan_updates(scan, (0.0, 0.0, 0.0), cell_size, dims, 3)
-        want_cells, want_rows = scan_updates(list(scan), (0.0, 0.0, 0.0), cell_size, dims, 3)
+        want_cells, want_rows = scan_updates(scan_beams(scan), (0.0, 0.0, 0.0), cell_size, dims, 3)
         assert cells.tolist() == want_cells.tolist()
         assert rows.tolist() == want_rows.tolist()
     # along the face y = 2 from a cell corner, the hit range on the entry
@@ -1055,17 +1053,17 @@ def test_first_hits_of_a_fan_are_the_lone_ray_searches(case):
 def test_a_scan_record_checks_its_beams_once():
     """A scan record holds its origin and ranges as floats and its
     directions as unit float 3-tuples, rejects a range outside [0, max
-    range], a hit with no class or class 0 and a length mismatch, and gives
-    the beams a ``BeamMeasurement`` of each would hold."""
+    range], a hit with no class or class 0 and a length mismatch, and holds
+    the beams a ``BeamMeasurement`` of each would hold (``scan_beams``)."""
     origin = np.array([1.5, 2.5, 0.5])
     directions = ([2.0, 0.0, 0.0], np.array([0.0, -1.0, 0.0]), (0.6, 0.8, 0.0))
     scan = Scan(origin, directions, [np.float64(1.0), 3, 0.0], [1, None, 2], 3)
     assert scan.origin == (1.5, 2.5, 0.5) and scan.max_range == 3.0
     assert scan.directions == ((1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.6, 0.8, 0.0))
     assert all(type(v) is float for v in scan.ranges + sum(scan.directions, ()))
-    assert list(scan) == [BeamMeasurement(origin, d, r, y, 3.0)
-                          for d, r, y in zip(directions, [1.0, 3.0, 0.0], [1, None, 2])]
-    assert len(scan) == 3 and scan[1].hits is False and scan[-2:] == list(scan)[1:]
+    assert scan_beams(scan) == [BeamMeasurement(origin, d, r, y, 3.0)
+                                for d, r, y in zip(directions, [1.0, 3.0, 0.0], [1, None, 2])]
+    assert len(scan) == 3
     for ranges, labels, error in (([1.0, 3.5, 0.0], [1, None, 2], ValueError),
                                   ([1.0, -0.1, 0.0], [1, 1, 2], ValueError),
                                   ([1.0, math.nan, 0.0], [1, 1, 2], ValueError),
@@ -1090,7 +1088,7 @@ def test_beam_event_probabilities_total_one(params3, rng):
     # the dense pass's (n, y) event probabilities, "cells before n free and
     # cell n of class y", plus the all-free outcome
     h_t, h_0 = gmap.ray_logodds(gmap.cast_ray(
-        BeamMeasurement.planar((0.5, 0.5), 0.0, 10.0, None, 10.0)))
+        planar_beam((0.5, 0.5), 0.0, 10.0, None, 10.0)))
     total = float(beam_mi_dense(h_t, h_0, params3).p_detail.sum())
     pmfs = lo.softmax_pmf(gmap.cells[:, 0, 0, :])
     total += float(np.prod(pmfs[:, 0]))

@@ -32,7 +32,9 @@ from conftest import (
     beam_mi_dense_direct,
     beam_mi_srle_direct,
     cast_fan,
+    f_logratio_rows,
     fan_beams,
+    planar_beam,
     random_logodds,
     select_nonoverlapping_reference,
     set_cell,
@@ -221,9 +223,9 @@ def beam_mi_dense_reference(h_t, h_0, params):
     lse = lo.logsumexp(h_t, axis=-1)
     log_p0 = -np.asarray(lse)
     pmf = lo.softmax_pmf(h_t)
-    f_free = lo.f_logratio_rows(params.phi_minus - h_0, h_t)
+    f_free = f_logratio_rows(params.phi_minus - h_0, h_t)
     hit = hit_rows(params)
-    f_hit = lo.f_logratio_rows(hit[None, :, :] - h_0[:, None, :], h_t[:, None, :])
+    f_hit = f_logratio_rows(hit[None, :, :] - h_0[:, None, :], h_t[:, None, :])
     before_log_p0 = np.concatenate([[0.0], np.cumsum(log_p0)[:-1]])
     before_f_free = np.concatenate([[0.0], np.cumsum(f_free)[:-1]])
     p_nk = pmf[:, 1:] * np.exp(before_log_p0)[:, None]
@@ -240,9 +242,9 @@ def beam_mi_srle_reference(ray, params):
     lse = np.asarray(lo.logsumexp(chi_t, axis=-1), dtype=np.float64).reshape(-1)
     log_p0 = -lse
     pmf = lo.softmax_pmf(chi_t)
-    f_free = lo.f_logratio_rows(params.phi_minus - chi_0, chi_t)
+    f_free = f_logratio_rows(params.phi_minus - chi_0, chi_t)
     hit = hit_rows(params)
-    f_hit = lo.f_logratio_rows(hit[None, :, :] - chi_0[:, None, :], chi_t[:, None, :])
+    f_hit = f_logratio_rows(hit[None, :, :] - chi_0[:, None, :], chi_t[:, None, :])
     run_log_p0 = w * log_p0
     before_log_p0 = np.concatenate([[0.0], np.cumsum(run_log_p0)[:-1]])
     before_f_free = np.concatenate([[0.0], np.cumsum(w * f_free)[:-1]])
@@ -407,8 +409,8 @@ def test_row_terms_are_the_logodds_reference_bit_for_bit(k, kinds, clamp, seed, 
     want = (
         -lo.logsumexp(h_t, axis=-1),
         lo.softmax_pmf(h_t),
-        lo.f_logratio_rows(params.phi_minus - h_0, h_t),
-        lo.f_logratio_rows(hit[None, :, :] - h_0[:, None, :], h_t[:, None, :]),
+        f_logratio_rows(params.phi_minus - h_0, h_t),
+        f_logratio_rows(hit[None, :, :] - h_0[:, None, :], h_t[:, None, :]),
     )
     got = mi_mod._row_terms(h_t, h_0, params)
     assert len(got) == len(want)
@@ -454,13 +456,13 @@ def test_batch_rejects_empty_segment(params3):
 
 def test_parallel_beams_all_selected():
     gmap = GridMap((10, 10), 1.0, 1)
-    beams = [BeamMeasurement.planar((0.5, y + 0.5), 0.0, 10.0, None, 10.0) for y in range(5)]
+    beams = [planar_beam((0.5, y + 0.5), 0.0, 10.0, None, 10.0) for y in range(5)]
     assert select_nonoverlapping(cast_fan(gmap, beams).masks) == [0, 1, 2, 3, 4]
 
 
 def test_identical_beams_one_selected():
     gmap = GridMap((10, 10), 1.0, 1)
-    beam = BeamMeasurement.planar((0.5, 0.5), 0.3, 10.0, None, 10.0)
+    beam = planar_beam((0.5, 0.5), 0.3, 10.0, None, 10.0)
     assert select_nonoverlapping(cast_fan(gmap, [beam, beam]).masks) == [0]
 
 
@@ -637,7 +639,7 @@ def trajectory_value(mapper, beams_per_pose, params):
 
 def test_trajectory_single_beam_equals_beam_mi(params1):
     gmap = GridMap((12, 12), 1.0, 1)
-    beam = BeamMeasurement.planar((0.5, 5.5), 0.0, 8.0, None, 8.0)
+    beam = planar_beam((0.5, 5.5), 0.0, 8.0, None, 8.0)
     total = trajectory_value(gmap, [[beam]], params1).value
     trace = gmap.cast_ray(beam)
     h_t = gmap.cells[tuple(trace.cells[1:].T)]
@@ -647,8 +649,8 @@ def test_trajectory_single_beam_equals_beam_mi(params1):
 
 def test_trajectory_disjoint_beams_add(params1):
     gmap = GridMap((12, 12), 1.0, 1)
-    b1 = BeamMeasurement.planar((0.5, 2.5), 0.0, 6.0, None, 6.0)
-    b2 = BeamMeasurement.planar((0.5, 9.5), 0.0, 6.0, None, 6.0)
+    b1 = planar_beam((0.5, 2.5), 0.0, 6.0, None, 6.0)
+    b2 = planar_beam((0.5, 9.5), 0.0, 6.0, None, 6.0)
     total = trajectory_value(gmap, [[b1], [b2]], params1).value
     parts = (trajectory_value(gmap, [[b1]], params1).value
              + trajectory_value(gmap, [[b2]], params1).value)

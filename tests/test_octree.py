@@ -35,6 +35,7 @@ from ssmi.octree import (
     element_update,
     grid_from_octree,
     load_octree,
+    morton,
     octree_from_grid,
     save_octree,
 )
@@ -44,8 +45,11 @@ from conftest import (
     cast_fan,
     fan_beams,
     insert_scan_reference,
+    iter_leaves,
     leaf_table_reference,
     off_prior,
+    planar_beam,
+    scan_beams,
     signed_zero_grid,
     stacked_casts,
 )
@@ -321,7 +325,7 @@ def test_belief_hash_is_the_field_tuple_hash():
 @pytest.mark.parametrize("k", [3, 5])
 def test_insert_scan_rejects_hit_class_beyond_k(k):
     tree = SemanticOctree(1.0, 3, k)
-    beam = BeamMeasurement.planar((0.5, 0.5), 0.0, 3.5, k + 1, 8.0)
+    beam = planar_beam((0.5, 0.5), 0.0, 3.5, k + 1, 8.0)
     with pytest.raises(InvalidClass):
         tree.insert_scan([beam], SensorParams.default(k))
 
@@ -338,7 +342,7 @@ def test_lumped_scan_rejects_class_dependent_parameters(name, beams):
     vec = prior if name == "prior" else fields[name]
     vec[3] += 0.5
     tree = SemanticOctree(1.0, 3, 5, prior)
-    scan = [BeamMeasurement.planar((0.5, 0.5), 0.0, 3.5, 2, 8.0)][:beams]
+    scan = [planar_beam((0.5, 0.5), 0.0, 3.5, 2, 8.0)][:beams]
     with pytest.raises(ValueError, match="class-uniform"):
         tree.insert_scan(scan, SensorParams(**fields, alpha=params.alpha))
 
@@ -353,7 +357,7 @@ def test_lumped_episode_leaves_are_canonical():
         "run": {"max_steps": 6},
     })
     tree = run_episode(config).mapper
-    beliefs = {sem for sem, _, _ in tree.iter_leaves()}
+    beliefs = {sem for sem, _, _ in iter_leaves(tree)}
     assert any(len(sem.data) == 3 for sem in beliefs)
     assert all(sem.data == TruncatedSemantics._sorted(sem.data) for sem in beliefs)
 
@@ -363,7 +367,7 @@ def test_lumped_episode_leaves_are_canonical():
 
 def test_single_beam_fresh_tree(params3):
     tree = SemanticOctree(1.0, 4, 3)
-    beam = BeamMeasurement.planar((0.0, 3.5), 0.0, 16.0, None, 16.0)
+    beam = planar_beam((0.0, 3.5), 0.0, 16.0, None, 16.0)
     tree.insert_scan([beam], params3)
     want = lo.clamp(tree.prior + (params3.phi_minus - tree.prior), params3)
     for x in range(16):
@@ -474,7 +478,7 @@ def test_insert_scan_leaves_the_tree_pruned(tmp_path, k, clamp_limit):
 
 def test_fresh_tree_single_run(params3):
     tree = SemanticOctree(1.0, 4, 3)
-    beam = BeamMeasurement.planar((0.0, 7.5), 0.0, 16.0, None, 16.0)
+    beam = planar_beam((0.0, 7.5), 0.0, 16.0, None, 16.0)
     ray = tree.raycast_srle(beam)
     np.testing.assert_array_equal(ray.widths, [16])
     np.testing.assert_array_equal(ray.chi_t[0], tree.prior)
@@ -482,10 +486,10 @@ def test_fresh_tree_single_run(params3):
 
 def test_three_region_run_widths(params3):
     tree = SemanticOctree(1.0, 4, 3)
-    hit = BeamMeasurement.planar((0.0, 7.5), 0.0, 6.0, 2, 16.0)
+    hit = planar_beam((0.0, 7.5), 0.0, 6.0, 2, 16.0)
     for _ in range(8):  # saturate so the free run is uniform
         tree.insert_scan([hit], params3)
-    full = BeamMeasurement.planar((0.0, 7.5), 0.0, 16.0, None, 16.0)
+    full = planar_beam((0.0, 7.5), 0.0, 16.0, None, 16.0)
     ray = tree.raycast_srle(full)
     np.testing.assert_array_equal(ray.widths, [6, 1, 9])
     assert ray.num_elements == 16
@@ -510,7 +514,7 @@ def test_doubling_depth_keeps_fresh_q_one():
     for depth in (3, 4, 5):
         tree = SemanticOctree(1.0, depth, 2)
         edge = float(tree.size_elements)
-        beam = BeamMeasurement.planar((0.0, edge / 2 + 0.5), 0.0, edge, None, edge)
+        beam = planar_beam((0.0, edge / 2 + 0.5), 0.0, edge, None, edge)
         assert tree.raycast_srle(beam).num_runs == 1
 
 
@@ -620,7 +624,7 @@ def test_signed_zero_case_keeps_the_first_elements_bits():
     """Beliefs equal under ``==`` but not in their bits make two runs, and
     every element keeps its own bits: x = 2 and 1 hold -0.0, x = 0 +0.0."""
     tree, beams, _ = _signed_zero_leaf_case()
-    first = next(sem for sem, _, _ in tree.iter_leaves() if sem.data[0] == (1, 1.5))
+    first = next(sem for sem, _, _ in iter_leaves(tree) if sem.data[0] == (1, 1.5))
     assert math.copysign(1.0, first.data[1][1]) == 1.0  # the walk meets +0.0 first
     runs, counts = tree.encode_traces(*stacked_casts([tree.cast_ray(beams[0])]))
     assert counts == [2] and runs.widths.tolist() == [2, 1]
@@ -769,7 +773,6 @@ def table_builds(caplog, tree):
     lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("leaf table")]
     for line in lines:
         assert re.fullmatch(r"leaf table: \d+ leaves, \d+ beliefs, "
-                            r"(full|patched|patched and compacted), "
                             r"\d+ leaves walked, \d+\.\d{3} ms", line)
     if lines:
         assert lines[-1].split()[2] == str(tree.num_leaves())
@@ -788,7 +791,7 @@ def test_leaf_table_is_rebuilt_only_after_the_tree_changes(params3, caplog, tmp_
     prune or a new root; a scan that changes no element keeps the table,
     and the write that completes a block collapses it."""
     tree = SemanticOctree(1.0, 3, 3)
-    beam = BeamMeasurement.planar((0.0, 3.5), 0.0, 5.5, 2, 8.0, z=3.5)
+    beam = planar_beam((0.0, 3.5), 0.0, 5.5, 2, 8.0, z=3.5)
     with caplog.at_level(logging.DEBUG, logger="ssmi.octree"):
         read_all(tree, beam)
         read_all(tree, beam)
@@ -962,51 +965,67 @@ def test_writes_keep_a_pruned_tree_pruned(case):
         assert tree.prune() == 0
 
 
-def test_the_prior_stays_interned_through_a_compaction():
-    """A compaction drops the beliefs no leaf holds, but not the prior: a
-    belief with the prior's bits written after it is ``prior_semantics``
-    itself, so its element reads unobserved."""
+def test_the_prior_is_id_0_of_the_store_for_the_trees_life():
+    """The prior is id 0 however many beliefs the tree stored and its
+    leaves dropped since: a belief with the prior's bits written after
+    that is ``prior_semantics`` itself, so its element reads unobserved."""
     tree = SemanticOctree(1.0, 1, 3)
     for cell in itertools.product(range(2), repeat=3):
         tree.set_element(cell, [0.0, 1.0, 0.0, 0.0])
     assert tree.root.children is None
-    tree.leaf_table()  # a full build, which compacts to the one held belief
+    assert tree.leaf_table().ids.tolist() == [1]  # no leaf holds the prior
     tree.set_element((0, 0, 0), tree.prior.copy())
     assert tree.query_element((0, 0, 0)) is tree.prior_semantics
+    assert tree.leaf_table().ids.tolist() == [0] + [1] * 7
     assert tree.labels_observed()[1].sum() == 7
     assert tree.map_state()[1] == 7 / 8
 
 
-def test_full_and_compacted_tables_are_the_reference_down_to_ids(caplog, tmp_path):
-    """Scans intern beliefs that later scans overwrite; once those outnumber
-    the beliefs the leaves hold, a patch compacts them. A compacted table,
-    like a full build after a load, is the reference walk itself: the same
-    ids, not only the same classes."""
-    # far bounds, and beams that cross most of a small cube: every scan moves
-    # many elements to beliefs no element held before
+def overwriting_scans(tree, rng, scans: int):
+    """Scans of 6 beams across a depth-2 tree (far bounds, 3 classes), each
+    followed by a table read: every scan moves many elements to beliefs no
+    element held before and leaves others no element holds any more."""
     params = SensorParams.default(3, clamp_limit=40.0)
-    rng = np.random.default_rng(11)
+    for _ in range(scans):
+        tree.insert_scan([random_beam(rng, 0.5, 3.5, r_max=6.0) for _ in range(6)], params)
+        yield tree.leaf_table()
+
+
+def test_a_beliefs_id_and_rows_stay_through_later_scans_and_reads():
+    """The store keeps every belief it interned: through later scans,
+    patches and reads, each id a table gave a leaf stands for that leaf's
+    belief, and every later table gives the id the rows the first one did.
+    Most of those beliefs end up held by no leaf; written back, each gets
+    its old id again."""
     tree = SemanticOctree(1.0, 2, 3)
-    hows = []
+    first = {}  # per id, the belief and the rows of the first table that held it
 
-    def assert_exact(tree):
-        got, want = tree.leaf_table(), leaf_table_reference(tree)
-        for name in ("ids", "full", "entropy", "observed"):
-            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    def rows(table, i):
+        return tuple(a[i : i + 1].tobytes() for a in (table.full, table.entropy, table.observed))
 
-    with caplog.at_level(logging.DEBUG, logger="ssmi.octree"):
-        for _ in range(30):
-            caplog.clear()
-            tree.insert_scan([random_beam(rng, 0.5, 3.5, r_max=6.0) for _ in range(6)], params)
-            assert_table_is_the_reference(tree)
-            (line,) = [r.getMessage() for r in caplog.records
-                       if r.getMessage().startswith("leaf table")]
-            hows.append(line.split(", ")[2])
-            if hows[-1] != "patched":
-                assert_exact(tree)
-        save_octree(tree, tmp_path / "t.ssmioct")
-        assert_exact(load_octree(tmp_path / "t.ssmioct"))
-    assert hows[0] == "full" and {"patched", "patched and compacted"} <= set(hows[1:])
+    for table in overwriting_scans(tree, np.random.default_rng(11), 30):
+        for (sem, _, _), i in zip(iter_leaves(tree), table.ids.tolist()):
+            assert first.setdefault(i, (sem, rows(table, i)))[0] is sem
+        assert all(rows(table, i) == want for i, (_, want) in first.items())
+    held = set(tree.leaf_table().ids.tolist())
+    dropped = sorted(set(first) - held)
+    assert len(dropped) > len(held)
+    origin = morton(*np.zeros((3, 1), dtype=np.int64))
+    for i in dropped[:20]:
+        tree.set_element((0, 0, 0), first[i][0].to_full(tree.num_classes))
+        table = tree.leaf_table()
+        assert table.element_ids(origin).tolist() == [i] and rows(table, i) == first[i][1]
+
+
+def test_loaded_and_patched_tables_are_the_reference(tmp_path):
+    """A loaded tree's first table and the patched tables of a tree whose
+    scans keep overwriting the beliefs they store equal a walk over all
+    the leaves, classes of bit-equal beliefs included."""
+    tree = SemanticOctree(1.0, 2, 3)
+    for _ in overwriting_scans(tree, np.random.default_rng(11), 30):
+        assert_table_is_the_reference(tree)
+    save_octree(tree, tmp_path / "t.ssmioct")
+    assert_table_is_the_reference(load_octree(tmp_path / "t.ssmioct"))
 
 
 @st.composite
@@ -1137,13 +1156,13 @@ def test_an_element_whose_chain_ends_where_it_began_is_not_written(params3, capl
     alone (no write, no expansion) where the per-update writer expanded
     its leaf and the prune collapsed it again; both leave the same tree."""
     trees = [SemanticOctree(1.0, 3, 3) for _ in range(2)]
-    free = [BeamMeasurement.planar((0.5, 0.5), 0.0, 8.0, None, 8.0)]
+    free = [planar_beam((0.5, 0.5), 0.0, 8.0, None, 8.0)]
     for tree in trees:
         for _ in range(5):
             tree.insert_scan(free, params3)
     saturated = trees[0].query_element((3, 0, 0))
     assert saturated.data == ((1, -6.0), (2, -6.0), (3, -6.0))
-    scan = [BeamMeasurement.planar((0.5, 0.5), 0.0, 3.2, 1, 8.0)] + free * 2
+    scan = [planar_beam((0.5, 0.5), 0.0, 3.2, 1, 8.0)] + free * 2
     with caplog.at_level(logging.DEBUG, logger="ssmi.octree"):
         trees[0].insert_scan(scan, params3)
     insert_scan_reference(trees[1], scan, params3)
@@ -1157,7 +1176,7 @@ def test_an_element_whose_chain_ends_where_it_began_is_not_written(params3, capl
 
 def assert_one_object_per_value(tree):
     objects: dict = {}
-    for sem, _, _ in tree.iter_leaves():
+    for sem, _, _ in iter_leaves(tree):
         objects.setdefault(_exact_key(sem), set()).add(id(sem))
     assert all(len(ids) == 1 for ids in objects.values())
     return len(objects)
@@ -1247,7 +1266,7 @@ def leaf_sums(tree, box):
     preorder with each belief's entropy computed afresh."""
     entropy = 0.0
     seen = total = 0
-    for sem, low, size in tree.iter_leaves():
+    for sem, low, size in iter_leaves(tree):
         n = 1
         for i in range(3):
             n *= max(0, min(low[i] + size, box[1][i]) - max(low[i], box[0][i]))
@@ -1306,7 +1325,7 @@ def test_map_state_is_both_aggregates_on_either_map(params3, rng):
 @pytest.mark.parametrize("kind", ["grid", "octree"])
 def test_aggregates_reject_boxes_outside_the_map(kind, params3):
     m = GridMap((8, 8, 8), 1.0, 3) if kind == "grid" else SemanticOctree(1.0, 3, 3)
-    m.insert_scan([BeamMeasurement.planar((0.5, 3.5), 0.0, 6.5, 2, 9.0, z=3.5)], params3)
+    m.insert_scan([planar_beam((0.5, 3.5), 0.0, 6.5, 2, 9.0, z=3.5)], params3)
     inverted = ((4, 0, 0), (2, 8, 8))
     past_extent = ((0, 0, 0), (12, 12, 12))
     negative_corner = ((-2, 0, 0), (4, 4, 4))
@@ -1422,7 +1441,7 @@ def saved_bytes(tree, tmp_path, name="t.ssmioct"):
 
 
 def leaves(tree):
-    return list(tree.iter_leaves())
+    return list(iter_leaves(tree))
 
 
 def test_octree_serialization_roundtrip(tmp_path, params3, rng):
@@ -1572,7 +1591,7 @@ def test_v1_file_loads_to_the_leaves_it_held(tmp_path, name):
     assert [float(v).hex() for v in tree.prior] == want["prior"]
     got = [
         [list(low), size, [[c, v.hex()] for c, v in sem.data], sem.others.hex()]
-        for sem, low, size in tree.iter_leaves()
+        for sem, low, size in iter_leaves(tree)
     ]
     assert got == want["leaves"]
     assert saved_bytes(tree, tmp_path)[:8] == OCTREE_MAGIC

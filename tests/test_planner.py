@@ -42,6 +42,7 @@ from conftest import (
     fan_beams,
     find_frontiers_reference,
     plan_path_reference,
+    planar_beam,
     select_nonoverlapping_reference,
     set_cell,
 )
@@ -811,13 +812,12 @@ def test_cycle_debug_line_counts_the_work(caplog):
 
 def test_view_from_octree_matches_grid(params3, rng):
     from ssmi.octree import SemanticOctree
-    from ssmi.grid import BeamMeasurement
 
     gmap = GridMap((16, 16), 1.0, 3)
     tree = SemanticOctree(1.0, 4, 3, dims=(16, 16, 1))
     for _ in range(15):
         ang = rng.uniform(0, 2 * math.pi)
-        beam = BeamMeasurement.planar((8.5, 8.5), ang, 6.0, int(rng.integers(1, 4)), 10.0)
+        beam = planar_beam((8.5, 8.5), ang, 6.0, int(rng.integers(1, 4)), 10.0)
         gmap.integrate(beam, params3)
         tree.insert_scan([beam], params3)
     vg = view_from_grid(gmap, band=(0, 1))

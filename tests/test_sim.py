@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import gen_random_reference, spawn_cells_reference
+from conftest import gen_random_reference, scan_beams, spawn_cells_reference
 from ssmi.config import ConfigError, config_from_dict
 from ssmi.errors import BadDims, OriginOutOfBounds, PoseInObstacle
 from ssmi.grid import unit_direction
@@ -190,7 +190,7 @@ def test_noise_free_ranges_exact():
     env = wall_env()
     spec = SensorSpec(num_beams=1, fov=0.0, r_max=14.0, range_sigma=0.0, misclass_prob=0.0)
     rng = np.random.default_rng(0)
-    beams = sense(env, np.array([2.5, 8.5, 0.5]), 0.0, spec, rng)
+    beams = scan_beams(sense(env, np.array([2.5, 8.5, 0.5]), 0.0, spec, rng))
     assert len(beams) == 1
     assert beams[0].range == pytest.approx(9.5)  # wall face at x = 12
     assert beams[0].category == 2
@@ -199,7 +199,8 @@ def test_noise_free_ranges_exact():
 def test_open_space_beam_reports_no_hit():
     env = wall_env()
     spec = SensorSpec(num_beams=1, fov=0.0, r_max=6.0, range_sigma=0.0, misclass_prob=0.0)
-    beams = sense(env, np.array([2.5, 8.5, 0.5]), math.pi, spec, np.random.default_rng(0))
+    beams = scan_beams(sense(env, np.array([2.5, 8.5, 0.5]), math.pi, spec,
+                             np.random.default_rng(0)))
     assert beams[0].range == 6.0
     assert beams[0].category is None
     assert not beams[0].hits
@@ -208,7 +209,7 @@ def test_open_space_beam_reports_no_hit():
 def test_sense_casts_its_beams_at_the_fan_angles():
     env = wall_env()
     spec = SensorSpec(num_beams=7, fov=2.5, r_max=12.0, range_sigma=0.0, misclass_prob=0.0)
-    beams = sense(env, np.array([2.5, 8.5, 0.5]), 0.3, spec, np.random.default_rng(0))
+    beams = scan_beams(sense(env, np.array([2.5, 8.5, 0.5]), 0.3, spec, np.random.default_rng(0)))
     want = [unit_direction((math.cos(a), math.sin(a), 0.0)) for a in fan_angles(7, 0.3, 2.5)]
     assert [b.direction for b in beams] == want
     assert any(b.hits for b in beams) and not all(b.hits for b in beams)
@@ -259,7 +260,7 @@ def test_misclassification_rate_matches_epsilon():
     rng = np.random.default_rng(42)
     wrong = hits = 0
     for _ in range(1000):
-        for beam in sense(env, np.array([10.5, 8.5, 0.5]), 0.0, spec, rng):
+        for beam in scan_beams(sense(env, np.array([10.5, 8.5, 0.5]), 0.0, spec, rng)):
             if beam.hits:
                 hits += 1
                 if beam.category != 2:
@@ -274,7 +275,7 @@ def test_wrong_labels_uniform_over_other_classes():
     rng = np.random.default_rng(7)
     counts = {1: 0, 3: 0}
     for _ in range(400):
-        for beam in sense(env, np.array([10.5, 8.5, 0.5]), 0.0, spec, rng):
+        for beam in scan_beams(sense(env, np.array([10.5, 8.5, 0.5]), 0.0, spec, rng)):
             if beam.hits and beam.category != 2:
                 counts[beam.category] += 1
     total = sum(counts.values())
@@ -287,7 +288,7 @@ def test_range_noise_statistics():
     rng = np.random.default_rng(3)
     deltas = []
     for _ in range(100):
-        for beam in sense(env, np.array([2.5, 8.5, 0.5]), 0.0, spec, rng):
+        for beam in scan_beams(sense(env, np.array([2.5, 8.5, 0.5]), 0.0, spec, rng)):
             if beam.hits:
                 deltas.append(beam.range - 9.5 / math.cos(math.atan2(beam.direction[1], beam.direction[0])))
     deltas = np.array(deltas)
@@ -396,8 +397,8 @@ def test_debug_log_has_scan_and_cycle_lines_and_leaves_metrics_alone(caplog):
                      r"\d+ nodes collapsed, \d+ memo hits, \d+ no-op writes", m) for m in scans
     )
     assert tables and all(
-        re.fullmatch(r"leaf table: \d+ leaves, \d+ beliefs, (full|patched|patched and compacted), "
-                     r"\d+ leaves walked, \d+\.\d{3} ms", m) for m in tables
+        re.fullmatch(r"leaf table: \d+ leaves, \d+ beliefs, \d+ leaves walked, \d+\.\d{3} ms", m)
+        for m in tables
     )
     plans = [r.getMessage() for r in caplog.records if r.name == "ssmi.planner"]
     assert plans and all(
