@@ -1,18 +1,28 @@
-"""Adaptive-resolution multi-class map: an octree whose leaves hold truncated
-categorical beliefs.
+"""Adaptive-resolution multi-class map: a linear octree whose leaves hold
+truncated categorical beliefs.
 
-Every node has 0 or 8 children. Leaves store at most the 3 most likely class
-log-odds plus a single "others" lump for the rest; with K <= 3 all classes are
-tracked, the lump stays empty, and element updates are the dense grid's float
-form of the cell update (``grid._clamped_add``), so they reproduce the grid
-bit for bit. Every write keeps the tree pruned: eight sibling leaves that
-come to hold one belief collapse into their parent, which is what makes ray
-casts over this structure short: a ray meets a handful of homogeneous runs
-instead of hundreds of elements.
+Leaves store at most the 3 most likely class log-odds plus a single "others"
+lump for the rest; with K <= 3 all classes are tracked, the lump stays
+empty, and element updates are the dense grid's float form of the cell
+update (``grid._clamped_add``), so they reproduce the grid bit for bit.
 
-Queries, ray casts, aggregates and files all read leaves only, so an inner
-node holds no belief: the tree is its structure plus the leaf beliefs, and
-``save_octree`` writes exactly that (as OctoMap's compact ``.bt`` files do).
+The tree is its leaves, held as arrays in preorder (a linear octree:
+Gargantini, "An effective way to represent quadtrees", CACM 1982). A
+child's slot is ``x<<2 | y<<1 | z``, so preorder is Morton order and each
+leaf is one aligned interval of Morton codes: ``starts`` (the code of its
+low corner, ascending), ``sizes`` (its edge in elements) and ``ids``, the
+id of its belief in the tree's interned store. The leaf holding element
+``c`` is ``searchsorted(starts, morton(c), "right") - 1``: every read, one
+element or a batch, is that lookup, and no inner node is stored.
+``save_octree`` writes the same leaves as a preorder node stream (as
+OctoMap's compact ``.bt`` files do).
+
+Every write keeps the tree pruned, OctoMap's rule (Hornung et al. 2013)
+stated on intervals: an aligned interval of ``8**L`` codes whose leaves all
+hold one belief is one leaf. That is what makes ray casts over this
+structure short: a ray meets a handful of homogeneous runs instead of
+hundreds of elements. The pruned leaves of a set of element beliefs are
+unique, so a write of many elements gives what one write per element gives.
 
 The cube of ``2**max_depth`` elements a side is the tree's storage only. The
 map covers a world box of ``dims`` elements at the cube's low corner, as a
@@ -20,31 +30,12 @@ map covers a world box of ``dims`` elements at the cube's low corner, as a
 default box of every aggregate end at the world's faces, so both maps share
 one geometry.
 
-A child's slot is ``x<<2 | y<<1 | z``, so a preorder walk meets the leaves in
-Morton order and each leaf covers one contiguous interval of Morton codes.
-The batch reads of a planning cycle (``encode_traces``, ``labels_observed``,
-``map_state``) look elements up in one such leaf table; single-ray reads
-(``encode_trace``, ``raycast_srle``) descend the tree per element, and are
-the reference the table path is tested against. They stay off the table
-because a scan between two reads forces a table patch, whose leaf walk
-costs more than the descents: serving ``raycast_srle`` from the table gave
-the same runs byte for byte on 1,600 probes of the benchmark's ``scan3d``
-workload, but its median read time went from 4.70-4.81 to 6.65-6.87 ms
-and its median episode from 0.127-0.138 to 0.173-0.179 s (4 runs each,
-2-core machine).
-
-Upkeep follows what a scan changes, not the size of the tree. Every belief
-the tree stores is interned bit for bit, so equal values share one object
-and beliefs compare by identity (``0.0`` and ``-0.0`` stay apart), and
-``insert_scan`` memoizes each update by hit class and belief object for the
-scan: a write that changes nothing costs a lookup. The store keeps every
-belief it interned for the tree's life, so a belief's id and its table rows
-never change. Each write records the highest node whose leaves it changed;
-the next read walks only the highest recorded nodes and splices their
-leaves into the table over the same Morton intervals, ordered with the kept
-leaves by one sort on their Morton starts. A tree with no table yet (a new
-tree, a new root, a loaded file) records nothing: its first read patches an
-empty table over the whole cube, which walks every leaf.
+A write costs what it changes, not the size of the tree. Every belief the
+tree stores is interned bit for bit, so equal values share one id (``0.0``
+and ``-0.0`` stay apart), and ``insert_scan`` memoizes each update by hit
+class and belief id for the scan: a write that changes nothing costs a
+lookup. The store keeps every belief it interned for the tree's life, so a
+belief's id and its rows never change.
 """
 
 from __future__ import annotations
@@ -53,7 +44,6 @@ import functools
 import logging
 import math
 import struct
-import threading
 import time
 from dataclasses import dataclass
 
@@ -141,17 +131,6 @@ class TruncatedSemantics:
         return logodds.entropy(np.array(vals, dtype=np.float64))
 
 
-class SemanticNode:
-    """Tree node: a leaf holds a belief and no children; an inner node holds
-    exactly eight children and no belief (``semantics`` is None)."""
-
-    __slots__ = ("semantics", "children")
-
-    def __init__(self, semantics: TruncatedSemantics | None, children=None):
-        self.semantics = semantics
-        self.children = children
-
-
 # bit b of each byte value moved to bit 3b, for interleaving three coordinates
 _SPREAD = sum(((np.arange(256, dtype=np.int64) >> b) & 1) << 3 * b for b in range(8))
 
@@ -168,6 +147,21 @@ def morton(x, y, z) -> np.ndarray:
     return _spread(x) << 2 | _spread(y) << 1 | _spread(z)
 
 
+# per 12-bit chunk of a Morton code (four levels), its x, y and z bits
+# compacted to four bits each, at bits 0, 16 and 32
+_COMPACT = sum((np.arange(4096, dtype=np.int64) >> 3 * b + 2 - a & 1) << b + 16 * a
+               for a in range(3) for b in range(4))
+
+
+def _corners(codes: np.ndarray, max_depth: int) -> np.ndarray:
+    """The element coordinates of Morton codes of a tree of ``max_depth``,
+    an (N, 3) array: the inverse of ``morton``."""
+    packed = np.zeros_like(codes)
+    for shift in range(0, 3 * max_depth, 12):
+        packed |= _COMPACT[codes >> shift & 4095] << shift // 3
+    return np.stack((packed & 0xFFFF, packed >> 16 & 0xFFFF, packed >> 32), axis=1)
+
+
 def _exact_key(sem: "TruncatedSemantics"):
     """A dict key that tells beliefs apart bit for bit: the belief itself,
     paired with the signs of its zeros when it holds any (``0.0 == -0.0``)."""
@@ -179,13 +173,14 @@ def _exact_key(sem: "TruncatedSemantics"):
 
 class _Beliefs:
     """The beliefs of one tree, interned bit for bit (``_exact_key``): equal
-    values share one object, so beliefs compare by identity. The store is
-    append-only: each object keeps its id and stays stored for the tree's
-    life, so ``by_object`` may key them by ``id``. The prior is id 0, so a
-    belief bit-equal to it is always ``prior_semantics``. Per id: ``full``
-    (the ``to_full`` row), ``entropy`` and ``observed`` (not the prior),
-    computed once, when a leaf table first holds the id (``fill``): a scan
-    interns many beliefs that it overwrites before any table sees them."""
+    values share one id. The store is append-only: each object keeps its id
+    and stays stored for the tree's life, so ``by_object`` may key them by
+    ``id``. The prior is id 0, so a belief bit-equal to it is always
+    ``prior_semantics``. Per id: ``full`` (the ``to_full`` row),
+    ``entropy``, ``observed`` (not the prior) and ``labels`` (the argmax of
+    ``full``, ties to the lowest class), computed once, by the write that
+    first puts the id on a leaf (``fill``): a scan interns every step of
+    its chains, and most of those beliefs reach no leaf."""
 
     def __init__(self, prior_semantics: "TruncatedSemantics", num_classes: int):
         self.prior_semantics = prior_semantics
@@ -204,16 +199,13 @@ class _Beliefs:
         built earlier keep views of the old arrays, whose rows never change."""
         n = len(self.objects)
         rows = [np.zeros((capacity, self.num_classes + 1)), np.zeros(capacity),
-                np.zeros(capacity, dtype=bool), np.zeros(capacity, dtype=bool)]
+                np.zeros(capacity, dtype=bool), np.zeros(capacity, dtype=np.intp),
+                np.zeros(capacity, dtype=bool)]
         if n:
-            for new, old in zip(rows, (self.full, self.entropy, self.observed, self.ready)):
+            for new, old in zip(rows, (self.full, self.entropy, self.observed, self.labels,
+                                       self.ready)):
                 new[:n] = old[:n]
-        self.full, self.entropy, self.observed, self.ready = rows
-
-    def intern(self, sem: "TruncatedSemantics") -> "TruncatedSemantics":
-        """The stored object bit-equal to ``sem``, which is ``sem`` itself
-        when no such object was stored before."""
-        return self.objects[self.id_of(sem)]
+        self.full, self.entropy, self.observed, self.labels, self.ready = rows
 
     def id_of(self, sem: "TruncatedSemantics") -> int:
         i = self.by_object.get(id(sem))
@@ -236,45 +228,49 @@ class _Beliefs:
             self.full[i] = sem.to_full(self.num_classes)
             self.entropy[i] = sem.entropy()
             self.observed[i] = sem is not self.prior_semantics
+            self.labels[i] = np.argmax(self.full[i])
             self.ready[i] = True
 
-    def table(self, starts, corners, sizes, ids) -> "LeafTable":
+    def table(self, starts, sizes, ids) -> "LeafTable":
         """A leaf table over these leaves, with the rows of every id so far."""
         n = len(self.objects)
-        return LeafTable(starts=starts, corners=corners, sizes=sizes, ids=ids,
+        return LeafTable(starts=starts, sizes=sizes, ids=ids,
                          full=self.full[:n], entropy=self.entropy[:n],
-                         observed=self.observed[:n])
+                         observed=self.observed[:n], labels=self.labels[:n])
 
 
 @dataclass(frozen=True)
 class LeafTable:
-    """The leaves of one tree revision in preorder, which is Morton order.
+    """One revision of a tree: its leaf arrays in preorder, which is Morton
+    order, and the rows of their beliefs.
 
     Per leaf: ``starts`` (the Morton code of its low corner, ascending),
-    ``corners`` and ``sizes`` (in elements), and ``ids``, the id of its
-    belief in the tree's interned beliefs, so equal ids are equal bits. Per
-    belief id, the rows of those (``_Beliefs``): ``full``, ``entropy`` and
-    ``observed``; ids that no leaf holds any more keep their rows, and a
-    later table gives every id the rows and the belief it had here. The leaf
-    holding element ``c`` is ``searchsorted(starts, morton(c), "right") - 1``."""
+    ``sizes`` (its edge in elements), and ``ids``, the id of its belief in
+    the tree's interned beliefs, so equal ids are equal bits. Per
+    belief id, the rows of those (``_Beliefs``): ``full``, ``entropy``,
+    ``observed`` and ``labels``; ids that no leaf holds any more keep their
+    rows, and a later table gives every id the rows and the belief it had
+    here. A write replaces the tree's arrays and never changes them in
+    place, so a table stays as it was made. The leaf holding element ``c``
+    is ``searchsorted(starts, morton(c), "right") - 1``."""
 
     starts: np.ndarray
-    corners: np.ndarray
     sizes: np.ndarray
     ids: np.ndarray
     full: np.ndarray
     entropy: np.ndarray
     observed: np.ndarray
+    labels: np.ndarray
 
     def element_ids(self, codes: np.ndarray) -> np.ndarray:
         """Belief id of the element at each Morton code."""
         return self.ids[np.searchsorted(self.starts, codes, side="right") - 1]
 
 
-# the starts, corners, sizes and ids of a table with no leaves, which a tree's
-# first read patches
-_NO_LEAVES = (np.empty(0, dtype=np.int64), np.empty((0, 3), dtype=np.int64),
-              np.empty(0, dtype=np.int64), np.empty(0, dtype=np.intp))
+def _levels(sizes: np.ndarray) -> np.ndarray:
+    """The level of each leaf of edge ``sizes`` (a power of two): an
+    element leaf is level 0, and a level-L leaf covers ``8**L`` codes."""
+    return np.frexp(sizes)[1].astype(np.int64) - 1
 
 
 def _uniform_scalar(vec: np.ndarray, name: str) -> float:
@@ -368,13 +364,6 @@ def element_update(params: SensorParams, prior: np.ndarray):
     return update
 
 
-def _chain(steps, sem: TruncatedSemantics) -> TruncatedSemantics:
-    """``sem`` after each of ``steps`` (belief updates) in turn."""
-    for step in steps:
-        sem = step(sem)
-    return sem
-
-
 def cube_depth(dims) -> int:
     """The least tree depth (at least 1) whose cube holds ``dims`` elements
     along every axis."""
@@ -385,7 +374,11 @@ class SemanticOctree:
     """Multi-class map of a world of ``dims`` elements (x, y, z) of edge
     ``element_size``, stored in a cube of ``2**max_depth`` elements a side;
     ``dims`` defaults to the whole cube and must fit inside it. ``origin``,
-    the low corner of element (0, 0, 0), is three floats."""
+    the low corner of element (0, 0, 0), is three floats.
+
+    The tree is its leaf table (``leaf_table()``): the leaves' ``starts``,
+    ``sizes`` and ``ids`` in preorder (module docstring). A write replaces
+    the table and never changes its arrays in place."""
 
     def __init__(
         self,
@@ -409,22 +402,14 @@ class SemanticOctree:
         self.prior = prior = _prior_vector(prior, self.num_classes)
         self._beliefs = _Beliefs(TruncatedSemantics.from_full(prior), num_classes)
         self.prior_semantics = self._beliefs.prior_semantics
-        # reads may run concurrently, and one of them brings the table up to date
-        self._upkeep = threading.Lock()
-        self.root = SemanticNode(self.prior_semantics)
+        self._set_leaves(np.zeros(1, dtype=np.int64), np.full(1, n, dtype=np.int64),
+                         np.zeros(1, dtype=np.intp), np.zeros(0, dtype=np.intp))
 
-    @property
-    def root(self) -> SemanticNode:
-        return self._root
-
-    @root.setter
-    def root(self, node: SemanticNode) -> None:
-        """Installing a root (a new tree, a loaded file) drops the leaf table."""
-        self._root = node
-        self._table: LeafTable | None = None
-        # (corner..., size) of each node whose leaves changed since the table
-        # was made, recorded only while there is a table to patch
-        self._dirty: set[tuple[int, int, int, int]] = set()
+    def _set_leaves(self, starts, sizes, ids, fresh) -> None:
+        """Make these leaves the tree, after filling the rows of ``fresh``,
+        the ids among them that no leaf may have held before."""
+        self._beliefs.fill(fresh)
+        self._leaves = self._beliefs.table(starts, sizes, ids)
 
     @property
     def size_elements(self) -> int:
@@ -435,31 +420,12 @@ class SemanticOctree:
         """Element edge length (the grid's name for its cell size)."""
         return self.element_size
 
-    # -- addressing ----------------------------------------------------------
-
-    def _descend(self, x: int, y: int, z: int, size: int = 1) -> tuple[SemanticNode, int]:
-        """The one root-to-node descent: the node of edge ``size`` (a power
-        of two, in elements) holding element (x, y, z), or the leaf above it,
-        and the bit of the level below that node, whose edge is therefore
-        ``1 << bit + 1``."""
-        node = self._root  # per element, so the attribute rather than the property
-        bit = self.max_depth - 1
-        stop = size.bit_length() - 2  # the bit below a node of edge size
-        while node.children is not None and bit > stop:
-            node = node.children[((x >> bit) & 1) << 2 | ((y >> bit) & 1) << 1 | ((z >> bit) & 1)]
-            bit -= 1
-        return node, bit
-
-    def leaf_at(self, cell) -> tuple[TruncatedSemantics, tuple[int, int, int], int]:
-        """Leaf value covering an element, with the leaf's low corner and edge
-        length in elements (used for run caching along rays)."""
-        x, y, z = cell
-        node, bit = self._descend(x, y, z)
-        size = 1 << bit + 1
-        return node.semantics, (x & -size, y & -size, z & -size), size
+    def _leaf_of(self, codes):
+        """Index of the leaf holding the element at each Morton code."""
+        return np.searchsorted(self._leaves.starts, codes, side="right") - 1
 
     def query_element(self, cell) -> TruncatedSemantics:
-        return self.leaf_at(cell)[0]
+        return self._beliefs.objects[self._leaves.ids[self._leaf_of(morton(*cell))]]
 
     def _box(self, region):
         """A half-open element box ((lo), (hi)) inside the world, or the whole
@@ -469,143 +435,145 @@ class SemanticOctree:
 
     # -- updates ---------------------------------------------------------------
 
-    def _write_element(self, cell, update) -> int | None:
-        """The one element writer: it finds the leaf covering the element and
-        interns ``update(belief)``. Unless that is the leaf's belief (then it
-        returns None), it expands a larger leaf down to the element, whose 7
-        new siblings keep the old belief, or writes an element-level leaf and
-        collapses each parent whose 8 children now hold one belief, up to the
-        first that does not (``_collapse``). It records the highest node whose
-        leaves changed for the leaf table and returns how many nodes collapsed."""
-        x, y, z = cell
-        node, bit = self._descend(x, y, z, 2)
-        if node.children is not None:  # the node of edge 2 over an element leaf
-            parent, node, bit = node, node.children[(x & 1) << 2 | (y & 1) << 1 | (z & 1)], -1
-        current = node.semantics
-        new = self._beliefs.intern(update(current))
-        if new is current:
-            return None
-        size = 1 << bit + 1  # the changed leaf's edge
-        collapsed = 0
-        if bit < 0:
-            node.semantics = new
-            while self._collapse(parent):
-                collapsed += 1
-                size <<= 1
-                if size == self.size_elements:
-                    break
-                parent = self._descend(x, y, z, size << 1)[0]
-        else:
-            while bit >= 0:
-                node.children = [SemanticNode(current) for _ in range(8)]
-                node.semantics = None
-                node = node.children[((x >> bit) & 1) << 2 | ((y >> bit) & 1) << 1 | ((z >> bit) & 1)]
-                bit -= 1
-            node.semantics = new
-        if self._table is not None:
-            self._dirty.add((x & -size, y & -size, z & -size, size))
-        return collapsed
+    def _write(self, codes, leaf, new) -> None:
+        """The one writer: give the elements at the ascending, distinct
+        Morton ``codes``, held by the leaves at indices ``leaf``, the belief
+        ids ``new``.
 
-    @staticmethod
-    def _collapse(node: SemanticNode) -> bool:
-        """Make an inner node a leaf when its 8 children are leaves holding
-        one belief object (an inner node holds None); returns whether it
-        did. The one collapse test, of the writer and of ``prune``."""
-        sem = node.children[0].semantics
-        if sem is None or any(child.semantics is not sem for child in node.children):
-            return False
-        node.semantics, node.children = sem, None
-        return True
+        Elements that keep the id they hold are dropped. Each leaf holding
+        a changed element splits into the aligned intervals around its
+        changed elements, the new siblings keeping the old id, and each
+        changed element becomes an element leaf; one ``searchsorted``
+        splices them in. Then, bottom-up over the ancestors of the changed
+        elements, an ancestor whose leaves all hold one id becomes one
+        leaf: its first leaf, which starts at its start, grows to its edge
+        and the others go. An interval holding no changed element cannot
+        have come to hold one id, so a pruned tree stays pruned. One DEBUG
+        line reports the leaves, the store size, the leaves split and the
+        ancestors merged."""
+        t0 = time.perf_counter()
+        leaves = self._leaves
+        old = leaves.ids[leaf]
+        changed = new != old
+        split = merged = 0
+        if changed.any():
+            codes, leaf, new, old = codes[changed], leaf[changed], new[changed], old[changed]
+            levels = _levels(leaves.sizes[leaf])
+            parts = [(codes, np.ones_like(codes), new)]
+            for j in range(int(levels.max())):
+                # the ancestors of level j of the elements in leaves above it,
+                # and the children of their parents that hold no changed element
+                inside = levels > j
+                below = codes[inside] >> 3 * j
+                parents, first = np.unique(below >> 3, return_index=True)
+                kids = (parents[:, None] << 3 | np.arange(8)).ravel()
+                free = below[np.searchsorted(below, kids).clip(max=below.shape[0] - 1)] != kids
+                parts.append((kids[free] << 3 * j, np.full(np.count_nonzero(free), 1 << j),
+                              np.repeat(old[inside][first], 8)[free]))
+            split = np.unique(leaf[levels > 0]).shape[0]
+            added = [np.concatenate(part) for part in zip(*parts)]
+            order = np.argsort(added[0])
+            keep = np.ones(leaves.ids.shape[0], dtype=bool)
+            keep[leaf] = False
+            at = np.searchsorted(leaves.starts[keep], added[0][order])
+            starts, sizes, ids = (np.insert(was[keep], at, now[order])
+                                  for was, now in zip((leaves.starts, leaves.sizes, leaves.ids),
+                                                      added))
+            # each element's highest ancestor whose leaves all hold one id (an
+            # interval's sub-intervals hold one id when it does)
+            edges = np.flatnonzero(ids[1:] != ids[:-1])  # the leaves after which an id ends
+            top = np.zeros(codes.shape[0], dtype=np.int64)
+            alive = np.arange(codes.shape[0])
+            for j in range(1, self.max_depth + 1):
+                low = codes[alive] >> 3 * j << 3 * j
+                lo = np.searchsorted(starts, low)
+                hi = np.searchsorted(starts, low + (1 << 3 * j)) - 1
+                alive = alive[np.searchsorted(edges, lo) == np.searchsorted(edges, hi)]
+                if not alive.shape[0]:
+                    break
+                top[alive] = j
+            if top.any():
+                t = top[top > 0]
+                low, first = np.unique(codes[top > 0] >> 3 * t << 3 * t, return_index=True)
+                t = t[first]
+                lo = np.searchsorted(starts, low)
+                sizes[lo] = 1 << t
+                keep = np.ones(ids.shape[0], dtype=bool)
+                for a, b in zip(lo.tolist(), np.searchsorted(starts, low + (1 << 3 * t)).tolist()):
+                    keep[a + 1:b] = False
+                starts, sizes, ids = starts[keep], sizes[keep], ids[keep]
+                merged = low.shape[0]
+            self._set_leaves(starts, sizes, ids, new)
+        log.debug("leaf table: %d leaves, %d beliefs, %d leaves split, %d merged, %.3f ms",
+                  self._leaves.ids.shape[0], len(self._beliefs), split, merged,
+                  (time.perf_counter() - t0) * 1e3)
 
     def set_element(self, cell, h: np.ndarray) -> None:
-        """Write an element belief directly (scene construction, conversion)."""
-        new = TruncatedSemantics.from_full(np.asarray(h, dtype=np.float64))
-        self._write_element(cell, lambda _: new)
+        """Write an element belief directly (scene construction): a
+        one-element write. ValueError for a cell outside the world."""
+        if len(cell) != 3 or not all(0 <= c < d for c, d in zip(cell, self.dims)):
+            raise ValueError(f"element {tuple(cell)} is outside the world {self.dims}")
+        codes = np.array([morton(*cell)], dtype=np.int64)
+        new = self._beliefs.id_of(TruncatedSemantics.from_full(np.asarray(h, dtype=np.float64)))
+        self._write(codes, self._leaf_of(codes), np.array([new], dtype=np.intp))
 
     def insert_scan(self, beams: Scan | list[BeamMeasurement],
                     params: SensorParams) -> "SemanticOctree":
         """Integrate a scan's beams in order, a sensed ``Scan`` or a list of
-        beams (same cell arithmetic as the dense grid); each write keeps the
-        tree pruned. The element updates are the grid's, from
-        ``scan_updates``, which finds and checks every update first (cut
-        from the fan's memoized walks for a ``Scan``, walked beam by beam
-        for a list): a scan that raises leaves the tree as it was.
-
-        The update is a pure function of the hit class and the belief's
-        bits, and equal beliefs share one interned object, so each class
-        memoizes it by belief object for the scan: a belief meets each
-        update once, and a write that changes nothing gets back the object
-        it holds.
+        beams (same cell arithmetic as the dense grid), in one write that
+        keeps the tree pruned (``_write``). The element updates are the
+        grid's, from ``scan_updates``, which finds and checks every update
+        first (cut from the fan's memoized walks for a ``Scan``, walked
+        beam by beam for a list): a scan that raises leaves the tree as it
+        was.
 
         Only the order of updates within one element matters, so the
-        updates are grouped by element, in scan order within each, and
-        each element is written once with its chain of steps: one descent
-        per distinct element rather than per update. An element whose chain
-        ends at the belief it held is not written; a write per update would
-        have expanded its leaf and collapsed it again."""
+        updates are grouped by element, in scan order within each (a
+        stable sort of their Morton codes), and each element's chain runs
+        on the belief of the leaf that holds it, found by one
+        ``searchsorted`` for all of them. The update is a pure function of
+        the hit class and the belief's bits, and equal beliefs share one
+        id, so each class memoizes it by belief id for the scan: a belief
+        meets each update once. An element whose chain ends at the id it
+        held is not written."""
         if params.num_classes != self.num_classes:
             raise ValueError("sensor parameters and tree disagree on K")
         update = element_update(params, self.prior)
-        intern = self._beliefs.intern
-        memos: list[dict] = []
-
-        def memoized(step):
-            memo = {}
-            memos.append(memo)
-
-            def memo_step(sem):
-                new = memo.get(id(sem))
-                if new is None:
-                    new = memo[id(sem)] = intern(step(sem))
-                return new
-
-            return memo_step
-
         cells, rows = scan_updates(beams, self.origin, self.element_size, self.dims,
                                    self.num_classes)
-        steps = {0: memoized(update(None))}  # by model row: 0 free, y a class-y hit
-        chains: dict[tuple[int, int, int], list] = {}
-        for cell, row in zip(zip(*cells.T.tolist()), rows.tolist()):
-            step = steps.get(row)
-            if step is None:
-                step = steps[row] = memoized(update(row))
-            chains.setdefault(cell, []).append(step)
-        write = self._write_element
-        written = [write(cell, chain[0] if len(chain) == 1 else functools.partial(_chain, chain))
-                   for cell, chain in chains.items()]
-        changed = [n for n in written if n is not None]  # nodes each changing write collapsed
-        visited = len(rows)
+        codes = morton(*cells.T)
+        order = np.argsort(codes, kind="stable")
+        codes = codes[order]
+        first = np.flatnonzero(np.diff(codes, prepend=-1))  # each element's first update
+        codes = codes[first]
+        leaf = self._leaf_of(codes)
+        held = self._leaves.ids[leaf]
+        objects, id_of = self._beliefs.objects, self._beliefs.id_of
+        steps: dict[int, tuple[dict, object]] = {}  # by model row: 0 free, y a class-y hit
+        new = []
+        rows = rows[order].tolist()
+        bounds = first.tolist() + [len(rows)]
+        for i, lo, hi in zip(held.tolist(), bounds, bounds[1:]):
+            for row in rows[lo:hi]:
+                step = steps.get(row)
+                if step is None:
+                    step = steps[row] = ({}, update(row or None))
+                memo, apply = step
+                j = memo.get(i)
+                if j is None:
+                    j = memo[i] = id_of(apply(objects[i]))
+                i = j
+            new.append(i)
+        new = np.array(new, dtype=np.intp)
+        changed = int(np.count_nonzero(new != held))
         log.debug(
-            "insert_scan: %d beams, %d elements visited, %d changed, %d nodes collapsed, "
-            "%d memo hits, %d no-op writes",
-            len(beams), visited, len(changed), sum(changed),
-            visited - sum(map(len, memos)), len(chains) - len(changed),
+            "insert_scan: %d beams, %d elements visited, %d changed, %d memo hits, "
+            "%d no-op writes",
+            len(beams), len(rows), changed, len(rows) - sum(len(m) for m, _ in steps.values()),
+            len(new) - changed,
         )
+        self._write(codes, leaf, new)
         return self
-
-    def prune(self) -> int:
-        """Bottom-up over the whole tree, intern each leaf's belief and
-        collapse every inner node whose 8 children hold one (``_collapse``):
-        for trees built by hand, since writes keep a pruned tree pruned.
-        Each collapsed node is recorded for the leaf table. Returns the
-        number of nodes collapsed."""
-        collapsed = []
-
-        def visit(node: SemanticNode, bit: int, x: int, y: int, z: int) -> None:
-            if node.children is None:
-                node.semantics = self._beliefs.intern(node.semantics)
-                return
-            half = 1 << bit
-            for slot, child in enumerate(node.children):
-                visit(child, bit - 1, x | (slot >> 2) * half, y | (slot >> 1 & 1) * half,
-                      z | (slot & 1) * half)
-            if self._collapse(node):
-                collapsed.append((x, y, z, 2 * half))
-
-        visit(self._root, self.max_depth - 1, 0, 0, 0)
-        if self._table is not None:  # the leaves changed, though no element did
-            self._dirty.update(collapsed)
-        return len(collapsed)
 
     # -- ray casting -------------------------------------------------------------
 
@@ -614,6 +582,25 @@ class SemanticOctree:
         caster with the element size and the world's extent, so grid and
         tree agree on what a beam touches."""
         return cast(beam, self.origin, self.element_size, self.dims)
+
+    def _runs(self, cells: np.ndarray, firsts) -> tuple[SrleRay, np.ndarray]:
+        """The runs over stacked elements (at least one) whose beams start
+        at the indices ``firsts``, and the index of each run's first
+        element. All elements are looked up in the leaf table at once; a
+        run starts at each beam's first element and wherever the belief id
+        changes (ids are interned bits), and takes its first element's
+        belief."""
+        table = self._leaves
+        ids = table.element_ids(morton(*cells.T))
+        n = ids.shape[0]
+        new = np.ones(n + 1, dtype=bool)  # where runs start, and n, where the last ends
+        np.not_equal(ids[1:], ids[:-1], out=new[1:n])
+        new[firsts] = True
+        bounds = np.flatnonzero(new)
+        starts = bounds[:-1]
+        chi_t = table.full[ids[starts]]
+        return SrleRay(widths=np.diff(bounds), chi_t=chi_t,
+                       chi_0=np.broadcast_to(self.prior, chi_t.shape)), starts
 
     def encode_trace(self, cells: np.ndarray) -> SrleRay | None:
         """Run-length encode leaf beliefs along a sequence of elements, an
@@ -624,50 +611,19 @@ class SemanticOctree:
         they belong to distinct leaves, so expanding the result reproduces the
         per-element sequence exactly and the widths sum to the element count.
         """
-        if cells.shape[0] == 0:
-            return None
-        widths: list[int] = []
-        values: list[TruncatedSemantics] = []
-        sem = None
-        lx = ly = lz = size = 0  # the cached leaf's cube, empty at first
-        for x, y, z in cells.tolist():
-            if not (lx <= x < lx + size and ly <= y < ly + size and lz <= z < lz + size):
-                sem, (lx, ly, lz), size = self.leaf_at((x, y, z))
-            if values and values[-1] is sem:
-                widths[-1] += 1
-            else:
-                values.append(sem)
-                widths.append(1)
-        chi_t = np.stack([v.to_full(self.num_classes) for v in values])
-        chi_0 = np.broadcast_to(self.prior, chi_t.shape).copy()
-        return SrleRay(widths=np.asarray(widths, dtype=np.int64), chi_t=chi_t, chi_0=chi_0)
+        return self._runs(cells, 0)[0] if cells.shape[0] else None
 
     def encode_traces(self, cells: np.ndarray, counts) -> tuple[SrleRay | None, list[int]]:
         """The runs over a compact cast (``mi.FanCast``: ``cells`` stacks each
         beam's elements past its sensor element in beam order, ``counts[b]``
         of them for beam b), as ``encode_trace`` gives them per beam,
-        stacked, and each beam's run count; the runs are
-        None when there is no element. All elements are looked up in the
-        leaf table at once; a run starts at each beam's first element and
-        wherever the belief id changes (ids are interned bits), and takes
-        its first element's belief."""
-        lengths = np.array(counts, dtype=np.int64)
+        stacked, and each beam's run count; the runs are None when there is
+        no element."""
+        ends = np.cumsum(counts, dtype=np.int64)
         if not cells.shape[0]:
-            return None, lengths.tolist()
-        table = self.leaf_table()
-        ids = table.element_ids(morton(*cells.T))
-        new = np.empty(ids.shape[0], dtype=bool)
-        new[0] = True
-        np.not_equal(ids[1:], ids[:-1], out=new[1:])
-        new[(np.cumsum(lengths) - lengths)[lengths > 0]] = True
-        starts = np.flatnonzero(new)
-        chi_t = table.full[ids[starts]]
-        owner = np.repeat(np.arange(lengths.shape[0]), lengths)
-        return SrleRay(
-            widths=np.diff(starts, append=ids.shape[0]),
-            chi_t=chi_t,
-            chi_0=np.broadcast_to(self.prior, chi_t.shape),
-        ), np.bincount(owner[starts], minlength=lengths.shape[0]).tolist()
+            return None, [0] * ends.shape[0]
+        runs, starts = self._runs(cells, ends[:-1][ends[:-1] < cells.shape[0]])
+        return runs, np.diff(np.searchsorted(starts, ends), prepend=0).tolist()
 
     def raycast_srle(self, beam: BeamMeasurement) -> SrleRay:
         """Cast a beam and return its run-length encoded belief sequence."""
@@ -675,99 +631,20 @@ class SemanticOctree:
 
     # -- leaf table and aggregates ----------------------------------------------------
 
-    @staticmethod
-    def _leaves(node: SemanticNode, corner, size: int):
-        """Yield (semantics, low corner, edge in elements) over the leaves
-        under one node, at ``corner`` with edge ``size``, in preorder, which
-        is Morton order."""
-        stack = [(node, *corner, size)]
-        while stack:
-            node, x, y, z, size = stack.pop()
-            if node.children is None:
-                yield node.semantics, (x, y, z), size
-                continue
-            h = size // 2
-            c = node.children
-            # pushed from slot 7 down, so children pop in slot order
-            stack.extend((
-                (c[7], x + h, y + h, z + h, h), (c[6], x + h, y + h, z, h),
-                (c[5], x + h, y, z + h, h), (c[4], x + h, y, z, h),
-                (c[3], x, y + h, z + h, h), (c[2], x, y + h, z, h),
-                (c[1], x, y, z + h, h), (c[0], x, y, z, h),
-            ))
-
     def num_leaves(self) -> int:
-        return len(self.leaf_table().ids)
+        return self._leaves.ids.shape[0]
 
     def leaf_table(self) -> LeafTable:
-        """The leaf table of the tree as it is now: after element writes and
-        pruning collapses, only the subtrees of the highest nodes they
-        touched are walked again and spliced in (``_patch_leaf_table``). A
-        tree with no table yet patches an empty one over the whole cube."""
-        with self._upkeep:
-            if self._table is None:
-                self._table = self._beliefs.table(*_NO_LEAVES)
-                self._dirty.add((0, 0, 0, self.size_elements))
-            if self._dirty:
-                self._table = self._patch_leaf_table()
-            return self._table
-
-    def _walk(self, tops) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The leaves under each ``(node, x, y, z, size)`` in turn, in
-        preorder: their low corners, sizes and belief ids (with rows)."""
-        corners, sizes, beliefs = [], [], []
-        for node, x, y, z, size in tops:
-            for sem, corner, edge in self._leaves(node, (x, y, z), size):
-                corners += corner
-                sizes.append(edge)
-                beliefs.append(sem)
-        ids = np.array(list(map(self._beliefs.id_of, beliefs)), dtype=np.intp)
-        self._beliefs.fill(ids)
-        return (np.array(corners, dtype=np.int64).reshape(-1, 3),
-                np.array(sizes, dtype=np.int64), ids)
-
-    def _patch_leaf_table(self) -> LeafTable:
-        """Walk again only the highest recorded nodes and splice their leaves
-        into the table in place of the old leaves in their Morton intervals.
-        Leaves are aligned octree nodes, so each recorded interval is the
-        union of whole old leaves and of whole new ones."""
-        t0 = time.perf_counter()
-        old = self._table
-        boxes = np.array(list(self._dirty), dtype=np.int64)
-        self._dirty.clear()
-        lows = morton(*boxes[:, :3].T)
-        highs = lows + boxes[:, 3] ** 3
-        order = np.lexsort((-highs, lows))
-        lows, highs, boxes = lows[order], highs[order], boxes[order]
-        top = np.ones(len(lows), dtype=bool)
-        top[1:] = lows[1:] >= np.maximum.accumulate(highs)[:-1]  # not inside an earlier one
-        lows, highs = lows[top], highs[top]
-        tops = [(self._descend(x, y, z, size)[0], x, y, z, size)
-                for x, y, z, size in boxes[top].tolist()]
-        corners, sizes, ids = self._walk(tops)
-        starts = morton(*corners.T)
-        # an old leaf stays unless it starts inside the interval with the
-        # last low at or before its start; the kept and the new leaves all
-        # start at distinct codes, so ordering them by start is preorder
-        at = np.searchsorted(lows, old.starts, side="right") - 1
-        keep = (at < 0) | (old.starts >= highs[at])
-        order = np.argsort(np.concatenate((old.starts[keep], starts)))
-        parts = [np.concatenate((was[keep], now))[order]
-                 for was, now in ((old.starts, starts), (old.corners, corners),
-                                  (old.sizes, sizes), (old.ids, ids))]
-        table = self._beliefs.table(*parts)
-        log.debug(
-            "leaf table: %d leaves, %d beliefs, %d leaves walked, %.3f ms",
-            len(table.ids), len(table.full), starts.shape[0], (time.perf_counter() - t0) * 1e3,
-        )
-        return table
+        """The tree as it is now, with the rows of the beliefs its leaves
+        hold."""
+        return self._leaves
 
     def _box_ids(self, box) -> tuple[LeafTable, np.ndarray]:
         """The leaf table and an int array over a half-open element box
         ((lo), (hi)) inside the world, or the whole world for None, holding
         each element's belief id."""
         lo, hi = self._box(box)
-        table = self.leaf_table()
+        table = self._leaves
         return table, table.element_ids(morton(*np.ix_(*map(range, lo, hi))))
 
     def labels_observed(self, box=None) -> tuple[np.ndarray, np.ndarray]:
@@ -776,7 +653,7 @@ class SemanticOctree:
         element in a half-open box ((lo), (hi)) inside the world, or of the
         whole world."""
         table, ids = self._box_ids(box)
-        return np.argmax(table.full, axis=1)[ids], table.observed[ids]
+        return table.labels[ids], table.observed[ids]
 
     def map_state(self, region=None) -> tuple[float, float]:
         """Total entropy in nats, and the fraction of elements whose belief
@@ -786,9 +663,10 @@ class SemanticOctree:
         the world; one not inside it raises ValueError, as on the grid, and
         an empty one gives ``(0.0, 0.0)``."""
         lo, hi = self._box(region)
-        table = self.leaf_table()
-        ends = table.corners + table.sizes[:, None]
-        n = np.prod(np.maximum(np.minimum(ends, hi) - np.maximum(table.corners, lo), 0), axis=1)
+        table = self._leaves
+        corners = _corners(table.starts, self.max_depth)
+        ends = corners + table.sizes[:, None]
+        n = np.prod(np.maximum(np.minimum(ends, hi) - np.maximum(corners, lo), 0), axis=1)
         # a running sum from 0.0, as a loop over the leaves adds; numpy's
         # pairwise sum would round differently
         terms = np.concatenate(([0.0], n * table.entropy[table.ids]))
@@ -802,8 +680,8 @@ class SemanticOctree:
 
 def octree_from_grid(gmap: GridMap) -> SemanticOctree:
     """Copy a dense map into a fresh octree of the grid's extent, at its
-    resolution, in the least cube that holds it; the writes keep it
-    pruned."""
+    resolution, in the least cube that holds it, in one write of every
+    element, which keeps it pruned."""
     tree = SemanticOctree(
         element_size=gmap.resolution,
         max_depth=cube_depth(gmap.dims),
@@ -812,8 +690,12 @@ def octree_from_grid(gmap: GridMap) -> SemanticOctree:
         origin=gmap.origin,
         dims=gmap.dims,
     )
-    for cell in np.ndindex(gmap.dims):
-        tree.set_element(cell, gmap.cells[cell])
+    codes = morton(*np.indices(gmap.dims).reshape(3, -1))
+    order = np.argsort(codes)
+    id_of = tree._beliefs.id_of
+    new = [id_of(TruncatedSemantics.from_full(h))
+           for h in gmap.cells.reshape(-1, gmap.num_classes + 1)[order]]
+    tree._write(codes[order], tree._leaf_of(codes[order]), np.array(new, dtype=np.intp))
     return tree
 
 
@@ -843,23 +725,28 @@ _LEAF = [struct.Struct("<BB" + "Hd" * n + "d") for n in range(4)]
 def save_octree(tree: SemanticOctree, path) -> None:
     """Write a ``.ssmioct`` version 3 file: the header, then every node in
     preorder, an inner node as its child mask and a leaf as its mask plus
-    its belief in f64. Only reads the tree; the bytes depend on it alone."""
+    its belief in f64. The inner nodes are those a leaf opens: one for each
+    level above the leaf at which its start's trailing octal digits are
+    zero (the root counts for the leaf at code 0). Only reads the tree; the
+    bytes depend on its leaves alone."""
     parts = [
         OCTREE_MAGIC,
         _HEADER.pack(tree.element_size, tree.max_depth, tree.num_classes, *tree.origin,
                      *tree.dims),
         tree.prior.astype("<f8").tobytes(),
     ]
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        if node.children is not None:
-            parts.append(b"\xff")
-            stack.extend(reversed(node.children))
-            continue
-        sem = node.semantics
-        n = len(sem.data)
-        parts.append(_LEAF[n].pack(0, n, *[x for cv in sem.data for x in cv], sem.others))
+    leaves = tree.leaf_table()
+    starts = leaves.starts
+    aligned = _levels(np.where(starts > 0, starts & -starts, 1 << 3 * tree.max_depth)) // 3
+    records: dict[int, bytes] = {}
+    for opened, i in zip((aligned - _levels(leaves.sizes)).tolist(), leaves.ids.tolist()):
+        record = records.get(i)
+        if record is None:
+            sem = tree._beliefs.objects[i]
+            n = len(sem.data)
+            record = records[i] = _LEAF[n].pack(0, n, *[x for cv in sem.data for x in cv],
+                                                sem.others)
+        parts.append(b"\xff" * opened + record)
     with open(path, "wb") as fh:
         fh.write(b"".join(parts))
 
@@ -871,7 +758,8 @@ def load_octree(path) -> SemanticOctree:
     trailing bytes, or holds a header or node record the format does not
     allow (no class or more than ``MAX_CLASSES`` among them, an extent that
     is zero or larger than the cube), a NaN or infinite prior or tracked
-    value, or a NaN or +inf lump."""
+    value, or a NaN or +inf lump. The tree holds the leaves the file holds,
+    pruned or not."""
     with open(path, "rb") as fh:
         buf = fh.read()
     pos = 0
@@ -940,7 +828,13 @@ def load_octree(path) -> SemanticOctree:
             others=float(others),
         )
 
-    def read_node(depth: int) -> SemanticNode:
+    starts, sizes, ids = [], [], []
+    code = 0  # the start of the next leaf
+
+    def read_node(depth: int) -> None:
+        """Read a node at ``depth`` and the nodes under it, appending its
+        leaves in preorder."""
+        nonlocal code
         start = pos
         (mask,) = take("<B")
         if v1:
@@ -950,12 +844,19 @@ def load_octree(path) -> SemanticOctree:
         if mask and depth == max_depth:
             raise CorruptMap(f"{path}: tree deeper than max_depth {max_depth}")
         if not mask:
-            return SemanticNode(tree._beliefs.intern(read_belief()))
+            starts.append(code)
+            sizes.append(1 << max_depth - depth)
+            ids.append(tree._beliefs.id_of(read_belief()))
+            code += 1 << 3 * (max_depth - depth)
+            return
         if v1:
             read_belief()  # the inner-node summary
-        return SemanticNode(None, [read_node(depth + 1) for _ in range(8)])
+        for _ in range(8):
+            read_node(depth + 1)
 
-    tree.root = read_node(0)
+    read_node(0)
     if pos != len(buf):
         raise CorruptMap(f"{path}: {len(buf) - pos} trailing bytes")
+    ids = np.array(ids, dtype=np.intp)
+    tree._set_leaves(np.array(starts, dtype=np.int64), np.array(sizes, dtype=np.int64), ids, ids)
     return tree

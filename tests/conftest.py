@@ -13,7 +13,7 @@ from ssmi.errors import BadDims, EmptyRay, NoFrontiers, PoseInObstacle, Unreacha
 from ssmi.grid import BeamMeasurement, GridMap, Scan, SrleRay
 from ssmi.logodds import SensorParams
 from ssmi.mi import FanCast, fan_angles
-from ssmi.octree import LeafTable, SemanticNode, _exact_key, element_update, morton
+from ssmi.octree import LeafTable, _exact_key, element_update, morton
 from ssmi.planner import EIGHT_NEIGHBOURS, Frontier
 from ssmi.sim import run_episode
 
@@ -61,10 +61,23 @@ def scan_beams(scan: Scan) -> list[BeamMeasurement]:
             for d, r, y in zip(scan.directions, scan.ranges, scan.labels)]
 
 
-def iter_leaves(tree):
-    """(semantics, low corner, edge in elements) of every leaf of a tree in
-    preorder, which is Morton order."""
-    return tree._leaves(tree.root, (0, 0, 0), tree.size_elements)
+def tree_leaves(tree) -> list:
+    """(belief, low corner, edge in elements) of every leaf of a tree, read
+    from its leaf arrays, in preorder, which is Morton order; each corner
+    is its start's bits taken apart one by one."""
+    table, objects = tree.leaf_table(), tree._beliefs.objects
+    return [(objects[i], tuple(sum((start >> 3 * b + 2 - axis & 1) << b
+                                   for b in range(tree.max_depth)) for axis in range(3)), size)
+            for start, size, i in zip(table.starts.tolist(), table.sizes.tolist(),
+                                      table.ids.tolist())]
+
+
+def write_beliefs(tree, cells, sem) -> None:
+    """Give every element of ``cells`` the belief ``sem`` (any belief, also
+    one ``set_element`` cannot make from a full vector) in one write."""
+    codes = np.unique(morton(*np.array(cells, dtype=np.int64).reshape(-1, 3).T))
+    tree._write(codes, tree._leaf_of(codes),
+                np.full(codes.shape[0], tree._beliefs.id_of(sem), dtype=np.intp))
 
 
 def f_logratio_rows(phi: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -240,86 +253,78 @@ def beam_mi_srle_direct(ray: SrleRay, params: SensorParams) -> float:
     return total + p_pass * c_pass
 
 
-def write_element_reference(tree, cell, update) -> bool:
-    """An element writer that never collapses: one descent to the leaf
-    covering the element, and when ``update(belief)``, interned, is not
-    the object it holds, the leaf is expanded down to element resolution
-    and the new value stored. The leaf's node is recorded for the leaf
-    table. Returns whether the element changed."""
-    x, y, z = cell
-    node, bit = tree._descend(x, y, z)
-    current = node.semantics
-    new = tree._beliefs.intern(update(current))
-    if new is current:
-        return False
-    if tree._table is not None:
-        size = 1 << bit + 1
-        tree._dirty.add((x & -size, y & -size, z & -size, size))
-    while bit >= 0:
-        node.children = [SemanticNode(current) for _ in range(8)]
-        node.semantics = None
-        node = node.children[((x >> bit) & 1) << 2 | ((y >> bit) & 1) << 1 | ((z >> bit) & 1)]
-        bit -= 1
-    node.semantics = new
-    return True
+def element_beliefs(tree) -> np.ndarray:
+    """The belief of every element of a tree's cube, a dense object array
+    indexed by (x, y, z), filled block by block from its leaves."""
+    n = tree.size_elements
+    beliefs = np.empty((n, n, n), dtype=object)
+    for sem, (x, y, z), size in tree_leaves(tree):
+        beliefs[x:x + size, y:y + size, z:z + size] = sem
+    return beliefs
 
 
-def prune_paths_reference(tree, cells) -> int:
-    """Bottom-up over the inner nodes on the root paths of ``cells`` only,
-    collapse each whose 8 children are leaves holding one belief object:
-    enough when the tree was pruned before those elements were written.
-    Each collapsed node is recorded for the leaf table. Returns the number
-    of nodes collapsed."""
-    collapsed = []
-
-    def visit(node, bit, x, y, z, cells):
-        if node.children is None:
-            return
-        groups = {}
-        for cell in cells:
-            cx, cy, cz = cell
-            slot = ((cx >> bit) & 1) << 2 | ((cy >> bit) & 1) << 1 | ((cz >> bit) & 1)
-            groups.setdefault(slot, []).append(cell)
-        half = 1 << bit
-        for slot, group in groups.items():
-            visit(node.children[slot], bit - 1, x | (slot >> 2) * half,
-                  y | (slot >> 1 & 1) * half, z | (slot & 1) * half, group)
-        first = node.children[0].semantics
-        if all(c.children is None and c.semantics is first for c in node.children):
-            node.semantics = first
-            node.children = None
-            collapsed.append((x, y, z, 2 * half))
-
-    visit(tree.root, tree.max_depth - 1, 0, 0, 0, cells)
-    if tree._table is not None:
-        tree._dirty.update(collapsed)
-    return len(collapsed)
-
-
-def insert_scan_reference(tree, beams: Scan | list[BeamMeasurement], params: SensorParams):
-    """``SemanticOctree.insert_scan`` with one update per element, no memo
-    and no collapse on write, on a scan record's beams (``scan_beams``) or a
-    list of beams: each traversed element gets the free update
-    of its belief and each hit element the hit update, written in beam
-    order by ``write_element_reference``, then the paths to the changed
-    elements are pruned (``prune_paths_reference``). The reference the
-    memoized, collapsing scan is held to, bit for bit."""
+def scan_reference(tree, beliefs: np.ndarray, beams: Scan | list[BeamMeasurement],
+                   params: SensorParams) -> np.ndarray:
+    """A scan on a dense belief array of ``tree``'s cube, in place, one
+    element update at a time in scan order: on a scan record's beams
+    (``scan_beams``) or a list of beams, each element ``tree.cast_ray``
+    traverses gets the free update of its belief and each hit element the
+    hit update, beam by beam. No memo, no grouping and no interning."""
     if params.num_classes != tree.num_classes:
         raise ValueError("sensor parameters and tree disagree on K")
     update = element_update(params, tree.prior)
-    free = update(None)
-    changed = set()
     for beam in scan_beams(beams) if isinstance(beams, Scan) else beams:
         trace = tree.cast_ray(beam)
-        cells = trace.cells.tolist()
+        cells = [tuple(cell) for cell in trace.cells.tolist()]
         end = trace.hit_index if trace.hit_index is not None else len(cells)
         for cell in cells[:end]:
-            if write_element_reference(tree, cell, free):
-                changed.add(tuple(cell))
-        if trace.hit_index is not None and write_element_reference(
-                tree, cells[end], update(beam.category)):
-            changed.add(tuple(cells[end]))
-    prune_paths_reference(tree, changed)
+            beliefs[cell] = update(None)(beliefs[cell])
+        if trace.hit_index is not None:
+            beliefs[cells[end]] = update(beam.category)(beliefs[cells[end]])
+    return beliefs
+
+
+def pruned_leaves_reference(beliefs: np.ndarray) -> list:
+    """The unique pruned leaves of a dense cube of beliefs, in preorder:
+    (belief, low corner, edge) for each aligned block whose elements all
+    hold one belief bit for bit (``_exact_key``) while its parent's do
+    not, the belief being the block's first element's. Found by recursion
+    over the eight children of every block that is not uniform, in slot
+    order."""
+    index: dict = {}
+    keys = np.array([index.setdefault(_exact_key(sem), len(index)) for sem in beliefs.ravel()])
+    keys = keys.reshape(beliefs.shape)
+    leaves = []
+
+    def visit(x, y, z, size):
+        block = keys[x:x + size, y:y + size, z:z + size]
+        if (block == block[0, 0, 0]).all():
+            leaves.append((beliefs[x, y, z], (x, y, z), size))
+            return
+        half = size // 2
+        for slot in range(8):
+            visit(x + (slot >> 2) * half, y + (slot >> 1 & 1) * half, z + (slot & 1) * half, half)
+
+    visit(0, 0, 0, beliefs.shape[0])
+    return leaves
+
+
+def leaf_bits(leaves) -> list:
+    """Leaves (belief, corner, edge) with each belief as its bits."""
+    return [(_exact_key(sem), corner, size) for sem, corner, size in leaves]
+
+
+def insert_scan_reference(tree, beams: Scan | list[BeamMeasurement], params: SensorParams):
+    """``SemanticOctree.insert_scan`` on the dense references: the tree's
+    element beliefs (``element_beliefs``) take one update per element
+    update in scan order (``scan_reference``), and the tree's arrays are
+    replaced by their pruned leaves (``pruned_leaves_reference``), beliefs
+    interned. The reference the grouped, memoized scan and its split and
+    merge write are held to, bit for bit."""
+    leaves = pruned_leaves_reference(scan_reference(tree, element_beliefs(tree), beams, params))
+    ids = np.array([tree._beliefs.id_of(sem) for sem, _, _ in leaves], dtype=np.intp)
+    tree._set_leaves(morton(*np.array([corner for _, corner, _ in leaves]).T),
+                     np.array([size for _, _, size in leaves], dtype=np.int64), ids, ids)
     return tree
 
 
@@ -330,31 +335,20 @@ def off_prior(tree, sem) -> bool:
 
 
 def leaf_table_reference(tree) -> LeafTable:
-    """The leaf table of a tree by one walk over all its leaves: beliefs
-    numbered bit for bit (``_exact_key``), the prior first and the rest by
-    their first leaf in preorder, and every row computed from the belief,
-    ``observed`` where its bits are not the prior's. The full build a
-    patched table is held to."""
-    by_key, beliefs = {_exact_key(tree.prior_semantics): 0}, [tree.prior_semantics]
-    corners, sizes, ids = [], [], []
-    for sem, corner, size in iter_leaves(tree):
-        key = _exact_key(sem)
-        i = by_key.get(key)
-        if i is None:
-            i = by_key[key] = len(beliefs)
-            beliefs.append(sem)
-        corners.extend(corner)
-        sizes.append(size)
-        ids.append(i)
-    corners = np.array(corners, dtype=np.int64).reshape(-1, 3)
+    """The tree's leaf table with the rows of every id of its belief store
+    computed afresh from the belief: ``observed`` where its bits are not the
+    prior's, and ``labels`` the argmax of its ``to_full`` row. The
+    reference for the rows the store keeps (``_Beliefs.fill``)."""
+    table, beliefs = tree.leaf_table(), tree._beliefs.objects
+    full = np.array([sem.to_full(tree.num_classes) for sem in beliefs])
     return LeafTable(
-        starts=morton(*corners.T),
-        corners=corners,
-        sizes=np.array(sizes, dtype=np.int64),
-        ids=np.array(ids, dtype=np.intp),
-        full=np.array([sem.to_full(tree.num_classes) for sem in beliefs]),
+        starts=table.starts,
+        sizes=table.sizes,
+        ids=table.ids,
+        full=full,
         entropy=np.array([sem.entropy() for sem in beliefs]),
         observed=np.array([off_prior(tree, sem) for sem in beliefs], dtype=bool),
+        labels=np.array([int(np.argmax(row)) for row in full], dtype=np.intp),
     )
 
 

@@ -1,6 +1,7 @@
 """Semantic octree: element updates against the dense grid, truncated-belief
-bookkeeping, pruning, run-length ray casts, grid conversion, and every
-version of the file format."""
+bookkeeping, the leaf arrays against the pruned leaves of dense element
+beliefs, run-length ray casts, grid conversion, and every version of the
+file format."""
 
 import itertools
 import json
@@ -21,14 +22,13 @@ from hypothesis import strategies as st
 from ssmi import logodds as lo
 from ssmi.config import config_from_dict
 from ssmi.errors import CorruptMap, InvalidClass, OriginOutOfBounds
-from ssmi.grid import BeamMeasurement, GridMap, Scan
+from ssmi.grid import BeamMeasurement, GridMap, Scan, SrleRay
 from ssmi.logodds import SensorParams
 from ssmi.octree import (
     NEG_INF,
     OCTREE_MAGIC,
     OCTREE_MAGIC_V1,
     OCTREE_MAGIC_V2,
-    SemanticNode,
     SemanticOctree,
     TruncatedSemantics,
     _exact_key,
@@ -43,15 +43,20 @@ from ssmi.sim import run_episode
 from ssmi.mi import FanCast
 from conftest import (
     cast_fan,
+    element_beliefs,
     fan_beams,
     insert_scan_reference,
-    iter_leaves,
+    leaf_bits,
     leaf_table_reference,
     off_prior,
     planar_beam,
+    pruned_leaves_reference,
     scan_beams,
+    scan_reference,
     signed_zero_grid,
     stacked_casts,
+    tree_leaves,
+    write_beliefs,
 )
 
 
@@ -357,12 +362,48 @@ def test_lumped_episode_leaves_are_canonical():
         "run": {"max_steps": 6},
     })
     tree = run_episode(config).mapper
-    beliefs = {sem for sem, _, _ in iter_leaves(tree)}
+    beliefs = {sem for sem, _, _ in tree_leaves(tree)}
     assert any(len(sem.data) == 3 for sem in beliefs)
     assert all(sem.data == TruncatedSemantics._sorted(sem.data) for sem in beliefs)
 
 
+def test_lumped_labels_are_the_argmax_of_each_elements_full_belief():
+    """K = 5: the labels of ``labels_observed`` are, per element, the argmax
+    of its belief's ``to_full`` row, ties to the lowest class (the pivot,
+    class 0, included), on an episode's tree with elements written so that
+    classes tie, tracked with tracked and with the lump's even shares."""
+    config = config_from_dict({
+        "seed": 1,
+        "env": {"profile": "random", "dims": [16, 16], "num_classes": 5},
+        "sensor": {"num_beams": 24, "r_max": 8.0},
+        "planner": {"num_beams": 8, "beam_range": 8.0},
+        "mapper": {"type": "octree"},
+        "run": {"max_steps": 6},
+    })
+    tree = run_episode(config).mapper
+    ties = {(0, 0, 0): [0.0, 1.0, 1.0, -3.0, -3.0, -3.0],
+            (1, 0, 0): [0.0, -1.0, -1.0, 2.5, 2.5, -4.0],
+            (2, 0, 0): [0.0, 0.0, -1.0, 0.0, -1.0, -1.0],
+            (3, 0, 0): [0.0, -1.0, -2.0, -3.0, 4.0, 4.0],
+            (4, 0, 0): [0.0, 3.0, -2.0, -2.0, 3.0, 3.0]}
+    for cell, h in ties.items():
+        tree.set_element(cell, h)
+    beliefs = element_beliefs(tree)
+    labels, _ = tree.labels_observed()
+    want = np.vectorize(lambda sem: int(np.argmax(sem.to_full(5))))(beliefs[:16, :16, :1])
+    assert labels.tolist() == want.tolist()
+    assert [labels[cell] for cell in ties] == [1, 3, 0, 4, 1]
+    assert len(np.unique(labels)) == 6
+
+
 # -- insertion and pruning --------------------------------------------------------
+
+
+def assert_pruned(tree):
+    """The tree's leaves are the unique pruned leaves of its element
+    beliefs, bit for bit."""
+    pruned = pruned_leaves_reference(element_beliefs(tree))
+    assert leaf_bits(tree_leaves(tree)) == leaf_bits(pruned)
 
 
 def test_single_beam_fresh_tree(params3):
@@ -374,14 +415,13 @@ def test_single_beam_fresh_tree(params3):
         np.testing.assert_array_equal(tree.query_element((x, 3, 0)).to_full(3), want)
     # octants the beam never touched stay single prior leaves
     assert tree.query_element((3, 3, 12)) == tree.prior_semantics
-    upper = tree.root.children[1]  # octant z >= 8, x < 8, y < 8
-    assert upper.children is None
+    upper = tree._leaf_of(morton(0, 0, 8))  # octant z >= 8, x < 8, y < 8
+    assert tree_leaves(tree)[upper][1:] == ((0, 0, 8), 8)
 
 
 def test_empty_scan_is_noop(params3):
     tree = SemanticOctree(1.0, 3, 3)
     tree.insert_scan([], params3)
-    assert tree.root.children is None
     assert tree.num_leaves() == 1
 
 
@@ -427,49 +467,16 @@ def test_saturated_beam_prunes_to_minimal_blocks(params3):
     assert tree.num_leaves() == minimal_leaf_count(key)
 
 
-def test_prune_uniform_tree_to_root():
-    tree = SemanticOctree(1.0, 3, 3)
-    sem = tree.prior_semantics
-    tree.root.children = [type(tree.root)(sem) for _ in range(8)]
-    tree.prune()
-    assert tree.root.children is None
-
-
-def test_prune_requires_all_eight_identical():
-    tree = SemanticOctree(1.0, 1, 3)
-    sem = tree.prior_semantics
-    other = TruncatedSemantics.from_full(np.array([0.0, 1.0, 0.0, 0.0]))
-    tree.root.children = [type(tree.root)(sem) for _ in range(7)] + [type(tree.root)(other)]
-    tree.prune()
-    assert tree.root.children is not None
-
-
-def test_prune_idempotent_and_query_transparent(params3, rng):
-    tree = SemanticOctree(1.0, 5, 3)
-    for _ in range(30):
-        tree.insert_scan([random_beam(rng)], params3)
-    points = [tuple(rng.integers(0, 32, 3)) for _ in range(500)]
-    before = [tree.query_element(p) for p in points]
-    tree.prune()
-    after = [tree.query_element(p) for p in points]
-    assert before == after
-    leaves = tree.num_leaves()
-    tree.prune()
-    assert tree.num_leaves() == leaves
-
-
 @pytest.mark.parametrize("k,clamp_limit", [(3, 6.0), (5, 4.0)])
-def test_insert_scan_leaves_the_tree_pruned(tmp_path, k, clamp_limit):
-    """Each write of insert_scan collapses what it completes; a whole-tree
-    prune afterwards finds nothing left to collapse."""
+def test_insert_scan_leaves_the_tree_pruned(k, clamp_limit):
+    """Each write of insert_scan merges what it completes: after every scan
+    the leaves are the pruned leaves of the element beliefs."""
     params = SensorParams.default(k, clamp_limit=clamp_limit)
     tree = SemanticOctree(1.0, 5, k)
     rng = np.random.default_rng(7 + k)
     for _ in range(25):
         tree.insert_scan([random_beam(rng, k=k) for _ in range(int(rng.integers(1, 9)))], params)
-        before = saved_bytes(tree, tmp_path)
-        assert tree.prune() == 0
-        assert saved_bytes(tree, tmp_path) == before
+        assert_pruned(tree)
     assert tree.num_leaves() > 8
 
 
@@ -499,6 +506,7 @@ def test_srle_expansion_matches_element_queries(params3, rng):
     tree = SemanticOctree(1.0, 5, 3)
     for _ in range(25):
         tree.insert_scan([random_beam(rng)], params3)
+    beliefs = element_beliefs(tree)
     for _ in range(10):
         beam = random_beam(rng, r_max=25.0)
         trace = tree.cast_ray(beam)
@@ -506,8 +514,8 @@ def test_srle_expansion_matches_element_queries(params3, rng):
         assert ray.num_elements == len(trace.cells)
         expanded, _ = ray.expand()
         for idx, cell in enumerate(trace.cells):
-            want = tree.query_element(tuple(cell)).to_full(3)
-            np.testing.assert_array_equal(expanded[idx], want)
+            assert tree.query_element(tuple(cell)) is beliefs[tuple(cell)]
+            np.testing.assert_array_equal(expanded[idx], beliefs[tuple(cell)].to_full(3))
 
 
 def test_doubling_depth_keeps_fresh_q_one():
@@ -523,15 +531,15 @@ def test_doubling_depth_keeps_fresh_q_one():
 SIGNED = st.sampled_from([0.0, -0.0, 1.5, -2.0])
 
 
+def block_cells(corner, size):
+    return list(itertools.product(*(range(c, c + size) for c in corner)))
+
+
 def paint(tree, blocks):
-    """Write each (corner, size, belief) block element by element, the block
-    sharing one fresh copy of the belief (equal to the palette entry, not
-    the same object), then prune the whole tree."""
+    """Write each (corner, size, belief) block in one write, of a fresh copy
+    of the belief (equal to the palette entry, not the same object)."""
     for corner, size, sem in blocks:
-        copy = TruncatedSemantics(sem.data, sem.others)
-        for cell in itertools.product(*(range(c, c + size) for c in corner)):
-            tree._write_element(cell, lambda _: copy)
-    tree.prune()
+        write_beliefs(tree, block_cells(corner, size), TruncatedSemantics(sem.data, sem.others))
     return tree
 
 
@@ -577,8 +585,8 @@ def leaf_table_case(draw):
 
 
 def _signed_zero_leaf_case():
-    """A ray in -x meets an element holding -0.0 first; the preorder walk
-    meets the equal +0.0 belief first (at x = 0)."""
+    """A ray in -x meets an element holding -0.0 first; preorder meets the
+    equal +0.0 belief first (at x = 0)."""
     tree = SemanticOctree(1.0, 2, 3)
     plus = TruncatedSemantics(((1, 1.5), (2, 0.0), (3, -2.0)), NEG_INF)
     minus = TruncatedSemantics(((1, 1.5), (2, -0.0), (3, -2.0)), NEG_INF)
@@ -587,20 +595,46 @@ def _signed_zero_leaf_case():
     return tree, [beam], [((0, 0, 0), (4, 2, 3)), ((1, 1, 1), (1, 4, 4)), ((0, 0, 0), (4, 4, 4))]
 
 
+def runs_reference(beliefs, cells, prior):
+    """The runs along ``cells`` by a loop over their elements' beliefs (a
+    dense array, ``element_beliefs``): one per stretch of bit-equal beliefs,
+    holding its first element's; None for no cell."""
+    widths, values = [], []
+    for cell in cells.tolist():
+        sem = beliefs[tuple(cell)]
+        if values and _exact_key(values[-1]) == _exact_key(sem):
+            widths[-1] += 1
+        else:
+            values.append(sem)
+            widths.append(1)
+    if not values:
+        return None
+    chi_t = np.stack([v.to_full(prior.shape[0] - 1) for v in values])
+    return SrleRay(widths=np.array(widths), chi_t=chi_t, chi_0=np.broadcast_to(prior, chi_t.shape))
+
+
 @given(case=leaf_table_case())
 @example(case=_signed_zero_leaf_case())
 @settings(max_examples=150, deadline=None)
 def test_leaf_table_reads_equal_the_element_loop(case):
-    """The batch reads served from the leaf table against one root descent
-    per element: ``encode_traces`` against the stacked ``encode_trace`` runs
-    (widths, and chi bytes, so signed zeros count), ``labels_observed``
-    against each element's belief, ``map_state`` against ``leaf_sums`` bit
-    for bit."""
+    """The reads served from the leaf arrays against a loop over the
+    elements' beliefs, filled block by block from the leaves:
+    ``encode_traces`` and each beam's ``encode_trace`` against the stacked
+    ``runs_reference`` (widths, and chi bytes, so signed zeros count),
+    ``query_element`` and ``labels_observed`` against each element's
+    belief, ``map_state`` against ``leaf_sums`` bit for bit."""
     tree, beams, boxes = case
     k = tree.num_classes
+    beliefs = element_beliefs(tree)
     traces = [tree.cast_ray(beam) for beam in beams]
     runs, counts = tree.encode_traces(*stacked_casts(traces))
-    want = [tree.encode_trace(trace.cells[1:]) for trace in traces]
+    want = [runs_reference(beliefs, trace.cells[1:], tree.prior) for trace in traces]
+    for trace, ray in zip(traces, want):
+        got = tree.encode_trace(trace.cells[1:])
+        assert (got is None) == (ray is None)
+        if ray is not None:
+            assert got.widths.tolist() == ray.widths.tolist()
+            assert got.chi_t.tobytes() == ray.chi_t.tobytes()
     assert counts == [0 if ray is None else ray.num_runs for ray in want]
     want = [ray for ray in want if ray is not None]
     if not want:
@@ -613,7 +647,9 @@ def test_leaf_table_reads_equal_the_element_loop(case):
         labels, observed = tree.labels_observed(box)
         assert labels.shape == observed.shape == tuple(hi - lo for lo, hi in zip(*box))
         for rel in np.ndindex(labels.shape):
-            sem = tree.query_element(tuple(lo + r for lo, r in zip(box[0], rel)))
+            cell = tuple(lo + r for lo, r in zip(box[0], rel))
+            sem = beliefs[cell]
+            assert tree.query_element(cell) is sem
             assert labels[rel] == np.argmax(sem.to_full(k))
             assert observed[rel] == off_prior(tree, sem)
         assert tree.map_state(box) == leaf_sums(tree, box)
@@ -624,8 +660,8 @@ def test_signed_zero_case_keeps_the_first_elements_bits():
     """Beliefs equal under ``==`` but not in their bits make two runs, and
     every element keeps its own bits: x = 2 and 1 hold -0.0, x = 0 +0.0."""
     tree, beams, _ = _signed_zero_leaf_case()
-    first = next(sem for sem, _, _ in iter_leaves(tree) if sem.data[0] == (1, 1.5))
-    assert math.copysign(1.0, first.data[1][1]) == 1.0  # the walk meets +0.0 first
+    first = next(sem for sem, _, _ in tree_leaves(tree) if sem.data[0] == (1, 1.5))
+    assert math.copysign(1.0, first.data[1][1]) == 1.0  # preorder meets +0.0 first
     runs, counts = tree.encode_traces(*stacked_casts([tree.cast_ray(beams[0])]))
     assert counts == [2] and runs.widths.tolist() == [2, 1]
     assert [math.copysign(1.0, v) for v in runs.chi_t[:, 2]] == [-1.0, 1.0]
@@ -767,18 +803,6 @@ def test_fan_cast_from_a_pose_checks_what_its_beams_check():
             BeamMeasurement([1.5, 1.5, 0.5], bad, 1.0, None, 1.0)
 
 
-def table_builds(caplog, tree):
-    """The leaf table builds logged so far; each line's leaf count is
-    checked against the tree as it is now, so call after every read."""
-    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("leaf table")]
-    for line in lines:
-        assert re.fullmatch(r"leaf table: \d+ leaves, \d+ beliefs, "
-                            r"\d+ leaves walked, \d+\.\d{3} ms", line)
-    if lines:
-        assert lines[-1].split()[2] == str(tree.num_leaves())
-    return len(lines)
-
-
 def read_all(tree, beam):
     """The three batch reads of a planning cycle."""
     tree.labels_observed(((0, 0, 0), tree.dims))
@@ -786,74 +810,65 @@ def read_all(tree, beam):
     tree.encode_traces(*stacked_casts([tree.cast_ray(beam)]))
 
 
-def test_leaf_table_is_rebuilt_only_after_the_tree_changes(params3, caplog, tmp_path):
-    """One build serves every read until an element write, a collapsing
-    prune or a new root; a scan that changes no element keeps the table,
-    and the write that completes a block collapses it."""
+def test_leaf_table_is_made_again_only_after_the_tree_changes(params3, caplog, tmp_path):
+    """One table serves every read until a write changes an element; a scan
+    that changes no element, or a ``set_element`` of the value held, keeps
+    it, and the write that completes a block merges it. Every write logs
+    one line with the leaves it leaves and the beliefs stored."""
     tree = SemanticOctree(1.0, 3, 3)
     beam = planar_beam((0.0, 3.5), 0.0, 5.5, 2, 8.0, z=3.5)
+
+    def revision():
+        """The table of every read since the last call, after checking the
+        last write's line against the tree."""
+        table = tree.leaf_table()
+        read_all(tree, beam)
+        assert tree.leaf_table() is table
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("leaf table")]
+        if lines:
+            assert re.fullmatch(r"leaf table: \d+ leaves, \d+ beliefs, \d+ leaves split, "
+                                r"\d+ merged, \d+\.\d{3} ms", lines[-1])
+            assert lines[-1].split()[2:5:2] == [str(tree.num_leaves()), str(len(tree._beliefs))]
+        return table
+
     with caplog.at_level(logging.DEBUG, logger="ssmi.octree"):
-        read_all(tree, beam)
-        read_all(tree, beam)
-        assert table_builds(caplog, tree) == 1
+        table = revision()
         tree.insert_scan([beam], params3)
-        read_all(tree, beam)
-        assert table_builds(caplog, tree) == 2
+        assert revision() is not table
         for _ in range(40):  # until the clamp stops every element changing
-            caplog.clear()
+            table = revision()
             tree.insert_scan([beam], params3)
-            read_all(tree, beam)
-            if ", 0 changed," in caplog.records[0].getMessage():
+            if revision() is table:
                 break
-        assert table_builds(caplog, tree) == 0
-        caplog.clear()
+        assert ", 0 changed," in caplog.records[-2].getMessage()
         tree.set_element((6, 6, 6), tree.prior)  # the value it holds
-        read_all(tree, beam)
-        assert table_builds(caplog, tree) == 0
+        assert revision() is table
         h = np.array([0.0, 2.0, -1.0, -1.0])
         for cell in itertools.product((6, 7), repeat=3):
             tree.set_element(cell, h)
-            read_all(tree, beam)
-        assert table_builds(caplog, tree) == 8
-        node, bit = tree._descend(6, 6, 6, 2)  # the eighth write collapsed the block
-        assert node.children is None and bit == 0
-        leaves = tree.num_leaves()
-        # split by hand, which records nothing; the prune that collapses it
-        # again does, so the table is patched back to the same leaves
-        node.children, node.semantics = [SemanticNode(node.semantics) for _ in range(8)], None
-        assert tree.prune() == 1
-        read_all(tree, beam)
-        assert table_builds(caplog, tree) == 9
-        assert tree.num_leaves() == leaves
-        assert tree.prune() == 0
-        read_all(tree, beam)
-        assert table_builds(caplog, tree) == 9
+            assert revision() is not table
+            table = revision()
+        assert caplog.records[-1].getMessage().split(", ")[2:4] == ["0 leaves split", "1 merged"]
+        merged = tree._leaf_of(morton(6, 6, 6))
+        assert tree_leaves(tree)[merged][1:] == ((6, 6, 6), 2)
+        assert_pruned(tree)
         save_octree(tree, tmp_path / "t.ssmioct")
         back = load_octree(tmp_path / "t.ssmioct")
-        read_all(back, beam)
-        assert table_builds(caplog, back) == 10
-        tree.root = SemanticNode(tree.prior_semantics)
-        read_all(tree, beam)
-        assert table_builds(caplog, tree) == 11
-        assert tree.map_state() == leaf_sums(tree, ((0, 0, 0), tree.dims))
+        for name in ("starts", "sizes"):
+            assert (getattr(back.leaf_table(), name).tobytes()
+                    == getattr(tree.leaf_table(), name).tobytes())
+        assert back.map_state() == tree.map_state() == leaf_sums(tree, ((0, 0, 0), tree.dims))
 
 
 def assert_table_is_the_reference(tree):
-    """The tree's leaf table against a walk over all its leaves: the same
-    leaves (starts, corners, sizes), each leaf's row bit for bit, and the
-    same classes of bit-equal beliefs, whichever ids stand for them."""
+    """The rows of the tree's leaf table against rows computed afresh from
+    each leaf's belief, bit for bit, and one id for each class of
+    bit-equal beliefs on the leaves."""
     got, want = tree.leaf_table(), leaf_table_reference(tree)
-    for name in ("starts", "corners", "sizes"):
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-    for name in ("full", "entropy", "observed"):
-        assert (getattr(got, name)[got.ids].tobytes()
-                == getattr(want, name)[want.ids].tobytes()), name
-
-    def classes(table):  # per leaf, the first leaf holding its belief
-        _, first, inverse = np.unique(table.ids, return_index=True, return_inverse=True)
-        return first[inverse]
-
-    assert classes(got).tolist() == classes(want).tolist()
+    for name in ("full", "entropy", "observed", "labels"):
+        got_rows, want_rows = getattr(got, name)[got.ids], getattr(want, name)[got.ids]
+        assert got_rows.tobytes() == want_rows.tobytes(), name
+    assert_one_object_per_value(tree)
 
 
 def scan_beam(draw, n, k):
@@ -869,11 +884,11 @@ def scan_beam(draw, n, k):
 
 
 @st.composite
-def table_history(draw):
-    """A tree of depth 2-4 at K = 3 or 5 and the changes made to it, each
+def write_history(draw):
+    """A tree of depth 2-4 at K = 3 or 5 and the writes made to it, each
     followed or not by a table read: scans (a low clamp saturates cells, so
-    paths prune), ``set_element`` and block writes of beliefs holding both
-    signed zeros, whole-tree prunes, a new root, a save and load."""
+    blocks merge), ``set_element`` and block writes (one write of many
+    elements) of beliefs holding both signed zeros, and save and load."""
     k = draw(st.sampled_from([3, 5]), label="k")
     depth = draw(st.integers(2, 4), label="depth")
     n = 1 << depth
@@ -881,13 +896,13 @@ def table_history(draw):
     cell = st.tuples(*[st.integers(0, n - 1)] * 3)
     steps = []
     for _ in range(draw(st.integers(1, 8))):
-        kind = draw(st.sampled_from(["scan", "scan", "set", "block", "prune", "root", "load"]))
+        kind = draw(st.sampled_from(["scan", "scan", "set", "block", "load"]))
         if kind == "scan":
             arg = [scan_beam(draw, n, k) for _ in range(draw(st.integers(1, 6)))]
         elif kind == "set":
             arg = (draw(cell), np.array([0.0] + [draw(SIGNED) for _ in range(k)]))
         elif kind == "block":
-            size = 1 << draw(st.integers(0, depth - 1))
+            size = 1 << draw(st.integers(0, depth))
             classes = draw(st.permutations(range(1, k + 1)))[:3]
             sem = TruncatedSemantics(TruncatedSemantics._sorted((c, draw(SIGNED)) for c in classes),
                                      draw(SIGNED) if k > 3 else NEG_INF)
@@ -898,71 +913,50 @@ def table_history(draw):
     return SemanticOctree(1.0, depth, k), params, steps
 
 
-@given(case=table_history())
-@settings(max_examples=120, deadline=None)
-def test_patched_leaf_table_equals_a_full_build(case, tmp_path_factory):
-    """Reads after element writes and pruning collapses patch the table;
-    after every read, and at the end, it equals a walk over all the leaves."""
+@given(case=write_history())
+@settings(max_examples=150, deadline=None)
+def test_the_arrays_are_the_pruned_leaves_of_the_element_beliefs(case, tmp_path_factory):
+    """Beside a dense array of element beliefs that takes one update per
+    element update in scan order (``scan_reference``) and every element
+    write, after every write and every load the tree's arrays are the
+    array's pruned leaves (``pruned_leaves_reference``) bit for bit, each
+    starting at the Morton code of its corner; after every read, and at
+    the end, the table's rows are those computed afresh."""
     tree, params, steps = case
+    beliefs = element_beliefs(tree)
     for kind, arg, read in steps:
         if kind == "scan":
             tree.insert_scan(arg, params)
+            scan_reference(tree, beliefs, arg, params)
         elif kind == "set":
             tree.set_element(*arg)
+            beliefs[arg[0]] = TruncatedSemantics.from_full(arg[1])
         elif kind == "block":
             corner, size, sem = arg
-            for cell in itertools.product(*(range(c, c + size) for c in corner)):
-                tree._write_element(cell, lambda _: sem)
-        elif kind == "prune":
-            tree.prune()
-        elif kind == "root":
-            tree.root = SemanticNode(tree.prior_semantics)
+            write_beliefs(tree, block_cells(corner, size), sem)
+            beliefs[tuple(slice(c, c + size) for c in corner)] = sem
         else:
             path = tmp_path_factory.mktemp("load") / "t.ssmioct"
             save_octree(tree, path)
             tree = load_octree(path)
+        assert leaf_bits(tree_leaves(tree)) == leaf_bits(pruned_leaves_reference(beliefs))
         if read:
             assert_table_is_the_reference(tree)
     assert_table_is_the_reference(tree)
 
 
-@st.composite
-def write_history(draw):
-    """A fresh tree of depth 2-3 at K = 3 or 5 and a mix of scans (a low
-    clamp saturates cells) and ``set_element`` writes, of one element or of
-    every element of an aligned block in turn, from a palette of beliefs
-    holding both signed zeros."""
-    k = draw(st.sampled_from([3, 5]), label="k")
-    depth = draw(st.integers(2, 3), label="depth")
-    n = 1 << depth
-    params = SensorParams.default(k, clamp_limit=draw(st.sampled_from([1.0, 2.5, 6.0])))
-    palette = [np.array([0.0] + [draw(SIGNED) for _ in range(k)])
-               for _ in range(draw(st.integers(1, 3)))]
-    steps = []
-    for _ in range(draw(st.integers(1, 8))):
-        if draw(st.booleans()):
-            steps.append([scan_beam(draw, n, k) for _ in range(draw(st.integers(1, 6)))])
-        else:
-            size = 1 << draw(st.integers(0, depth))
-            corner = [draw(st.integers(0, n // size - 1)) * size for _ in range(3)]
-            steps.append((corner, size, draw(st.sampled_from(palette))))
-    return SemanticOctree(1.0, depth, k), params, steps
-
-
-@given(case=write_history())
-@settings(max_examples=100, deadline=None)
-def test_writes_keep_a_pruned_tree_pruned(case):
-    """After every scan and every run of ``set_element`` writes, a
-    whole-tree prune finds nothing left to collapse."""
-    tree, params, steps = case
-    for step in steps:
-        if isinstance(step, list):
-            tree.insert_scan(step, params)
-        else:
-            corner, size, h = step
-            for cell in itertools.product(*(range(c, c + size) for c in corner)):
-                tree.set_element(cell, h)
-        assert tree.prune() == 0
+def test_set_element_refuses_a_cell_outside_the_world():
+    """A cell outside the world (past the cube, or inside the cube but past
+    the world's extent, or not three coordinates) is refused and leaves
+    the tree as it was."""
+    tree = SemanticOctree(1.0, 3, 3, dims=(8, 8, 4))
+    h = [0.0, 1.0, 0.0, 0.0]
+    for cell in ((8, 0, 0), (0, 0, 4), (-1, 0, 0), (0, 0)):
+        with pytest.raises(ValueError, match="outside the world"):
+            tree.set_element(cell, h)
+    assert tree.num_leaves() == 1
+    tree.set_element((7, 7, 3), h)
+    assert tree.query_element((7, 7, 3)).data[0] == (1, 1.0)
 
 
 def test_the_prior_is_id_0_of_the_store_for_the_trees_life():
@@ -972,8 +966,7 @@ def test_the_prior_is_id_0_of_the_store_for_the_trees_life():
     tree = SemanticOctree(1.0, 1, 3)
     for cell in itertools.product(range(2), repeat=3):
         tree.set_element(cell, [0.0, 1.0, 0.0, 0.0])
-    assert tree.root.children is None
-    assert tree.leaf_table().ids.tolist() == [1]  # no leaf holds the prior
+    assert tree.leaf_table().ids.tolist() == [1]  # one leaf, and it does not hold the prior
     tree.set_element((0, 0, 0), tree.prior.copy())
     assert tree.query_element((0, 0, 0)) is tree.prior_semantics
     assert tree.leaf_table().ids.tolist() == [0] + [1] * 7
@@ -992,8 +985,8 @@ def overwriting_scans(tree, rng, scans: int):
 
 
 def test_a_beliefs_id_and_rows_stay_through_later_scans_and_reads():
-    """The store keeps every belief it interned: through later scans,
-    patches and reads, each id a table gave a leaf stands for that leaf's
+    """The store keeps every belief it interned: through later scans and
+    reads, each id a table gave a leaf stands for that leaf's
     belief, and every later table gives the id the rows the first one did.
     Most of those beliefs end up held by no leaf; written back, each gets
     its old id again."""
@@ -1004,7 +997,7 @@ def test_a_beliefs_id_and_rows_stay_through_later_scans_and_reads():
         return tuple(a[i : i + 1].tobytes() for a in (table.full, table.entropy, table.observed))
 
     for table in overwriting_scans(tree, np.random.default_rng(11), 30):
-        for (sem, _, _), i in zip(iter_leaves(tree), table.ids.tolist()):
+        for (sem, _, _), i in zip(tree_leaves(tree), table.ids.tolist()):
             assert first.setdefault(i, (sem, rows(table, i)))[0] is sem
         assert all(rows(table, i) == want for i, (_, want) in first.items())
     held = set(tree.leaf_table().ids.tolist())
@@ -1017,10 +1010,10 @@ def test_a_beliefs_id_and_rows_stay_through_later_scans_and_reads():
         assert table.element_ids(origin).tolist() == [i] and rows(table, i) == first[i][1]
 
 
-def test_loaded_and_patched_tables_are_the_reference(tmp_path):
-    """A loaded tree's first table and the patched tables of a tree whose
-    scans keep overwriting the beliefs they store equal a walk over all
-    the leaves, classes of bit-equal beliefs included."""
+def test_loaded_and_scanned_tables_are_the_reference(tmp_path):
+    """A loaded tree's first table and the tables of a tree whose scans keep
+    overwriting the beliefs they store have the rows computed afresh,
+    classes of bit-equal beliefs included."""
     tree = SemanticOctree(1.0, 2, 3)
     for _ in overwriting_scans(tree, np.random.default_rng(11), 30):
         assert_table_is_the_reference(tree)
@@ -1073,9 +1066,11 @@ def memo_scan_case(draw):
 @given(case=memo_scan_case())
 @settings(max_examples=200, deadline=None)
 def test_memoized_scan_is_the_per_element_loop_bit_for_bit(case, tmp_path_factory):
-    """``insert_scan`` against ``insert_scan_reference`` on two copies of a
-    painted tree: after every scan the saved bytes are equal, and so every
-    element's bits, signed zeros and ties at a bound included."""
+    """``insert_scan`` against ``insert_scan_reference`` (one update per
+    element update on dense beliefs, then their pruned leaves) on two
+    copies of a painted tree: after every scan the saved bytes are equal,
+    and so every element's bits, signed zeros and ties at a bound
+    included."""
     k, depth, prior, blocks, params, scans = case
     trees = [SemanticOctree(1.0, depth, k, prior=prior) for _ in range(2)]
     for tree in trees:
@@ -1113,15 +1108,15 @@ def sensor_scan_case(draw):
 @given(case=sensor_scan_case())
 @settings(max_examples=100, deadline=None)
 def test_grouped_scan_is_the_per_update_writer_bit_for_bit(case, tmp_path_factory):
-    """``insert_scan``, one write per element with its updates chained in
-    scan order, against ``insert_scan_reference``, one write per update, on
-    sensor-like scans: after every scan the saved bytes are equal, and the
-    leaf table, brought up to date by a patch, is the full walk's."""
+    """``insert_scan``, one chain per element with its updates in scan order
+    and one write, against ``insert_scan_reference``, one update at a time,
+    on sensor-like scans: after every scan the saved bytes are equal, and
+    the leaf table's rows are those computed afresh."""
     k, depth, prior, blocks, params, scans = case
     trees = [SemanticOctree(1.0, depth, k, prior=prior) for _ in range(2)]
     for tree in trees:
         paint(tree, blocks)
-    trees[0].leaf_table()  # so each scan records what the next read patches
+    trees[0].leaf_table()  # a table of the painted tree, held across the scans
     path = tmp_path_factory.mktemp("grouped")
     for scan in scans:
         trees[0].insert_scan(scan, params)
@@ -1153,8 +1148,8 @@ def test_a_sensed_scan_record_is_the_per_update_writer_bit_for_bit(case, tmp_pat
 def test_an_element_whose_chain_ends_where_it_began_is_not_written(params3, caplog):
     """A saturated free element that one beam of a scan hits and two later
     beams cross ends the scan as it began: the grouped scan leaves it
-    alone (no write, no expansion) where the per-update writer expanded
-    its leaf and the prune collapsed it again; both leave the same tree."""
+    alone (no write, no split), and the tree is the one the per-update
+    reference gives."""
     trees = [SemanticOctree(1.0, 3, 3) for _ in range(2)]
     free = [planar_beam((0.5, 0.5), 0.0, 8.0, None, 8.0)]
     for tree in trees:
@@ -1170,21 +1165,21 @@ def test_an_element_whose_chain_ends_where_it_began_is_not_written(params3, capl
     assert leaves(trees[0]) == leaves(trees[1])
     (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("insert_scan")]
     # 20 updates of 8 elements, 4 distinct (update, belief) pairs
-    assert line == ("insert_scan: 3 beams, 20 elements visited, 0 changed, 0 nodes collapsed, "
-                    "16 memo hits, 8 no-op writes")
+    assert line == ("insert_scan: 3 beams, 20 elements visited, 0 changed, 16 memo hits, "
+                    "8 no-op writes")
 
 
 def assert_one_object_per_value(tree):
     objects: dict = {}
-    for sem, _, _ in iter_leaves(tree):
-        objects.setdefault(_exact_key(sem), set()).add(id(sem))
-    assert all(len(ids) == 1 for ids in objects.values())
+    for (sem, _, _), i in zip(tree_leaves(tree), tree.leaf_table().ids.tolist()):
+        objects.setdefault(_exact_key(sem), set()).add((id(sem), i))
+    assert all(len(held) == 1 for held in objects.values())
     return len(objects)
 
 
 def test_tree_holds_one_object_per_exact_belief(a7_octree_tree, params3, rng, tmp_path):
-    """Writes, prunes and loads intern what they store: leaves equal bit for
-    bit are one object, while the two signed zeros stay two."""
+    """Writes and loads intern what they store: leaves equal bit for bit are
+    one object and one id, while the two signed zeros stay two."""
     assert assert_one_object_per_value(a7_octree_tree) > 1
     tree = SemanticOctree(1.0, 4, 3)
     for _ in range(20):
@@ -1201,8 +1196,8 @@ def test_tree_holds_one_object_per_exact_belief(a7_octree_tree, params3, rng, tm
 
 
 def test_concurrent_reads_after_a_scan_all_see_the_scanned_tree(params3):
-    """Readers racing to bring the table up to date after a scan, more of
-    them than cores and switching often, each read the scanned tree."""
+    """Readers of a scan's revision, more of them than cores and switching
+    often, each read the scanned tree."""
     rng = np.random.default_rng(5)
     tree = SemanticOctree(1.0, 4, 3)
     tree.leaf_table()
@@ -1226,7 +1221,8 @@ def test_concurrent_reads_after_a_scan_all_see_the_scanned_tree(params3):
 
 def test_a7_octree_episode_is_byte_identical_on_the_references(tmp_path, monkeypatch):
     """World 0 of the A7 config on the octree writes the same bytes with the
-    per-element scan and a leaf table walked in full on every read."""
+    dense per-update scan (``insert_scan_reference``) and a leaf table whose
+    rows are computed afresh on every read."""
     from ssmi import cli
 
     config = tmp_path / "a7.json"
@@ -1238,8 +1234,14 @@ def test_a7_octree_episode_is_byte_identical_on_the_references(tmp_path, monkeyp
             "metrics.csv", "plans.txt", "summary.json", "final_map.ssmioct", "env_truth.ssmigrid")}
 
     fast = explore(tmp_path / "fast")
+    set_leaves = SemanticOctree._set_leaves
+
+    def set_leaves_reference(tree, starts, sizes, ids, fresh):
+        set_leaves(tree, starts, sizes, ids, fresh[:0])  # fills no row
+        tree._leaves = leaf_table_reference(tree)
+
     monkeypatch.setattr(SemanticOctree, "insert_scan", insert_scan_reference)
-    monkeypatch.setattr(SemanticOctree, "leaf_table", leaf_table_reference)
+    monkeypatch.setattr(SemanticOctree, "_set_leaves", set_leaves_reference)
     assert explore(tmp_path / "reference") == fast
 
 
@@ -1266,7 +1268,7 @@ def leaf_sums(tree, box):
     preorder with each belief's entropy computed afresh."""
     entropy = 0.0
     seen = total = 0
-    for sem, low, size in iter_leaves(tree):
+    for sem, low, size in tree_leaves(tree):
         n = 1
         for i in range(3):
             n *= max(0, min(low[i] + size, box[1][i]) - max(low[i], box[0][i]))
@@ -1441,7 +1443,7 @@ def saved_bytes(tree, tmp_path, name="t.ssmioct"):
 
 
 def leaves(tree):
-    return list(iter_leaves(tree))
+    return leaf_bits(tree_leaves(tree))
 
 
 def test_octree_serialization_roundtrip(tmp_path, params3, rng):
@@ -1486,7 +1488,7 @@ def test_signed_zero_grid_round_trip_keeps_every_cells_bits():
     back = grid_from_octree(tree)
     assert back.cells.tobytes() == gmap.cells.tobytes()
     assert back.observed.tobytes() == gmap.observed.tobytes()
-    assert tree.prune() == 0
+    assert_pruned(tree)
 
 
 def test_tied_pairs_keep_their_saved_order(tmp_path):
@@ -1496,26 +1498,26 @@ def test_tied_pairs_keep_their_saved_order(tmp_path):
     tree = SemanticOctree(1.0, 2, 5)
     tied = TruncatedSemantics(data=((5, 4.0), (3, 4.0), (1, 2.87)), others=3.5)
     assert TruncatedSemantics._sorted(tied.data) != tied.data
-    tree._write_element((1, 2, 3), lambda _: tied)
+    write_beliefs(tree, [(1, 2, 3)], tied)
     path = tmp_path / "t.ssmioct"
     save_octree(tree, path)
     assert load_octree(path).query_element((1, 2, 3)) == tied
 
 
 def test_save_octree_leaves_tree_unchanged(params3, rng, tmp_path):
-    """Saving only reads the tree; an inner node holds no belief before or
-    after."""
+    """Saving only reads the tree: its arrays and beliefs are as before."""
 
-    def structure(node):
-        kids = node.children
-        return node.semantics, None if kids is None else tuple(structure(c) for c in kids)
+    def state(tree):
+        table = tree.leaf_table()
+        return ([a.tobytes() for a in (table.starts, table.sizes, table.ids)],
+                list(tree._beliefs.objects))
 
     tree = SemanticOctree(1.0, 4, 3)
     tree.insert_scan([random_beam(rng, 1.0, 15.0, r_max=10.0) for _ in range(10)], params3)
-    assert tree.root.children is not None and tree.root.semantics is None
-    before = structure(tree.root)
+    assert tree.num_leaves() > 1
+    before = state(tree)
     save_octree(tree, tmp_path / "t.ssmioct")
-    assert structure(tree.root) == before
+    assert state(tree) == before
 
 
 def scanned_tree(k, clamp_limit, scans=12):
@@ -1591,7 +1593,7 @@ def test_v1_file_loads_to_the_leaves_it_held(tmp_path, name):
     assert [float(v).hex() for v in tree.prior] == want["prior"]
     got = [
         [list(low), size, [[c, v.hex()] for c, v in sem.data], sem.others.hex()]
-        for sem, low, size in iter_leaves(tree)
+        for sem, low, size in tree_leaves(tree)
     ]
     assert got == want["leaves"]
     assert saved_bytes(tree, tmp_path)[:8] == OCTREE_MAGIC
@@ -1599,20 +1601,24 @@ def test_v1_file_loads_to_the_leaves_it_held(tmp_path, name):
 
 
 def grid_from_octree_reference(tree):
-    """One root descent per element of the tree's world."""
+    """Each element of the tree's world from its dense element beliefs."""
     gmap = GridMap(tree.dims, tree.element_size, tree.num_classes, tree.prior, tree.origin)
+    beliefs = element_beliefs(tree)
     for i, j, k in np.ndindex(gmap.dims):
-        sem = tree.query_element((i, j, k))
+        sem = beliefs[i, j, k]
         gmap.cells[i, j, k] = sem.to_full(tree.num_classes)
         gmap.observed[i, j, k] = off_prior(tree, sem)
     return gmap
 
 
 def with_dims(tree, dims):
-    """A tree over the nodes of ``tree`` whose world is ``dims`` elements."""
+    """A tree over the leaves and beliefs of ``tree`` whose world is ``dims``
+    elements."""
     out = SemanticOctree(tree.element_size, tree.max_depth, tree.num_classes, tree.prior,
                          tree.origin, dims)
-    out.root = tree.root
+    out._beliefs, out.prior_semantics = tree._beliefs, tree.prior_semantics
+    table = tree.leaf_table()
+    out._set_leaves(table.starts, table.sizes, table.ids, table.ids)
     return out
 
 
@@ -1811,4 +1817,7 @@ def test_loader_fuzz_truncation_and_bit_flips(tmp_path_factory, saved_tree_bytes
         tree = load_octree(path)
     except CorruptMap:
         return
-    assert isinstance(tree.root, SemanticNode)
+    # the leaves tile the cube in Morton order
+    table = tree.leaf_table()
+    ends = np.append(table.starts[1:], 8 ** tree.max_depth)
+    assert table.starts[0] == 0 and (ends - table.starts == table.sizes ** 3).all()

@@ -392,12 +392,14 @@ def test_debug_log_has_scan_and_cycle_lines_and_leaves_metrics_alone(caplog):
     scans = [m for m in octree if m.startswith("insert_scan")]
     tables = [m for m in octree if m.startswith("leaf table")]
     assert len(scans) + len(tables) == len(octree)
+    assert len(tables) == len(scans)  # one per scan write
     assert scans and all(
         re.fullmatch(r"insert_scan: 24 beams, \d+ elements visited, \d+ changed, "
-                     r"\d+ nodes collapsed, \d+ memo hits, \d+ no-op writes", m) for m in scans
+                     r"\d+ memo hits, \d+ no-op writes", m) for m in scans
     )
     assert tables and all(
-        re.fullmatch(r"leaf table: \d+ leaves, \d+ beliefs, \d+ leaves walked, \d+\.\d{3} ms", m)
+        re.fullmatch(r"leaf table: \d+ leaves, \d+ beliefs, \d+ leaves split, \d+ merged, "
+                     r"\d+\.\d{3} ms", m)
         for m in tables
     )
     plans = [r.getMessage() for r in caplog.records if r.name == "ssmi.planner"]
