@@ -425,6 +425,55 @@ def test_empty_scan_is_noop(params3):
     assert tree.num_leaves() == 1
 
 
+def test_prune_uniform_tree_to_root():
+    """Eight octants written one by one to one belief split the root and
+    then merge back into it: the write that makes the eighth equal to the
+    other seven leaves the whole cube one leaf."""
+    tree = SemanticOctree(1.0, 3, 3)
+    sem = TruncatedSemantics.from_full(np.array([0.0, 1.0, 0.0, 0.0]))
+    for slot in range(8):
+        corner = [(slot >> 2) * 4, (slot >> 1 & 1) * 4, (slot & 1) * 4]
+        write_beliefs(tree, block_cells(corner, 4), sem)
+        assert tree.num_leaves() == (8 if slot < 7 else 1)
+    assert tree_leaves(tree) == [(tree.query_element((0, 0, 0)), (0, 0, 0), 8)]
+    assert _exact_key(tree.query_element((0, 0, 0))) == _exact_key(sem)
+
+
+def test_prune_requires_all_eight_identical():
+    """Seven equal siblings and one other stay eight leaves; once the
+    eighth takes the seven's belief they merge."""
+    tree = SemanticOctree(1.0, 1, 3)
+    sem, other = [0.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0]
+    cells = list(itertools.product(range(2), repeat=3))
+    for cell in cells[:7]:
+        tree.set_element(cell, sem)
+    tree.set_element(cells[7], other)
+    assert tree.num_leaves() == 8
+    assert tree.leaf_table().sizes.tolist() == [1] * 8
+    tree.set_element(cells[7], sem)
+    assert tree.num_leaves() == 1
+
+
+def test_prune_idempotent_and_query_transparent(params3, rng):
+    """Merging changes no element's belief: after 30 scans every query
+    reads the belief of the dense reference, which never merges. Writing
+    elements the beliefs they hold changes nothing."""
+    tree = SemanticOctree(1.0, 5, 3)
+    beliefs = element_beliefs(tree)
+    for _ in range(30):
+        beam = random_beam(rng)
+        tree.insert_scan([beam], params3)
+        scan_reference(tree, beliefs, [beam], params3)
+    points = [tuple(rng.integers(0, 32, 3)) for _ in range(500)]
+    assert [_exact_key(tree.query_element(p)) for p in points] == \
+        [_exact_key(beliefs[p]) for p in points]
+    before = leaf_bits(tree_leaves(tree))
+    for p in points:
+        write_beliefs(tree, [p], tree.query_element(p))
+    assert leaf_bits(tree_leaves(tree)) == before
+    assert tree.num_leaves() == len(before)
+
+
 def minimal_leaf_count(values):
     """Canonical octree size of a dense value cube (independent merge rule)."""
     n = values.shape[0]
@@ -943,6 +992,47 @@ def test_the_arrays_are_the_pruned_leaves_of_the_element_beliefs(case, tmp_path_
         if read:
             assert_table_is_the_reference(tree)
     assert_table_is_the_reference(tree)
+
+
+@st.composite
+def element_write_history(draw):
+    """A fresh tree of depth 2-3 at K = 3 or 5 and a mix of scans (a low
+    clamp saturates cells) and ``set_element`` writes, of one element or of
+    every element of an aligned block in turn, from a palette of beliefs
+    holding both signed zeros."""
+    k = draw(st.sampled_from([3, 5]), label="k")
+    depth = draw(st.integers(2, 3), label="depth")
+    n = 1 << depth
+    params = SensorParams.default(k, clamp_limit=draw(st.sampled_from([1.0, 2.5, 6.0])))
+    palette = [np.array([0.0] + [draw(SIGNED) for _ in range(k)])
+               for _ in range(draw(st.integers(1, 3)))]
+    steps = []
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.booleans()):
+            steps.append([scan_beam(draw, n, k) for _ in range(draw(st.integers(1, 6)))])
+        else:
+            size = 1 << draw(st.integers(0, depth))
+            corner = [draw(st.integers(0, n // size - 1)) * size for _ in range(3)]
+            steps.append((corner, size, draw(st.sampled_from(palette))))
+    return SemanticOctree(1.0, depth, k), params, steps
+
+
+@given(case=element_write_history())
+@settings(max_examples=100, deadline=None)
+def test_writes_keep_a_pruned_tree_pruned(case):
+    """After every scan and after each one-element ``set_element`` write of
+    a block, element by element, the leaves are the pruned leaves of the
+    element beliefs."""
+    tree, params, steps = case
+    for step in steps:
+        if isinstance(step, list):
+            tree.insert_scan(step, params)
+            assert_pruned(tree)
+        else:
+            corner, size, h = step
+            for cell in block_cells(corner, size):
+                tree.set_element(cell, h)
+                assert_pruned(tree)
 
 
 def test_set_element_refuses_a_cell_outside_the_world():
