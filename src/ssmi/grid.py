@@ -7,15 +7,14 @@ single code path. Both maps take a scan's cell updates, in scan order, from
 directions) is cut from the memoized walks of its fan (``_fan_template``),
 which planning's fans (``walk_fan``) and the truth's first-hit search
 (``sim.first_hits``) shift too, and a list of beams is walked beam by beam
-(``_walk_beam``). The cell update ``clamp(h + (l - h0))`` has
-two forms, both here: numpy rows, in rounds of one gather, add, clip and
-scatter over distinct cells in ``GridMap.insert_scan``, and Python floats
-in ``_clamped_add``, which finishes a scan's last cell (``_clamped_tail``)
-and is the octree's K <= 3 update (``octree.element_update``). A4 and the
-float-vs-numpy hypothesis test in ``tests/test_grid.py`` pin the forms
-equal bit for bit, so both maps agree under the same observations. The
-maps also share their box check (``_box_corners``), their prior
-(``_prior_vector``) and their files' header checks (``_check_header``).
+(``_walk_beam``). Both apply them with ``_apply_rounds``: the update
+``clamp(h + (l - h0))`` in rounds of one gather, add, clip and scatter
+over distinct rows, on the grid's cells and, with K <= 3, on the octree
+elements' rows, so the maps agree bit for bit (A4). Its one-row tail runs
+on Python floats (``_clamped_add``), which a hypothesis test in
+``tests/test_grid.py`` pins to numpy bit for bit. The maps also share
+their box check (``_box_corners``), prior (``_prior_vector``), cell size
+and origin (``_frame``) and files' header checks (``_check_header``).
 """
 
 from __future__ import annotations
@@ -208,7 +207,7 @@ class SrleRay:
         return h_t, h_0
 
 
-def voxel_walk(g, d, s_max: float, dims, occupied=None) -> tuple[list[int], list[float]]:
+def voxel_walk(g, d, s_max: float, dims) -> tuple[list[int], list[float]]:
     """Amanatides-Woo voxel walk in cell units with scalar floats.
 
     ``g`` is the origin and ``d`` the unit direction, each three floats;
@@ -221,21 +220,15 @@ def voxel_walk(g, d, s_max: float, dims, occupied=None) -> tuple[list[int], list
     When the segment crosses a cell corner or edge exactly, all tied axes
     step together, so zero-chord corner neighbours are skipped.
 
-    With ``occupied``, a flat row-major list of the box's cells, the walk
-    also stops at the first cell whose entry in it is nonzero (the origin
-    cell included), and then its entries are not closed: the last cell is
-    that cell, and a walk whose last cell is free found none.
-
-    ``dims=None`` walks with no box: the walk stops at ``s_max`` only (and
-    ``occupied`` cannot be given).
+    ``dims=None`` walks with no box: the walk stops at ``s_max`` only.
 
     Walks of one ray are prefixes of each other. The walk's state (cell,
-    next boundary per axis) never reads ``s_max``, ``dims`` or
-    ``occupied``; only the stop tests do. So a walk cut at a smaller
-    ``s_max``, or at an occupied cell, lists the first cells and entries of
-    the longer walk (Amanatides & Woo's traversal is incremental in the ray
-    parameter). Each axis steps one way only, so a walk in a box lists the
-    cells of the walk with no box up to the first cell outside the box.
+    next boundary per axis) never reads ``s_max`` or ``dims``; only the
+    stop tests do. So a walk cut at a smaller ``s_max`` lists the first
+    cells and entries of the longer walk (Amanatides & Woo's traversal is
+    incremental in the ray parameter). Each axis steps one way only, so a
+    walk in a box lists the cells of the walk with no box up to the first
+    cell outside the box.
 
     The walk is translation invariant: with no box, the walk from ``g``
     lists the cells of the walk from ``f = g - floor(g)`` shifted by
@@ -275,8 +268,6 @@ def voxel_walk(g, d, s_max: float, dims, occupied=None) -> tuple[list[int], list
 
     coords = [i, j, k]
     entries = [0.0]
-    if occupied is not None and occupied[(i * ny + j) * nz + k]:
-        return coords, entries
     while True:
         t = ti if ti < tj else tj
         if tk < t:
@@ -301,8 +292,6 @@ def voxel_walk(g, d, s_max: float, dims, occupied=None) -> tuple[list[int], list
                 return coords, entries
             tk += dk
         coords += (i, j, k)
-        if occupied is not None and occupied[(i * ny + j) * nz + k]:
-            return coords, entries
 
 
 def _cell_point(point, origin, cell_size: float, dims) -> tuple[float, float, float]:
@@ -517,22 +506,47 @@ def walk_fan(center, directions, max_range: float, origin, cell_size: float,
     return cells.compress(inside, axis=0), counts.tolist()
 
 
-def _rounds(keys: np.ndarray) -> tuple[np.ndarray, list[int], int]:
+def _rounds(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
     """Group updates into rounds. ``keys`` holds each update's cell, in
     update order; an update's round is the number of earlier updates to
-    its cell. Returns the update indices ordered by round (stably, so each
-    round keeps update order), where each round ends in that order, and
-    the number of distinct cells."""
+    its cell. Returns the updates' stable sort by key (``order``, so each
+    cell's updates keep update order), the flag of each cell's first
+    update in that order, the positions in that order grouped by round
+    (stably, so each round keeps key order), and where each round ends."""
     n = len(keys)
     order = np.argsort(keys, kind="stable")
     grouped = keys[order]
-    first = np.empty(n, dtype=bool)
-    first[0] = True
+    first = np.ones(n, dtype=bool)
     np.not_equal(grouped[1:], grouped[:-1], out=first[1:])
     positions = np.arange(n)
     rank = positions - np.maximum.accumulate(np.where(first, positions, 0))
-    picks = order[np.argsort(rank, kind="stable")]
-    return picks, np.bincount(rank).cumsum().tolist(), int(np.count_nonzero(first))
+    return order, first, np.argsort(rank, kind="stable"), np.bincount(rank).cumsum().tolist()
+
+
+def _apply_rounds(table: np.ndarray, keys: np.ndarray, rows: np.ndarray, bounds,
+                  params: SensorParams, prior: np.ndarray) -> None:
+    """Apply a scan's updates in place to ``table``, (K+1)-rows: update u
+    is ``clamp(h + (l - h0))`` on row ``keys[u]``, ``l`` the model row
+    ``rows[u]`` of ``SensorParams.models`` and ``h0`` the ``prior``. Round
+    r ends at ``bounds[r]`` (``_rounds``) and holds each row's r-th update
+    at most, as one gather, add, clip and scatter, so every row ends bit
+    for bit as one update at a time leaves it. Rounds never grow, and a
+    row of round r + 1 is in round r, so from the first round of one row
+    on every update left is that row's (in a planar scan, the sensor
+    cell's): that tail runs on Python floats (``_clamped_tail``)."""
+    steps = params.models - prior
+    deltas = steps[rows]
+    lo, hi = params.clamp_lo, params.clamp_hi
+    a = 0
+    for b in bounds:
+        if b - a == 1:  # this and every later round hold one row
+            key = int(keys[a])
+            table[key] = _clamped_tail(table[key].tolist(), steps.tolist(), rows[a:].tolist(),
+                                       lo.tolist(), hi.tolist())
+            return
+        sel = keys[a:b]
+        table[sel] = np.minimum(np.maximum(table.take(sel, 0) + deltas[a:b], lo), hi)
+        a = b
 
 
 def _clamped_add(h, delta, lo, hi) -> list[float]:
@@ -541,9 +555,8 @@ def _clamped_add(h, delta, lo, hi) -> list[float]:
     bound, as ``np.maximum`` and ``np.minimum`` return their second argument
     on ties (which decides the sign of a zero, as at element 0, whose bounds
     are both zero). A NaN passes through both, as in numpy. The float form
-    of the cell update: the grid's one-cell tail (``GridMap.insert_scan``)
-    chains it over its rows, and the octree's K <= 3 update
-    (``octree.element_update``) runs it on a belief's class values."""
+    of the cell update, which the one-row tail of a scan's rounds
+    (``_clamped_tail``) chains over its updates."""
     row = []
     for v, d, l, u in zip(h, delta, lo, hi):
         v += d
@@ -557,7 +570,8 @@ def _clamped_add(h, delta, lo, hi) -> list[float]:
 
 def _clamped_tail(h, steps, rows, lo, hi) -> list[float]:
     """``_clamped_add`` of ``steps[r]`` for each index ``r`` of ``rows`` in
-    turn, from the row ``h``: the grid's one-cell tail (``GridMap.insert_scan``).
+    turn, from the row ``h``: the one-row tail of a scan's rounds
+    (``_apply_rounds``).
     It stops at the first step that leaves the row bit for bit unchanged
     (``_same_bits``) when every later index is that step's: each of those
     steps adds the same row to the same row, so it would change nothing
@@ -606,6 +620,19 @@ def _prior_vector(prior, num_classes: int) -> np.ndarray:
     return prior
 
 
+def _frame(size_name: str, size, origin) -> tuple[float, tuple[float, float, float]]:
+    """A map's cell size, named ``size_name`` in messages, as a float and
+    its origin as three floats (``point3``); ValueError unless the size is
+    finite and positive and the origin finite. Both maps take them here."""
+    size = float(size)
+    if not (math.isfinite(size) and size > 0.0):
+        raise ValueError(f"{size_name} {size!r} is not positive")
+    origin = point3(origin)
+    if not all(map(math.isfinite, origin)):
+        raise ValueError(f"origin {origin} is not finite")
+    return size, origin
+
+
 class GridMap:
     """Regular-grid categorical map over K+1 classes.
 
@@ -630,9 +657,8 @@ class GridMap:
         if num_classes < 1:
             raise ValueError("num_classes must be >= 1")
         self.dims = dims
-        self.resolution = float(resolution)
+        self.resolution, self.origin = _frame("resolution", resolution, origin)
         self.num_classes = int(num_classes)
-        self.origin = point3(origin)
         self.prior = prior = _prior_vector(prior, self.num_classes)
         self.cells = np.tile(prior, dims + (1,)).reshape(dims + (num_classes + 1,))
         self.observed = np.zeros(dims, dtype=bool)
@@ -685,18 +711,11 @@ class GridMap:
         ``scan_updates`` names (cut from the fan's memoized walks for a
         ``Scan``, walked beam by beam for a list).
 
-        The updates run in rounds: round r applies every cell's r-th update
-        of the scan as one gather, add, clip and scatter. A cell occurs at
-        most once per round and meets its updates in scan order, so the
-        cells end bit for bit as a beam-by-beam, cell-by-cell loop leaves
-        them. Rounds never grow, and a cell of round r + 1 is in round r, so
-        from the first round of one cell on, every update left is that
-        cell's (in a planar scan, the sensor cell's). That tail is applied
-        on Python floats (``_clamped_tail``) rather than as rounds of
-        numpy calls, and stops once an update leaves the cell bit for bit
-        unchanged and every update left is that same model row: a
-        saturated sensor cell costs one update, not one per beam. A scan
-        that raises (``scan_updates``) leaves the map as it was."""
+        The updates run in rounds over the cells (``_rounds``,
+        ``_apply_rounds``), so the cells end bit for bit as a beam-by-beam,
+        cell-by-cell loop leaves them. A lone beam's updates are one round,
+        since a ray visits a cell once. A scan that raises
+        (``scan_updates``) leaves the map as it was."""
         if params.num_classes != self.num_classes:
             raise ValueError("sensor parameters and map disagree on K")
         cells, rows = scan_updates(beams, self.origin, self.resolution, self.dims,
@@ -706,28 +725,17 @@ class GridMap:
         if n:
             _, ny, nz = self.dims
             flat = cells @ (ny * nz, nz, 1)
-            steps = params.models - self.prior
             if len(beams) > 1:
-                picks, bounds, distinct = _rounds(flat)
-                flat, rows = flat[picks], rows[picks]
+                order, first, by_round, bounds = _rounds(flat)
+                picks = order[by_round]
+                flat, rows, distinct = flat[picks], rows[picks], int(np.count_nonzero(first))
             else:  # a ray visits a cell once
                 bounds, distinct = [n], n
-            deltas = steps[rows]
             rounds = len(bounds)
-            lo, hi = params.clamp_lo, params.clamp_hi
             # views, unless an array is not C-ordered: then copies, written back
             table = self.cells.reshape(-1, self.num_classes + 1)
             mask = self.observed.reshape(-1)
-            a = 0
-            for b in bounds:
-                if b - a == 1:  # this and every later round hold one cell
-                    cell = int(flat[a])
-                    table[cell] = _clamped_tail(table[cell].tolist(), steps.tolist(),
-                                                rows[a:].tolist(), lo.tolist(), hi.tolist())
-                    break
-                sel = flat[a:b]
-                table[sel] = np.minimum(np.maximum(table.take(sel, 0) + deltas[a:b], lo), hi)
-                a = b
+            _apply_rounds(table, flat, rows, bounds, params, self.prior)
             mask[flat] = True
             if not np.may_share_memory(table, self.cells):
                 self.cells[...] = table.reshape(self.cells.shape)
@@ -788,12 +796,12 @@ def save_grid(gmap: GridMap, path) -> None:
 def _check_header(path, size_name: str, size: float, origin, num_classes: int) -> None:
     """The header checks both map files share (``load_grid`` and
     ``octree.load_octree``): CorruptMap unless the cell or element size,
-    read as ``size_name``, is finite and positive, the origin is finite and
-    the class count is in 1..``MAX_CLASSES``."""
-    if not (math.isfinite(size) and size > 0.0):
-        raise CorruptMap(f"{path}: {size_name} {size!r} is not positive")
-    if not all(math.isfinite(o) for o in origin):
-        raise CorruptMap(f"{path}: origin {origin} is not finite")
+    read as ``size_name``, is finite and positive, the origin is finite
+    (``_frame``) and the class count is in 1..``MAX_CLASSES``."""
+    try:
+        _frame(size_name, size, origin)
+    except ValueError as exc:
+        raise CorruptMap(f"{path}: {exc}") from None
     if num_classes < 1:
         raise CorruptMap(f"{path}: no occupied classes")
     if num_classes > MAX_CLASSES:

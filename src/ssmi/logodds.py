@@ -4,14 +4,14 @@ A cell belief is a vector ``h`` of length K+1 with ``h[k] = ln(p_k / p_0)``,
 where class 0 is free space and acts as the pivot, so ``h[0] == 0`` always.
 Every operation here is a pure function on immutable arrays.
 
-The cell update ``clamp(posterior_update(h, l, h0))`` is written out in
-exactly two forms that must agree bit for bit: on numpy rows, in rounds of
-one indexed write over distinct cells in ``GridMap.insert_scan``, and on
-Python floats in ``grid._clamped_add``, which both the grid's one-cell tail
-of a scan and the octree's K <= 3 update (``octree.element_update``) call.
-A4 (octree equals grid after the same beams) and the float-vs-numpy
-hypothesis test in ``tests/test_grid.py`` pin them together; the grid's
-rounds are also checked against a per-cell loop over the functions here.
+The cell update ``clamp(posterior_update(h, l, h0))`` is written out once
+for both maps, on numpy rows, in rounds of one indexed write over distinct
+rows in ``grid._apply_rounds`` (the grid's cells, and the octree's element
+rows with K <= 3), whose last row is finished on Python floats in
+``grid._clamped_add``. A4 (octree equals grid after the same beams) and
+the float-vs-numpy hypothesis test in ``tests/test_grid.py`` pin them
+together; the rounds are also checked against a per-cell loop over the
+functions here.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@ truncated categorical beliefs.
 
 Leaves store at most the 3 most likely class log-odds plus a single "others"
 lump for the rest; with K <= 3 all classes are tracked, the lump stays
-empty, and element updates are the dense grid's float form of the cell
-update (``grid._clamped_add``), so they reproduce the grid bit for bit.
+empty, and a scan runs the dense grid's update on the elements' rows
+(``grid._apply_rounds``), so it reproduces the grid bit for bit.
 
 The tree is its leaves, held as arrays in preorder (a linear octree:
 Gargantini, "An effective way to represent quadtrees", CACM 1982). A
@@ -32,10 +32,11 @@ one geometry.
 
 A write costs what it changes, not the size of the tree. Every belief the
 tree stores is interned bit for bit, so equal values share one id (``0.0``
-and ``-0.0`` stay apart), and ``insert_scan`` memoizes each update by hit
-class and belief id for the scan: a write that changes nothing costs a
-lookup. The store keeps every belief it interned for the tree's life, so a
-belief's id and its rows never change.
+and ``-0.0`` stay apart); ``insert_scan`` interns the distinct rows it
+writes (K <= 3) or memoizes each update by hit class and belief id (K > 3),
+and skips elements it leaves as they were. The store keeps every belief
+it interned for the tree's life, so a belief's id and its rows never
+change.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ import numpy as np
 from . import logodds
 from .errors import CorruptMap, InvalidClass
 from .grid import GRID_MAGIC, BeamMeasurement, GridMap, RayTrace, Scan, SrleRay, cast
-from .grid import _box_corners, _check_header, _clamped_add, _prior_vector, point3, scan_updates
+from .grid import _apply_rounds, _box_corners, _check_header, _frame, _prior_vector, _rounds
+from .grid import scan_updates
 from .logodds import SensorParams
 
 OCTREE_MAGIC = b"SSMIOCT3"
@@ -99,7 +101,7 @@ class TruncatedSemantics:
         """Build from a full K+1 log-odds vector, lumping beyond the top 3."""
         h = np.asarray(h, dtype=np.float64)
         k = h.shape[0] - 1
-        pairs = cls._sorted((c, float(h[c])) for c in range(1, k + 1))
+        pairs = cls._sorted(enumerate(h[1:].tolist(), 1))
         if k <= 3:
             return cls(data=pairs, others=NEG_INF)
         kept = pairs[:3]
@@ -174,20 +176,19 @@ def _exact_key(sem: "TruncatedSemantics"):
 class _Beliefs:
     """The beliefs of one tree, interned bit for bit (``_exact_key``): equal
     values share one id. The store is append-only: each object keeps its id
-    and stays stored for the tree's life, so ``by_object`` may key them by
-    ``id``. The prior is id 0, so a belief bit-equal to it is always
-    ``prior_semantics``. Per id: ``full`` (the ``to_full`` row),
-    ``entropy``, ``observed`` (not the prior) and ``labels`` (the argmax of
-    ``full``, ties to the lowest class), computed once, by the write that
-    first puts the id on a leaf (``fill``): a scan interns every step of
-    its chains, and most of those beliefs reach no leaf."""
+    and stays stored for the tree's life. The prior is id 0, so a belief
+    bit-equal to it is always ``prior_semantics``. Per id: ``full`` (the
+    ``to_full`` row), ``exact`` (every class tracked, so ``full`` is the
+    belief), ``entropy``, ``observed`` (not the prior) and ``labels`` (the
+    argmax of ``full``, ties to the lowest class), computed once, by the
+    write that first puts the id on a leaf (``fill``): a K > 3 scan interns
+    every step of its chains, and most of those beliefs reach no leaf."""
 
     def __init__(self, prior_semantics: "TruncatedSemantics", num_classes: int):
         self.prior_semantics = prior_semantics
         self.num_classes = num_classes
         self.objects: list[TruncatedSemantics] = []
         self.by_key: dict = {}
-        self.by_object: dict[int, int] = {}
         self._allocate(64)
         self.fill(np.array([self.id_of(prior_semantics)]))
 
@@ -198,26 +199,23 @@ class _Beliefs:
         """Fresh arrays of ``capacity`` rows holding the rows so far; tables
         built earlier keep views of the old arrays, whose rows never change."""
         n = len(self.objects)
-        rows = [np.zeros((capacity, self.num_classes + 1)), np.zeros(capacity),
-                np.zeros(capacity, dtype=bool), np.zeros(capacity, dtype=np.intp),
-                np.zeros(capacity, dtype=bool)]
+        rows = [np.zeros((capacity, self.num_classes + 1)), np.zeros(capacity, dtype=bool),
+                np.zeros(capacity), np.zeros(capacity, dtype=bool),
+                np.zeros(capacity, dtype=np.intp), np.zeros(capacity, dtype=bool)]
         if n:
-            for new, old in zip(rows, (self.full, self.entropy, self.observed, self.labels,
-                                       self.ready)):
+            for new, old in zip(rows, (self.full, self.exact, self.entropy, self.observed,
+                                       self.labels, self.ready)):
                 new[:n] = old[:n]
-        self.full, self.entropy, self.observed, self.labels, self.ready = rows
+        self.full, self.exact, self.entropy, self.observed, self.labels, self.ready = rows
 
     def id_of(self, sem: "TruncatedSemantics") -> int:
-        i = self.by_object.get(id(sem))
-        if i is None:
-            key = _exact_key(sem)
-            i = self.by_key.get(key)
+        key = _exact_key(sem)
+        i = self.by_key.get(key)
         if i is None:
             i = self.by_key[key] = len(self.objects)
             if i == self.ready.shape[0]:
                 self._allocate(2 * i)
             self.objects.append(sem)
-            self.by_object[id(sem)] = i
         return i
 
     def fill(self, ids: np.ndarray) -> None:
@@ -226,6 +224,7 @@ class _Beliefs:
         for i in np.unique(ids[~self.ready[ids]]).tolist():
             sem = self.objects[i]
             self.full[i] = sem.to_full(self.num_classes)
+            self.exact[i] = len(sem.data) == self.num_classes
             self.entropy[i] = sem.entropy()
             self.observed[i] = sem is not self.prior_semantics
             self.labels[i] = np.argmax(self.full[i])
@@ -279,43 +278,19 @@ def _uniform_scalar(vec: np.ndarray, name: str) -> float:
     return float(vec[1])
 
 
-def _tracked_update(
-    sem: TruncatedSemantics, delta, lo, hi, num_classes: int
-) -> TruncatedSemantics:
-    """K <= 3 update: ``grid._clamped_add`` on the class values 1..K, with
-    ``delta`` (``l - h0``), ``lo`` and ``hi`` listed from class 1, so bit
-    for bit ``clamp(posterior_update(h, l, h0))`` followed by ``from_full``."""
-    full = len(sem.data) == num_classes
-    h = [v for _, v in sorted(sem.data)] if full else sem.to_full(num_classes).tolist()[1:]
-    row = _clamped_add(h, delta, lo, hi)
-    return TruncatedSemantics(data=TruncatedSemantics._sorted(enumerate(row, 1)), others=NEG_INF)
-
-
 def element_update(params: SensorParams, prior: np.ndarray):
-    """The octree's element update, built once per scan: a function from hit
-    class (None for a traversed element, InvalidClass outside 1..K) to the
-    update of one belief.
+    """The octree's element update for K > 3, built once per scan: a
+    function from hit class (None for a traversed element, InvalidClass
+    outside 1..K) to the update of one belief. (With K <= 3 the tree
+    applies the grid's update to full rows, ``grid._apply_rounds``.)
 
-    With K <= 3 it is the dense grid's ``clamp(h + (l - h0))`` on Python
-    floats (``_tracked_update``, through ``grid._clamped_add``). With more
-    classes the parameters must be class-uniform (ValueError here
-    otherwise), and a hit on an untracked class splits an alpha fraction
-    off the lump for the new class, updates, keeps the three largest
-    values, folds the rest back into the lump, and clamps with its own
-    ``min``/``max``.
+    The parameters must be class-uniform (ValueError here otherwise), and
+    a hit on an untracked class splits an alpha fraction off the lump for
+    the new class, updates, keeps the three largest values, folds the rest
+    back into the lump, and clamps with its own ``min``/``max``.
     """
     k = params.num_classes
-    if k <= 3:
-        lo, hi = params.clamp_lo[1:].tolist(), params.clamp_hi[1:].tolist()
-
-        def update(y):
-            l = params.phi_minus if y is None else params.hit_logodds(y)
-            delta = (l - prior)[1:].tolist()
-            return lambda sem: _tracked_update(sem, delta, lo, hi, k)
-
-        return update
-
-    # lumped path: parameters must treat occupied classes interchangeably
+    # parameters must treat occupied classes interchangeably
     phi_m = _uniform_scalar(params.phi_minus, "phi_minus")
     phi_p = _uniform_scalar(params.phi_plus, "phi_plus")
     psi_p = _uniform_scalar(params.psi_plus, "psi_plus")
@@ -391,14 +366,13 @@ class SemanticOctree:
     ):
         if max_depth < 1 or max_depth > 16:
             raise ValueError("max_depth must be in 1..16")
-        self.element_size = float(element_size)
+        self.element_size, self.origin = _frame("element size", element_size, origin)
         self.max_depth = int(max_depth)
         n = self.size_elements
         self.dims = (n, n, n) if dims is None else tuple(int(d) for d in dims)
         if len(self.dims) != 3 or not all(1 <= d <= n for d in self.dims):
             raise ValueError(f"dims {self.dims} are not three extents in 1..{n}")
         self.num_classes = int(num_classes)
-        self.origin = point3(origin)
         self.prior = prior = _prior_vector(prior, self.num_classes)
         self._beliefs = _Beliefs(TruncatedSemantics.from_full(prior), num_classes)
         self.prior_semantics = self._beliefs.prior_semantics
@@ -527,51 +501,61 @@ class SemanticOctree:
         beam by beam for a list): a scan that raises leaves the tree as it
         was.
 
-        Only the order of updates within one element matters, so the
-        updates are grouped by element, in scan order within each (a
-        stable sort of their Morton codes), and each element's chain runs
-        on the belief of the leaf that holds it, found by one
-        ``searchsorted`` for all of them. The update is a pure function of
-        the hit class and the belief's bits, and equal beliefs share one
-        id, so each class memoizes it by belief id for the scan: a belief
-        meets each update once. An element whose chain ends at the id it
-        held is not written."""
+        The updates are grouped in rounds by element (``grid._rounds``, a
+        stable sort of their Morton codes), so each element meets its
+        updates in scan order, and each element's leaf is found by one
+        ``searchsorted`` for all of them. With K <= 3 a belief is its full
+        row: the elements' rows, gathered from the leaf table, take the
+        grid's own update (``grid._apply_rounds``), and each distinct row
+        that changed (in its bits, or from a belief that is not its row,
+        ``_Beliefs.exact``) is interned once. With K > 3 each update
+        (``element_update``) is a pure function of the hit class and the
+        belief's bits, memoized by class and belief id for the scan. An
+        element that ends where it began is not written."""
         if params.num_classes != self.num_classes:
             raise ValueError("sensor parameters and tree disagree on K")
-        update = element_update(params, self.prior)
+        update = element_update(params, self.prior) if self.num_classes > 3 else None
         cells, rows = scan_updates(beams, self.origin, self.element_size, self.dims,
                                    self.num_classes)
         codes = morton(*cells.T)
-        order = np.argsort(codes, kind="stable")
-        codes = codes[order]
-        first = np.flatnonzero(np.diff(codes, prepend=-1))  # each element's first update
-        codes = codes[first]
+        order, first, by_round, bounds = _rounds(codes)
+        codes = codes[order][first]
         leaf = self._leaf_of(codes)
         held = self._leaves.ids[leaf]
-        objects, id_of = self._beliefs.objects, self._beliefs.id_of
-        steps: dict[int, tuple[dict, object]] = {}  # by model row: 0 free, y a class-y hit
-        new = []
-        rows = rows[order].tolist()
-        bounds = first.tolist() + [len(rows)]
-        for i, lo, hi in zip(held.tolist(), bounds, bounds[1:]):
-            for row in rows[lo:hi]:
+        # each update's element (an index into codes) and model row, by round
+        keys, rows = (np.cumsum(first) - 1)[by_round], rows[order[by_round]]
+        store = self._beliefs
+        size = len(store)
+        if update is None:
+            was = self._leaves.full[held]
+            table = was.copy()
+            _apply_rounds(table, keys, rows, bounds, params, self.prior)
+            # each row as one value of its bytes, so that 0.0 and -0.0 differ
+            row_bytes = np.dtype((np.void, table.itemsize * table.shape[1]))
+            fresh = table.view(row_bytes)[:, 0]
+            (changed,) = np.nonzero((fresh != was.view(row_bytes)[:, 0]) | ~store.exact[held])
+            _, at, distinct = np.unique(fresh[changed], return_index=True, return_inverse=True)
+            ids = [store.id_of(TruncatedSemantics.from_full(table[i]))
+                   for i in changed[at].tolist()]
+            new = held.copy()
+            new[changed] = np.array(ids, dtype=np.intp)[distinct]
+        else:
+            new = held.tolist()
+            steps: dict[int, tuple[dict, object]] = {}  # by model row: 0 free, y a class-y hit
+            for e, row in zip(keys.tolist(), rows.tolist()):
                 step = steps.get(row)
                 if step is None:
                     step = steps[row] = ({}, update(row or None))
                 memo, apply = step
+                i = new[e]
                 j = memo.get(i)
                 if j is None:
-                    j = memo[i] = id_of(apply(objects[i]))
-                i = j
-            new.append(i)
-        new = np.array(new, dtype=np.intp)
-        changed = int(np.count_nonzero(new != held))
-        log.debug(
-            "insert_scan: %d beams, %d elements visited, %d changed, %d memo hits, "
-            "%d no-op writes",
-            len(beams), len(rows), changed, len(rows) - sum(len(m) for m, _ in steps.values()),
-            len(new) - changed,
-        )
+                    j = memo[i] = store.id_of(apply(store.objects[i]))
+                new[e] = j
+            new = np.array(new, dtype=np.intp)
+        log.debug("insert_scan: %d beams, %d updates of %d elements, %d changed, "
+                  "%d beliefs added", len(beams), len(rows), len(held),
+                  np.count_nonzero(new != held), len(store) - size)
         self._write(codes, leaf, new)
         return self
 

@@ -26,7 +26,7 @@ import numpy as np
 from . import planner as planner_mod
 from .config import ConfigError, SimConfig
 from .errors import AllUnreachable, BadDims, NoFrontiers, PoseInObstacle
-from .grid import BeamMeasurement, GridMap, Scan, _cell_point, _fan_in_box, point3, voxel_walk
+from .grid import BeamMeasurement, GridMap, Scan, _cell_point, _fan_in_box, point3
 from .mi import _fan_directions
 from .octree import SemanticOctree, cube_depth
 
@@ -243,28 +243,19 @@ def first_hits(env: Environment, rays, max_range: float) -> list[tuple[float, in
 
     The truth is read in place through a flat view of ``env.grid`` (a copy
     only if it is not C-contiguous), so an edit of ``env.grid`` shows in the
-    next call. A run of rays from one origin is read at the memoized walks
-    of its fan shifted to the origin (``grid._fan_in_box``), in one numpy
-    pass: each ray's first occupied cell in the world, with that cell's
-    entry as its range. A lone ray is walked by ``voxel_walk``, stopped at
-    its first occupied cell, a prefix of its walk to ``max_range``; so both
-    find the first occupied cell of that walk."""
+    next call. A run of rays from one origin, one ray or many, is read at
+    the memoized walks of its fan shifted to the origin
+    (``grid._fan_in_box``), in one numpy pass: each ray's first occupied
+    cell in the world, with that cell's entry as its range."""
     res = env.resolution
     dims = env.dims
     _, ny, nz = dims
     flat = env.grid.ravel()
-    truth = memoryview(flat)
     s_max = max_range / res
     out: list[tuple[float, int] | None] = []
     for _, run in itertools.groupby(rays, key=lambda ray: id(ray[0])):
         run = list(run)
         g = _cell_point(point3(run[0][0]), (0.0, 0.0, 0.0), res, dims)
-        if len(run) == 1:
-            coords, entries = voxel_walk(g, run[0][1], s_max, dims, truth)
-            i, j, k = coords[-3:]
-            cls = truth[(i * ny + j) * nz + k]
-            out.append((entries[len(coords) // 3 - 1] * res, cls) if cls else None)
-            continue
         directions = tuple(d if type(d) is tuple else point3(d) for _, d in run)
         cells, entries, ray_of, _, inside, _ = _fan_in_box(g, directions, s_max, dims)
         seen = np.zeros(len(inside), dtype=flat.dtype)

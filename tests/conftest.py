@@ -13,7 +13,7 @@ from ssmi.errors import BadDims, EmptyRay, NoFrontiers, PoseInObstacle, Unreacha
 from ssmi.grid import BeamMeasurement, GridMap, Scan, SrleRay
 from ssmi.logodds import SensorParams
 from ssmi.mi import FanCast, fan_angles
-from ssmi.octree import LeafTable, _exact_key, element_update, morton
+from ssmi.octree import LeafTable, TruncatedSemantics, _exact_key, element_update, morton
 from ssmi.planner import EIGHT_NEIGHBOURS, Frontier
 from ssmi.sim import run_episode
 
@@ -263,16 +263,31 @@ def element_beliefs(tree) -> np.ndarray:
     return beliefs
 
 
+def numpy_update(params: SensorParams, prior: np.ndarray):
+    """The K <= 3 element update on numpy rows, one belief at a time: a
+    function from hit class (None for a traversed element) to the update
+    of one belief, ``clamp(posterior_update(h, l, h0))`` on its full row
+    and then its truncation (``from_full``)."""
+    def update(y):
+        l = params.phi_minus if y is None else params.hit_logodds(y)
+        return lambda sem: TruncatedSemantics.from_full(logodds.clamp(
+            logodds.posterior_update(sem.to_full(params.num_classes), l, prior), params))
+
+    return update
+
+
 def scan_reference(tree, beliefs: np.ndarray, beams: Scan | list[BeamMeasurement],
                    params: SensorParams) -> np.ndarray:
     """A scan on a dense belief array of ``tree``'s cube, in place, one
     element update at a time in scan order: on a scan record's beams
     (``scan_beams``) or a list of beams, each element ``tree.cast_ray``
     traverses gets the free update of its belief and each hit element the
-    hit update, beam by beam. No memo, no grouping and no interning."""
+    hit update, beam by beam; the update is ``numpy_update`` with K <= 3
+    and the lumped ``element_update`` with K > 3. No memo, no grouping and
+    no interning."""
     if params.num_classes != tree.num_classes:
         raise ValueError("sensor parameters and tree disagree on K")
-    update = element_update(params, tree.prior)
+    update = (numpy_update if tree.num_classes <= 3 else element_update)(params, tree.prior)
     for beam in scan_beams(beams) if isinstance(beams, Scan) else beams:
         trace = tree.cast_ray(beam)
         cells = [tuple(cell) for cell in trace.cells.tolist()]

@@ -457,7 +457,9 @@ def test_map_file_with_too_many_classes_exit_3(tmp_path, capsys, caplog, kind, n
                                     (0.0, 0.0, -math.inf)])
 def test_grid_file_with_non_finite_origin_exit_3(tmp_path, capsys, caplog, origin):
     path = tmp_path / "g.ssmigrid"
-    save_grid(GridMap((4, 4), 1.0, 2, origin=origin), path)
+    save_grid(GridMap((4, 4), 1.0, 2), path)
+    good = path.read_bytes()  # the origin is the header's last 24 bytes, from byte 32
+    path.write_bytes(good[:32] + np.array(origin, dtype="<f8").tobytes() + good[56:])
     with pytest.raises(CorruptMap, match="origin .* is not finite"):
         load_grid(path)
     assert main(["map", "inspect", "--map", str(path)]) == 3

@@ -43,7 +43,7 @@ from ssmi.grid import (
 )
 from ssmi.logodds import SensorParams
 from ssmi.mi import beam_mi_dense
-from ssmi.octree import NEG_INF, SemanticOctree, TruncatedSemantics, _tracked_update, save_octree
+from ssmi.octree import SemanticOctree, save_octree
 from ssmi.sim import Environment, SensorSpec, first_hits, generate_env, sense, srle_study
 
 LN3 = math.log(3.0)
@@ -396,24 +396,20 @@ def truth_rays(draw):
 @given(truth_rays())
 @settings(max_examples=300, deadline=None)
 def test_truth_walk_cut_at_the_first_occupied_cell_is_a_prefix(case):
-    """The walk ``first_hits`` makes, stopped at the first occupied cell,
-    against the full walk: the same cells and entries up to that cell (all
-    of them when there is none), and the same hit as the per-ray search
-    over the full walk."""
+    """``first_hits`` of each lone ray finds the first occupied cell of its
+    full walk (``voxel_walk`` in the world to ``max_range``), at that
+    cell's entry: the walk cut there is a prefix of the full walk. All
+    the rays at once give the per-ray search over the numpy reference
+    walk."""
     env, rays, max_range = case
     _, ny, nz = env.dims
     truth = env.grid.ravel().tolist()
     for origin, d in rays:
-        cells, entries = voxel_walk(origin, d, max_range, env.dims, truth)
-        full_cells, full_entries = voxel_walk(origin, d, max_range, env.dims)
-        occupied = [truth[(i * ny + j) * nz + k] for i, j, k in
-                    zip(full_cells[0::3], full_cells[1::3], full_cells[2::3])]
-        first = next((n for n, cls in enumerate(occupied) if cls), None)
-        if first is None:
-            assert (cells, entries) == (full_cells, full_entries)
-        else:
-            assert cells == full_cells[: 3 * first + 3]
-            assert entries == full_entries[: first + 1]
+        cells, entries = voxel_walk(origin, d, max_range, env.dims)
+        hits = [(s, truth[(i * ny + j) * nz + k]) for s, i, j, k in
+                zip(entries, cells[0::3], cells[1::3], cells[2::3])]
+        want = next(((s, cls) for s, cls in hits if cls), None)
+        assert first_hits(env, [(origin, d)], max_range) == [want]
     want = [first_hit_reference(env, np.array(o), np.array(d), max_range) for o, d in rays]
     assert first_hits(env, rays, max_range) == want
 
@@ -443,9 +439,7 @@ def clamp_chains(draw):
 def test_float_tail_is_the_numpy_round_bit_for_bit(case):
     """``_clamped_add`` chained over the deltas against one numpy round per
     delta, ``np.minimum(np.maximum(h + delta, lo), hi)``: the same bits, ties
-    with either bound, signed zeros and NaN included. With K <= 3 the
-    octree's update, which runs ``_clamped_add`` on a belief's class values,
-    chains to the truncation of the same rows."""
+    with either bound, signed zeros and NaN included."""
     h, deltas, lo, hi = case
     want = np.array(h)
     for delta in deltas:
@@ -454,15 +448,6 @@ def test_float_tail_is_the_numpy_round_bit_for_bit(case):
     for delta in deltas:
         got = _clamped_add(got, delta, lo, hi)
     assert np.array(got).tobytes() == want.tobytes()
-    k = len(h) - 1
-    if k <= 3:
-        sem = TruncatedSemantics(data=TruncatedSemantics._sorted(enumerate(h[1:], 1)),
-                                 others=NEG_INF)
-        for delta in deltas:
-            sem = _tracked_update(sem, delta[1:], lo[1:], hi[1:], k)
-        tracked = TruncatedSemantics.from_full(want)
-        assert [(c, v.hex()) for c, v in sem.data] == [(c, v.hex()) for c, v in tracked.data]
-        assert sem.others == tracked.others == NEG_INF
 
 
 @st.composite

@@ -48,6 +48,7 @@ from conftest import (
     insert_scan_reference,
     leaf_bits,
     leaf_table_reference,
+    numpy_update,
     off_prior,
     planar_beam,
     pruned_leaves_reference,
@@ -72,30 +73,29 @@ def random_beam(rng, lo_pt=1.0, hi_pt=31.0, r_max=20.0, k=3):
 # -- element update = grid update (K <= 3) ---------------------------------------
 
 
+def scanned_element(sem, y, params, prior):
+    """``sem`` in the one element of a one-element world, after a scan of
+    one beam that ends in it: a class-``y`` hit, or a traversal for None."""
+    tree = SemanticOctree(1.0, 1, params.num_classes, prior=prior, dims=(1, 1, 1))
+    write_beliefs(tree, [(0, 0, 0)], sem)
+    beam = BeamMeasurement((0.5, 0.5, 0.5), (1.0, 0.0, 0.0), 1.0 if y is None else 0.25, y, 1.0)
+    tree.insert_scan([beam], params)
+    return tree.query_element((0, 0, 0))
+
+
 def test_update_matches_full_vector_path(params3, rng):
-    tree = SemanticOctree(1.0, 3, 3)
-    update = element_update(params3, tree.prior)
+    prior = lo.uniform_prior(3)
     for _ in range(50):
         h = np.zeros(4)
         h[1:] = rng.uniform(-6, 6, 3)
         sem = TruncatedSemantics.from_full(h)
         y = int(rng.integers(1, 4))
-        got = update(y)(sem)
-        want = lo.clamp(
-            lo.posterior_update(h, params3.hit_logodds(y), tree.prior), params3
-        )
+        got = scanned_element(sem, y, params3, prior)
+        want = lo.clamp(lo.posterior_update(h, params3.hit_logodds(y), prior), params3)
         np.testing.assert_array_equal(got.to_full(3), want)
-        got_free = update(None)(sem)
-        want_free = lo.clamp(lo.posterior_update(h, params3.phi_minus, tree.prior), params3)
+        got_free = scanned_element(sem, None, params3, prior)
+        want_free = lo.clamp(lo.posterior_update(h, params3.phi_minus, prior), params3)
         np.testing.assert_array_equal(got_free.to_full(3), want_free)
-
-
-def reference_update(sem, y, params, prior):
-    """The full-vector K <= 3 update: numpy posterior update and clamp, then
-    truncation. ``y`` is None for a traversed element."""
-    l = params.phi_minus if y is None else params.hit_logodds(y)
-    h = lo.posterior_update(sem.to_full(params.num_classes), l, prior)
-    return TruncatedSemantics.from_full(lo.clamp(h, params))
 
 
 def bits(sem):
@@ -143,9 +143,13 @@ def k3_update_case(draw):
 @given(case=k3_update_case())
 @settings(max_examples=400, deadline=None)
 def test_float_update_is_the_numpy_update_bit_for_bit(case):
+    """The drawn belief, written into one element and scanned by one beam,
+    ends as the numpy update of one row leaves it (``numpy_update``),
+    float hex for float hex: signed zeros, sums on a bound and partly
+    tracked beliefs included."""
     sem, y, params, prior = case
-    want = bits(reference_update(sem, y, params, prior))
-    assert bits(element_update(params, prior)(y)(sem)) == want
+    want = bits(numpy_update(params, prior)(y)(sem))
+    assert bits(scanned_element(sem, y, params, prior)) == want
 
 
 def test_untracked_hit_splits_lump_with_alpha():
@@ -423,6 +427,19 @@ def test_empty_scan_is_noop(params3):
     tree = SemanticOctree(1.0, 3, 3)
     tree.insert_scan([], params3)
     assert tree.num_leaves() == 1
+
+
+def test_a_scan_that_updates_one_element_again_and_again_interns_one_belief(params3):
+    """Five beams that each end in the sensor element update it five times
+    in one scan: the store grows by the one belief the element ends with,
+    not by one per update."""
+    tree = SemanticOctree(1.0, 3, 3)
+    before = len(tree._beliefs)
+    beam = planar_beam((0.5, 0.5), 0.0, 0.25, None, 0.25)
+    tree.insert_scan([beam] * 5, params3)
+    want = np.array([0.0, -6.0, -6.0, -6.0])  # five free updates of -1.39 from 0, clamped
+    np.testing.assert_array_equal(tree.query_element((0, 0, 0)).to_full(3), want)
+    assert len(tree._beliefs) == before + 1
 
 
 def test_prune_uniform_tree_to_root():
@@ -1254,9 +1271,7 @@ def test_an_element_whose_chain_ends_where_it_began_is_not_written(params3, capl
     assert trees[0].query_element((3, 0, 0)) is saturated
     assert leaves(trees[0]) == leaves(trees[1])
     (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("insert_scan")]
-    # 20 updates of 8 elements, 4 distinct (update, belief) pairs
-    assert line == ("insert_scan: 3 beams, 20 elements visited, 0 changed, 16 memo hits, "
-                    "8 no-op writes")
+    assert line == "insert_scan: 3 beams, 20 updates of 8 elements, 0 changed, 0 beliefs added"
 
 
 def assert_one_object_per_value(tree):
@@ -1450,6 +1465,27 @@ def test_both_maps_reject_a_bad_box_or_prior_with_one_message(what, bad):
         texts = {message(lambda: GridMap((8, 8, 8), 1.0, 3, prior=bad)),
                  message(lambda: SemanticOctree(1.0, 3, 3, prior=bad))}
     assert len(texts) == 1
+
+
+@pytest.mark.parametrize("size, origin", [
+    (0.0, (0.0, 0.0, 0.0)),
+    (-1.0, (0.0, 0.0, 0.0)),
+    (math.nan, (0.0, 0.0, 0.0)),
+    (math.inf, (0.0, 0.0, 0.0)),
+    (1.0, (math.nan, 0.0, 0.0)),
+    (1.0, (0.0, math.inf, 0.0)),
+    (1.0, (0.0, 0.0, -math.inf)),
+])
+def test_both_maps_refuse_a_cell_size_or_origin_that_is_not_finite(size, origin):
+    """A cell size that is not positive and finite, or an origin that is
+    not finite, raises ValueError when either map is made, not at its
+    first scan (where a size of 0 divided by zero, and a size of -1 or NaN
+    read as an origin outside the map)."""
+    for make in (lambda: GridMap((8, 8, 8), size, 3, origin=origin),
+                 lambda: SemanticOctree(size, 3, 3, origin=origin)):
+        with pytest.raises(ValueError, match=r"is not (positive|finite)$") as info:
+            make()
+        assert type(info.value) is ValueError
 
 
 def test_maps_and_sensor_params_freeze_their_own_copies():

@@ -394,8 +394,8 @@ def test_debug_log_has_scan_and_cycle_lines_and_leaves_metrics_alone(caplog):
     assert len(scans) + len(tables) == len(octree)
     assert len(tables) == len(scans)  # one per scan write
     assert scans and all(
-        re.fullmatch(r"insert_scan: 24 beams, \d+ elements visited, \d+ changed, "
-                     r"\d+ memo hits, \d+ no-op writes", m) for m in scans
+        re.fullmatch(r"insert_scan: 24 beams, \d+ updates of \d+ elements, \d+ changed, "
+                     r"\d+ beliefs added", m) for m in scans
     )
     assert tables and all(
         re.fullmatch(r"leaf table: \d+ leaves, \d+ beliefs, \d+ leaves split, \d+ merged, "
