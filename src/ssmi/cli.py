@@ -162,12 +162,14 @@ def cmd_mi_eval(args) -> int:
     print(f"beams: {result.beams_total} kept: {result.beams_kept}")
     print(f"mutual information: {result.value!r} nats")
     if args.out:
-        rows = [
-            f"{idx},{r + 1},{c + 1},{float(res.p_detail[r, c])!r},"
-            f"{float(res.c_detail[r, c])!r},{float(res.terms[r, c])!r}"
-            for idx, res in result.beams
-            for r, c in np.ndindex(res.terms.shape)
-        ]
+        # each kept beam's breakdown, from its runs alone (its value is the batch's)
+        bounds = fan.bounds
+        rows = []
+        for idx, _ in result.beams:
+            res = mi_mod.beam_mi(mapper, fan.cells[bounds[idx]:bounds[idx + 1]], params)
+            rows += [f"{idx},{r + 1},{c + 1},{float(res.p_detail[r, c])!r},"
+                     f"{float(res.c_detail[r, c])!r},{float(res.terms[r, c])!r}"
+                     for r, c in np.ndindex(res.terms.shape)]
         with open(args.out, "w") as fh:
             fh.write(f"beam,{'q' if isinstance(mapper, SemanticOctree) else 'n'},k,p,c,term\n")
             fh.write("\n".join(rows) + "\n")

@@ -7,8 +7,11 @@ summed per-cell log-ratios (KL divergences) between the updated and current
 beliefs. Three evaluations of the same quantity live here:
 
 * ``beam_mi_srle``    - one forward pass over run-length-encoded homogeneous
-  segments with the inner geometric sums in closed form, O(K Q); planning
-  runs it on both maps (``encode_traces``), the grid's runs being its cells
+  segments with the inner geometric sums in closed form, O(K Q), for one
+  beam, with its term breakdown (``BeamMI``); ``beam_mi_srle_batch`` gives
+  the values alone of many beams at once, each bit for bit the one-beam
+  value, and planning runs it on both maps (``encode_traces``), the grid's
+  runs being its cells
 * ``beam_mi_dense``   - one forward pass over the per-cell sequence, O(K N);
   the reference the run-length pass is checked against
 * ``beam_mi_oracle``  - brute-force enumeration of the outcome tree using
@@ -19,14 +22,20 @@ The direct (non-recursive) counterparts of the two passes, which rebuild
 every prefix from scratch to validate the forward recursions (A3), live with
 the tests (``tests/conftest.py``).
 
-Both passes take their per-row terms (log p_free, the pmf, the free and the
+All passes take their per-row terms (log p_free, the pmf, the free and the
 K hit log-ratios) from one fused helper, ``_row_terms``, which shares the
 work the reference (``logodds.logsumexp`` and ``softmax_pmf``, and the
 row-wise ``f_logratio_rows`` of ``tests/conftest.py``) repeats and equals
-it bit for bit; a row with NaN or +inf raises ``ValueError``.
+it bit for bit; a row with NaN or +inf raises ``ValueError``. The batch
+kernel runs it once per distinct (current, prior) row, which on a map is a
+small share of the runs, and groups its beams by run count, so its Python
+work grows with the distinct run counts, not with the beams.
 
 A trajectory is scored one way: ``FanCast.from_pose`` casts each sensing
-pose's fan, and ``trajectories_mi`` adds up its non-overlapping beams.
+pose's fan, and ``trajectories_mi`` adds up the values of its
+non-overlapping beams, kept by a greedy over each beam's flat cell keys
+(``FanCast.beam_keys``, ``select_nonoverlapping``). ``beam_mi`` gives one
+kept beam's breakdown, which ``ssmi mi-eval --out`` writes.
 
 The occupancy-only baseline (FSMI, Zhang et al., ICRA 2019) is a one-class
 ``SensorParams`` on a map with more classes: the runs of either map are then
@@ -36,7 +45,9 @@ collapsed to occupied/free (``collapse_to_binary``) before the kernel call.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,8 +80,8 @@ class BeamMI:
     """Information value of one beam in nats, with its term breakdown:
     ``terms`` holds the (N or Q, K) summands of the hit part, ``p_detail``
     the event probabilities (p or rho) and ``c_detail`` the accumulated
-    log-ratios (C or Theta) they multiply. The three are slices of the
-    kernel's own arrays, so keeping them costs no extra pass.
+    log-ratios (C or Theta) they multiply. The one-beam kernels build it
+    from their own arrays; the batch kernel gives values only.
     """
 
     value: float
@@ -94,9 +105,9 @@ def _row_terms(h_t: np.ndarray, h_0: np.ndarray, params: SensorParams):
     Wherever a row's max is finite, these are the elementwise operations and
     length-(K+1) reductions of ``logodds.logsumexp``, ``softmax_pmf`` and
     the tests' ``f_logratio_rows`` on the same values, so the bits are
-    theirs. Every stored belief has a finite max, its pivot being 0; a row
-    of ``h_t`` with a NaN or +inf raises ``ValueError``, and -inf entries
-    are fine.
+    theirs, and each row's terms depend on that row alone. Every stored
+    belief has a finite max, its pivot being 0; a row of ``h_t`` with a NaN
+    or +inf raises ``ValueError``, and -inf entries are fine.
     """
     top = np.max(h_t, axis=-1, keepdims=True)
     if not np.isfinite(top).all():
@@ -114,34 +125,24 @@ def _row_terms(h_t: np.ndarray, h_0: np.ndarray, params: SensorParams):
     return -lse[:, 0], e / s, f[:, 0], f[:, 1:]
 
 
-def _exclusive_cumsum(x: np.ndarray, spans: list[tuple[int, int]]) -> np.ndarray:
-    """Per-segment exclusive prefix sums of ``x``; every segment is summed on
-    its own, so each slice equals a separate ``cumsum`` of that segment."""
+def _no_runs() -> EmptyRay:
+    return EmptyRay("information query over a beam with zero cells or runs")
+
+
+def _exclusive_cumsum(x: np.ndarray) -> np.ndarray:
+    """The exclusive prefix sums of a 1-D ``x``."""
     out = np.empty_like(x)
-    for start, end in spans:
-        out[start] = 0.0
-        np.add.accumulate(x[start:end - 1], out=out[start + 1:end])
+    out[:1] = 0.0
+    np.add.accumulate(x[:-1], out=out[1:])
     return out
 
 
-def _spans(offsets) -> list[tuple[int, int]]:
-    spans = list(zip(offsets[:-1], offsets[1:]))
-    if any(start >= end for start, end in spans):
-        raise EmptyRay("information query over a beam with zero cells or runs")
-    return spans
-
-
-def _beam_results(terms, p_detail, c_detail, log_pass, f_pass, spans) -> list[BeamMI]:
-    """Each segment's hit and free terms, reduced over its own slice."""
+def _one_beam(terms, p_detail, c_detail, log_pass, f_pass) -> BeamMI:
+    """A beam's hit and free terms, each reduced over the whole beam."""
     total = np.add.reduce  # what ndarray.sum and np.sum call
-    out = []
-    for start, end in spans:
-        beam_terms = terms[start:end]
-        hit_term = float(total(beam_terms, axis=None))
-        free_term = float(math.exp(total(log_pass[start:end])) * total(f_pass[start:end]))
-        out.append(BeamMI(hit_term + free_term, hit_term, free_term, beam_terms,
-                          p_detail[start:end], c_detail[start:end]))
-    return out
+    hit_term = float(total(terms, axis=None))
+    free_term = float(math.exp(total(log_pass)) * total(f_pass))
+    return BeamMI(hit_term + free_term, hit_term, free_term, terms, p_detail, c_detail)
 
 
 def beam_mi_dense(h_t: np.ndarray, h_0: np.ndarray, params: SensorParams) -> BeamMI:
@@ -155,15 +156,12 @@ def beam_mi_dense(h_t: np.ndarray, h_0: np.ndarray, params: SensorParams) -> Bea
     """
     h_t = np.atleast_2d(np.asarray(h_t, dtype=np.float64))
     h_0 = np.broadcast_to(np.asarray(h_0, dtype=np.float64), h_t.shape)
-    spans = _spans((0, h_t.shape[0]))
+    if not h_t.shape[0]:
+        raise _no_runs()
     log_p0, pmf, f_free, f_hit = _row_terms(h_t, h_0, params)
-    before_log_p0 = _exclusive_cumsum(log_p0, spans)
-    before_f_free = _exclusive_cumsum(f_free, spans)
-
-    p_nk = pmf[:, 1:] * np.exp(before_log_p0)[:, None]
-    c_nk = f_hit + before_f_free[:, None]
-    terms = p_nk * c_nk
-    return _beam_results(terms, p_nk, c_nk, log_p0, f_free, spans)[0]
+    p_nk = pmf[:, 1:] * np.exp(_exclusive_cumsum(log_p0))[:, None]
+    c_nk = f_hit + _exclusive_cumsum(f_free)[:, None]
+    return _one_beam(p_nk * c_nk, p_nk, c_nk, log_p0, f_free)
 
 
 def _geometric_sums(log_p0: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -184,29 +182,14 @@ def _geometric_sums(log_p0: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray,
     return s0, s1
 
 
-def beam_mi_srle_batch(runs: SrleRay, offsets, params: SensorParams) -> list[BeamMI]:
-    """Run-length information of many beams in one vectorised pass.
-
-    ``runs`` stacks every beam's runs; beam b owns runs ``offsets[b]`` to
-    ``offsets[b + 1]``. Row-wise terms and geometric sums are computed once
-    over all runs; prefix sums and final reductions run per beam, so every
-    beam's result is bit-identical to evaluating it alone. A run whose
-    ``chi_t`` holds a NaN or +inf raises ``ValueError``.
-    """
-    spans = _spans(offsets)
-    w = runs.widths.astype(np.float64)
-    log_p0, pmf, f_free, f_hit = _row_terms(runs.chi_t, runs.chi_0, params)
-    run_log_p0 = w * log_p0
-    run_f_free = w * f_free
-    before_log_p0 = _exclusive_cumsum(run_log_p0, spans)
-    before_f_free = _exclusive_cumsum(run_f_free, spans)
-
-    rho = pmf[:, 1:] * np.exp(before_log_p0)[:, None]
+def _run_terms(log_p0, pmf_hit, f_free, f_hit, widths, before_log_p0, before_f_free):
+    """Each run's rho (its K hit events' probabilities) and theta (their
+    accumulated log-ratios), elementwise over the runs, given the sums of
+    the runs before it in its beam."""
+    rho = pmf_hit * np.exp(before_log_p0)[:, None]
     beta = f_hit + before_f_free[:, None]
-    s0, s1 = _geometric_sums(log_p0, runs.widths)
-    theta = beta * s0[:, None] + (f_free * s1)[:, None]
-    terms = rho * theta
-    return _beam_results(terms, rho, theta, run_log_p0, run_f_free, spans)
+    s0, s1 = _geometric_sums(log_p0, widths)
+    return rho, beta * s0[:, None] + (f_free * s1)[:, None]
 
 
 def beam_mi_srle(ray: SrleRay, params: SensorParams) -> BeamMI:
@@ -214,9 +197,85 @@ def beam_mi_srle(ray: SrleRay, params: SensorParams) -> BeamMI:
 
     Within a homogeneous run the per-element contributions form geometric
     sums that collapse in closed form, so cost depends on the number of runs,
-    not elements. The one-beam case of :func:`beam_mi_srle_batch`.
+    not elements. :func:`beam_mi_srle_batch` gives the same value, bit for
+    bit, for each beam of a batch. A run whose ``chi_t`` holds a NaN or
+    +inf raises ``ValueError``.
     """
-    return beam_mi_srle_batch(ray, (0, ray.num_runs), params)[0]
+    if not ray.num_runs:
+        raise _no_runs()
+    w = ray.widths.astype(np.float64)
+    log_p0, pmf, f_free, f_hit = _row_terms(ray.chi_t, ray.chi_0, params)
+    run_log_p0 = w * log_p0
+    run_f_free = w * f_free
+    rho, theta = _run_terms(log_p0, pmf[:, 1:], f_free, f_hit, ray.widths,
+                            _exclusive_cumsum(run_log_p0), _exclusive_cumsum(run_f_free))
+    return _one_beam(rho * theta, rho, theta, run_log_p0, run_f_free)
+
+
+def beam_mi_srle_batch(runs: SrleRay, offsets, params: SensorParams) -> np.ndarray:
+    """Run-length information values of many beams in one vectorised pass.
+
+    ``runs`` stacks every beam's runs; beam b owns runs ``offsets[b]`` to
+    ``offsets[b + 1]``, and gets ``values[b]``: bit for bit the value
+    :func:`beam_mi_srle` gives that beam alone.
+
+    The row terms (``_row_terms``) are evaluated once per distinct
+    (``chi_t``, ``chi_0``) row, told apart by their bytes (so 0.0 and -0.0
+    differ), and gathered back to the runs: they depend on the row alone.
+    The beams are then grouped by run count, and the runs listed in that
+    order, so the n-run beams are one C-contiguous (G, n) block: one
+    ``np.add.accumulate`` along its rows gives their prefix sums, and one
+    ``np.add.reduce`` along the rows of the (G, n K) and (G, n) blocks their
+    hit and free sums, as numpy sums each row as it sums a 1-D array of
+    that length. The free term takes ``math.exp`` per beam, as the one-beam
+    kernel does. A run whose ``chi_t`` holds a NaN or +inf raises
+    ``ValueError``; a beam without runs raises ``EmptyRay``.
+    """
+    offsets = np.asarray(offsets, dtype=np.intp)
+    counts = np.diff(offsets)
+    if (counts <= 0).any():
+        raise _no_runs()
+    both = np.concatenate((runs.chi_t, runs.chi_0), axis=1)
+    rows = both.view(np.dtype((np.void, both.itemsize * both.shape[1])))[:, 0]
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    log_p0, pmf, f_free, f_hit = _row_terms(runs.chi_t[first], runs.chi_0[first], params)
+
+    # the beams by run count, and ``take``: their runs in that order, so the
+    # j-th beam of ``order`` owns ``take[ends[j] - counts[j]:ends[j]]``
+    order = np.argsort(counts, kind="stable")
+    counts = counts[order]
+    ends = np.cumsum(counts)
+    take = np.repeat(offsets[:-1][order] - ends + counts, counts) + np.arange(counts.sum())
+    sizes, starts = np.unique(counts, return_index=True)
+    groups = [(n, b, e, ends[b] - n, ends[e - 1]) for n, b, e in
+              zip(sizes.tolist(), starts.tolist(), starts[1:].tolist() + [counts.shape[0]])]
+
+    at = inverse[take]
+    widths = runs.widths[take]
+    w = widths.astype(np.float64)
+    log_p0, f_free = log_p0[at], f_free[at]
+    run_log_p0 = w * log_p0
+    run_f_free = w * f_free
+    before_log_p0 = np.empty_like(run_log_p0)
+    before_f_free = np.empty_like(run_f_free)
+    for n, _, _, lo, hi in groups:
+        for x, before in ((run_log_p0, before_log_p0), (run_f_free, before_f_free)):
+            block = before[lo:hi].reshape(-1, n)
+            block[:, 0] = 0.0
+            np.add.accumulate(x[lo:hi].reshape(-1, n)[:, :-1], axis=1, out=block[:, 1:])
+    rho, theta = _run_terms(log_p0, pmf[at, 1:], f_free, f_hit[at], widths,
+                            before_log_p0, before_f_free)
+    terms = rho * theta
+
+    hit, log_pass, f_pass = (np.empty(counts.shape[0]) for _ in range(3))
+    width = terms.shape[1]
+    for n, b, e, lo, hi in groups:
+        hit[b:e] = np.add.reduce(terms[lo:hi].reshape(-1, n * width), axis=1)
+        log_pass[b:e] = np.add.reduce(run_log_p0[lo:hi].reshape(-1, n), axis=1)
+        f_pass[b:e] = np.add.reduce(run_f_free[lo:hi].reshape(-1, n), axis=1)
+    values = np.empty_like(hit)
+    values[order] = hit + np.array([math.exp(v) for v in log_pass.tolist()]) * f_pass
+    return values
 
 
 ORACLE_MAX_CELLS = 8
@@ -287,12 +346,14 @@ class FanCast:
 
     :meth:`from_pose` builds one straight from a planar fan's pose; it is
     how planning, ``mi_surface`` and ``ssmi mi-eval`` cast. The overlap
-    filter reads each beam's cells as one bit mask (:attr:`masks`), and the
-    evaluation of kept beams slices ``cells`` at :attr:`bounds`; both are
-    built on first use and kept with the fan, so a fan in the planner's cast
-    cache builds them once per episode. A mask costs up to ``cells/8``
-    bytes per beam, ``cells`` being the box's cell count: 128 B on a 32x32
-    map, but 4 KiB in a 32^3 box, which 3-D worlds should revisit."""
+    filter reads each beam's cells as flat keys (:meth:`beam_keys`), and
+    the evaluation of kept beams slices ``cells`` at :attr:`bounds`; the
+    keys and the bounds are built on first use and kept with the fan, so a
+    fan in the planner's cast cache builds them once per episode. The keys
+    take 8 bytes per cell and one array header, whatever the size of the
+    box: a 16-beam fan of 10 m beams from the middle of the box keeps
+    1,872 B of keys for 2,496 B of cells on a 32x32 map, in a 32x32x16
+    box and in a 128x128x64 one."""
 
     cells: np.ndarray
     counts: tuple[int, ...]
@@ -305,27 +366,24 @@ class FanCast:
     def bounds(self) -> list[int]:
         """Where each beam's cells start in ``cells``, then where the last
         one's end: beam b owns ``cells[bounds[b]:bounds[b + 1]]``."""
-        return np.cumsum((0,) + self.counts).tolist()
+        return list(itertools.accumulate(self.counts, initial=0))
 
     @functools.cached_property
-    def masks(self) -> list[int]:
-        """One Python int per beam, with bit ``(i * ny + j) * nz + k`` set
-        for each cell ``(i, j, k)`` the beam claims: a key that is injective
-        on the box, so two beams share a cell exactly when their masks
-        share a bit. Built for all beams in one numpy pass over the span of
-        bytes their keys fall in."""
-        if not self.cells.shape[0]:
-            return [0] * len(self.counts)
+    def keys(self) -> array:
+        """The key ``(i * ny + j) * nz + k`` of each cell ``(i, j, k)`` of
+        ``cells``, in their order, as one ``array('q')``: a key that is
+        injective on the box, so two beams share a cell exactly when they
+        share a key. Made in one int64 pass over all cells."""
         _, ny, nz = self.dims
-        keys = self.cells @ np.array([ny * nz, nz, 1], dtype=np.int64)
-        low = int(keys.min()) >> 3
-        width = (int(keys.max()) >> 3) - low + 1
-        bits = np.zeros((len(self.counts), 8 * width), dtype=bool)
-        bits[np.repeat(np.arange(len(self.counts)), self.counts), keys - 8 * low] = True
-        data = np.packbits(bits, axis=1, bitorder="little").tobytes()
-        shift = 8 * low
-        return [int.from_bytes(data[b:b + width], "little") << shift
-                for b in range(0, len(data), width)]
+        return array("q", (self.cells @ np.array([ny * nz, nz, 1], dtype=np.int64)).tobytes())
+
+    def beam_keys(self) -> list[array]:
+        """Each beam's slice of :attr:`keys`, the cells it claims. Slices
+        are copies, made per call, so the fan keeps one array: kept per
+        beam, with a header each, they made the A7 cast cache hold about
+        twice the bytes, and planning ran no faster."""
+        keys, bounds = self.keys, self.bounds
+        return [keys[start:end] for start, end in zip(bounds, bounds[1:])]
 
     @classmethod
     def from_pose(cls, mapper, center, num_beams: int, max_range: float,
@@ -349,61 +407,83 @@ class FanCast:
         return cls(cells, tuple(counts), mapper.dims)
 
 
-def select_nonoverlapping(masks: list[int]) -> list[int]:
+def select_nonoverlapping(keys) -> list[int]:
     """Greedy maximal subset of beams sharing no cell, in input order.
 
-    ``masks`` holds each beam's cells as a bit mask (``FanCast.masks``). A
-    beam claims the cells of its compact cast, which leaves out the cell it
-    starts in: that is the sensor's own location, carries no range
-    information, and would otherwise make every pair of beams from one pose
-    overlap trivially. A beam that claims no cell is always kept.
+    ``keys`` holds one entry per beam: the keys of the cells it claims, an
+    iterable of ints (``FanCast.beam_keys``). The cells claimed by kept
+    beams are kept in one set, so the work grows with the beams' cells, not
+    with the map. A beam claims the cells of its compact cast, which leaves
+    out the cell it starts in: that is the sensor's own location, carries
+    no range information, and would otherwise make every pair of beams from
+    one pose overlap trivially. A beam that claims no cell is always kept.
     """
     chosen: list[int] = []
-    used = 0
-    for idx, mask in enumerate(masks):
-        if not mask & used:
+    used: set[int] = set()
+    for idx, beam in enumerate(keys):
+        if used.isdisjoint(beam):
             chosen.append(idx)
-            used |= mask
+            used.update(beam)
     return chosen
 
 
-def _traces_mi(mapper, cells: np.ndarray, counts, params: SensorParams) -> list[BeamMI | None]:
-    """Information of each beam's cast cells (``cells`` stacked in beam
-    order, ``counts`` per beam, as ``FanCast`` holds them), all beams in one
-    run-length kernel call over the runs the map encodes for them, beliefs
-    read now; None for a beam without cells.
+def _encode(mapper, cells: np.ndarray, counts, params: SensorParams):
+    """The runs the map encodes for a compact cast (``cells`` stacked in
+    beam order, ``counts`` per beam, as ``FanCast`` holds them), beliefs
+    read now, and each beam's run count; the runs are None without cells.
 
-    A one-class ``params`` on a map with more classes evaluates the collapse
-    of the runs as the map merged them on full beliefs; the kernel is exact
+    A one-class ``params`` on a map with more classes takes the collapse of
+    the runs as the map merged them on full beliefs; the kernels are exact
     on neighbours that collapse to equal values. Other K mismatches raise."""
     collapse = params.num_classes != mapper.num_classes
     if collapse and params.num_classes != 1:
         raise ValueError("sensor profile and map disagree on K")
-    out: list[BeamMI | None] = [None] * len(counts)
     runs, counts = mapper.encode_traces(cells, counts)
-    if runs is None:
-        return out
-    if collapse:
+    if runs is not None and collapse:
         runs = SrleRay(runs.widths, collapse_to_binary(runs.chi_t),
                        collapse_to_binary(runs.chi_0))
+    return runs, counts
+
+
+def _traces_mi(mapper, cells: np.ndarray, counts, params: SensorParams) -> list[float | None]:
+    """Information value of each beam of a compact cast, all beams in one
+    :func:`beam_mi_srle_batch` call over the runs ``_encode`` gives; None
+    for a beam without cells."""
+    out: list[float | None] = [None] * len(counts)
+    runs, counts = _encode(mapper, cells, counts, params)
+    if runs is None:
+        return out
     used = [i for i, count in enumerate(counts) if count]
-    offsets = np.cumsum([0] + [counts[i] for i in used]).tolist()
-    for i, res in zip(used, beam_mi_srle_batch(runs, offsets, params)):
-        out[i] = res
+    offsets = np.cumsum([0] + [counts[i] for i in used])
+    for i, value in zip(used, beam_mi_srle_batch(runs, offsets, params).tolist()):
+        out[i] = value
     return out
+
+
+def beam_mi(mapper, cells: np.ndarray, params: SensorParams) -> BeamMI:
+    """The :class:`BeamMI` of one beam's cast cells past its sensor cell
+    (``FanCast`` slices them at ``bounds``), beliefs read now: the runs the
+    map encodes for this beam alone, through :func:`beam_mi_srle`. Its value
+    is the one :func:`trajectories_mi` gives the beam, bit for bit. A beam
+    without cells raises ``EmptyRay``."""
+    runs, _ = _encode(mapper, cells, [cells.shape[0]], params)
+    if runs is None:
+        raise _no_runs()
+    return beam_mi_srle(runs, params)
 
 
 @dataclass
 class TrajectoryMI:
     """Information of one trajectory. ``beams`` lists every kept beam that
     has cells past the sensor cell, in keep order, as (its index in the
-    trajectory's beams, its :class:`BeamMI`); kept beams without such cells
-    add nothing to ``value``."""
+    trajectory's beams, its value in nats); kept beams without such cells
+    add nothing to ``value``. :func:`beam_mi` gives a kept beam's term
+    breakdown."""
 
     value: float
     beams_total: int
     beams_kept: int
-    beams: list[tuple[int, BeamMI]]
+    beams: list[tuple[int, float]]
 
 
 @dataclass
@@ -428,15 +508,16 @@ def trajectories_mi(mapper, fans, trajectories: list[list], params: SensorParams
     ``planner.evaluate_candidates``), with trajectories of poses.
     Overlapping beams are dropped greedily per trajectory, across its whole
     horizon: one :func:`select_nonoverlapping` call on the concatenated
-    masks of its fans (``FanCast.masks``). The kept beams' cells are sliced
-    at their fans' ``FanCast.bounds``, and the union of kept beams is
-    evaluated in one kernel call. Each trajectory's value adds its
-    kept beams' values in keep order, so it is bit-identical to evaluating
-    that trajectory alone.
+    per-beam keys of its fans (``FanCast.beam_keys``). The kept beams'
+    cells are sliced at their fans' ``FanCast.bounds``, and the union of
+    kept beams is evaluated in one :func:`beam_mi_srle_batch` call, which
+    gives one float per beam. Each trajectory's value adds its kept beams'
+    values in keep order, so it is bit-identical to evaluating that
+    trajectory alone.
 
     ``mapper`` is a GridMap or a semantic octree: it encodes the kept beams'
     runs (one per cell on the grid, one per stretch of equal leaf beliefs on
-    the octree) for :func:`beam_mi_srle_batch`.
+    the octree).
     """
     slots: dict[tuple, int] = {}  # kept (fan, beam) -> batch position
     kept: list[list[tuple[int, int]]] = []  # per trajectory: (beam index, position)
@@ -445,7 +526,7 @@ def trajectories_mi(mapper, fans, trajectories: list[list], params: SensorParams
         casts = [fans[f] for f in traj]
         picks = []
         n, start, end = -1, 0, 0  # the fan of beam i: its place in traj, first beam, end
-        for i in select_nonoverlapping([mask for cast in casts for mask in cast.masks]):
+        for i in select_nonoverlapping([keys for cast in casts for keys in cast.beam_keys()]):
             while i >= end:  # kept beams ascend; fans without beams are passed over
                 n += 1
                 start, end = end, end + len(casts[n])
@@ -457,14 +538,14 @@ def trajectories_mi(mapper, fans, trajectories: list[list], params: SensorParams
         cast = fans[f]
         bounds = cast.bounds
         pieces.append(cast.cells[bounds[b]:bounds[b + 1]])
-    evaluated = _traces_mi(mapper, np.concatenate([_NO_CELLS] + pieces),
-                           list(map(len, pieces)), params)
+    values = _traces_mi(mapper, np.concatenate([_NO_CELLS] + pieces),
+                        list(map(len, pieces)), params)
     results = []
     for picks, beams_total in zip(kept, totals):
-        beams = [(i, evaluated[pos]) for i, pos in picks if evaluated[pos] is not None]
+        beams = [(i, values[pos]) for i, pos in picks if values[pos] is not None]
         total = 0.0
-        for _, res in beams:
-            total += res.value
+        for _, value in beams:
+            total += value
         results.append(TrajectoryMI(value=total, beams_total=beams_total,
                                     beams_kept=len(picks), beams=beams))
     return BatchMI(trajectories=results, beams_evaluated=len(slots))
@@ -537,8 +618,8 @@ def mi_surface(
                 continue
             fan = FanCast.from_pose(gmap, gmap.cell_center((i, j, 0)), num_beams, max_range)
             total = 0.0
-            for res in _traces_mi(gmap, fan.cells, fan.counts, params):
-                if res is not None:
-                    total += res.value
+            for value in _traces_mi(gmap, fan.cells, fan.counts, params):
+                if value is not None:
+                    total += value
             out[i, j] = total
     return out

@@ -189,6 +189,7 @@ class _Beliefs:
         self.num_classes = num_classes
         self.objects: list[TruncatedSemantics] = []
         self.by_key: dict = {}
+        self.by_row: dict[bytes, int] = {}  # K <= 3 rows, by their bytes (``id_of_row``)
         self._allocate(64)
         self.fill(np.array([self.id_of(prior_semantics)]))
 
@@ -216,6 +217,15 @@ class _Beliefs:
             if i == self.ready.shape[0]:
                 self._allocate(2 * i)
             self.objects.append(sem)
+        return i
+
+    def id_of_row(self, key: bytes, row: np.ndarray) -> int:
+        """The id of the exact belief ``TruncatedSemantics.from_full(row)``
+        of a row of K <= 3 classes, ``key`` being the row's bytes: the
+        belief object is built only for bytes not seen before."""
+        i = self.by_row.get(key)
+        if i is None:
+            i = self.by_row[key] = self.id_of(TruncatedSemantics.from_full(row))
         return i
 
     def fill(self, ids: np.ndarray) -> None:
@@ -508,7 +518,9 @@ class SemanticOctree:
         row: the elements' rows, gathered from the leaf table, take the
         grid's own update (``grid._apply_rounds``), and each distinct row
         that changed (in its bits, or from a belief that is not its row,
-        ``_Beliefs.exact``) is interned once. With K > 3 each update
+        ``_Beliefs.exact``) takes its id from the store's index by row
+        bytes (``_Beliefs.id_of_row``), which builds and interns a belief
+        only for a row it has not seen. With K > 3 each update
         (``element_update``) is a pure function of the hit class and the
         belief's bits, memoized by class and belief id for the scan. An
         element that ends where it began is not written."""
@@ -535,8 +547,9 @@ class SemanticOctree:
             fresh = table.view(row_bytes)[:, 0]
             (changed,) = np.nonzero((fresh != was.view(row_bytes)[:, 0]) | ~store.exact[held])
             _, at, distinct = np.unique(fresh[changed], return_index=True, return_inverse=True)
-            ids = [store.id_of(TruncatedSemantics.from_full(table[i]))
-                   for i in changed[at].tolist()]
+            at = changed[at]
+            ids = [store.id_of_row(key, table[i])
+                   for key, i in zip(fresh[at].tolist(), at.tolist())]
             new = held.copy()
             new[changed] = np.array(ids, dtype=np.intp)[distinct]
         else:

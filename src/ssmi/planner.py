@@ -332,9 +332,10 @@ def evaluate_candidates(
     ``config``; ``sim.run_episode`` owns one per episode. Its keys are
     planning cells times the 8 path-tangent headings, so it needs no bound:
     over A7 worlds 0-9 (both maps, ``ssmi`` and ``fsmi-binary``) the
-    largest held 556 fans in 1.23 MB of cells plus 1.08 MB of the beam
-    masks the overlap filter built on them (``FanCast.masks``: 0.97 MB of
-    ints, 0.10 MB of lists). A call on its own passes an empty dict.
+    largest held 556 fans in 1.23 MB of cells plus 0.93 MB of the cell
+    keys the overlap filter built on them (``FanCast.keys``, one array per
+    fan), which grow with the beams' cells, not with the map. A call on
+    its own passes an empty dict.
     """
     frontiers = find_frontiers(view, config.min_frontier_size)
     if config.selector == "fsmi-binary":

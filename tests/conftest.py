@@ -120,7 +120,7 @@ def cast_fan(mapper, beams: list[BeamMeasurement]) -> FanCast:
 def select_nonoverlapping_reference(cells, counts) -> list[int]:
     """The greedy overlap filter over sets of cell tuples: beam b claims its
     ``counts[b]`` cells of the stacked ``cells`` and is kept when none of
-    them is claimed by a beam kept before it, in input order. The bit-mask
+    them is claimed by a beam kept before it, in input order. The key
     filter ``mi.select_nonoverlapping`` is held to it."""
     chosen, used = [], set()
     end = 0
@@ -161,8 +161,8 @@ def trajectories_mi_reference(mapper, fans, trajectories, params):
     for picks, beams_total in zip(kept, totals):
         beams = [(i, evaluated[pos]) for i, pos in picks if evaluated[pos] is not None]
         total = 0.0
-        for _, res in beams:
-            total += res.value
+        for _, value in beams:
+            total += value
         results.append(mi_mod.TrajectoryMI(value=total, beams_total=beams_total,
                                            beams_kept=len(picks), beams=beams))
     return keeps, mi_mod.BatchMI(trajectories=results, beams_evaluated=len(slots))

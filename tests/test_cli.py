@@ -534,7 +534,7 @@ def _dump_rows_reference(mapper, fan, params):
 
     tree = isinstance(mapper, SemanticOctree)
     traces = [mapper.cast_ray(b) for b in fan]
-    keep = mi.select_nonoverlapping(cast_fan(mapper, fan).masks)
+    keep = mi.select_nonoverlapping(cast_fan(mapper, fan).beam_keys())
     rows = []
     for idx in keep:
         if tree:

@@ -2,6 +2,8 @@
 exactness, beam selection, and trajectory sums."""
 
 import math
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -333,7 +335,8 @@ def test_dense_equals_single_beam_reference(k, beams, clamp, seed):
 @settings(max_examples=300, deadline=None)
 def test_unit_width_runs_degenerate_to_dense(k, beams, clamp, seed):
     """On runs of width 1 the run-length kernel is the dense recursion bit
-    for bit (s0 = 1, s1 = 0), beams stacked in one batch call."""
+    for bit (s0 = 1, s1 = 0): the one-beam kernel with its breakdown, and
+    the beams stacked in one batch call by value."""
     rng = np.random.default_rng(seed)
     params = SensorParams.default(k, clamp_limit=clamp)
     rows = beam_rows(rng, beams, k, clamp)
@@ -342,8 +345,11 @@ def test_unit_width_runs_degenerate_to_dense(k, beams, clamp, seed):
                    chi_0=np.concatenate([z for _, z in rows]))
     offsets = np.cumsum([0] + [len(t) for t, _ in rows]).tolist()
     batch = beam_mi_srle_batch(runs, offsets, params)
-    for got, (t, z) in zip(batch, rows, strict=True):
-        assert_same_bits(got, beam_mi_dense(t, z, params))
+    for got, (t, z) in zip(batch.tolist(), rows, strict=True):
+        want = beam_mi_dense(t, z, params)
+        ray = SrleRay(widths=np.ones(len(t), dtype=np.int64), chi_t=t, chi_0=z)
+        assert_same_bits(beam_mi_srle(ray, params), want)
+        assert got.hex() == want.value.hex()
 
 
 @given(k=st.integers(1, 5), beams=beam_kinds, clamp=st.sampled_from([4.0, 6.0, 12.0]),
@@ -366,10 +372,10 @@ def test_srle_batch_equals_single_beam_reference(k, beams, clamp, seed):
     )
     offsets = np.cumsum([0] + [r.num_runs for r in rays]).tolist()
     batch = beam_mi_srle_batch(runs, offsets, params)
-    assert len(batch) == len(beams)
+    assert batch.shape == (len(beams),)
     for b, ray in enumerate(rays):
         ref = beam_mi_srle_reference(ray, params)
-        assert_same_result(batch[b], ref)
+        assert float(batch[b]).hex() == ref.value.hex()
         assert_same_result(beam_mi_srle(ray, params), ref)
 
 
@@ -441,7 +447,7 @@ def test_kernels_keep_the_reference_bits_on_minus_inf_classes(params3):
                      beam_mi_dense_reference(h_t, h_0, params3))
     want = beam_mi_srle_reference(runs, params3)
     assert_same_bits(beam_mi_srle(runs, params3), want)
-    assert_same_bits(beam_mi_srle_batch(runs, [0, 3], params3)[0], want)
+    assert float(beam_mi_srle_batch(runs, [0, 3], params3)[0]).hex() == want.value.hex()
 
 
 def test_batch_rejects_empty_segment(params3):
@@ -449,6 +455,95 @@ def test_batch_rejects_empty_segment(params3):
     runs = SrleRay(widths=np.ones(3, dtype=np.int64), chi_t=h, chi_0=h)
     with pytest.raises(EmptyRay):
         beam_mi_srle_batch(runs, [0, 2, 2, 3], params3)
+    with pytest.raises(EmptyRay):
+        beam_mi_srle(SrleRay(widths=np.ones(0, dtype=np.int64), chi_t=h[:0], chi_0=h[:0]),
+                     params3)
+
+
+def flip_zeros(rows):
+    """``rows`` with the sign of every zero entry flipped."""
+    return np.where(rows == 0.0, -rows, rows)
+
+
+# run counts per beam in numpy's pairwise-sum bands: up to the 8-element
+# unrolled block, up to the 128-element block, and past it
+RUN_COUNT_BANDS = [(1, 8), (9, 128), (129, 180)]
+
+
+@given(k=st.integers(1, 4), binary=st.booleans(), unit=st.booleans(),
+       bands=st.lists(st.sampled_from(RUN_COUNT_BANDS), min_size=1, max_size=3),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_batch_values_equal_one_beam_kernels(k, binary, unit, bands, seed):
+    """The batch kernel's value of each beam is the value the one-beam
+    kernels give it alone, in float hex. Each drawn band adds one to three
+    run counts in it with two to six beams each, interleaved in the batch;
+    runs draw their (current, prior) rows from a small pool that holds each
+    row and its copy with the signs of its zeros flipped, so rows repeat
+    and rows that differ only in a zero's sign meet in one batch. With
+    ``binary`` the runs are the one-class collapse of the rows under the
+    one-class profile; with ``unit`` every run is one cell, and the dense
+    kernel gives the same value and breakdown as the run-length one."""
+    rng = np.random.default_rng(seed)
+    clamp = 6.0
+    pool_t = cell_rows(rng, rng.integers(0, NUM_KINDS, 4), k, clamp)
+    pool_0 = cell_rows(rng, [4, 5], k, clamp)
+    pool_t, pool_0 = (np.concatenate([p, flip_zeros(p)]) for p in (pool_t, pool_0))
+    params = SensorParams.default(1 if binary else k, clamp_limit=clamp)
+    counts = [int(rng.integers(lo_, hi_ + 1)) for lo_, hi_ in bands
+              for _ in range(int(rng.integers(1, 4)))]
+    counts = [n for n in counts for _ in range(int(rng.integers(2, 7)))]
+    rays = []
+    for n in rng.permutation(counts).tolist():
+        chi_t = pool_t[rng.integers(0, len(pool_t), n)]
+        chi_0 = pool_0[rng.integers(0, len(pool_0), n)]
+        if binary:
+            chi_t, chi_0 = collapse_to_binary(chi_t), collapse_to_binary(chi_0)
+        widths = np.ones(n, dtype=np.int64) if unit else rng.integers(1, 30, n)
+        rays.append(SrleRay(widths=widths, chi_t=chi_t, chi_0=chi_0))
+    runs = SrleRay(widths=np.concatenate([r.widths for r in rays]),
+                   chi_t=np.concatenate([r.chi_t for r in rays]),
+                   chi_0=np.concatenate([r.chi_0 for r in rays]))
+    offsets = np.cumsum([0] + [r.num_runs for r in rays]).tolist()
+    values = beam_mi_srle_batch(runs, offsets, params).tolist()
+    assert len(values) == len(rays)
+    for value, ray in zip(values, rays):
+        one = beam_mi_srle(ray, params)
+        assert value.hex() == one.value.hex()
+        if unit:
+            assert_same_bits(one, beam_mi_dense(ray.chi_t, ray.chi_0, params))
+
+
+def test_batch_evaluates_each_distinct_row_once(params3, monkeypatch):
+    """The batch kernel evaluates the row terms once per distinct
+    (current, prior) row by bytes: rows equal but for the sign of a zero,
+    in the current or the prior part, are evaluated apart; a NaN or +inf
+    row still raises, however often it repeats."""
+    real = mi_mod._row_terms
+    evaluated = []
+
+    def counted(h_t, h_0, params):
+        evaluated.append(h_t.shape[0])
+        return real(h_t, h_0, params)
+
+    monkeypatch.setattr(mi_mod, "_row_terms", counted)
+    row = np.array([0.0, 0.0, -1.5, 2.0])
+    prior = np.zeros(4)
+    chi_t = np.array([row, flip_zeros(row), row, row, flip_zeros(row), row])
+    chi_0 = np.array([prior, prior, prior, flip_zeros(prior), prior, prior])
+    runs = SrleRay(widths=np.arange(1, 7), chi_t=chi_t, chi_0=chi_0)
+    offsets = [0, 2, 5, 6]
+    values = beam_mi_srle_batch(runs, offsets, params3).tolist()
+    assert evaluated == [3]
+    for value, start, end in zip(values, offsets, offsets[1:]):
+        ray = SrleRay(widths=runs.widths[start:end], chi_t=chi_t[start:end],
+                      chi_0=chi_0[start:end])
+        assert value.hex() == beam_mi_srle(ray, params3).value.hex()
+    for bad in (math.nan, math.inf):
+        spoilt = chi_t.copy()
+        spoilt[[1, 4], 2] = bad
+        with pytest.raises(ValueError, match="NaN"):
+            beam_mi_srle_batch(SrleRay(runs.widths, spoilt, chi_0), offsets, params3)
 
 
 # -- beam selection -----------------------------------------------------------------
@@ -457,20 +552,20 @@ def test_batch_rejects_empty_segment(params3):
 def test_parallel_beams_all_selected():
     gmap = GridMap((10, 10), 1.0, 1)
     beams = [planar_beam((0.5, y + 0.5), 0.0, 10.0, None, 10.0) for y in range(5)]
-    assert select_nonoverlapping(cast_fan(gmap, beams).masks) == [0, 1, 2, 3, 4]
+    assert select_nonoverlapping(cast_fan(gmap, beams).beam_keys()) == [0, 1, 2, 3, 4]
 
 
 def test_identical_beams_one_selected():
     gmap = GridMap((10, 10), 1.0, 1)
     beam = planar_beam((0.5, 0.5), 0.3, 10.0, None, 10.0)
-    assert select_nonoverlapping(cast_fan(gmap, [beam, beam]).masks) == [0]
+    assert select_nonoverlapping(cast_fan(gmap, [beam, beam]).beam_keys()) == [0]
 
 
 def test_fan_selection_is_pairwise_disjoint():
     gmap = GridMap((17, 17), 1.0, 1)
     fan = fan_beams(np.array([8.5, 8.5, 0.5]), 8, 7.0)
     traces = [gmap.cast_ray(b) for b in fan]
-    keep = select_nonoverlapping(cast_fan(gmap, fan).masks)
+    keep = select_nonoverlapping(cast_fan(gmap, fan).beam_keys())
     assert len(keep) >= 2
     sets = [{tuple(c) for c in traces[i].cells[1:]} for i in keep]
     for a in range(len(sets)):
@@ -490,16 +585,16 @@ def claimed_keys(fan: FanCast) -> list[set[int]]:
 
 @pytest.mark.parametrize("dims", [(12, 9, 1), (7, 11, 5), (1, 1, 6), (32, 32, 1), (9, 1, 1)])
 def test_flat_key_selection_matches_tuple_sets(dims, rng):
-    """The bit-mask greedy keeps what the greedy on cell-tuple sets keeps,
-    in 2-D and 3-D boxes: random beams, beams that leave the map from their
+    """The key greedy keeps what the greedy on cell-tuple sets keeps, in
+    2-D and 3-D boxes: random beams, beams that leave the map from their
     sensor cell (they claim no cell), repeats of earlier beams, and whole
-    traces (sensor cell included). Each mask has exactly the bits of its
-    beam's flat cell keys."""
+    traces (sensor cell included). Each beam's keys are exactly its flat
+    cell keys, in its cell order."""
     gmap = GridMap(dims, 0.5, 1)
     extent = np.array(dims) * 0.5
     outward = BeamMeasurement(np.array([0.1, 0.2, 0.2]), np.array([-1.0, 0.0, 0.0]),
                               4.0, None, 4.0)
-    assert select_nonoverlapping(cast_fan(gmap, []).masks) == []
+    assert select_nonoverlapping(cast_fan(gmap, []).beam_keys()) == []
     for _ in range(20):
         beams = []
         for _ in range(int(rng.integers(1, 24))):
@@ -518,9 +613,39 @@ def test_flat_key_selection_matches_tuple_sets(dims, rng):
         whole = FanCast(np.concatenate([t.cells for t in traces]),
                         tuple(len(t.cells) for t in traces), gmap.dims)
         for fan in (cast_fan(gmap, beams), whole):
-            assert fan.masks == [sum(1 << key for key in keys) for keys in claimed_keys(fan)]
-            assert (select_nonoverlapping(fan.masks)
+            assert [set(keys) for keys in fan.beam_keys()] == claimed_keys(fan)
+            assert [len(keys) for keys in fan.beam_keys()] == list(fan.counts)
+            assert (select_nonoverlapping(fan.beam_keys())
                     == select_nonoverlapping_reference(fan.cells, fan.counts))
+
+
+@pytest.mark.parametrize("dims", [(32, 32, 1), (32, 32, 16), (128, 128, 64)])
+def test_key_filter_on_three_box_sizes(dims, rng):
+    """On a 32x32 map and in 32x32x16 and 128x128x64 boxes, the key filter
+    keeps what the set greedy keeps, on 16-beam fans from poses around the
+    middle and anywhere in the box, alone and joined three at a time. A
+    fan's keys take at most twice its cells' bytes: from the middle, 1,872
+    B for 2,496 B of cells at 10 m in every box, where bit masks with one
+    bit per box cell up to each beam's largest key took 1.9 KB, 21.9 KB and
+    1.18 MB. Only the box's geometry is read, so no map is made."""
+    box = SimpleNamespace(origin=(0.0, 0.0, 0.0), resolution=1.0, dims=dims)
+    middle = np.array([d // 2 + 0.5 for d in dims])
+    fans = [FanCast.from_pose(box, middle, 16, r) for r in (10.0, 20.0)]
+    for _ in range(4):
+        for center in (middle + rng.uniform(-4.0, 4.0, 3) * [1, 1, 0],
+                       rng.uniform(0.0, 1.0, 3) * dims):
+            fans.append(FanCast.from_pose(box, center, 16, float(rng.uniform(2.0, 20.0)),
+                                          float(rng.uniform(-math.pi, math.pi))))
+    for fan in fans:
+        assert sys.getsizeof(fan.keys) <= 2 * fan.cells.nbytes
+        assert (select_nonoverlapping(fan.beam_keys())
+                == select_nonoverlapping_reference(fan.cells, fan.counts))
+    for joined in zip(fans, fans[1:], fans[2:]):
+        keep = select_nonoverlapping([keys for fan in joined for keys in fan.beam_keys()])
+        assert len(keep) < 48
+        assert keep == select_nonoverlapping_reference(
+            np.concatenate([fan.cells for fan in joined]),
+            [count for fan in joined for count in fan.counts])
 
 
 @pytest.mark.parametrize("mapper_type", ["grid", "octree"])
@@ -536,13 +661,13 @@ def test_trajectories_mi_equals_the_set_greedy_reference(monkeypatch, mapper_typ
     def rows(batch):
         return batch.beams_evaluated, [
             (t.value.hex(), t.beams_total, t.beams_kept,
-             [(i, res.value.hex()) for i, res in t.beams]) for t in batch.trajectories]
+             [(i, value.hex()) for i, value in t.beams]) for t in batch.trajectories]
 
     def checked(mapper, fans, trajectories, params):
         got = real(mapper, fans, trajectories, params)
         keeps, want = trajectories_mi_reference(mapper, fans, trajectories, params)
         for traj, keep in zip(trajectories, keeps):
-            assert select_nonoverlapping([m for f in traj for m in fans[f].masks]) == keep
+            assert select_nonoverlapping([k for f in traj for k in fans[f].beam_keys()]) == keep
         assert rows(got) == rows(want)
         calls.append(len(trajectories))
         return got
@@ -598,16 +723,19 @@ def test_trajectories_mi_on_grid_matches_dense_reference(k, clamp, seed, num_bea
     fans = [cast_fan(gmap, [b]) for b in beams]
     trajectories = [[i] for i in range(len(beams))] + [list(range(len(beams)))]
     got = trajectories_mi(gmap, fans, trajectories, params).trajectories
-    for traj, ref in zip(got, want):
+    for traj, ref, fan in zip(got, want, fans):
         if ref is None:
             assert traj.beams == [] and traj.value == 0.0
+            with pytest.raises(EmptyRay):
+                mi_mod.beam_mi(gmap, fan.cells, params)
         else:
             assert [i for i, _ in traj.beams] == [0]
-            assert_same_bits(traj.beams[0][1], ref)
+            assert traj.beams[0][1].hex() == ref.value.hex()
+            assert_same_bits(mi_mod.beam_mi(gmap, fan.cells, params), ref)
             assert traj.value.hex() == (0.0 + ref.value).hex()
     total = 0.0
-    for i, res in got[-1].beams:
-        assert_same_bits(res, want[i])
+    for i, value in got[-1].beams:
+        assert value.hex() == want[i].value.hex()
         total += want[i].value
     assert got[-1].value.hex() == total.hex()
 

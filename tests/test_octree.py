@@ -1117,6 +1117,36 @@ def test_a_beliefs_id_and_rows_stay_through_later_scans_and_reads():
         assert table.element_ids(origin).tolist() == [i] and rows(table, i) == first[i][1]
 
 
+def test_k3_scans_build_beliefs_only_for_rows_the_store_has_not_seen(monkeypatch):
+    """A K <= 3 scan takes each changed row's id from the store's index by
+    row bytes, so it builds a belief only for bytes the index has not seen;
+    a twin tree whose index is emptied before every scan builds one for
+    every distinct changed row. Through scans that keep overwriting beliefs
+    the two keep the same leaf arrays and the same store, id for id."""
+    built = [0, 0]  # beliefs built by the scans of each tree
+    from_full = TruncatedSemantics.from_full.__func__
+    which = [0]
+
+    def counted(cls, h):
+        built[which[0]] += 1
+        return from_full(cls, h)
+
+    indexed, fresh = SemanticOctree(1.0, 2, 3), SemanticOctree(1.0, 2, 3)
+    monkeypatch.setattr(TruncatedSemantics, "from_full", classmethod(counted))
+    params = SensorParams.default(3, clamp_limit=40.0)
+    rng = np.random.default_rng(11)
+    for _ in range(30):
+        beams = [random_beam(rng, 0.5, 3.5, r_max=6.0) for _ in range(6)]
+        fresh._beliefs.by_row.clear()
+        for which[0], tree in enumerate((indexed, fresh)):
+            tree.insert_scan(beams, params)
+    a, b = indexed.leaf_table(), fresh.leaf_table()
+    for name in ("starts", "sizes", "ids"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    assert [repr(s) for s in indexed._beliefs.objects] == [repr(s) for s in fresh._beliefs.objects]
+    assert len(indexed._beliefs.by_row) == built[0] < built[1]
+
+
 def test_loaded_and_scanned_tables_are_the_reference(tmp_path):
     """A loaded tree's first table and the tables of a tree whose scans keep
     overwriting the beliefs they store have the rows computed afresh,
