@@ -816,7 +816,8 @@ def load_grid(path) -> GridMap:
     grid map of this version, is truncated, has trailing bytes, holds a
     header the format does not allow (a zero extent, no class or more than
     ``MAX_CLASSES``, a resolution that is not positive, a NaN or infinite
-    origin), or holds a NaN or infinite log-odds."""
+    origin), holds a NaN or infinite log-odds or a pivot other than 0 (or
+    -0.0), or an observed mask byte other than 0 and 1."""
     with open(path, "rb") as fh:
         buf = fh.read()
     if buf[:8] != GRID_MAGIC:
@@ -845,9 +846,14 @@ def load_grid(path) -> GridMap:
     for name, values in (("prior", prior), ("cells", cells)):
         if not np.isfinite(values).all():
             raise CorruptMap(f"{path}: non-finite log-odds in the {name}")
-    prior[0] = 0.0
+        if (values[::width] != 0.0).any():
+            raise CorruptMap(f"{path}: a pivot in the {name} is not 0")
+    mask = np.frombuffer(buf, np.uint8, count, mask_at)
+    if (mask > 1).any():
+        raise CorruptMap(f"{path}: observed mask bytes other than 0 and 1")
+    prior[0] = 0.0  # a -0.0 pivot reads as 0.0
     gmap = GridMap(dims, resolution, num_classes, prior, origin)
     gmap.cells = cells.reshape(dims + (width,))
     gmap.cells[..., 0] = 0.0
-    gmap.observed = np.frombuffer(buf, np.uint8, count, mask_at).astype(bool).reshape(dims)
+    gmap.observed = mask.astype(bool).reshape(dims)
     return gmap

@@ -34,6 +34,7 @@ __all__ = [
     "posterior_update",
     "clamp",
     "entropy",
+    "entropy_terms",
     "f_logratio",
     "logsumexp",
     "uniform_prior",
@@ -227,15 +228,22 @@ def clamp(h: np.ndarray, params: SensorParams) -> np.ndarray:
     return np.minimum(np.maximum(h, params.clamp_lo), params.clamp_hi)
 
 
-def entropy(h: np.ndarray) -> float:
-    """Shannon entropy in nats of one cell's PMF, or the total over a stack
-    of cells (..., K+1), with 0 ln 0 taken as 0."""
+def entropy_terms(h: np.ndarray) -> np.ndarray:
+    """The terms ``p ln p`` of the Shannon entropy of one cell's PMF, or of
+    each cell of a stack (..., K+1), with 0 ln 0 taken as 0, so a -inf
+    log-odds adds a 0 term: ``entropy`` sums them, and the octree sums each
+    row of its beliefs' values padded with -inf."""
     h = np.asarray(h, dtype=np.float64)
     logp = h - np.expand_dims(logsumexp(h), -1)
     p = np.exp(logp)
     with np.errstate(invalid="ignore"):
-        terms = np.where(p > 0.0, p * logp, 0.0)
-    return float(-np.sum(terms))
+        return np.where(p > 0.0, p * logp, 0.0)
+
+
+def entropy(h: np.ndarray) -> float:
+    """Shannon entropy in nats of one cell's PMF, or the total over a stack
+    of cells (..., K+1), with 0 ln 0 taken as 0."""
+    return float(-np.sum(entropy_terms(h)))
 
 
 def f_logratio(phi: np.ndarray, h: np.ndarray) -> float:

@@ -33,10 +33,10 @@ one geometry.
 A write costs what it changes, not the size of the tree. Every belief the
 tree stores is interned bit for bit, so equal values share one id (``0.0``
 and ``-0.0`` stay apart); ``insert_scan`` interns the distinct rows it
-writes (K <= 3) or memoizes each update by hit class and belief id (K > 3),
-and skips elements it leaves as they were. The store keeps every belief
-it interned for the tree's life, so a belief's id and its rows never
-change.
+writes (K <= 3) or memoizes each update by hit class and belief bits and
+interns each element's last belief (K > 3), and skips elements it leaves
+as they were. The store holds the beliefs writes put on leaves, for the
+tree's life, so a belief's id and its rows never change.
 """
 
 from __future__ import annotations
@@ -124,14 +124,6 @@ class TruncatedSemantics:
                 h[c] = share
         return h
 
-    def entropy(self) -> float:
-        """Entropy in nats of the pivot, the tracked values and the lump
-        (when finite) as one log-odds vector."""
-        vals = [0.0] + [v for _, v in self.data]
-        if np.isfinite(self.others):
-            vals.append(self.others)
-        return logodds.entropy(np.array(vals, dtype=np.float64))
-
 
 # bit b of each byte value moved to bit 3b, for interleaving three coordinates
 _SPREAD = sum(((np.arange(256, dtype=np.int64) >> b) & 1) << 3 * b for b in range(8))
@@ -174,48 +166,37 @@ def _exact_key(sem: "TruncatedSemantics"):
 
 
 class _Beliefs:
-    """The beliefs of one tree, interned bit for bit (``_exact_key``): equal
-    values share one id. The store is append-only: each object keeps its id
-    and stays stored for the tree's life. The prior is id 0, so a belief
-    bit-equal to it is always ``prior_semantics``. Per id: ``full`` (the
-    ``to_full`` row), ``exact`` (every class tracked, so ``full`` is the
-    belief), ``entropy``, ``observed`` (not the prior) and ``labels`` (the
-    argmax of ``full``, ties to the lowest class), computed once, by the
-    write that first puts the id on a leaf (``fill``): a K > 3 scan interns
-    every step of its chains, and most of those beliefs reach no leaf."""
+    """The beliefs that writes put on the leaves of one tree, interned bit
+    for bit (``_exact_key``): equal values share one id. The store is
+    append-only: each object keeps its id and stays stored for the tree's
+    life. The prior is id 0, so a belief bit-equal to it is always the
+    tree's ``prior_semantics``, and an element is observed when its id is
+    not 0.
+    Per id: ``full`` (the ``to_full`` row), ``exact`` (every class tracked,
+    so ``full`` is the belief), ``entropy`` and ``labels`` (the argmax of
+    ``full``, ties to the lowest class), made once, in one pass over the
+    ids interned since the last table, by the write that puts them on
+    leaves (``table``)."""
 
     def __init__(self, prior_semantics: "TruncatedSemantics", num_classes: int):
-        self.prior_semantics = prior_semantics
         self.num_classes = num_classes
         self.objects: list[TruncatedSemantics] = []
         self.by_key: dict = {}
         self.by_row: dict[bytes, int] = {}  # K <= 3 rows, by their bytes (``id_of_row``)
-        self._allocate(64)
-        self.fill(np.array([self.id_of(prior_semantics)]))
+        self.full = np.zeros((0, num_classes + 1))
+        self.exact = np.zeros(0, dtype=bool)
+        self.entropy = np.zeros(0)
+        self.labels = np.zeros(0, dtype=np.intp)
+        self.id_of(prior_semantics)
 
     def __len__(self) -> int:
         return len(self.objects)
-
-    def _allocate(self, capacity: int) -> None:
-        """Fresh arrays of ``capacity`` rows holding the rows so far; tables
-        built earlier keep views of the old arrays, whose rows never change."""
-        n = len(self.objects)
-        rows = [np.zeros((capacity, self.num_classes + 1)), np.zeros(capacity, dtype=bool),
-                np.zeros(capacity), np.zeros(capacity, dtype=bool),
-                np.zeros(capacity, dtype=np.intp), np.zeros(capacity, dtype=bool)]
-        if n:
-            for new, old in zip(rows, (self.full, self.exact, self.entropy, self.observed,
-                                       self.labels, self.ready)):
-                new[:n] = old[:n]
-        self.full, self.exact, self.entropy, self.observed, self.labels, self.ready = rows
 
     def id_of(self, sem: "TruncatedSemantics") -> int:
         key = _exact_key(sem)
         i = self.by_key.get(key)
         if i is None:
             i = self.by_key[key] = len(self.objects)
-            if i == self.ready.shape[0]:
-                self._allocate(2 * i)
             self.objects.append(sem)
         return i
 
@@ -228,24 +209,28 @@ class _Beliefs:
             i = self.by_row[key] = self.id_of(TruncatedSemantics.from_full(row))
         return i
 
-    def fill(self, ids: np.ndarray) -> None:
-        """Compute the rows of those ``ids`` that have none yet. The rows of
-        an id never change once computed."""
-        for i in np.unique(ids[~self.ready[ids]]).tolist():
-            sem = self.objects[i]
-            self.full[i] = sem.to_full(self.num_classes)
-            self.exact[i] = len(sem.data) == self.num_classes
-            self.entropy[i] = sem.entropy()
-            self.observed[i] = sem is not self.prior_semantics
-            self.labels[i] = np.argmax(self.full[i])
-            self.ready[i] = True
-
     def table(self, starts, sizes, ids) -> "LeafTable":
-        """A leaf table over these leaves, with the rows of every id so far."""
-        n = len(self.objects)
-        return LeafTable(starts=starts, sizes=sizes, ids=ids,
-                         full=self.full[:n], entropy=self.entropy[:n],
-                         observed=self.observed[:n], labels=self.labels[:n])
+        """A leaf table over these leaves, after appending the rows of the
+        ids interned since the last table, each array in one piece: tables
+        made earlier keep the old arrays, whose rows never change. The
+        entropy of each new belief is that of its pivot, tracked values
+        and lump (when finite) as one log-odds vector, taken for all of
+        them at once on rows padded with -inf, whose terms are 0."""
+        new = self.objects[self.labels.shape[0]:]
+        if new:
+            full = np.array([sem.to_full(self.num_classes) for sem in new])
+            values = [[0.0, *(v for _, v in sem.data)]
+                      + ([sem.others] if math.isfinite(sem.others) else []) for sem in new]
+            # the pivot, at most 3 tracked values and the lump
+            padded = np.array([v + [NEG_INF] * (5 - len(v)) for v in values])
+            self.full = np.concatenate((self.full, full))
+            self.exact = np.concatenate(
+                (self.exact, [len(sem.data) == self.num_classes for sem in new]))
+            self.entropy = np.concatenate(
+                (self.entropy, -np.sum(logodds.entropy_terms(padded), axis=-1)))
+            self.labels = np.concatenate((self.labels, np.argmax(full, axis=1)))
+        return LeafTable(starts=starts, sizes=sizes, ids=ids, full=self.full,
+                         entropy=self.entropy, labels=self.labels)
 
 
 @dataclass(frozen=True)
@@ -255,9 +240,9 @@ class LeafTable:
 
     Per leaf: ``starts`` (the Morton code of its low corner, ascending),
     ``sizes`` (its edge in elements), and ``ids``, the id of its belief in
-    the tree's interned beliefs, so equal ids are equal bits. Per
-    belief id, the rows of those (``_Beliefs``): ``full``, ``entropy``,
-    ``observed`` and ``labels``; ids that no leaf holds any more keep their
+    the tree's interned beliefs, so equal ids are equal bits, and id 0 is
+    the prior. Per belief id, the rows of those (``_Beliefs``): ``full``,
+    ``entropy`` and ``labels``; ids that no leaf holds any more keep their
     rows, and a later table gives every id the rows and the belief it had
     here. A write replaces the tree's arrays and never changes them in
     place, so a table stays as it was made. The leaf holding element ``c``
@@ -268,7 +253,6 @@ class LeafTable:
     ids: np.ndarray
     full: np.ndarray
     entropy: np.ndarray
-    observed: np.ndarray
     labels: np.ndarray
 
     def element_ids(self, codes: np.ndarray) -> np.ndarray:
@@ -384,15 +368,14 @@ class SemanticOctree:
             raise ValueError(f"dims {self.dims} are not three extents in 1..{n}")
         self.num_classes = int(num_classes)
         self.prior = prior = _prior_vector(prior, self.num_classes)
-        self._beliefs = _Beliefs(TruncatedSemantics.from_full(prior), num_classes)
-        self.prior_semantics = self._beliefs.prior_semantics
+        self.prior_semantics = TruncatedSemantics.from_full(prior)
+        self._beliefs = _Beliefs(self.prior_semantics, num_classes)
         self._set_leaves(np.zeros(1, dtype=np.int64), np.full(1, n, dtype=np.int64),
-                         np.zeros(1, dtype=np.intp), np.zeros(0, dtype=np.intp))
+                         np.zeros(1, dtype=np.intp))
 
-    def _set_leaves(self, starts, sizes, ids, fresh) -> None:
-        """Make these leaves the tree, after filling the rows of ``fresh``,
-        the ids among them that no leaf may have held before."""
-        self._beliefs.fill(fresh)
+    def _set_leaves(self, starts, sizes, ids) -> None:
+        """Make these leaves the tree, with the rows of the beliefs
+        interned since the last write (``_Beliefs.table``)."""
         self._leaves = self._beliefs.table(starts, sizes, ids)
 
     @property
@@ -408,14 +391,17 @@ class SemanticOctree:
         """Index of the leaf holding the element at each Morton code."""
         return np.searchsorted(self._leaves.starts, codes, side="right") - 1
 
-    def query_element(self, cell) -> TruncatedSemantics:
-        return self._beliefs.objects[self._leaves.ids[self._leaf_of(morton(*cell))]]
+    def _code(self, cell) -> int:
+        """The Morton code of an element of the world; ValueError for a
+        cell outside it."""
+        if len(cell) != 3 or not all(0 <= c < d for c, d in zip(cell, self.dims)):
+            raise ValueError(f"element {tuple(cell)} is outside the world {self.dims}")
+        return int(morton(*cell))
 
-    def _box(self, region):
-        """A half-open element box ((lo), (hi)) inside the world, or the whole
-        world for None; ValueError for a box that is not inside it, as on the
-        grid (``grid._box_corners``)."""
-        return _box_corners(region, self.dims)
+    def query_element(self, cell) -> TruncatedSemantics:
+        """The belief of an element; ValueError for a cell outside the
+        world."""
+        return self._beliefs.objects[self._leaves.element_ids(self._code(cell))]
 
     # -- updates ---------------------------------------------------------------
 
@@ -487,7 +473,7 @@ class SemanticOctree:
                     keep[a + 1:b] = False
                 starts, sizes, ids = starts[keep], sizes[keep], ids[keep]
                 merged = low.shape[0]
-            self._set_leaves(starts, sizes, ids, new)
+            self._set_leaves(starts, sizes, ids)
         log.debug("leaf table: %d leaves, %d beliefs, %d leaves split, %d merged, %.3f ms",
                   self._leaves.ids.shape[0], len(self._beliefs), split, merged,
                   (time.perf_counter() - t0) * 1e3)
@@ -495,9 +481,7 @@ class SemanticOctree:
     def set_element(self, cell, h: np.ndarray) -> None:
         """Write an element belief directly (scene construction): a
         one-element write. ValueError for a cell outside the world."""
-        if len(cell) != 3 or not all(0 <= c < d for c, d in zip(cell, self.dims)):
-            raise ValueError(f"element {tuple(cell)} is outside the world {self.dims}")
-        codes = np.array([morton(*cell)], dtype=np.int64)
+        codes = np.array([self._code(cell)], dtype=np.int64)
         new = self._beliefs.id_of(TruncatedSemantics.from_full(np.asarray(h, dtype=np.float64)))
         self._write(codes, self._leaf_of(codes), np.array([new], dtype=np.intp))
 
@@ -522,8 +506,9 @@ class SemanticOctree:
         bytes (``_Beliefs.id_of_row``), which builds and interns a belief
         only for a row it has not seen. With K > 3 each update
         (``element_update``) is a pure function of the hit class and the
-        belief's bits, memoized by class and belief id for the scan. An
-        element that ends where it began is not written."""
+        belief's bits, memoized by class and bits (``_exact_key``) for the
+        scan, and only each element's last belief is interned. An element
+        that ends where it began is not written."""
         if params.num_classes != self.num_classes:
             raise ValueError("sensor parameters and tree disagree on K")
         update = element_update(params, self.prior) if self.num_classes > 3 else None
@@ -553,19 +538,19 @@ class SemanticOctree:
             new = held.copy()
             new[changed] = np.array(ids, dtype=np.intp)[distinct]
         else:
-            new = held.tolist()
+            new = [store.objects[i] for i in held.tolist()]
             steps: dict[int, tuple[dict, object]] = {}  # by model row: 0 free, y a class-y hit
             for e, row in zip(keys.tolist(), rows.tolist()):
                 step = steps.get(row)
                 if step is None:
                     step = steps[row] = ({}, update(row or None))
                 memo, apply = step
-                i = new[e]
-                j = memo.get(i)
-                if j is None:
-                    j = memo[i] = store.id_of(apply(store.objects[i]))
-                new[e] = j
-            new = np.array(new, dtype=np.intp)
+                key = _exact_key(new[e])
+                sem = memo.get(key)
+                if sem is None:
+                    sem = memo[key] = apply(new[e])
+                new[e] = sem
+            new = np.array([store.id_of(sem) for sem in new], dtype=np.intp)
         log.debug("insert_scan: %d beams, %d updates of %d elements, %d changed, "
                   "%d beliefs added", len(beams), len(rows), len(held),
                   np.count_nonzero(new != held), len(store) - size)
@@ -640,7 +625,7 @@ class SemanticOctree:
         """The leaf table and an int array over a half-open element box
         ((lo), (hi)) inside the world, or the whole world for None, holding
         each element's belief id."""
-        lo, hi = self._box(box)
+        lo, hi = _box_corners(box, self.dims)
         table = self._leaves
         return table, table.element_ids(morton(*np.ix_(*map(range, lo, hi))))
 
@@ -650,7 +635,7 @@ class SemanticOctree:
         element in a half-open box ((lo), (hi)) inside the world, or of the
         whole world."""
         table, ids = self._box_ids(box)
-        return table.labels[ids], table.observed[ids]
+        return table.labels[ids], ids != 0
 
     def map_state(self, region=None) -> tuple[float, float]:
         """Total entropy in nats, and the fraction of elements whose belief
@@ -659,7 +644,7 @@ class SemanticOctree:
         belief's entropy, added leaf by leaf in preorder. The box defaults to
         the world; one not inside it raises ValueError, as on the grid, and
         an empty one gives ``(0.0, 0.0)``."""
-        lo, hi = self._box(region)
+        lo, hi = _box_corners(region, self.dims)
         table = self._leaves
         corners = _corners(table.starts, self.max_depth)
         ends = corners + table.sizes[:, None]
@@ -668,7 +653,7 @@ class SemanticOctree:
         # pairwise sum would round differently
         terms = np.concatenate(([0.0], n * table.entropy[table.ids]))
         total = int(n.sum())
-        seen = int(n[table.observed[table.ids]].sum())
+        seen = int(n[table.ids != 0].sum())
         return float(np.cumsum(terms)[-1]), (seen / total if total else 0.0)
 
 
@@ -703,7 +688,7 @@ def grid_from_octree(tree: SemanticOctree) -> GridMap:
     gmap = GridMap(tree.dims, tree.element_size, tree.num_classes, tree.prior, tree.origin)
     table, ids = tree._box_ids(None)
     np.take(table.full, ids, axis=0, out=gmap.cells)
-    np.take(table.observed, ids, out=gmap.observed)
+    np.not_equal(ids, 0, out=gmap.observed)
     return gmap
 
 
@@ -854,6 +839,6 @@ def load_octree(path) -> SemanticOctree:
     read_node(0)
     if pos != len(buf):
         raise CorruptMap(f"{path}: {len(buf) - pos} trailing bytes")
-    ids = np.array(ids, dtype=np.intp)
-    tree._set_leaves(np.array(starts, dtype=np.int64), np.array(sizes, dtype=np.int64), ids, ids)
+    tree._set_leaves(np.array(starts, dtype=np.int64), np.array(sizes, dtype=np.int64),
+                     np.array(ids, dtype=np.intp))
     return tree

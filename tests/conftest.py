@@ -339,7 +339,7 @@ def insert_scan_reference(tree, beams: Scan | list[BeamMeasurement], params: Sen
     leaves = pruned_leaves_reference(scan_reference(tree, element_beliefs(tree), beams, params))
     ids = np.array([tree._beliefs.id_of(sem) for sem, _, _ in leaves], dtype=np.intp)
     tree._set_leaves(morton(*np.array([corner for _, corner, _ in leaves]).T),
-                     np.array([size for _, _, size in leaves], dtype=np.int64), ids, ids)
+                     np.array([size for _, _, size in leaves], dtype=np.int64), ids)
     return tree
 
 
@@ -349,11 +349,24 @@ def off_prior(tree, sem) -> bool:
     return _exact_key(sem) != _exact_key(tree.prior_semantics)
 
 
+def belief_entropy(sem: TruncatedSemantics) -> float:
+    """Entropy in nats of a truncated belief's pivot, tracked values and
+    lump (when finite) as one log-odds vector, on that vector alone: the
+    reference for the entropy rows of the octree's belief store."""
+    values = [0.0] + [v for _, v in sem.data]
+    if math.isfinite(sem.others):
+        values.append(sem.others)
+    h = np.array(values)
+    logp = h - logodds.logsumexp(h)
+    p = np.exp(logp)
+    return float(-np.sum(np.where(p > 0.0, p * logp, 0.0)))
+
+
 def leaf_table_reference(tree) -> LeafTable:
     """The tree's leaf table with the rows of every id of its belief store
-    computed afresh from the belief: ``observed`` where its bits are not the
-    prior's, and ``labels`` the argmax of its ``to_full`` row. The
-    reference for the rows the store keeps (``_Beliefs.fill``)."""
+    computed afresh from the belief, one belief at a time: ``entropy`` by
+    ``belief_entropy``, and ``labels`` the argmax of its ``to_full`` row.
+    The reference for the rows the store makes (``_Beliefs.table``)."""
     table, beliefs = tree.leaf_table(), tree._beliefs.objects
     full = np.array([sem.to_full(tree.num_classes) for sem in beliefs])
     return LeafTable(
@@ -361,8 +374,7 @@ def leaf_table_reference(tree) -> LeafTable:
         sizes=table.sizes,
         ids=table.ids,
         full=full,
-        entropy=np.array([sem.entropy() for sem in beliefs]),
-        observed=np.array([off_prior(tree, sem) for sem in beliefs], dtype=bool),
+        entropy=np.array([belief_entropy(sem) for sem in beliefs]),
         labels=np.array([int(np.argmax(row)) for row in full], dtype=np.intp),
     )
 

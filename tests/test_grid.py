@@ -1160,6 +1160,10 @@ def patch_u32(b, at, value):
     return b[:at] + value.to_bytes(4, "little") + b[at + 4:]
 
 
+def patch_f32(b, at, value):
+    return b[:at] + struct.pack("<f", value) + b[at + 4:]
+
+
 @pytest.mark.parametrize(
     "patch,match",
     [
@@ -1173,6 +1177,10 @@ def patch_u32(b, at, value):
         (lambda b: b[:22] + struct.pack("<d", -0.5) + b[30:], "not positive"),
         (lambda b: b[:8] + (2).to_bytes(2, "little") + b[10:], "unsupported grid version"),
         (lambda b: b"SSMIOCT1" + b[8:], "not a grid map file"),
+        (lambda b: patch_f32(b, GRID_HEADER, 0.5), "a pivot in the prior is not 0"),
+        (lambda b: patch_f32(b, GRID_PRIOR + 4 * 4 * 7, -1.0), "a pivot in the cells is not 0"),
+        (lambda b: b[:GRID_MASK + 3] + b"\x02" + b[GRID_MASK + 4:], "observed mask bytes other"),
+        (lambda b: b[:-1] + b"\xff", "observed mask bytes other"),
     ],
 )
 def test_grid_loader_rejects_malformed_file(tmp_path, saved_grid_bytes, patch, match):
@@ -1180,6 +1188,17 @@ def test_grid_loader_rejects_malformed_file(tmp_path, saved_grid_bytes, patch, m
     path.write_bytes(patch(saved_grid_bytes))
     with pytest.raises(CorruptMap, match=match):
         load_grid(path)
+
+
+def test_grid_loader_reads_a_negative_zero_pivot_as_zero(tmp_path, saved_grid_bytes):
+    """A -0.0 pivot in the prior or a cell is legal, and reads as 0.0."""
+    path = tmp_path / "g.ssmigrid"
+    path.write_bytes(saved_grid_bytes)
+    want = load_grid(path)
+    path.write_bytes(patch_f32(patch_f32(saved_grid_bytes, GRID_HEADER, -0.0), GRID_PRIOR, -0.0))
+    gmap = load_grid(path)
+    assert gmap.prior.tobytes() == want.prior.tobytes()
+    assert gmap.cells.tobytes() == want.cells.tobytes()
 
 
 @pytest.mark.parametrize("offset", [GRID_HEADER + 4, GRID_PRIOR, GRID_PRIOR + 4 * (4 * 17 + 2)],

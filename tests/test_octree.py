@@ -31,6 +31,7 @@ from ssmi.octree import (
     OCTREE_MAGIC_V2,
     SemanticOctree,
     TruncatedSemantics,
+    _Beliefs,
     _exact_key,
     element_update,
     grid_from_octree,
@@ -42,6 +43,7 @@ from ssmi.octree import (
 from ssmi.sim import run_episode
 from ssmi.mi import FanCast
 from conftest import (
+    belief_entropy,
     cast_fan,
     element_beliefs,
     fan_beams,
@@ -931,7 +933,7 @@ def assert_table_is_the_reference(tree):
     each leaf's belief, bit for bit, and one id for each class of
     bit-equal beliefs on the leaves."""
     got, want = tree.leaf_table(), leaf_table_reference(tree)
-    for name in ("full", "entropy", "observed", "labels"):
+    for name in ("full", "entropy", "labels"):
         got_rows, want_rows = getattr(got, name)[got.ids], getattr(want, name)[got.ids]
         assert got_rows.tobytes() == want_rows.tobytes(), name
     assert_one_object_per_value(tree)
@@ -1052,18 +1054,26 @@ def test_writes_keep_a_pruned_tree_pruned(case):
                 assert_pruned(tree)
 
 
-def test_set_element_refuses_a_cell_outside_the_world():
+def test_element_writes_and_reads_refuse_a_cell_outside_the_world():
     """A cell outside the world (past the cube, or inside the cube but past
-    the world's extent, or not three coordinates) is refused and leaves
-    the tree as it was."""
-    tree = SemanticOctree(1.0, 3, 3, dims=(8, 8, 4))
+    the world's extent, or not three coordinates) is refused by
+    ``set_element`` and ``query_element`` alike, and the refused write
+    leaves the tree as it was; a read past the cube does not wrap to the
+    element at the cube's corner."""
     h = [0.0, 1.0, 0.0, 0.0]
-    for cell in ((8, 0, 0), (0, 0, 4), (-1, 0, 0), (0, 0)):
-        with pytest.raises(ValueError, match="outside the world"):
-            tree.set_element(cell, h)
-    assert tree.num_leaves() == 1
-    tree.set_element((7, 7, 3), h)
-    assert tree.query_element((7, 7, 3)).data[0] == (1, 1.0)
+    for dims, inside, outside in (
+        ((8, 8, 4), (7, 7, 3), ((8, 0, 0), (0, 0, 4), (-1, 0, 0), (0, 0))),
+        (None, (3, 3, 3), ((4, 3, 3), (3, 3, 7), (-1, 3, 3))),
+    ):
+        tree = SemanticOctree(1.0, 3 if dims else 2, 3, dims=dims)
+        tree.set_element(inside, h)
+        for cell in outside:
+            with pytest.raises(ValueError, match="outside the world"):
+                tree.set_element(cell, [0.0, 2.0, 0.0, 0.0])
+            with pytest.raises(ValueError, match="outside the world"):
+                tree.query_element(cell)
+        assert tree.num_leaves() == 1 + 7 * tree.max_depth
+        assert tree.query_element(inside).data[0] == (1, 1.0)
 
 
 def test_the_prior_is_id_0_of_the_store_for_the_trees_life():
@@ -1101,7 +1111,7 @@ def test_a_beliefs_id_and_rows_stay_through_later_scans_and_reads():
     first = {}  # per id, the belief and the rows of the first table that held it
 
     def rows(table, i):
-        return tuple(a[i : i + 1].tobytes() for a in (table.full, table.entropy, table.observed))
+        return tuple(a[i : i + 1].tobytes() for a in (table.full, table.entropy, table.labels))
 
     for table in overwriting_scans(tree, np.random.default_rng(11), 30):
         for (sem, _, _), i in zip(tree_leaves(tree), table.ids.tolist()):
@@ -1115,6 +1125,57 @@ def test_a_beliefs_id_and_rows_stay_through_later_scans_and_reads():
         tree.set_element((0, 0, 0), first[i][0].to_full(tree.num_classes))
         table = tree.leaf_table()
         assert table.element_ids(origin).tolist() == [i] and rows(table, i) == first[i][1]
+
+
+def test_every_stored_belief_was_put_on_a_leaf_by_a_lumped_scan():
+    """K = 5 scans whose beams cross the same elements many times intern
+    only each element's last belief, not the steps of its chain of
+    updates: every id of the store was held by a leaf after some write."""
+    tree = SemanticOctree(1.0, 2, 5)
+    params = SensorParams.default(5, clamp_limit=40.0)
+    rng = np.random.default_rng(5)
+    held = {0}
+    for _ in range(20):
+        tree.insert_scan([random_beam(rng, 0.5, 3.5, r_max=6.0, k=5) for _ in range(8)], params)
+        held.update(tree.leaf_table().ids.tolist())
+    assert len(tree._beliefs) > 100
+    assert held == set(range(len(tree._beliefs)))
+    assert_table_is_the_reference(tree)
+
+
+@st.composite
+def lumped_beliefs(draw, k):
+    """A belief of K classes: up to min(K, 3) tracked classes (most often
+    all of them) whose values are any, signed zeros, on a clamp or tiny,
+    and a lump that is -inf or finite."""
+    n = draw(st.sampled_from([min(k, 3)] * 3 + list(range(min(k, 3) + 1))))
+    classes = draw(st.permutations(range(1, k + 1)))[:n]
+    value = (st.floats(-800.0, 800.0) | st.sampled_from([0.0, -0.0, 6.0, -6.0])
+             | st.floats(-1e-300, 1e-300))
+    pairs = TruncatedSemantics._sorted((c, draw(value)) for c in classes)
+    others = draw(st.just(-math.inf) | st.floats(-800.0, 40.0) | st.sampled_from([0.0, -0.0]))
+    return TruncatedSemantics(data=pairs, others=others)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_the_batched_entropy_of_new_beliefs_is_the_reference_bit_for_bit(data):
+    """The store makes the rows of a write's new beliefs in one batch, the
+    entropy on values padded with -inf: each entropy row is
+    ``belief_entropy`` of its belief in float hex, and each full row and
+    label that of its ``to_full`` row, for K in 1..6, partly tracked
+    beliefs, signed zeros, values on the clamp, and -inf and finite
+    lumps."""
+    k = data.draw(st.integers(1, 6), label="k")
+    beliefs = data.draw(st.lists(lumped_beliefs(k), min_size=1, max_size=30), label="beliefs")
+    store = _Beliefs(TruncatedSemantics.from_full(np.zeros(k + 1)), k)
+    ids = [store.id_of(sem) for sem in beliefs]
+    table = store.table(np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64),
+                        np.zeros(1, dtype=np.intp))
+    for i, sem in zip(ids, beliefs):
+        assert table.entropy[i].hex() == belief_entropy(sem).hex()
+        assert table.full[i].tobytes() == sem.to_full(k).tobytes()
+        assert table.labels[i] == np.argmax(sem.to_full(k))
 
 
 def test_k3_scans_build_beliefs_only_for_rows_the_store_has_not_seen(monkeypatch):
@@ -1357,7 +1418,7 @@ def test_concurrent_reads_after_a_scan_all_see_the_scanned_tree(params3):
 def test_a7_octree_episode_is_byte_identical_on_the_references(tmp_path, monkeypatch):
     """World 0 of the A7 config on the octree writes the same bytes with the
     dense per-update scan (``insert_scan_reference``) and a leaf table whose
-    rows are computed afresh on every read."""
+    rows are computed afresh on every write."""
     from ssmi import cli
 
     config = tmp_path / "a7.json"
@@ -1371,8 +1432,8 @@ def test_a7_octree_episode_is_byte_identical_on_the_references(tmp_path, monkeyp
     fast = explore(tmp_path / "fast")
     set_leaves = SemanticOctree._set_leaves
 
-    def set_leaves_reference(tree, starts, sizes, ids, fresh):
-        set_leaves(tree, starts, sizes, ids, fresh[:0])  # fills no row
+    def set_leaves_reference(tree, starts, sizes, ids):
+        set_leaves(tree, starts, sizes, ids)
         tree._leaves = leaf_table_reference(tree)
 
     monkeypatch.setattr(SemanticOctree, "insert_scan", insert_scan_reference)
@@ -1408,7 +1469,7 @@ def leaf_sums(tree, box):
         for i in range(3):
             n *= max(0, min(low[i] + size, box[1][i]) - max(low[i], box[0][i]))
         if n:
-            entropy += n * sem.entropy()
+            entropy += n * belief_entropy(sem)
             total += n
             seen += n if off_prior(tree, sem) else 0
     return entropy, (seen / total if total else 0.0)
@@ -1774,7 +1835,7 @@ def with_dims(tree, dims):
                          tree.origin, dims)
     out._beliefs, out.prior_semantics = tree._beliefs, tree.prior_semantics
     table = tree.leaf_table()
-    out._set_leaves(table.starts, table.sizes, table.ids, table.ids)
+    out._set_leaves(table.starts, table.sizes, table.ids)
     return out
 
 
