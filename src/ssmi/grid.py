@@ -13,8 +13,9 @@ over distinct rows, on the grid's cells and, with K <= 3, on the octree
 elements' rows, so the maps agree bit for bit (A4). Its one-row tail runs
 on Python floats (``_clamped_add``), which a hypothesis test in
 ``tests/test_grid.py`` pins to numpy bit for bit. The maps also share
-their box check (``_box_corners``), prior (``_prior_vector``), cell size
-and origin (``_frame``) and files' header checks (``_check_header``).
+their box check (``_box_corners``), class count and prior check
+(``_prior_vector``), cell size and origin (``_frame``) and files' header
+checks (``_check_header``).
 """
 
 from __future__ import annotations
@@ -608,14 +609,20 @@ def _box_corners(region, dims) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def _prior_vector(prior, num_classes: int) -> np.ndarray:
     """A map's read-only prior: a float64 copy of ``prior``, so the caller's
-    array stays writable and later edits of it miss the map, as a log-odds
-    vector of length K+1 with a zero pivot (ValueError otherwise), or the
-    uniform prior for None. Both maps' constructors take their prior here."""
+    array stays writable and later edits of it miss the map, as a finite
+    log-odds vector of length K+1 with a zero pivot, or the uniform prior
+    for None. ValueError for such a prior or for K outside
+    1..``MAX_CLASSES``, what the map files hold. Both maps' constructors
+    take their class count and prior here."""
+    if not 1 <= num_classes <= MAX_CLASSES:
+        raise ValueError(f"num_classes {num_classes} is not in 1..{MAX_CLASSES}")
     if prior is None:
         prior = logodds.uniform_prior(num_classes)
     prior = np.array(prior, dtype=np.float64)
     if prior.shape != (num_classes + 1,) or prior[0] != 0.0:
         raise ValueError("prior must be a K+1 log-odds vector with zero pivot")
+    if not np.isfinite(prior).all():
+        raise ValueError(f"prior {prior.tolist()} is not finite")
     prior.flags.writeable = False
     return prior
 
@@ -654,8 +661,6 @@ class GridMap:
             dims = dims + (1,)
         if len(dims) != 3 or any(d < 1 for d in dims):
             raise ValueError("dims must be 2 or 3 positive extents")
-        if num_classes < 1:
-            raise ValueError("num_classes must be >= 1")
         self.dims = dims
         self.resolution, self.origin = _frame("resolution", resolution, origin)
         self.num_classes = int(num_classes)

@@ -30,13 +30,16 @@ map covers a world box of ``dims`` elements at the cube's low corner, as a
 default box of every aggregate end at the world's faces, so both maps share
 one geometry.
 
-A write costs what it changes, not the size of the tree. Every belief the
-tree stores is interned bit for bit, so equal values share one id (``0.0``
-and ``-0.0`` stay apart); ``insert_scan`` interns the distinct rows it
-writes (K <= 3) or memoizes each update by hit class and belief bits and
-interns each element's last belief (K > 3), and skips elements it leaves
-as they were. The store holds the beliefs writes put on leaves, for the
-tree's life, so a belief's id and its rows never change.
+A write costs what it changes, not the size of the tree. A belief's bits
+are one bytes value, its leaf record in a ``.ssmioct`` file
+(``TruncatedSemantics.record``), made when the belief is. Every belief the
+tree stores is interned by its record, so equal values share one id
+(``0.0`` and ``-0.0`` stay apart), and ``save_octree`` writes the records
+as they are; ``insert_scan`` interns the distinct rows it writes (K <= 3)
+or memoizes each update by hit class and belief record and interns each
+element's last belief (K > 3), and skips elements it leaves as they were.
+The store holds the beliefs writes put on leaves, for the tree's life, so
+a belief's id and its rows never change.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ import logging
 import math
 import struct
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,30 +70,36 @@ NEG_INF = float("-inf")
 log = logging.getLogger(__name__)
 
 
+# a v2/v3 leaf record by tracked count: child mask 0, count, (class, log-odds) pairs, lump
+_LEAF = [struct.Struct("<BB" + "Hd" * n + "d") for n in range(4)]
+
+
 @dataclass(frozen=True)
 class TruncatedSemantics:
     """Up to three (class, log-odds) pairs plus one lump for everything else.
 
     ``data`` is sorted by descending log-odds with class index breaking ties,
     and ``others`` is the log-odds of the aggregate probability of all
-    untracked classes (-inf when nothing is untracked). The hash is the one
-    the dataclass would compute, ``hash((data, others))``, made once here
-    rather than on every dict lookup.
+    untracked classes (-inf when nothing is untracked). ``record`` is the
+    belief's leaf record in a ``.ssmioct`` file (``_LEAF``), made once: two
+    beliefs have one record exactly when they are equal bit for bit
+    (``0.0`` and ``-0.0`` apart), so it is the belief's key in the tree's
+    store and the bytes ``save_octree`` writes for it.
     """
 
     data: tuple[tuple[int, float], ...]
     others: float
+    record: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.data) > 3:
+        n = len(self.data)
+        if n > 3:
             raise ValueError("at most 3 tracked classes")
-        classes = [c for c, _ in self.data]
-        if len(set(classes)) != len(classes) or any(c < 1 for c in classes):
-            raise ValueError("tracked classes must be distinct ids >= 1")
-        object.__setattr__(self, "_hash", hash((self.data, self.others)))
-
-    def __hash__(self) -> int:
-        return self._hash
+        classes = {c for c, _ in self.data}
+        if len(classes) != n or not all(1 <= c <= logodds.MAX_CLASSES for c in classes):
+            raise ValueError(f"tracked classes must be distinct ids in 1..{logodds.MAX_CLASSES}")
+        object.__setattr__(self, "record", _LEAF[n].pack(
+            0, n, *[x for cv in self.data for x in cv], self.others))
 
     @staticmethod
     def _sorted(pairs) -> tuple[tuple[int, float], ...]:
@@ -156,22 +165,13 @@ def _corners(codes: np.ndarray, max_depth: int) -> np.ndarray:
     return np.stack((packed & 0xFFFF, packed >> 16 & 0xFFFF, packed >> 32), axis=1)
 
 
-def _exact_key(sem: "TruncatedSemantics"):
-    """A dict key that tells beliefs apart bit for bit: the belief itself,
-    paired with the signs of its zeros when it holds any (``0.0 == -0.0``)."""
-    zeros = [math.copysign(1.0, v) for _, v in sem.data if v == 0.0]
-    if sem.others == 0.0:
-        zeros.append(math.copysign(1.0, sem.others))
-    return (sem, tuple(zeros)) if zeros else sem
-
-
 class _Beliefs:
-    """The beliefs that writes put on the leaves of one tree, interned bit
-    for bit (``_exact_key``): equal values share one id. The store is
-    append-only: each object keeps its id and stays stored for the tree's
-    life. The prior is id 0, so a belief bit-equal to it is always the
-    tree's ``prior_semantics``, and an element is observed when its id is
-    not 0.
+    """The beliefs that writes put on the leaves of one tree, interned by
+    their records (``TruncatedSemantics.record``): beliefs equal bit for
+    bit share one id. The store is append-only: each object keeps its id
+    and stays stored for the tree's life. The prior is id 0, so a belief
+    bit-equal to it is always the tree's ``prior_semantics``, and an
+    element is observed when its id is not 0.
     Per id: ``full`` (the ``to_full`` row), ``exact`` (every class tracked,
     so ``full`` is the belief), ``entropy`` and ``labels`` (the argmax of
     ``full``, ties to the lowest class), made once, in one pass over the
@@ -181,7 +181,7 @@ class _Beliefs:
     def __init__(self, prior_semantics: "TruncatedSemantics", num_classes: int):
         self.num_classes = num_classes
         self.objects: list[TruncatedSemantics] = []
-        self.by_key: dict = {}
+        self.by_record: dict[bytes, int] = {}
         self.by_row: dict[bytes, int] = {}  # K <= 3 rows, by their bytes (``id_of_row``)
         self.full = np.zeros((0, num_classes + 1))
         self.exact = np.zeros(0, dtype=bool)
@@ -193,10 +193,9 @@ class _Beliefs:
         return len(self.objects)
 
     def id_of(self, sem: "TruncatedSemantics") -> int:
-        key = _exact_key(sem)
-        i = self.by_key.get(key)
+        i = self.by_record.get(sem.record)
         if i is None:
-            i = self.by_key[key] = len(self.objects)
+            i = self.by_record[sem.record] = len(self.objects)
             self.objects.append(sem)
         return i
 
@@ -506,9 +505,10 @@ class SemanticOctree:
         bytes (``_Beliefs.id_of_row``), which builds and interns a belief
         only for a row it has not seen. With K > 3 each update
         (``element_update``) is a pure function of the hit class and the
-        belief's bits, memoized by class and bits (``_exact_key``) for the
-        scan, and only each element's last belief is interned. An element
-        that ends where it began is not written."""
+        belief's bits, memoized by class and belief record
+        (``TruncatedSemantics.record``) for the scan, and only each
+        element's last belief is interned. An element that ends where it
+        began is not written."""
         if params.num_classes != self.num_classes:
             raise ValueError("sensor parameters and tree disagree on K")
         update = element_update(params, self.prior) if self.num_classes > 3 else None
@@ -545,10 +545,9 @@ class SemanticOctree:
                 if step is None:
                     step = steps[row] = ({}, update(row or None))
                 memo, apply = step
-                key = _exact_key(new[e])
-                sem = memo.get(key)
+                sem = memo.get(new[e].record)
                 if sem is None:
-                    sem = memo[key] = apply(new[e])
+                    sem = memo[new[e].record] = apply(new[e])
                 new[e] = sem
             new = np.array([store.id_of(sem) for sem in new], dtype=np.intp)
         log.debug("insert_scan: %d beams, %d updates of %d elements, %d changed, "
@@ -700,17 +699,16 @@ def grid_from_octree(tree: SemanticOctree) -> GridMap:
 _HEADER = struct.Struct("<dBH3d3I")
 _HEADER_V2 = struct.Struct("<dBH3d")
 _HEADER_V1 = struct.Struct("<dBHB3d")
-# a v2/v3 leaf record by tracked count: child mask 0, count, (class, log-odds) pairs, lump
-_LEAF = [struct.Struct("<BB" + "Hd" * n + "d") for n in range(4)]
 
 
 def save_octree(tree: SemanticOctree, path) -> None:
     """Write a ``.ssmioct`` version 3 file: the header, then every node in
-    preorder, an inner node as its child mask and a leaf as its mask plus
-    its belief in f64. The inner nodes are those a leaf opens: one for each
-    level above the leaf at which its start's trailing octal digits are
-    zero (the root counts for the leaf at code 0). Only reads the tree; the
-    bytes depend on its leaves alone."""
+    preorder, an inner node as its child mask and a leaf as its belief's
+    stored record (``TruncatedSemantics.record``: its mask, then the belief
+    in f64). The inner nodes are those a leaf opens: one for each level
+    above the leaf at which its start's trailing octal digits are zero (the
+    root counts for the leaf at code 0). Only reads the tree; the bytes
+    depend on its leaves alone."""
     parts = [
         OCTREE_MAGIC,
         _HEADER.pack(tree.element_size, tree.max_depth, tree.num_classes, *tree.origin,
@@ -720,15 +718,9 @@ def save_octree(tree: SemanticOctree, path) -> None:
     leaves = tree.leaf_table()
     starts = leaves.starts
     aligned = _levels(np.where(starts > 0, starts & -starts, 1 << 3 * tree.max_depth)) // 3
-    records: dict[int, bytes] = {}
-    for opened, i in zip((aligned - _levels(leaves.sizes)).tolist(), leaves.ids.tolist()):
-        record = records.get(i)
-        if record is None:
-            sem = tree._beliefs.objects[i]
-            n = len(sem.data)
-            record = records[i] = _LEAF[n].pack(0, n, *[x for cv in sem.data for x in cv],
-                                                sem.others)
-        parts.append(b"\xff" * opened + record)
+    opened = (aligned - _levels(leaves.sizes)).tolist()
+    objects = tree._beliefs.objects
+    parts += [b"\xff" * n + objects[i].record for n, i in zip(opened, leaves.ids.tolist())]
     with open(path, "wb") as fh:
         fh.write(b"".join(parts))
 

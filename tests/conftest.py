@@ -13,7 +13,7 @@ from ssmi.errors import BadDims, EmptyRay, NoFrontiers, PoseInObstacle, Unreacha
 from ssmi.grid import BeamMeasurement, GridMap, Scan, SrleRay
 from ssmi.logodds import SensorParams
 from ssmi.mi import FanCast, fan_angles
-from ssmi.octree import LeafTable, TruncatedSemantics, _exact_key, element_update, morton
+from ssmi.octree import LeafTable, TruncatedSemantics, element_update, morton
 from ssmi.planner import EIGHT_NEIGHBOURS, Frontier
 from ssmi.sim import run_episode
 
@@ -299,15 +299,25 @@ def scan_reference(tree, beliefs: np.ndarray, beams: Scan | list[BeamMeasurement
     return beliefs
 
 
+def exact_key(sem: TruncatedSemantics):
+    """A dict key that tells beliefs apart bit for bit: the belief itself,
+    paired with the signs of its zeros when it holds any (``0.0 == -0.0``).
+    The reference ``TruncatedSemantics.record`` is held to."""
+    zeros = [math.copysign(1.0, v) for _, v in sem.data if v == 0.0]
+    if sem.others == 0.0:
+        zeros.append(math.copysign(1.0, sem.others))
+    return (sem, tuple(zeros)) if zeros else sem
+
+
 def pruned_leaves_reference(beliefs: np.ndarray) -> list:
     """The unique pruned leaves of a dense cube of beliefs, in preorder:
     (belief, low corner, edge) for each aligned block whose elements all
-    hold one belief bit for bit (``_exact_key``) while its parent's do
-    not, the belief being the block's first element's. Found by recursion
-    over the eight children of every block that is not uniform, in slot
-    order."""
+    hold one belief bit for bit (one ``record``, which is ``exact_key``)
+    while its parent's do not, the belief being the block's first
+    element's. Found by recursion over the eight children of every block
+    that is not uniform, in slot order."""
     index: dict = {}
-    keys = np.array([index.setdefault(_exact_key(sem), len(index)) for sem in beliefs.ravel()])
+    keys = np.array([index.setdefault(sem.record, len(index)) for sem in beliefs.ravel()])
     keys = keys.reshape(beliefs.shape)
     leaves = []
 
@@ -325,8 +335,9 @@ def pruned_leaves_reference(beliefs: np.ndarray) -> list:
 
 
 def leaf_bits(leaves) -> list:
-    """Leaves (belief, corner, edge) with each belief as its bits."""
-    return [(_exact_key(sem), corner, size) for sem, corner, size in leaves]
+    """Leaves (belief, corner, edge) with each belief as its bits (its
+    record)."""
+    return [(sem.record, corner, size) for sem, corner, size in leaves]
 
 
 def insert_scan_reference(tree, beams: Scan | list[BeamMeasurement], params: SensorParams):
@@ -346,7 +357,7 @@ def insert_scan_reference(tree, beams: Scan | list[BeamMeasurement], params: Sen
 def off_prior(tree, sem) -> bool:
     """Whether a belief's bits differ from the tree's prior: what the
     octree's observed flag reads."""
-    return _exact_key(sem) != _exact_key(tree.prior_semantics)
+    return exact_key(sem) != exact_key(tree.prior_semantics)
 
 
 def belief_entropy(sem: TruncatedSemantics) -> float:

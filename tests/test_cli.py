@@ -13,10 +13,12 @@ from ssmi.cli import main
 from ssmi.config import config_from_dict
 from ssmi.errors import CorruptMap
 from ssmi import logodds as lo
-from ssmi.grid import BeamMeasurement, GridMap, load_grid, save_grid
+from ssmi.grid import (GRID_HEADER, GRID_MAGIC, GRID_VERSION, BeamMeasurement, GridMap, load_grid,
+                       save_grid)
 from ssmi.logodds import SensorParams
 from ssmi.mi import beam_mi_dense, collapse_to_binary
-from ssmi.octree import SemanticOctree, load_octree, save_octree
+from ssmi.octree import (OCTREE_MAGIC, _HEADER, SemanticOctree, TruncatedSemantics, load_octree,
+                         save_octree)
 from ssmi.sim import run_episode
 from conftest import cast_fan, fan_beams, planar_beam, scan_beams, set_cell, signed_zero_grid
 
@@ -434,16 +436,30 @@ def test_grid_file_with_nan_cell_exit_3(tmp_path, capsys, caplog):
     assert not caplog.records
 
 
+def too_many_classes_file(path, num_classes):
+    """Write the file of a fresh map of ``num_classes`` at the uniform
+    prior, a one-cell grid (``.ssmigrid``) or a depth-1 octree of one leaf
+    (``.ssmioct``), byte for byte as the savers wrote it while the maps
+    took more than MAX_CLASSES; the maps refuse that now."""
+    prior = lo.uniform_prior(num_classes)
+    if path.suffix == ".ssmigrid":
+        header = GRID_HEADER.pack(GRID_MAGIC, GRID_VERSION, 1, 1, 1, 1.0, num_classes, 0, 0, 0)
+        path.write_bytes(header + prior.astype("<f4").tobytes() * 2 + b"\x00")
+    else:
+        header = OCTREE_MAGIC + _HEADER.pack(1.0, 1, num_classes, 0, 0, 0, 2, 2, 2)
+        path.write_bytes(header + prior.astype("<f8").tobytes()
+                         + TruncatedSemantics.from_full(prior).record)
+
+
 @pytest.mark.parametrize("kind,num_classes", [("grid", 256), ("grid", 65535), ("octree", 256)])
 def test_map_file_with_too_many_classes_exit_3(tmp_path, capsys, caplog, kind, num_classes):
     # a one-cell grid file with K = 65535 is half a megabyte, but the
     # (K+1)^2 float64 model stack a command builds for it would be 32 GiB
     if kind == "grid":
         path, load = tmp_path / "m.ssmigrid", load_grid
-        save_grid(GridMap((1, 1, 1), 1.0, num_classes), path)
     else:
         path, load = tmp_path / "m.ssmioct", load_octree
-        save_octree(SemanticOctree(1.0, 1, num_classes), path)
+    too_many_classes_file(path, num_classes)
     with pytest.raises(CorruptMap, match=rf"{num_classes} classes \(at most 255\)"):
         load(path)
     assert main(["map", "inspect", "--map", str(path)]) == 3

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from ssmi import logodds as lo
 from ssmi.config import config_from_dict
 from ssmi.errors import CorruptMap, InvalidClass, OriginOutOfBounds
-from ssmi.grid import BeamMeasurement, GridMap, Scan, SrleRay
+from ssmi.grid import BeamMeasurement, GridMap, Scan, SrleRay, load_grid, save_grid
 from ssmi.logodds import SensorParams
 from ssmi.octree import (
     NEG_INF,
@@ -32,7 +32,7 @@ from ssmi.octree import (
     SemanticOctree,
     TruncatedSemantics,
     _Beliefs,
-    _exact_key,
+    _LEAF,
     element_update,
     grid_from_octree,
     load_octree,
@@ -46,6 +46,7 @@ from conftest import (
     belief_entropy,
     cast_fan,
     element_beliefs,
+    exact_key,
     fan_beams,
     insert_scan_reference,
     leaf_bits,
@@ -333,6 +334,51 @@ def test_belief_hash_is_the_field_tuple_hash():
     assert len({pos, neg}) == 1
 
 
+# few values, so that drawn beliefs are often equal: zeros of both signs,
+# the default clamp bounds, ties among them, and one value inside
+_RECORD_VALUES = st.sampled_from([0.0, -0.0, -6.0, 6.0, 1.5])
+
+
+@st.composite
+def record_beliefs(draw):
+    """A belief of 0-3 tracked classes (the first, second, third or last
+    class a file holds) with values from ``_RECORD_VALUES`` in any order,
+    and a lump of -inf or one of those values."""
+    n = draw(st.integers(0, 3))
+    classes = draw(st.lists(st.sampled_from([1, 2, 3, lo.MAX_CLASSES]), min_size=n,
+                            max_size=n, unique=True))
+    values = draw(st.lists(_RECORD_VALUES, min_size=n, max_size=n))
+    others = draw(st.one_of(st.just(NEG_INF), _RECORD_VALUES))
+    return TruncatedSemantics(data=tuple(zip(classes, values)), others=others)
+
+
+@given(beliefs=st.lists(record_beliefs(), min_size=2, max_size=6))
+@example(beliefs=[TruncatedSemantics(((2, 6.0), (1, 0.0)), -0.0),
+                  TruncatedSemantics(((2, 6.0), (1, -0.0)), -0.0),
+                  TruncatedSemantics(((2, 6.0), (1, 0.0)), 0.0),
+                  TruncatedSemantics(((1, 6.0), (2, 6.0)), NEG_INF),
+                  TruncatedSemantics(((2, 6.0), (1, 6.0)), NEG_INF)])
+@settings(max_examples=300, deadline=None)
+def test_a_belief_record_is_its_bits(beliefs):
+    """Two beliefs share a record exactly when they are equal bit for bit
+    (``exact_key``: equal values, equal zero signs, pairs in one order),
+    and a belief's record is the v3 leaf record of its fields."""
+    for a, b in itertools.product(beliefs, repeat=2):
+        assert (a.record == b.record) == (exact_key(a) == exact_key(b))
+    for sem in beliefs:
+        n = len(sem.data)
+        assert sem.record == _LEAF[n].pack(0, n, *itertools.chain(*sem.data), sem.others)
+
+
+@pytest.mark.parametrize("c", [0, lo.MAX_CLASSES + 1, 1 << 16])
+def test_a_belief_refuses_a_class_a_file_cannot_hold(c):
+    """A tracked class outside 1..MAX_CLASSES raises ValueError when the
+    belief is made, before its record is packed."""
+    with pytest.raises(ValueError, match=rf"distinct ids in 1\.\.{lo.MAX_CLASSES}$") as info:
+        TruncatedSemantics(data=((c, 1.0),), others=NEG_INF)
+    assert type(info.value) is ValueError
+
+
 @pytest.mark.parametrize("k", [3, 5])
 def test_insert_scan_rejects_hit_class_beyond_k(k):
     tree = SemanticOctree(1.0, 3, k)
@@ -455,7 +501,7 @@ def test_prune_uniform_tree_to_root():
         write_beliefs(tree, block_cells(corner, 4), sem)
         assert tree.num_leaves() == (8 if slot < 7 else 1)
     assert tree_leaves(tree) == [(tree.query_element((0, 0, 0)), (0, 0, 0), 8)]
-    assert _exact_key(tree.query_element((0, 0, 0))) == _exact_key(sem)
+    assert exact_key(tree.query_element((0, 0, 0))) == exact_key(sem)
 
 
 def test_prune_requires_all_eight_identical():
@@ -484,8 +530,8 @@ def test_prune_idempotent_and_query_transparent(params3, rng):
         tree.insert_scan([beam], params3)
         scan_reference(tree, beliefs, [beam], params3)
     points = [tuple(rng.integers(0, 32, 3)) for _ in range(500)]
-    assert [_exact_key(tree.query_element(p)) for p in points] == \
-        [_exact_key(beliefs[p]) for p in points]
+    assert [exact_key(tree.query_element(p)) for p in points] == \
+        [exact_key(beliefs[p]) for p in points]
     before = leaf_bits(tree_leaves(tree))
     for p in points:
         write_beliefs(tree, [p], tree.query_element(p))
@@ -670,7 +716,7 @@ def runs_reference(beliefs, cells, prior):
     widths, values = [], []
     for cell in cells.tolist():
         sem = beliefs[tuple(cell)]
-        if values and _exact_key(values[-1]) == _exact_key(sem):
+        if values and exact_key(values[-1]) == exact_key(sem):
             widths[-1] += 1
         else:
             values.append(sem)
@@ -1368,7 +1414,7 @@ def test_an_element_whose_chain_ends_where_it_began_is_not_written(params3, capl
 def assert_one_object_per_value(tree):
     objects: dict = {}
     for (sem, _, _), i in zip(tree_leaves(tree), tree.leaf_table().ids.tolist()):
-        objects.setdefault(_exact_key(sem), set()).add((id(sem), i))
+        objects.setdefault(exact_key(sem), set()).add((id(sem), i))
     assert all(len(held) == 1 for held in objects.values())
     return len(objects)
 
@@ -1541,8 +1587,17 @@ def test_aggregates_reject_boxes_outside_the_map(kind, params3):
     ("prior", [0.0, 1.0, 2.0]),
     ("prior", [0.5, 0.0, 0.0, 0.0]),
     ("prior", [[0.0, 0.0, 0.0, 0.0]]),
+    ("prior", [0.0, math.nan, 0.0, 0.0]),
+    ("prior", [0.0, math.inf, 0.0, 0.0]),
+    ("prior", [0.0, 0.0, 0.0, -math.inf]),
+    ("classes", 0),
+    ("classes", lo.MAX_CLASSES + 1),
+    ("classes", 300),
 ])
 def test_both_maps_reject_a_bad_box_or_prior_with_one_message(what, bad):
+    """A box outside the map, a prior that is not a finite K+1 log-odds
+    vector with a zero pivot, or a class count outside 1..MAX_CLASSES (what
+    the map files hold) raises ValueError with one message on both maps."""
     def message(call) -> str:
         with pytest.raises(ValueError) as info:
             call()
@@ -1552,10 +1607,37 @@ def test_both_maps_reject_a_bad_box_or_prior_with_one_message(what, bad):
         maps = (GridMap((8, 8, 8), 1.0, 3), SemanticOctree(1.0, 3, 3))
         texts = {message(lambda: query(bad)) for m in maps
                  for query in (m.map_state, m.labels_observed)}
-    else:
+    elif what == "prior":
         texts = {message(lambda: GridMap((8, 8, 8), 1.0, 3, prior=bad)),
                  message(lambda: SemanticOctree(1.0, 3, 3, prior=bad))}
+    else:
+        texts = {message(lambda: GridMap((8, 8, 8), 1.0, bad)),
+                 message(lambda: SemanticOctree(1.0, 3, bad))}
     assert len(texts) == 1
+
+
+def test_both_maps_round_trip_their_files_at_the_most_classes(tmp_path):
+    """At K = MAX_CLASSES, the most a map file holds, a grid and an octree
+    scanned with hits on the first and the last class load from their files
+    to the maps they were (the grid's cells in f32) and save again to the
+    same bytes."""
+    k = lo.MAX_CLASSES
+    params = SensorParams.default(k)
+    beams = [planar_beam((0.5, 0.5), 0.0, 3.5, k, 8.0),
+             planar_beam((0.5, 1.5), 0.0, 2.5, 1, 8.0)]
+    gmap = GridMap((8, 8), 1.0, k).insert_scan(beams, params)
+    save_grid(gmap, tmp_path / "m.ssmigrid")
+    back = load_grid(tmp_path / "m.ssmigrid")
+    assert back.num_classes == k and (back.observed == gmap.observed).all()
+    assert back.cells.tobytes() == gmap.cells.astype(np.float32).astype(np.float64).tobytes()
+    save_grid(back, tmp_path / "again.ssmigrid")
+    assert (tmp_path / "again.ssmigrid").read_bytes() == (tmp_path / "m.ssmigrid").read_bytes()
+    tree = SemanticOctree(1.0, 3, k).insert_scan(beams, params)
+    assert {c for sem, _, _ in tree_leaves(tree) for c, _ in sem.data} >= {1, k}
+    first = saved_bytes(tree, tmp_path)
+    back = load_octree(tmp_path / "t.ssmioct")
+    assert back.num_classes == k and leaves(back) == leaves(tree)
+    assert saved_bytes(back, tmp_path, "again.ssmioct") == first
 
 
 @pytest.mark.parametrize("size, origin", [
