@@ -2,9 +2,10 @@
 truncated categorical beliefs.
 
 Leaves store at most the 3 most likely class log-odds plus a single "others"
-lump for the rest; with K <= 3 all classes are tracked, the lump stays
-empty, and a scan runs the dense grid's update on the elements' rows
-(``grid._apply_rounds``), so it reproduces the grid bit for bit.
+lump for the rest. A scan updates the elements' rows in the dense grid's
+rounds: with K <= 3 a belief is its full row and the update the grid's
+(``grid._apply_rounds``), so the tree reproduces the grid bit for bit; with
+K > 3 it is a lumped row and the update the lumped one (``_lumped_rounds``).
 
 The tree is its leaves, held as arrays in preorder (a linear octree:
 Gargantini, "An effective way to represent quadtrees", CACM 1982). A
@@ -35,16 +36,14 @@ are one bytes value, its leaf record in a ``.ssmioct`` file
 (``TruncatedSemantics.record``), made when the belief is. Every belief the
 tree stores is interned by its record, so equal values share one id
 (``0.0`` and ``-0.0`` stay apart), and ``save_octree`` writes the records
-as they are; ``insert_scan`` interns the distinct rows it writes (K <= 3)
-or memoizes each update by hit class and belief record and interns each
-element's last belief (K > 3), and skips elements it leaves as they were.
-The store holds the beliefs writes put on leaves, for the tree's life, so
-a belief's id and its rows never change.
+as they are; ``insert_scan`` interns each distinct new row once and skips
+the elements whose row bits it leaves as they were. The store holds the
+beliefs writes put on leaves, for the tree's life, so a belief's id and
+its rows never change.
 """
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 import struct
@@ -54,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import logodds
-from .errors import CorruptMap, InvalidClass
+from .errors import CorruptMap
 from .grid import GRID_MAGIC, BeamMeasurement, GridMap, RayTrace, Scan, SrleRay, cast
 from .grid import _apply_rounds, _box_corners, _check_header, _frame, _prior_vector, _rounds
 from .grid import scan_updates
@@ -98,6 +97,9 @@ class TruncatedSemantics:
         classes = {c for c, _ in self.data}
         if len(classes) != n or not all(1 <= c <= logodds.MAX_CLASSES for c in classes):
             raise ValueError(f"tracked classes must be distinct ids in 1..{logodds.MAX_CLASSES}")
+        # a file's rule: only the lump may be -inf (nothing untracked)
+        if not all(math.isfinite(v) for _, v in self.data) or not self.others < math.inf:
+            raise ValueError(f"non-finite belief {self.data} lump {self.others!r}")
         object.__setattr__(self, "record", _LEAF[n].pack(
             0, n, *[x for cv in self.data for x in cv], self.others))
 
@@ -113,24 +115,16 @@ class TruncatedSemantics:
         pairs = cls._sorted(enumerate(h[1:].tolist(), 1))
         if k <= 3:
             return cls(data=pairs, others=NEG_INF)
-        kept = pairs[:3]
-        lump = logodds.logsumexp(np.array([v for _, v in pairs[3:]]))
-        return cls(data=kept, others=float(lump))
+        return cls(data=pairs[:3], others=logodds.logsumexp(np.array([v for _, v in pairs[3:]])))
 
     def to_full(self, num_classes: int) -> np.ndarray:
         """Full K+1 vector. Exact when all classes are tracked; untracked
         classes split the lump evenly (the stored belief has no finer
         information about them)."""
-        h = np.empty(num_classes + 1, dtype=np.float64)
+        h = np.full(num_classes + 1, self.others - math.log(max(num_classes - len(self.data), 1)))
         h[0] = 0.0
-        tracked = dict(self.data)
-        untracked = [c for c in range(1, num_classes + 1) if c not in tracked]
         for c, v in self.data:
             h[c] = v
-        if untracked:
-            share = self.others - math.log(len(untracked))
-            for c in untracked:
-                h[c] = share
         return h
 
 
@@ -172,18 +166,20 @@ class _Beliefs:
     and stays stored for the tree's life. The prior is id 0, so a belief
     bit-equal to it is always the tree's ``prior_semantics``, and an
     element is observed when its id is not 0.
-    Per id: ``full`` (the ``to_full`` row), ``exact`` (every class tracked,
-    so ``full`` is the belief), ``entropy`` and ``labels`` (the argmax of
-    ``full``, ties to the lowest class), made once, in one pass over the
-    ids interned since the last table, by the write that puts them on
-    leaves (``table``)."""
+    Per id: ``full`` (the ``to_full`` row), ``rows`` (what a scan updates:
+    ``full`` with K <= 3, the ``_lumped_row`` with K > 3), ``exact`` (min(K,
+    3) classes tracked, so a full row is its belief), ``entropy`` and
+    ``labels`` (the argmax of ``full``, ties to the lowest class), made
+    once, in one pass over the ids interned since the last table, by the
+    write that puts them on leaves (``table``)."""
 
     def __init__(self, prior_semantics: "TruncatedSemantics", num_classes: int):
         self.num_classes = num_classes
         self.objects: list[TruncatedSemantics] = []
         self.by_record: dict[bytes, int] = {}
-        self.by_row: dict[bytes, int] = {}  # K <= 3 rows, by their bytes (``id_of_row``)
+        self.by_row: dict[bytes, int] = {}  # rows, by their bytes (``id_of_row``)
         self.full = np.zeros((0, num_classes + 1))
+        self.rows = np.zeros((0, num_classes + 1 if num_classes <= 3 else 7))
         self.exact = np.zeros(0, dtype=bool)
         self.entropy = np.zeros(0)
         self.labels = np.zeros(0, dtype=np.intp)
@@ -200,12 +196,17 @@ class _Beliefs:
         return i
 
     def id_of_row(self, key: bytes, row: np.ndarray) -> int:
-        """The id of the exact belief ``TruncatedSemantics.from_full(row)``
-        of a row of K <= 3 classes, ``key`` being the row's bytes: the
-        belief object is built only for bytes not seen before."""
+        """The id of the belief a row (``rows``) is, ``key`` being its bytes:
+        a belief object is built only for bytes not seen before."""
         i = self.by_row.get(key)
         if i is None:
-            i = self.by_row[key] = self.id_of(TruncatedSemantics.from_full(row))
+            if self.num_classes <= 3:
+                sem = TruncatedSemantics.from_full(row)
+            else:
+                r = row.tolist()
+                sem = TruncatedSemantics(tuple((int(c), v) for c, v in zip(r[:3], r[3:6])
+                                               if c != _EMPTY), r[6])
+            i = self.by_row[key] = self.id_of(sem)
         return i
 
     def table(self, starts, sizes, ids) -> "LeafTable":
@@ -213,18 +214,19 @@ class _Beliefs:
         ids interned since the last table, each array in one piece: tables
         made earlier keep the old arrays, whose rows never change. The
         entropy of each new belief is that of its pivot, tracked values
-        and lump (when finite) as one log-odds vector, taken for all of
-        them at once on rows padded with -inf, whose terms are 0."""
+        and lump as one log-odds vector, taken for all of them at once on
+        rows padded with -inf, whose terms are 0, as a -inf lump's is."""
         new = self.objects[self.labels.shape[0]:]
         if new:
             full = np.array([sem.to_full(self.num_classes) for sem in new])
-            values = [[0.0, *(v for _, v in sem.data)]
-                      + ([sem.others] if math.isfinite(sem.others) else []) for sem in new]
             # the pivot, at most 3 tracked values and the lump
-            padded = np.array([v + [NEG_INF] * (5 - len(v)) for v in values])
+            padded = np.array([[0.0, *(v for _, v in sem.data), sem.others]
+                               + [NEG_INF] * (3 - len(sem.data)) for sem in new])
             self.full = np.concatenate((self.full, full))
+            self.rows = self.full if self.num_classes <= 3 else np.concatenate(
+                (self.rows, [_lumped_row(sem) for sem in new]))
             self.exact = np.concatenate(
-                (self.exact, [len(sem.data) == self.num_classes for sem in new]))
+                (self.exact, [len(sem.data) == min(self.num_classes, 3) for sem in new]))
             self.entropy = np.concatenate(
                 (self.entropy, -np.sum(logodds.entropy_terms(padded), axis=-1)))
             self.labels = np.concatenate((self.labels, np.argmax(full, axis=1)))
@@ -265,71 +267,86 @@ def _levels(sizes: np.ndarray) -> np.ndarray:
     return np.frexp(sizes)[1].astype(np.int64) - 1
 
 
-def _uniform_scalar(vec: np.ndarray, name: str) -> float:
-    if not np.all(vec[1:] == vec[1]):
-        raise ValueError(f"{name} must be class-uniform when classes are lumped (K > 3)")
-    return float(vec[1])
+# an empty slot's class in a lumped row: after every class a belief tracks
+_EMPTY = 1 << 16
 
 
-def element_update(params: SensorParams, prior: np.ndarray):
-    """The octree's element update for K > 3, built once per scan: a
-    function from hit class (None for a traversed element, InvalidClass
-    outside 1..K) to the update of one belief. (With K <= 3 the tree
-    applies the grid's update to full rows, ``grid._apply_rounds``.)
+def _lumped_row(sem: TruncatedSemantics) -> list[float]:
+    """A belief as a lumped row: classes, values, lump (an empty slot: ``_EMPTY``, -inf)."""
+    pad = 3 - len(sem.data)
+    return [*(c for c, _ in sem.data), *[_EMPTY] * pad, *(v for _, v in sem.data),
+            *[NEG_INF] * pad, sem.others]
 
-    The parameters must be class-uniform (ValueError here otherwise), and
-    a hit on an untracked class splits an alpha fraction off the lump for
-    the new class, updates, keeps the three largest values, folds the rest
-    back into the lump, and clamps with its own ``min``/``max``.
-    """
-    k = params.num_classes
-    # parameters must treat occupied classes interchangeably
-    phi_m = _uniform_scalar(params.phi_minus, "phi_minus")
-    phi_p = _uniform_scalar(params.phi_plus, "phi_plus")
-    psi_p = _uniform_scalar(params.psi_plus, "psi_plus")
-    lo = _uniform_scalar(params.clamp_lo, "clamp_lo")
-    hi = _uniform_scalar(params.clamp_hi, "clamp_hi")
-    prior_occ = _uniform_scalar(np.asarray(prior), "prior")
-    free_shift = phi_m - prior_occ
-    hit_shift = phi_p - prior_occ
-    log_alpha = math.log(params.alpha)
-    log_rest = math.log1p(-params.alpha)
 
-    def clip(v: float) -> float:
-        return min(max(v, lo), hi)
-
-    def free(sem: TruncatedSemantics) -> TruncatedSemantics:
-        data = TruncatedSemantics._sorted((c, clip(v + free_shift)) for c, v in sem.data)
-        return TruncatedSemantics(data=data, others=clip(sem.others + free_shift))
-
-    def hit(y: int, sem: TruncatedSemantics) -> TruncatedSemantics:
-        if any(c == y for c, _ in sem.data):
-            data = TruncatedSemantics._sorted(
-                (c, clip(v + hit_shift + (psi_p if c == y else 0.0))) for c, v in sem.data
-            )
-            return TruncatedSemantics(data=data, others=clip(sem.others + hit_shift))
-        # alpha fraction of the lump becomes the newly tracked class; the kept
-        # classes are chosen before the clamp and re-sorted after it, since two
-        # of them can clamp to the same value
-        rest = sem.others + phi_p - prior_occ + log_rest
-        candidates = [(c, v + hit_shift) for c, v in sem.data]
-        candidates.append((y, sem.others + log_alpha + hit_shift + psi_p))
-        candidates = TruncatedSemantics._sorted(candidates)
-        dropped = [v for _, v in candidates[3:]]
-        lump = logodds.logsumexp(np.array(dropped + [rest]))
-        return TruncatedSemantics(
-            data=TruncatedSemantics._sorted((c, clip(v)) for c, v in candidates[:3]),
-            others=clip(float(lump)),
-        )
-
-    def update(y):
-        if y is None:
-            return free
-        if not 1 <= y <= k:
-            raise InvalidClass(f"hit class must be in 1..{k}, got {y}")
-        return functools.partial(hit, y)
-
-    return update
+def _lumped_rounds(table: np.ndarray, keys: np.ndarray, rows: np.ndarray, bounds,
+                   params: SensorParams, prior: np.ndarray) -> None:
+    """``grid._apply_rounds`` on lumped rows (K > 3, ``_lumped_row``), for
+    class-uniform parameters (ValueError otherwise). A free update adds and
+    clamps; a hit on a tracked class also adds ``psi`` to it. A hit on an
+    untracked class splits an alpha share off the lump as its candidate,
+    drops the last of the four candidates in (-value, class) order and
+    folds it and the rest of the lump into the lump (``logodds.logsumexp``).
+    Clamps are ``min(max(v, lo), hi)`` on Python floats and skip empty
+    slots, so each row ends bit for bit as the per-belief update leaves it.
+    A slot keeps its class until a hit drops it, so rows are sorted once,
+    after the rounds. After a free round that changes no row, every later
+    row is a fixed point of free updates: on to the next round with a hit."""
+    vecs = np.array([params.phi_minus, params.phi_plus, params.psi_plus, params.clamp_lo,
+                     params.clamp_hi, prior])[:, 1:]
+    if (vecs != vecs[:, :1]).any():
+        raise ValueError("sensor parameters and prior must be class-uniform when K > 3")
+    phi_m, phi_p, psi, lo, hi, prior_occ = vecs[:, 0].tolist()
+    free_shift, hit_shift = phi_m - prior_occ, phi_p - prior_occ
+    # an untracked hit's split and rest of the lump, term by term (x - c is x + -c)
+    terms = np.array([[math.log(params.alpha), phi_p], [hit_shift, -prior_occ],
+                      [psi, math.log1p(-params.alpha)]])
+    hit = rows != 0
+    shifts = np.where(hit, hit_shift, free_shift)[:, None]
+    empty = (table[:, :3] == _EMPTY).any()  # an update never empties a slot
+    hits_before = np.concatenate(([0], np.cumsum(hit))).tolist()
+    starts = [0, *bounds[:-1]]
+    r = 0
+    while r < len(bounds):
+        a, b = starts[r], bounds[r]
+        r += 1
+        sel = keys[a:b]
+        row = table[sel]
+        classes, values = row[:, :3], row[:, 3:]  # the lump is the last value
+        before = row.tobytes() if hits_before[b] == hits_before[a] else None
+        if before is None:
+            y = rows[a:b]
+            mine = classes == y[:, None]
+            tracked = mine.any(axis=1)
+            new = np.flatnonzero(hit[a:b] > tracked)
+            lump = row[new, 6]  # before the shift
+            values += shifts[a:b]
+            # as in the per-belief update, a tracked hit then adds psi to its
+            # class and 0.0 to the others; other rows add -0.0, which is no change
+            values[:, :3] += np.where(mine, psi, np.where(tracked, 0.0, -0.0)[:, None])
+            if new.shape[0]:
+                fold = lump[:, None] + terms[0] + terms[1] + terms[2]  # the split, the rest
+                candidates, owners = values[new], np.concatenate((classes[new], y[new, None]), 1)
+                candidates[:, 3] = fold[:, 0]
+                last, at = np.lexsort((owners, -candidates), axis=1)[:, 3], np.arange(new.shape[0])
+                fold[:, 0] = candidates[at, last]
+                # the hit class takes the dropped candidate's slot
+                candidates[at, last], owners[at, last] = candidates[:, 3], owners[:, 3]
+                candidates[:, 3] = logodds.logsumexp(fold)
+                values[new], classes[new] = candidates, owners[:, :3]
+        else:
+            values += free_shift
+        np.minimum(hi, np.maximum(lo, values, out=values), out=values)
+        if empty:
+            values[:, :3][classes == _EMPTY] = NEG_INF
+        if row.tobytes() == before:
+            # every row of a later round is one of these: on to one with a hit
+            while r < len(bounds) and hits_before[bounds[r]] == hits_before[starts[r]]:
+                r += 1
+            continue
+        table[sel] = row
+    order = np.lexsort((table[:, :3], -table[:, 3:6]), axis=-1)
+    at = np.arange(table.shape[0])[:, None]
+    table[:, :3], table[:, 3:6] = table[at, order], table[at, order + 3]
 
 
 def cube_depth(dims) -> int:
@@ -497,21 +514,17 @@ class SemanticOctree:
         The updates are grouped in rounds by element (``grid._rounds``, a
         stable sort of their Morton codes), so each element meets its
         updates in scan order, and each element's leaf is found by one
-        ``searchsorted`` for all of them. With K <= 3 a belief is its full
-        row: the elements' rows, gathered from the leaf table, take the
-        grid's own update (``grid._apply_rounds``), and each distinct row
-        that changed (in its bits, or from a belief that is not its row,
-        ``_Beliefs.exact``) takes its id from the store's index by row
-        bytes (``_Beliefs.id_of_row``), which builds and interns a belief
-        only for a row it has not seen. With K > 3 each update
-        (``element_update``) is a pure function of the hit class and the
-        belief's bits, memoized by class and belief record
-        (``TruncatedSemantics.record``) for the scan, and only each
-        element's last belief is interned. An element that ends where it
-        began is not written."""
+        ``searchsorted`` for all of them. The elements' rows
+        (``_Beliefs.rows``) take the update in those rounds, the one step
+        that depends on K: the grid's own with K <= 3
+        (``grid._apply_rounds``), the lumped one with K > 3
+        (``_lumped_rounds``). Each distinct row that changed (in its bits,
+        or from a belief that is not its row, ``_Beliefs.exact``) takes its
+        id from the store's index by row bytes (``_Beliefs.id_of_row``),
+        which builds and interns a belief only for a row it has not seen.
+        An element that ends where it began is not written."""
         if params.num_classes != self.num_classes:
             raise ValueError("sensor parameters and tree disagree on K")
-        update = element_update(params, self.prior) if self.num_classes > 3 else None
         cells, rows = scan_updates(beams, self.origin, self.element_size, self.dims,
                                    self.num_classes)
         codes = morton(*cells.T)
@@ -523,33 +536,19 @@ class SemanticOctree:
         keys, rows = (np.cumsum(first) - 1)[by_round], rows[order[by_round]]
         store = self._beliefs
         size = len(store)
-        if update is None:
-            was = self._leaves.full[held]
-            table = was.copy()
-            _apply_rounds(table, keys, rows, bounds, params, self.prior)
-            # each row as one value of its bytes, so that 0.0 and -0.0 differ
-            row_bytes = np.dtype((np.void, table.itemsize * table.shape[1]))
-            fresh = table.view(row_bytes)[:, 0]
-            (changed,) = np.nonzero((fresh != was.view(row_bytes)[:, 0]) | ~store.exact[held])
-            _, at, distinct = np.unique(fresh[changed], return_index=True, return_inverse=True)
-            at = changed[at]
-            ids = [store.id_of_row(key, table[i])
-                   for key, i in zip(fresh[at].tolist(), at.tolist())]
-            new = held.copy()
-            new[changed] = np.array(ids, dtype=np.intp)[distinct]
-        else:
-            new = [store.objects[i] for i in held.tolist()]
-            steps: dict[int, tuple[dict, object]] = {}  # by model row: 0 free, y a class-y hit
-            for e, row in zip(keys.tolist(), rows.tolist()):
-                step = steps.get(row)
-                if step is None:
-                    step = steps[row] = ({}, update(row or None))
-                memo, apply = step
-                sem = memo.get(new[e].record)
-                if sem is None:
-                    sem = memo[new[e].record] = apply(new[e])
-                new[e] = sem
-            new = np.array([store.id_of(sem) for sem in new], dtype=np.intp)
+        was = store.rows[held]
+        table = was.copy()
+        update = _apply_rounds if self.num_classes <= 3 else _lumped_rounds
+        update(table, keys, rows, bounds, params, self.prior)
+        # each row as one value of its bytes, so that 0.0 and -0.0 differ
+        row_bytes = np.dtype((np.void, table.itemsize * table.shape[1]))
+        fresh = table.view(row_bytes)[:, 0]
+        (changed,) = np.nonzero((fresh != was.view(row_bytes)[:, 0]) | ~store.exact[held])
+        _, at, distinct = np.unique(fresh[changed], return_index=True, return_inverse=True)
+        at = changed[at]
+        ids = [store.id_of_row(key, table[i]) for key, i in zip(fresh[at].tolist(), at.tolist())]
+        new = held.copy()
+        new[changed] = np.array(ids, dtype=np.intp)[distinct]
         log.debug("insert_scan: %d beams, %d updates of %d elements, %d changed, "
                   "%d beliefs added", len(beams), len(rows), len(held),
                   np.count_nonzero(new != held), len(store) - size)
@@ -791,16 +790,16 @@ def load_octree(path) -> SemanticOctree:
                 f"in 1..{num_classes}"
             )
         (others,) = take(f"<{real}")
-        # the lump is -inf when no class is untracked; nothing else may be non-finite
-        if not all(math.isfinite(v) for _, v in data) or math.isnan(others) or others == math.inf:
-            raise CorruptMap(f"{path}: non-finite belief {data} lump {others!r} before byte {pos}")
         # a stable sort on the value alone keeps tied classes in the order they
         # were saved: an f64 tie can be stored out of class order (the clamp
         # after a lumped update), and f64 values an ulp apart can tie in f32
-        return TruncatedSemantics(
-            data=tuple(sorted(((c, float(v)) for c, v in data), key=lambda cv: -cv[1])),
-            others=float(others),
-        )
+        try:  # a belief refuses a non-finite value, and a NaN or +inf lump
+            return TruncatedSemantics(
+                data=tuple(sorted(((c, float(v)) for c, v in data), key=lambda cv: -cv[1])),
+                others=float(others),
+            )
+        except ValueError as err:
+            raise CorruptMap(f"{path}: {err} before byte {pos}") from None
 
     starts, sizes, ids = [], [], []
     code = 0  # the start of the next leaf

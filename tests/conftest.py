@@ -1,3 +1,4 @@
+import functools
 import heapq
 import itertools
 import math
@@ -9,11 +10,11 @@ from scipy import ndimage
 from ssmi import logodds
 from ssmi import mi as mi_mod
 from ssmi.config import config_from_dict
-from ssmi.errors import BadDims, EmptyRay, NoFrontiers, PoseInObstacle, Unreachable
+from ssmi.errors import BadDims, EmptyRay, InvalidClass, NoFrontiers, PoseInObstacle, Unreachable
 from ssmi.grid import BeamMeasurement, GridMap, Scan, SrleRay
 from ssmi.logodds import SensorParams
 from ssmi.mi import FanCast, fan_angles
-from ssmi.octree import LeafTable, TruncatedSemantics, element_update, morton
+from ssmi.octree import LeafTable, TruncatedSemantics, morton
 from ssmi.planner import EIGHT_NEIGHBOURS, Frontier
 from ssmi.sim import run_episode
 
@@ -272,6 +273,73 @@ def numpy_update(params: SensorParams, prior: np.ndarray):
         l = params.phi_minus if y is None else params.hit_logodds(y)
         return lambda sem: TruncatedSemantics.from_full(logodds.clamp(
             logodds.posterior_update(sem.to_full(params.num_classes), l, prior), params))
+
+    return update
+
+
+def _uniform_scalar(vec: np.ndarray, name: str) -> float:
+    if not np.all(vec[1:] == vec[1]):
+        raise ValueError(f"{name} must be class-uniform when classes are lumped (K > 3)")
+    return float(vec[1])
+
+
+def element_update(params: SensorParams, prior: np.ndarray):
+    """The lumped (K > 3) element update, one belief at a time: a function
+    from hit class (None for a traversed element, InvalidClass outside
+    1..K) to the update of one belief. The reference the octree's update
+    of lumped rows (``SemanticOctree.insert_scan``) is held to.
+
+    The parameters must be class-uniform (ValueError here otherwise), and
+    a hit on an untracked class splits an alpha fraction off the lump for
+    the new class, updates, keeps the three largest values, folds the rest
+    back into the lump, and clamps with its own ``min``/``max``.
+    """
+    k = params.num_classes
+    # parameters must treat occupied classes interchangeably
+    phi_m = _uniform_scalar(params.phi_minus, "phi_minus")
+    phi_p = _uniform_scalar(params.phi_plus, "phi_plus")
+    psi_p = _uniform_scalar(params.psi_plus, "psi_plus")
+    lo = _uniform_scalar(params.clamp_lo, "clamp_lo")
+    hi = _uniform_scalar(params.clamp_hi, "clamp_hi")
+    prior_occ = _uniform_scalar(np.asarray(prior), "prior")
+    free_shift = phi_m - prior_occ
+    hit_shift = phi_p - prior_occ
+    log_alpha = math.log(params.alpha)
+    log_rest = math.log1p(-params.alpha)
+
+    def clip(v: float) -> float:
+        return min(max(v, lo), hi)
+
+    def free(sem: TruncatedSemantics) -> TruncatedSemantics:
+        data = TruncatedSemantics._sorted((c, clip(v + free_shift)) for c, v in sem.data)
+        return TruncatedSemantics(data=data, others=clip(sem.others + free_shift))
+
+    def hit(y: int, sem: TruncatedSemantics) -> TruncatedSemantics:
+        if any(c == y for c, _ in sem.data):
+            data = TruncatedSemantics._sorted(
+                (c, clip(v + hit_shift + (psi_p if c == y else 0.0))) for c, v in sem.data
+            )
+            return TruncatedSemantics(data=data, others=clip(sem.others + hit_shift))
+        # alpha fraction of the lump becomes the newly tracked class; the kept
+        # classes are chosen before the clamp and re-sorted after it, since two
+        # of them can clamp to the same value
+        rest = sem.others + phi_p - prior_occ + log_rest
+        candidates = [(c, v + hit_shift) for c, v in sem.data]
+        candidates.append((y, sem.others + log_alpha + hit_shift + psi_p))
+        candidates = TruncatedSemantics._sorted(candidates)
+        dropped = [v for _, v in candidates[3:]]
+        lump = logodds.logsumexp(np.array(dropped + [rest]))
+        return TruncatedSemantics(
+            data=TruncatedSemantics._sorted((c, clip(v)) for c, v in candidates[:3]),
+            others=clip(float(lump)),
+        )
+
+    def update(y):
+        if y is None:
+            return free
+        if not 1 <= y <= k:
+            raise InvalidClass(f"hit class must be in 1..{k}, got {y}")
+        return functools.partial(hit, y)
 
     return update
 

@@ -33,7 +33,6 @@ from ssmi.octree import (
     TruncatedSemantics,
     _Beliefs,
     _LEAF,
-    element_update,
     grid_from_octree,
     load_octree,
     morton,
@@ -46,6 +45,7 @@ from conftest import (
     belief_entropy,
     cast_fan,
     element_beliefs,
+    element_update,
     exact_key,
     fan_beams,
     insert_scan_reference,
@@ -276,11 +276,11 @@ def reference_lumped_update(sem, y, params, prior):
 
 
 @st.composite
-def lumped_update_case(draw):
-    """Class-uniform K > 3 parameters, prior and belief drawn around shared
-    edge values, so sums land on the clamp bounds (where classes tie) and on
-    both signed zeros; the hit class is None, tracked or untracked."""
-    k = draw(st.integers(4, 6))
+def lumped_params(draw, k):
+    """Class-uniform parameters and prior of K = ``k`` classes drawn around
+    shared edge values, and the values a belief is drawn from: those and
+    the clamp bounds, so sums land on the bounds (where classes tie) and on
+    both signed zeros."""
     lo_, hi_ = sorted((draw(LOGODDS), draw(LOGODDS)))
     assume(lo_ < hi_)
 
@@ -292,13 +292,28 @@ def lumped_update_case(draw):
         psi_plus=uniform(draw(LOGODDS)), clamp_lo=uniform(lo_), clamp_hi=uniform(hi_),
         alpha=draw(st.sampled_from([0.5, 0.25, 0.9]) | st.floats(0.01, 0.99)),
     )
-    prior = uniform(draw(LOGODDS))
-    near = LOGODDS | st.sampled_from([lo_, hi_])
+    return params, uniform(draw(LOGODDS)), LOGODDS | st.sampled_from([lo_, hi_])
+
+
+@st.composite
+def lumped_belief(draw, k, near):
+    """A belief of 0-3 tracked classes out of ``k`` with values from
+    ``near``, and a lump from ``near`` or -inf."""
     classes = draw(st.permutations(range(1, k + 1)))[:draw(st.integers(0, 3))]
     others = draw(near | st.just(NEG_INF))
-    sem = TruncatedSemantics(
+    return TruncatedSemantics(
         data=TruncatedSemantics._sorted((c, draw(near)) for c in classes), others=others
     )
+
+
+@st.composite
+def lumped_update_case(draw):
+    """Class-uniform K > 3 parameters, prior and belief drawn around shared
+    edge values (``lumped_params``); the hit class is None, tracked or
+    untracked."""
+    k = draw(st.integers(4, 6))
+    params, prior, near = draw(lumped_params(k))
+    sem = draw(lumped_belief(k, near))
     y = draw(st.none() | st.integers(1, k))
     return sem, y, params, prior
 
@@ -320,9 +335,100 @@ def test_lumped_builder_is_the_per_element_update_bit_for_bit(case):
     assert bits(element_update(params, prior)(y)(sem)) == want
 
 
+@st.composite
+def lumped_chain_case(draw):
+    """A row of 1-4 elements along x, each holding a belief drawn as in
+    ``lumped_update_case`` (K in 4..8), and 1-20 beams along the row: a
+    beam (origin element, direction, hit element or None, class) starts at
+    its origin element's center and either runs to the world's face,
+    traversing every element on its way, or traverses the elements before
+    its hit element and hits that one with its class. So each element meets
+    a chain of up to 20 free, tracked and untracked updates, and a scan's
+    rounds hold one element or several."""
+    k = draw(st.integers(4, 8))
+    params, prior, near = draw(lumped_params(k))
+    n = draw(st.integers(1, 4))
+    beliefs = [draw(lumped_belief(k, near)) for _ in range(n)]
+    beams = draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from([1, -1]),
+                                    st.none() | st.integers(0, n - 1), st.integers(1, k)),
+                          min_size=1, max_size=20))
+    return params, prior, beliefs, beams
+
+
+def _chain_beams(n, beams):
+    """The beams of a ``lumped_chain_case`` and each element's chain of hit
+    classes (None for a traversal), in scan order."""
+    chains = [[] for _ in range(n)]
+    measured = []
+    for i, d, j, y in beams:
+        if j is None:
+            for e in (range(i, n) if d > 0 else range(i, -1, -1)):
+                chains[e].append(None)
+            measured.append(BeamMeasurement((i + 0.5, 0.5, 0.5), (d, 0.0, 0.0), n + 1.0, None,
+                                            n + 1.0))
+            continue
+        d = d if j == i else (1 if j > i else -1)
+        for e in range(i, j, d):
+            chains[e].append(None)
+        chains[j].append(y)
+        measured.append(BeamMeasurement((i + 0.5, 0.5, 0.5), (d, 0.0, 0.0), abs(j - i) + 0.25, y,
+                                        n + 1.0))
+    return measured, chains
+
+
+def _empty_lump_case(beams):
+    """Two tracked classes and an empty (-inf) lump, K = 5, as a file may
+    hold: a hit on untracked class 4 makes a -inf candidate, which must
+    take the third slot ahead of the empty one."""
+    return (SensorParams.default(5), lo.uniform_prior(5),
+            [TruncatedSemantics(((1, 1.0), (2, 0.5)), NEG_INF)] * 2, beams)
+
+
+@given(case=lumped_chain_case())
+@example(case=_empty_lump_case([(0, 1, 0, 4)]))
+@example(case=_empty_lump_case([(0, 1, None, 1), (1, -1, 1, 4), (1, 1, 1, 4)]))
+@example(case=(replace(SensorParams.default(4), phi_plus=np.array([0.0, -0.0, -0.0, -0.0, -0.0])),
+               lo.uniform_prior(4), [TruncatedSemantics(((2, 1.0), (1, -0.0)), -1.0)],
+               [(0, 1, 0, 2)]))
+@settings(max_examples=300, deadline=None)
+def test_lumped_scan_is_the_per_element_chain_bit_for_bit(case):
+    """A K > 3 scan (``insert_scan``, on lumped rows in rounds) leaves each
+    element as its chain of per-element updates does, float hex for float
+    hex, with both references (``element_update`` and
+    ``reference_lumped_update``): ties at both clamp bounds, signed zeros,
+    hits on untracked classes, partly tracked beliefs and empty lumps
+    included. An element no beam touches keeps its belief."""
+    params, prior, beliefs, beams = case
+    n = len(beliefs)
+    tree = SemanticOctree(1.0, 2, params.num_classes, prior=prior, dims=(n, 1, 1))
+    for e, sem in enumerate(beliefs):
+        write_beliefs(tree, [(e, 0, 0)], sem)
+    measured, chains = _chain_beams(n, beams)
+    tree.insert_scan(measured, params)
+    update = element_update(params, prior)
+    for e, (sem, chain) in enumerate(zip(beliefs, chains)):
+        by_builder = by_reference = sem
+        for y in chain:
+            by_builder = update(y)(by_builder)
+            by_reference = reference_lumped_update(by_reference, y, params, prior)
+        got = bits(tree.query_element((e, 0, 0)))
+        assert got == bits(by_builder) == bits(by_reference), (e, chain)
+
+
+@given(x=LOGODDS | st.just(NEG_INF))
+def test_an_empty_slot_adds_nothing_to_the_lump_sum(x):
+    """``logodds.logsumexp`` over an empty (-inf) slot and a value is the
+    log-sum-exp of the value alone, bit for bit: the slot's term is exactly
+    0.0, first in the sum, as a dropped candidate is."""
+    assert lo.logsumexp(np.array([NEG_INF, x])).hex() == lo.logsumexp(np.array([x])).hex()
+    assert (lo.logsumexp(np.array([[NEG_INF, x]] * 3), axis=-1)[1].hex()
+            == lo.logsumexp(np.array([x])).hex())
+
+
 def test_belief_hash_is_the_field_tuple_hash():
-    """The cached hash is the dataclass's own, so dict and set order stay;
-    beliefs equal under ``0.0 == -0.0`` hash equal, as equal keys must."""
+    """The dataclass's own hash, of the field tuple, so dict and set order
+    stay; beliefs equal under ``0.0 == -0.0`` hash equal, as equal keys
+    must, while their records tell them apart."""
     for sem in (TruncatedSemantics(data=((5, 3.9), (3, 3.8), (1, 2.0)), others=-3.0),
                 TruncatedSemantics(data=(), others=NEG_INF),
                 TruncatedSemantics.from_full(np.array([0.0, 1.0, -2.0, 0.5, 0.25]))):
@@ -332,11 +438,25 @@ def test_belief_hash_is_the_field_tuple_hash():
     neg = TruncatedSemantics(data=((2, 1.0), (1, -0.0)), others=-0.0)
     assert pos == neg and hash(pos) == hash(neg)
     assert len({pos, neg}) == 1
+    assert pos.record != neg.record
 
 
 # few values, so that drawn beliefs are often equal: zeros of both signs,
 # the default clamp bounds, ties among them, and one value inside
 _RECORD_VALUES = st.sampled_from([0.0, -0.0, -6.0, 6.0, 1.5])
+_NON_FINITE = st.sampled_from([math.nan, math.inf, NEG_INF])
+
+
+@st.composite
+def refused_fields(draw):
+    """The fields of a belief that a file cannot hold: 0-3 tracked classes
+    as in ``record_beliefs``, with a NaN or infinite tracked value or a NaN
+    or +inf lump (a -inf lump is an empty one, which files hold)."""
+    n = draw(st.integers(0, 3))
+    values = draw(st.lists(_RECORD_VALUES | _NON_FINITE, min_size=n, max_size=n))
+    others = draw(st.one_of(st.just(NEG_INF), _RECORD_VALUES, _NON_FINITE))
+    assume(not all(math.isfinite(v) for v in values) or math.isnan(others) or others == math.inf)
+    return tuple(zip((1, 2, lo.MAX_CLASSES), values)), others
 
 
 @st.composite
@@ -352,17 +472,22 @@ def record_beliefs(draw):
     return TruncatedSemantics(data=tuple(zip(classes, values)), others=others)
 
 
-@given(beliefs=st.lists(record_beliefs(), min_size=2, max_size=6))
+@given(beliefs=st.lists(record_beliefs(), min_size=2, max_size=6), refused=refused_fields())
 @example(beliefs=[TruncatedSemantics(((2, 6.0), (1, 0.0)), -0.0),
                   TruncatedSemantics(((2, 6.0), (1, -0.0)), -0.0),
                   TruncatedSemantics(((2, 6.0), (1, 0.0)), 0.0),
                   TruncatedSemantics(((1, 6.0), (2, 6.0)), NEG_INF),
-                  TruncatedSemantics(((2, 6.0), (1, 6.0)), NEG_INF)])
+                  TruncatedSemantics(((2, 6.0), (1, 6.0)), NEG_INF)],
+         refused=(((1, 6.0), (2, math.nan)), NEG_INF))
 @settings(max_examples=300, deadline=None)
-def test_a_belief_record_is_its_bits(beliefs):
+def test_a_belief_record_is_its_bits(beliefs, refused):
     """Two beliefs share a record exactly when they are equal bit for bit
     (``exact_key``: equal values, equal zero signs, pairs in one order),
-    and a belief's record is the v3 leaf record of its fields."""
+    and a belief's record is the v3 leaf record of its fields. A belief
+    whose fields no file holds (``refused_fields``) raises ValueError, as
+    ``load_octree`` refuses its record."""
+    with pytest.raises(ValueError, match="non-finite"):
+        TruncatedSemantics(*refused)
     for a, b in itertools.product(beliefs, repeat=2):
         assert (a.record == b.record) == (exact_key(a) == exact_key(b))
     for sem in beliefs:
@@ -377,6 +502,16 @@ def test_a_belief_refuses_a_class_a_file_cannot_hold(c):
     with pytest.raises(ValueError, match=rf"distinct ids in 1\.\.{lo.MAX_CLASSES}$") as info:
         TruncatedSemantics(data=((c, 1.0),), others=NEG_INF)
     assert type(info.value) is ValueError
+
+
+def test_set_element_refuses_a_nan_value():
+    """A full vector with a NaN class raises ValueError before the write,
+    so the tree stays the prior's and no file it saves holds the NaN."""
+    tree = SemanticOctree(1.0, 2, 3)
+    with pytest.raises(ValueError, match="non-finite"):
+        tree.set_element((0, 0, 0), np.array([0.0, math.nan, 0.0, 0.0]))
+    assert tree.num_leaves() == 1 and len(tree._beliefs) == 1
+    assert tree.map_state() == SemanticOctree(1.0, 2, 3).map_state()
 
 
 @pytest.mark.parametrize("k", [3, 5])
