@@ -11,7 +11,7 @@ import numpy as np
 
 from ssmi.grid import BeamMeasurement, GridMap
 from ssmi.logodds import SensorParams
-from ssmi.octree import SemanticOctree
+from ssmi.octree import SemanticOctree, grid_from_octree
 
 params = SensorParams.default(3)
 rng = np.random.default_rng(3)
@@ -32,12 +32,7 @@ for beam in beams:
     gmap.integrate(beam, params)
 tree.insert_scan(beams, params)
 
-mismatch = sum(
-    not np.array_equal(tree.query_element((i, j, k)).to_full(3), gmap.cells[i, j, k])
-    for i in range(32)
-    for j in range(32)
-    for k in range(32)
-)
+mismatch = np.count_nonzero((grid_from_octree(tree).cells != gmap.cells).any(axis=-1))
 print(f"elements disagreeing with the grid: {mismatch} of {32 ** 3}")
 print(f"grid stores {32 ** 3} cells; octree stores {tree.num_leaves()} leaves")
 print(f"map entropy: grid {gmap.map_state()[0]:.1f}  octree {tree.map_state()[0]:.1f} nats")

@@ -31,15 +31,16 @@ map covers a world box of ``dims`` elements at the cube's low corner, as a
 default box of every aggregate end at the world's faces, so both maps share
 one geometry.
 
-A write costs what it changes, not the size of the tree. A belief's bits
-are one bytes value, its leaf record in a ``.ssmioct`` file
-(``TruncatedSemantics.record``), made when the belief is. Every belief the
-tree stores is interned by its record, so equal values share one id
-(``0.0`` and ``-0.0`` stay apart), and ``save_octree`` writes the records
-as they are; ``insert_scan`` interns each distinct new row once and skips
-the elements whose row bits it leaves as they were. The store holds the
-beliefs writes put on leaves, for the tree's life, so a belief's id and
-its rows never change.
+A write costs what it changes, not the size of the tree. A belief is its
+row for every K (``_lumped_row``: three classes, their values, the lump),
+whose bytes stand one to one for its ``.ssmioct`` leaf record. The tree's
+store interns every row by its bytes, so equal values share one id
+(``0.0`` and ``-0.0`` stay apart); ``insert_scan`` interns each distinct
+new row once and skips the elements whose row bits it leaves as they
+were. The store holds the beliefs writes put on leaves, for the tree's
+life, so a belief's id and its rows never change. A ``TruncatedSemantics``
+is built from a row only for a reader (``query_element``, ``save_octree``)
+and by ``load_octree``, which checks each belief it reads through one.
 """
 
 from __future__ import annotations
@@ -82,8 +83,8 @@ class TruncatedSemantics:
     untracked classes (-inf when nothing is untracked). ``record`` is the
     belief's leaf record in a ``.ssmioct`` file (``_LEAF``), made once: two
     beliefs have one record exactly when they are equal bit for bit
-    (``0.0`` and ``-0.0`` apart), so it is the belief's key in the tree's
-    store and the bytes ``save_octree`` writes for it.
+    (``0.0`` and ``-0.0`` apart), and so exactly when they have one stored
+    row (``_lumped_row``), the tree's key for the belief.
     """
 
     data: tuple[tuple[int, float], ...]
@@ -102,30 +103,6 @@ class TruncatedSemantics:
             raise ValueError(f"non-finite belief {self.data} lump {self.others!r}")
         object.__setattr__(self, "record", _LEAF[n].pack(
             0, n, *[x for cv in self.data for x in cv], self.others))
-
-    @staticmethod
-    def _sorted(pairs) -> tuple[tuple[int, float], ...]:
-        return tuple(sorted(pairs, key=lambda cv: (-cv[1], cv[0])))
-
-    @classmethod
-    def from_full(cls, h: np.ndarray) -> "TruncatedSemantics":
-        """Build from a full K+1 log-odds vector, lumping beyond the top 3."""
-        h = np.asarray(h, dtype=np.float64)
-        k = h.shape[0] - 1
-        pairs = cls._sorted(enumerate(h[1:].tolist(), 1))
-        if k <= 3:
-            return cls(data=pairs, others=NEG_INF)
-        return cls(data=pairs[:3], others=logodds.logsumexp(np.array([v for _, v in pairs[3:]])))
-
-    def to_full(self, num_classes: int) -> np.ndarray:
-        """Full K+1 vector. Exact when all classes are tracked; untracked
-        classes split the lump evenly (the stored belief has no finer
-        information about them)."""
-        h = np.full(num_classes + 1, self.others - math.log(max(num_classes - len(self.data), 1)))
-        h[0] = 0.0
-        for c, v in self.data:
-            h[c] = v
-        return h
 
 
 # bit b of each byte value moved to bit 3b, for interleaving three coordinates
@@ -160,73 +137,69 @@ def _corners(codes: np.ndarray, max_depth: int) -> np.ndarray:
 
 
 class _Beliefs:
-    """The beliefs that writes put on the leaves of one tree, interned by
-    their records (``TruncatedSemantics.record``): beliefs equal bit for
-    bit share one id. The store is append-only: each object keeps its id
-    and stays stored for the tree's life. The prior is id 0, so a belief
-    bit-equal to it is always the tree's ``prior_semantics``, and an
-    element is observed when its id is not 0.
-    Per id: ``full`` (the ``to_full`` row), ``rows`` (what a scan updates:
-    ``full`` with K <= 3, the ``_lumped_row`` with K > 3), ``exact`` (min(K,
-    3) classes tracked, so a full row is its belief), ``entropy`` and
-    ``labels`` (the argmax of ``full``, ties to the lowest class), made
-    once, in one pass over the ids interned since the last table, by the
-    write that puts them on leaves (``table``)."""
+    """The beliefs that writes put on the leaves of one tree: one stored
+    row per id (``rows``, ``_lumped_row`` for every K) and one index by the
+    row's bytes, so beliefs equal bit for bit share one id (two beliefs
+    have one row exactly when they have one record). The store is
+    append-only: each row keeps its id and stays stored for the tree's
+    life. The prior is id 0, so an element is observed when its id is
+    not 0.
+    Per id also: ``full`` (the full K+1 log-odds row, untracked classes
+    splitting the lump evenly), ``entropy`` and ``labels`` (the argmax of
+    ``full``, ties to the lowest class), made once in numpy from the rows
+    of the ids interned since the last table, by the write that puts them
+    on leaves (``table``)."""
 
-    def __init__(self, prior_semantics: "TruncatedSemantics", num_classes: int):
+    def __init__(self, prior_row: np.ndarray, num_classes: int):
         self.num_classes = num_classes
-        self.objects: list[TruncatedSemantics] = []
-        self.by_record: dict[bytes, int] = {}
-        self.by_row: dict[bytes, int] = {}  # rows, by their bytes (``id_of_row``)
+        self.index: dict[bytes, int] = {}
+        self.rows = np.zeros((0, 7))
         self.full = np.zeros((0, num_classes + 1))
-        self.rows = np.zeros((0, num_classes + 1 if num_classes <= 3 else 7))
-        self.exact = np.zeros(0, dtype=bool)
         self.entropy = np.zeros(0)
         self.labels = np.zeros(0, dtype=np.intp)
-        self.id_of(prior_semantics)
+        # the log of the number of untracked classes sharing the lump, by tracked count
+        self.share = np.array([math.log(max(num_classes - n, 1)) for n in range(4)])
+        self.ids(prior_row)
 
     def __len__(self) -> int:
-        return len(self.objects)
+        return self.rows.shape[0]
 
-    def id_of(self, sem: "TruncatedSemantics") -> int:
-        i = self.by_record.get(sem.record)
-        if i is None:
-            i = self.by_record[sem.record] = len(self.objects)
-            self.objects.append(sem)
-        return i
+    def ids(self, rows: np.ndarray) -> np.ndarray:
+        """The id of each stored row of ``rows``, (N, 7), interning the rows
+        the index has not seen in their order."""
+        index, size = self.index, len(self.index)
+        keys = np.ascontiguousarray(rows).view(np.dtype((np.void, 7 * 8)))[:, 0].tolist()
+        ids = np.array([index.setdefault(key, len(index)) for key in keys], dtype=np.intp)
+        if len(index) > size:
+            _, first = np.unique(ids, return_index=True)
+            self.rows = np.concatenate((self.rows, rows[first[size - len(index):]]))
+        return ids
 
-    def id_of_row(self, key: bytes, row: np.ndarray) -> int:
-        """The id of the belief a row (``rows``) is, ``key`` being its bytes:
-        a belief object is built only for bytes not seen before."""
-        i = self.by_row.get(key)
-        if i is None:
-            if self.num_classes <= 3:
-                sem = TruncatedSemantics.from_full(row)
-            else:
-                r = row.tolist()
-                sem = TruncatedSemantics(tuple((int(c), v) for c, v in zip(r[:3], r[3:6])
-                                               if c != _EMPTY), r[6])
-            i = self.by_row[key] = self.id_of(sem)
-        return i
+    def semantics(self, i: int) -> TruncatedSemantics:
+        """The belief of id ``i``, built from its row."""
+        r = self.rows[i].tolist()
+        return TruncatedSemantics(tuple((int(c), v) for c, v in zip(r[:3], r[3:6])
+                                        if c != _EMPTY), r[6])
 
     def table(self, starts, sizes, ids) -> "LeafTable":
         """A leaf table over these leaves, after appending the rows of the
         ids interned since the last table, each array in one piece: tables
-        made earlier keep the old arrays, whose rows never change. The
-        entropy of each new belief is that of its pivot, tracked values
-        and lump as one log-odds vector, taken for all of them at once on
-        rows padded with -inf, whose terms are 0, as a -inf lump's is."""
-        new = self.objects[self.labels.shape[0]:]
-        if new:
-            full = np.array([sem.to_full(self.num_classes) for sem in new])
-            # the pivot, at most 3 tracked values and the lump
-            padded = np.array([[0.0, *(v for _, v in sem.data), sem.others]
-                               + [NEG_INF] * (3 - len(sem.data)) for sem in new])
+        made earlier keep the old arrays, whose rows never change. A new
+        ``full`` row holds the tracked values and, in every other class,
+        the lump's even share. The entropy of each new belief is that of
+        its pivot, tracked values and lump as one log-odds vector, taken
+        for all of them at once on rows (the pivot, then the row's values,
+        an empty slot's -inf), whose terms are 0, as a -inf lump's is."""
+        new = self.rows[self.labels.shape[0]:]
+        if new.shape[0]:
+            tracked = new[:, :3] != _EMPTY
+            lump = new[:, 6] - self.share[np.count_nonzero(tracked, axis=1)]
+            full = np.repeat(lump[:, None], self.num_classes + 1, axis=1)
+            full[:, 0] = 0.0
+            at, slot = np.nonzero(tracked)
+            full[at, new[at, slot].astype(np.intp)] = new[at, slot + 3]
+            padded = np.concatenate((np.zeros((new.shape[0], 1)), new[:, 3:]), axis=1)
             self.full = np.concatenate((self.full, full))
-            self.rows = self.full if self.num_classes <= 3 else np.concatenate(
-                (self.rows, [_lumped_row(sem) for sem in new]))
-            self.exact = np.concatenate(
-                (self.exact, [len(sem.data) == min(self.num_classes, 3) for sem in new]))
             self.entropy = np.concatenate(
                 (self.entropy, -np.sum(logodds.entropy_terms(padded), axis=-1)))
             self.labels = np.concatenate((self.labels, np.argmax(full, axis=1)))
@@ -242,9 +215,9 @@ class LeafTable:
     Per leaf: ``starts`` (the Morton code of its low corner, ascending),
     ``sizes`` (its edge in elements), and ``ids``, the id of its belief in
     the tree's interned beliefs, so equal ids are equal bits, and id 0 is
-    the prior. Per belief id, the rows of those (``_Beliefs``): ``full``,
-    ``entropy`` and ``labels``; ids that no leaf holds any more keep their
-    rows, and a later table gives every id the rows and the belief it had
+    the prior. Per belief id, the rows the store made of its stored row
+    (``_Beliefs``): ``full``, ``entropy`` and ``labels``; ids that no leaf
+    holds any more keep their rows, and a later table gives every id the rows and the belief it had
     here. A write replaces the tree's arrays and never changes them in
     place, so a table stays as it was made. The leaf holding element ``c``
     is ``searchsorted(starts, morton(c), "right") - 1``."""
@@ -276,6 +249,25 @@ def _lumped_row(sem: TruncatedSemantics) -> list[float]:
     pad = 3 - len(sem.data)
     return [*(c for c, _ in sem.data), *[_EMPTY] * pad, *(v for _, v in sem.data),
             *[NEG_INF] * pad, sem.others]
+
+
+def _lumped_rows(full: np.ndarray) -> np.ndarray:
+    """The lumped rows of full K+1 log-odds rows, (N, K+1), in one pass:
+    the classes sorted by (-value, class), the top three tracked and, with
+    K > 3, the rest lumped, one ``logodds.logsumexp`` per row in that
+    order; the pivot is not read. ValueError for a row whose belief a file
+    cannot hold: a NaN or infinite tracked value, or a NaN or +inf lump."""
+    order = np.argsort(-full[:, 1:], axis=1, kind="stable")  # ties keep class order
+    values = np.take_along_axis(full[:, 1:], order, axis=1)
+    t = min(values.shape[1], 3)
+    rows = np.full((full.shape[0], 7), NEG_INF)
+    rows[:, :3] = _EMPTY
+    rows[:, :t], rows[:, 3:3 + t] = order[:, :t] + 1, values[:, :t]
+    if values.shape[1] > 3:
+        rows[:, 6] = logodds.logsumexp(values[:, 3:])
+    if not (np.isfinite(rows[:, 3:3 + t]).all() and (rows[:, 6] < math.inf).all()):
+        raise ValueError(f"non-finite belief in the log-odds rows {full.tolist()}")
+    return rows
 
 
 def _lumped_rounds(table: np.ndarray, keys: np.ndarray, rows: np.ndarray, bounds,
@@ -384,8 +376,7 @@ class SemanticOctree:
             raise ValueError(f"dims {self.dims} are not three extents in 1..{n}")
         self.num_classes = int(num_classes)
         self.prior = prior = _prior_vector(prior, self.num_classes)
-        self.prior_semantics = TruncatedSemantics.from_full(prior)
-        self._beliefs = _Beliefs(self.prior_semantics, num_classes)
+        self._beliefs = _Beliefs(_lumped_rows(prior[None]), num_classes)
         self._set_leaves(np.zeros(1, dtype=np.int64), np.full(1, n, dtype=np.int64),
                          np.zeros(1, dtype=np.intp))
 
@@ -417,7 +408,7 @@ class SemanticOctree:
     def query_element(self, cell) -> TruncatedSemantics:
         """The belief of an element; ValueError for a cell outside the
         world."""
-        return self._beliefs.objects[self._leaves.element_ids(self._code(cell))]
+        return self._beliefs.semantics(self._leaves.element_ids(self._code(cell)))
 
     # -- updates ---------------------------------------------------------------
 
@@ -496,10 +487,15 @@ class SemanticOctree:
 
     def set_element(self, cell, h: np.ndarray) -> None:
         """Write an element belief directly (scene construction): a
-        one-element write. ValueError for a cell outside the world."""
+        one-element write of K+1 log-odds with a zero pivot. ValueError,
+        before the tree changes, for a cell outside the world or any other
+        vector, a non-finite one included (``_lumped_rows``)."""
         codes = np.array([self._code(cell)], dtype=np.int64)
-        new = self._beliefs.id_of(TruncatedSemantics.from_full(np.asarray(h, dtype=np.float64)))
-        self._write(codes, self._leaf_of(codes), np.array([new], dtype=np.intp))
+        h = np.asarray(h, dtype=np.float64)
+        if h.shape != (self.num_classes + 1,) or h[0] != 0.0:
+            raise ValueError(f"element log-odds must be K+1 = {self.num_classes + 1} values "
+                             f"with zero pivot, got {h.tolist()}")
+        self._write(codes, self._leaf_of(codes), self._beliefs.ids(_lumped_rows(h[None])))
 
     def insert_scan(self, beams: Scan | list[BeamMeasurement],
                     params: SensorParams) -> "SemanticOctree":
@@ -514,15 +510,15 @@ class SemanticOctree:
         The updates are grouped in rounds by element (``grid._rounds``, a
         stable sort of their Morton codes), so each element meets its
         updates in scan order, and each element's leaf is found by one
-        ``searchsorted`` for all of them. The elements' rows
-        (``_Beliefs.rows``) take the update in those rounds, the one step
-        that depends on K: the grid's own with K <= 3
-        (``grid._apply_rounds``), the lumped one with K > 3
-        (``_lumped_rounds``). Each distinct row that changed (in its bits,
-        or from a belief that is not its row, ``_Beliefs.exact``) takes its
-        id from the store's index by row bytes (``_Beliefs.id_of_row``),
-        which builds and interns a belief only for a row it has not seen.
-        An element that ends where it began is not written."""
+        ``searchsorted`` for all of them. The elements' rows take the
+        update in those rounds, the one step that depends on K: full rows
+        (``_Beliefs.full``) and the grid's own update with K <= 3
+        (``grid._apply_rounds``), lumped rows (``_Beliefs.rows``) and the
+        lumped update with K > 3 (``_lumped_rounds``). Each distinct row
+        that changed (in its bits, or with K <= 3 from a belief tracking
+        fewer than K classes, which only a file holds) takes its id from
+        the store as a lumped row (``_Beliefs.ids``; ``_lumped_rows`` of it
+        with K <= 3). An element that ends where it began is not written."""
         if params.num_classes != self.num_classes:
             raise ValueError("sensor parameters and tree disagree on K")
         cells, rows = scan_updates(beams, self.origin, self.element_size, self.dims,
@@ -536,19 +532,22 @@ class SemanticOctree:
         keys, rows = (np.cumsum(first) - 1)[by_round], rows[order[by_round]]
         store = self._beliefs
         size = len(store)
-        was = store.rows[held]
+        lumped = self.num_classes > 3
+        was = (store.rows if lumped else store.full)[held]
         table = was.copy()
-        update = _apply_rounds if self.num_classes <= 3 else _lumped_rounds
-        update(table, keys, rows, bounds, params, self.prior)
+        (_lumped_rounds if lumped else _apply_rounds)(table, keys, rows, bounds, params,
+                                                      self.prior)
         # each row as one value of its bytes, so that 0.0 and -0.0 differ
         row_bytes = np.dtype((np.void, table.itemsize * table.shape[1]))
         fresh = table.view(row_bytes)[:, 0]
-        (changed,) = np.nonzero((fresh != was.view(row_bytes)[:, 0]) | ~store.exact[held])
+        changed = fresh != was.view(row_bytes)[:, 0]
+        if not lumped:
+            changed |= store.rows[held, self.num_classes - 1] == _EMPTY
+        (changed,) = np.nonzero(changed)
         _, at, distinct = np.unique(fresh[changed], return_index=True, return_inverse=True)
         at = changed[at]
-        ids = [store.id_of_row(key, table[i]) for key, i in zip(fresh[at].tolist(), at.tolist())]
         new = held.copy()
-        new[changed] = np.array(ids, dtype=np.intp)[distinct]
+        new[changed] = store.ids(table[at] if lumped else _lumped_rows(table[at]))[distinct]
         log.debug("insert_scan: %d beams, %d updates of %d elements, %d changed, "
                   "%d beliefs added", len(beams), len(rows), len(held),
                   np.count_nonzero(new != held), len(store) - size)
@@ -672,10 +671,8 @@ def octree_from_grid(gmap: GridMap) -> SemanticOctree:
     )
     codes = morton(*np.indices(gmap.dims).reshape(3, -1))
     order = np.argsort(codes)
-    id_of = tree._beliefs.id_of
-    new = [id_of(TruncatedSemantics.from_full(h))
-           for h in gmap.cells.reshape(-1, gmap.num_classes + 1)[order]]
-    tree._write(codes[order], tree._leaf_of(codes[order]), np.array(new, dtype=np.intp))
+    new = tree._beliefs.ids(_lumped_rows(gmap.cells.reshape(-1, gmap.num_classes + 1)[order]))
+    tree._write(codes[order], tree._leaf_of(codes[order]), new)
     return tree
 
 
@@ -703,11 +700,11 @@ _HEADER_V1 = struct.Struct("<dBHB3d")
 def save_octree(tree: SemanticOctree, path) -> None:
     """Write a ``.ssmioct`` version 3 file: the header, then every node in
     preorder, an inner node as its child mask and a leaf as its belief's
-    stored record (``TruncatedSemantics.record``: its mask, then the belief
-    in f64). The inner nodes are those a leaf opens: one for each level
-    above the leaf at which its start's trailing octal digits are zero (the
-    root counts for the leaf at code 0). Only reads the tree; the bytes
-    depend on its leaves alone."""
+    record (``TruncatedSemantics.record``: its mask, then the belief in
+    f64), built once per id from its row. The inner nodes are those a leaf
+    opens: one for each level above the leaf at which its start's trailing
+    octal digits are zero (the root counts for the leaf at code 0). Only
+    reads the tree; the bytes depend on its leaves alone."""
     parts = [
         OCTREE_MAGIC,
         _HEADER.pack(tree.element_size, tree.max_depth, tree.num_classes, *tree.origin,
@@ -718,8 +715,9 @@ def save_octree(tree: SemanticOctree, path) -> None:
     starts = leaves.starts
     aligned = _levels(np.where(starts > 0, starts & -starts, 1 << 3 * tree.max_depth)) // 3
     opened = (aligned - _levels(leaves.sizes)).tolist()
-    objects = tree._beliefs.objects
-    parts += [b"\xff" * n + objects[i].record for n, i in zip(opened, leaves.ids.tolist())]
+    ids = leaves.ids.tolist()
+    records = {i: tree._beliefs.semantics(i).record for i in set(ids)}
+    parts += [b"\xff" * n + records[i] for n, i in zip(opened, ids)]
     with open(path, "wb") as fh:
         fh.write(b"".join(parts))
 
@@ -801,7 +799,7 @@ def load_octree(path) -> SemanticOctree:
         except ValueError as err:
             raise CorruptMap(f"{path}: {err} before byte {pos}") from None
 
-    starts, sizes, ids = [], [], []
+    starts, sizes, rows = [], [], []
     code = 0  # the start of the next leaf
 
     def read_node(depth: int) -> None:
@@ -819,7 +817,7 @@ def load_octree(path) -> SemanticOctree:
         if not mask:
             starts.append(code)
             sizes.append(1 << max_depth - depth)
-            ids.append(tree._beliefs.id_of(read_belief()))
+            rows.append(_lumped_row(read_belief()))
             code += 1 << 3 * (max_depth - depth)
             return
         if v1:
@@ -831,5 +829,5 @@ def load_octree(path) -> SemanticOctree:
     if pos != len(buf):
         raise CorruptMap(f"{path}: {len(buf) - pos} trailing bytes")
     tree._set_leaves(np.array(starts, dtype=np.int64), np.array(sizes, dtype=np.int64),
-                     np.array(ids, dtype=np.intp))
+                     tree._beliefs.ids(np.array(rows)))
     return tree

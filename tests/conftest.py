@@ -14,7 +14,7 @@ from ssmi.errors import BadDims, EmptyRay, InvalidClass, NoFrontiers, PoseInObst
 from ssmi.grid import BeamMeasurement, GridMap, Scan, SrleRay
 from ssmi.logodds import SensorParams
 from ssmi.mi import FanCast, fan_angles
-from ssmi.octree import LeafTable, TruncatedSemantics, morton
+from ssmi.octree import NEG_INF, LeafTable, TruncatedSemantics, _lumped_row, morton
 from ssmi.planner import EIGHT_NEIGHBOURS, Frontier
 from ssmi.sim import run_episode
 
@@ -62,23 +62,61 @@ def scan_beams(scan: Scan) -> list[BeamMeasurement]:
             for d, r, y in zip(scan.directions, scan.ranges, scan.labels)]
 
 
+def sorted_pairs(pairs) -> tuple[tuple[int, float], ...]:
+    """(class, log-odds) pairs in a belief's order: descending log-odds,
+    the class breaking ties."""
+    return tuple(sorted(pairs, key=lambda cv: (-cv[1], cv[0])))
+
+
+def from_full(h) -> TruncatedSemantics:
+    """The belief of a full K+1 log-odds vector, one vector at a time: the
+    top three classes by (-value, class), and with K > 3 the rest lumped
+    by ``logodds.logsumexp`` in that order; the pivot is not read. The
+    reference for the stored rows the octree makes of full rows
+    (``octree._lumped_rows``)."""
+    h = np.asarray(h, dtype=np.float64)
+    pairs = sorted_pairs(enumerate(h[1:].tolist(), 1))
+    if h.shape[0] <= 4:
+        return TruncatedSemantics(data=pairs, others=NEG_INF)
+    return TruncatedSemantics(data=pairs[:3],
+                              others=logodds.logsumexp(np.array([v for _, v in pairs[3:]])))
+
+
+def to_full(sem: TruncatedSemantics, num_classes: int) -> np.ndarray:
+    """A belief's full K+1 vector, one belief at a time: exact when all
+    classes are tracked; untracked classes split the lump evenly. The
+    reference for the store's ``full`` rows (``_Beliefs.table``)."""
+    h = np.full(num_classes + 1, sem.others - math.log(max(num_classes - len(sem.data), 1)))
+    h[0] = 0.0
+    for c, v in sem.data:
+        h[c] = v
+    return h
+
+
 def tree_leaves(tree) -> list:
     """(belief, low corner, edge in elements) of every leaf of a tree, read
-    from its leaf arrays, in preorder, which is Morton order; each corner
-    is its start's bits taken apart one by one."""
-    table, objects = tree.leaf_table(), tree._beliefs.objects
-    return [(objects[i], tuple(sum((start >> 3 * b + 2 - axis & 1) << b
+    from its leaf arrays, in preorder, which is Morton order; each id's
+    belief is built once from its stored row, and each corner is its
+    start's bits taken apart one by one."""
+    table = tree.leaf_table()
+    ids = table.ids.tolist()
+    beliefs = {i: tree._beliefs.semantics(i) for i in set(ids)}
+    return [(beliefs[i], tuple(sum((start >> 3 * b + 2 - axis & 1) << b
                                    for b in range(tree.max_depth)) for axis in range(3)), size)
-            for start, size, i in zip(table.starts.tolist(), table.sizes.tolist(),
-                                      table.ids.tolist())]
+            for start, size, i in zip(table.starts.tolist(), table.sizes.tolist(), ids)]
+
+
+def belief_ids(tree, beliefs) -> np.ndarray:
+    """The store's id of each belief, interned by its stored row
+    (``_lumped_row``)."""
+    return tree._beliefs.ids(np.array([_lumped_row(sem) for sem in beliefs]).reshape(-1, 7))
 
 
 def write_beliefs(tree, cells, sem) -> None:
     """Give every element of ``cells`` the belief ``sem`` (any belief, also
     one ``set_element`` cannot make from a full vector) in one write."""
     codes = np.unique(morton(*np.array(cells, dtype=np.int64).reshape(-1, 3).T))
-    tree._write(codes, tree._leaf_of(codes),
-                np.full(codes.shape[0], tree._beliefs.id_of(sem), dtype=np.intp))
+    tree._write(codes, tree._leaf_of(codes), np.repeat(belief_ids(tree, [sem]), codes.shape[0]))
 
 
 def f_logratio_rows(phi: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -271,8 +309,8 @@ def numpy_update(params: SensorParams, prior: np.ndarray):
     and then its truncation (``from_full``)."""
     def update(y):
         l = params.phi_minus if y is None else params.hit_logodds(y)
-        return lambda sem: TruncatedSemantics.from_full(logodds.clamp(
-            logodds.posterior_update(sem.to_full(params.num_classes), l, prior), params))
+        return lambda sem: from_full(logodds.clamp(
+            logodds.posterior_update(to_full(sem, params.num_classes), l, prior), params))
 
     return update
 
@@ -311,12 +349,12 @@ def element_update(params: SensorParams, prior: np.ndarray):
         return min(max(v, lo), hi)
 
     def free(sem: TruncatedSemantics) -> TruncatedSemantics:
-        data = TruncatedSemantics._sorted((c, clip(v + free_shift)) for c, v in sem.data)
+        data = sorted_pairs((c, clip(v + free_shift)) for c, v in sem.data)
         return TruncatedSemantics(data=data, others=clip(sem.others + free_shift))
 
     def hit(y: int, sem: TruncatedSemantics) -> TruncatedSemantics:
         if any(c == y for c, _ in sem.data):
-            data = TruncatedSemantics._sorted(
+            data = sorted_pairs(
                 (c, clip(v + hit_shift + (psi_p if c == y else 0.0))) for c, v in sem.data
             )
             return TruncatedSemantics(data=data, others=clip(sem.others + hit_shift))
@@ -326,11 +364,11 @@ def element_update(params: SensorParams, prior: np.ndarray):
         rest = sem.others + phi_p - prior_occ + log_rest
         candidates = [(c, v + hit_shift) for c, v in sem.data]
         candidates.append((y, sem.others + log_alpha + hit_shift + psi_p))
-        candidates = TruncatedSemantics._sorted(candidates)
+        candidates = sorted_pairs(candidates)
         dropped = [v for _, v in candidates[3:]]
         lump = logodds.logsumexp(np.array(dropped + [rest]))
         return TruncatedSemantics(
-            data=TruncatedSemantics._sorted((c, clip(v)) for c, v in candidates[:3]),
+            data=sorted_pairs((c, clip(v)) for c, v in candidates[:3]),
             others=clip(float(lump)),
         )
 
@@ -416,7 +454,7 @@ def insert_scan_reference(tree, beams: Scan | list[BeamMeasurement], params: Sen
     interned. The reference the grouped, memoized scan and its split and
     merge write are held to, bit for bit."""
     leaves = pruned_leaves_reference(scan_reference(tree, element_beliefs(tree), beams, params))
-    ids = np.array([tree._beliefs.id_of(sem) for sem, _, _ in leaves], dtype=np.intp)
+    ids = belief_ids(tree, [sem for sem, _, _ in leaves])
     tree._set_leaves(morton(*np.array([corner for _, corner, _ in leaves]).T),
                      np.array([size for _, _, size in leaves], dtype=np.int64), ids)
     return tree
@@ -425,7 +463,7 @@ def insert_scan_reference(tree, beams: Scan | list[BeamMeasurement], params: Sen
 def off_prior(tree, sem) -> bool:
     """Whether a belief's bits differ from the tree's prior: what the
     octree's observed flag reads."""
-    return exact_key(sem) != exact_key(tree.prior_semantics)
+    return exact_key(sem) != exact_key(from_full(tree.prior))
 
 
 def belief_entropy(sem: TruncatedSemantics) -> float:
@@ -444,10 +482,12 @@ def belief_entropy(sem: TruncatedSemantics) -> float:
 def leaf_table_reference(tree) -> LeafTable:
     """The tree's leaf table with the rows of every id of its belief store
     computed afresh from the belief, one belief at a time: ``entropy`` by
-    ``belief_entropy``, and ``labels`` the argmax of its ``to_full`` row.
+    ``belief_entropy``, and ``labels`` the argmax of its ``to_full`` row,
+    each belief built from its stored row.
     The reference for the rows the store makes (``_Beliefs.table``)."""
-    table, beliefs = tree.leaf_table(), tree._beliefs.objects
-    full = np.array([sem.to_full(tree.num_classes) for sem in beliefs])
+    table = tree.leaf_table()
+    beliefs = [tree._beliefs.semantics(i) for i in range(len(tree._beliefs))]
+    full = np.array([to_full(sem, tree.num_classes) for sem in beliefs])
     return LeafTable(
         starts=table.starts,
         sizes=table.sizes,

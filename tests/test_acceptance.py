@@ -23,6 +23,7 @@ from conftest import (
     leaf_bits,
     pruned_leaves_reference,
     set_cell,
+    to_full,
     tree_leaves,
 )
 
@@ -136,7 +137,7 @@ def test_a4_octree_equals_grid_bit_for_bit():
     for i in range(32):
         for j in range(32):
             for k in range(32):
-                got = tree.query_element((i, j, k)).to_full(3)
+                got = to_full(tree.query_element((i, j, k)), 3)
                 want = gmap.cells[i, j, k]
                 assert np.array_equal(got, want), (i, j, k, got, want)
     pruned = pruned_leaves_reference(element_beliefs(tree))

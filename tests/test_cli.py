@@ -17,10 +17,10 @@ from ssmi.grid import (GRID_HEADER, GRID_MAGIC, GRID_VERSION, BeamMeasurement, G
                        save_grid)
 from ssmi.logodds import SensorParams
 from ssmi.mi import beam_mi_dense, collapse_to_binary
-from ssmi.octree import (OCTREE_MAGIC, _HEADER, SemanticOctree, TruncatedSemantics, load_octree,
-                         save_octree)
+from ssmi.octree import OCTREE_MAGIC, _HEADER, SemanticOctree, load_octree, save_octree
 from ssmi.sim import run_episode
-from conftest import cast_fan, fan_beams, planar_beam, scan_beams, set_cell, signed_zero_grid
+from conftest import (cast_fan, fan_beams, from_full, planar_beam, scan_beams, set_cell,
+                      signed_zero_grid)
 
 
 SMOKE = {
@@ -448,7 +448,7 @@ def too_many_classes_file(path, num_classes):
     else:
         header = OCTREE_MAGIC + _HEADER.pack(1.0, 1, num_classes, 0, 0, 0, 2, 2, 2)
         path.write_bytes(header + prior.astype("<f8").tobytes()
-                         + TruncatedSemantics.from_full(prior).record)
+                         + from_full(prior).record)
 
 
 @pytest.mark.parametrize("kind,num_classes", [("grid", 256), ("grid", 65535), ("octree", 256)])

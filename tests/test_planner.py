@@ -41,10 +41,12 @@ from conftest import (
     cast_fan,
     fan_beams,
     find_frontiers_reference,
+    from_full,
     plan_path_reference,
     planar_beam,
     select_nonoverlapping_reference,
     set_cell,
+    to_full,
 )
 
 FREE_SAT = np.array([0.0, -6.0, -6.0])
@@ -852,9 +854,9 @@ def test_view_from_octree_matches_element_loop(rng):
         for j in range(region[1]):
             for k in range(*band):
                 sem = tree.query_element((i, j, k))
-                seen = sem != tree.prior_semantics
+                seen = sem != from_full(tree.prior)
                 unknown[i, j] &= not seen
-                free[i, j] &= seen and int(np.argmax(sem.to_full(5))) == 0
+                free[i, j] &= seen and int(np.argmax(to_full(sem, 5))) == 0
     assert free.any() and not unknown.all()
     np.testing.assert_array_equal(view.free, free)
     np.testing.assert_array_equal(view.unknown, unknown)

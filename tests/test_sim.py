@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import gen_random_reference, scan_beams, spawn_cells_reference
+from conftest import from_full, gen_random_reference, scan_beams, spawn_cells_reference, to_full
 from ssmi.config import ConfigError, config_from_dict
 from ssmi.errors import BadDims, OriginOutOfBounds, PoseInObstacle
 from ssmi.grid import unit_direction
@@ -494,7 +494,7 @@ def test_label_grid_matches_element_loop():
     labels, observed = tree.labels_observed(((0, 0, 0), dims))
     for cell in np.ndindex(dims):
         sem = tree.query_element(cell)
-        assert observed[cell] == (sem != tree.prior_semantics)
-        assert labels[cell] == int(np.argmax(sem.to_full(5)))
+        assert observed[cell] == (sem != from_full(tree.prior))
+        assert labels[cell] == int(np.argmax(to_full(sem, 5)))
     assert observed.any() and len(np.unique(labels)) > 2
 
