@@ -52,12 +52,12 @@ class EnvConfig:
 
     def __post_init__(self):
         given = self.dims
-        try:
-            self.dims = tuple(int(d) for d in given)
-        except (TypeError, ValueError, OverflowError):
-            self.dims = ()
-        if len(self.dims) not in (2, 3) or min(self.dims) < 1:
-            raise ConfigError(f"env.dims must be 2 or 3 positive extents, got {given!r}")
+        # each extent an int, not a bool, as _require_int reads them: int()
+        # would take 32.7 or "32" as 32, and true as 1
+        if (not isinstance(given, (list, tuple)) or len(given) not in (2, 3)
+                or not all(type(d) is int and d >= 1 for d in given)):
+            raise ConfigError(f"env.dims must be 2 or 3 positive integer extents, got {given!r}")
+        self.dims = tuple(given)
         _require_fraction(self.target_occupancy, "env.target_occupancy")
         if self.profile not in ("random", "structured", "corridor"):
             raise ConfigError(f"unknown env profile {self.profile!r}")

@@ -24,6 +24,7 @@ import bisect
 import functools
 import logging
 import math
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -599,12 +600,24 @@ def _same_bits(a, b) -> bool:
 def _box_corners(region, dims) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The low and high corners of a half-open cell box ((lo), (hi)) inside
     ``dims``, or of the whole of ``dims`` for None; ValueError for a box
-    that is not inside. Both maps' ``_box`` check their boxes here."""
+    that is not inside or not two corners of integers, one per axis. Both
+    maps' ``_box`` check their boxes here."""
     if region is None:
         return (0, 0, 0), tuple(dims)
-    if not all(0 <= lo <= hi <= n for lo, hi, n in zip(region[0], region[1], dims)):
+    lo, hi = (_integers(corner, "box corner") for corner in region)
+    if not (len(lo) == len(hi) == len(dims)
+            and all(0 <= a <= b <= n for a, b, n in zip(lo, hi, dims))):
         raise ValueError(f"box {region} is not inside the map")
-    return tuple(region[0]), tuple(region[1])
+    return lo, hi
+
+
+def _integers(values, what: str) -> tuple[int, ...]:
+    """Coordinates as Python ints (numpy integers too, ``operator.index``);
+    ValueError naming ``what`` for one that is not an integer."""
+    try:
+        return tuple(operator.index(v) for v in values)
+    except TypeError:
+        raise ValueError(f"{what} {values!r} is not integer coordinates") from None
 
 
 def _prior_vector(prior, num_classes: int) -> np.ndarray:

@@ -38,9 +38,13 @@ store interns every row by its bytes, so equal values share one id
 (``0.0`` and ``-0.0`` stay apart); ``insert_scan`` interns each distinct
 new row once and skips the elements whose row bits it leaves as they
 were. The store holds the beliefs writes put on leaves, for the tree's
-life, so a belief's id and its rows never change. A ``TruncatedSemantics``
-is built from a row only for a reader (``query_element``, ``save_octree``)
-and by ``load_octree``, which checks each belief it reads through one.
+life, so a belief's id and its rows never change: per id its stored row
+and its full K+1 row, both made when the row is interned. What a reader
+derives from a belief is made by the read that uses it: ``map_state``
+takes the entropy of the stored rows, ``labels_observed`` the argmax of
+the full rows. A ``TruncatedSemantics`` is built from a row only for a
+reader (``query_element``, ``save_octree``) and by ``load_octree``, which
+checks each belief it reads through one.
 """
 
 from __future__ import annotations
@@ -56,8 +60,8 @@ import numpy as np
 from . import logodds
 from .errors import CorruptMap
 from .grid import GRID_MAGIC, BeamMeasurement, GridMap, RayTrace, Scan, SrleRay, cast
-from .grid import _apply_rounds, _box_corners, _check_header, _frame, _prior_vector, _rounds
-from .grid import scan_updates
+from .grid import _apply_rounds, _box_corners, _check_header, _frame, _integers, _prior_vector
+from .grid import _rounds, scan_updates
 from .logodds import SensorParams
 
 OCTREE_MAGIC = b"SSMIOCT3"
@@ -140,23 +144,19 @@ class _Beliefs:
     """The beliefs that writes put on the leaves of one tree: one stored
     row per id (``rows``, ``_lumped_row`` for every K) and one index by the
     row's bytes, so beliefs equal bit for bit share one id (two beliefs
-    have one row exactly when they have one record). The store is
-    append-only: each row keeps its id and stays stored for the tree's
-    life. The prior is id 0, so an element is observed when its id is
-    not 0.
-    Per id also: ``full`` (the full K+1 log-odds row, untracked classes
-    splitting the lump evenly), ``entropy`` and ``labels`` (the argmax of
-    ``full``, ties to the lowest class), made once in numpy from the rows
-    of the ids interned since the last table, by the write that puts them
-    on leaves (``table``)."""
+    have one row exactly when they have one record). Per id also its
+    ``full`` row, the full K+1 log-odds with untracked classes splitting
+    the lump evenly, made with the stored row when the row is interned.
+    The store is append-only: each id keeps its rows for the tree's life,
+    and each append makes new arrays, so a table made earlier keeps the
+    old ones. The prior is id 0, so an element is observed when its id is
+    not 0."""
 
     def __init__(self, prior_row: np.ndarray, num_classes: int):
         self.num_classes = num_classes
         self.index: dict[bytes, int] = {}
         self.rows = np.zeros((0, 7))
         self.full = np.zeros((0, num_classes + 1))
-        self.entropy = np.zeros(0)
-        self.labels = np.zeros(0, dtype=np.intp)
         # the log of the number of untracked classes sharing the lump, by tracked count
         self.share = np.array([math.log(max(num_classes - n, 1)) for n in range(4)])
         self.ids(prior_row)
@@ -166,13 +166,22 @@ class _Beliefs:
 
     def ids(self, rows: np.ndarray) -> np.ndarray:
         """The id of each stored row of ``rows``, (N, 7), interning the rows
-        the index has not seen in their order."""
+        the index has not seen in their order with their full rows (the
+        tracked values, and the lump's even share in every other class)."""
         index, size = self.index, len(self.index)
         keys = np.ascontiguousarray(rows).view(np.dtype((np.void, 7 * 8)))[:, 0].tolist()
         ids = np.array([index.setdefault(key, len(index)) for key in keys], dtype=np.intp)
         if len(index) > size:
             _, first = np.unique(ids, return_index=True)
-            self.rows = np.concatenate((self.rows, rows[first[size - len(index):]]))
+            new = rows[first[size - len(index):]]
+            tracked = new[:, :3] != _EMPTY
+            lump = new[:, 6] - self.share[np.count_nonzero(tracked, axis=1)]
+            full = np.repeat(lump[:, None], self.num_classes + 1, axis=1)
+            full[:, 0] = 0.0
+            at, slot = np.nonzero(tracked)
+            full[at, new[at, slot].astype(np.intp)] = new[at, slot + 3]
+            self.rows = np.concatenate((self.rows, new))
+            self.full = np.concatenate((self.full, full))
         return ids
 
     def semantics(self, i: int) -> TruncatedSemantics:
@@ -180,31 +189,6 @@ class _Beliefs:
         r = self.rows[i].tolist()
         return TruncatedSemantics(tuple((int(c), v) for c, v in zip(r[:3], r[3:6])
                                         if c != _EMPTY), r[6])
-
-    def table(self, starts, sizes, ids) -> "LeafTable":
-        """A leaf table over these leaves, after appending the rows of the
-        ids interned since the last table, each array in one piece: tables
-        made earlier keep the old arrays, whose rows never change. A new
-        ``full`` row holds the tracked values and, in every other class,
-        the lump's even share. The entropy of each new belief is that of
-        its pivot, tracked values and lump as one log-odds vector, taken
-        for all of them at once on rows (the pivot, then the row's values,
-        an empty slot's -inf), whose terms are 0, as a -inf lump's is."""
-        new = self.rows[self.labels.shape[0]:]
-        if new.shape[0]:
-            tracked = new[:, :3] != _EMPTY
-            lump = new[:, 6] - self.share[np.count_nonzero(tracked, axis=1)]
-            full = np.repeat(lump[:, None], self.num_classes + 1, axis=1)
-            full[:, 0] = 0.0
-            at, slot = np.nonzero(tracked)
-            full[at, new[at, slot].astype(np.intp)] = new[at, slot + 3]
-            padded = np.concatenate((np.zeros((new.shape[0], 1)), new[:, 3:]), axis=1)
-            self.full = np.concatenate((self.full, full))
-            self.entropy = np.concatenate(
-                (self.entropy, -np.sum(logodds.entropy_terms(padded), axis=-1)))
-            self.labels = np.concatenate((self.labels, np.argmax(full, axis=1)))
-        return LeafTable(starts=starts, sizes=sizes, ids=ids, full=self.full,
-                         entropy=self.entropy, labels=self.labels)
 
 
 @dataclass(frozen=True)
@@ -215,19 +199,18 @@ class LeafTable:
     Per leaf: ``starts`` (the Morton code of its low corner, ascending),
     ``sizes`` (its edge in elements), and ``ids``, the id of its belief in
     the tree's interned beliefs, so equal ids are equal bits, and id 0 is
-    the prior. Per belief id, the rows the store made of its stored row
-    (``_Beliefs``): ``full``, ``entropy`` and ``labels``; ids that no leaf
-    holds any more keep their rows, and a later table gives every id the rows and the belief it had
-    here. A write replaces the tree's arrays and never changes them in
-    place, so a table stays as it was made. The leaf holding element ``c``
-    is ``searchsorted(starts, morton(c), "right") - 1``."""
+    the prior. Per belief id, the store's ``rows`` and ``full`` rows
+    (``_Beliefs``) as they were when the table was made; ids that no leaf
+    holds any more keep their rows, and a later table gives every id the
+    rows it had here. A write replaces the tree's arrays and never changes
+    them in place, so a table stays as it was made. The leaf holding
+    element ``c`` is ``searchsorted(starts, morton(c), "right") - 1``."""
 
     starts: np.ndarray
     sizes: np.ndarray
     ids: np.ndarray
+    rows: np.ndarray
     full: np.ndarray
-    entropy: np.ndarray
-    labels: np.ndarray
 
     def element_ids(self, codes: np.ndarray) -> np.ndarray:
         """Belief id of the element at each Morton code."""
@@ -381,9 +364,9 @@ class SemanticOctree:
                          np.zeros(1, dtype=np.intp))
 
     def _set_leaves(self, starts, sizes, ids) -> None:
-        """Make these leaves the tree, with the rows of the beliefs
-        interned since the last write (``_Beliefs.table``)."""
-        self._leaves = self._beliefs.table(starts, sizes, ids)
+        """Make these leaves the tree, with the store's rows as they are."""
+        store = self._beliefs
+        self._leaves = LeafTable(starts, sizes, ids, store.rows, store.full)
 
     @property
     def size_elements(self) -> int:
@@ -399,10 +382,12 @@ class SemanticOctree:
         return np.searchsorted(self._leaves.starts, codes, side="right") - 1
 
     def _code(self, cell) -> int:
-        """The Morton code of an element of the world; ValueError for a
-        cell outside it."""
+        """The Morton code of an element of the world, given as three
+        integers (numpy's too); ValueError for a cell outside it or a
+        coordinate that is not an integer."""
+        cell = _integers(cell, "element")
         if len(cell) != 3 or not all(0 <= c < d for c, d in zip(cell, self.dims)):
-            raise ValueError(f"element {tuple(cell)} is outside the world {self.dims}")
+            raise ValueError(f"element {cell} is outside the world {self.dims}")
         return int(morton(*cell))
 
     def query_element(self, cell) -> TruncatedSemantics:
@@ -632,23 +617,28 @@ class SemanticOctree:
         element in a half-open box ((lo), (hi)) inside the world, or of the
         whole world."""
         table, ids = self._box_ids(box)
-        return table.labels[ids], ids != 0
+        return np.argmax(table.full, axis=-1)[ids], ids != 0
 
     def map_state(self, region=None) -> tuple[float, float]:
         """Total entropy in nats, and the fraction of elements whose belief
         moved off the prior, over a half-open element box ((lo), (hi)) from
         the leaf table: each leaf's element count inside the box times its
-        belief's entropy, added leaf by leaf in preorder. The box defaults to
-        the world; one not inside it raises ValueError, as on the grid, and
-        an empty one gives ``(0.0, 0.0)``."""
+        belief's entropy, added leaf by leaf in preorder. A belief's entropy
+        is that of its stored row's pivot, values and lump as one log-odds
+        vector, where an empty slot's -inf, as a -inf lump, adds 0. The box
+        defaults to the world; one not inside it raises ValueError, as on
+        the grid, and an empty one gives ``(0.0, 0.0)``."""
         lo, hi = _box_corners(region, self.dims)
         table = self._leaves
         corners = _corners(table.starts, self.max_depth)
         ends = corners + table.sizes[:, None]
         n = np.prod(np.maximum(np.minimum(ends, hi) - np.maximum(corners, lo), 0), axis=1)
+        rows = table.rows
+        padded = np.concatenate((np.zeros((rows.shape[0], 1)), rows[:, 3:]), axis=1)
+        entropy = -np.sum(logodds.entropy_terms(padded), axis=-1)
         # a running sum from 0.0, as a loop over the leaves adds; numpy's
         # pairwise sum would round differently
-        terms = np.concatenate(([0.0], n * table.entropy[table.ids]))
+        terms = np.concatenate(([0.0], n * entropy[table.ids]))
         total = int(n.sum())
         seen = int(n[table.ids != 0].sum())
         return float(np.cumsum(terms)[-1]), (seen / total if total else 0.0)

@@ -85,7 +85,7 @@ def from_full(h) -> TruncatedSemantics:
 def to_full(sem: TruncatedSemantics, num_classes: int) -> np.ndarray:
     """A belief's full K+1 vector, one belief at a time: exact when all
     classes are tracked; untracked classes split the lump evenly. The
-    reference for the store's ``full`` rows (``_Beliefs.table``)."""
+    reference for the store's ``full`` rows (``_Beliefs.ids``)."""
     h = np.full(num_classes + 1, sem.others - math.log(max(num_classes - len(sem.data), 1)))
     h[0] = 0.0
     for c, v in sem.data:
@@ -469,7 +469,7 @@ def off_prior(tree, sem) -> bool:
 def belief_entropy(sem: TruncatedSemantics) -> float:
     """Entropy in nats of a truncated belief's pivot, tracked values and
     lump (when finite) as one log-odds vector, on that vector alone: the
-    reference for the entropy rows of the octree's belief store."""
+    reference for the entropy ``map_state`` takes of each stored row."""
     values = [0.0] + [v for _, v in sem.data]
     if math.isfinite(sem.others):
         values.append(sem.others)
@@ -481,20 +481,18 @@ def belief_entropy(sem: TruncatedSemantics) -> float:
 
 def leaf_table_reference(tree) -> LeafTable:
     """The tree's leaf table with the rows of every id of its belief store
-    computed afresh from the belief, one belief at a time: ``entropy`` by
-    ``belief_entropy``, and ``labels`` the argmax of its ``to_full`` row,
-    each belief built from its stored row.
-    The reference for the rows the store makes (``_Beliefs.table``)."""
+    computed afresh from the belief, one belief at a time: ``rows`` by
+    ``_lumped_row`` and ``full`` by ``to_full``, each belief built from its
+    stored row. The reference for the rows the store makes when it interns
+    a row (``_Beliefs.ids``)."""
     table = tree.leaf_table()
     beliefs = [tree._beliefs.semantics(i) for i in range(len(tree._beliefs))]
-    full = np.array([to_full(sem, tree.num_classes) for sem in beliefs])
     return LeafTable(
         starts=table.starts,
         sizes=table.sizes,
         ids=table.ids,
-        full=full,
-        entropy=np.array([belief_entropy(sem) for sem in beliefs]),
-        labels=np.array([int(np.argmax(row)) for row in full], dtype=np.intp),
+        rows=np.array([_lumped_row(sem) for sem in beliefs]),
+        full=np.array([to_full(sem, tree.num_classes) for sem in beliefs]),
     )
 
 

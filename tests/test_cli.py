@@ -350,6 +350,10 @@ def test_map_path_that_is_a_directory_exit_2(tmp_path, capsys, caplog):
     ("sweep", "beams", "abc"),
     # the random profile builds one layer, so this would run a 16x16x1 world
     ("env", "dims", [16, 16, 8]),
+    # extents int() once truncated: read as (32, 32), (32, 32) and (1, 32)
+    ("env", "dims", [32.7, 32]),
+    ("env", "dims", ["32", 32]),
+    ("env", "dims", [True, 32]),
     # sensor-model values that SensorParams rejected only once the episode
     # built it, exiting 3 with a traceback
     ("mapper", "free_odds", "abc"),

@@ -540,9 +540,10 @@ def test_set_element_refuses_a_malformed_row_before_the_store(k, h):
     tree.set_element((1, 1, 1), [0.0] + [1.0] * k)
 
     def state():
-        table = tree.leaf_table()
-        return [a.tobytes() for a in (table.starts, table.sizes, table.ids, table.full,
-                                      table.entropy, table.labels, tree._beliefs.rows)]
+        table, store = tree.leaf_table(), tree._beliefs
+        return [a.tobytes() for a in (table.starts, table.sizes, table.ids, table.rows,
+                                      table.full, store.rows, store.full,
+                                      *tree.labels_observed(), np.array(tree.map_state()))]
 
     before = state()
     with pytest.raises(ValueError, match=r"K\+1"):
@@ -835,12 +836,13 @@ def paint(tree, blocks):
 
 @st.composite
 def leaf_table_case(draw):
-    """A pruned tree of depth 2-4, K = 3 (all tracked) or K = 5 (three
-    tracked and a lump), painted in blocks from a palette whose values
+    """A pruned tree of depth 2-4, K = 1, 2 or 3 (all tracked) or K = 5 or
+    8 (three tracked and a lump, which a read splits over two or five
+    classes), painted in blocks from a palette whose values
     include both signed zeros, so beliefs equal under ``==`` can differ in
     bits; 3-D rays from inside the cube, and boxes, some empty and some
     cutting through large leaves."""
-    k = draw(st.sampled_from([3, 5]), label="k")
+    k = draw(st.sampled_from([1, 2, 3, 5, 8]), label="k")
     depth = draw(st.integers(2, 4), label="depth")
     tree = SemanticOctree(1.0, depth, k)
     n = tree.size_elements
@@ -1152,12 +1154,16 @@ def test_leaf_table_is_made_again_only_after_the_tree_changes(params3, caplog, t
 
 def assert_table_is_the_reference(tree):
     """The rows of the tree's leaf table against rows computed afresh from
-    each leaf's belief, bit for bit, and one id for each class of
+    each id's belief, bit for bit; what the reads derive from them, the
+    labels of every element and the entropy of the world summed leaf by
+    leaf, against each leaf's belief; and one id for each class of
     bit-equal beliefs on the leaves."""
     got, want = tree.leaf_table(), leaf_table_reference(tree)
-    for name in ("full", "entropy", "labels"):
-        got_rows, want_rows = getattr(got, name)[got.ids], getattr(want, name)[got.ids]
-        assert got_rows.tobytes() == want_rows.tobytes(), name
+    for name in ("rows", "full"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    labels = np.array([np.argmax(row) for row in want.full], dtype=np.intp)
+    assert tree.labels_observed()[0].tobytes() == labels[tree._box_ids(None)[1]].tobytes()
+    assert tree.map_state() == leaf_sums(tree, ((0, 0, 0), tree.dims))
     assert_one_id_per_value(tree)
 
 
@@ -1278,10 +1284,11 @@ def test_writes_keep_a_pruned_tree_pruned(case):
 
 def test_element_writes_and_reads_refuse_a_cell_outside_the_world():
     """A cell outside the world (past the cube, or inside the cube but past
-    the world's extent, or not three coordinates) is refused by
-    ``set_element`` and ``query_element`` alike, and the refused write
-    leaves the tree as it was; a read past the cube does not wrap to the
-    element at the cube's corner."""
+    the world's extent, or not three coordinates) or with a coordinate that
+    is not an integer is refused by ``set_element`` and ``query_element``
+    alike, and the refused write leaves the tree as it was; a read past the
+    cube does not wrap to the element at the cube's corner. Numpy integers
+    name the cell their values name."""
     h = [0.0, 1.0, 0.0, 0.0]
     for dims, inside, outside in (
         ((8, 8, 4), (7, 7, 3), ((8, 0, 0), (0, 0, 4), (-1, 0, 0), (0, 0))),
@@ -1294,8 +1301,14 @@ def test_element_writes_and_reads_refuse_a_cell_outside_the_world():
                 tree.set_element(cell, [0.0, 2.0, 0.0, 0.0])
             with pytest.raises(ValueError, match="outside the world"):
                 tree.query_element(cell)
+        for cell in ((1.5, 0, 0), (0, 0, 1.0), (0, "1", 0)):
+            with pytest.raises(ValueError, match="not integer"):
+                tree.set_element(cell, [0.0, 2.0, 0.0, 0.0])
+            with pytest.raises(ValueError, match="not integer"):
+                tree.query_element(cell)
         assert tree.num_leaves() == 1 + 7 * tree.max_depth
         assert tree.query_element(inside).data[0] == (1, 1.0)
+        assert tree.query_element(np.array(inside)) == tree.query_element(inside)
 
 
 def test_the_prior_is_id_0_of_the_store_for_the_trees_life():
@@ -1333,7 +1346,7 @@ def test_a_beliefs_id_and_rows_stay_through_later_scans_and_reads():
     first = {}  # per id, the belief and the rows of the first table that held it
 
     def rows(table, i):
-        return tuple(a[i : i + 1].tobytes() for a in (table.full, table.entropy, table.labels))
+        return tuple(a[i : i + 1].tobytes() for a in (table.rows, table.full))
 
     for table in overwriting_scans(tree, np.random.default_rng(11), 30):
         for (sem, _, _), i in zip(tree_leaves(tree), table.ids.tolist()):
@@ -1382,23 +1395,32 @@ def lumped_beliefs(draw, k):
 @given(data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_the_batched_entropy_of_new_beliefs_is_the_reference_bit_for_bit(data):
-    """The store makes the rows of a write's new beliefs in one batch from
-    their stored rows, the entropy on values padded with -inf: each
-    entropy row is ``belief_entropy`` of its belief in float hex, each
-    full row and label that of its ``to_full`` row, and the belief built
-    back from its id has its record, for K in 1..8, partly tracked
-    beliefs, signed zeros, values on the clamp, and -inf and finite
-    lumps."""
+    """The store makes the rows of a write's new beliefs in one batch as it
+    interns them, and ``map_state`` takes the entropy of every stored row
+    in one batch, on values padded with -inf. Each belief written to an
+    element of its own in one write: ``map_state`` over that element reads
+    ``belief_entropy`` of the belief (added to the 0.0 its running sum
+    starts from) in float hex, the stored and full rows are its
+    ``_lumped_row`` and ``to_full`` rows, ``labels_observed`` reads the
+    argmax of that full row, and the belief built back from its id has its
+    record, for K in 1..8, partly tracked beliefs, signed zeros, values on
+    the clamp, and -inf and finite lumps."""
     k = data.draw(st.integers(1, 8), label="k")
     beliefs = data.draw(st.lists(lumped_beliefs(k), min_size=1, max_size=30), label="beliefs")
-    store = _Beliefs(_lumped_rows(np.zeros((1, k + 1))), k)
+    tree = SemanticOctree(1.0, 2, k)
+    cells = np.array(list(itertools.product(range(4), repeat=3))[:len(beliefs)])
+    codes = morton(*cells.T)
+    order = np.argsort(codes)
+    store = tree._beliefs
     ids = store.ids(np.array([_lumped_row(sem) for sem in beliefs]))
-    table = store.table(np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64),
-                        np.zeros(1, dtype=np.intp))
-    for i, sem in zip(ids, beliefs):
-        assert table.entropy[i].hex() == belief_entropy(sem).hex()
+    tree._write(codes[order], tree._leaf_of(codes[order]), ids[order])
+    table = tree.leaf_table()
+    for cell, i, sem in zip(cells.tolist(), ids.tolist(), beliefs):
+        box = (cell, [c + 1 for c in cell])
+        assert tree.map_state(box)[0].hex() == (0.0 + belief_entropy(sem)).hex()
+        assert table.rows[i].tobytes() == np.array(_lumped_row(sem)).tobytes()
         assert table.full[i].tobytes() == to_full(sem, k).tobytes()
-        assert table.labels[i] == np.argmax(to_full(sem, k))
+        assert tree.labels_observed(box)[0].item() == np.argmax(to_full(sem, k))
         assert store.semantics(i).record == sem.record
 
 
@@ -1732,17 +1754,22 @@ def test_grid_octree_bit_agreement(params3, rng):
 
 def leaf_sums(tree, box):
     """Entropy and observed fraction over a box, summed leaf by leaf in
-    preorder with each belief's entropy computed afresh."""
+    preorder with each belief's entropy computed afresh, once per belief
+    bits (its record)."""
     entropy = 0.0
     seen = total = 0
+    known = {}  # per record, the belief's entropy and whether it is off the prior
     for sem, low, size in tree_leaves(tree):
         n = 1
         for i in range(3):
             n *= max(0, min(low[i] + size, box[1][i]) - max(low[i], box[0][i]))
         if n:
-            entropy += n * belief_entropy(sem)
+            if sem.record not in known:
+                known[sem.record] = belief_entropy(sem), off_prior(tree, sem)
+            h, off = known[sem.record]
+            entropy += n * h
             total += n
-            seen += n if off_prior(tree, sem) else 0
+            seen += n if off else 0
     return entropy, (seen / total if total else 0.0)
 
 
@@ -1798,11 +1825,16 @@ def test_aggregates_reject_boxes_outside_the_map(kind, params3):
     inverted = ((4, 0, 0), (2, 8, 8))
     past_extent = ((0, 0, 0), (12, 12, 12))
     negative_corner = ((-2, 0, 0), (4, 4, 4))
-    for box in (inverted, past_extent, negative_corner):
+    fractional = ((0, 0, 0), (1.5, 2, 2))  # the octree once counted 6 elements in it
+    whole_float = ((0, 0, 0.0), (2, 2, 2))
+    planar = ((0, 0), (2, 2))  # the grid once read it as the whole z extent
+    for box in (inverted, past_extent, negative_corner, fractional, whole_float, planar):
         for query in (m.map_state, m.labels_observed):
             with pytest.raises(ValueError):
                 query(box)
     assert m.map_state(((2, 2, 2), (2, 5, 5))) == (0.0, 0.0)
+    box = ((1, 2, 3), (4, 6, 8))
+    assert m.map_state(np.array(box)) == m.map_state(box)
 
 
 @pytest.mark.parametrize("what, bad", [
