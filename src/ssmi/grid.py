@@ -604,7 +604,11 @@ def _box_corners(region, dims) -> tuple[tuple[int, ...], tuple[int, ...]]:
     maps' ``_box`` check their boxes here."""
     if region is None:
         return (0, 0, 0), tuple(dims)
-    lo, hi = (_integers(corner, "box corner") for corner in region)
+    try:
+        lo, hi = region
+    except (TypeError, ValueError):
+        raise ValueError(f"box {region!r} is not two corners") from None
+    lo, hi = _integers(lo, "box corner"), _integers(hi, "box corner")
     if not (len(lo) == len(hi) == len(dims)
             and all(0 <= a <= b <= n for a, b, n in zip(lo, hi, dims))):
         raise ValueError(f"box {region} is not inside the map")
@@ -612,12 +616,13 @@ def _box_corners(region, dims) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def _integers(values, what: str) -> tuple[int, ...]:
-    """Coordinates as Python ints (numpy integers too, ``operator.index``);
-    ValueError naming ``what`` for one that is not an integer."""
+    """Integers, such as coordinates or extents, as Python ints (numpy
+    integers too, ``operator.index``); ValueError naming ``what`` for one
+    that is not an integer."""
     try:
         return tuple(operator.index(v) for v in values)
     except TypeError:
-        raise ValueError(f"{what} {values!r} is not integer coordinates") from None
+        raise ValueError(f"{what} {values!r}: not integer values") from None
 
 
 def _prior_vector(prior, num_classes: int) -> np.ndarray:
@@ -658,7 +663,8 @@ class GridMap:
 
     Cells hold float64 log-odds vectors with element 0 pinned to zero; cells
     never written stay at the shared prior and are flagged unobserved.
-    ``origin``, the low corner of cell (0, 0, 0), is three floats.
+    ``origin``, the low corner of cell (0, 0, 0), is three floats. The
+    extents and K are integers, numpy's too; ValueError otherwise.
     """
 
     def __init__(
@@ -669,16 +675,16 @@ class GridMap:
         prior: np.ndarray | None = None,
         origin=(0.0, 0.0, 0.0),
     ):
-        dims = tuple(int(d) for d in dims)
+        dims = _integers(dims, "dims")
         if len(dims) == 2:
             dims = dims + (1,)
         if len(dims) != 3 or any(d < 1 for d in dims):
             raise ValueError("dims must be 2 or 3 positive extents")
         self.dims = dims
         self.resolution, self.origin = _frame("resolution", resolution, origin)
-        self.num_classes = int(num_classes)
+        (self.num_classes,) = _integers((num_classes,), "num_classes")
         self.prior = prior = _prior_vector(prior, self.num_classes)
-        self.cells = np.tile(prior, dims + (1,)).reshape(dims + (num_classes + 1,))
+        self.cells = np.tile(prior, dims + (1,)).reshape(dims + (self.num_classes + 1,))
         self.observed = np.zeros(dims, dtype=bool)
 
     # -- geometry ----------------------------------------------------------

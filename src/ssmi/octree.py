@@ -7,23 +7,28 @@ rounds: with K <= 3 a belief is its full row and the update the grid's
 (``grid._apply_rounds``), so the tree reproduces the grid bit for bit; with
 K > 3 it is a lumped row and the update the lumped one (``_lumped_rounds``).
 
-The tree is its leaves, held as arrays in preorder (a linear octree:
-Gargantini, "An effective way to represent quadtrees", CACM 1982). A
-child's slot is ``x<<2 | y<<1 | z``, so preorder is Morton order and each
-leaf is one aligned interval of Morton codes: ``starts`` (the code of its
-low corner, ascending), ``sizes`` (its edge in elements) and ``ids``, the
-id of its belief in the tree's interned store. The leaf holding element
-``c`` is ``searchsorted(starts, morton(c), "right") - 1``: every read, one
-element or a batch, is that lookup, and no inner node is stored.
-``save_octree`` writes the same leaves as a preorder node stream (as
-OctoMap's compact ``.bt`` files do).
+The tree is its runs: the maximal runs of elements of one belief in
+Morton order, held as two arrays, ``starts`` (the code where each run
+begins, ascending, the first 0) and ``ids`` (the id of its belief in the
+tree's interned store, no two neighbours equal). A child's slot is
+``x<<2 | y<<1 | z``, so preorder is Morton order and each octree node is
+one aligned interval of Morton codes (a linear octree: Gargantini, "An
+effective way to represent quadtrees", CACM 1982). The belief of element
+``c`` is ``ids[searchsorted(starts, morton(c), "right") - 1]``: every
+element read, one element or a batch, is that lookup, and no node is
+stored.
 
-Every write keeps the tree pruned, OctoMap's rule (Hornung et al. 2013)
-stated on intervals: an aligned interval of ``8**L`` codes whose leaves all
-hold one belief is one leaf. That is what makes ray casts over this
-structure short: a ray meets a handful of homogeneous runs instead of
-hundreds of elements. The pruned leaves of a set of element beliefs are
-unique, so a write of many elements gives what one write per element gives.
+The tree's leaves are derived from the runs when a reader needs them
+(``_leaves``), and they are the pruned ones, OctoMap's rule (Hornung et
+al. 2013) stated on intervals: an aligned interval of ``8**L`` codes whose
+elements all hold one belief is one leaf. A block is such a leaf exactly
+when it lies inside one run and its parent does not, so the pruned leaves
+are the maximal aligned blocks of the runs, and a write that keeps its
+runs maximal keeps the tree pruned with no pruning code. The leaves are
+what makes ray casts over this structure short, a ray meeting a handful of
+homogeneous runs instead of hundreds of elements, and ``save_octree``
+writes them as a preorder node stream (as OctoMap's compact ``.bt`` files
+do).
 
 The cube of ``2**max_depth`` elements a side is the tree's storage only. The
 map covers a world box of ``dims`` elements at the cube's low corner, as a
@@ -31,8 +36,7 @@ map covers a world box of ``dims`` elements at the cube's low corner, as a
 default box of every aggregate end at the world's faces, so both maps share
 one geometry.
 
-A write costs what it changes, not the size of the tree. A belief is its
-row for every K (``_lumped_row``: three classes, their values, the lump),
+A belief is its row for every K (``_lumped_row``: three classes, their values, the lump),
 whose bytes stand one to one for its ``.ssmioct`` leaf record. The tree's
 store interns every row by its bytes, so equal values share one id
 (``0.0`` and ``-0.0`` stay apart); ``insert_scan`` interns each distinct
@@ -193,8 +197,9 @@ class _Beliefs:
 
 @dataclass(frozen=True)
 class LeafTable:
-    """One revision of a tree: its leaf arrays in preorder, which is Morton
-    order, and the rows of their beliefs.
+    """One revision of a tree for a reader: its pruned leaves in preorder,
+    which is Morton order, derived from its runs (``_leaves``), and the
+    rows of their beliefs.
 
     Per leaf: ``starts`` (the Morton code of its low corner, ascending),
     ``sizes`` (its edge in elements), and ``ids``, the id of its belief in
@@ -202,9 +207,8 @@ class LeafTable:
     the prior. Per belief id, the store's ``rows`` and ``full`` rows
     (``_Beliefs``) as they were when the table was made; ids that no leaf
     holds any more keep their rows, and a later table gives every id the
-    rows it had here. A write replaces the tree's arrays and never changes
-    them in place, so a table stays as it was made. The leaf holding
-    element ``c`` is ``searchsorted(starts, morton(c), "right") - 1``."""
+    rows it had here. A write replaces the tree's runs and never changes
+    them in place, so a table stays as it was made."""
 
     starts: np.ndarray
     sizes: np.ndarray
@@ -212,9 +216,36 @@ class LeafTable:
     rows: np.ndarray
     full: np.ndarray
 
-    def element_ids(self, codes: np.ndarray) -> np.ndarray:
-        """Belief id of the element at each Morton code."""
-        return self.ids[np.searchsorted(self.starts, codes, side="right") - 1]
+
+def _leaves(starts: np.ndarray, ids: np.ndarray,
+            max_depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pruned leaves of the runs ``starts``, ``ids`` of a tree of
+    ``max_depth``: their starts, sizes and ids in preorder. The leaves of a
+    run ``[L, R)`` are its maximal aligned blocks. With ``a_j = ceil(L /
+    8**j)`` and ``b_j = floor(R / 8**j)``, its level-j blocks are ``[a_j,
+    b_j)``, and those inside a level-(j+1) block are ``[8 a_(j+1), 8
+    b_(j+1))``; so its level-j leaves are ``[a_j, 8 a_(j+1))`` and ``[8
+    b_(j+1), b_j)`` when ``a_(j+1) < b_(j+1)``, and ``[a_j, b_j)`` when
+    not. Each level reads the runs that hold a whole block of it."""
+    lo, hi = starts, np.append(starts[1:], 1 << 3 * max_depth)
+    firsts, lasts = lo, hi  # the run's level-j blocks: [a_j, b_j)
+    parts = []
+    for j in range(max_depth + 1):
+        up_lo, up_hi = -(-lo >> 3 * (j + 1)), hi >> 3 * (j + 1)
+        whole = up_lo < up_hi
+        # [a_j, cut_lo) and [cut_hi, b_j): an empty second part unless whole
+        cut_lo, cut_hi = np.where(whole, up_lo << 3, lasts), np.where(whole, up_hi << 3, lasts)
+        first, count = np.concatenate((firsts, cut_hi)), np.concatenate((cut_lo - firsts,
+                                                                         lasts - cut_hi))
+        blocks = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
+        parts.append((blocks << 3 * j, np.full(blocks.shape[0], 1 << j),
+                      np.repeat(np.concatenate((ids, ids)), count)))
+        if not whole.any():
+            break
+        lo, hi, ids, firsts, lasts = lo[whole], hi[whole], ids[whole], up_lo[whole], up_hi[whole]
+    starts, sizes, ids = (np.concatenate(part) for part in zip(*parts))
+    order = np.argsort(starts)
+    return starts[order], sizes[order], ids[order]
 
 
 def _levels(sizes: np.ndarray) -> np.ndarray:
@@ -334,11 +365,13 @@ class SemanticOctree:
     """Multi-class map of a world of ``dims`` elements (x, y, z) of edge
     ``element_size``, stored in a cube of ``2**max_depth`` elements a side;
     ``dims`` defaults to the whole cube and must fit inside it. ``origin``,
-    the low corner of element (0, 0, 0), is three floats.
+    the low corner of element (0, 0, 0), is three floats. The extents, the
+    depth (1..16) and K are integers, numpy's too; ValueError otherwise.
 
-    The tree is its leaf table (``leaf_table()``): the leaves' ``starts``,
-    ``sizes`` and ``ids`` in preorder (module docstring). A write replaces
-    the table and never changes its arrays in place."""
+    The tree is its runs (module docstring): one pair of arrays, the runs'
+    ``starts`` and ``ids``, that a write replaces in one assignment and
+    never changes in place, so a reader that took the pair keeps the tree
+    it read. ``leaf_table()`` derives the leaves from it."""
 
     def __init__(
         self,
@@ -349,24 +382,27 @@ class SemanticOctree:
         origin=(0.0, 0.0, 0.0),
         dims=None,
     ):
-        if max_depth < 1 or max_depth > 16:
+        (self.max_depth,) = _integers((max_depth,), "max_depth")
+        if not 1 <= self.max_depth <= 16:
             raise ValueError("max_depth must be in 1..16")
         self.element_size, self.origin = _frame("element size", element_size, origin)
-        self.max_depth = int(max_depth)
         n = self.size_elements
-        self.dims = (n, n, n) if dims is None else tuple(int(d) for d in dims)
+        self.dims = (n, n, n) if dims is None else _integers(dims, "dims")
         if len(self.dims) != 3 or not all(1 <= d <= n for d in self.dims):
             raise ValueError(f"dims {self.dims} are not three extents in 1..{n}")
-        self.num_classes = int(num_classes)
+        (self.num_classes,) = _integers((num_classes,), "num_classes")
         self.prior = prior = _prior_vector(prior, self.num_classes)
-        self._beliefs = _Beliefs(_lumped_rows(prior[None]), num_classes)
-        self._set_leaves(np.zeros(1, dtype=np.int64), np.full(1, n, dtype=np.int64),
-                         np.zeros(1, dtype=np.intp))
+        self._beliefs = _Beliefs(_lumped_rows(prior[None]), self.num_classes)
+        self._set_leaves(np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.intp))
 
-    def _set_leaves(self, starts, sizes, ids) -> None:
-        """Make these leaves the tree, with the store's rows as they are."""
-        store = self._beliefs
-        self._leaves = LeafTable(starts, sizes, ids, store.rows, store.full)
+    def _set_leaves(self, starts, ids) -> None:
+        """Make the tree the intervals of Morton codes that begin at
+        ``starts`` (ascending, the first 0) and hold the belief ids ``ids``,
+        such as a tree's leaves: its runs are these intervals with equal
+        neighbours joined."""
+        keep = np.ones(ids.shape[0], dtype=bool)
+        np.not_equal(ids[1:], ids[:-1], out=keep[1:])
+        self._runs = (starts[keep], ids[keep])
 
     @property
     def size_elements(self) -> int:
@@ -377,9 +413,10 @@ class SemanticOctree:
         """Element edge length (the grid's name for its cell size)."""
         return self.element_size
 
-    def _leaf_of(self, codes):
-        """Index of the leaf holding the element at each Morton code."""
-        return np.searchsorted(self._leaves.starts, codes, side="right") - 1
+    def _held(self, codes):
+        """The belief id of the element at each Morton code."""
+        starts, ids = self._runs
+        return ids[np.searchsorted(starts, codes, side="right") - 1]
 
     def _code(self, cell) -> int:
         """The Morton code of an element of the world, given as three
@@ -393,81 +430,39 @@ class SemanticOctree:
     def query_element(self, cell) -> TruncatedSemantics:
         """The belief of an element; ValueError for a cell outside the
         world."""
-        return self._beliefs.semantics(self._leaves.element_ids(self._code(cell)))
+        return self._beliefs.semantics(self._held(self._code(cell)))
 
     # -- updates ---------------------------------------------------------------
 
-    def _write(self, codes, leaf, new) -> None:
+    def _write(self, codes, old, new) -> None:
         """The one writer: give the elements at the ascending, distinct
-        Morton ``codes``, held by the leaves at indices ``leaf``, the belief
-        ids ``new``.
+        Morton ``codes``, which hold the belief ids ``old``, the ids
+        ``new``.
 
-        Elements that keep the id they hold are dropped. Each leaf holding
-        a changed element splits into the aligned intervals around its
-        changed elements, the new siblings keeping the old id, and each
-        changed element becomes an element leaf; one ``searchsorted``
-        splices them in. Then, bottom-up over the ancestors of the changed
-        elements, an ancestor whose leaves all hold one id becomes one
-        leaf: its first leaf, which starts at its start, grows to its edge
-        and the others go. An interval holding no changed element cannot
-        have come to hold one id, so a pruned tree stays pruned. One DEBUG
-        line reports the leaves, the store size, the leaves split and the
-        ancestors merged."""
+        Elements that keep their id are dropped. Each changed element ``c``
+        begins a run of its new id, and the run of the id held at ``c + 1``
+        begins again there (inside the cube). These entries and the current
+        runs, stable-sorted by start with the changed elements last, keep
+        the last entry per start; an entry whose id is its predecessor's
+        then joins it (``_set_leaves``), so the runs stay maximal and the
+        tree pruned. One DEBUG line reports the runs, the store size and
+        the changed elements."""
         t0 = time.perf_counter()
-        leaves = self._leaves
-        old = leaves.ids[leaf]
         changed = new != old
-        split = merged = 0
         if changed.any():
-            codes, leaf, new, old = codes[changed], leaf[changed], new[changed], old[changed]
-            levels = _levels(leaves.sizes[leaf])
-            parts = [(codes, np.ones_like(codes), new)]
-            for j in range(int(levels.max())):
-                # the ancestors of level j of the elements in leaves above it,
-                # and the children of their parents that hold no changed element
-                inside = levels > j
-                below = codes[inside] >> 3 * j
-                parents, first = np.unique(below >> 3, return_index=True)
-                kids = (parents[:, None] << 3 | np.arange(8)).ravel()
-                free = below[np.searchsorted(below, kids).clip(max=below.shape[0] - 1)] != kids
-                parts.append((kids[free] << 3 * j, np.full(np.count_nonzero(free), 1 << j),
-                              np.repeat(old[inside][first], 8)[free]))
-            split = np.unique(leaf[levels > 0]).shape[0]
-            added = [np.concatenate(part) for part in zip(*parts)]
-            order = np.argsort(added[0])
-            keep = np.ones(leaves.ids.shape[0], dtype=bool)
-            keep[leaf] = False
-            at = np.searchsorted(leaves.starts[keep], added[0][order])
-            starts, sizes, ids = (np.insert(was[keep], at, now[order])
-                                  for was, now in zip((leaves.starts, leaves.sizes, leaves.ids),
-                                                      added))
-            # each element's highest ancestor whose leaves all hold one id (an
-            # interval's sub-intervals hold one id when it does)
-            edges = np.flatnonzero(ids[1:] != ids[:-1])  # the leaves after which an id ends
-            top = np.zeros(codes.shape[0], dtype=np.int64)
-            alive = np.arange(codes.shape[0])
-            for j in range(1, self.max_depth + 1):
-                low = codes[alive] >> 3 * j << 3 * j
-                lo = np.searchsorted(starts, low)
-                hi = np.searchsorted(starts, low + (1 << 3 * j)) - 1
-                alive = alive[np.searchsorted(edges, lo) == np.searchsorted(edges, hi)]
-                if not alive.shape[0]:
-                    break
-                top[alive] = j
-            if top.any():
-                t = top[top > 0]
-                low, first = np.unique(codes[top > 0] >> 3 * t << 3 * t, return_index=True)
-                t = t[first]
-                lo = np.searchsorted(starts, low)
-                sizes[lo] = 1 << t
-                keep = np.ones(ids.shape[0], dtype=bool)
-                for a, b in zip(lo.tolist(), np.searchsorted(starts, low + (1 << 3 * t)).tolist()):
-                    keep[a + 1:b] = False
-                starts, sizes, ids = starts[keep], sizes[keep], ids[keep]
-                merged = low.shape[0]
-            self._set_leaves(starts, sizes, ids)
-        log.debug("leaf table: %d leaves, %d beliefs, %d leaves split, %d merged, %.3f ms",
-                  self._leaves.ids.shape[0], len(self._beliefs), split, merged,
+            codes, new = codes[changed], new[changed]
+            after = codes + 1
+            after = after[after < 1 << 3 * self.max_depth]
+            starts, ids = self._runs
+            entries = np.concatenate((starts, after, codes))
+            order = np.argsort(entries, kind="stable")
+            entries = entries[order]
+            last = np.ones(entries.shape[0], dtype=bool)
+            np.not_equal(entries[1:], entries[:-1], out=last[:-1])
+            held = np.concatenate((ids, self._held(after), new))[order]
+            self._set_leaves(entries[last], held[last])
+        log.debug("octree write: %d runs, %d beliefs, %d changed, %.3f ms",
+                  self._runs[0].shape[0], len(self._beliefs), np.count_nonzero(changed),
                   (time.perf_counter() - t0) * 1e3)
 
     def set_element(self, cell, h: np.ndarray) -> None:
@@ -480,30 +475,31 @@ class SemanticOctree:
         if h.shape != (self.num_classes + 1,) or h[0] != 0.0:
             raise ValueError(f"element log-odds must be K+1 = {self.num_classes + 1} values "
                              f"with zero pivot, got {h.tolist()}")
-        self._write(codes, self._leaf_of(codes), self._beliefs.ids(_lumped_rows(h[None])))
+        self._write(codes, self._held(codes), self._beliefs.ids(_lumped_rows(h[None])))
 
     def insert_scan(self, beams: Scan | list[BeamMeasurement],
                     params: SensorParams) -> "SemanticOctree":
         """Integrate a scan's beams in order, a sensed ``Scan`` or a list of
-        beams (same cell arithmetic as the dense grid), in one write that
-        keeps the tree pruned (``_write``). The element updates are the
-        grid's, from ``scan_updates``, which finds and checks every update
-        first (cut from the fan's memoized walks for a ``Scan``, walked
-        beam by beam for a list): a scan that raises leaves the tree as it
-        was.
+        beams (same cell arithmetic as the dense grid), in one write, a
+        splice of the changed elements into the runs (``_write``). The
+        element updates are the grid's, from ``scan_updates``, which finds
+        and checks every update first (cut from the fan's memoized walks
+        for a ``Scan``, walked beam by beam for a list): a scan that raises
+        leaves the tree as it was.
 
         The updates are grouped in rounds by element (``grid._rounds``, a
         stable sort of their Morton codes), so each element meets its
-        updates in scan order, and each element's leaf is found by one
-        ``searchsorted`` for all of them. The elements' rows take the
-        update in those rounds, the one step that depends on K: full rows
-        (``_Beliefs.full``) and the grid's own update with K <= 3
-        (``grid._apply_rounds``), lumped rows (``_Beliefs.rows``) and the
-        lumped update with K > 3 (``_lumped_rounds``). Each distinct row
-        that changed (in its bits, or with K <= 3 from a belief tracking
-        fewer than K classes, which only a file holds) takes its id from
-        the store as a lumped row (``_Beliefs.ids``; ``_lumped_rows`` of it
-        with K <= 3). An element that ends where it began is not written."""
+        updates in scan order, and the ids the elements hold are found by
+        one ``searchsorted`` of the run starts for all of them. The
+        elements' rows take the update in those rounds, the one step that
+        depends on K: full rows (``_Beliefs.full``) and the grid's own
+        update with K <= 3 (``grid._apply_rounds``), lumped rows
+        (``_Beliefs.rows``) and the lumped update with K > 3
+        (``_lumped_rounds``). Each distinct row that changed (in its bits,
+        or with K <= 3 from a belief tracking fewer than K classes, which
+        only a file holds) takes its id from the store as a lumped row
+        (``_Beliefs.ids``; ``_lumped_rows`` of it with K <= 3). An element
+        that ends where it began is not written."""
         if params.num_classes != self.num_classes:
             raise ValueError("sensor parameters and tree disagree on K")
         cells, rows = scan_updates(beams, self.origin, self.element_size, self.dims,
@@ -511,8 +507,7 @@ class SemanticOctree:
         codes = morton(*cells.T)
         order, first, by_round, bounds = _rounds(codes)
         codes = codes[order][first]
-        leaf = self._leaf_of(codes)
-        held = self._leaves.ids[leaf]
+        held = self._held(codes)
         # each update's element (an index into codes) and model row, by round
         keys, rows = (np.cumsum(first) - 1)[by_round], rows[order[by_round]]
         store = self._beliefs
@@ -536,7 +531,7 @@ class SemanticOctree:
         log.debug("insert_scan: %d beams, %d updates of %d elements, %d changed, "
                   "%d beliefs added", len(beams), len(rows), len(held),
                   np.count_nonzero(new != held), len(store) - size)
-        self._write(codes, leaf, new)
+        self._write(codes, held, new)
         return self
 
     # -- ray casting -------------------------------------------------------------
@@ -547,22 +542,21 @@ class SemanticOctree:
         tree agree on what a beam touches."""
         return cast(beam, self.origin, self.element_size, self.dims)
 
-    def _runs(self, cells: np.ndarray, firsts) -> tuple[SrleRay, np.ndarray]:
+    def _ray_runs(self, cells: np.ndarray, firsts) -> tuple[SrleRay, np.ndarray]:
         """The runs over stacked elements (at least one) whose beams start
         at the indices ``firsts``, and the index of each run's first
-        element. All elements are looked up in the leaf table at once; a
+        element. All elements are looked up in the tree's runs at once; a
         run starts at each beam's first element and wherever the belief id
         changes (ids are interned bits), and takes its first element's
         belief."""
-        table = self._leaves
-        ids = table.element_ids(morton(*cells.T))
+        ids = self._held(morton(*cells.T))
         n = ids.shape[0]
         new = np.ones(n + 1, dtype=bool)  # where runs start, and n, where the last ends
         np.not_equal(ids[1:], ids[:-1], out=new[1:n])
         new[firsts] = True
         bounds = np.flatnonzero(new)
         starts = bounds[:-1]
-        chi_t = table.full[ids[starts]]
+        chi_t = self._beliefs.full[ids[starts]]
         return SrleRay(widths=np.diff(bounds), chi_t=chi_t,
                        chi_0=np.broadcast_to(self.prior, chi_t.shape)), starts
 
@@ -575,7 +569,7 @@ class SemanticOctree:
         they belong to distinct leaves, so expanding the result reproduces the
         per-element sequence exactly and the widths sum to the element count.
         """
-        return self._runs(cells, 0)[0] if cells.shape[0] else None
+        return self._ray_runs(cells, 0)[0] if cells.shape[0] else None
 
     def encode_traces(self, cells: np.ndarray, counts) -> tuple[SrleRay | None, list[int]]:
         """The runs over a compact cast (``mi.FanCast``: ``cells`` stacks each
@@ -586,7 +580,7 @@ class SemanticOctree:
         ends = np.cumsum(counts, dtype=np.int64)
         if not cells.shape[0]:
             return None, [0] * ends.shape[0]
-        runs, starts = self._runs(cells, ends[:-1][ends[:-1] < cells.shape[0]])
+        runs, starts = self._ray_runs(cells, ends[:-1][ends[:-1] < cells.shape[0]])
         return runs, np.diff(np.searchsorted(starts, ends), prepend=0).tolist()
 
     def raycast_srle(self, beam: BeamMeasurement) -> SrleRay:
@@ -596,40 +590,41 @@ class SemanticOctree:
     # -- leaf table and aggregates ----------------------------------------------------
 
     def num_leaves(self) -> int:
-        return self._leaves.ids.shape[0]
+        return self.leaf_table().ids.shape[0]
 
     def leaf_table(self) -> LeafTable:
-        """The tree as it is now, with the rows of the beliefs its leaves
-        hold."""
-        return self._leaves
+        """The tree's pruned leaves as they are now (``_leaves``), with the
+        rows of the beliefs they hold."""
+        store = self._beliefs
+        return LeafTable(*_leaves(*self._runs, self.max_depth), store.rows, store.full)
 
-    def _box_ids(self, box) -> tuple[LeafTable, np.ndarray]:
-        """The leaf table and an int array over a half-open element box
-        ((lo), (hi)) inside the world, or the whole world for None, holding
-        each element's belief id."""
+    def _box_ids(self, box) -> np.ndarray:
+        """An int array over a half-open element box ((lo), (hi)) inside
+        the world, or the whole world for None, holding each element's
+        belief id."""
         lo, hi = _box_corners(box, self.dims)
-        table = self._leaves
-        return table, table.element_ids(morton(*np.ix_(*map(range, lo, hi))))
+        return self._held(morton(*np.ix_(*map(range, lo, hi))))
 
     def labels_observed(self, box=None) -> tuple[np.ndarray, np.ndarray]:
         """Most likely class (the argmax of the full belief, ties to the
         lowest class) and observed flag (belief off the prior) of every
         element in a half-open box ((lo), (hi)) inside the world, or of the
         whole world."""
-        table, ids = self._box_ids(box)
-        return np.argmax(table.full, axis=-1)[ids], ids != 0
+        ids = self._box_ids(box)
+        return np.argmax(self._beliefs.full, axis=-1)[ids], ids != 0
 
     def map_state(self, region=None) -> tuple[float, float]:
         """Total entropy in nats, and the fraction of elements whose belief
         moved off the prior, over a half-open element box ((lo), (hi)) from
-        the leaf table: each leaf's element count inside the box times its
-        belief's entropy, added leaf by leaf in preorder. A belief's entropy
+        the pruned leaves (``leaf_table()``): each leaf's element count
+        inside the box times its belief's entropy, added leaf by leaf in
+        preorder. A belief's entropy
         is that of its stored row's pivot, values and lump as one log-odds
         vector, where an empty slot's -inf, as a -inf lump, adds 0. The box
         defaults to the world; one not inside it raises ValueError, as on
         the grid, and an empty one gives ``(0.0, 0.0)``."""
         lo, hi = _box_corners(region, self.dims)
-        table = self._leaves
+        table = self.leaf_table()
         corners = _corners(table.starts, self.max_depth)
         ends = corners + table.sizes[:, None]
         n = np.prod(np.maximum(np.minimum(ends, hi) - np.maximum(corners, lo), 0), axis=1)
@@ -650,7 +645,7 @@ class SemanticOctree:
 def octree_from_grid(gmap: GridMap) -> SemanticOctree:
     """Copy a dense map into a fresh octree of the grid's extent, at its
     resolution, in the least cube that holds it, in one write of every
-    element, which keeps it pruned."""
+    element."""
     tree = SemanticOctree(
         element_size=gmap.resolution,
         max_depth=cube_depth(gmap.dims),
@@ -662,7 +657,7 @@ def octree_from_grid(gmap: GridMap) -> SemanticOctree:
     codes = morton(*np.indices(gmap.dims).reshape(3, -1))
     order = np.argsort(codes)
     new = tree._beliefs.ids(_lumped_rows(gmap.cells.reshape(-1, gmap.num_classes + 1)[order]))
-    tree._write(codes[order], tree._leaf_of(codes[order]), new)
+    tree._write(codes[order], tree._held(codes[order]), new)
     return tree
 
 
@@ -671,8 +666,8 @@ def grid_from_octree(tree: SemanticOctree) -> GridMap:
     beliefs (K > 3) expand with the untracked classes sharing the lump
     evenly."""
     gmap = GridMap(tree.dims, tree.element_size, tree.num_classes, tree.prior, tree.origin)
-    table, ids = tree._box_ids(None)
-    np.take(table.full, ids, axis=0, out=gmap.cells)
+    ids = tree._box_ids(None)
+    np.take(tree._beliefs.full, ids, axis=0, out=gmap.cells)
     np.not_equal(ids, 0, out=gmap.observed)
     return gmap
 
@@ -691,10 +686,12 @@ def save_octree(tree: SemanticOctree, path) -> None:
     """Write a ``.ssmioct`` version 3 file: the header, then every node in
     preorder, an inner node as its child mask and a leaf as its belief's
     record (``TruncatedSemantics.record``: its mask, then the belief in
-    f64), built once per id from its row. The inner nodes are those a leaf
-    opens: one for each level above the leaf at which its start's trailing
-    octal digits are zero (the root counts for the leaf at code 0). Only
-    reads the tree; the bytes depend on its leaves alone."""
+    f64), built once per id from its row. The leaves are the tree's pruned
+    leaves, derived from its runs (``leaf_table()``). The inner nodes are
+    those a leaf opens: one for each level above the leaf at which its
+    start's trailing octal digits are zero (the root counts for the leaf at
+    code 0). Only reads the tree; the bytes depend on its element beliefs
+    alone."""
     parts = [
         OCTREE_MAGIC,
         _HEADER.pack(tree.element_size, tree.max_depth, tree.num_classes, *tree.origin,
@@ -719,8 +716,9 @@ def load_octree(path) -> SemanticOctree:
     trailing bytes, or holds a header or node record the format does not
     allow (no class or more than ``MAX_CLASSES`` among them, an extent that
     is zero or larger than the cube), a NaN or infinite prior or tracked
-    value, or a NaN or +inf lump. The tree holds the leaves the file holds,
-    pruned or not."""
+    value, or a NaN or +inf lump. The tree is the pruned tree of the
+    element beliefs the file holds: its leaves, with equal neighbours
+    joined into runs (``_set_leaves``)."""
     with open(path, "rb") as fh:
         buf = fh.read()
     pos = 0
@@ -789,7 +787,7 @@ def load_octree(path) -> SemanticOctree:
         except ValueError as err:
             raise CorruptMap(f"{path}: {err} before byte {pos}") from None
 
-    starts, sizes, rows = [], [], []
+    starts, rows = [], []
     code = 0  # the start of the next leaf
 
     def read_node(depth: int) -> None:
@@ -806,7 +804,6 @@ def load_octree(path) -> SemanticOctree:
             raise CorruptMap(f"{path}: tree deeper than max_depth {max_depth}")
         if not mask:
             starts.append(code)
-            sizes.append(1 << max_depth - depth)
             rows.append(_lumped_row(read_belief()))
             code += 1 << 3 * (max_depth - depth)
             return
@@ -818,6 +815,5 @@ def load_octree(path) -> SemanticOctree:
     read_node(0)
     if pos != len(buf):
         raise CorruptMap(f"{path}: {len(buf) - pos} trailing bytes")
-    tree._set_leaves(np.array(starts, dtype=np.int64), np.array(sizes, dtype=np.int64),
-                     tree._beliefs.ids(np.array(rows)))
+    tree._set_leaves(np.array(starts, dtype=np.int64), tree._beliefs.ids(np.array(rows)))
     return tree

@@ -95,7 +95,7 @@ def to_full(sem: TruncatedSemantics, num_classes: int) -> np.ndarray:
 
 def tree_leaves(tree) -> list:
     """(belief, low corner, edge in elements) of every leaf of a tree, read
-    from its leaf arrays, in preorder, which is Morton order; each id's
+    from its derived leaves, in preorder, which is Morton order; each id's
     belief is built once from its stored row, and each corner is its
     start's bits taken apart one by one."""
     table = tree.leaf_table()
@@ -116,7 +116,7 @@ def write_beliefs(tree, cells, sem) -> None:
     """Give every element of ``cells`` the belief ``sem`` (any belief, also
     one ``set_element`` cannot make from a full vector) in one write."""
     codes = np.unique(morton(*np.array(cells, dtype=np.int64).reshape(-1, 3).T))
-    tree._write(codes, tree._leaf_of(codes), np.repeat(belief_ids(tree, [sem]), codes.shape[0]))
+    tree._write(codes, tree._held(codes), np.repeat(belief_ids(tree, [sem]), codes.shape[0]))
 
 
 def f_logratio_rows(phi: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -449,15 +449,34 @@ def leaf_bits(leaves) -> list:
 def insert_scan_reference(tree, beams: Scan | list[BeamMeasurement], params: SensorParams):
     """``SemanticOctree.insert_scan`` on the dense references: the tree's
     element beliefs (``element_beliefs``) take one update per element
-    update in scan order (``scan_reference``), and the tree's arrays are
-    replaced by their pruned leaves (``pruned_leaves_reference``), beliefs
-    interned. The reference the grouped, memoized scan and its split and
-    merge write are held to, bit for bit."""
+    update in scan order (``scan_reference``), and the tree is set to
+    their pruned leaves (``pruned_leaves_reference``), beliefs interned.
+    The reference the grouped, memoized scan and its write, a splice of
+    runs, are held to, bit for bit."""
     leaves = pruned_leaves_reference(scan_reference(tree, element_beliefs(tree), beams, params))
     ids = belief_ids(tree, [sem for sem, _, _ in leaves])
-    tree._set_leaves(morton(*np.array([corner for _, corner, _ in leaves]).T),
-                     np.array([size for _, _, size in leaves], dtype=np.int64), ids)
+    tree._set_leaves(morton(*np.array([corner for _, corner, _ in leaves]).T), ids)
     return tree
+
+
+def leaves_of_runs_reference(starts, ids, max_depth: int):
+    """The leaves of runs of belief ids in Morton order (``starts``
+    ascending from 0, a run ending where the next begins, the last at the
+    cube's end), one run at a time in Python: from the run's start, the
+    largest aligned block that begins there and fits in the run, then on
+    from its end. Starts, sizes and ids in preorder, as ``octree._leaves``
+    gives them."""
+    ends = [*np.asarray(starts).tolist()[1:], 8 ** max_depth]
+    leaves = []
+    for start, end, i in zip(np.asarray(starts).tolist(), ends, np.asarray(ids).tolist()):
+        while start < end:
+            level = 0
+            while (level < max_depth and start % 8 ** (level + 1) == 0
+                   and start + 8 ** (level + 1) <= end):
+                level += 1
+            leaves.append((start, 1 << level, i))
+            start += 8 ** level
+    return tuple(np.array(column, dtype=np.int64) for column in zip(*leaves))
 
 
 def off_prior(tree, sem) -> bool:

@@ -1,5 +1,5 @@
 """Semantic octree: element updates against the dense grid, truncated-belief
-bookkeeping, the leaf arrays against the pruned leaves of dense element
+bookkeeping, the derived leaves against the pruned leaves of dense element
 beliefs, run-length ray casts, grid conversion, and every version of the
 file format."""
 
@@ -20,6 +20,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ssmi import logodds as lo
+from ssmi import octree
 from ssmi.config import config_from_dict
 from ssmi.errors import CorruptMap, InvalidClass, OriginOutOfBounds
 from ssmi.grid import BeamMeasurement, GridMap, Scan, SrleRay, load_grid, save_grid
@@ -33,6 +34,7 @@ from ssmi.octree import (
     TruncatedSemantics,
     _Beliefs,
     _LEAF,
+    _leaves,
     _lumped_row,
     _lumped_rows,
     grid_from_octree,
@@ -54,6 +56,7 @@ from conftest import (
     insert_scan_reference,
     leaf_bits,
     leaf_table_reference,
+    leaves_of_runs_reference,
     numpy_update,
     off_prior,
     planar_beam,
@@ -629,8 +632,11 @@ def test_lumped_labels_are_the_argmax_of_each_elements_full_belief():
 
 
 def assert_pruned(tree):
-    """The tree's leaves are the unique pruned leaves of its element
-    beliefs, bit for bit."""
+    """The tree's runs are canonical (the first starts at 0, the starts
+    ascend, and no two neighbours hold one id), and its leaves are the
+    unique pruned leaves of its element beliefs, bit for bit."""
+    starts, ids = tree._runs
+    assert starts[0] == 0 and (starts[1:] > starts[:-1]).all() and (ids[1:] != ids[:-1]).all()
     pruned = pruned_leaves_reference(element_beliefs(tree))
     assert leaf_bits(tree_leaves(tree)) == leaf_bits(pruned)
 
@@ -644,7 +650,8 @@ def test_single_beam_fresh_tree(params3):
         np.testing.assert_array_equal(to_full(tree.query_element((x, 3, 0)), 3), want)
     # octants the beam never touched stay single prior leaves
     assert tree.query_element((3, 3, 12)) == from_full(tree.prior)
-    upper = tree._leaf_of(morton(0, 0, 8))  # octant z >= 8, x < 8, y < 8
+    # the leaf of octant z >= 8, x < 8, y < 8
+    upper = int(np.searchsorted(tree.leaf_table().starts, morton(0, 0, 8), "right")) - 1
     assert tree_leaves(tree)[upper][1:] == ((0, 0, 8), 8)
 
 
@@ -769,6 +776,36 @@ def test_insert_scan_leaves_the_tree_pruned(k, clamp_limit):
         tree.insert_scan([random_beam(rng, k=k) for _ in range(int(rng.integers(1, 9)))], params)
         assert_pruned(tree)
     assert tree.num_leaves() > 8
+
+
+@st.composite
+def runs_case(draw):
+    """Runs of a tree of depth 1..16 (at 16 a level-16 block is 2**48
+    codes, and the blocks above it reach 2**51): the first at 0, the others
+    at codes drawn on an aligned boundary of a random level or an element
+    past or before one, and one id per run."""
+    depth = draw(st.integers(1, 16), label="depth")
+    cuts = set()
+    for _ in range(draw(st.integers(0, 12))):
+        level = draw(st.integers(0, depth))
+        code = (draw(st.integers(0, 8 ** (depth - level))) << 3 * level) + draw(
+            st.sampled_from([0, 0, 1, -1]))
+        if 0 < code < 8 ** depth:
+            cuts.add(code)
+    starts = np.array([0, *sorted(cuts)], dtype=np.int64)
+    return starts, np.arange(starts.shape[0], dtype=np.intp), depth
+
+
+@given(case=runs_case())
+@settings(max_examples=300, deadline=None)
+def test_the_leaves_of_runs_are_their_largest_aligned_blocks(case):
+    """``octree._leaves``, level by level over every run at once, gives the
+    leaves that ``leaves_of_runs_reference`` takes one block at a time:
+    the same starts, sizes and ids in preorder."""
+    starts, ids, depth = case
+    got, want = _leaves(starts, ids, depth), leaves_of_runs_reference(starts, ids, depth)
+    for name, a, b in zip(("starts", "sizes", "ids"), got, want):
+        assert a.tolist() == b.tolist(), name
 
 
 # -- run-length ray casts -----------------------------------------------------------
@@ -909,7 +946,7 @@ def runs_reference(beliefs, cells, prior):
 @example(case=_signed_zero_leaf_case())
 @settings(max_examples=150, deadline=None)
 def test_leaf_table_reads_equal_the_element_loop(case):
-    """The reads served from the leaf arrays against a loop over the
+    """The reads served from the tree's runs against a loop over the
     elements' beliefs, filled block by block from the leaves:
     ``encode_traces`` and each beam's ``encode_trace`` against the stacked
     ``runs_reference`` (widths, and chi bytes, so signed zeros count),
@@ -1103,24 +1140,27 @@ def read_all(tree, beam):
 
 
 def test_leaf_table_is_made_again_only_after_the_tree_changes(params3, caplog, tmp_path):
-    """One table serves every read until a write changes an element; a scan
-    that changes no element, or a ``set_element`` of the value held, keeps
-    it, and the write that completes a block merges it. Every write logs
-    one line with the leaves it leaves and the beliefs stored."""
+    """One pair of run arrays serves every read until a write changes an
+    element; a scan that changes no element, or a ``set_element`` of the
+    value held, keeps it, and the write that completes a block merges it.
+    Every write logs one line with the runs it leaves, the beliefs stored
+    and the elements it changed."""
     tree = SemanticOctree(1.0, 3, 3)
     beam = planar_beam((0.0, 3.5), 0.0, 5.5, 2, 8.0, z=3.5)
 
     def revision():
-        """The table of every read since the last call, after checking the
-        last write's line against the tree."""
-        table = tree.leaf_table()
+        """The run pair of every read since the last call, after checking
+        the last write's line against the tree."""
+        table = tree._runs
         read_all(tree, beam)
-        assert tree.leaf_table() is table
-        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("leaf table")]
+        assert tree._runs is table
+        lines = [r.getMessage() for r in caplog.records
+                 if r.getMessage().startswith("octree write")]
         if lines:
-            assert re.fullmatch(r"leaf table: \d+ leaves, \d+ beliefs, \d+ leaves split, "
-                                r"\d+ merged, \d+\.\d{3} ms", lines[-1])
-            assert lines[-1].split()[2:5:2] == [str(tree.num_leaves()), str(len(tree._beliefs))]
+            assert re.fullmatch(r"octree write: \d+ runs, \d+ beliefs, \d+ changed, "
+                                r"\d+\.\d{3} ms", lines[-1])
+            assert lines[-1].split()[2:5:2] == [str(tree._runs[0].shape[0]),
+                                                str(len(tree._beliefs))]
         return table
 
     with caplog.at_level(logging.DEBUG, logger="ssmi.octree"):
@@ -1140,8 +1180,8 @@ def test_leaf_table_is_made_again_only_after_the_tree_changes(params3, caplog, t
             tree.set_element(cell, h)
             assert revision() is not table
             table = revision()
-        assert caplog.records[-1].getMessage().split(", ")[2:4] == ["0 leaves split", "1 merged"]
-        merged = tree._leaf_of(morton(6, 6, 6))
+        assert caplog.records[-1].getMessage().split(", ")[2] == "1 changed"
+        merged = int(np.searchsorted(tree.leaf_table().starts, morton(6, 6, 6), "right")) - 1
         assert tree_leaves(tree)[merged][1:] == ((6, 6, 6), 2)
         assert_pruned(tree)
         save_octree(tree, tmp_path / "t.ssmioct")
@@ -1162,7 +1202,7 @@ def assert_table_is_the_reference(tree):
     for name in ("rows", "full"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
     labels = np.array([np.argmax(row) for row in want.full], dtype=np.intp)
-    assert tree.labels_observed()[0].tobytes() == labels[tree._box_ids(None)[1]].tobytes()
+    assert tree.labels_observed()[0].tobytes() == labels[tree._box_ids(None)].tobytes()
     assert tree.map_state() == leaf_sums(tree, ((0, 0, 0), tree.dims))
     assert_one_id_per_value(tree)
 
@@ -1359,7 +1399,7 @@ def test_a_beliefs_id_and_rows_stay_through_later_scans_and_reads():
     for i in dropped[:20]:
         tree.set_element((0, 0, 0), to_full(first[i][0], tree.num_classes))
         table = tree.leaf_table()
-        assert table.element_ids(origin).tolist() == [i] and rows(table, i) == first[i][1]
+        assert tree._held(origin).tolist() == [i] and rows(table, i) == first[i][1]
 
 
 def test_every_stored_belief_was_put_on_a_leaf_by_a_lumped_scan():
@@ -1413,7 +1453,7 @@ def test_the_batched_entropy_of_new_beliefs_is_the_reference_bit_for_bit(data):
     order = np.argsort(codes)
     store = tree._beliefs
     ids = store.ids(np.array([_lumped_row(sem) for sem in beliefs]))
-    tree._write(codes[order], tree._leaf_of(codes[order]), ids[order])
+    tree._write(codes[order], tree._held(codes[order]), ids[order])
     table = tree.leaf_table()
     for cell, i, sem in zip(cells.tolist(), ids.tolist(), beliefs):
         box = (cell, [c + 1 for c in cell])
@@ -1466,7 +1506,7 @@ def test_k3_scans_intern_only_rows_the_store_has_not_seen():
     beliefs, the index is the rows' bytes, one id per bit pattern, the
     store only appends, and each scan appends the new bit patterns its
     write put on leaves, each once. A twin tree whose store is rebuilt
-    from its rows before every scan keeps the same leaf arrays and the
+    from its rows before every scan keeps the same leaves and the
     same store, id for id."""
     indexed, fresh = SemanticOctree(1.0, 2, 3), SemanticOctree(1.0, 2, 3)
     params = SensorParams.default(3, clamp_limit=40.0)
@@ -1476,7 +1516,7 @@ def test_k3_scans_intern_only_rows_the_store_has_not_seen():
         store, table = fresh._beliefs, fresh.leaf_table()
         fresh._beliefs = _Beliefs(store.rows[:1], 3)
         fresh._beliefs.ids(store.rows[1:])
-        fresh._set_leaves(table.starts, table.sizes, table.ids)
+        fresh._set_leaves(table.starts, table.ids)
         assert fresh._beliefs.index == store.index
         before = [row.tobytes() for row in indexed._beliefs.rows]
         for tree in (indexed, fresh):
@@ -1598,7 +1638,6 @@ def test_grouped_scan_is_the_per_update_writer_bit_for_bit(case, tmp_path_factor
     trees = [SemanticOctree(1.0, depth, k, prior=prior) for _ in range(2)]
     for tree in trees:
         paint(tree, blocks)
-    trees[0].leaf_table()  # a table of the painted tree, held across the scans
     path = tmp_path_factory.mktemp("grouped")
     for scan in scans:
         trees[0].insert_scan(scan, params)
@@ -1663,7 +1702,7 @@ def assert_one_id_per_value(tree):
 
 
 def element_id(tree, cell) -> int:
-    return int(tree.leaf_table().element_ids(tree._code(cell)))
+    return int(tree._held(tree._code(cell)))
 
 
 def test_tree_holds_one_id_per_exact_belief(a7_octree_tree, params3, rng, tmp_path):
@@ -1710,8 +1749,10 @@ def test_concurrent_reads_after_a_scan_all_see_the_scanned_tree(params3):
 
 def test_a7_octree_episode_is_byte_identical_on_the_references(tmp_path, monkeypatch):
     """World 0 of the A7 config on the octree writes the same bytes with the
-    dense per-update scan (``insert_scan_reference``) and a leaf table whose
-    rows are computed afresh on every write."""
+    dense per-update scan (``insert_scan_reference``), the leaves of every
+    read derived one run at a time (``leaves_of_runs_reference``), and the
+    rows of every stored belief computed afresh whenever the store interns
+    a row."""
     from ssmi import cli
 
     config = tmp_path / "a7.json"
@@ -1723,14 +1764,18 @@ def test_a7_octree_episode_is_byte_identical_on_the_references(tmp_path, monkeyp
             "metrics.csv", "plans.txt", "summary.json", "final_map.ssmioct", "env_truth.ssmigrid")}
 
     fast = explore(tmp_path / "fast")
-    set_leaves = SemanticOctree._set_leaves
+    intern = _Beliefs.ids
 
-    def set_leaves_reference(tree, starts, sizes, ids):
-        set_leaves(tree, starts, sizes, ids)
-        tree._leaves = leaf_table_reference(tree)
+    def ids_reference(store, rows):
+        ids = intern(store, rows)
+        beliefs = [store.semantics(i) for i in range(len(store))]
+        store.rows = np.array([_lumped_row(sem) for sem in beliefs])
+        store.full = np.array([to_full(sem, store.num_classes) for sem in beliefs])
+        return ids
 
     monkeypatch.setattr(SemanticOctree, "insert_scan", insert_scan_reference)
-    monkeypatch.setattr(SemanticOctree, "_set_leaves", set_leaves_reference)
+    monkeypatch.setattr(octree, "_leaves", leaves_of_runs_reference)
+    monkeypatch.setattr(_Beliefs, "ids", ids_reference)
     assert explore(tmp_path / "reference") == fast
 
 
@@ -1828,7 +1873,7 @@ def test_aggregates_reject_boxes_outside_the_map(kind, params3):
     fractional = ((0, 0, 0), (1.5, 2, 2))  # the octree once counted 6 elements in it
     whole_float = ((0, 0, 0.0), (2, 2, 2))
     planar = ((0, 0), (2, 2))  # the grid once read it as the whole z extent
-    for box in (inverted, past_extent, negative_corner, fractional, whole_float, planar):
+    for box in (inverted, past_extent, negative_corner, fractional, whole_float, planar, 5):
         for query in (m.map_state, m.labels_observed):
             with pytest.raises(ValueError):
                 query(box)
@@ -2076,6 +2121,25 @@ def test_save_octree_leaves_tree_unchanged(params3, rng, tmp_path):
     assert state(tree) == before
 
 
+def test_a_file_of_unpruned_leaves_loads_to_its_pruned_tree(tmp_path):
+    """A hand-made v3 file whose root holds eight element leaves of one
+    belief, the prior's, loads to a one-leaf tree of those element beliefs
+    and saves again as a fresh tree's bytes."""
+    fresh = SemanticOctree(1.0, 1, 3)
+    path = tmp_path / "t.ssmioct"
+    save_octree(fresh, path)
+    want = path.read_bytes()
+    record = fresh._beliefs.semantics(0).record
+    assert want.endswith(record)
+    path.write_bytes(want[:-len(record)] + b"\xff" + record * 8)
+    tree = load_octree(path)
+    assert tree.num_leaves() == 1 and tree.leaf_table().sizes.tolist() == [2]
+    assert all(tree.query_element(cell).record == record
+               for cell in itertools.product(range(2), repeat=3))
+    save_octree(tree, path)
+    assert path.read_bytes() == want
+
+
 def scanned_tree(k, clamp_limit, scans=12):
     """Scans that alternate between two origins into a fresh tree, so cells
     are revisited often enough to saturate."""
@@ -2174,7 +2238,7 @@ def with_dims(tree, dims):
                          tree.origin, dims)
     out._beliefs = tree._beliefs
     table = tree.leaf_table()
-    out._set_leaves(table.starts, table.sizes, table.ids)
+    out._set_leaves(table.starts, table.ids)
     return out
 
 
@@ -2258,9 +2322,35 @@ def test_tree_file_keeps_its_world(tmp_path, dims):
 
 
 def test_tree_world_must_fit_its_cube():
-    for dims in ((9, 8, 8), (8, 8, 9), (0, 4, 4), (4, 4, 4, 4), (4, 4)):
+    for dims in ((9, 8, 8), (8, 8, 9), (0, 4, 4), (4, 4, 4, 4), (4, 4), (2.7, 4, 4)):
         with pytest.raises(ValueError, match="dims"):
             SemanticOctree(1.0, 3, 3, dims=dims)
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: GridMap((8, 8, 8), 1.0, 3.7), "num_classes"),
+    (lambda: GridMap((8, 8, 8), 1.0, "3"), "num_classes"),
+    (lambda: SemanticOctree(1.0, 3, 3.7), "num_classes"),
+    (lambda: GridMap((2.7, 2), 1.0, 3), "dims"),
+    (lambda: GridMap((8, "8", 8), 1.0, 3), "dims"),
+    (lambda: SemanticOctree(1.0, 0, 3), "max_depth"),
+    (lambda: SemanticOctree(1.0, 17, 3), "max_depth"),
+    (lambda: SemanticOctree(1.0, 2.5, 3), "max_depth"),
+    (lambda: SemanticOctree(1.0, "2", 3), "max_depth"),
+])
+def test_map_constructors_refuse_extents_depths_and_k_that_are_not_integers(make, match):
+    """Both maps read their extents, depth and K as integers: one that is
+    not an integer, or out of range, raises ValueError naming it, where a
+    float was once cut (2.7 extents made 2, depth 2.5 made 2) or raised
+    TypeError; numpy integers are integers."""
+    with pytest.raises(ValueError, match=match) as info:
+        make()
+    assert type(info.value) is ValueError
+    grid = GridMap(np.array([4, 3]), 1.0, np.int64(3))
+    assert (grid.dims, grid.num_classes) == ((4, 3, 1), 3)
+    tree = SemanticOctree(1.0, np.uint8(2), np.int16(3), dims=np.array([4, 3, 2]))
+    assert (tree.max_depth, tree.num_classes, tree.dims) == (2, 3, (4, 3, 2))
+    assert all(type(v) is int for v in (*grid.dims, *tree.dims, tree.max_depth, tree.num_classes))
 
 
 def element_size(value: float):

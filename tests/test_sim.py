@@ -390,7 +390,7 @@ def test_debug_log_has_scan_and_cycle_lines_and_leaves_metrics_alone(caplog):
     world, *cycles = [r.getMessage() for r in caplog.records if r.name == "ssmi.sim"]
     assert world.startswith("world random (16, 16, 1): ")
     scans = [m for m in octree if m.startswith("insert_scan")]
-    tables = [m for m in octree if m.startswith("leaf table")]
+    tables = [m for m in octree if m.startswith("octree write")]
     assert len(scans) + len(tables) == len(octree)
     assert len(tables) == len(scans)  # one per scan write
     assert scans and all(
@@ -398,8 +398,7 @@ def test_debug_log_has_scan_and_cycle_lines_and_leaves_metrics_alone(caplog):
                      r"\d+ beliefs added", m) for m in scans
     )
     assert tables and all(
-        re.fullmatch(r"leaf table: \d+ leaves, \d+ beliefs, \d+ leaves split, \d+ merged, "
-                     r"\d+\.\d{3} ms", m)
+        re.fullmatch(r"octree write: \d+ runs, \d+ beliefs, \d+ changed, \d+\.\d{3} ms", m)
         for m in tables
     )
     plans = [r.getMessage() for r in caplog.records if r.name == "ssmi.planner"]
