@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy import ndimage
 
 from . import mi as mi_mod
 from .config import PlannerConfig
@@ -74,18 +73,22 @@ class PlanView:
         return table.ravel().tolist()
 
     @cached_property
-    def search_context(self) -> tuple[list[int], np.ndarray, tuple, tuple[float, ...]]:
+    def search_context(self) -> tuple[list[int], np.ndarray, tuple, tuple[float, ...], list[int]]:
         """What every search on this view shares, built on its first search:
         the move table, the 4-connected component label of each cell of
-        ``free`` (0 for a blocked cell), the memoized moves of each move mask
-        and the memoized heuristic table for the view's shape and resolution
-        (``_moves_by_mask``, ``_heuristic_table``). Under the no-corner-cutting
-        rule a diagonal move needs both orthogonal cells free, so two free
-        cells are joined by a path exactly when they share a label."""
+        ``free`` (``label``, 0 for a blocked cell), the memoized moves of each
+        move mask, the memoized heuristic table for the view's shape and
+        resolution (``_moves_by_mask``, ``_heuristic_table``) and one parent
+        list over the move table. Under the no-corner-cutting rule a diagonal
+        move needs both orthogonal cells free, so two free cells are joined
+        by a path exactly when they share a label. The searches share the
+        parent list unreset: a search reads a cell's parent only on its
+        path back from the goal, and it wrote every one of those itself."""
         nx, ny = self.free.shape
-        return (self.move_table, ndimage.label(self.free)[0],
+        table = self.move_table
+        return (table, label(self.free),
                 _moves_by_mask(_row_stride(ny), self.resolution),
-                _heuristic_table(nx, ny, self.resolution))
+                _heuristic_table(nx, ny, self.resolution), [0] * len(table))
 
     def cell_center(self, cell) -> tuple[float, float, float]:
         return (self.origin[0] + (cell[0] + 0.5) * self.resolution,
@@ -128,14 +131,18 @@ def find_frontiers(view: PlanView, min_size: int = 3) -> list[Frontier]:
     """All frontier clusters, largest first (ties by lowest cell index).
 
     A frontier cell is free-labeled and 4-adjacent to at least one unknown
-    cell; clusters are 8-connected components. Raises NoFrontiers when the
-    boundary is empty, which signals that exploration is complete.
+    cell; clusters are 8-connected components (``label`` with
+    ``diagonal``). Raises NoFrontiers when the boundary is empty, which
+    signals that exploration is complete.
 
     Every cluster comes out of one pass over the labelled cells: one
     stable sort by label gives each cluster's ``cells`` as ``np.intp`` rows
-    in row-major order, and each cluster's centroid, its cell nearest to
-    the mean of its cells (ties by lowest cell index), is picked for all
-    clusters at once.
+    in row-major order, each cluster's centroid, its cell nearest to the
+    mean of its cells (ties by lowest cell index), is picked for all
+    clusters at once, and one stable sort by size puts the kept clusters in
+    the order their ``Frontier`` objects are built in: ``label`` numbers
+    the clusters in the order of their first cells, so clusters of one size
+    stay in that order.
     """
     unk = view.unknown
     near_unknown = np.zeros_like(unk)
@@ -144,9 +151,8 @@ def find_frontiers(view: PlanView, min_size: int = 3) -> list[Frontier]:
     near_unknown[:, 1:] |= unk[:, :-1]
     near_unknown[:, :-1] |= unk[:, 1:]
     boundary = view.free & near_unknown
-    labels, _ = ndimage.label(boundary, structure=np.ones((3, 3), dtype=int))
     ny = boundary.shape[1]
-    labels = labels.ravel()
+    labels = label(boundary, diagonal=True).ravel()
     members = np.flatnonzero(labels)  # row-major
     members = members[np.argsort(labels[members], kind="stable")]
     cluster = labels[members]
@@ -159,12 +165,60 @@ def find_frontiers(view: PlanView, min_size: int = 3) -> list[Frontier]:
     mean = np.add.reduceat(cells, starts, axis=0) / sizes[:, None]
     d2 = np.sum((cells - np.repeat(mean, sizes, axis=0)) ** 2, axis=1)
     picks = np.lexsort((members, d2, cluster))[starts]
-    frontiers = [
+    kept = kept[np.argsort(-sizes[kept], kind="stable")]
+    return [
         Frontier(cells=cells[start:start + size], centroid=(int(cells[pick, 0]), int(cells[pick, 1])))
         for start, size, pick in zip(starts[kept].tolist(), sizes[kept].tolist(), picks[kept].tolist())
     ]
-    frontiers.sort(key=lambda f: (-f.size, f.cells[0, 0] * ny + f.cells[0, 1]))
-    return frontiers
+
+
+def label(mask: np.ndarray, diagonal: bool = False) -> np.ndarray:
+    """The connected components of a 2-D boolean ``mask``, numbered 1, 2, ...
+    in the row-major order of their first cells, 0 off the mask, as
+    ``int32``: the array of ``ndimage.label``, which the tests hold it to.
+    Cells join through their 4 edge neighbours, and with ``diagonal``
+    through all 8.
+
+    Union-find over the mask's row runs, numbered in row-major order. A run
+    joins the runs of the row above whose columns overlap its own (with
+    ``diagonal``, also those that touch it at a corner): one contiguous
+    range of runs, found by two binary searches over the runs' first and
+    stop keys ``row * width + column``, rows ``width`` apart with a blank
+    column at each end. A union keeps the smaller root, so each
+    component's root is its first run, and numbering the roots in order
+    numbers the components."""
+    mask = np.asarray(mask, dtype=bool)
+    nx, ny = mask.shape
+    width = ny + 2
+    padded = np.zeros((nx, width), dtype=bool)
+    padded[:, 1:-1] = mask
+    flat = padded.ravel()
+    edges = (flat[1:] != flat[:-1]).nonzero()[0] + 1
+    first, stop = edges[0::2], edges[1::2]
+    touch = 1 if diagonal else 0
+    above = zip(stop.searchsorted(first - width - touch, "right").tolist(),
+                first.searchsorted(stop - width + touch, "left").tolist())
+    root = list(range(first.size))
+    for run, (lo, hi) in enumerate(above):
+        r = run  # the root of this run's set so far
+        for a in range(lo, hi):
+            while root[a] != a:
+                a = root[a]
+            if a < r:
+                root[r] = a
+                r = a
+            elif a > r:
+                root[a] = r
+    number, count = [], 0  # root[i] <= i is a run of the same set, numbered already
+    for i, r in enumerate(root):
+        if r == i:
+            count += 1
+            number.append(count)
+        else:
+            number.append(number[r])
+    out = np.zeros(mask.shape, dtype=np.int32)
+    out[mask] = np.array(number, dtype=np.int32).repeat(stop - first)
+    return out
 
 
 def plan_path(view: PlanView, start: tuple[int, int], goal: tuple[int, int]):
@@ -198,7 +252,7 @@ def plan_path(view: PlanView, start: tuple[int, int], goal: tuple[int, int]):
         raise Unreachable(f"goal {goal} is not free-labeled")
     if start == goal:
         return [start], view.resolution
-    table, components, moves_of, heuristic = view.search_context
+    table, components, moves_of, heuristic, parent = view.search_context
     if components[start[0], start[1]] != components[goal[0], goal[1]]:
         raise Unreachable(f"no free path from {start} to {goal}")
 
@@ -209,7 +263,6 @@ def plan_path(view: PlanView, start: tuple[int, int], goal: tuple[int, int]):
 
     g_cost = [math.inf] * len(table)
     g_cost[source] = 0.0
-    parent = [0] * len(table)
     counter = 0
     heap = [(heuristic[source + shift], counter, source)]
     closed = bytearray(len(table))

@@ -2,12 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import ssmi
 from ssmi import check
 from ssmi.cli import main
 from ssmi.config import config_from_dict
@@ -89,6 +94,41 @@ def test_explore_smoke(tmp_path, capsys):
     assert (out / "timings.csv").exists()
     summary = json.loads((out / "summary.json").read_text())
     assert summary["steps"] >= 1
+
+
+# run in a fresh interpreter in which any import of scipy fails, as on an
+# install of the package without the dev extra
+WITHOUT_SCIPY = """\
+import importlib.abc
+import sys
+
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"{name} is not installed")
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
+from ssmi import cli
+
+code = cli.main(["explore", "--config", sys.argv[1], "--out", sys.argv[2]])
+assert code == 0, f"exit {code}"
+assert "scipy" not in sys.modules
+"""
+
+
+def test_explore_runs_without_scipy(tmp_path):
+    """The command line needs no scipy: ``ssmi.cli`` imports and a 2-step
+    episode on a 16x16 world runs with every scipy import failing."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(Path(ssmi.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", WITHOUT_SCIPY, write_config(tmp_path), str(tmp_path / "run")],
+        capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "run" / "final_map.ssmigrid").exists()
 
 
 # the A7 acceptance config with five classes: in world 4 the information

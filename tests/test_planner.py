@@ -8,8 +8,9 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from ssmi import logodds as lo
 from ssmi import planner as planner_mod
@@ -231,6 +232,39 @@ def test_one_pass_frontiers_are_the_per_label_scan(case):
             == frontier_outcome(find_frontiers_reference, view, min_size))
 
 
+@st.composite
+def label_mask(draw):
+    """A 2-D mask for ``planner.label``, 1-24 cells a side: random at a
+    drawn density, all false, all true, or a checkerboard, whose cells join
+    only at their corners."""
+    shape = (draw(st.integers(1, 24)), draw(st.integers(1, 24)))
+    kind = draw(st.sampled_from(["random", "empty", "full", "checkerboard"]))
+    if kind == "checkerboard":
+        return np.indices(shape).sum(axis=0) % 2 == draw(st.integers(0, 1))
+    if kind == "random":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        return rng.random(shape) < draw(st.floats(0.0, 1.0))
+    return np.full(shape, kind == "full")
+
+
+@given(mask=label_mask())
+@example(mask=np.ones((1, 1), dtype=bool))
+@example(mask=np.zeros((1, 1), dtype=bool))
+@example(mask=np.array([[True, False, True, True, False, True]]))
+@example(mask=np.array([[True], [False], [True], [True], [False], [True]]))
+@example(mask=np.indices((6, 7)).sum(axis=0) % 2 == 0)
+@example(mask=np.indices((1, 5)).sum(axis=0) % 2 == 1)
+@settings(max_examples=500, deadline=None)
+def test_label_is_ndimage_label(mask):
+    """``planner.label`` gives ``scipy.ndimage.label``'s array, dtype and
+    numbering included, with 4- and with 8-connectivity."""
+    for got, want in ((planner_mod.label(mask), ndimage.label(mask)[0]),
+                      (planner_mod.label(mask, diagonal=True),
+                       ndimage.label(mask, structure=np.ones((3, 3), dtype=int))[0])):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
 # -- paths ---------------------------------------------------------------------
 
 
@@ -378,14 +412,19 @@ def astar_case(draw):
     return view, start, goal
 
 
-@given(case=astar_case())
+@given(case=astar_case(), data=st.data())
 @settings(max_examples=400, deadline=None)
-def test_flat_id_astar_is_the_cell_astar(case):
+def test_flat_id_astar_is_the_cell_astar(case, data):
     """``plan_path`` on padded flat ids against the A* on (x, y) cells it
-    replaced: the same path, the same cost bits, the same messages."""
+    replaced: the same path, the same cost bits, the same messages, also
+    for the further searches on the same view, which share its search
+    context and so one parent list."""
     view, start, goal = case
-    assert (search_outcome(plan_path, view, start, goal)
-            == search_outcome(plan_path_reference, view, start, goal))
+    nx, ny = view.free.shape
+    cell = st.tuples(st.integers(0, nx - 1), st.integers(0, ny - 1))
+    for start, goal in [(start, goal)] + data.draw(st.lists(st.tuples(cell, cell), max_size=4)):
+        assert (search_outcome(plan_path, view, start, goal)
+                == search_outcome(plan_path_reference, view, start, goal))
 
 
 def test_flat_id_astar_on_episode_views(monkeypatch):
