@@ -39,9 +39,9 @@ one geometry.
 A belief is its row for every K (``_lumped_row``: three classes, their values, the lump),
 whose bytes stand one to one for its ``.ssmioct`` leaf record. The tree's
 store interns every row by its bytes, so equal values share one id
-(``0.0`` and ``-0.0`` stay apart); ``insert_scan`` interns each distinct
-new row once and skips the elements whose row bits it leaves as they
-were. The store holds the beliefs writes put on leaves, for the tree's
+(``0.0`` and ``-0.0`` stay apart); every writer hands ``_write`` its
+elements' rows, and an element whose row interns to the id it holds is
+not written. The store holds the beliefs writes put on leaves, for the tree's
 life, so a belief's id and its rows never change: per id its stored row
 and its full K+1 row, both made when the row is interned. What a reader
 derives from a belief is made by the read that uses it: ``map_state``
@@ -152,9 +152,9 @@ class _Beliefs:
     ``full`` row, the full K+1 log-odds with untracked classes splitting
     the lump evenly, made with the stored row when the row is interned.
     The store is append-only: each id keeps its rows for the tree's life,
-    and each append makes new arrays, so a table made earlier keeps the
-    old ones. The prior is id 0, so an element is observed when its id is
-    not 0."""
+    numbered as writes first hand them in; a row seen before gets its id
+    back, which is how ``_write`` finds the elements it leaves. The prior
+    is id 0, so an element is observed when its id is not 0."""
 
     def __init__(self, prior_row: np.ndarray, num_classes: int):
         self.num_classes = num_classes
@@ -198,23 +198,18 @@ class _Beliefs:
 @dataclass(frozen=True)
 class LeafTable:
     """One revision of a tree for a reader: its pruned leaves in preorder,
-    which is Morton order, derived from its runs (``_leaves``), and the
-    rows of their beliefs.
+    which is Morton order, derived from its runs (``_leaves``).
 
     Per leaf: ``starts`` (the Morton code of its low corner, ascending),
     ``sizes`` (its edge in elements), and ``ids``, the id of its belief in
-    the tree's interned beliefs, so equal ids are equal bits, and id 0 is
-    the prior. Per belief id, the store's ``rows`` and ``full`` rows
-    (``_Beliefs``) as they were when the table was made; ids that no leaf
-    holds any more keep their rows, and a later table gives every id the
-    rows it had here. A write replaces the tree's runs and never changes
-    them in place, so a table stays as it was made."""
+    the tree's interned beliefs (``_Beliefs``, whose rows of an id never
+    change), so equal ids are equal bits, and id 0 is the prior. A write
+    replaces the tree's runs and never changes them in place, so a table
+    stays as it was made."""
 
     starts: np.ndarray
     sizes: np.ndarray
     ids: np.ndarray
-    rows: np.ndarray
-    full: np.ndarray
 
 
 def _leaves(starts: np.ndarray, ids: np.ndarray,
@@ -434,22 +429,24 @@ class SemanticOctree:
 
     # -- updates ---------------------------------------------------------------
 
-    def _write(self, codes, old, new) -> None:
+    def _write(self, codes, rows: np.ndarray) -> int:
         """The one writer: give the elements at the ascending, distinct
-        Morton ``codes``, which hold the belief ids ``old``, the ids
-        ``new``.
+        Morton ``codes`` the stored rows ``rows`` (N, 7), interned by the
+        store (``_Beliefs.ids``); return how many elements changed.
 
-        Elements that keep their id are dropped. Each changed element ``c``
-        begins a run of its new id, and the run of the id held at ``c + 1``
-        begins again there (inside the cube). These entries and the current
-        runs, stable-sorted by start with the changed elements last, keep
-        the last entry per start; an entry whose id is its predecessor's
-        then joins it (``_set_leaves``), so the runs stay maximal and the
-        tree pruned. One DEBUG line reports the runs, the store size and
-        the changed elements."""
+        Elements whose new id is the one they hold are dropped. Each changed
+        element ``c`` begins a run of its new id, and the run of the id
+        held at ``c + 1`` begins again there (inside the cube). These
+        entries and the current runs, stable-sorted by start with the
+        changed elements last, keep the last entry per start; an entry
+        whose id is its predecessor's then joins it (``_set_leaves``), so
+        the runs stay maximal and the tree pruned. One DEBUG line reports
+        the runs, the store size and the changed elements."""
         t0 = time.perf_counter()
-        changed = new != old
-        if changed.any():
+        new = self._beliefs.ids(rows)
+        changed = new != self._held(codes)
+        count = int(np.count_nonzero(changed))
+        if count:
             codes, new = codes[changed], new[changed]
             after = codes + 1
             after = after[after < 1 << 3 * self.max_depth]
@@ -462,8 +459,9 @@ class SemanticOctree:
             held = np.concatenate((ids, self._held(after), new))[order]
             self._set_leaves(entries[last], held[last])
         log.debug("octree write: %d runs, %d beliefs, %d changed, %.3f ms",
-                  self._runs[0].shape[0], len(self._beliefs), np.count_nonzero(changed),
+                  self._runs[0].shape[0], len(self._beliefs), count,
                   (time.perf_counter() - t0) * 1e3)
+        return count
 
     def set_element(self, cell, h: np.ndarray) -> None:
         """Write an element belief directly (scene construction): a
@@ -475,7 +473,7 @@ class SemanticOctree:
         if h.shape != (self.num_classes + 1,) or h[0] != 0.0:
             raise ValueError(f"element log-odds must be K+1 = {self.num_classes + 1} values "
                              f"with zero pivot, got {h.tolist()}")
-        self._write(codes, self._held(codes), self._beliefs.ids(_lumped_rows(h[None])))
+        self._write(codes, _lumped_rows(h[None]))
 
     def insert_scan(self, beams: Scan | list[BeamMeasurement],
                     params: SensorParams) -> "SemanticOctree":
@@ -495,11 +493,9 @@ class SemanticOctree:
         depends on K: full rows (``_Beliefs.full``) and the grid's own
         update with K <= 3 (``grid._apply_rounds``), lumped rows
         (``_Beliefs.rows``) and the lumped update with K > 3
-        (``_lumped_rounds``). Each distinct row that changed (in its bits,
-        or with K <= 3 from a belief tracking fewer than K classes, which
-        only a file holds) takes its id from the store as a lumped row
-        (``_Beliefs.ids``; ``_lumped_rows`` of it with K <= 3). An element
-        that ends where it began is not written."""
+        (``_lumped_rounds``). ``_write`` takes every element's stored row
+        (``_lumped_rows`` of it with K <= 3) and writes the elements whose
+        id it changes: one that ends where it began is not written."""
         if params.num_classes != self.num_classes:
             raise ValueError("sensor parameters and tree disagree on K")
         cells, rows = scan_updates(beams, self.origin, self.element_size, self.dims,
@@ -507,31 +503,18 @@ class SemanticOctree:
         codes = morton(*cells.T)
         order, first, by_round, bounds = _rounds(codes)
         codes = codes[order][first]
-        held = self._held(codes)
         # each update's element (an index into codes) and model row, by round
         keys, rows = (np.cumsum(first) - 1)[by_round], rows[order[by_round]]
         store = self._beliefs
         size = len(store)
         lumped = self.num_classes > 3
-        was = (store.rows if lumped else store.full)[held]
-        table = was.copy()
+        table = (store.rows if lumped else store.full)[self._held(codes)]
         (_lumped_rounds if lumped else _apply_rounds)(table, keys, rows, bounds, params,
                                                       self.prior)
-        # each row as one value of its bytes, so that 0.0 and -0.0 differ
-        row_bytes = np.dtype((np.void, table.itemsize * table.shape[1]))
-        fresh = table.view(row_bytes)[:, 0]
-        changed = fresh != was.view(row_bytes)[:, 0]
-        if not lumped:
-            changed |= store.rows[held, self.num_classes - 1] == _EMPTY
-        (changed,) = np.nonzero(changed)
-        _, at, distinct = np.unique(fresh[changed], return_index=True, return_inverse=True)
-        at = changed[at]
-        new = held.copy()
-        new[changed] = store.ids(table[at] if lumped else _lumped_rows(table[at]))[distinct]
+        changed = self._write(codes, table if lumped else _lumped_rows(table))
         log.debug("insert_scan: %d beams, %d updates of %d elements, %d changed, "
-                  "%d beliefs added", len(beams), len(rows), len(held),
-                  np.count_nonzero(new != held), len(store) - size)
-        self._write(codes, held, new)
+                  "%d beliefs added", len(beams), len(rows), len(codes), changed,
+                  len(store) - size)
         return self
 
     # -- ray casting -------------------------------------------------------------
@@ -593,10 +576,8 @@ class SemanticOctree:
         return self.leaf_table().ids.shape[0]
 
     def leaf_table(self) -> LeafTable:
-        """The tree's pruned leaves as they are now (``_leaves``), with the
-        rows of the beliefs they hold."""
-        store = self._beliefs
-        return LeafTable(*_leaves(*self._runs, self.max_depth), store.rows, store.full)
+        """The tree's pruned leaves as they are now (``_leaves``)."""
+        return LeafTable(*_leaves(*self._runs, self.max_depth))
 
     def _box_ids(self, box) -> np.ndarray:
         """An int array over a half-open element box ((lo), (hi)) inside
@@ -628,7 +609,7 @@ class SemanticOctree:
         corners = _corners(table.starts, self.max_depth)
         ends = corners + table.sizes[:, None]
         n = np.prod(np.maximum(np.minimum(ends, hi) - np.maximum(corners, lo), 0), axis=1)
-        rows = table.rows
+        rows = self._beliefs.rows
         padded = np.concatenate((np.zeros((rows.shape[0], 1)), rows[:, 3:]), axis=1)
         entropy = -np.sum(logodds.entropy_terms(padded), axis=-1)
         # a running sum from 0.0, as a loop over the leaves adds; numpy's
@@ -656,8 +637,7 @@ def octree_from_grid(gmap: GridMap) -> SemanticOctree:
     )
     codes = morton(*np.indices(gmap.dims).reshape(3, -1))
     order = np.argsort(codes)
-    new = tree._beliefs.ids(_lumped_rows(gmap.cells.reshape(-1, gmap.num_classes + 1)[order]))
-    tree._write(codes[order], tree._held(codes[order]), new)
+    tree._write(codes[order], _lumped_rows(gmap.cells.reshape(-1, gmap.num_classes + 1)[order]))
     return tree
 
 
@@ -778,7 +758,8 @@ def load_octree(path) -> SemanticOctree:
         (others,) = take(f"<{real}")
         # a stable sort on the value alone keeps tied classes in the order they
         # were saved: an f64 tie can be stored out of class order (the clamp
-        # after a lumped update), and f64 values an ulp apart can tie in f32
+        # after a lumped update), and f64 values an ulp apart can tie in f32;
+        # a scan that updates it stores it in class order
         try:  # a belief refuses a non-finite value, and a NaN or +inf lump
             return TruncatedSemantics(
                 data=tuple(sorted(((c, float(v)) for c, v in data), key=lambda cv: -cv[1])),

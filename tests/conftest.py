@@ -14,7 +14,7 @@ from ssmi.errors import BadDims, EmptyRay, InvalidClass, NoFrontiers, PoseInObst
 from ssmi.grid import BeamMeasurement, GridMap, Scan, SrleRay
 from ssmi.logodds import SensorParams
 from ssmi.mi import FanCast, fan_angles
-from ssmi.octree import NEG_INF, LeafTable, TruncatedSemantics, _lumped_row, morton
+from ssmi.octree import NEG_INF, TruncatedSemantics, _lumped_row, morton
 from ssmi.planner import EIGHT_NEIGHBOURS, Frontier
 from ssmi.sim import run_episode
 
@@ -93,16 +93,23 @@ def to_full(sem: TruncatedSemantics, num_classes: int) -> np.ndarray:
     return h
 
 
+@functools.lru_cache(maxsize=1 << 16)
+def _corner(start: int, max_depth: int) -> tuple[int, int, int]:
+    """The element coordinates of a Morton code, its bits taken apart one
+    by one."""
+    return tuple(sum((start >> 3 * b + 2 - axis & 1) << b for b in range(max_depth))
+                 for axis in range(3))
+
+
 def tree_leaves(tree) -> list:
     """(belief, low corner, edge in elements) of every leaf of a tree, read
     from its derived leaves, in preorder, which is Morton order; each id's
     belief is built once from its stored row, and each corner is its
-    start's bits taken apart one by one."""
+    start's bits taken apart one by one (``_corner``, memoized)."""
     table = tree.leaf_table()
     ids = table.ids.tolist()
     beliefs = {i: tree._beliefs.semantics(i) for i in set(ids)}
-    return [(beliefs[i], tuple(sum((start >> 3 * b + 2 - axis & 1) << b
-                                   for b in range(tree.max_depth)) for axis in range(3)), size)
+    return [(beliefs[i], _corner(start, tree.max_depth), size)
             for start, size, i in zip(table.starts.tolist(), table.sizes.tolist(), ids)]
 
 
@@ -114,9 +121,10 @@ def belief_ids(tree, beliefs) -> np.ndarray:
 
 def write_beliefs(tree, cells, sem) -> None:
     """Give every element of ``cells`` the belief ``sem`` (any belief, also
-    one ``set_element`` cannot make from a full vector) in one write."""
+    one ``set_element`` cannot make from a full vector) in one write of its
+    stored row (``_lumped_row``)."""
     codes = np.unique(morton(*np.array(cells, dtype=np.int64).reshape(-1, 3).T))
-    tree._write(codes, tree._held(codes), np.repeat(belief_ids(tree, [sem]), codes.shape[0]))
+    tree._write(codes, np.repeat([_lumped_row(sem)], codes.shape[0], axis=0))
 
 
 def f_logratio_rows(phi: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -292,12 +300,13 @@ def beam_mi_srle_direct(ray: SrleRay, params: SensorParams) -> float:
     return total + p_pass * c_pass
 
 
-def element_beliefs(tree) -> np.ndarray:
+def element_beliefs(tree, leaves=None) -> np.ndarray:
     """The belief of every element of a tree's cube, a dense object array
-    indexed by (x, y, z), filled block by block from its leaves."""
+    indexed by (x, y, z), filled block by block from its leaves
+    (``tree_leaves``, or the list it gave when passed)."""
     n = tree.size_elements
     beliefs = np.empty((n, n, n), dtype=object)
-    for sem, (x, y, z), size in tree_leaves(tree):
+    for sem, (x, y, z), size in tree_leaves(tree) if leaves is None else leaves:
         beliefs[x:x + size, y:y + size, z:z + size] = sem
     return beliefs
 
@@ -498,21 +507,15 @@ def belief_entropy(sem: TruncatedSemantics) -> float:
     return float(-np.sum(np.where(p > 0.0, p * logp, 0.0)))
 
 
-def leaf_table_reference(tree) -> LeafTable:
-    """The tree's leaf table with the rows of every id of its belief store
-    computed afresh from the belief, one belief at a time: ``rows`` by
-    ``_lumped_row`` and ``full`` by ``to_full``, each belief built from its
-    stored row. The reference for the rows the store makes when it interns
-    a row (``_Beliefs.ids``)."""
-    table = tree.leaf_table()
+def store_rows_reference(tree) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of every id of a tree's belief store computed afresh from
+    the belief, one belief at a time: the stored rows by ``_lumped_row``
+    and the full rows by ``to_full``, each belief built from its stored
+    row. The reference for the rows the store makes when it interns a row
+    (``_Beliefs.ids``)."""
     beliefs = [tree._beliefs.semantics(i) for i in range(len(tree._beliefs))]
-    return LeafTable(
-        starts=table.starts,
-        sizes=table.sizes,
-        ids=table.ids,
-        rows=np.array([_lumped_row(sem) for sem in beliefs]),
-        full=np.array([to_full(sem, tree.num_classes) for sem in beliefs]),
-    )
+    return (np.array([_lumped_row(sem) for sem in beliefs]),
+            np.array([to_full(sem, tree.num_classes) for sem in beliefs]))
 
 
 def set_cell(gmap: GridMap, cell, h, observed: bool = True) -> None:

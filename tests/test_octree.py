@@ -55,7 +55,6 @@ from conftest import (
     from_full,
     insert_scan_reference,
     leaf_bits,
-    leaf_table_reference,
     leaves_of_runs_reference,
     numpy_update,
     off_prior,
@@ -66,6 +65,7 @@ from conftest import (
     signed_zero_grid,
     sorted_pairs,
     stacked_casts,
+    store_rows_reference,
     to_full,
     tree_leaves,
     write_beliefs,
@@ -544,8 +544,8 @@ def test_set_element_refuses_a_malformed_row_before_the_store(k, h):
 
     def state():
         table, store = tree.leaf_table(), tree._beliefs
-        return [a.tobytes() for a in (table.starts, table.sizes, table.ids, table.rows,
-                                      table.full, store.rows, store.full,
+        return [a.tobytes() for a in (table.starts, table.sizes, table.ids, store.rows,
+                                      store.full,
                                       *tree.labels_observed(), np.array(tree.map_state()))]
 
     before = state()
@@ -556,7 +556,7 @@ def test_set_element_refuses_a_malformed_row_before_the_store(k, h):
     assert bits(tree.query_element((0, 0, 0))) == bits(from_full([0.0] + [2.0] * k))
     tree.insert_scan([planar_beam((0.5, 0.5), 0.0, 2.2, 1, 8.0)], SensorParams.default(k))
     assert len(tree._beliefs) > 3
-    assert_table_is_the_reference(tree)
+    assert_store_is_the_reference(tree)
 
 
 @pytest.mark.parametrize("k", [3, 5])
@@ -637,8 +637,9 @@ def assert_pruned(tree):
     unique pruned leaves of its element beliefs, bit for bit."""
     starts, ids = tree._runs
     assert starts[0] == 0 and (starts[1:] > starts[:-1]).all() and (ids[1:] != ids[:-1]).all()
-    pruned = pruned_leaves_reference(element_beliefs(tree))
-    assert leaf_bits(tree_leaves(tree)) == leaf_bits(pruned)
+    leaves = tree_leaves(tree)
+    pruned = pruned_leaves_reference(element_beliefs(tree, leaves))
+    assert leaf_bits(leaves) == leaf_bits(pruned)
 
 
 def test_single_beam_fresh_tree(params3):
@@ -1192,16 +1193,16 @@ def test_leaf_table_is_made_again_only_after_the_tree_changes(params3, caplog, t
         assert back.map_state() == tree.map_state() == leaf_sums(tree, ((0, 0, 0), tree.dims))
 
 
-def assert_table_is_the_reference(tree):
-    """The rows of the tree's leaf table against rows computed afresh from
-    each id's belief, bit for bit; what the reads derive from them, the
-    labels of every element and the entropy of the world summed leaf by
-    leaf, against each leaf's belief; and one id for each class of
+def assert_store_is_the_reference(tree):
+    """The rows of the tree's belief store against rows computed afresh
+    from each id's belief, bit for bit; what the reads derive from them,
+    the labels of every element and the entropy of the world summed leaf
+    by leaf, against each leaf's belief; and one id for each class of
     bit-equal beliefs on the leaves."""
-    got, want = tree.leaf_table(), leaf_table_reference(tree)
-    for name in ("rows", "full"):
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-    labels = np.array([np.argmax(row) for row in want.full], dtype=np.intp)
+    store, (rows, full) = tree._beliefs, store_rows_reference(tree)
+    assert store.rows.tobytes() == rows.tobytes()
+    assert store.full.tobytes() == full.tobytes()
+    labels = np.array([np.argmax(row) for row in full], dtype=np.intp)
     assert tree.labels_observed()[0].tobytes() == labels[tree._box_ids(None)].tobytes()
     assert tree.map_state() == leaf_sums(tree, ((0, 0, 0), tree.dims))
     assert_one_id_per_value(tree)
@@ -1277,8 +1278,8 @@ def test_the_arrays_are_the_pruned_leaves_of_the_element_beliefs(case, tmp_path_
             tree = load_octree(path)
         assert leaf_bits(tree_leaves(tree)) == leaf_bits(pruned_leaves_reference(beliefs))
         if read:
-            assert_table_is_the_reference(tree)
-    assert_table_is_the_reference(tree)
+            assert_store_is_the_reference(tree)
+    assert_store_is_the_reference(tree)
 
 
 @st.composite
@@ -1378,28 +1379,27 @@ def overwriting_scans(tree, rng, scans: int):
 
 def test_a_beliefs_id_and_rows_stay_through_later_scans_and_reads():
     """The store keeps every belief it interned: through later scans and
-    reads, each id a table gave a leaf stands for that leaf's
-    belief, and every later table gives the id the rows the first one did.
+    reads, each id a table gave a leaf stands for that leaf's belief, and
+    the store gives the id the rows it had when a table first held it.
     Most of those beliefs end up held by no leaf; written back, each gets
     its old id again."""
     tree = SemanticOctree(1.0, 2, 3)
-    first = {}  # per id, the belief and the rows of the first table that held it
+    first = {}  # per id, the belief and its rows when a table first held it
 
-    def rows(table, i):
-        return tuple(a[i : i + 1].tobytes() for a in (table.rows, table.full))
+    def rows(i):
+        return tuple(a[i : i + 1].tobytes() for a in (tree._beliefs.rows, tree._beliefs.full))
 
     for table in overwriting_scans(tree, np.random.default_rng(11), 30):
         for (sem, _, _), i in zip(tree_leaves(tree), table.ids.tolist()):
-            assert bits(first.setdefault(i, (sem, rows(table, i)))[0]) == bits(sem)
-        assert all(rows(table, i) == want for i, (_, want) in first.items())
+            assert bits(first.setdefault(i, (sem, rows(i)))[0]) == bits(sem)
+        assert all(rows(i) == want for i, (_, want) in first.items())
     held = set(tree.leaf_table().ids.tolist())
     dropped = sorted(set(first) - held)
     assert len(dropped) > len(held)
     origin = morton(*np.zeros((3, 1), dtype=np.int64))
     for i in dropped[:20]:
         tree.set_element((0, 0, 0), to_full(first[i][0], tree.num_classes))
-        table = tree.leaf_table()
-        assert tree._held(origin).tolist() == [i] and rows(table, i) == first[i][1]
+        assert tree._held(origin).tolist() == [i] and rows(i) == first[i][1]
 
 
 def test_every_stored_belief_was_put_on_a_leaf_by_a_lumped_scan():
@@ -1415,7 +1415,7 @@ def test_every_stored_belief_was_put_on_a_leaf_by_a_lumped_scan():
         held.update(tree.leaf_table().ids.tolist())
     assert len(tree._beliefs) > 100
     assert held == set(range(len(tree._beliefs)))
-    assert_table_is_the_reference(tree)
+    assert_store_is_the_reference(tree)
 
 
 @st.composite
@@ -1452,14 +1452,12 @@ def test_the_batched_entropy_of_new_beliefs_is_the_reference_bit_for_bit(data):
     codes = morton(*cells.T)
     order = np.argsort(codes)
     store = tree._beliefs
-    ids = store.ids(np.array([_lumped_row(sem) for sem in beliefs]))
-    tree._write(codes[order], tree._held(codes[order]), ids[order])
-    table = tree.leaf_table()
-    for cell, i, sem in zip(cells.tolist(), ids.tolist(), beliefs):
+    tree._write(codes[order], np.array([_lumped_row(sem) for sem in beliefs])[order])
+    for cell, i, sem in zip(cells.tolist(), tree._held(codes).tolist(), beliefs):
         box = (cell, [c + 1 for c in cell])
         assert tree.map_state(box)[0].hex() == (0.0 + belief_entropy(sem)).hex()
-        assert table.rows[i].tobytes() == np.array(_lumped_row(sem)).tobytes()
-        assert table.full[i].tobytes() == to_full(sem, k).tobytes()
+        assert store.rows[i].tobytes() == np.array(_lumped_row(sem)).tobytes()
+        assert store.full[i].tobytes() == to_full(sem, k).tobytes()
         assert tree.labels_observed(box)[0].item() == np.argmax(to_full(sem, k))
         assert store.semantics(i).record == sem.record
 
@@ -1538,9 +1536,9 @@ def test_loaded_and_scanned_tables_are_the_reference(tmp_path):
     classes of bit-equal beliefs included."""
     tree = SemanticOctree(1.0, 2, 3)
     for _ in overwriting_scans(tree, np.random.default_rng(11), 30):
-        assert_table_is_the_reference(tree)
+        assert_store_is_the_reference(tree)
     save_octree(tree, tmp_path / "t.ssmioct")
-    assert_table_is_the_reference(load_octree(tmp_path / "t.ssmioct"))
+    assert_store_is_the_reference(load_octree(tmp_path / "t.ssmioct"))
 
 
 @st.composite
@@ -1643,7 +1641,7 @@ def test_grouped_scan_is_the_per_update_writer_bit_for_bit(case, tmp_path_factor
         trees[0].insert_scan(scan, params)
         insert_scan_reference(trees[1], scan, params)
         assert saved_bytes(trees[0], path) == saved_bytes(trees[1], path)
-        assert_table_is_the_reference(trees[0])
+        assert_store_is_the_reference(trees[0])
 
 
 @given(case=sensor_scan_case())
@@ -1686,6 +1684,26 @@ def test_an_element_whose_chain_ends_where_it_began_is_not_written(params3, capl
     assert leaves(trees[0]) == leaves(trees[1])
     (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("insert_scan")]
     assert line == "insert_scan: 3 beams, 20 updates of 8 elements, 0 changed, 0 beliefs added"
+
+
+@pytest.mark.parametrize("k,lump", [(3, NEG_INF), (5, 6.0)])
+def test_a_scan_stores_a_files_tied_belief_in_class_order(k, lump, tmp_path):
+    """A file can hold a belief whose tied values are out of class order
+    (a version-1 file or one written by hand), and the load keeps that
+    order. A saturated hit leaves its values as they were, and the scan
+    stores it in class order, as the per-update reference does: also with
+    K <= 3, where the element's full row ends as it began."""
+    tied = TruncatedSemantics(((3, 6.0), (1, 6.0), (2, 6.0)), lump)
+    tree = SemanticOctree(1.0, 3, k)
+    write_beliefs(tree, [(3, 0, 0)], tied)
+    save_octree(tree, tmp_path / "tied.ssmioct")
+    trees = [load_octree(tmp_path / "tied.ssmioct") for _ in range(2)]
+    assert bits(trees[0].query_element((3, 0, 0))) == bits(tied)
+    scan, params = [planar_beam((0.5, 0.5), 0.0, 3.2, 1, 8.0)], SensorParams.default(k)
+    trees[0].insert_scan(scan, params)
+    insert_scan_reference(trees[1], scan, params)
+    assert trees[0].query_element((3, 0, 0)).data == ((1, 6.0), (2, 6.0), (3, 6.0))
+    assert leaves(trees[0]) == leaves(trees[1])
 
 
 def assert_one_id_per_value(tree):
