@@ -18,17 +18,16 @@ effective way to represent quadtrees", CACM 1982). The belief of element
 element read, one element or a batch, is that lookup, and no node is
 stored.
 
-The tree's leaves are derived from the runs when a reader needs them
-(``_leaves``), and they are the pruned ones, OctoMap's rule (Hornung et
-al. 2013) stated on intervals: an aligned interval of ``8**L`` codes whose
-elements all hold one belief is one leaf. A block is such a leaf exactly
-when it lies inside one run and its parent does not, so the pruned leaves
-are the maximal aligned blocks of the runs, and a write that keeps its
-runs maximal keeps the tree pruned with no pruning code. The leaves are
-what makes ray casts over this structure short, a ray meeting a handful of
-homogeneous runs instead of hundreds of elements, and ``save_octree``
-writes them as a preorder node stream (as OctoMap's compact ``.bt`` files
-do).
+The tree's pruned leaves follow OctoMap's rule (Hornung et al. 2013) on
+intervals: an aligned interval of ``8**L`` codes whose elements all hold
+one belief is one leaf. Such a block lies inside one run and its parent
+does not, so the pruned leaves are the maximal aligned blocks of the
+runs, and a write that keeps its runs maximal keeps the tree pruned with
+no pruning code. Leaves are derived (``_level_blocks``) only by
+``leaf_table``, by ``save_octree``, which writes them as a preorder node
+stream (as OctoMap's compact ``.bt`` files do), and by ``num_leaves``,
+which counts them; ``map_state`` and ``labels_observed`` read the box's
+elements only, and a ray's read is run-length encoded by belief.
 
 The cube of ``2**max_depth`` elements a side is the tree's storage only. The
 map covers a world box of ``dims`` elements at the cube's low corner, as a
@@ -36,23 +35,25 @@ map covers a world box of ``dims`` elements at the cube's low corner, as a
 default box of every aggregate end at the world's faces, so both maps share
 one geometry.
 
-A belief is its row for every K (``_lumped_row``: three classes, their values, the lump),
-whose bytes stand one to one for its ``.ssmioct`` leaf record. The tree's
-store interns every row by its bytes, so equal values share one id
-(``0.0`` and ``-0.0`` stay apart); every writer hands ``_write`` its
-elements' rows, and an element whose row interns to the id it holds is
-not written. The store holds the beliefs writes put on leaves, for the tree's
-life, so a belief's id and its rows never change: per id its stored row
-and its full K+1 row, both made when the row is interned. What a reader
-derives from a belief is made by the read that uses it: ``map_state``
-takes the entropy of the stored rows, ``labels_observed`` the argmax of
-the full rows. A ``TruncatedSemantics`` is built from a row only for a
-reader (``query_element``, ``save_octree``) and by ``load_octree``, which
-checks each belief it reads through one.
+A belief is its row for every K (``_lumped_row``: three classes, their
+values, the lump), whose bytes stand one to one for its ``.ssmioct`` leaf
+record. The tree's store interns every row by its bytes, so equal values
+share one id (``0.0`` and ``-0.0`` stay apart); every writer hands
+``_write`` its elements' rows, and an element whose row interns to the id
+it holds is not written. The store holds the beliefs writes put on leaves
+for the tree's life, so an id's rows never change: its stored row and its
+full K+1 row, both made when the row is interned. A read derives what it
+needs for the ids its box holds: ``map_state`` the entropy of their
+stored rows, ``labels_observed`` the argmax of the box's full rows. A
+``TruncatedSemantics`` is built from a row only for a reader
+(``query_element``, ``save_octree``) and by ``load_octree``, which checks
+each belief it reads through one.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import logging
 import math
 import struct
@@ -84,9 +85,8 @@ _LEAF = [struct.Struct("<BB" + "Hd" * n + "d") for n in range(4)]
 
 @dataclass(frozen=True)
 class TruncatedSemantics:
-    """Up to three (class, log-odds) pairs plus one lump for everything else.
-
-    ``data`` is sorted by descending log-odds with class index breaking ties,
+    """Up to three (class, log-odds) pairs plus one lump for everything
+    else. ``data`` is sorted by descending log-odds with class index breaking ties,
     and ``others`` is the log-odds of the aggregate probability of all
     untracked classes (-inf when nothing is untracked). ``record`` is the
     belief's leaf record in a ``.ssmioct`` file (``_LEAF``), made once: two
@@ -113,48 +113,36 @@ class TruncatedSemantics:
             0, n, *[x for cv in self.data for x in cv], self.others))
 
 
-# bit b of each byte value moved to bit 3b, for interleaving three coordinates
-_SPREAD = sum(((np.arange(256, dtype=np.int64) >> b) & 1) << 3 * b for b in range(8))
+@functools.lru_cache(maxsize=16)  # one per depth
+def _axis_codes(max_depth: int) -> np.ndarray:
+    """Per axis (a read-only row each), the Morton code bits of each
+    coordinate below ``2**max_depth``: bit b of an x at bit 3b + 2 of the
+    code, of a y at 3b + 1, of a z at 3b."""
+    v = np.arange(1 << max_depth, dtype=np.int64)
+    spread = sum(((v >> b) & 1) << 3 * b for b in range(max_depth))
+    codes = np.stack((spread << 2, spread << 1, spread))
+    codes.flags.writeable = False
+    return codes
 
 
-def _spread(v: np.ndarray) -> np.ndarray:
-    """Each bit b of 16-bit coordinates at bit 3b."""
-    return _SPREAD[v & 255] | _SPREAD[v >> 8] << 24
-
-
-def morton(x, y, z) -> np.ndarray:
-    """Morton codes of element coordinates (integer arrays that broadcast
-    together), ordered as the tree's child slots: x above y above z at every
-    level."""
-    return _spread(x) << 2 | _spread(y) << 1 | _spread(z)
-
-
-# per 12-bit chunk of a Morton code (four levels), its x, y and z bits
-# compacted to four bits each, at bits 0, 16 and 32
-_COMPACT = sum((np.arange(4096, dtype=np.int64) >> 3 * b + 2 - a & 1) << b + 16 * a
-               for a in range(3) for b in range(4))
-
-
-def _corners(codes: np.ndarray, max_depth: int) -> np.ndarray:
-    """The element coordinates of Morton codes of a tree of ``max_depth``,
-    an (N, 3) array: the inverse of ``morton``."""
-    packed = np.zeros_like(codes)
-    for shift in range(0, 3 * max_depth, 12):
-        packed |= _COMPACT[codes >> shift & 4095] << shift // 3
-    return np.stack((packed & 0xFFFF, packed >> 16 & 0xFFFF, packed >> 32), axis=1)
+def morton(x, y, z, max_depth: int = 16) -> np.ndarray:
+    """Morton codes of element coordinates below ``2**max_depth`` (integer
+    arrays that broadcast together), ordered as the tree's child slots: x
+    above y above z at every level. Gathers from ``_axis_codes``, ored."""
+    ax, ay, az = _axis_codes(max_depth)
+    return ax[x] | ay[y] | az[z]
 
 
 class _Beliefs:
     """The beliefs that writes put on the leaves of one tree: one stored
     row per id (``rows``, ``_lumped_row`` for every K) and one index by the
-    row's bytes, so beliefs equal bit for bit share one id (two beliefs
-    have one row exactly when they have one record). Per id also its
-    ``full`` row, the full K+1 log-odds with untracked classes splitting
-    the lump evenly, made with the stored row when the row is interned.
-    The store is append-only: each id keeps its rows for the tree's life,
-    numbered as writes first hand them in; a row seen before gets its id
-    back, which is how ``_write`` finds the elements it leaves. The prior
-    is id 0, so an element is observed when its id is not 0."""
+    row's bytes (in the order the rows came), so beliefs equal bit for bit
+    share one id. Per id also its ``full`` row, the full K+1 log-odds with
+    untracked classes splitting the lump evenly, made when the row is
+    interned. The store is append-only, so an id keeps its rows for the
+    tree's life; a row seen before gets its id back, which is how
+    ``_write`` finds the elements it leaves. The prior is id 0, so an
+    element is observed when its id is not 0."""
 
     def __init__(self, prior_row: np.ndarray, num_classes: int):
         self.num_classes = num_classes
@@ -176,8 +164,8 @@ class _Beliefs:
         keys = np.ascontiguousarray(rows).view(np.dtype((np.void, 7 * 8)))[:, 0].tolist()
         ids = np.array([index.setdefault(key, len(index)) for key in keys], dtype=np.intp)
         if len(index) > size:
-            _, first = np.unique(ids, return_index=True)
-            new = rows[first[size - len(index):]]
+            # the new rows are the index's last keys, in the order they came
+            new = np.frombuffer(b"".join(itertools.islice(index, size, None))).reshape(-1, 7)
             tracked = new[:, :3] != _EMPTY
             lump = new[:, 6] - self.share[np.count_nonzero(tracked, axis=1)]
             full = np.repeat(lump[:, None], self.num_classes + 1, axis=1)
@@ -198,9 +186,8 @@ class _Beliefs:
 @dataclass(frozen=True)
 class LeafTable:
     """One revision of a tree for a reader: its pruned leaves in preorder,
-    which is Morton order, derived from its runs (``_leaves``).
-
-    Per leaf: ``starts`` (the Morton code of its low corner, ascending),
+    which is Morton order, derived from its runs (``_leaves``). Per leaf:
+    ``starts`` (the Morton code of its low corner, ascending),
     ``sizes`` (its edge in elements), and ``ids``, the id of its belief in
     the tree's interned beliefs (``_Beliefs``, whose rows of an id never
     change), so equal ids are equal bits, and id 0 is the prior. A write
@@ -212,35 +199,52 @@ class LeafTable:
     ids: np.ndarray
 
 
-def _leaves(starts: np.ndarray, ids: np.ndarray,
-            max_depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _level_blocks(starts: np.ndarray, ids: np.ndarray, max_depth: int):
     """The pruned leaves of the runs ``starts``, ``ids`` of a tree of
-    ``max_depth``: their starts, sizes and ids in preorder. The leaves of a
-    run ``[L, R)`` are its maximal aligned blocks. With ``a_j = ceil(L /
-    8**j)`` and ``b_j = floor(R / 8**j)``, its level-j blocks are ``[a_j,
-    b_j)``, and those inside a level-(j+1) block are ``[8 a_(j+1), 8
-    b_(j+1))``; so its level-j leaves are ``[a_j, 8 a_(j+1))`` and ``[8
-    b_(j+1), b_j)`` when ``a_(j+1) < b_(j+1)``, and ``[a_j, b_j)`` when
-    not. Each level reads the runs that hold a whole block of it."""
+    ``max_depth`` by level j: ``(first, count, ids)``, two ranges of
+    level-j block indices per run. The leaves of a run ``[L, R)`` are its
+    maximal aligned blocks. With ``a_j = ceil(L / 8**j)`` and ``b_j =
+    floor(R / 8**j)``, its level-j blocks are ``[a_j, b_j)``, and those
+    inside a level-(j+1) block are ``[8 a_(j+1), 8 b_(j+1))``; so its
+    level-j leaves are ``[a_j, 8 a_(j+1))`` and ``[8 b_(j+1), b_j)`` when
+    ``a_(j+1) < b_(j+1)``, and ``[a_j, b_j)`` when not. Each level reads
+    the runs that hold a whole block of it."""
     lo, hi = starts, np.append(starts[1:], 1 << 3 * max_depth)
     firsts, lasts = lo, hi  # the run's level-j blocks: [a_j, b_j)
-    parts = []
     for j in range(max_depth + 1):
         up_lo, up_hi = -(-lo >> 3 * (j + 1)), hi >> 3 * (j + 1)
         whole = up_lo < up_hi
         # [a_j, cut_lo) and [cut_hi, b_j): an empty second part unless whole
         cut_lo, cut_hi = np.where(whole, up_lo << 3, lasts), np.where(whole, up_hi << 3, lasts)
-        first, count = np.concatenate((firsts, cut_hi)), np.concatenate((cut_lo - firsts,
-                                                                         lasts - cut_hi))
+        yield (np.concatenate((firsts, cut_hi)), np.concatenate((cut_lo - firsts, lasts - cut_hi)),
+               ids)
+        if not whole.any():
+            return
+        lo, hi, ids, firsts, lasts = lo[whole], hi[whole], ids[whole], up_lo[whole], up_hi[whole]
+
+
+def _leaves(starts: np.ndarray, ids: np.ndarray,
+            max_depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The starts, sizes and ids of the pruned leaves of the runs
+    (``_level_blocks``), in preorder."""
+    parts = []
+    for j, (first, count, held) in enumerate(_level_blocks(starts, ids, max_depth)):
         blocks = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
         parts.append((blocks << 3 * j, np.full(blocks.shape[0], 1 << j),
-                      np.repeat(np.concatenate((ids, ids)), count)))
-        if not whole.any():
-            break
-        lo, hi, ids, firsts, lasts = lo[whole], hi[whole], ids[whole], up_lo[whole], up_hi[whole]
+                      np.repeat(np.concatenate((held, held)), count)))
     starts, sizes, ids = (np.concatenate(part) for part in zip(*parts))
     order = np.argsort(starts)
     return starts[order], sizes[order], ids[order]
+
+
+def _run_bounds(keys: np.ndarray, firsts=0) -> np.ndarray:
+    """Where the runs of equal neighbours in ``keys`` begin, and also at
+    the indices ``firsts``, then ``len(keys)``, where the last ends."""
+    n = keys.shape[0]
+    new = np.ones(n + 1, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=new[1:n])
+    new[firsts] = True
+    return np.flatnonzero(new)
 
 
 def _levels(sizes: np.ndarray) -> np.ndarray:
@@ -366,7 +370,7 @@ class SemanticOctree:
     The tree is its runs (module docstring): one pair of arrays, the runs'
     ``starts`` and ``ids``, that a write replaces in one assignment and
     never changes in place, so a reader that took the pair keeps the tree
-    it read. ``leaf_table()`` derives the leaves from it."""
+    it read."""
 
     def __init__(
         self,
@@ -393,8 +397,7 @@ class SemanticOctree:
     def _set_leaves(self, starts, ids) -> None:
         """Make the tree the intervals of Morton codes that begin at
         ``starts`` (ascending, the first 0) and hold the belief ids ``ids``,
-        such as a tree's leaves: its runs are these intervals with equal
-        neighbours joined."""
+        such as a tree's leaves, with equal neighbours joined into runs."""
         keep = np.ones(ids.shape[0], dtype=bool)
         np.not_equal(ids[1:], ids[:-1], out=keep[1:])
         self._runs = (starts[keep], ids[keep])
@@ -420,11 +423,10 @@ class SemanticOctree:
         cell = _integers(cell, "element")
         if len(cell) != 3 or not all(0 <= c < d for c, d in zip(cell, self.dims)):
             raise ValueError(f"element {cell} is outside the world {self.dims}")
-        return int(morton(*cell))
+        return int(morton(*cell, self.max_depth))
 
     def query_element(self, cell) -> TruncatedSemantics:
-        """The belief of an element; ValueError for a cell outside the
-        world."""
+        """The belief of an element; ValueError for a cell outside the world."""
         return self._beliefs.semantics(self._held(self._code(cell)))
 
     # -- updates ---------------------------------------------------------------
@@ -432,9 +434,8 @@ class SemanticOctree:
     def _write(self, codes, rows: np.ndarray) -> int:
         """The one writer: give the elements at the ascending, distinct
         Morton ``codes`` the stored rows ``rows`` (N, 7), interned by the
-        store (``_Beliefs.ids``); return how many elements changed.
-
-        Elements whose new id is the one they hold are dropped. Each changed
+        store (``_Beliefs.ids``); return how many elements changed. Elements
+        whose new id is the one they hold are dropped. Each changed
         element ``c`` begins a run of its new id, and the run of the id
         held at ``c + 1`` begins again there (inside the cube). These
         entries and the current runs, stable-sorted by start with the
@@ -478,29 +479,26 @@ class SemanticOctree:
     def insert_scan(self, beams: Scan | list[BeamMeasurement],
                     params: SensorParams) -> "SemanticOctree":
         """Integrate a scan's beams in order, a sensed ``Scan`` or a list of
-        beams (same cell arithmetic as the dense grid), in one write, a
-        splice of the changed elements into the runs (``_write``). The
-        element updates are the grid's, from ``scan_updates``, which finds
-        and checks every update first (cut from the fan's memoized walks
-        for a ``Scan``, walked beam by beam for a list): a scan that raises
-        leaves the tree as it was.
+        beams (same cell arithmetic as the dense grid), in one write
+        (``_write``). The element updates are the grid's, from
+        ``scan_updates``, which finds and checks every update first (cut
+        from the fan's memoized walks for a ``Scan``, walked beam by beam
+        for a list): a scan that raises leaves the tree as it was.
 
         The updates are grouped in rounds by element (``grid._rounds``, a
         stable sort of their Morton codes), so each element meets its
-        updates in scan order, and the ids the elements hold are found by
-        one ``searchsorted`` of the run starts for all of them. The
-        elements' rows take the update in those rounds, the one step that
-        depends on K: full rows (``_Beliefs.full``) and the grid's own
-        update with K <= 3 (``grid._apply_rounds``), lumped rows
-        (``_Beliefs.rows``) and the lumped update with K > 3
-        (``_lumped_rounds``). ``_write`` takes every element's stored row
-        (``_lumped_rows`` of it with K <= 3) and writes the elements whose
-        id it changes: one that ends where it began is not written."""
+        updates in scan order. The elements' rows, found by one
+        ``searchsorted`` of the run starts, take the update in those rounds,
+        the one step that depends on K: full rows and the grid's update
+        (``grid._apply_rounds``) with K <= 3, lumped rows and the lumped
+        update (``_lumped_rounds``) with K > 3. ``_write`` takes every
+        element's stored row (``_lumped_rows`` of it with K <= 3) and
+        writes the elements whose id it changes."""
         if params.num_classes != self.num_classes:
             raise ValueError("sensor parameters and tree disagree on K")
         cells, rows = scan_updates(beams, self.origin, self.element_size, self.dims,
                                    self.num_classes)
-        codes = morton(*cells.T)
+        codes = morton(*cells.T, self.max_depth)
         order, first, by_round, bounds = _rounds(codes)
         codes = codes[order][first]
         # each update's element (an index into codes) and model row, by round
@@ -528,30 +526,20 @@ class SemanticOctree:
     def _ray_runs(self, cells: np.ndarray, firsts) -> tuple[SrleRay, np.ndarray]:
         """The runs over stacked elements (at least one) whose beams start
         at the indices ``firsts``, and the index of each run's first
-        element. All elements are looked up in the tree's runs at once; a
-        run starts at each beam's first element and wherever the belief id
-        changes (ids are interned bits), and takes its first element's
-        belief."""
-        ids = self._held(morton(*cells.T))
-        n = ids.shape[0]
-        new = np.ones(n + 1, dtype=bool)  # where runs start, and n, where the last ends
-        np.not_equal(ids[1:], ids[:-1], out=new[1:n])
-        new[firsts] = True
-        bounds = np.flatnonzero(new)
+        element: all looked up at once, a run starts at each beam's first
+        element and wherever the belief id (interned bits) changes."""
+        ids = self._held(morton(*cells.T, self.max_depth))
+        bounds = _run_bounds(ids, firsts)
         starts = bounds[:-1]
         chi_t = self._beliefs.full[ids[starts]]
         return SrleRay(widths=np.diff(bounds), chi_t=chi_t,
                        chi_0=np.broadcast_to(self.prior, chi_t.shape)), starts
 
     def encode_trace(self, cells: np.ndarray) -> SrleRay | None:
-        """Run-length encode leaf beliefs along a sequence of elements, an
+        """Run-length encode the beliefs along a sequence of elements, an
         (M, 3) integer array such as ``RayTrace.cells``; None when it is
-        empty.
-
-        Consecutive elements with equal beliefs merge into one run even when
-        they belong to distinct leaves, so expanding the result reproduces the
-        per-element sequence exactly and the widths sum to the element count.
-        """
+        empty. Equal neighbours merge into one run even across leaves, so
+        the runs expand to the per-element sequence exactly."""
         return self._ray_runs(cells, 0)[0] if cells.shape[0] else None
 
     def encode_traces(self, cells: np.ndarray, counts) -> tuple[SrleRay | None, list[int]]:
@@ -573,51 +561,63 @@ class SemanticOctree:
     # -- leaf table and aggregates ----------------------------------------------------
 
     def num_leaves(self) -> int:
-        return self.leaf_table().ids.shape[0]
+        """The count of the pruned leaves, by level, none made (``_level_blocks``)."""
+        return sum(int(count.sum()) for _, count, _ in _level_blocks(*self._runs, self.max_depth))
 
     def leaf_table(self) -> LeafTable:
         """The tree's pruned leaves as they are now (``_leaves``)."""
         return LeafTable(*_leaves(*self._runs, self.max_depth))
 
-    def _box_ids(self, box) -> np.ndarray:
-        """An int array over a half-open element box ((lo), (hi)) inside
-        the world, or the whole world for None, holding each element's
-        belief id."""
-        lo, hi = _box_corners(box, self.dims)
-        return self._held(morton(*np.ix_(*map(range, lo, hi))))
+    def _box_codes(self, box) -> np.ndarray:
+        """The Morton codes over a half-open element box ((lo), (hi)) inside
+        the world, or the whole world for None: per axis a slice of
+        ``_axis_codes``, ored across."""
+        (x0, y0, z0), (x1, y1, z1) = _box_corners(box, self.dims)
+        ax, ay, az = _axis_codes(self.max_depth)
+        return ax[x0:x1, None, None] | ay[y0:y1, None] | az[z0:z1]
 
     def labels_observed(self, box=None) -> tuple[np.ndarray, np.ndarray]:
         """Most likely class (the argmax of the full belief, ties to the
         lowest class) and observed flag (belief off the prior) of every
         element in a half-open box ((lo), (hi)) inside the world, or of the
-        whole world."""
-        ids = self._box_ids(box)
-        return np.argmax(self._beliefs.full, axis=-1)[ids], ids != 0
+        whole world: the box's elements alone are read."""
+        ids = self._held(self._box_codes(box))
+        return np.argmax(self._beliefs.full[ids], axis=-1), ids != 0
 
     def map_state(self, region=None) -> tuple[float, float]:
         """Total entropy in nats, and the fraction of elements whose belief
-        moved off the prior, over a half-open element box ((lo), (hi)) from
-        the pruned leaves (``leaf_table()``): each leaf's element count
-        inside the box times its belief's entropy, added leaf by leaf in
-        preorder. A belief's entropy
-        is that of its stored row's pivot, values and lump as one log-odds
-        vector, where an empty slot's -inf, as a -inf lump, adds 0. The box
-        defaults to the world; one not inside it raises ValueError, as on
-        the grid, and an empty one gives ``(0.0, 0.0)``."""
-        lo, hi = _box_corners(region, self.dims)
-        table = self.leaf_table()
-        corners = _corners(table.starts, self.max_depth)
-        ends = corners + table.sizes[:, None]
-        n = np.prod(np.maximum(np.minimum(ends, hi) - np.maximum(corners, lo), 0), axis=1)
+        moved off the prior, over a half-open element box ((lo), (hi)), by
+        default the world (ValueError for one not inside it, as on the
+        grid; ``(0.0, 0.0)`` for an empty one): each pruned leaf's element
+        count in the box times its belief's entropy (of its stored row's
+        pivot, values and lump as one log-odds vector, an empty slot's -inf
+        adding 0), added in preorder from 0.0. It reads the box's elements
+        and their ids' rows only: an element's leaf is the largest aligned
+        block around it inside its run ``[L, R)``, of the highest level j
+        at which its code differs from both ``L - 1`` and ``R`` at bit 3j
+        or above, and in Morton order equal consecutive leaf starts are one
+        leaf that meets the box. A leaf outside it would add +0.0 or -0.0,
+        which changes no sum from 0.0."""
+        codes = np.sort(self._box_codes(region), axis=None)
+        starts, ids = self._runs
+        bounds = np.append(starts, 1 << 3 * self.max_depth)
+        after = np.searchsorted(starts, codes, side="right")  # runs end at bounds[after]
+        held = ids[after - 1]
+        # L - 1 modulo 2 << 3D: for L = 0, one that differs from every code at bit 3D
+        low = bounds[after - 1] - 1 & 2 * bounds[-1] - 1
+        shift = (np.frexp(np.minimum(codes ^ low, codes ^ bounds[after]))[1] - 1) // 3 * 3
+        edges = _run_bounds(codes >> shift << shift)  # where each leaf's elements begin
+        leaf_ids = held[edges[:-1]]
         rows = self._beliefs.rows
-        padded = np.concatenate((np.zeros((rows.shape[0], 1)), rows[:, 3:]), axis=1)
-        entropy = -np.sum(logodds.entropy_terms(padded), axis=-1)
+        in_box = np.flatnonzero(np.bincount(leaf_ids, minlength=rows.shape[0]))
+        padded = np.concatenate((np.zeros((in_box.shape[0], 1)), rows[in_box, 3:]), axis=1)
+        entropy = np.zeros(rows.shape[0])
+        entropy[in_box] = -np.sum(logodds.entropy_terms(padded), axis=-1)
         # a running sum from 0.0, as a loop over the leaves adds; numpy's
         # pairwise sum would round differently
-        terms = np.concatenate(([0.0], n * entropy[table.ids]))
-        total = int(n.sum())
-        seen = int(n[table.ids != 0].sum())
-        return float(np.cumsum(terms)[-1]), (seen / total if total else 0.0)
+        terms = np.concatenate(([0.0], np.diff(edges) * entropy[leaf_ids]))
+        n = codes.shape[0]
+        return float(np.cumsum(terms)[-1]), (int(np.count_nonzero(held)) / n if n else 0.0)
 
 
 # -- grid conversion --------------------------------------------------------------
@@ -635,7 +635,7 @@ def octree_from_grid(gmap: GridMap) -> SemanticOctree:
         origin=gmap.origin,
         dims=gmap.dims,
     )
-    codes = morton(*np.indices(gmap.dims).reshape(3, -1))
+    codes = morton(*np.indices(gmap.dims).reshape(3, -1), tree.max_depth)
     order = np.argsort(codes)
     tree._write(codes[order], _lumped_rows(gmap.cells.reshape(-1, gmap.num_classes + 1)[order]))
     return tree
@@ -646,7 +646,7 @@ def grid_from_octree(tree: SemanticOctree) -> GridMap:
     beliefs (K > 3) expand with the untracked classes sharing the lump
     evenly."""
     gmap = GridMap(tree.dims, tree.element_size, tree.num_classes, tree.prior, tree.origin)
-    ids = tree._box_ids(None)
+    ids = tree._held(tree._box_codes(None))
     np.take(tree._beliefs.full, ids, axis=0, out=gmap.cells)
     np.not_equal(ids, 0, out=gmap.observed)
     return gmap

@@ -424,16 +424,21 @@ def exact_key(sem: TruncatedSemantics):
     return (sem, tuple(zeros)) if zeros else sem
 
 
-def pruned_leaves_reference(beliefs: np.ndarray) -> list:
-    """The unique pruned leaves of a dense cube of beliefs, in preorder:
-    (belief, low corner, edge) for each aligned block whose elements all
-    hold one belief bit for bit (one ``record``, which is ``exact_key``)
-    while its parent's do not, the belief being the block's first
-    element's. Found by recursion over the eight children of every block
-    that is not uniform, in slot order."""
+def element_record_keys(beliefs: np.ndarray) -> np.ndarray:
+    """Per element of a dense array of beliefs, a key that two elements
+    share exactly when their beliefs have one ``record`` (which is
+    ``exact_key``): each element's record interned in turn."""
     index: dict = {}
     keys = np.array([index.setdefault(sem.record, len(index)) for sem in beliefs.ravel()])
-    keys = keys.reshape(beliefs.shape)
+    return keys.reshape(beliefs.shape)
+
+
+def pruned_leaves_by_recursion(beliefs: np.ndarray) -> list:
+    """``pruned_leaves_reference`` by recursion over the eight children of
+    every block that is not uniform, in slot order: the form that
+    ``test_pruned_leaves_reference_is_the_recursion`` holds the level
+    sweep to."""
+    keys = element_record_keys(beliefs)
     leaves = []
 
     def visit(x, y, z, size):
@@ -447,6 +452,34 @@ def pruned_leaves_reference(beliefs: np.ndarray) -> list:
 
     visit(0, 0, 0, beliefs.shape[0])
     return leaves
+
+
+def pruned_leaves_reference(beliefs: np.ndarray) -> list:
+    """The unique pruned leaves of a dense cube of beliefs, in preorder:
+    (belief, low corner, edge) for each aligned block whose elements all
+    hold one belief bit for bit (one key, ``element_record_keys``) while
+    its parent's do not, the belief being the block's first element's.
+    Found level by level from the root: a block is uniform when all its
+    keys equal its first, and a leaf when it is uniform and its parent is
+    not. Preorder, the recursion's slot order, is the order of the
+    corners' bits interleaved x above y above z, level by level."""
+    keys = element_record_keys(beliefs)
+    n = keys.shape[0]
+    depth = n.bit_length() - 1
+    found = []  # per leaf: its corner and edge
+    parent = np.zeros((1, 1, 1), dtype=bool)  # the root has no parent
+    for level in range(depth, -1, -1):
+        m, size = n >> level, 1 << level
+        blocks = keys.reshape(m, size, m, size, m, size).transpose(0, 2, 4, 1, 3, 5)
+        uniform = (blocks.reshape(m, m, m, -1) == blocks[..., 0, 0, 0, None]).all(axis=-1)
+        at = np.argwhere(uniform & ~parent) << level
+        found.append(np.concatenate((at, np.full((at.shape[0], 1), size)), axis=1))
+        parent = uniform.repeat(2, 0).repeat(2, 1).repeat(2, 2)
+    found = np.concatenate(found)
+    key = sum((found[:, axis] >> b & 1) << 3 * b + 2 - axis
+              for b in range(depth) for axis in range(3))
+    return [(beliefs[x, y, z], (x, y, z), size)
+            for x, y, z, size in found[np.argsort(key)].tolist()]
 
 
 def leaf_bits(leaves) -> list:

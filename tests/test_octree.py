@@ -59,6 +59,7 @@ from conftest import (
     numpy_update,
     off_prior,
     planar_beam,
+    pruned_leaves_by_recursion,
     pruned_leaves_reference,
     scan_beams,
     scan_reference,
@@ -865,10 +866,13 @@ def block_cells(corner, size):
 
 
 def paint(tree, blocks):
-    """Write each (corner, size, belief) block in one write, of a fresh copy
-    of the belief (equal to the palette entry, not the same object)."""
+    """Write each (corner, size, belief) block, cut to the tree's world, in
+    one write, of a fresh copy of the belief (equal to the palette entry,
+    not the same object)."""
     for corner, size, sem in blocks:
-        write_beliefs(tree, block_cells(corner, size), TruncatedSemantics(sem.data, sem.others))
+        cells = [cell for cell in block_cells(corner, size)
+                 if all(c < d for c, d in zip(cell, tree.dims))]
+        write_beliefs(tree, cells, TruncatedSemantics(sem.data, sem.others))
     return tree
 
 
@@ -876,14 +880,21 @@ def paint(tree, blocks):
 def leaf_table_case(draw):
     """A pruned tree of depth 2-4, K = 1, 2 or 3 (all tracked) or K = 5 or
     8 (three tracked and a lump, which a read splits over two or five
-    classes), painted in blocks from a palette whose values
-    include both signed zeros, so beliefs equal under ``==`` can differ in
-    bits; 3-D rays from inside the cube, and boxes, some empty and some
-    cutting through large leaves."""
+    classes), over a world of the whole cube, of a planar ``[n, m, 1]``
+    box or of any box at the cube's low corner, painted in blocks cut to
+    the world from a palette whose values include both signed zeros, so
+    beliefs equal under ``==`` can differ in bits; the elements outside
+    the world keep the prior, so leaves straddle the world's faces, as in
+    an episode. 3-D rays from inside the world, and boxes inside it, some
+    empty and some cutting through large leaves."""
     k = draw(st.sampled_from([1, 2, 3, 5, 8]), label="k")
     depth = draw(st.integers(2, 4), label="depth")
-    tree = SemanticOctree(1.0, depth, k)
-    n = tree.size_elements
+    n = 1 << depth
+    shape = draw(st.sampled_from(["cube", "planar", "box"]), label="shape")
+    dims = [n] * 3 if shape == "cube" else [draw(st.integers(1, n)) for _ in range(3)]
+    if shape == "planar":
+        dims[2] = 1
+    tree = SemanticOctree(1.0, depth, k, dims=dims)
 
     def belief():
         classes = draw(st.permutations(range(1, k + 1)))[:3]
@@ -895,21 +906,20 @@ def leaf_table_case(draw):
     blocks = []
     for _ in range(draw(st.integers(0, 10))):
         size = 1 << draw(st.integers(0, depth - 1))
-        corner = [draw(st.integers(0, n // size - 1)) * size for _ in range(3)]
+        corner = [draw(st.integers(0, (d - 1) // size)) * size for d in dims]
         blocks.append((corner, size, draw(st.sampled_from(palette))))
     paint(tree, blocks)
-    coord = st.integers(0, n - 1) | st.floats(0.0, n, exclude_max=True)
     component = st.sampled_from([0.0, 1.0, -1.0, 0.5]) | st.floats(-1.0, 1.0)
     beams = []
     for _ in range(draw(st.integers(0, 5))):
         d = [draw(component) for _ in range(3)]
         assume(any(abs(v) > 1e-3 for v in d))
         r = draw(st.floats(0.5, 2.0 * n))
-        beams.append(BeamMeasurement(np.array([draw(coord) for _ in range(3)], dtype=float),
-                                     np.array(d), r, None, r))
+        origin = [draw(st.integers(0, e - 1) | st.floats(0.0, e, exclude_max=True)) for e in dims]
+        beams.append(BeamMeasurement(np.array(origin, dtype=float), np.array(d), r, None, r))
     boxes = []
     for _ in range(3):
-        ends = [sorted((draw(st.integers(0, n)), draw(st.integers(0, n)))) for _ in range(3)]
+        ends = [sorted((draw(st.integers(0, e)), draw(st.integers(0, e)))) for e in dims]
         boxes.append(tuple(zip(*ends)))
     return tree, beams, boxes
 
@@ -952,7 +962,7 @@ def test_leaf_table_reads_equal_the_element_loop(case):
     ``encode_traces`` and each beam's ``encode_trace`` against the stacked
     ``runs_reference`` (widths, and chi bytes, so signed zeros count),
     ``query_element`` and ``labels_observed`` against each element's
-    belief, ``map_state`` against ``leaf_sums`` bit for bit."""
+    belief, ``map_state`` against ``leaf_sums`` bit for bit (``same_sums``)."""
     tree, beams, boxes = case
     k = tree.num_classes
     beliefs = element_beliefs(tree)
@@ -982,8 +992,8 @@ def test_leaf_table_reads_equal_the_element_loop(case):
             assert bits(tree.query_element(cell)) == bits(sem)
             assert labels[rel] == np.argmax(to_full(sem, k))
             assert observed[rel] == off_prior(tree, sem)
-        assert tree.map_state(box) == leaf_sums(tree, box)
-    assert tree.map_state() == leaf_sums(tree, ((0, 0, 0), tree.dims))
+        assert same_sums(tree.map_state(box), leaf_sums(tree, box))
+    assert same_sums(tree.map_state(), leaf_sums(tree, ((0, 0, 0), tree.dims)))
 
 
 def test_signed_zero_case_keeps_the_first_elements_bits():
@@ -995,6 +1005,15 @@ def test_signed_zero_case_keeps_the_first_elements_bits():
     runs, counts = tree.encode_traces(*stacked_casts([tree.cast_ray(beams[0])]))
     assert counts == [2] and runs.widths.tolist() == [2, 1]
     assert [math.copysign(1.0, v) for v in runs.chi_t[:, 2]] == [-1.0, 1.0]
+
+
+@given(case=leaf_table_case())
+@settings(max_examples=100, deadline=None)
+def test_num_leaves_counts_the_leaf_table(case):
+    """``num_leaves`` counts the leaves level by level without making
+    them: as many as the leaf table holds."""
+    tree = case[0]
+    assert tree.num_leaves() == len(tree.leaf_table().ids)
 
 
 @given(case=leaf_table_case())
@@ -1203,7 +1222,8 @@ def assert_store_is_the_reference(tree):
     assert store.rows.tobytes() == rows.tobytes()
     assert store.full.tobytes() == full.tobytes()
     labels = np.array([np.argmax(row) for row in full], dtype=np.intp)
-    assert tree.labels_observed()[0].tobytes() == labels[tree._box_ids(None)].tobytes()
+    ids = tree._held(tree._box_codes(None))
+    assert tree.labels_observed()[0].tobytes() == labels[ids].tobytes()
     assert tree.map_state() == leaf_sums(tree, ((0, 0, 0), tree.dims))
     assert_one_id_per_value(tree)
 
@@ -1280,6 +1300,27 @@ def test_the_arrays_are_the_pruned_leaves_of_the_element_beliefs(case, tmp_path_
         if read:
             assert_store_is_the_reference(tree)
     assert_store_is_the_reference(tree)
+
+
+def test_pruned_leaves_reference_is_the_recursion(params3, rng):
+    """The pruned leaves of a dense array of beliefs found level by level
+    (``pruned_leaves_reference``) are those the recursion over the eight
+    children of every block that is not uniform finds
+    (``pruned_leaves_by_recursion``), in order and bit for bit, on fixed
+    arrays: the signed-zero case's beliefs, one uniform cube, a scanned
+    tree's, and those with every element a fresh copy of its belief (one
+    object per element, equal records)."""
+    scanned = SemanticOctree(1.0, 4, 3)
+    for _ in range(12):
+        scanned.insert_scan([random_beam(rng, 1.0, 15.0, 10.0)], params3)
+    copy = np.frompyfunc(lambda sem: TruncatedSemantics(sem.data, sem.others), 1, 1)
+    arrays = [element_beliefs(_signed_zero_leaf_case()[0]), element_beliefs(scanned),
+              element_beliefs(SemanticOctree(1.0, 2, 5))]
+    arrays.append(copy(arrays[1]))
+    for beliefs in arrays:
+        want = pruned_leaves_by_recursion(beliefs)
+        assert leaf_bits(pruned_leaves_reference(beliefs)) == leaf_bits(want)
+    assert len(want) > 100
 
 
 @st.composite
@@ -1836,13 +1877,21 @@ def leaf_sums(tree, box):
     return entropy, (seen / total if total else 0.0)
 
 
+def same_sums(got, want) -> bool:
+    """Two (entropy, observed fraction) pairs are one pair of bits, by
+    ``float.hex`` (tuple ``==`` takes -0.0 for 0.0), and ``got`` holds
+    Python floats, as ``metrics.csv`` writes them."""
+    return (all(type(v) is float for v in got)
+            and [float.hex(v) for v in got] == [float.hex(v) for v in want])
+
+
 def test_map_entropy_and_observed_fraction_match_leaf_sums(params3, rng):
     tree = SemanticOctree(1.0, 5, 3)
     for _ in range(30):
         tree.insert_scan([random_beam(rng)], params3)
     for box in (((0, 0, 0), (32, 32, 32)), ((3, 0, 5), (29, 17, 6)), ((4, 4, 4), (4, 9, 9))):
         # same summation order, bit for bit
-        assert tree.map_state(box) == leaf_sums(tree, box)
+        assert same_sums(tree.map_state(box), leaf_sums(tree, box))
         labels, observed = tree.labels_observed(box)
         assert labels.shape == observed.shape == tuple(hi - lo for lo, hi in zip(*box))
         for rel in np.ndindex(labels.shape):
@@ -1876,7 +1925,8 @@ def test_map_state_is_both_aggregates_on_either_map(params3, rng):
             for box in boxes:
                 want = grid_sums(gmap, box)
                 assert np.array(gmap.map_state(box)).tobytes() == np.array(want).tobytes()
-                assert tree.map_state(box) == leaf_sums(tree, box or ((0, 0, 0), tree.dims))
+                want = leaf_sums(tree, box or ((0, 0, 0), tree.dims))
+                assert same_sums(tree.map_state(box), want)
     assert 0.0 < tree.map_state()[1] < 1.0
     assert gmap.map_state(boxes[3]) == tree.map_state(boxes[3]) == (0.0, 0.0)
 
