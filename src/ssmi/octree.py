@@ -18,16 +18,18 @@ effective way to represent quadtrees", CACM 1982). The belief of element
 element read, one element or a batch, is that lookup, and no node is
 stored.
 
-The tree's pruned leaves follow OctoMap's rule (Hornung et al. 2013) on
-intervals: an aligned interval of ``8**L`` codes whose elements all hold
-one belief is one leaf. Such a block lies inside one run and its parent
-does not, so the pruned leaves are the maximal aligned blocks of the
-runs, and a write that keeps its runs maximal keeps the tree pruned with
-no pruning code. Leaves are derived (``_level_blocks``) only by
-``leaf_table``, by ``save_octree``, which writes them as a preorder node
-stream (as OctoMap's compact ``.bt`` files do), and by ``num_leaves``,
-which counts them; ``map_state`` and ``labels_observed`` read the box's
-elements only, and a ray's read is run-length encoded by belief.
+The tree's leaves are derived from the runs only by ``leaf_table``,
+``save_octree`` and ``num_leaves``, which counts them (``_level_blocks``),
+and they are the pruned ones, OctoMap's rule (Hornung et al. 2013) stated
+on intervals: an aligned interval of ``8**L`` codes whose elements all hold
+one belief is one leaf. A block is such a leaf exactly when it lies inside
+one run and its parent does not, so the pruned leaves are the maximal
+aligned blocks of the runs, and a write that keeps its runs maximal keeps
+the tree pruned with no pruning code. The leaves are
+what makes ray casts over this structure short, a ray meeting a handful of
+homogeneous runs instead of hundreds of elements, and ``save_octree``
+writes them as a preorder node stream (as OctoMap's compact ``.bt`` files
+do). ``map_state`` and ``labels_observed`` read only the box's elements.
 
 The cube of ``2**max_depth`` elements a side is the tree's storage only. The
 map covers a world box of ``dims`` elements at the cube's low corner, as a
@@ -35,25 +37,24 @@ map covers a world box of ``dims`` elements at the cube's low corner, as a
 default box of every aggregate end at the world's faces, so both maps share
 one geometry.
 
-A belief is its row for every K (``_lumped_row``: three classes, their
-values, the lump), whose bytes stand one to one for its ``.ssmioct`` leaf
-record. The tree's store interns every row by its bytes, so equal values
-share one id (``0.0`` and ``-0.0`` stay apart); every writer hands
-``_write`` its elements' rows, and an element whose row interns to the id
-it holds is not written. The store holds the beliefs writes put on leaves
-for the tree's life, so an id's rows never change: its stored row and its
-full K+1 row, both made when the row is interned. A read derives what it
-needs for the ids its box holds: ``map_state`` the entropy of their
-stored rows, ``labels_observed`` the argmax of the box's full rows. A
-``TruncatedSemantics`` is built from a row only for a reader
-(``query_element``, ``save_octree``) and by ``load_octree``, which checks
-each belief it reads through one.
+A belief is its row for every K (``_lumped_row``: three classes, their values, the lump),
+whose bytes stand one to one for its ``.ssmioct`` leaf record. The tree's
+store interns every row by its bytes, so equal values share one id
+(``0.0`` and ``-0.0`` stay apart); every writer hands ``_write`` its
+elements' rows, and an element whose row interns to the id it holds is
+not written. The store holds the beliefs writes put on leaves, for the tree's
+life, so a belief's id and its rows never change: per id its stored row
+and its full K+1 row, both made when the row is interned. What a reader
+derives from a belief is made by the read that uses it: ``map_state``
+takes the entropy of the stored rows its box holds, ``labels_observed``
+the argmax of the full rows. A ``TruncatedSemantics`` is built from a row
+only for a reader (``query_element``, ``save_octree``) and by
+``load_octree``, which checks each belief it reads through one.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import logging
 import math
 import struct
@@ -85,8 +86,9 @@ _LEAF = [struct.Struct("<BB" + "Hd" * n + "d") for n in range(4)]
 
 @dataclass(frozen=True)
 class TruncatedSemantics:
-    """Up to three (class, log-odds) pairs plus one lump for everything
-    else. ``data`` is sorted by descending log-odds with class index breaking ties,
+    """Up to three (class, log-odds) pairs plus one lump for everything else.
+
+    ``data`` is sorted by descending log-odds with class index breaking ties,
     and ``others`` is the log-odds of the aggregate probability of all
     untracked classes (-inf when nothing is untracked). ``record`` is the
     belief's leaf record in a ``.ssmioct`` file (``_LEAF``), made once: two
@@ -113,36 +115,34 @@ class TruncatedSemantics:
             0, n, *[x for cv in self.data for x in cv], self.others))
 
 
-@functools.lru_cache(maxsize=16)  # one per depth
-def _axis_codes(max_depth: int) -> np.ndarray:
-    """Per axis (a read-only row each), the Morton code bits of each
-    coordinate below ``2**max_depth``: bit b of an x at bit 3b + 2 of the
-    code, of a y at 3b + 1, of a z at 3b."""
-    v = np.arange(1 << max_depth, dtype=np.int64)
-    spread = sum(((v >> b) & 1) << 3 * b for b in range(max_depth))
-    codes = np.stack((spread << 2, spread << 1, spread))
-    codes.flags.writeable = False
-    return codes
+@functools.cache
+def _spread_table() -> np.ndarray:
+    """Bit b of each 16-bit coordinate moved to bit 3b, for interleaving
+    three coordinates: 512 KB, made on first use from a byte's table, with
+    no larger temporary."""
+    byte = sum(((np.arange(256, dtype=np.int64) >> b) & 1) << 3 * b for b in range(8))
+    return (byte[:, None] << 24 | byte).ravel()
 
 
-def morton(x, y, z, max_depth: int = 16) -> np.ndarray:
-    """Morton codes of element coordinates below ``2**max_depth`` (integer
-    arrays that broadcast together), ordered as the tree's child slots: x
-    above y above z at every level. Gathers from ``_axis_codes``, ored."""
-    ax, ay, az = _axis_codes(max_depth)
-    return ax[x] | ay[y] | az[z]
+def morton(x, y, z) -> np.ndarray:
+    """Morton codes of element coordinates (integer arrays that broadcast
+    together), ordered as the tree's child slots: x above y above z at every
+    level."""
+    spread = _spread_table()
+    return spread[x] << 2 | spread[y] << 1 | spread[z]
 
 
 class _Beliefs:
     """The beliefs that writes put on the leaves of one tree: one stored
     row per id (``rows``, ``_lumped_row`` for every K) and one index by the
-    row's bytes (in the order the rows came), so beliefs equal bit for bit
-    share one id. Per id also its ``full`` row, the full K+1 log-odds with
-    untracked classes splitting the lump evenly, made when the row is
-    interned. The store is append-only, so an id keeps its rows for the
-    tree's life; a row seen before gets its id back, which is how
-    ``_write`` finds the elements it leaves. The prior is id 0, so an
-    element is observed when its id is not 0."""
+    row's bytes, so beliefs equal bit for bit share one id (two beliefs
+    have one row exactly when they have one record). Per id also its
+    ``full`` row, the full K+1 log-odds with untracked classes splitting
+    the lump evenly, made with the stored row when the row is interned.
+    The store is append-only: each id keeps its rows for the tree's life,
+    numbered as writes first hand them in; a row seen before gets its id
+    back, which is how ``_write`` finds the elements it leaves. The prior
+    is id 0, so an element is observed when its id is not 0."""
 
     def __init__(self, prior_row: np.ndarray, num_classes: int):
         self.num_classes = num_classes
@@ -164,8 +164,9 @@ class _Beliefs:
         keys = np.ascontiguousarray(rows).view(np.dtype((np.void, 7 * 8)))[:, 0].tolist()
         ids = np.array([index.setdefault(key, len(index)) for key in keys], dtype=np.intp)
         if len(index) > size:
-            # the new rows are the index's last keys, in the order they came
-            new = np.frombuffer(b"".join(itertools.islice(index, size, None))).reshape(-1, 7)
+            # new ids first come in increasing order: where an id passes all before it
+            peak = np.maximum.accumulate(np.append(size - 1, ids))
+            new = rows[np.flatnonzero(peak[1:] > peak[:-1])]
             tracked = new[:, :3] != _EMPTY
             lump = new[:, 6] - self.share[np.count_nonzero(tracked, axis=1)]
             full = np.repeat(lump[:, None], self.num_classes + 1, axis=1)
@@ -186,8 +187,9 @@ class _Beliefs:
 @dataclass(frozen=True)
 class LeafTable:
     """One revision of a tree for a reader: its pruned leaves in preorder,
-    which is Morton order, derived from its runs (``_leaves``). Per leaf:
-    ``starts`` (the Morton code of its low corner, ascending),
+    which is Morton order, derived from its runs (``_leaves``).
+
+    Per leaf: ``starts`` (the Morton code of its low corner, ascending),
     ``sizes`` (its edge in elements), and ``ids``, the id of its belief in
     the tree's interned beliefs (``_Beliefs``, whose rows of an id never
     change), so equal ids are equal bits, and id 0 is the prior. A write
@@ -370,7 +372,7 @@ class SemanticOctree:
     The tree is its runs (module docstring): one pair of arrays, the runs'
     ``starts`` and ``ids``, that a write replaces in one assignment and
     never changes in place, so a reader that took the pair keeps the tree
-    it read."""
+    it read. ``leaf_table()`` derives the leaves from it."""
 
     def __init__(
         self,
@@ -397,10 +399,10 @@ class SemanticOctree:
     def _set_leaves(self, starts, ids) -> None:
         """Make the tree the intervals of Morton codes that begin at
         ``starts`` (ascending, the first 0) and hold the belief ids ``ids``,
-        such as a tree's leaves, with equal neighbours joined into runs."""
-        keep = np.ones(ids.shape[0], dtype=bool)
-        np.not_equal(ids[1:], ids[:-1], out=keep[1:])
-        self._runs = (starts[keep], ids[keep])
+        such as a tree's leaves: its runs are these intervals with equal
+        neighbours joined."""
+        first = _run_bounds(ids)[:-1]
+        self._runs = (starts[first], ids[first])
 
     @property
     def size_elements(self) -> int:
@@ -423,10 +425,11 @@ class SemanticOctree:
         cell = _integers(cell, "element")
         if len(cell) != 3 or not all(0 <= c < d for c, d in zip(cell, self.dims)):
             raise ValueError(f"element {cell} is outside the world {self.dims}")
-        return int(morton(*cell, self.max_depth))
+        return int(morton(*cell))
 
     def query_element(self, cell) -> TruncatedSemantics:
-        """The belief of an element; ValueError for a cell outside the world."""
+        """The belief of an element; ValueError for a cell outside the
+        world."""
         return self._beliefs.semantics(self._held(self._code(cell)))
 
     # -- updates ---------------------------------------------------------------
@@ -434,8 +437,9 @@ class SemanticOctree:
     def _write(self, codes, rows: np.ndarray) -> int:
         """The one writer: give the elements at the ascending, distinct
         Morton ``codes`` the stored rows ``rows`` (N, 7), interned by the
-        store (``_Beliefs.ids``); return how many elements changed. Elements
-        whose new id is the one they hold are dropped. Each changed
+        store (``_Beliefs.ids``); return how many elements changed.
+
+        Elements whose new id is the one they hold are dropped. Each changed
         element ``c`` begins a run of its new id, and the run of the id
         held at ``c + 1`` begins again there (inside the cube). These
         entries and the current runs, stable-sorted by start with the
@@ -455,8 +459,7 @@ class SemanticOctree:
             entries = np.concatenate((starts, after, codes))
             order = np.argsort(entries, kind="stable")
             entries = entries[order]
-            last = np.ones(entries.shape[0], dtype=bool)
-            np.not_equal(entries[1:], entries[:-1], out=last[:-1])
+            last = _run_bounds(entries)[1:] - 1
             held = np.concatenate((ids, self._held(after), new))[order]
             self._set_leaves(entries[last], held[last])
         log.debug("octree write: %d runs, %d beliefs, %d changed, %.3f ms",
@@ -479,26 +482,29 @@ class SemanticOctree:
     def insert_scan(self, beams: Scan | list[BeamMeasurement],
                     params: SensorParams) -> "SemanticOctree":
         """Integrate a scan's beams in order, a sensed ``Scan`` or a list of
-        beams (same cell arithmetic as the dense grid), in one write
-        (``_write``). The element updates are the grid's, from
-        ``scan_updates``, which finds and checks every update first (cut
-        from the fan's memoized walks for a ``Scan``, walked beam by beam
-        for a list): a scan that raises leaves the tree as it was.
+        beams (same cell arithmetic as the dense grid), in one write, a
+        splice of the changed elements into the runs (``_write``). The
+        element updates are the grid's, from ``scan_updates``, which finds
+        and checks every update first (cut from the fan's memoized walks
+        for a ``Scan``, walked beam by beam for a list): a scan that raises
+        leaves the tree as it was.
 
         The updates are grouped in rounds by element (``grid._rounds``, a
         stable sort of their Morton codes), so each element meets its
-        updates in scan order. The elements' rows, found by one
-        ``searchsorted`` of the run starts, take the update in those rounds,
-        the one step that depends on K: full rows and the grid's update
-        (``grid._apply_rounds``) with K <= 3, lumped rows and the lumped
-        update (``_lumped_rounds``) with K > 3. ``_write`` takes every
-        element's stored row (``_lumped_rows`` of it with K <= 3) and
-        writes the elements whose id it changes."""
+        updates in scan order, and the ids the elements hold are found by
+        one ``searchsorted`` of the run starts for all of them. The
+        elements' rows take the update in those rounds, the one step that
+        depends on K: full rows (``_Beliefs.full``) and the grid's own
+        update with K <= 3 (``grid._apply_rounds``), lumped rows
+        (``_Beliefs.rows``) and the lumped update with K > 3
+        (``_lumped_rounds``). ``_write`` takes every element's stored row
+        (``_lumped_rows`` of it with K <= 3) and writes the elements whose
+        id it changes: one that ends where it began is not written."""
         if params.num_classes != self.num_classes:
             raise ValueError("sensor parameters and tree disagree on K")
         cells, rows = scan_updates(beams, self.origin, self.element_size, self.dims,
                                    self.num_classes)
-        codes = morton(*cells.T, self.max_depth)
+        codes = morton(*cells.T)
         order, first, by_round, bounds = _rounds(codes)
         codes = codes[order][first]
         # each update's element (an index into codes) and model row, by round
@@ -526,9 +532,11 @@ class SemanticOctree:
     def _ray_runs(self, cells: np.ndarray, firsts) -> tuple[SrleRay, np.ndarray]:
         """The runs over stacked elements (at least one) whose beams start
         at the indices ``firsts``, and the index of each run's first
-        element: all looked up at once, a run starts at each beam's first
-        element and wherever the belief id (interned bits) changes."""
-        ids = self._held(morton(*cells.T, self.max_depth))
+        element. All elements are looked up in the tree's runs at once; a
+        run starts at each beam's first element and wherever the belief id
+        changes (ids are interned bits), and takes its first element's
+        belief."""
+        ids = self._held(morton(*cells.T))
         bounds = _run_bounds(ids, firsts)
         starts = bounds[:-1]
         chi_t = self._beliefs.full[ids[starts]]
@@ -536,10 +544,14 @@ class SemanticOctree:
                        chi_0=np.broadcast_to(self.prior, chi_t.shape)), starts
 
     def encode_trace(self, cells: np.ndarray) -> SrleRay | None:
-        """Run-length encode the beliefs along a sequence of elements, an
+        """Run-length encode leaf beliefs along a sequence of elements, an
         (M, 3) integer array such as ``RayTrace.cells``; None when it is
-        empty. Equal neighbours merge into one run even across leaves, so
-        the runs expand to the per-element sequence exactly."""
+        empty.
+
+        Consecutive elements with equal beliefs merge into one run even when
+        they belong to distinct leaves, so expanding the result reproduces the
+        per-element sequence exactly and the widths sum to the element count.
+        """
         return self._ray_runs(cells, 0)[0] if cells.shape[0] else None
 
     def encode_traces(self, cells: np.ndarray, counts) -> tuple[SrleRay | None, list[int]]:
@@ -570,19 +582,19 @@ class SemanticOctree:
 
     def _box_codes(self, box) -> np.ndarray:
         """The Morton codes over a half-open element box ((lo), (hi)) inside
-        the world, or the whole world for None: per axis a slice of
-        ``_axis_codes``, ored across."""
+        the world, or the whole world for None (``morton`` of the box's
+        slices of ``_spread_table``)."""
         (x0, y0, z0), (x1, y1, z1) = _box_corners(box, self.dims)
-        ax, ay, az = _axis_codes(self.max_depth)
-        return ax[x0:x1, None, None] | ay[y0:y1, None] | az[z0:z1]
+        spread = _spread_table()
+        return spread[x0:x1, None, None] << 2 | spread[y0:y1, None] << 1 | spread[z0:z1]
 
     def labels_observed(self, box=None) -> tuple[np.ndarray, np.ndarray]:
         """Most likely class (the argmax of the full belief, ties to the
         lowest class) and observed flag (belief off the prior) of every
         element in a half-open box ((lo), (hi)) inside the world, or of the
-        whole world: the box's elements alone are read."""
+        whole world."""
         ids = self._held(self._box_codes(box))
-        return np.argmax(self._beliefs.full[ids], axis=-1), ids != 0
+        return np.argmax(self._beliefs.full, axis=-1)[ids], ids != 0
 
     def map_state(self, region=None) -> tuple[float, float]:
         """Total entropy in nats, and the fraction of elements whose belief
@@ -635,7 +647,7 @@ def octree_from_grid(gmap: GridMap) -> SemanticOctree:
         origin=gmap.origin,
         dims=gmap.dims,
     )
-    codes = morton(*np.indices(gmap.dims).reshape(3, -1), tree.max_depth)
+    codes = morton(*np.indices(gmap.dims).reshape(3, -1))
     order = np.argsort(codes)
     tree._write(codes[order], _lumped_rows(gmap.cells.reshape(-1, gmap.num_classes + 1)[order]))
     return tree
